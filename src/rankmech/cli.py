@@ -84,12 +84,16 @@ def _common_flags(cmd: argparse.ArgumentParser) -> None:
                      default="uniform")
     cmd.add_argument("--refusal", action="store_true",
                      help="filter outcomes through true acceptability")
-    cmd.add_argument("--parallel", action="store_true",
-                     help="fan sweep units out to a thread pool")
-    cmd.add_argument("--budget-agents", type=int, metavar="N",
+    cmd.add_argument("--budget-agents", type=_positive_int, metavar="N",
                      help="raise the enumeration budget's agent limit")
     cmd.add_argument("--csv", metavar="PATH",
                      help="also write the final matrix as agent,type,probability")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,7 +127,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    if getattr(args, "budget_agents", None):
+    if args.budget_agents is not None:
         return Budget(max_agents=args.budget_agents)
     return DEFAULT_BUDGET
 
@@ -210,11 +214,13 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         ]
     print(f"agent: {args.agent}  truth: {args.truth_order}  "
           f"mechanism: {args.mechanism}  refusal: {'on' if args.refusal else 'off'}")
+    table = {}
     for candidate, tag in candidates:
         verdict = check_dominance(
             DominanceQuery(market, agent, truth, candidate,
                            args.mechanism, args.refusal),
             budget,
+            table=table,
         )
         print(f"candidate {order_to_names(market, candidate)}{tag}: "
               f"weak={'yes' if verdict.weakly_dominates else 'no'} "
@@ -232,15 +238,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     market, _ = _load(args.spec)
     budget = _budget(args)
     runners = {
-        "ete-fU": lambda: sweep_ete(market, "uniform", None, budget, args.parallel),
-        "ete-fM": lambda: sweep_ete(market, "modified", None, budget, args.parallel),
+        "ete-fU": lambda: sweep_ete(market, "uniform", None, budget),
+        "ete-fM": lambda: sweep_ete(market, "modified", None, budget),
         "prop2": lambda: sweep_no_strict_dominance(
-            market, "uniform", False, budget, args.parallel, dichotomy=True),
-        "prop5": lambda: sweep_no_strict_dominance(
-            market, "modified", True, budget, args.parallel),
-        "thm1": lambda: sweep_demotion_weak_dominance(market, budget, args.parallel),
-        "thm2": lambda: sweep_demotion_strict_gain(market, budget, args.parallel),
-        "prop3": lambda: sweep_demotion_waste(market, budget, args.parallel),
+            market, "uniform", False, budget, dichotomy=True),
+        "prop5": lambda: sweep_no_strict_dominance(market, "modified", True, budget),
+        "thm1": lambda: sweep_demotion_weak_dominance(market, budget),
+        "thm2": lambda: sweep_demotion_strict_gain(market, budget),
+        "prop3": lambda: sweep_demotion_waste(market, budget),
     }
     outcome = runners[args.property]()
     print(f"property: {args.property}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -142,7 +141,9 @@ class Market:
 
     def all_orders(self) -> tuple[PreferenceOrder, ...]:
         """Every strict order over this market's types, lexicographic by index."""
-        return _all_orders(self.n_types)
+        return tuple(
+            PreferenceOrder(perm) for perm in itertools.permutations(range(self.n_types))
+        )
 
     def null_first_order(self) -> PreferenceOrder:
         """The canonical order placing the outside option first."""
@@ -160,13 +161,6 @@ class Market:
             return self.type_names.index(name)
         except ValueError:
             raise DomainError(f"unknown type {name!r}") from None
-
-
-@lru_cache(maxsize=None)
-def _all_orders(n_types: int) -> tuple[PreferenceOrder, ...]:
-    return tuple(
-        PreferenceOrder(perm) for perm in itertools.permutations(range(n_types))
-    )
 
 
 @dataclass(frozen=True)

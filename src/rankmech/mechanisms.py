@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .assignment import Assignment, DeterministicAssignment, build_assignment, ZERO, ONE
@@ -63,11 +62,6 @@ def enumerate_rank_minimizers(
     """
     check_profile(market, profile)
     _check_budget(market, budget)
-    return _enumerate_cached(market, profile, budget)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_cached(market: Market, profile: Profile, budget: Budget) -> RankMinimizingSet:
     n = market.n_agents
     m = market.n_types
     ranks = [[profile[a].rank(o) for o in range(m)] for a in range(n)]

@@ -224,13 +224,23 @@ class DominanceVerdict:
     strict_witness: OpponentProfile | None
 
 
-def check_dominance(query: DominanceQuery, budget: Budget = DEFAULT_BUDGET) -> DominanceVerdict:
+def check_dominance(
+    query: DominanceQuery,
+    budget: Budget = DEFAULT_BUDGET,
+    *,
+    table: dict[Profile, Assignment] | None = None,
+) -> DominanceVerdict:
     """Compare candidate and truth rows across every opponent profile.
 
     Only the queried agent's row matters, so opponents' reveals are taken at
     face value; with refusal on, both rows are filtered through the agent's
     true order first.  Opponent profiles enumerate lexicographically, agents
     in index order and orders by type index, which pins the witnesses.
+
+    ``table`` maps each profile already run through the query's mechanism to
+    its outcome; profiles missing from it are evaluated and added.  Queries
+    may share one table only when they share the market, the mechanism and
+    the budget.  Left out, the table is fresh for this call.
     """
     market = query.market
     market.check_order(query.truth)
@@ -238,6 +248,8 @@ def check_dominance(query: DominanceQuery, budget: Budget = DEFAULT_BUDGET) -> D
     if not 0 <= query.agent < market.n_agents:
         raise DomainError(f"agent index {query.agent} out of range")
     mech = get_mechanism(query.mechanism)
+    if table is None:
+        table = {}
     others = [a for a in range(market.n_agents) if a != query.agent]
     all_orders = market.all_orders()
     base = [market.null_first_order()] * market.n_agents
@@ -247,13 +259,15 @@ def check_dominance(query: DominanceQuery, budget: Budget = DEFAULT_BUDGET) -> D
         orders = list(base)
         for a, order in zip(others, combo):
             orders[a] = order
-        orders[query.agent] = query.candidate
-        row_candidate = mech(market, Profile(tuple(orders)), budget).row(query.agent)
-        orders[query.agent] = query.truth
-        row_truth = mech(market, Profile(tuple(orders)), budget).row(query.agent)
-        if query.refusal:
-            row_candidate = refuse_row(market, row_candidate, query.truth)
-            row_truth = refuse_row(market, row_truth, query.truth)
+        rows = []
+        for reveal in (query.candidate, query.truth):
+            orders[query.agent] = reveal
+            profile = Profile(tuple(orders))
+            if profile not in table:
+                table[profile] = mech(market, profile, budget)
+            row = table[profile].row(query.agent)
+            rows.append(refuse_row(market, row, query.truth) if query.refusal else row)
+        row_candidate, row_truth = rows
         if not row_weakly_prefers(query.truth, row_candidate, row_truth):
             if first_failure is None:
                 first_failure = tuple(zip(others, combo))

@@ -1,23 +1,24 @@
 """Exhaustive property sweeps over small markets.
 
-Each sweep walks a finite space (profiles, or truth and candidate reveals)
-and counts violations of one property, keeping the first counterexample for
-reporting.  Sweeps are deterministic; the optional thread pool only fans out
-independent units and merges results in submission order.
+Each sweep walks a finite list of units (profiles, or an agent with a truth
+and a reveal) and counts the units that violate one property, keeping the
+first counterexample for reporting.  Sweeps are deterministic.  The
+dominance queries of one sweep share one evaluation table, so each profile
+is run through the mechanism once per sweep, however many queries visit it.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .assignment import is_wasteful
-from .market import Market, Profile, order_to_names
+from .assignment import Assignment, is_wasteful
+from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, order_to_names
 from .mechanisms import Budget, DEFAULT_BUDGET, check_ete, get_mechanism, uniform_mechanism
 from .strategy import (
     DominanceQuery,
+    DominanceVerdict,
     check_dominance,
     ods_promoting,
     ods_set,
@@ -38,28 +39,36 @@ class SweepOutcome:
         return self.violations == 0
 
 
-def _run_units(
-    units: Sequence,
-    worker: Callable,
-    parallel: bool,
-) -> list:
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(worker, units))
-    return [worker(u) for u in units]
-
-
-def _collect(name: str, results: Iterable[str | None]) -> SweepOutcome:
+def _sweep(name: str, units: Iterable[tuple], check: Callable[..., str | None]) -> SweepOutcome:
+    """Run ``check`` on every unit in order; a unit violates when it returns a detail."""
     checked = 0
     violations = 0
     first: str | None = None
-    for detail in results:
+    for unit in units:
         checked += 1
+        detail = check(*unit)
         if detail is not None:
             violations += 1
             if first is None:
                 first = detail
     return SweepOutcome(name, checked, violations, first)
+
+
+def _verdicts(
+    market: Market, mechanism_name: str, refusal: bool, budget: Budget
+) -> Callable[[AgentIndex, PreferenceOrder, PreferenceOrder], DominanceVerdict]:
+    """Dominance verdicts for one sweep, every query sharing one evaluation table."""
+    table: dict[Profile, Assignment] = {}
+
+    def verdict(agent: AgentIndex, truth: PreferenceOrder, candidate: PreferenceOrder):
+        query = DominanceQuery(market, agent, truth, candidate, mechanism_name, refusal)
+        return check_dominance(query, budget, table=table)
+
+    return verdict
+
+
+def _agent_truth_label(market: Market, agent: AgentIndex, truth: PreferenceOrder) -> str:
+    return f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)})"
 
 
 def _profile_label(market: Market, profile: Profile) -> str:
@@ -69,25 +78,34 @@ def _profile_label(market: Market, profile: Profile) -> str:
     )
 
 
+def _promotion_units(market: Market) -> list[tuple[AgentIndex, PreferenceOrder, TypeIndex]]:
+    """Every agent and truth with each type a scarce pair promotes, ascending."""
+    orders = market.all_orders()
+    return [
+        (agent, truth, o_prime)
+        for agent in range(market.n_agents)
+        for truth in orders
+        for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
+    ]
+
+
 def sweep_ete(
     market: Market,
     mechanism_name: str,
     profiles: Iterable[Profile] | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    parallel: bool = False,
 ) -> SweepOutcome:
     """Equal treatment of essentially equal reveals, profile by profile."""
     mech = get_mechanism(mechanism_name)
     if profiles is None:
         profiles = all_profiles(market)
-    units = list(profiles)
 
-    def worker(profile: Profile) -> str | None:
+    def check(profile: Profile) -> str | None:
         if check_ete(lambda m, p: mech(m, p, budget), market, profile):
             return None
         return _profile_label(market, profile)
 
-    return _collect(f"ete-{mechanism_name}", _run_units(units, worker, parallel))
+    return _sweep(f"ete-{mechanism_name}", ((p,) for p in profiles), check)
 
 
 def all_profiles(market: Market) -> list[Profile]:
@@ -101,94 +119,62 @@ def all_profiles(market: Market) -> list[Profile]:
 def sweep_demotion_weak_dominance(
     market: Market,
     budget: Budget = DEFAULT_BUDGET,
-    parallel: bool = False,
 ) -> SweepOutcome:
     """Under refusal, every demotion weakly dominates its truth (uniform)."""
+    verdict = _verdicts(market, "uniform", True, budget)
+    orders = market.all_orders()
     units = [
         (agent, truth, demoted)
         for agent in range(market.n_agents)
-        for truth in market.all_orders()
+        for truth in orders
         for demoted in ods_set(market, truth)
     ]
 
-    def worker(unit) -> str | None:
-        agent, truth, demoted = unit
-        verdict = check_dominance(
-            DominanceQuery(market, agent, truth, demoted, "uniform", refusal=True),
-            budget,
-        )
-        if verdict.weakly_dominates:
+    def check(agent, truth, demoted) -> str | None:
+        if verdict(agent, truth, demoted).weakly_dominates:
             return None
         return (
-            f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)}) "
+            f"{_agent_truth_label(market, agent, truth)} "
             f"demotion=({order_to_names(market, demoted)})"
         )
 
-    return _collect("thm1", _run_units(units, worker, parallel))
+    return _sweep("thm1", units, check)
 
 
 def sweep_demotion_strict_gain(
     market: Market,
     budget: Budget = DEFAULT_BUDGET,
-    parallel: bool = False,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
-    units = [
-        (agent, truth, o_prime)
-        for agent in range(market.n_agents)
-        for truth in market.all_orders()
-        for (_, o_prime) in strict_gain_pairs(market, truth)
-    ]
+    verdict = _verdicts(market, "uniform", True, budget)
 
-    def worker(unit) -> str | None:
-        agent, truth, o_prime = unit
+    def check(agent, truth, o_prime) -> str | None:
         demoted = ods_promoting(market, truth, o_prime)
-        verdict = check_dominance(
-            DominanceQuery(market, agent, truth, demoted, "uniform", refusal=True),
-            budget,
-        )
-        if verdict.strictly_dominates:
+        if verdict(agent, truth, demoted).strictly_dominates:
             return None
-        return (
-            f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)}) "
-            f"promoted={market.type_names[o_prime]}"
-        )
+        return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
 
-    return _collect("thm2", _run_units(units, worker, parallel))
+    return _sweep("thm2", _promotion_units(market), check)
 
 
 def sweep_demotion_waste(
     market: Market,
     budget: Budget = DEFAULT_BUDGET,
-    parallel: bool = False,
 ) -> SweepOutcome:
     """When everyone else reveals the same demotion, refusal strands capacity."""
-    units = [
-        (agent, truth, o_prime)
-        for agent in range(market.n_agents)
-        for truth in market.all_orders()
-        for (_, o_prime) in strict_gain_pairs(market, truth)
-    ]
 
-    def worker(unit) -> str | None:
-        agent, truth, o_prime = unit
+    def check(agent, truth, o_prime) -> str | None:
         demoted = ods_promoting(market, truth, o_prime)
-        orders = [demoted] * market.n_agents
-        revealed = Profile(tuple(orders))
-        truths = Profile(
-            tuple(truth if a == agent else demoted for a in range(market.n_agents))
-        )
+        revealed = Profile((demoted,) * market.n_agents)
+        truths = revealed.replace(agent, truth)
         outcome = refusal_transform(
             market, uniform_mechanism(market, revealed, budget), truths
         )
         if is_wasteful(market, outcome, truths):
             return None
-        return (
-            f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)}) "
-            f"promoted={market.type_names[o_prime]}"
-        )
+        return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
 
-    return _collect("prop3", _run_units(units, worker, parallel))
+    return _sweep("prop3", _promotion_units(market), check)
 
 
 def sweep_no_strict_dominance(
@@ -196,7 +182,6 @@ def sweep_no_strict_dominance(
     mechanism_name: str,
     refusal: bool,
     budget: Budget = DEFAULT_BUDGET,
-    parallel: bool = False,
     dichotomy: bool = False,
 ) -> SweepOutcome:
     """No reveal strictly dominates the truth.
@@ -206,35 +191,33 @@ def sweep_no_strict_dominance(
     profile while every other candidate has a profile where it is not weakly
     preferred.
     """
+    verdict = _verdicts(market, mechanism_name, refusal, budget)
+    orders = market.all_orders()
     units = [
         (agent, truth, candidate)
         for agent in range(market.n_agents)
-        for truth in market.all_orders()
-        for candidate in market.all_orders()
+        for truth in orders
+        for candidate in orders
         if candidate != truth
     ]
 
-    def worker(unit) -> str | None:
-        agent, truth, candidate = unit
-        verdict = check_dominance(
-            DominanceQuery(market, agent, truth, candidate, mechanism_name, refusal),
-            budget,
-        )
+    def check(agent, truth, candidate) -> str | None:
+        result = verdict(agent, truth, candidate)
         label = (
-            f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)}) "
+            f"{_agent_truth_label(market, agent, truth)} "
             f"candidate=({order_to_names(market, candidate)})"
         )
-        if verdict.strictly_dominates:
+        if result.strictly_dominates:
             return f"{label}: strictly dominates"
         if dichotomy:
             if market.essentially_equal(truth, candidate):
-                if not verdict.weakly_dominates or verdict.strict_witness is not None:
+                if not result.weakly_dominates or result.strict_witness is not None:
                     return f"{label}: essentially equal but rows differ somewhere"
-            elif verdict.failure_witness is None:
+            elif result.failure_witness is None:
                 return f"{label}: expected a failure witness"
         return None
 
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:
         name = "prop5"
-    return _collect(name, _run_units(units, worker, parallel))
+    return _sweep(name, units, check)

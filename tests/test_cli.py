@@ -123,10 +123,16 @@ def test_sweep_tokens_pass_on_bundled_market(spec_path, capsys):
 
 
 def test_sweep_prop2_and_prop5(spec_path, capsys):
-    assert main(["sweep", "prop2", "--spec", spec_path, "--parallel"]) == 0
+    assert main(["sweep", "prop2", "--spec", spec_path]) == 0
     assert "checked: 90" in capsys.readouterr().out
-    assert main(["sweep", "prop5", "--spec", spec_path, "--parallel"]) == 0
+    assert main(["sweep", "prop5", "--spec", spec_path]) == 0
     assert "checked: 90" in capsys.readouterr().out
+
+
+def test_sweep_parallel_flag_is_gone(spec_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "prop2", "--spec", spec_path, "--parallel"])
+    assert exit_info.value.code == 2
 
 
 def test_sweep_rejects_unknown_property(spec_path):
@@ -197,6 +203,14 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
     assert main(["assign", "--spec", str(path), "--budget-agents", "9"]) == 0
     assert "rank value: 24" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_agents_must_be_positive(spec_path, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["assign", "--spec", spec_path, "--budget-agents", value])
+    assert exit_info.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
 def test_wide_market_assign_with_refusal_defaults_truth_to_revealed(tmp_path, capsys):
