@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(defaults to the revealed ones)")
 
     dominance = sub.add_parser("dominance", help="test a reveal against the truth")
-    _common_flags(dominance)
+    _common_flags(dominance, csv=False)
     dominance.add_argument("--agent", required=True, help="agent name from the spec")
     dominance.add_argument("--truth-order", required=True, metavar="ORDER",
                            help="true order, e.g. 'o1>null>o2'")
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["ete-fU", "ete-fM", "prop2", "prop5",
                                 "thm1", "thm2", "prop3"],
                        help="property to check over the market")
-    _common_flags(sweep)
+    _common_flags(sweep, mechanism=False, refusal=False, csv=False)
 
     sub.add_parser("reproduce-examples",
                    help="replay the bundled example markets bit-exactly")
@@ -73,21 +73,31 @@ def build_parser() -> argparse.ArgumentParser:
     decompose_cmd = sub.add_parser(
         "decompose", help="decompose a mechanism output into deterministic parts"
     )
-    _common_flags(decompose_cmd)
+    _common_flags(decompose_cmd, refusal=False)
 
     return parser
 
 
-def _common_flags(cmd: argparse.ArgumentParser) -> None:
+def _common_flags(
+    cmd: argparse.ArgumentParser,
+    *,
+    mechanism: bool = True,
+    refusal: bool = True,
+    csv: bool = True,
+) -> None:
+    """Add the shared flags, leaving out those the subcommand does not read."""
     cmd.add_argument("--spec", required=True, metavar="PATH", help="market file")
-    cmd.add_argument("--mechanism", choices=["uniform", "modified"],
-                     default="uniform")
-    cmd.add_argument("--refusal", action="store_true",
-                     help="filter outcomes through true acceptability")
+    if mechanism:
+        cmd.add_argument("--mechanism", choices=["uniform", "modified"],
+                         default="uniform")
+    if refusal:
+        cmd.add_argument("--refusal", action="store_true",
+                         help="filter outcomes through true acceptability")
     cmd.add_argument("--budget-agents", type=_positive_int, metavar="N",
                      help="raise the enumeration budget's agent limit")
-    cmd.add_argument("--csv", metavar="PATH",
-                     help="also write the final matrix as agent,type,probability")
+    if csv:
+        cmd.add_argument("--csv", metavar="PATH",
+                         help="also write the final matrix as agent,type,probability")
 
 
 def _positive_int(text: str) -> int:

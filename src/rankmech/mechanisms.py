@@ -1,10 +1,14 @@
 """Rank-minimizing deterministic enumeration and the two fair mechanisms.
 
 The uniform mechanism averages every deterministic assignment of minimal
-expected total rank with equal weight.  The modified mechanism coincides with
-it except on profiles matching a narrow crowd-out pattern, where it instead
-denies the patterned agent its first best.  Both treat agents with
-essentially equal revealed orders identically.
+expected total rank with equal weight.  It counts, rather than lists, those
+assignments: a forward-backward (min rank, count) pass over agents and
+remaining capacities gives every entry as an exact ratio of integers.  The
+modified mechanism coincides with it except on profiles matching a narrow
+crowd-out pattern, where it instead denies the patterned agent its first
+best.  Both treat agents with essentially equal revealed orders identically.
+``enumerate_rank_minimizers`` lists the set itself; the uniform mechanism
+does not use it, and the tests use it as the counting pass's oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ def enumerate_rank_minimizers(
 ) -> RankMinimizingSet:
     """Enumerate all deterministic assignments of minimal total rank.
 
-    Depth-first search over agents in index order.  A branch is cut when its
+    This is the listing path: the set can grow factorially with ties, so the
+    uniform mechanism counts it instead, and the tests check that count
+    against this list.  Depth-first search over agents in index order.  A branch is cut when its
     partial rank total plus an optimistic completion (each remaining agent on
     its best type with remaining capacity) already exceeds the incumbent
     optimum; the bound never overestimates, so no optimal leaf is lost and
@@ -104,15 +110,86 @@ def enumerate_rank_minimizers(
 def uniform_mechanism(
     market: Market, profile: Profile, budget: Budget = DEFAULT_BUDGET
 ) -> Assignment:
-    """Equal-weight average of every rank-minimizing deterministic assignment."""
-    rmset = enumerate_rank_minimizers(market, profile, budget)
-    count = len(rmset.members)
-    rows = [[ZERO] * market.n_types for _ in range(market.n_agents)]
-    share = Fraction(1, count)
-    for det in rmset.members:
-        for a, o in enumerate(det.choices):
-            rows[a][o] += share
-    return build_assignment(market, rows)
+    """Equal-weight average of every rank-minimizing deterministic assignment.
+
+    The rows come from a counting forward-backward pass over agents in index
+    order, without listing the rank-minimizing set.  A state is the remaining
+    capacity of every non-null type, packed into one int in mixed radix (the
+    null type always has room, so it is no digit).  The forward pass gives
+    each state its least prefix rank and how many prefixes reach it; the
+    backward pass gives its least completion rank and how many completions
+    start with each move.  An optimal assignment passes through a state
+    exactly when the two ranks sum to the optimum, so ``row[a][o]`` is the
+    sum of prefix count times completion count over such states, divided by
+    the number of optimal assignments.
+    """
+    check_profile(market, profile)
+    _check_budget(market, budget)
+    n = market.n_agents
+    m = market.n_types
+    moves = []  # (type, stride, radix); the null move has stride 0
+    start = 0
+    stride = 1
+    for o, q in enumerate(market.capacities):
+        if o == market.null_type:
+            moves.append((o, 0, 1))
+        else:
+            moves.append((o, stride, q + 1))
+            start += q * stride
+            stride *= q + 1
+    ranks = []
+    for order in profile.orders:
+        rank = [0] * m
+        for k, o in enumerate(order.ranking, start=1):
+            rank[o] = k
+        ranks.append(rank)
+
+    forward = [{start: (0, 1)}]
+    for rank in ranks:
+        layer: dict[int, tuple[int, int]] = {}
+        for state, (cost, count) in forward[-1].items():
+            for o, stride, radix in moves:
+                if stride and not state // stride % radix:
+                    continue
+                after = state - stride
+                reach = cost + rank[o]
+                held = layer.get(after)
+                if held is None or reach < held[0]:
+                    layer[after] = (reach, count)
+                elif reach == held[0]:
+                    layer[after] = (reach, held[1] + count)
+        forward.append(layer)
+    optimum = min(cost for cost, _ in forward[n].values())
+
+    counts = [[0] * m for _ in range(n)]
+    below = dict.fromkeys(forward[n], (0, 1))
+    for a in range(n - 1, -1, -1):
+        rank = ranks[a]
+        row = counts[a]
+        here: dict[int, tuple[int, int]] = {}
+        for state, (cost, count) in forward[a].items():
+            best = None
+            ways = 0
+            steps = []
+            for o, stride, radix in moves:
+                if stride and not state // stride % radix:
+                    continue
+                rest, through = below[state - stride]
+                rest += rank[o]
+                if best is None or rest < best:
+                    best, ways, steps = rest, through, [(o, through)]
+                elif rest == best:
+                    ways += through
+                    steps.append((o, through))
+            here[state] = (best, ways)
+            if cost + best == optimum:
+                for o, through in steps:
+                    row[o] += count * through
+        below = here
+    total = below[start][1]
+    return build_assignment(
+        market, [[Fraction(c, total) for c in row] for row in counts]
+    )
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,43 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert "rank value: 24" in capsys.readouterr().out
 
 
+def test_assign_with_raised_budget_on_twelve_tied_agents(tmp_path, capsys):
+    lines = [
+        "type o1 capacity 3",
+        "type o2 capacity 3",
+        "type o3 capacity 2",
+        "type o4 capacity 2",
+        "type null capacity 12 null",
+    ]
+    lines += [f"agent a{i} prefers o1 > o2 > o3 > o4 > null" for i in range(1, 13)]
+    path = tmp_path / "tied.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["assign", "--spec", str(path), "--budget-agents", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "revealed a12: o1>o2>o3>o4>null" in out
+    assert "      o1   o2   o3   o4  null" in out
+    for i in range(1, 13):
+        assert f"a{i}  1/4  1/4  1/6  1/6   1/6".rjust(29) in out
+    assert "rank value: 33" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "prop2", "--mechanism", "modified"],
+    ["sweep", "prop2", "--refusal"],
+    ["sweep", "prop2", "--csv", "{csv}"],
+    ["dominance", "--agent", "a1", "--truth-order", "o1>null>o2", "--ods",
+     "--csv", "{csv}"],
+    ["decompose", "--refusal"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(spec_path, tmp_path, argv, capsys):
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(csv=csv_path) for arg in argv] + ["--spec", spec_path])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_budget_agents_must_be_positive(spec_path, value, capsys):
     with pytest.raises(SystemExit) as exit_info:

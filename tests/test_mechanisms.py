@@ -2,7 +2,8 @@
 
 The pruned search is checked against a naive oracle that walks the full
 type^agents product, so any pruning bug that drops a tied optimum shows up
-as a set mismatch.
+as a set mismatch.  The uniform mechanism's counting pass is in turn checked
+against the equal-weight average of the enumerated set.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from rankmech import (
     DeterministicAssignment,
     DomainError,
     Market,
+    PreferenceOrder,
     Profile,
     check_ete,
     check_weak_ete,
@@ -107,6 +109,95 @@ def test_budget_guard():
     assert rmset.optimum == 1 + 2 + 3 * 7
     with pytest.raises(BudgetError):
         enumerate_rank_minimizers(market, profile, Budget(max_agents=9, max_types=2))
+
+
+def enumeration_average(market, profile, budget=Budget()):
+    """Oracle rows: the equal-weight average of the listed rank-minimizing set."""
+    members = enumerate_rank_minimizers(market, profile, budget).members
+    share = F(1, len(members))
+    rows = [[F(0)] * market.n_types for _ in range(market.n_agents)]
+    for det in members:
+        for a, o in enumerate(det.choices):
+            rows[a][o] += share
+    return [tuple(row) for row in rows]
+
+
+def assert_rows_match_enumeration(market, profile, budget=Budget()):
+    x = uniform_mechanism(market, profile, budget)
+    assert list(x.rows) == enumeration_average(market, profile, budget), profile
+
+
+def test_uniform_rows_match_enumeration_on_every_small_profile():
+    """All 216 profiles of the two-type market and all 36 of the two-agent one."""
+    for market in (example2_market(), example4_market()):
+        for profile in all_profiles(market):
+            assert_rows_match_enumeration(market, profile)
+
+
+def test_uniform_rows_match_enumeration_sampled_wide():
+    """150 seeded profiles each of the two four-type markets."""
+    rng = random.Random(4410)
+    for market in (example1_market(), example3_market()):
+        orders = market.all_orders()
+        for _ in range(150):
+            profile = Profile(tuple(rng.choice(orders) for _ in range(market.n_agents)))
+            assert_rows_match_enumeration(market, profile)
+
+
+def test_uniform_rows_match_enumeration_on_random_markets():
+    """200 seeded markets; every other one has most agents sharing one order."""
+    rng = random.Random(2718)
+    budget = Budget(max_agents=12)
+    for i in range(200):
+        n = rng.randint(2, 7)
+        m = rng.randint(3, 5)
+        null = rng.randrange(m)
+        caps = tuple(
+            rng.randint(n, n + 2) if o == null else rng.randint(1, n - 1)
+            for o in range(m)
+        )
+        market = Market(
+            tuple(f"a{j}" for j in range(n)), tuple(f"t{o}" for o in range(m)), caps, null
+        )
+        orders = market.all_orders()
+        shared = rng.choice(orders)
+        tie_heavy = i % 2 == 1
+        profile = Profile(tuple(
+            shared if tie_heavy and rng.random() < 0.8 else rng.choice(orders)
+            for _ in range(n)
+        ))
+        assert_rows_match_enumeration(market, profile, budget)
+
+
+@pytest.mark.parametrize("n, caps", [(12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))])
+def test_uniform_identical_orders_share_every_type_evenly(n, caps):
+    """Identical orders at n = 12 and 16: each agent gets q/n of every type.
+
+    The rank-minimizing set fills every scarce seat and holds n!/(q1!...qk!r!)
+    assignments, far too many to list.
+    """
+    market = Market(
+        tuple(f"a{j}" for j in range(n)), ("o1", "o2", "o3", "o4", "null"), (*caps, n), 4
+    )
+    order = order_from_names(market, "o1>o2>o3>o4>null")
+    x = uniform_mechanism(market, Profile((order,) * n), Budget(max_agents=n))
+    expected = tuple(F(q, n) for q in caps) + (F(n - sum(caps), n),)
+    for a in range(n):
+        assert x.row(a) == expected
+
+
+@pytest.mark.parametrize("mechanism", [uniform_mechanism, modified_mechanism])
+def test_mechanisms_keep_their_errors(mechanism):
+    names = tuple(f"a{i}" for i in range(9))
+    market = Market(names, ("o1", "o2", "null"), (1, 1, 9), 2)
+    order = order_from_names(market, "o1>o2>null")
+    with pytest.raises(BudgetError):
+        mechanism(market, Profile((order,) * 9))
+    # The profile is checked before the budget.
+    with pytest.raises(DomainError):
+        mechanism(market, Profile((order,) * 8))
+    with pytest.raises(DomainError):
+        mechanism(market, Profile((order,) * 8 + (PreferenceOrder((1, 0)),)))
 
 
 def test_uniform_mechanism_is_the_equal_weight_average():
