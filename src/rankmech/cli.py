@@ -22,8 +22,8 @@ from .market import Market, Profile, order_from_names, order_to_names
 from .mechanisms import Budget, DEFAULT_BUDGET, get_mechanism
 from .specfile import parse_market_spec
 from .strategy import (
-    DominanceQuery,
-    check_dominance,
+    _first_witnesses,
+    _verdict,
     full_extension,
     ods_set,
     refusal_transform,
@@ -224,14 +224,10 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         ]
     print(f"agent: {args.agent}  truth: {args.truth_order}  "
           f"mechanism: {args.mechanism}  refusal: {'on' if args.refusal else 'off'}")
-    table = {}
+    found = _first_witnesses(market, args.mechanism, args.refusal,
+                             [(truth, candidate) for candidate, _ in candidates], budget)
     for candidate, tag in candidates:
-        verdict = check_dominance(
-            DominanceQuery(market, agent, truth, candidate,
-                           args.mechanism, args.refusal),
-            budget,
-            table=table,
-        )
+        verdict = _verdict(market, agent, *found[truth, candidate])
         print(f"candidate {order_to_names(market, candidate)}{tag}: "
               f"weak={'yes' if verdict.weakly_dominates else 'no'} "
               f"strict={'yes' if verdict.strictly_dominates else 'no'}")

@@ -8,7 +8,9 @@ modified mechanism coincides with it except on profiles matching a narrow
 crowd-out pattern, where it instead denies the patterned agent its first
 best.  Both treat agents with essentially equal revealed orders identically.
 ``enumerate_rank_minimizers`` lists the set itself; the uniform mechanism
-does not use it, and the tests use it as the counting pass's oracle.
+does not use it, and the tests use it as the counting pass's oracle.  The
+forward half of the counting pass is shared with the dominance checker in
+``strategy``, which runs it over an agent's opponents only.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .assignment import Assignment, DeterministicAssignment, build_assignment, ZERO, ONE
+from .assignment import Assignment, DeterministicAssignment, build_assignment
 from .errors import BudgetError, DomainError, PatternAmbiguityError
-from .market import AgentIndex, Market, Profile, TypeIndex, check_profile
+from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,52 @@ def enumerate_rank_minimizers(
     )
 
 
+def _rank_table(order: PreferenceOrder) -> list[int]:
+    """``table[o]`` is the 1-based rank of type ``o`` under ``order``."""
+    table = [0] * len(order)
+    for k, o in enumerate(order.ranking, start=1):
+        table[o] = k
+    return table
+
+
+def _forward_layers(
+    market: Market, ranks: list[list[int]]
+) -> tuple[int, list[tuple[TypeIndex, int, int]], list[dict[int, tuple[int, int]]]]:
+    """The forward half of the counting pass over agents with rank tables ``ranks``.
+
+    Returns the packed start state, the moves as (type, stride, radix) with
+    stride 0 for the null type, and one layer per agent boundary: layer k maps
+    each state the first k agents can leave to its least prefix rank and the
+    number of prefixes reaching it with that rank.
+    """
+    moves = []
+    start = 0
+    stride = 1
+    for o, q in enumerate(market.capacities):
+        if o == market.null_type:
+            moves.append((o, 0, 1))
+        else:
+            moves.append((o, stride, q + 1))
+            start += q * stride
+            stride *= q + 1
+    forward = [{start: (0, 1)}]
+    for rank in ranks:
+        layer: dict[int, tuple[int, int]] = {}
+        for state, (cost, count) in forward[-1].items():
+            for o, stride, radix in moves:
+                if stride and not state // stride % radix:
+                    continue
+                after = state - stride
+                reach = cost + rank[o]
+                held = layer.get(after)
+                if held is None or reach < held[0]:
+                    layer[after] = (reach, count)
+                elif reach == held[0]:
+                    layer[after] = (reach, held[1] + count)
+        forward.append(layer)
+    return start, moves, forward
+
+
 def uniform_mechanism(
     market: Market, profile: Profile, budget: Budget = DEFAULT_BUDGET
 ) -> Assignment:
@@ -127,38 +175,8 @@ def uniform_mechanism(
     _check_budget(market, budget)
     n = market.n_agents
     m = market.n_types
-    moves = []  # (type, stride, radix); the null move has stride 0
-    start = 0
-    stride = 1
-    for o, q in enumerate(market.capacities):
-        if o == market.null_type:
-            moves.append((o, 0, 1))
-        else:
-            moves.append((o, stride, q + 1))
-            start += q * stride
-            stride *= q + 1
-    ranks = []
-    for order in profile.orders:
-        rank = [0] * m
-        for k, o in enumerate(order.ranking, start=1):
-            rank[o] = k
-        ranks.append(rank)
-
-    forward = [{start: (0, 1)}]
-    for rank in ranks:
-        layer: dict[int, tuple[int, int]] = {}
-        for state, (cost, count) in forward[-1].items():
-            for o, stride, radix in moves:
-                if stride and not state // stride % radix:
-                    continue
-                after = state - stride
-                reach = cost + rank[o]
-                held = layer.get(after)
-                if held is None or reach < held[0]:
-                    layer[after] = (reach, count)
-                elif reach == held[0]:
-                    layer[after] = (reach, held[1] + count)
-        forward.append(layer)
+    ranks = [_rank_table(order) for order in profile.orders]
+    start, moves, forward = _forward_layers(market, ranks)
     optimum = min(cost for cost, _ in forward[n].values())
 
     counts = [[0] * m for _ in range(n)]
@@ -295,16 +313,28 @@ def modified_mechanism(
     pattern = detect_modified_pattern(market, profile)
     if pattern is None:
         return uniform_mechanism(market, profile, budget)
-    rows = [[ZERO] * market.n_types for _ in range(market.n_agents)]
-    second_best = profile[pattern.special_agent].ranking[1]
-    rows[pattern.special_agent][second_best] = ONE
-    seats = Fraction(market.capacities[pattern.focal_type], len(pattern.competitors))
-    for a in pattern.competitors:
-        rows[a][pattern.focal_type] = seats
-        rows[a][market.null_type] = ONE - seats
-    for a in pattern.bystanders:
-        rows[a][market.null_type] = ONE
+    rows = []
+    for a in range(market.n_agents):
+        counts, total = _override_row(market, profile, pattern, a)
+        rows.append([Fraction(c, total) for c in counts])
     return build_assignment(market, rows)
+
+
+def _override_row(
+    market: Market, profile: Profile, pattern: ModifiedPattern, agent: AgentIndex
+) -> tuple[list[int], int]:
+    """``agent``'s row on a patterned profile, as integer counts over a total."""
+    row = [0] * market.n_types
+    if agent == pattern.special_agent:
+        row[profile[agent].ranking[1]] = 1
+        return row, 1
+    if agent in pattern.competitors:
+        seats = market.capacities[pattern.focal_type]
+        row[pattern.focal_type] = seats
+        row[market.null_type] = len(pattern.competitors) - seats
+        return row, len(pattern.competitors)
+    row[market.null_type] = 1
+    return row, 1
 
 
 def get_mechanism(name: str) -> MechanismFn:

@@ -1,11 +1,17 @@
-"""Refusal, outside-option demotion and brute-force strategic dominance.
+"""Refusal, outside-option demotion and exhaustive strategic dominance.
 
 An agent who can refuse keeps any object ranked above its true outside
 option and walks away from the rest.  Demotion strategies exploit that
 escape hatch: they reveal the outside option last while keeping the
 acceptable block intact.  The dominance checker compares a candidate reveal
 against the truth across every combination of opponent reveals, so its
-verdicts are exhaustive rather than sampled.
+verdicts are exhaustive rather than sampled.  Both mechanisms are
+anonymous, so it walks each multiset of opponent reveals once, in sorted
+order, with the queried agent seated last: one forward layer of the uniform
+mechanism's counting pass over the opponents then gives the agent's row
+under every reveal in integers.  The first failing opponent profile in
+product order is always sorted, so the witnesses are those of the full
+product.
 """
 
 from __future__ import annotations
@@ -13,14 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .assignment import (
-    Assignment,
-    ZERO,
-    build_assignment,
-    row_strictly_prefers,
-    row_weakly_prefers,
-)
+from .assignment import Assignment, ZERO, build_assignment
 from .errors import BudgetError, DomainError
 from .market import (
     AgentIndex,
@@ -30,7 +31,16 @@ from .market import (
     TypeIndex,
     check_profile,
 )
-from .mechanisms import Budget, DEFAULT_BUDGET, get_mechanism
+from .mechanisms import (
+    Budget,
+    DEFAULT_BUDGET,
+    _check_budget,
+    _forward_layers,
+    _rank_table,
+    _override_row,
+    detect_modified_pattern,
+    get_mechanism,
+)
 
 OpponentProfile = tuple[tuple[AgentIndex, PreferenceOrder], ...]
 
@@ -224,61 +234,167 @@ class DominanceVerdict:
     strict_witness: OpponentProfile | None
 
 
-def check_dominance(
-    query: DominanceQuery,
-    budget: Budget = DEFAULT_BUDGET,
-    *,
-    table: dict[Profile, Assignment] | None = None,
-) -> DominanceVerdict:
+def check_dominance(query: DominanceQuery, budget: Budget = DEFAULT_BUDGET) -> DominanceVerdict:
     """Compare candidate and truth rows across every opponent profile.
 
     Only the queried agent's row matters, so opponents' reveals are taken at
     face value; with refusal on, both rows are filtered through the agent's
     true order first.  Opponent profiles enumerate lexicographically, agents
-    in index order and orders by type index, which pins the witnesses.
-
-    ``table`` maps each profile already run through the query's mechanism to
-    its outcome; profiles missing from it are evaluated and added.  Queries
-    may share one table only when they share the market, the mechanism and
-    the budget.  Left out, the table is fresh for this call.
+    in index order and orders by type index, which pins the witnesses.  The
+    walk visits each multiset of opponent reveals once, as its sorted tuple,
+    and still finds the first witnesses of that order (see
+    :func:`_first_witnesses`).
     """
     market = query.market
     market.check_order(query.truth)
     market.check_order(query.candidate)
     if not 0 <= query.agent < market.n_agents:
         raise DomainError(f"agent index {query.agent} out of range")
-    mech = get_mechanism(query.mechanism)
-    if table is None:
-        table = {}
-    others = [a for a in range(market.n_agents) if a != query.agent]
-    all_orders = market.all_orders()
-    base = [market.null_first_order()] * market.n_agents
-    first_failure: OpponentProfile | None = None
-    first_strict: OpponentProfile | None = None
-    for combo in itertools.product(all_orders, repeat=len(others)):
-        orders = list(base)
-        for a, order in zip(others, combo):
-            orders[a] = order
-        rows = []
-        for reveal in (query.candidate, query.truth):
-            orders[query.agent] = reveal
-            profile = Profile(tuple(orders))
-            if profile not in table:
-                table[profile] = mech(market, profile, budget)
-            row = table[profile].row(query.agent)
-            rows.append(refuse_row(market, row, query.truth) if query.refusal else row)
-        row_candidate, row_truth = rows
-        if not row_weakly_prefers(query.truth, row_candidate, row_truth):
-            if first_failure is None:
-                first_failure = tuple(zip(others, combo))
-        elif first_strict is None and row_strictly_prefers(
-            query.truth, row_candidate, row_truth
-        ):
-            first_strict = tuple(zip(others, combo))
-    weakly = first_failure is None
+    pair = (query.truth, query.candidate)
+    found = _first_witnesses(market, query.mechanism, query.refusal, [pair], budget)
+    return _verdict(market, query.agent, *found[pair])
+
+
+Witnesses = tuple[tuple[PreferenceOrder, ...] | None, tuple[PreferenceOrder, ...] | None]
+
+
+def _first_witnesses(
+    market: Market,
+    mechanism: str,
+    refusal: bool,
+    pairs: Iterable[tuple[PreferenceOrder, PreferenceOrder]],
+    budget: Budget = DEFAULT_BUDGET,
+) -> dict[tuple[PreferenceOrder, PreferenceOrder], Witnesses]:
+    """First failing and first strict opponent multiset of every (truth, candidate).
+
+    The queried agent's row does not depend on which agent it is, nor on the
+    order of its opponents, so the agent is seated last and the opponents
+    are walked as sorted tuples from ``combinations_with_replacement``.  A
+    failing opponent tuple and its sorted permutation have the same
+    multiset, so the sorted one fails too and is no later in product order:
+    the first failing tuple of the product is sorted, and the walk meets it
+    first.  The same holds for the first strict tuple.
+
+    For each multiset one forward layer of the uniform mechanism's counting
+    pass over the opponents maps each remaining-capacity state to its least
+    prefix rank and prefix count.  The last agent's optimum under reveal r is
+    the least ``cost(s) + rank_r(o)`` over states s and types o with room in
+    s, and ``row[o]`` counts the prefixes reaching it through o; the row
+    total is the number of optimal assignments.  Rows are compared in
+    integers, by cross-multiplying cumulative sums along the truth's
+    ranking.  Refusal moves everything from the truth's outside option down
+    onto it, so every cumulative sum from there on equals the total: with
+    refusal on the comparison stops just above the outside option, without
+    it just before the last rank.  Under the modified mechanism a profile
+    matching the crowd-out pattern takes its override row instead.  A pair
+    is dropped once both of its witnesses are found, and the walk ends once
+    no pair is open.
+    """
+    pairs = list(dict.fromkeys(pairs))
+    if not pairs:  # a sweep with no units evaluates nothing, so no budget applies
+        return {}
+    for truth, candidate in pairs:
+        market.check_order(truth)
+        market.check_order(candidate)
+    get_mechanism(mechanism)
+    _check_budget(market, budget)
+    orders = market.all_orders()
+    index = {order: i for i, order in enumerate(orders)}
+    m = market.n_types
+    ranks = [_rank_table(order) for order in orders]
+    # first_with_room[r][mask]: reveal r's best type among those whose bit is set
+    first_with_room = [
+        [next((o for o in order.ranking if mask >> o & 1), None) for mask in range(1 << m)]
+        for order in orders
+    ]
+    found: dict[tuple[PreferenceOrder, PreferenceOrder], list] = {
+        pair: [None, None] for pair in pairs
+    }
+    # (truth, candidate, the truth's types in the compared prefix, found slot)
+    open_pairs = []
+    for truth, candidate in pairs:
+        stop = truth.rank(market.null_type) - 1 if refusal else m - 1
+        slot = found[truth, candidate]
+        open_pairs.append((index[truth], index[candidate], truth.ranking[:stop], slot))
+    needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
+    n_opponents = market.n_agents - 1
+    for combo in itertools.combinations_with_replacement(range(len(orders)), n_opponents):
+        _, moves, forward = _forward_layers(market, [ranks[i] for i in combo])
+        ends = []
+        for state, (cost, count) in forward[-1].items():
+            room = [o for o, stride, radix in moves if not stride or state // stride % radix]
+            ends.append((cost, count, sum(1 << o for o in room)))
+        opponents = tuple(orders[i] for i in combo)
+        rows = {}
+        for reveal in needed:
+            pattern = None
+            if mechanism == "modified":
+                profile = Profile((orders[reveal], *opponents))
+                pattern = detect_modified_pattern(market, profile)
+            if pattern is None:
+                rows[reveal] = _last_row(m, ends, ranks[reveal], first_with_room[reveal])
+            else:
+                rows[reveal] = _override_row(market, profile, pattern, 0)
+        still_open = []
+        for entry in open_pairs:
+            t, c, prefix, slot = entry
+            truth_row, truth_total = rows[t]
+            candidate_row, candidate_total = rows[c]
+            weak = True
+            strict = False
+            cum_truth = cum_candidate = 0
+            for o in prefix:
+                cum_truth += truth_row[o]
+                cum_candidate += candidate_row[o]
+                gap = cum_candidate * truth_total - cum_truth * candidate_total
+                if gap < 0:
+                    weak = False
+                    break
+                if gap > 0:
+                    strict = True
+            if not weak:
+                if slot[0] is None:
+                    slot[0] = opponents
+            elif strict and slot[1] is None:
+                slot[1] = opponents
+            if slot[0] is None or slot[1] is None:
+                still_open.append(entry)
+        if len(still_open) < len(open_pairs):
+            open_pairs = still_open
+            if not open_pairs:
+                break
+            needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
+    return {pair: tuple(slot) for pair, slot in found.items()}
+
+
+def _last_row(m: int, ends, rank: list[int], first_with_room: list[int]) -> tuple[list[int], int]:
+    """The last agent's row as integer counts over the number of optimal assignments.
+
+    ``ends`` lists, for each state the opponents can leave, its least prefix
+    rank, the number of prefixes reaching it and the bit mask of the types
+    with room in it.  In each state the agent's best move is its best type
+    with room.
+    """
+    row = [0] * m
+    best = None
+    for cost, count, mask in ends:
+        o = first_with_room[mask]
+        reach = cost + rank[o]
+        if best is None or reach < best:
+            row = [0] * m
+            best = reach
+        if reach == best:
+            row[o] += count
+    return row, sum(row)
+
+
+def _verdict(market: Market, agent: AgentIndex, failure, strict) -> DominanceVerdict:
+    """The verdict for ``agent`` from the opponent multisets :func:`_first_witnesses` found."""
+    others = [a for a in range(market.n_agents) if a != agent]
+    weakly = failure is None
     return DominanceVerdict(
         weakly_dominates=weakly,
-        strictly_dominates=weakly and first_strict is not None,
-        failure_witness=first_failure,
-        strict_witness=first_strict,
+        strictly_dominates=weakly and strict is not None,
+        failure_witness=None if failure is None else tuple(zip(others, failure)),
+        strict_witness=None if strict is None else tuple(zip(others, strict)),
     )

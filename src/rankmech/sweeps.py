@@ -2,24 +2,28 @@
 
 Each sweep walks a finite list of units (profiles, or an agent with a truth
 and a reveal) and counts the units that violate one property, keeping the
-first counterexample for reporting.  Sweeps are deterministic.  The
-dominance queries of one sweep share one evaluation table, so each profile
-is run through the mechanism once per sweep, however many queries visit it.
+first counterexample for reporting.  Sweeps are deterministic.  A dominance
+sweep hands every distinct (truth, candidate) pair of its units to one walk
+over opponent multisets, for agent 0; both mechanisms are anonymous, so the
+witnesses found there are relabelled for every other agent.  Equal
+treatment walks profile multisets, each weighted by its number of
+arrangements, with the same argument for its first violation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .assignment import Assignment, is_wasteful
+from .assignment import is_wasteful
 from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, order_to_names
 from .mechanisms import Budget, DEFAULT_BUDGET, check_ete, get_mechanism, uniform_mechanism
 from .strategy import (
-    DominanceQuery,
     DominanceVerdict,
-    check_dominance,
+    _first_witnesses,
+    _verdict,
     ods_promoting,
     ods_set,
     refusal_transform,
@@ -55,14 +59,21 @@ def _sweep(name: str, units: Iterable[tuple], check: Callable[..., str | None]) 
 
 
 def _verdicts(
-    market: Market, mechanism_name: str, refusal: bool, budget: Budget
+    market: Market,
+    mechanism_name: str,
+    refusal: bool,
+    budget: Budget,
+    pairs: Iterable[tuple[PreferenceOrder, PreferenceOrder]],
 ) -> Callable[[AgentIndex, PreferenceOrder, PreferenceOrder], DominanceVerdict]:
-    """Dominance verdicts for one sweep, every query sharing one evaluation table."""
-    table: dict[Profile, Assignment] = {}
+    """Dominance verdicts for one sweep's (truth, candidate) pairs, any agent.
+
+    One walk over opponent multisets answers every pair at once; a verdict
+    for agent a zips the witness multisets with a's opponents in index order.
+    """
+    found = _first_witnesses(market, mechanism_name, refusal, pairs, budget)
 
     def verdict(agent: AgentIndex, truth: PreferenceOrder, candidate: PreferenceOrder):
-        query = DominanceQuery(market, agent, truth, candidate, mechanism_name, refusal)
-        return check_dominance(query, budget, table=table)
+        return _verdict(market, agent, *found[truth, candidate])
 
     return verdict
 
@@ -95,17 +106,40 @@ def sweep_ete(
     profiles: Iterable[Profile] | None = None,
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
-    """Equal treatment of essentially equal reveals, profile by profile."""
+    """Equal treatment of essentially equal reveals, profile by profile.
+
+    Left out, ``profiles`` is every profile of the market.  Both mechanisms
+    are anonymous, so whether a profile violates depends only on its
+    multiset of reveals: each sorted profile is checked once and counts as
+    many profiles as it has arrangements.  The first failing profile in
+    product order is sorted (sorting a failing profile gives a failing one
+    no later in that order), so it is the first failing sorted profile.
+    """
     mech = get_mechanism(mechanism_name)
-    if profiles is None:
-        profiles = all_profiles(market)
+    name = f"ete-{mechanism_name}"
 
     def check(profile: Profile) -> str | None:
         if check_ete(lambda m, p: mech(m, p, budget), market, profile):
             return None
         return _profile_label(market, profile)
 
-    return _sweep(f"ete-{mechanism_name}", ((p,) for p in profiles), check)
+    if profiles is not None:
+        return _sweep(name, ((p,) for p in profiles), check)
+    checked = 0
+    violations = 0
+    first: str | None = None
+    arrangements = math.factorial(market.n_agents)
+    for combo in itertools.combinations_with_replacement(market.all_orders(), market.n_agents):
+        weight = arrangements
+        for group in itertools.groupby(combo):
+            weight //= math.factorial(len(list(group[1])))
+        checked += weight
+        detail = check(Profile(combo))
+        if detail is not None:
+            violations += weight
+            if first is None:
+                first = detail
+    return SweepOutcome(name, checked, violations, first)
 
 
 def all_profiles(market: Market) -> list[Profile]:
@@ -121,7 +155,6 @@ def sweep_demotion_weak_dominance(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Under refusal, every demotion weakly dominates its truth (uniform)."""
-    verdict = _verdicts(market, "uniform", True, budget)
     orders = market.all_orders()
     units = [
         (agent, truth, demoted)
@@ -129,6 +162,7 @@ def sweep_demotion_weak_dominance(
         for truth in orders
         for demoted in ods_set(market, truth)
     ]
+    verdict = _verdicts(market, "uniform", True, budget, (u[1:] for u in units))
 
     def check(agent, truth, demoted) -> str | None:
         if verdict(agent, truth, demoted).weakly_dominates:
@@ -146,7 +180,9 @@ def sweep_demotion_strict_gain(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
-    verdict = _verdicts(market, "uniform", True, budget)
+    units = _promotion_units(market)
+    pairs = [(truth, ods_promoting(market, truth, o_prime)) for _, truth, o_prime in units]
+    verdict = _verdicts(market, "uniform", True, budget, pairs)
 
     def check(agent, truth, o_prime) -> str | None:
         demoted = ods_promoting(market, truth, o_prime)
@@ -154,7 +190,7 @@ def sweep_demotion_strict_gain(
             return None
         return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
 
-    return _sweep("thm2", _promotion_units(market), check)
+    return _sweep("thm2", units, check)
 
 
 def sweep_demotion_waste(
@@ -191,7 +227,6 @@ def sweep_no_strict_dominance(
     profile while every other candidate has a profile where it is not weakly
     preferred.
     """
-    verdict = _verdicts(market, mechanism_name, refusal, budget)
     orders = market.all_orders()
     units = [
         (agent, truth, candidate)
@@ -200,6 +235,7 @@ def sweep_no_strict_dominance(
         for candidate in orders
         if candidate != truth
     ]
+    verdict = _verdicts(market, mechanism_name, refusal, budget, (u[1:] for u in units))
 
     def check(agent, truth, candidate) -> str | None:
         result = verdict(agent, truth, candidate)

@@ -114,6 +114,32 @@ def test_dominance_rejects_unknown_agent(spec_path, capsys):
     assert "unknown agent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, argv, expected", [
+    (EXAMPLE2_SPEC,
+     ["--agent", "a1", "--truth-order", "o1>null>o2", "--ods", "--refusal"],
+     "agent: a1  truth: o1>null>o2  mechanism: uniform  refusal: on\n"
+     "candidate o1>o2>null [full extension]: weak=yes strict=yes\n"
+     "  strictly preferred at a2=(o1>o2>null) a3=(o1>o2>null)\n"),
+    (EXAMPLE2_SPEC,
+     ["--agent", "a2", "--truth-order", "o1>null>o2", "--candidate", "o2>o1>null"],
+     "agent: a2  truth: o1>null>o2  mechanism: uniform  refusal: off\n"
+     "candidate o2>o1>null: weak=no strict=no\n"
+     "  not weakly preferred at a1=(o1>o2>null) a3=(o1>o2>null)\n"),
+    (WIDE_SPEC,
+     ["--agent", "a2", "--truth-order", "o1>null>o2>o3", "--ods", "--refusal"],
+     "agent: a2  truth: o1>null>o2>o3  mechanism: uniform  refusal: on\n"
+     "candidate o1>o2>o3>null [full extension]: weak=yes strict=no\n"
+     "candidate o1>o3>o2>null [demotion]: weak=yes strict=yes\n"
+     "  strictly preferred at a1=(o1>o2>o3>null) a3=(o1>o3>o2>null)\n"),
+], ids=["ods-refusal", "candidate-failure", "wide-ods-refusal"])
+def test_dominance_output_is_pinned(tmp_path, capsys, spec, argv, expected):
+    """The whole report, witnesses included, byte for byte."""
+    path = tmp_path / "market.txt"
+    path.write_text(spec)
+    assert main(["dominance", "--spec", str(path), *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_sweep_tokens_pass_on_bundled_market(spec_path, capsys):
     for token in ["ete-fU", "ete-fM", "thm1", "thm2", "prop3"]:
         assert main(["sweep", token, "--spec", spec_path]) == 0, token

@@ -3,7 +3,8 @@
 The pruned search is checked against a naive oracle that walks the full
 type^agents product, so any pruning bug that drops a tied optimum shows up
 as a set mismatch.  The uniform mechanism's counting pass is in turn checked
-against the equal-weight average of the enumerated set.
+against the equal-weight average of the enumerated set.  Both mechanisms are
+checked to be anonymous, which the dominance checker relies on.
 """
 
 import itertools
@@ -382,3 +383,18 @@ def test_ete_checkers_on_uniform_and_denial_fixture():
     assert not check_ete(denial, market, profile)
     # Weak equal treatment only compares identical reveals and still holds.
     assert check_weak_ete(denial, market, profile)
+
+
+@pytest.mark.parametrize("mechanism", [uniform_mechanism, modified_mechanism])
+@pytest.mark.parametrize("make_market", [example2_market, example4_market])
+def test_mechanisms_are_anonymous(make_market, mechanism):
+    """Permuting the agents of any profile permutes the output rows the same
+    way.  The dominance engine relies on this to seat the queried agent last
+    and to walk opponent multisets instead of opponent tuples."""
+    market = make_market()
+    n = market.n_agents
+    for profile in all_profiles(market):
+        rows = mechanism(market, profile).rows
+        for perm in itertools.permutations(range(n)):
+            permuted = Profile(tuple(profile[perm[a]] for a in range(n)))
+            assert mechanism(market, permuted).rows == tuple(rows[perm[a]] for a in range(n))

@@ -1,6 +1,11 @@
-"""Tests for refusal, demotion strategies and the dominance oracle."""
+"""Tests for refusal, demotion strategies and the dominance checker.
+
+The checker walks opponent multisets; ``oracles.product_check_dominance``
+walks every opponent tuple, and the two must agree, witnesses included.
+"""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +29,9 @@ from rankmech import (
     strict_gain_pairs,
     uniform_mechanism,
 )
-from rankmech.examples import example2_market, example3_market, example4_market
+from rankmech.examples import example1_market, example2_market, example3_market, example4_market
+
+from oracles import product_check_dominance
 
 F = Fraction
 
@@ -306,3 +313,36 @@ def test_dominance_respects_budget():
 
     with pytest.raises(BudgetError):
         check_dominance(DominanceQuery(market, 0, truth, keen), Budget(max_agents=2))
+
+
+SETTINGS = [(mechanism, refusal) for mechanism in ("uniform", "modified") for refusal in (False, True)]
+
+
+@pytest.mark.parametrize("mechanism, refusal", SETTINGS)
+@pytest.mark.parametrize("make_market", [example2_market, example4_market])
+def test_dominance_matches_product_oracle_on_every_small_query(make_market, mechanism, refusal):
+    """Every (agent, truth, candidate): the multiset walk's verdict, witnesses
+    included, equals the one from walking every opponent tuple."""
+    market = make_market()
+    table = {}
+    orders = market.all_orders()
+    for agent in range(market.n_agents):
+        for truth in orders:
+            for candidate in orders:
+                query = DominanceQuery(market, agent, truth, candidate, mechanism, refusal)
+                assert check_dominance(query) == product_check_dominance(query, table=table)
+
+
+@pytest.mark.parametrize("mechanism, refusal", SETTINGS)
+def test_dominance_matches_product_oracle_sampled_wide(mechanism, refusal):
+    """Seeded queries on the four-type market, where opponents have 24 orders."""
+    market = example1_market()
+    rng = random.Random(f"{mechanism} {refusal}")
+    orders = market.all_orders()
+    table = {}
+    for _ in range(2):
+        query = DominanceQuery(
+            market, rng.randrange(market.n_agents), rng.choice(orders), rng.choice(orders),
+            mechanism, refusal,
+        )
+        assert check_dominance(query) == product_check_dominance(query, table=table)

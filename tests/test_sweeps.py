@@ -2,10 +2,10 @@
 
 The property sweeps are exercised for real in the acceptance suite;
 here the focus is the machinery itself: counts, violation reporting,
-agreement of the shared evaluation table with standalone dominance queries,
-and the one configuration that is known to have violations (strict demotion
-gains are a feature, so scanning for no-strict-dominance under refusal must
-find them).
+agreement of the multiset walks with the product oracles, the theorems on a
+four-agent market, and the one configuration that is known to have
+violations (strict demotion gains are a feature, so scanning for
+no-strict-dominance under refusal must find them).
 """
 
 import pytest
@@ -20,7 +20,13 @@ from rankmech.sweeps import (
     sweep_ete,
     sweep_no_strict_dominance,
 )
-from rankmech.examples import example2_market, example4_market
+from rankmech.examples import (
+    example2_market,
+    example4_market,
+    make_denial_mechanism,
+)
+
+from oracles import product_check_dominance
 
 
 def test_all_profiles_counts():
@@ -80,18 +86,21 @@ def test_sweep_outcome_names():
     assert sweep_ete(market, "uniform").name == "ete-uniform"
 
 
+# Four agents share three unit seats.
+FOUR_AGENTS = Market(
+    agent_names=("a1", "a2", "a3", "a4"),
+    type_names=("o1", "o2", "o3", "null"),
+    capacities=(1, 1, 1, 4),
+    null_type=3,
+)
+
+
 def test_promoted_types_are_counted_once():
     """Four agents and three unit-capacity types: a truth with one acceptable
     type promotes either of two types, one with two acceptable types promotes
     the last, so each agent has 6 * 2 + 6 * 1 = 18 units, whichever
     acceptable type makes the pair scarce."""
-    market = Market(
-        agent_names=("a1", "a2", "a3", "a4"),
-        type_names=("o1", "o2", "o3", "null"),
-        capacities=(1, 1, 1, 4),
-        null_type=3,
-    )
-    outcome = sweep_demotion_waste(market)
+    outcome = sweep_demotion_waste(FOUR_AGENTS)
     assert outcome.checked == 4 * 18
     assert outcome.passed
 
@@ -137,25 +146,36 @@ def _unit_detail(prop, market, query, verdict):
 @pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
-    """Every verdict a sweep reaches through its shared evaluation table equals
-    the verdict of the same query run alone, and the outcome built from the
-    standalone verdicts equals the sweep's."""
+    """A sweep answers all its units from one shared walk over opponent
+    multisets.  Every verdict it reads from that walk equals the verdict of
+    the same query run alone through the product oracle, and the outcome
+    built from the oracle's verdicts equals the sweep's."""
     market = make_market()
     queries = []
+    walks = []
+    shared_verdicts = sweeps._verdicts
 
-    def recording(query, budget, *, table):
-        verdict = strategy.check_dominance(query, budget, table=table)
-        queries.append((query, budget, table, verdict))
-        return verdict
+    def recording(market, mechanism, refusal, budget, pairs):
+        verdict = shared_verdicts(market, mechanism, refusal, budget, pairs)
+        walks.append(mechanism)
 
-    monkeypatch.setattr(sweeps, "check_dominance", recording)
+        def record(agent, truth, candidate):
+            result = verdict(agent, truth, candidate)
+            query = strategy.DominanceQuery(market, agent, truth, candidate, mechanism, refusal)
+            queries.append((query, budget, result))
+            return result
+
+        return record
+
+    monkeypatch.setattr(sweeps, "_verdicts", recording)
     outcome = DOMINANCE_SWEEPS[prop](market)
     assert len(queries) == outcome.checked
-    assert len({id(table) for _, _, table, _ in queries}) <= 1
+    assert len(walks) == 1
 
     details = []
-    for query, budget, _, shared in queries:
-        alone = strategy.check_dominance(query, budget)
+    table = {}
+    for query, budget, shared in queries:
+        alone = product_check_dominance(query, budget, table=table)
         assert alone.failure_witness == shared.failure_witness
         assert alone.strict_witness == shared.strict_witness
         assert alone.weakly_dominates == shared.weakly_dominates
@@ -165,3 +185,40 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
     assert outcome == SweepOutcome(
         prop, len(details), len(failures), failures[0] if failures else None
     )
+
+
+def test_ete_multisets_match_the_product_walk(monkeypatch):
+    """With the biased denial fixture as the mechanism the sweep has
+    violations, so the multiset weights and the first violation are checked
+    against a walk over every profile.  Two agents share three unit seats,
+    so the fixture's two reveals are essentially equal and the one profile
+    multiset holding both counts twice."""
+    market = Market(
+        agent_names=("a1", "a2"),
+        type_names=("o1", "o2", "o3", "null"),
+        capacities=(1, 1, 1, 2),
+        null_type=3,
+    )
+    denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
+    monkeypatch.setattr(sweeps, "get_mechanism", lambda name: denial)
+    outcome = sweep_ete(market, "uniform")
+    assert outcome == sweep_ete(market, "uniform", all_profiles(market))
+    assert outcome == SweepOutcome(
+        "ete-uniform", 24 ** 2, 2, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3)"
+    )
+
+
+@pytest.mark.parametrize("prop, checked, violations, first", [
+    ("thm1", 240, 0, None),
+    ("thm2", 72, 0, None),
+    ("prop5", 2208, 0, None),
+    ("prop2", 2208, 0, None),
+    ("no-strict-dominance-uniform", 2208, 120,
+     "agent=a1 truth=(o1>o2>null>o3) candidate=(o1>o2>o3>null): strictly dominates"),
+])
+def test_dominance_sweeps_with_four_agents(prop, checked, violations, first):
+    """Theorems 1 and 2 and Propositions 2 and 5 beyond three agents, and the
+    strict demotion gains that refusal creates there.  Proposition 3 on the
+    same market is ``test_promoted_types_are_counted_once``."""
+    outcome = DOMINANCE_SWEEPS[prop](FOUR_AGENTS)
+    assert outcome == SweepOutcome(prop, checked, violations, first)
