@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
@@ -209,26 +210,50 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     loop terminates.  Projecting matched copies back to their types yields
     deterministic assignments that respect every capacity, and the weights
     recombine to ``x`` exactly.
+
+    The work is done in integers over one common denominator ``D``, the least
+    common multiple of ``denominator * capacity`` over the nonzero entries:
+    the unit-copy matrix, the dummy rows (filled northwest-corner style from
+    the column deficits) and the weights are all ``D`` times their rational
+    values.  Each row keeps its positive columns as an ascending list, from
+    which a column is removed when its entry reaches zero, and every step
+    reruns Kuhn's augmenting-path matching from scratch over those lists,
+    with an explicit stack instead of recursion.  The parts are the ones the
+    same algorithm gives over ``Fraction`` entries (the oracle in the
+    tests): at every step the integer matrix is exactly ``D`` times the
+    rational one, so it has the same positive support, hence the same
+    matching, the same minimum weight times ``D``, and the same projected
+    seating.  Weights come out as ``Fraction(w, D)``, sorted by seating.
     """
-    build_assignment(market, x.rows)  # re-validate; malformed input is a domain error
+    rows = build_assignment(market, x.rows).rows  # malformed input is a domain error
+    capacities = market.capacities
     copy_type: list[TypeIndex] = []
     for o in range(market.n_types):
-        copy_type.extend([o] * market.capacities[o])
+        copy_type.extend([o] * capacities[o])
     n_copies = len(copy_type)
     n_real = market.n_agents
 
+    denominator = 1
+    for row in rows:
+        for o, v in enumerate(row):
+            if v:
+                denominator = lcm(denominator, v.denominator * capacities[o])
+
     # Real agents spread each type's probability evenly over its copies.
-    matrix: list[list[Fraction]] = []
-    for a in range(n_real):
-        row = [x.entry(a, o) / market.capacities[o] for o in copy_type]
-        matrix.append(row)
+    matrix: list[list[int]] = []
+    for row in rows:
+        per_copy = [
+            denominator // (v.denominator * capacities[o]) * v.numerator
+            for o, v in enumerate(row)
+        ]
+        matrix.append([per_copy[o] for o in copy_type])
 
     # Dummy agents absorb the remaining column slack, northwest-corner style.
-    deficits = [ONE - sum((matrix[a][c] for a in range(n_real)), start=ZERO)
+    deficits = [denominator - sum(matrix[a][c] for a in range(n_real))
                 for c in range(n_copies)]
     for _ in range(n_copies - n_real):
-        row = [ZERO] * n_copies
-        need = ONE
+        row = [0] * n_copies
+        need = denominator
         for c in range(n_copies):
             if need == 0:
                 break
@@ -241,43 +266,66 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         matrix.append(row)
     assert all(d == 0 for d in deficits)
 
-    weights: dict[tuple[TypeIndex, ...], Fraction] = {}
-    remaining = ONE
+    positive = [[c for c, v in enumerate(row) if v > 0] for row in matrix]
+    weights: dict[tuple[TypeIndex, ...], int] = {}
+    remaining = denominator
     while remaining > 0:
-        matched = _positive_perfect_matching(matrix)
-        weight = min(matrix[r][matched[r]] for r in range(n_copies))
+        matched = _positive_perfect_matching(positive)
+        weight = min(matrix[r][c] for r, c in enumerate(matched))
         assert weight > 0
-        for r in range(n_copies):
-            matrix[r][matched[r]] -= weight
+        for r, c in enumerate(matched):
+            matrix[r][c] -= weight
+            if matrix[r][c] == 0:
+                positive[r].remove(c)
         choices = tuple(copy_type[matched[a]] for a in range(n_real))
-        weights[choices] = weights.get(choices, ZERO) + weight
+        weights[choices] = weights.get(choices, 0) + weight
         remaining -= weight
 
     parts = tuple(
-        (weights[choices], DeterministicAssignment(choices))
+        (Fraction(weights[choices], denominator), DeterministicAssignment(choices))
         for choices in sorted(weights)
     )
     return Decomposition(parts)
 
 
-def _positive_perfect_matching(matrix: list[list[Fraction]]) -> list[int]:
-    """Kuhn's augmenting-path matching over the strictly positive entries."""
-    n = len(matrix)
+def _positive_perfect_matching(positive: list[list[int]]) -> list[int]:
+    """Kuhn's augmenting-path matching; ``positive[r]`` lists row r's columns.
+
+    Each row's search walks its columns in ascending order, skipping columns
+    already seen in this search and descending into a taken column's row,
+    exactly as the recursive form does, so it returns the same matching.  The
+    path lives on explicit stacks, one column iterator per path row, so its
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    n = len(positive)
     col_of_row = [-1] * n
     row_of_col = [-1] * n
-
-    def try_assign(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if matrix[r][c] > 0 and not seen[c]:
-                seen[c] = True
-                if row_of_col[c] == -1 or try_assign(row_of_col[c], seen):
-                    row_of_col[c] = r
-                    col_of_row[r] = c
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_assign(r, [False] * n):
+    for root in range(n):
+        seen = [False] * n
+        path_rows = [root]
+        path_cols: list[int] = []  # path_cols[i] leads from path_rows[i] on
+        columns = [iter(positive[root])]
+        while columns:
+            for c in columns[-1]:
+                if not seen[c]:
+                    break
+            else:  # dead end: back up to the previous row
+                columns.pop()
+                path_rows.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            seen[c] = True
+            path_cols.append(c)
+            owner = row_of_col[c]
+            if owner == -1:  # free column: flip the path
+                for r, pc in zip(path_rows, path_cols):
+                    row_of_col[pc] = r
+                    col_of_row[r] = pc
+                break
+            path_rows.append(owner)
+            columns.append(iter(positive[owner]))
+        else:
             raise AssertionError("no perfect matching; matrix row/column sums are unequal")
     return col_of_row
 

@@ -245,6 +245,11 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
     ambiguity error guards that argument.
     """
     check_profile(market, profile)
+    return _match_pattern(market, profile)
+
+
+def _match_pattern(market: Market, profile: Profile) -> ModifiedPattern | None:
+    """:func:`detect_modified_pattern` on a profile already known to be well formed."""
     parses: list[ModifiedPattern] = []
     for special in range(market.n_agents):
         pattern = _try_parse(market, profile, special)

@@ -36,9 +36,9 @@ from .mechanisms import (
     DEFAULT_BUDGET,
     _check_budget,
     _forward_layers,
+    _match_pattern,
     _rank_table,
     _override_row,
-    detect_modified_pattern,
     get_mechanism,
 )
 
@@ -330,7 +330,7 @@ def _first_witnesses(
             pattern = None
             if mechanism == "modified":
                 profile = Profile((orders[reveal], *opponents))
-                pattern = detect_modified_pattern(market, profile)
+                pattern = _match_pattern(market, profile)
             if pattern is None:
                 rows[reveal] = _last_row(m, ends, ranks[reveal], first_with_room[reveal])
             else:

@@ -1,16 +1,26 @@
 """Slow reference implementations the fast paths are checked against."""
 
 import itertools
+from fractions import Fraction
 
 from rankmech import (
     DEFAULT_BUDGET,
+    Assignment,
+    Decomposition,
+    DeterministicAssignment,
     DominanceVerdict,
+    Market,
     Profile,
+    build_assignment,
     get_mechanism,
     refuse_row,
     row_strictly_prefers,
     row_weakly_prefers,
 )
+from rankmech.market import TypeIndex
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def product_check_dominance(query, budget=DEFAULT_BUDGET, *, table=None):
@@ -58,3 +68,90 @@ def product_check_dominance(query, budget=DEFAULT_BUDGET, *, table=None):
         failure_witness=first_failure,
         strict_witness=first_strict,
     )
+
+
+def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
+    """``decompose`` over ``Fraction`` entries with the recursive matching.
+
+    Write ``x`` as a convex combination of deterministic assignments.
+
+    The assignment polytope here has unit demands and per-type capacities, so
+    the classic bistochastic argument applies after splitting each type into
+    unit-capacity copies and padding with dummy agents.  Each extraction step
+    finds a perfect matching over the positive entries (one always exists for
+    a matrix with equal row and column sums) and subtracts the largest weight
+    that keeps the remainder nonnegative, zeroing at least one entry, so the
+    loop terminates.  Projecting matched copies back to their types yields
+    deterministic assignments that respect every capacity, and the weights
+    recombine to ``x`` exactly.
+    """
+    build_assignment(market, x.rows)  # re-validate; malformed input is a domain error
+    copy_type: list[TypeIndex] = []
+    for o in range(market.n_types):
+        copy_type.extend([o] * market.capacities[o])
+    n_copies = len(copy_type)
+    n_real = market.n_agents
+
+    # Real agents spread each type's probability evenly over its copies.
+    matrix: list[list[Fraction]] = []
+    for a in range(n_real):
+        row = [x.entry(a, o) / market.capacities[o] for o in copy_type]
+        matrix.append(row)
+
+    # Dummy agents absorb the remaining column slack, northwest-corner style.
+    deficits = [ONE - sum((matrix[a][c] for a in range(n_real)), start=ZERO)
+                for c in range(n_copies)]
+    for _ in range(n_copies - n_real):
+        row = [ZERO] * n_copies
+        need = ONE
+        for c in range(n_copies):
+            if need == 0:
+                break
+            take = min(need, deficits[c])
+            if take > 0:
+                row[c] = take
+                deficits[c] -= take
+                need -= take
+        assert need == 0
+        matrix.append(row)
+    assert all(d == 0 for d in deficits)
+
+    weights: dict[tuple[TypeIndex, ...], Fraction] = {}
+    remaining = ONE
+    while remaining > 0:
+        matched = recursive_positive_perfect_matching(matrix)
+        weight = min(matrix[r][matched[r]] for r in range(n_copies))
+        assert weight > 0
+        for r in range(n_copies):
+            matrix[r][matched[r]] -= weight
+        choices = tuple(copy_type[matched[a]] for a in range(n_real))
+        weights[choices] = weights.get(choices, ZERO) + weight
+        remaining -= weight
+
+    parts = tuple(
+        (weights[choices], DeterministicAssignment(choices))
+        for choices in sorted(weights)
+    )
+    return Decomposition(parts)
+
+
+def recursive_positive_perfect_matching(matrix: list[list[Fraction]]) -> list[int]:
+    """Kuhn's augmenting-path matching over the strictly positive entries."""
+    n = len(matrix)
+    col_of_row = [-1] * n
+    row_of_col = [-1] * n
+
+    def try_assign(r: int, seen: list[bool]) -> bool:
+        for c in range(n):
+            if matrix[r][c] > 0 and not seen[c]:
+                seen[c] = True
+                if row_of_col[c] == -1 or try_assign(row_of_col[c], seen):
+                    row_of_col[c] = r
+                    col_of_row[r] = c
+                    return True
+        return False
+
+    for r in range(n):
+        if not try_assign(r, [False] * n):
+            raise AssertionError("no perfect matching; matrix row/column sums are unequal")
+    return col_of_row

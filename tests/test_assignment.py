@@ -12,27 +12,34 @@ from rankmech import (
     DeterministicAssignment,
     DomainError,
     Market,
+    PreferenceOrder,
     Profile,
+    all_profiles,
     build_assignment,
     csv_rows,
     decompose,
     deterministic_rank_value,
     is_wasteful,
+    modified_mechanism,
     order_from_names,
     rank_value,
+    refusal_transform,
     render_matrix,
     row_strictly_prefers,
     row_weakly_prefers,
     strictly_prefers,
+    uniform_mechanism,
     wastefulness_witness,
     weakly_prefers,
 )
+from rankmech.assignment import _positive_perfect_matching
 from rankmech.examples import (
     example1_market,
     example2_market,
     example3_market,
     example4_market,
 )
+from oracles import fraction_decompose, recursive_positive_perfect_matching
 
 F = Fraction
 
@@ -219,7 +226,8 @@ def _all_deterministics(market):
 
 def test_decompose_random_mixtures_round_trip():
     """Seeded sweep: mix random seatings with random rational weights,
-    decompose, and demand exact recombination with capacity-respecting parts."""
+    decompose, and demand exact recombination with capacity-respecting parts,
+    the same parts as the ``Fraction`` oracle's."""
     markets = [example1_market(), example2_market(), example3_market(), example4_market()]
     pools = [_all_deterministics(m) for m in markets]
     rng = random.Random(4127)
@@ -235,6 +243,7 @@ def test_decompose_random_mixtures_round_trip():
                 rows[a][o] += F(w, total)
         x = build_assignment(market, rows)
         d = decompose(market, x)
+        assert d == fraction_decompose(market, x)
         assert d.recombine(market) == x
         assert sum(w for w, _ in d.parts) == 1
         for w, det in d.parts:
@@ -242,6 +251,84 @@ def test_decompose_random_mixtures_round_trip():
             assert det.respects_capacities(market)
         parts_order = [det.choices for _, det in d.parts]
         assert parts_order == sorted(parts_order)
+
+
+def _assert_matches_oracle(market, x):
+    assert decompose(market, x) == fraction_decompose(market, x)
+
+
+def _random_profile(rng, market):
+    orders = market.all_orders()
+    return Profile(tuple(rng.choice(orders) for _ in range(market.n_agents)))
+
+
+@pytest.mark.parametrize("market", [example2_market(), example4_market()], ids=["ex2", "ex4"])
+def test_decompose_matches_fraction_oracle_on_every_small_profile(market):
+    """Both mechanisms on every profile, each also refused against a seeded truth."""
+    rng = random.Random(907)
+    for profile in all_profiles(market):
+        truths = _random_profile(rng, market)
+        for mechanism in (uniform_mechanism, modified_mechanism):
+            x = mechanism(market, profile)
+            _assert_matches_oracle(market, x)
+            _assert_matches_oracle(market, refusal_transform(market, x, truths))
+
+
+def _seeded_assign_input(rng, tie_heavy):
+    """A market with 6-8 agents and null capacity n or 2n, its refused outcome.
+
+    Tie-heavy: every agent but one shares an order ranking the scarce types
+    above null, and that one swaps the top two.  Spread: independent orders.
+    """
+    n = rng.randint(6, 8)
+    scarce = rng.choice([(2, 2), (2, 1, 1), (1, 1, 1), (3, 1)])
+    k = len(scarce)
+    market = Market(
+        agent_names=tuple(f"a{j + 1}" for j in range(n)),
+        type_names=tuple(f"o{t + 1}" for t in range(k)) + ("null",),
+        capacities=(*scarce, rng.choice((n, 2 * n))),
+        null_type=k,
+    )
+    if tie_heavy:
+        shared = (*rng.sample(range(k), k), k)
+        odd = (shared[1], shared[0], *shared[2:])
+        position = rng.randrange(n)
+        reveals = [odd if a == position else shared for a in range(n)]
+        profile = Profile(tuple(PreferenceOrder(order) for order in reveals))
+    else:
+        profile = _random_profile(rng, market)
+    x = uniform_mechanism(market, profile)
+    return market, refusal_transform(market, x, _random_profile(rng, market))
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
+def test_decompose_matches_fraction_oracle_on_seeded_markets(tie_heavy):
+    rng = random.Random(3301 + tie_heavy)
+    for _ in range(100):
+        _assert_matches_oracle(*_seeded_assign_input(rng, tie_heavy))
+
+
+def test_stack_matching_matches_recursive_oracle():
+    """Supports that are unions of 1-4 random permutations, so a perfect
+    matching always exists."""
+    rng = random.Random(5519)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        support = [set() for _ in range(n)]
+        for _ in range(rng.randint(1, 4)):
+            for r, c in enumerate(rng.sample(range(n), n)):
+                support[r].add(c)
+        matrix = [[F(int(c in cols)) for c in range(n)] for cols in support]
+        positive = [sorted(cols) for cols in support]
+        assert _positive_perfect_matching(positive) == recursive_positive_perfect_matching(matrix)
+
+
+def test_stack_matching_has_no_recursion_limit():
+    """A staircase: row 0 holds column 0 and row r columns r-1 and r, so the
+    search for row r runs r rows deep, past the default recursion limit."""
+    n = 1500
+    positive = [[0]] + [[r - 1, r] for r in range(1, n)]
+    assert _positive_perfect_matching(positive) == list(range(n))
 
 
 def test_render_matrix_layout():

@@ -202,6 +202,41 @@ def test_decompose_crowd_out_pattern(tmp_path, capsys):
     assert "recombines exactly: yes" in out
 
 
+@pytest.mark.parametrize("spec, mechanism, expected", [
+    (EXAMPLE2_SPEC, "uniform",
+     "mechanism: uniform\n"
+     "    o1  o2  null\n"
+     "a1   0   0     1\n"
+     "a2   1   0     0\n"
+     "a3   0   1     0\n"
+     "weight 1: a1->null a2->o1 a3->o2\n"
+     "recombines exactly: yes\n"),
+    (EXAMPLE2_SPEC, "modified",
+     "mechanism: modified\n"
+     "    o1  o2  null\n"
+     "a1   0   0     1\n"
+     "a2   1   0     0\n"
+     "a3   0   1     0\n"
+     "weight 1: a1->null a2->o1 a3->o2\n"
+     "recombines exactly: yes\n"),
+    (CROWD_SPEC, "modified",
+     "mechanism: modified\n"
+     "     o1  o2  o3  null\n"
+     "a1    0   1   0     0\n"
+     "a2  1/2   0   0   1/2\n"
+     "a3  1/2   0   0   1/2\n"
+     "weight 1/2: a1->o2 a2->o1 a3->null\n"
+     "weight 1/2: a1->o2 a2->null a3->o1\n"
+     "recombines exactly: yes\n"),
+], ids=["bundled-uniform", "bundled-modified", "crowd-modified"])
+def test_decompose_output_is_pinned(tmp_path, capsys, spec, mechanism, expected):
+    """The whole report, parts in order, byte for byte."""
+    path = tmp_path / "market.txt"
+    path.write_text(spec)
+    assert main(["decompose", "--spec", str(path), "--mechanism", mechanism]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
     assert main(["assign", "--spec", str(tmp_path / "absent.txt")]) == 2
     assert "E_IO" in capsys.readouterr().err
