@@ -8,7 +8,10 @@ modified mechanism coincides with it except on profiles matching a narrow
 crowd-out pattern, where it instead denies the patterned agent its first
 best.  Both treat agents with essentially equal revealed orders identically.
 ``enumerate_rank_minimizers`` lists the set itself; the uniform mechanism
-does not use it, and the tests use it as the counting pass's oracle.  The
+does not use it, and the tests use it as the counting pass's oracle.  Both
+mechanisms compute their rows as integer counts over a total in one core,
+``_integer_rows``, which the equal-treatment sweep calls directly; the
+public functions wrap its rows as a validated ``Fraction`` assignment.  The
 forward half of the counting pass is shared with the dominance checker in
 ``strategy``, which runs it over an agent's opponents only.
 """
@@ -160,18 +163,37 @@ def uniform_mechanism(
 ) -> Assignment:
     """Equal-weight average of every rank-minimizing deterministic assignment.
 
-    The rows come from a counting forward-backward pass over agents in index
-    order, without listing the rank-minimizing set.  A state is the remaining
-    capacity of every non-null type, packed into one int in mixed radix (the
-    null type always has room, so it is no digit).  The forward pass gives
-    each state its least prefix rank and how many prefixes reach it; the
-    backward pass gives its least completion rank and how many completions
-    start with each move.  An optimal assignment passes through a state
-    exactly when the two ranks sum to the optimum, so ``row[a][o]`` is the
-    sum of prefix count times completion count over such states, divided by
-    the number of optimal assignments.
+    The rows come from the counting pass of :func:`_integer_rows`, without
+    listing the rank-minimizing set.
     """
     check_profile(market, profile)
+    return _to_assignment(market, _integer_rows(market, profile, "uniform", budget))
+
+
+def _integer_rows(
+    market: Market, profile: Profile, mechanism: str, budget: Budget
+) -> list[tuple[list[int], int]]:
+    """Every agent's row under ``mechanism`` as integer counts over a total.
+
+    ``profile`` must already be known to be well formed.  Under
+    ``"modified"`` a patterned profile gets the override rows, without a
+    budget check; every other profile gets the uniform rows.
+
+    The uniform rows come from a counting forward-backward pass over agents
+    in index order.  A state is the remaining capacity of every non-null
+    type, packed into one int in mixed radix (the null type always has
+    room, so it is no digit).  The forward pass gives each state its least
+    prefix rank and how many prefixes reach it; the backward pass gives its
+    least completion rank and how many completions start with each move.
+    An optimal assignment passes through a state exactly when the two ranks
+    sum to the optimum, so ``row[a][o]`` counts prefix count times
+    completion count over such states, over the number of optimal
+    assignments.
+    """
+    if mechanism == "modified":
+        pattern = _match_pattern(market, profile)
+        if pattern is not None:
+            return [_override_row(market, profile, pattern, a) for a in range(market.n_agents)]
     _check_budget(market, budget)
     n = market.n_agents
     m = market.n_types
@@ -205,8 +227,13 @@ def uniform_mechanism(
                     row[o] += count * through
         below = here
     total = below[start][1]
+    return [(row, total) for row in counts]
+
+
+def _to_assignment(market: Market, rows: list[tuple[list[int], int]]) -> Assignment:
+    """The public, validated ``Fraction`` form of :func:`_integer_rows`' rows."""
     return build_assignment(
-        market, [[Fraction(c, total) for c in row] for row in counts]
+        market, [[Fraction(c, total) for c in counts] for counts, total in rows]
     )
 
 
@@ -315,14 +342,8 @@ def modified_mechanism(
     shared evenly across the competitors (averaging over every way to seat
     capacity-many of them), and everyone else takes the outside option.
     """
-    pattern = detect_modified_pattern(market, profile)
-    if pattern is None:
-        return uniform_mechanism(market, profile, budget)
-    rows = []
-    for a in range(market.n_agents):
-        counts, total = _override_row(market, profile, pattern, a)
-        rows.append([Fraction(c, total) for c in counts])
-    return build_assignment(market, rows)
+    check_profile(market, profile)
+    return _to_assignment(market, _integer_rows(market, profile, "modified", budget))
 
 
 def _override_row(

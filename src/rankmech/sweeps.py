@@ -7,7 +7,8 @@ sweep hands every distinct (truth, candidate) pair of its units to one walk
 over opponent multisets, for agent 0; both mechanisms are anonymous, so the
 witnesses found there are relabelled for every other agent.  Equal
 treatment walks profile multisets, each weighted by its number of
-arrangements, with the same argument for its first violation.
+arrangements, with the same argument for its first violation, and compares
+the mechanisms' integer rows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,22 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .assignment import is_wasteful
-from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, order_to_names
-from .mechanisms import Budget, DEFAULT_BUDGET, check_ete, get_mechanism, uniform_mechanism
+from .market import (
+    AgentIndex,
+    Market,
+    PreferenceOrder,
+    Profile,
+    TypeIndex,
+    check_profile,
+    order_to_names,
+)
+from .mechanisms import (
+    Budget,
+    DEFAULT_BUDGET,
+    _integer_rows,
+    get_mechanism,
+    uniform_mechanism,
+)
 from .strategy import (
     DominanceVerdict,
     _first_witnesses,
@@ -114,22 +129,39 @@ def sweep_ete(
     many profiles as it has arrangements.  The first failing profile in
     product order is sorted (sorting a failing profile gives a failing one
     no later in that order), so it is the first failing sorted profile.
+
+    Rows come from the mechanisms' integer core and are compared by
+    cross-multiplying.  Two orders are essentially equal exactly when they
+    share their top ranks up to the threshold, so each order is keyed by
+    that prefix once.
     """
-    mech = get_mechanism(mechanism_name)
+    get_mechanism(mechanism_name)  # rejects an unknown name
     name = f"ete-{mechanism_name}"
+    orders = market.all_orders()
+    key = {order: order.top(market.capacity_threshold_rank(order)) for order in orders}
+    pairs = list(itertools.combinations(range(market.n_agents), 2))
 
     def check(profile: Profile) -> str | None:
-        if check_ete(lambda m, p: mech(m, p, budget), market, profile):
-            return None
-        return _profile_label(market, profile)
+        rows = _integer_rows(market, profile, mechanism_name, budget)
+        for a, b in pairs:
+            if key[profile[a]] == key[profile[b]]:
+                (counts_a, total_a), (counts_b, total_b) = rows[a], rows[b]
+                if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
+                    return _profile_label(market, profile)
+        return None
 
     if profiles is not None:
-        return _sweep(name, ((p,) for p in profiles), check)
+
+        def check_given(profile: Profile) -> str | None:
+            check_profile(market, profile)
+            return check(profile)
+
+        return _sweep(name, ((p,) for p in profiles), check_given)
     checked = 0
     violations = 0
     first: str | None = None
     arrangements = math.factorial(market.n_agents)
-    for combo in itertools.combinations_with_replacement(market.all_orders(), market.n_agents):
+    for combo in itertools.combinations_with_replacement(orders, market.n_agents):
         weight = arrangements
         for group in itertools.groupby(combo):
             weight //= math.factorial(len(list(group[1])))
@@ -239,19 +271,22 @@ def sweep_no_strict_dominance(
 
     def check(agent, truth, candidate) -> str | None:
         result = verdict(agent, truth, candidate)
-        label = (
-            f"{_agent_truth_label(market, agent, truth)} "
-            f"candidate=({order_to_names(market, candidate)})"
-        )
         if result.strictly_dominates:
-            return f"{label}: strictly dominates"
-        if dichotomy:
-            if market.essentially_equal(truth, candidate):
-                if not result.weakly_dominates or result.strict_witness is not None:
-                    return f"{label}: essentially equal but rows differ somewhere"
-            elif result.failure_witness is None:
-                return f"{label}: expected a failure witness"
-        return None
+            problem = "strictly dominates"
+        elif not dichotomy:
+            return None
+        elif market.essentially_equal(truth, candidate):
+            if result.weakly_dominates and result.strict_witness is None:
+                return None
+            problem = "essentially equal but rows differ somewhere"
+        elif result.failure_witness is None:
+            problem = "expected a failure witness"
+        else:
+            return None
+        return (
+            f"{_agent_truth_label(market, agent, truth)} "
+            f"candidate=({order_to_names(market, candidate)}): {problem}"
+        )
 
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:

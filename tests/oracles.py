@@ -1,6 +1,7 @@
 """Slow reference implementations the fast paths are checked against."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from rankmech import (
@@ -12,12 +13,14 @@ from rankmech import (
     Market,
     Profile,
     build_assignment,
+    check_ete,
     get_mechanism,
     refuse_row,
     row_strictly_prefers,
     row_weakly_prefers,
 )
 from rankmech.market import TypeIndex
+from rankmech.sweeps import SweepOutcome, _profile_label, _sweep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -155,3 +158,38 @@ def recursive_positive_perfect_matching(matrix: list[list[Fraction]]) -> list[in
         if not try_assign(r, [False] * n):
             raise AssertionError("no perfect matching; matrix row/column sums are unequal")
     return col_of_row
+
+
+def fraction_sweep_ete(market, mechanism_name, profiles=None, budget=DEFAULT_BUDGET):
+    """``sweep_ete`` through the public ``Fraction`` mechanism and ``check_ete``.
+
+    Every profile multiset (or every given profile) runs the whole mechanism,
+    validated by ``build_assignment``, and compares ``Fraction`` rows of
+    essentially equal reveals.  Multisets are weighted by their arrangements,
+    as in the sweep.
+    """
+    mech = get_mechanism(mechanism_name)
+    name = f"ete-{mechanism_name}"
+
+    def check(profile: Profile) -> str | None:
+        if check_ete(lambda m, p: mech(m, p, budget), market, profile):
+            return None
+        return _profile_label(market, profile)
+
+    if profiles is not None:
+        return _sweep(name, ((p,) for p in profiles), check)
+    checked = 0
+    violations = 0
+    first: str | None = None
+    arrangements = math.factorial(market.n_agents)
+    for combo in itertools.combinations_with_replacement(market.all_orders(), market.n_agents):
+        weight = arrangements
+        for group in itertools.groupby(combo):
+            weight //= math.factorial(len(list(group[1])))
+        checked += weight
+        detail = check(Profile(combo))
+        if detail is not None:
+            violations += weight
+            if first is None:
+                first = detail
+    return SweepOutcome(name, checked, violations, first)

@@ -45,6 +45,8 @@ from rankmech.sweeps import (
     sweep_no_strict_dominance,
 )
 
+from oracles import fraction_sweep_ete
+
 F = Fraction
 
 
@@ -264,6 +266,7 @@ def test_criterion_09_equal_treatment_everywhere():
             outcome = sweep_ete(market, name, profiles=subset + sampled)
             assert outcome.checked == 527
             assert outcome.violations == 0, outcome.first_violation
+            assert outcome == fraction_sweep_ete(market, name, profiles=subset + sampled)
 
 
 def test_criterion_10_decomposition_oracle():

@@ -201,6 +201,24 @@ def test_mechanisms_keep_their_errors(mechanism):
         mechanism(market, Profile((order,) * 8 + (PreferenceOrder((1, 0)),)))
 
 
+def test_patterned_profiles_skip_the_budget():
+    """The modified mechanism checks the budget only where it needs the
+    uniform rows: a patterned profile gets its override rows past it."""
+    market = example1_market()
+    eager = order_from_names(market, "o1>o2>o3>null")
+    patient = order_from_names(market, "o1>o2>null>o3")
+    tight = Budget(max_agents=2)
+    x = modified_mechanism(market, Profile((eager, patient, patient)), tight)
+    half = F(1, 2)
+    assert x.rows == ((0, 1, 0, 0), (half, 0, 0, half), (half, 0, 0, half))
+    with pytest.raises(BudgetError):
+        uniform_mechanism(market, Profile((eager, patient, patient)), tight)
+    with pytest.raises(BudgetError):
+        modified_mechanism(market, Profile((patient, patient, patient)), tight)
+    with pytest.raises(DomainError):
+        modified_mechanism(market, Profile((eager, patient)), tight)
+
+
 def test_uniform_mechanism_is_the_equal_weight_average():
     market = example2_market()
     profile = Profile((

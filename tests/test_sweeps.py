@@ -8,6 +8,8 @@ violations (strict demotion gains are a feature, so scanning for
 no-strict-dominance under refusal must find them).
 """
 
+import math
+
 import pytest
 
 from rankmech import Market, Profile, order_from_names, order_to_names, strategy, sweeps
@@ -21,12 +23,14 @@ from rankmech.sweeps import (
     sweep_no_strict_dominance,
 )
 from rankmech.examples import (
+    example1_market,
     example2_market,
     example4_market,
     make_denial_mechanism,
 )
 
-from oracles import product_check_dominance
+import oracles
+from oracles import fraction_sweep_ete, product_check_dominance
 
 
 def test_all_profiles_counts():
@@ -50,6 +54,15 @@ def test_sweep_ete_accepts_explicit_profiles():
     outcome = sweep_ete(market, "modified", profiles=profiles)
     assert outcome.checked == 1
     assert outcome.passed
+
+
+@pytest.mark.parametrize("mechanism", ["uniform", "modified"])
+@pytest.mark.parametrize("make_market", [example2_market, example4_market, example1_market])
+def test_ete_matches_the_fraction_oracle(make_market, mechanism):
+    """The integer rows compared by cross-multiplying give the outcome the
+    public ``Fraction`` mechanism and ``check_ete`` give on every multiset."""
+    market = make_market()
+    assert sweep_ete(market, mechanism) == fraction_sweep_ete(market, mechanism)
 
 
 def test_sweep_demotions_on_two_agent_market():
@@ -190,7 +203,8 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
 def test_ete_multisets_match_the_product_walk(monkeypatch):
     """With the biased denial fixture as the mechanism the sweep has
     violations, so the multiset weights and the first violation are checked
-    against a walk over every profile.  Two agents share three unit seats,
+    against a walk over every profile, and against the ``Fraction`` oracle
+    running the fixture itself.  Two agents share three unit seats,
     so the fixture's two reveals are essentially equal and the one profile
     multiset holding both counts twice."""
     market = Market(
@@ -200,12 +214,30 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
         null_type=3,
     )
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "get_mechanism", lambda name: denial)
+
+    def denial_rows(market, profile, mechanism, budget):
+        rows = []
+        for row in denial(market, profile).rows:
+            total = math.lcm(*(entry.denominator for entry in row))
+            rows.append(([int(entry * total) for entry in row], total))
+        return rows
+
+    monkeypatch.setattr(sweeps, "_integer_rows", denial_rows)
     outcome = sweep_ete(market, "uniform")
     assert outcome == sweep_ete(market, "uniform", all_profiles(market))
     assert outcome == SweepOutcome(
         "ete-uniform", 24 ** 2, 2, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3)"
     )
+    monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
+    assert outcome == fraction_sweep_ete(market, "uniform")
+
+
+FOUR_AGENT_SWEEPS = {
+    **DOMINANCE_SWEEPS,
+    "prop3": sweep_demotion_waste,
+    "ete-uniform": lambda market: sweep_ete(market, "uniform"),
+    "ete-modified": lambda market: sweep_ete(market, "modified"),
+}
 
 
 @pytest.mark.parametrize("prop, checked, violations, first", [
@@ -215,10 +247,38 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
     ("prop2", 2208, 0, None),
     ("no-strict-dominance-uniform", 2208, 120,
      "agent=a1 truth=(o1>o2>null>o3) candidate=(o1>o2>o3>null): strictly dominates"),
+    ("ete-uniform", 24 ** 4, 0, None),
+    ("ete-modified", 24 ** 4, 0, None),
 ])
 def test_dominance_sweeps_with_four_agents(prop, checked, violations, first):
-    """Theorems 1 and 2 and Propositions 2 and 5 beyond three agents, and the
-    strict demotion gains that refusal creates there.  Proposition 3 on the
-    same market is ``test_promoted_types_are_counted_once``."""
-    outcome = DOMINANCE_SWEEPS[prop](FOUR_AGENTS)
+    """Theorems 1 and 2, Propositions 2 and 5 and equal treatment beyond
+    three agents, and the strict demotion gains that refusal creates there.
+    Proposition 3 on the same market is ``test_promoted_types_are_counted_once``."""
+    outcome = FOUR_AGENT_SWEEPS[prop](FOUR_AGENTS)
+    assert outcome == SweepOutcome(prop, checked, violations, first)
+
+
+# Four agents; the first type has two seats.
+DOUBLE_SEAT = Market(
+    agent_names=("a1", "a2", "a3", "a4"),
+    type_names=("o1", "o2", "o3", "null"),
+    capacities=(2, 1, 1, 4),
+    null_type=3,
+)
+
+
+@pytest.mark.parametrize("prop, checked, violations, first", [
+    ("thm1", 240, 0, None),
+    ("thm2", 48, 0, None),
+    ("prop3", 48, 0, None),
+    ("prop5", 2208, 0, None),
+    ("prop2", 2208, 0, None),
+    ("no-strict-dominance-uniform", 2208, 96,
+     "agent=a1 truth=(o1>null>o2>o3) candidate=(o1>o2>o3>null): strictly dominates"),
+    ("ete-uniform", 24 ** 4, 0, None),
+    ("ete-modified", 24 ** 4, 0, None),
+])
+def test_sweeps_with_four_agents_and_a_double_seat(prop, checked, violations, first):
+    """Every sweep on a four-agent market whose first type has two seats."""
+    outcome = FOUR_AGENT_SWEEPS[prop](DOUBLE_SEAT)
     assert outcome == SweepOutcome(prop, checked, violations, first)
