@@ -16,11 +16,10 @@ class BudgetError(RankMechError):
 class PatternAmbiguityError(DomainError):
     """Two conflicting special-case parses matched the same revealed profile.
 
-    Provably unreachable for the parse implemented in
-    :func:`rankmech.mechanisms.detect_modified_pattern` (the special agent
-    ranks the outside option strictly below every competitor's outside-option
-    rank, so two successful parses cannot coexist).  Kept as a defensive
-    check so a regression fails loudly instead of picking a winner silently.
+    The library does not raise it: :func:`rankmech.mechanisms.detect_modified_pattern`
+    tries only the one agent whose outside-option rank strictly exceeds
+    every other agent's, so at most one parse exists.  It stays exported for
+    code that catches it.
     """
 
 

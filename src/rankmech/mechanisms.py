@@ -10,10 +10,10 @@ best.  Both treat agents with essentially equal revealed orders identically.
 ``enumerate_rank_minimizers`` lists the set itself; the uniform mechanism
 does not use it, and the tests use it as the counting pass's oracle.  Both
 mechanisms compute their rows as integer counts over a total in one core,
-``_integer_rows``, which the equal-treatment sweep calls directly; the
-public functions wrap its rows as a validated ``Fraction`` assignment.  The
-forward half of the counting pass is shared with the dominance checker in
-``strategy``, which runs it over an agent's opponents only.
+``_integer_rows``; the public functions wrap its rows as a validated
+``Fraction`` assignment.  The forward half of the counting pass is shared
+with the dominance checker and the equal-treatment sweep, which run it over
+an agent's opponents only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .assignment import Assignment, DeterministicAssignment, build_assignment
-from .errors import BudgetError, DomainError, PatternAmbiguityError
+from .errors import BudgetError, DomainError
 from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
 
 
@@ -265,11 +265,12 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
     """Match ``profile`` against the crowd-out pattern, or return None.
 
     The parse classifies every agent as the special agent, a competitor or a
-    bystander; any leftover agent voids the candidate parse.  Two successful
-    parses cannot coexist: the special agent's outside-option rank strictly
-    exceeds every competitor's, so each of two candidate specials would have
-    to classify the other and neither direction is possible.  A defensive
-    ambiguity error guards that argument.
+    bystander; any leftover agent voids it.  Competitors rank the outside
+    option strictly earlier than the special agent and bystanders rank it
+    first, so the special agent can only be the one agent whose
+    outside-option rank is at least 3 and strictly exceeds every other
+    agent's.  That agent is the only candidate tried, so no two parses can
+    coexist.
     """
     check_profile(market, profile)
     return _match_pattern(market, profile)
@@ -277,25 +278,17 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
 
 def _match_pattern(market: Market, profile: Profile) -> ModifiedPattern | None:
     """:func:`detect_modified_pattern` on a profile already known to be well formed."""
-    parses: list[ModifiedPattern] = []
-    for special in range(market.n_agents):
-        pattern = _try_parse(market, profile, special)
-        if pattern is not None:
-            parses.append(pattern)
-    if not parses:
+    null_ranks = [order.rank(market.null_type) for order in profile.orders]
+    deepest = max(null_ranks)
+    if deepest < 3 or null_ranks.count(deepest) > 1:
         return None
-    if len(parses) > 1:
-        raise PatternAmbiguityError(
-            f"profile admits {len(parses)} conflicting special-case parses"
-        )
-    return parses[0]
+    return _try_parse(market, profile, null_ranks.index(deepest))
 
 
 def _try_parse(market: Market, profile: Profile, special: AgentIndex) -> ModifiedPattern | None:
+    """The parse with ``special`` as the special agent, or None if it fails."""
     order = profile[special]
     null_rank = order.rank(market.null_type)
-    if null_rank < 3:
-        return None
     focal = order.ranking[0]
     competitors: list[AgentIndex] = []
     bystanders: list[AgentIndex] = []
@@ -369,15 +362,6 @@ def get_mechanism(name: str) -> MechanismFn:
     if name == "modified":
         return modified_mechanism
     raise DomainError(f"unknown mechanism {name!r}; expected 'uniform' or 'modified'")
-
-
-def check_weak_ete(mechanism: MechanismFn, market: Market, profile: Profile) -> bool:
-    """Agents revealing identical orders receive identical rows."""
-    x = mechanism(market, profile)
-    for a, b in itertools.combinations(range(market.n_agents), 2):
-        if profile[a] == profile[b] and x.row(a) != x.row(b):
-            return False
-    return True
 
 
 def check_ete(mechanism: MechanismFn, market: Market, profile: Profile) -> bool:

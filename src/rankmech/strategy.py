@@ -276,11 +276,12 @@ def _first_witnesses(
     first.  The same holds for the first strict tuple.
 
     For each multiset one forward layer of the uniform mechanism's counting
-    pass over the opponents maps each remaining-capacity state to its least
-    prefix rank and prefix count.  The last agent's optimum under reveal r is
-    the least ``cost(s) + rank_r(o)`` over states s and types o with room in
-    s, and ``row[o]`` counts the prefixes reaching it through o; the row
-    total is the number of optimal assignments.  Rows are compared in
+    pass over the opponents (:class:`_OpponentLayers`) maps each
+    remaining-capacity state to its least prefix rank and prefix count.  The
+    last agent's optimum under reveal r is the least ``cost(s) + rank_r(o)``
+    over states s and types o with room in s, and ``row[o]`` counts the
+    prefixes reaching it through o; the row total is the number of optimal
+    assignments.  Rows are compared in
     integers, by cross-multiplying cumulative sums along the truth's
     ranking.  Refusal moves everything from the truth's outside option down
     onto it, so every cumulative sum from there on equals the total: with
@@ -301,12 +302,7 @@ def _first_witnesses(
     orders = market.all_orders()
     index = {order: i for i, order in enumerate(orders)}
     m = market.n_types
-    ranks = [_rank_table(order) for order in orders]
-    # first_with_room[r][mask]: reveal r's best type among those whose bit is set
-    first_with_room = [
-        [next((o for o in order.ranking if mask >> o & 1), None) for mask in range(1 << m)]
-        for order in orders
-    ]
+    layers = _OpponentLayers(market, orders)
     found: dict[tuple[PreferenceOrder, PreferenceOrder], list] = {
         pair: [None, None] for pair in pairs
     }
@@ -319,11 +315,7 @@ def _first_witnesses(
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     n_opponents = market.n_agents - 1
     for combo in itertools.combinations_with_replacement(range(len(orders)), n_opponents):
-        _, moves, forward = _forward_layers(market, [ranks[i] for i in combo])
-        ends = []
-        for state, (cost, count) in forward[-1].items():
-            room = [o for o, stride, radix in moves if not stride or state // stride % radix]
-            ends.append((cost, count, sum(1 << o for o in room)))
+        ends = layers.ends(combo)
         opponents = tuple(orders[i] for i in combo)
         rows = {}
         for reveal in needed:
@@ -332,7 +324,7 @@ def _first_witnesses(
                 profile = Profile((orders[reveal], *opponents))
                 pattern = _match_pattern(market, profile)
             if pattern is None:
-                rows[reveal] = _last_row(m, ends, ranks[reveal], first_with_room[reveal])
+                rows[reveal] = layers.row(ends, reveal)
             else:
                 rows[reveal] = _override_row(market, profile, pattern, 0)
         still_open = []
@@ -367,25 +359,60 @@ def _first_witnesses(
     return {pair: tuple(slot) for pair, slot in found.items()}
 
 
-def _last_row(m: int, ends, rank: list[int], first_with_room: list[int]) -> tuple[list[int], int]:
-    """The last agent's row as integer counts over the number of optimal assignments.
+class _OpponentLayers:
+    """The last agent's row under any of ``orders``, against opponent multisets.
 
-    ``ends`` lists, for each state the opponents can leave, its least prefix
-    rank, the number of prefixes reaching it and the bit mask of the types
-    with room in it.  In each state the agent's best move is its best type
-    with room.
+    Reveals and opponents are indices into ``orders``.  Both mechanisms are
+    anonymous, so an agent's row depends only on its reveal and the multiset
+    of the other reveals; the dominance walk and the equal-treatment sweep
+    both read rows this way.
     """
-    row = [0] * m
-    best = None
-    for cost, count, mask in ends:
-        o = first_with_room[mask]
-        reach = cost + rank[o]
-        if best is None or reach < best:
-            row = [0] * m
-            best = reach
-        if reach == best:
-            row[o] += count
-    return row, sum(row)
+
+    def __init__(self, market: Market, orders: tuple[PreferenceOrder, ...]):
+        self.market = market
+        self.ranks = [_rank_table(order) for order in orders]
+        # first_with_room[r][mask]: reveal r's best type among those whose bit is set
+        self.first_with_room = [
+            [
+                next((o for o in order.ranking if mask >> o & 1), None)
+                for mask in range(1 << market.n_types)
+            ]
+            for order in orders
+        ]
+
+    def ends(self, opponents: Iterable[int]) -> list[tuple[int, int, int]]:
+        """One forward layer of the counting pass over the opponents.
+
+        Each state the opponents can leave becomes its least prefix rank,
+        its prefix count and the bit mask of the types with room in it.
+        """
+        _, moves, forward = _forward_layers(self.market, [self.ranks[i] for i in opponents])
+        ends = []
+        for state, (cost, count) in forward[-1].items():
+            room = [o for o, stride, radix in moves if not stride or state // stride % radix]
+            ends.append((cost, count, sum(1 << o for o in room)))
+        return ends
+
+    def row(self, ends: list[tuple[int, int, int]], reveal: int) -> tuple[list[int], int]:
+        """The row of the agent revealing ``reveal`` against the opponents of ``ends``.
+
+        The row is integer counts over the number of optimal assignments.  In
+        each state the agent's best move is its best type with room.
+        """
+        m = self.market.n_types
+        rank = self.ranks[reveal]
+        first_with_room = self.first_with_room[reveal]
+        row = [0] * m
+        best = None
+        for cost, count, mask in ends:
+            o = first_with_room[mask]
+            reach = cost + rank[o]
+            if best is None or reach < best:
+                row = [0] * m
+                best = reach
+            if reach == best:
+                row[o] += count
+        return row, sum(row)
 
 
 def _verdict(market: Market, agent: AgentIndex, failure, strict) -> DominanceVerdict:

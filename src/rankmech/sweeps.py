@@ -7,8 +7,9 @@ sweep hands every distinct (truth, candidate) pair of its units to one walk
 over opponent multisets, for agent 0; both mechanisms are anonymous, so the
 witnesses found there are relabelled for every other agent.  Equal
 treatment walks profile multisets, each weighted by its number of
-arrangements, with the same argument for its first violation, and compares
-the mechanisms' integer rows.
+arrangements, with the same argument for its first violation, and reads
+each compared agent's row from the same opponent layers as the dominance
+walk.
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
-    _integer_rows,
+    _check_budget,
+    _match_pattern,
+    _override_row,
     get_mechanism,
     uniform_mechanism,
 )
 from .strategy import (
     DominanceVerdict,
+    _OpponentLayers,
     _first_witnesses,
     _verdict,
     ods_promoting,
@@ -130,22 +134,50 @@ def sweep_ete(
     product order is sorted (sorting a failing profile gives a failing one
     no later in that order), so it is the first failing sorted profile.
 
-    Rows come from the mechanisms' integer core and are compared by
-    cross-multiplying.  Two orders are essentially equal exactly when they
-    share their top ranks up to the threshold, so each order is keyed by
-    that prefix once.
+    Two orders are essentially equal exactly when they share their top ranks
+    up to the threshold, so each order is keyed by that prefix once.
+    Anonymity also gives identical reveals identical rows, so only distinct
+    reveals sharing a key are compared, and a profile with no such pair
+    computes no row.  An agent's row is the last agent's row against the
+    multiset of the other reveals, read from one forward layer over them as
+    in the dominance walk; each opponent multiset's layer is built once per
+    call.  Under the modified mechanism a patterned profile takes its
+    override rows.  Rows are compared by cross-multiplying.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
     name = f"ete-{mechanism_name}"
     orders = market.all_orders()
-    key = {order: order.top(market.capacity_threshold_rank(order)) for order in orders}
-    pairs = list(itertools.combinations(range(market.n_agents), 2))
+    index = {order: i for i, order in enumerate(orders)}
+    key = [order.top(market.capacity_threshold_rank(order)) for order in orders]
+    layers = _OpponentLayers(market, orders)
+    ends: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
-    def check(profile: Profile) -> str | None:
-        rows = _integer_rows(market, profile, mechanism_name, budget)
-        for a, b in pairs:
-            if key[profile[a]] == key[profile[b]]:
-                (counts_a, total_a), (counts_b, total_b) = rows[a], rows[b]
+    def row(reveals: tuple[int, ...], agent: AgentIndex) -> tuple[list[int], int]:
+        opponents = tuple(sorted(reveals[:agent] + reveals[agent + 1 :]))
+        layer = ends.get(opponents)
+        if layer is None:
+            layer = ends[opponents] = layers.ends(opponents)
+        return layers.row(layer, reveals[agent])
+
+    def check(profile: Profile, reveals: tuple[int, ...]) -> str | None:
+        pattern = _match_pattern(market, profile) if mechanism_name == "modified" else None
+        if pattern is None:
+            _check_budget(market, budget)
+        # each key's distinct reveals, each with the first agent revealing it
+        groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
+        for agent, reveal in enumerate(reveals):
+            groups.setdefault(key[reveal], {}).setdefault(reveal, agent)
+        for group in groups.values():
+            if len(group) < 2:
+                continue
+            rows = [
+                row(reveals, agent)
+                if pattern is None
+                else _override_row(market, profile, pattern, agent)
+                for agent in group.values()
+            ]
+            counts_a, total_a = rows[0]
+            for counts_b, total_b in rows[1:]:
                 if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
                     return _profile_label(market, profile)
         return None
@@ -154,19 +186,19 @@ def sweep_ete(
 
         def check_given(profile: Profile) -> str | None:
             check_profile(market, profile)
-            return check(profile)
+            return check(profile, tuple(index[order] for order in profile.orders))
 
         return _sweep(name, ((p,) for p in profiles), check_given)
     checked = 0
     violations = 0
     first: str | None = None
     arrangements = math.factorial(market.n_agents)
-    for combo in itertools.combinations_with_replacement(orders, market.n_agents):
+    for reveals in itertools.combinations_with_replacement(range(len(orders)), market.n_agents):
         weight = arrangements
-        for group in itertools.groupby(combo):
+        for group in itertools.groupby(reveals):
             weight //= math.factorial(len(list(group[1])))
         checked += weight
-        detail = check(Profile(combo))
+        detail = check(Profile(tuple(orders[i] for i in reveals)), reveals)
         if detail is not None:
             violations += weight
             if first is None:

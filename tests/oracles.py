@@ -11,6 +11,7 @@ from rankmech import (
     DeterministicAssignment,
     DominanceVerdict,
     Market,
+    PatternAmbiguityError,
     Profile,
     build_assignment,
     check_ete,
@@ -20,6 +21,7 @@ from rankmech import (
     row_weakly_prefers,
 )
 from rankmech.market import TypeIndex
+from rankmech.mechanisms import _try_parse
 from rankmech.sweeps import SweepOutcome, _profile_label, _sweep
 
 ZERO = Fraction(0)
@@ -193,3 +195,29 @@ def fraction_sweep_ete(market, mechanism_name, profiles=None, budget=DEFAULT_BUD
             if first is None:
                 first = detail
     return SweepOutcome(name, checked, violations, first)
+
+
+def check_weak_ete(mechanism, market, profile):
+    """Agents revealing identical orders receive identical rows."""
+    x = mechanism(market, profile)
+    for a, b in itertools.combinations(range(market.n_agents), 2):
+        if profile[a] == profile[b] and x.row(a) != x.row(b):
+            return False
+    return True
+
+
+def all_agents_pattern(market, profile):
+    """The crowd-out parse tried with every agent as the special agent.
+
+    At most one candidate may succeed; two successful parses raise.
+    """
+    parses = [
+        pattern
+        for special in range(market.n_agents)
+        if (pattern := _try_parse(market, profile, special)) is not None
+    ]
+    if len(parses) > 1:
+        raise PatternAmbiguityError(
+            f"profile admits {len(parses)} conflicting special-case parses"
+        )
+    return parses[0] if parses else None

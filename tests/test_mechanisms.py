@@ -22,7 +22,6 @@ from rankmech import (
     PreferenceOrder,
     Profile,
     check_ete,
-    check_weak_ete,
     detect_modified_pattern,
     deterministic_rank_value,
     enumerate_rank_minimizers,
@@ -40,6 +39,8 @@ from rankmech.examples import (
     make_denial_mechanism,
 )
 from rankmech.sweeps import all_profiles
+
+from oracles import all_agents_pattern, check_weak_ete
 
 F = Fraction
 
@@ -365,10 +366,12 @@ def test_pattern_never_fires_without_threshold_at_level():
 
 
 def test_detection_never_raises_on_full_small_sweeps():
-    """Every profile of the small markets parses to one pattern or none."""
-    for market in (example2_market(), example4_market()):
+    """Every profile of the bundled markets parses to one pattern or none,
+    and trying only the agent with the strictly deepest outside option finds
+    the parse that trying every agent finds."""
+    for market in (example1_market(), example2_market(), example3_market(), example4_market()):
         for profile in all_profiles(market):
-            detect_modified_pattern(market, profile)
+            assert detect_modified_pattern(market, profile) == all_agents_pattern(market, profile)
 
 
 def test_modified_mechanism_equals_uniform_off_pattern():

@@ -9,10 +9,21 @@ no-strict-dominance under refusal must find them).
 """
 
 import math
+import random
 
 import pytest
 
-from rankmech import Market, Profile, order_from_names, order_to_names, strategy, sweeps
+from rankmech import (
+    Budget,
+    BudgetError,
+    DomainError,
+    Market,
+    Profile,
+    order_from_names,
+    order_to_names,
+    strategy,
+    sweeps,
+)
 from rankmech.sweeps import (
     SweepOutcome,
     all_profiles,
@@ -200,6 +211,30 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
     )
 
 
+def denial_layers(denial):
+    """The sweep's row seam, reading rows from the denial fixture instead.
+
+    The fixture is anonymous, so an agent's row is the row of an agent
+    seated first against the other reveals, as the sweep reads the
+    mechanisms' rows."""
+
+    class DenialLayers:
+        def __init__(self, market, orders):
+            self.market = market
+            self.orders = orders
+
+        def ends(self, opponents):
+            return opponents
+
+        def row(self, opponents, reveal):
+            profile = Profile((self.orders[reveal], *(self.orders[i] for i in opponents)))
+            row = denial(self.market, profile).row(0)
+            total = math.lcm(*(entry.denominator for entry in row))
+            return [int(entry * total) for entry in row], total
+
+    return DenialLayers
+
+
 def test_ete_multisets_match_the_product_walk(monkeypatch):
     """With the biased denial fixture as the mechanism the sweep has
     violations, so the multiset weights and the first violation are checked
@@ -214,15 +249,7 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
         null_type=3,
     )
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-
-    def denial_rows(market, profile, mechanism, budget):
-        rows = []
-        for row in denial(market, profile).rows:
-            total = math.lcm(*(entry.denominator for entry in row))
-            rows.append(([int(entry * total) for entry in row], total))
-        return rows
-
-    monkeypatch.setattr(sweeps, "_integer_rows", denial_rows)
+    monkeypatch.setattr(sweeps, "_OpponentLayers", denial_layers(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == sweep_ete(market, "uniform", all_profiles(market))
     assert outcome == SweepOutcome(
@@ -230,6 +257,74 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
     )
     monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
     assert outcome == fraction_sweep_ete(market, "uniform")
+
+
+def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
+    """Three agents under the denial fixture: the lone eager reveal among two
+    patient ones is denied o1, and each of its three arrangements violates.
+    Rows read against the wrong opponents would flag other profiles too."""
+    market = example1_market(second_capacity=2)
+    denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
+    monkeypatch.setattr(sweeps, "_OpponentLayers", denial_layers(denial))
+    outcome = sweep_ete(market, "uniform")
+    assert outcome == SweepOutcome(
+        "ete-uniform", 24 ** 3, 3, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3) a3=(o1>o2>null>o3)"
+    )
+    monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
+    assert outcome == fraction_sweep_ete(market, "uniform")
+
+
+@pytest.mark.parametrize("mechanism", ["uniform", "modified"])
+def test_ete_matches_the_fraction_oracle_on_random_markets(mechanism):
+    """Three agents and three types with seeded capacities, every multiset."""
+    rng = random.Random(1009)
+    for _ in range(20):
+        market = Market(
+            agent_names=("a1", "a2", "a3"),
+            type_names=("o1", "o2", "null"),
+            capacities=(rng.randint(1, 2), rng.randint(1, 2), rng.randint(3, 5)),
+            null_type=2,
+        )
+        assert sweep_ete(market, mechanism) == fraction_sweep_ete(market, mechanism)
+
+
+def test_ete_budget_applies_to_unpatterned_profiles_only():
+    """A patterned profile under the modified mechanism takes its override
+    rows and never reaches the budget; every other profile is checked against
+    it, even one with no pair of reveals to compare, and a malformed profile
+    fails before the budget is looked at."""
+    market = example1_market()
+    eager = order_from_names(market, "o1>o2>o3>null")
+    patient = order_from_names(market, "o1>o2>null>o3")
+    tight = Budget(max_agents=2)
+    patterned = [Profile((eager, patient, patient))]
+    with pytest.raises(BudgetError):
+        sweep_ete(market, "uniform", patterned, tight)
+    assert sweep_ete(market, "modified", patterned, tight) == SweepOutcome(
+        "ete-modified", 1, 0, None
+    )
+    for mechanism in ("uniform", "modified"):
+        with pytest.raises(BudgetError):
+            sweep_ete(market, mechanism, [Profile((eager, eager, eager))], tight)
+        with pytest.raises(DomainError, match="profile has 2 orders"):
+            sweep_ete(market, mechanism, [Profile((eager, patient))], tight)
+
+
+@pytest.mark.parametrize("mechanism", ["uniform", "modified"])
+def test_ete_budget_applies_with_nothing_to_compare(mechanism):
+    """A one-agent market has no pair of reveals, yet more types than the
+    budget allows still fail.  ``Market`` refuses a single agent, so this one
+    is built without its checks."""
+    market = object.__new__(Market)
+    for field, value in {
+        "agent_names": ("a1",),
+        "type_names": ("o1", "o2", "null"),
+        "capacities": (1, 1, 1),
+        "null_type": 2,
+    }.items():
+        object.__setattr__(market, field, value)
+    with pytest.raises(BudgetError):
+        sweep_ete(market, mechanism, budget=Budget(max_types=2))
 
 
 FOUR_AGENT_SWEEPS = {
