@@ -38,9 +38,13 @@ def build_assignment(market: Market, rows) -> Assignment:
     """Validate ``rows`` against ``market`` and wrap them as an Assignment.
 
     Raises DomainError when a row does not sum to one, an entry leaves [0, 1],
-    a column exceeds its capacity, or the shape is off.
+    a column exceeds its capacity, or the shape is off.  The checks run on
+    integers: an entry is in [0, 1] when ``0 <= numerator <= denominator``,
+    and a row or column sum is compared over the lcm of its denominators.
     """
-    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    rows = tuple(
+        tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
+    )
     if len(rows) != market.n_agents:
         raise DomainError(f"expected {market.n_agents} rows, got {len(rows)}")
     for a, row in enumerate(rows):
@@ -50,21 +54,29 @@ def build_assignment(market: Market, rows) -> Assignment:
                 f"expected {market.n_types}"
             )
         for o, v in enumerate(row):
-            if not ZERO <= v <= ONE:
+            if not 0 <= v.numerator <= v.denominator:
                 raise DomainError(
                     f"probability {v} for ({market.agent_names[a]}, "
                     f"{market.type_names[o]}) is outside [0, 1]"
                 )
-        if sum(row, start=ZERO) != ONE:
+        denominator, total = _integer_sum(row)
+        if total != denominator:
             raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
-    for o in range(market.n_types):
-        total = sum((row[o] for row in rows), start=ZERO)
-        if total > market.capacities[o]:
+    for o, capacity in enumerate(market.capacities):
+        column = [row[o] for row in rows]
+        denominator, total = _integer_sum(column)
+        if total > capacity * denominator:
             raise DomainError(
-                f"column {market.type_names[o]} sums to {total}, "
-                f"exceeding capacity {market.capacities[o]}"
+                f"column {market.type_names[o]} sums to {sum(column, start=ZERO)}, "
+                f"exceeding capacity {capacity}"
             )
     return Assignment(rows)
+
+
+def _integer_sum(values) -> tuple[int, int]:
+    """(D, D times the sum) of ``values``, D the lcm of their denominators."""
+    denominator = lcm(*(v.denominator for v in values))
+    return denominator, sum(v.numerator * (denominator // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -129,19 +141,22 @@ def wastefulness_witness(
     Waste means some agent holds probability on a type while a type they rank
     strictly higher still has slack capacity.  The scan runs in agent order,
     then preferred-type order, then held-type order, so the witness is the
-    lexicographically first one.
+    lexicographically first one.  Column slack is decided in integers, as in
+    ``build_assignment``.
     """
     check_profile(market, profile)
-    slack = [
-        market.capacities[o] - x.column_sum(o) > 0 for o in range(market.n_types)
-    ]
+    slack = []
+    for o, capacity in enumerate(market.capacities):
+        denominator, total = _integer_sum([row[o] for row in x.rows])
+        slack.append(total < capacity * denominator)
     for a in range(market.n_agents):
         order = profile[a]
+        row = x.rows[a]
         for o in range(market.n_types):
             if not slack[o]:
                 continue
             for held in range(market.n_types):
-                if x.entry(a, held) > 0 and order.rank(o) < order.rank(held):
+                if row[held].numerator > 0 and order.rank(o) < order.rank(held):
                     return (a, o, held)
     return None
 
@@ -215,15 +230,14 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     common multiple of ``denominator * capacity`` over the nonzero entries:
     the unit-copy matrix, the dummy rows (filled northwest-corner style from
     the column deficits) and the weights are all ``D`` times their rational
-    values.  Each row keeps its positive columns as an ascending list, from
-    which a column is removed when its entry reaches zero, and every step
-    reruns Kuhn's augmenting-path matching from scratch over those lists,
-    with an explicit stack instead of recursion.  The parts are the ones the
-    same algorithm gives over ``Fraction`` entries (the oracle in the
-    tests): at every step the integer matrix is exactly ``D`` times the
-    rational one, so it has the same positive support, hence the same
-    matching, the same minimum weight times ``D``, and the same projected
-    seating.  Weights come out as ``Fraction(w, D)``, sorted by seating.
+    values.  Each row keeps its positive columns as a bit mask, whose bit is
+    cleared when its entry reaches zero, and every step reruns Kuhn's
+    augmenting-path matching from an empty matching over those masks, with
+    an explicit stack instead of recursion.  The parts are the ones the same algorithm
+    gives over ``Fraction`` entries (the oracle in the tests): at every step
+    the integer matrix is exactly ``D`` times the rational one, so it has the
+    same positive support, hence the same matching, the same minimum weight
+    times ``D``, and the same projected seating.  Weights come out as ``Fraction(w, D)``, sorted by seating.
     """
     rows = build_assignment(market, x.rows).rows  # malformed input is a domain error
     capacities = market.capacities
@@ -266,7 +280,7 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         matrix.append(row)
     assert all(d == 0 for d in deficits)
 
-    positive = [[c for c, v in enumerate(row) if v > 0] for row in matrix]
+    positive = [sum(1 << c for c, v in enumerate(row) if v > 0) for row in matrix]
     weights: dict[tuple[TypeIndex, ...], int] = {}
     remaining = denominator
     while remaining > 0:
@@ -276,7 +290,7 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         for r, c in enumerate(matched):
             matrix[r][c] -= weight
             if matrix[r][c] == 0:
-                positive[r].remove(c)
+                positive[r] ^= 1 << c
         choices = tuple(copy_type[matched[a]] for a in range(n_real))
         weights[choices] = weights.get(choices, 0) + weight
         remaining -= weight
@@ -288,45 +302,59 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     return Decomposition(parts)
 
 
-def _positive_perfect_matching(positive: list[list[int]]) -> list[int]:
-    """Kuhn's augmenting-path matching; ``positive[r]`` lists row r's columns.
+def _positive_perfect_matching(positive: list[int]) -> list[int]:
+    """Kuhn's augmenting-path matching; bit c of ``positive[r]`` is set when
+    row r may take column c.
 
-    Each row's search walks its columns in ascending order, skipping columns
+    Each row's search takes its columns in ascending order, skipping columns
     already seen in this search and descending into a taken column's row,
-    exactly as the recursive form does, so it returns the same matching.  The
-    path lives on explicit stacks, one column iterator per path row, so its
-    depth is not bounded by the interpreter's recursion limit.
+    exactly as the recursive form does, so it returns the same matching.  A
+    row's next column is the lowest set bit of its mask among the unseen
+    columns: every lower column of that row is already seen, so this is the
+    column an ascending scan would accept next.  A root whose lowest column
+    is free takes it without a search.  The path lives on an explicit stack
+    of rows, so its depth is not bounded by the interpreter's recursion
+    limit.  Each row on it left through the column the next row holds, so
+    flipping the path hands every row its successor's column.
     """
     n = len(positive)
     col_of_row = [-1] * n
     row_of_col = [-1] * n
+    every = (1 << n) - 1
+    free = every  # bit c set while column c is unmatched
     for root in range(n):
-        seen = [False] * n
-        path_rows = [root]
-        path_cols: list[int] = []  # path_cols[i] leads from path_rows[i] on
-        columns = [iter(positive[root])]
-        while columns:
-            for c in columns[-1]:
-                if not seen[c]:
-                    break
-            else:  # dead end: back up to the previous row
-                columns.pop()
-                path_rows.pop()
-                if path_cols:
-                    path_cols.pop()
+        columns = positive[root]
+        bit = columns & -columns
+        if bit & free:
+            free ^= bit
+            c = bit.bit_length() - 1
+            row_of_col[c] = root
+            col_of_row[root] = c
+            continue
+        r = root
+        unseen = every
+        path: list[int] = []  # the rows above r
+        while True:
+            options = positive[r] & unseen
+            if not options:  # dead end: back up to the previous row
+                if not path:
+                    raise AssertionError(
+                        "no perfect matching; matrix row/column sums are unequal"
+                    )
+                r = path.pop()
                 continue
-            seen[c] = True
-            path_cols.append(c)
-            owner = row_of_col[c]
-            if owner == -1:  # free column: flip the path
-                for r, pc in zip(path_rows, path_cols):
-                    row_of_col[pc] = r
-                    col_of_row[r] = pc
+            bit = options & -options
+            unseen ^= bit
+            c = bit.bit_length() - 1
+            if bit & free:  # free column: flip the path
+                free ^= bit
+                path.append(r)
+                for r in reversed(path):
+                    row_of_col[c] = r
+                    col_of_row[r], c = c, col_of_row[r]
                 break
-            path_rows.append(owner)
-            columns.append(iter(positive[owner]))
-        else:
-            raise AssertionError("no perfect matching; matrix row/column sums are unequal")
+            path.append(r)
+            r = row_of_col[c]
     return col_of_row
 
 

@@ -10,7 +10,7 @@ dense integer indices; display names are carried along for reporting only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -27,6 +27,7 @@ class PreferenceOrder:
     """
 
     ranking: tuple[TypeIndex, ...]
+    _ranks: dict[TypeIndex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.ranking) != list(range(len(self.ranking))):
@@ -34,12 +35,14 @@ class PreferenceOrder:
                 f"ranking must be a permutation of 0..{len(self.ranking) - 1}, "
                 f"got {self.ranking!r}"
             )
+        ranks = {o: k + 1 for k, o in enumerate(self.ranking)}
+        object.__setattr__(self, "_ranks", ranks)
 
     def rank(self, o: TypeIndex) -> int:
         """1-based rank of type ``o`` under this order."""
         try:
-            return self.ranking.index(o) + 1
-        except ValueError:
+            return self._ranks[o]
+        except (KeyError, TypeError):  # TypeError: an unhashable index
             raise DomainError(f"type index {o} not ranked by {self.ranking!r}") from None
 
     def top(self, k: int) -> tuple[TypeIndex, ...]:

@@ -9,6 +9,7 @@ from rankmech import (
     Assignment,
     Decomposition,
     DeterministicAssignment,
+    DomainError,
     DominanceVerdict,
     Market,
     PatternAmbiguityError,
@@ -20,7 +21,7 @@ from rankmech import (
     row_strictly_prefers,
     row_weakly_prefers,
 )
-from rankmech.market import TypeIndex
+from rankmech.market import AgentIndex, TypeIndex, check_profile
 from rankmech.mechanisms import _try_parse
 from rankmech.sweeps import SweepOutcome, _profile_label, _sweep
 
@@ -73,6 +74,64 @@ def product_check_dominance(query, budget=DEFAULT_BUDGET, *, table=None):
         failure_witness=first_failure,
         strict_witness=first_strict,
     )
+
+
+def fraction_build_assignment(market: Market, rows) -> Assignment:
+    """``build_assignment`` with every check made by comparing ``Fraction`` sums.
+
+    Validate ``rows`` against ``market`` and wrap them as an Assignment.
+
+    Raises DomainError when a row does not sum to one, an entry leaves [0, 1],
+    a column exceeds its capacity, or the shape is off.
+    """
+    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    if len(rows) != market.n_agents:
+        raise DomainError(f"expected {market.n_agents} rows, got {len(rows)}")
+    for a, row in enumerate(rows):
+        if len(row) != market.n_types:
+            raise DomainError(
+                f"row {market.agent_names[a]} has {len(row)} entries, "
+                f"expected {market.n_types}"
+            )
+        for o, v in enumerate(row):
+            if not ZERO <= v <= ONE:
+                raise DomainError(
+                    f"probability {v} for ({market.agent_names[a]}, "
+                    f"{market.type_names[o]}) is outside [0, 1]"
+                )
+        if sum(row, start=ZERO) != ONE:
+            raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
+    for o in range(market.n_types):
+        total = sum((row[o] for row in rows), start=ZERO)
+        if total > market.capacities[o]:
+            raise DomainError(
+                f"column {market.type_names[o]} sums to {total}, "
+                f"exceeding capacity {market.capacities[o]}"
+            )
+    return Assignment(rows)
+
+
+def fraction_wastefulness_witness(
+    market: Market, x: Assignment, profile: Profile
+) -> tuple[AgentIndex, TypeIndex, TypeIndex] | None:
+    """``wastefulness_witness`` with slack and holdings compared as ``Fraction``.
+
+    First (agent, preferred, held) triple proving waste, or None, scanned in
+    agent, then preferred-type, then held-type order.
+    """
+    check_profile(market, profile)
+    slack = [
+        market.capacities[o] - x.column_sum(o) > 0 for o in range(market.n_types)
+    ]
+    for a in range(market.n_agents):
+        order = profile[a]
+        for o in range(market.n_types):
+            if not slack[o]:
+                continue
+            for held in range(market.n_types):
+                if x.entry(a, held) > 0 and order.rank(o) < order.rank(held):
+                    return (a, o, held)
+    return None
 
 
 def fraction_decompose(market: Market, x: Assignment) -> Decomposition:

@@ -39,7 +39,12 @@ from rankmech.examples import (
     example3_market,
     example4_market,
 )
-from oracles import fraction_decompose, recursive_positive_perfect_matching
+from oracles import (
+    fraction_build_assignment,
+    fraction_decompose,
+    fraction_wastefulness_witness,
+    recursive_positive_perfect_matching,
+)
 
 F = Fraction
 
@@ -308,6 +313,116 @@ def test_decompose_matches_fraction_oracle_on_seeded_markets(tie_heavy):
         _assert_matches_oracle(*_seeded_assign_input(rng, tie_heavy))
 
 
+def _build_outcome(build, market, rows):
+    """The Assignment ``build`` returns, or the text of the DomainError it raises."""
+    try:
+        return build(market, rows)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _spelled(rng, rows):
+    """``rows`` with each entry written as a Fraction, its string, or an int
+    when whole, chosen at random."""
+    out = []
+    for row in rows:
+        spelled = []
+        for v in row:
+            kind = rng.randrange(3)
+            if kind == 0 and v.denominator == 1:
+                spelled.append(int(v))
+            elif kind == 1:
+                spelled.append(str(v))
+            else:
+                spelled.append(v)
+        out.append(spelled)
+    return out
+
+
+def _malformed(rng, market, rows):
+    """One copy of the valid ``rows`` per malformed kind, with the text its
+    DomainError must contain."""
+    n, m = market.n_agents, market.n_types
+    k = rng.randint(2, 7)
+    a = rng.randrange(n)
+    o, other = rng.sample(range(m), 2)
+    cases = []
+
+    def copy():
+        return [list(row) for row in rows]
+
+    cases.append((copy()[:-1], f"expected {n} rows, got {n - 1}"))
+    cases.append((copy() + [list(rows[0])], f"expected {n} rows, got {n + 1}"))
+    short = copy()
+    short[a] = short[a][:-1]
+    cases.append((short, f"has {m - 1} entries, expected {m}"))
+    negative = copy()
+    shift = negative[a][o] + F(1, k)
+    negative[a][o] -= shift
+    negative[a][other] += shift
+    cases.append((negative, "is outside [0, 1]"))
+    above = copy()
+    above[a][o] = 1 + F(1, k)
+    cases.append((above, "is outside [0, 1]"))
+    off = copy()
+    below = rng.choice([t for t in range(m) if off[a][t] < 1])
+    off[a][below] += (1 - off[a][below]) / k
+    cases.append((off, "does not sum to 1"))
+    scarce = rng.choice([t for t in range(m) if t != market.null_type])
+    floor = F(market.capacities[scarce], n)
+    share = floor + (1 - floor) * F(rng.randint(1, k), k)
+    crowded = [[F(0)] * m for _ in range(n)]
+    for row in crowded:
+        row[scarce] = share
+        row[market.null_type] = 1 - share
+    cases.append((crowded, "exceeding capacity"))
+    # The least overshoot: q agents sit on the type and one more holds 1/k.
+    edge = [[F(0)] * m for _ in range(n)]
+    q = market.capacities[scarce]
+    for b, row in enumerate(edge):
+        row[scarce] = F(1) if b < q else F(1, k) if b == q else F(0)
+        row[market.null_type] = 1 - row[scarce]
+    cases.append((edge, f"sums to {q * k + 1}/{k}, exceeding capacity {q}"))
+    return cases
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
+def test_build_assignment_matches_fraction_oracle(tie_heavy):
+    """Integer checks against ``Fraction`` sums: equal rows on seeded valid
+    matrices, and the same DomainError text on every malformed kind, with
+    entries written as ints, strings and Fractions."""
+    rng = random.Random(6211 + tie_heavy)
+    for _ in range(50):
+        market, x = _seeded_assign_input(rng, tie_heavy)
+        spelled = _spelled(rng, x.rows)
+        built = build_assignment(market, spelled)
+        assert built == fraction_build_assignment(market, spelled) == x
+        assert all(type(v) is Fraction for row in built.rows for v in row)
+        for rows, fragment in _malformed(rng, market, x.rows):
+            spelled = _spelled(rng, rows)
+            outcome = _build_outcome(build_assignment, market, spelled)
+            assert isinstance(outcome, str) and fragment in outcome
+            assert outcome == _build_outcome(fraction_build_assignment, market, spelled)
+
+
+@pytest.mark.parametrize("market", [example2_market(), example4_market()], ids=["ex2", "ex4"])
+def test_waste_scan_matches_fraction_oracle_on_every_small_profile(market):
+    """Both mechanisms on every profile, judged against the reveals and,
+    refused, against a seeded truth profile."""
+    rng = random.Random(1733)
+    found = set()
+    for profile in all_profiles(market):
+        truths = _random_profile(rng, market)
+        for mechanism in (uniform_mechanism, modified_mechanism):
+            x = mechanism(market, profile)
+            refused = refusal_transform(market, x, truths)
+            for matrix, judged in ((x, profile), (refused, truths)):
+                witness = wastefulness_witness(market, matrix, judged)
+                assert witness == fraction_wastefulness_witness(market, matrix, judged)
+                found.add(witness is None)
+    assert found == {True, False}
+
+
 def test_stack_matching_matches_recursive_oracle():
     """Supports that are unions of 1-4 random permutations, so a perfect
     matching always exists."""
@@ -319,7 +434,7 @@ def test_stack_matching_matches_recursive_oracle():
             for r, c in enumerate(rng.sample(range(n), n)):
                 support[r].add(c)
         matrix = [[F(int(c in cols)) for c in range(n)] for cols in support]
-        positive = [sorted(cols) for cols in support]
+        positive = [sum(1 << c for c in cols) for cols in support]
         assert _positive_perfect_matching(positive) == recursive_positive_perfect_matching(matrix)
 
 
@@ -327,7 +442,7 @@ def test_stack_matching_has_no_recursion_limit():
     """A staircase: row 0 holds column 0 and row r columns r-1 and r, so the
     search for row r runs r rows deep, past the default recursion limit."""
     n = 1500
-    positive = [[0]] + [[r - 1, r] for r in range(1, n)]
+    positive = [0b1] + [0b11 << (r - 1) for r in range(1, n)]
     assert _positive_perfect_matching(positive) == list(range(n))
 
 

@@ -35,6 +35,21 @@ def test_order_rank_of_unranked_type():
         PreferenceOrder((0, 1, 2)).rank(5)
 
 
+def test_order_rank_table_leaves_identity_unchanged():
+    """The stored rank table takes no part in equality, hashing or repr, and
+    every index outside the ranking is still a DomainError."""
+    order = PreferenceOrder((2, 0, 1))
+    assert order == PreferenceOrder((2, 0, 1))
+    assert order != PreferenceOrder((0, 1, 2))
+    assert hash(order) == hash(((2, 0, 1),))
+    assert len({order, PreferenceOrder((2, 0, 1))}) == 1
+    assert repr(order) == "PreferenceOrder(ranking=(2, 0, 1))"
+    assert [order.rank(o) for o in range(3)] == [2, 3, 1]
+    for unranked in (-1, 3, "o1"):
+        with pytest.raises(DomainError):
+            order.rank(unranked)
+
+
 def test_market_validation():
     # One agent is too few.
     with pytest.raises(DomainError):
