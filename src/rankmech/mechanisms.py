@@ -120,15 +120,12 @@ def _rank_table(order: PreferenceOrder) -> list[int]:
     return table
 
 
-def _forward_layers(
-    market: Market, ranks: list[list[int]]
-) -> tuple[int, list[tuple[TypeIndex, int, int]], list[dict[int, tuple[int, int]]]]:
-    """The forward half of the counting pass over agents with rank tables ``ranks``.
+def _moves(market: Market) -> tuple[int, list[tuple[TypeIndex, int, int]]]:
+    """The packed start state and the moves of the counting pass.
 
-    Returns the packed start state, the moves as (type, stride, radix) with
-    stride 0 for the null type, and one layer per agent boundary: layer k maps
-    each state the first k agents can leave to its least prefix rank and the
-    number of prefixes reaching it with that rank.
+    A state is the remaining capacity of every non-null type in mixed radix;
+    each move is (type, stride, radix), with stride 0 for the null type,
+    which always has room.
     """
     moves = []
     start = 0
@@ -140,22 +137,32 @@ def _forward_layers(
             moves.append((o, stride, q + 1))
             start += q * stride
             stride *= q + 1
-    forward = [{start: (0, 1)}]
-    for rank in ranks:
-        layer: dict[int, tuple[int, int]] = {}
-        for state, (cost, count) in forward[-1].items():
-            for o, stride, radix in moves:
-                if stride and not state // stride % radix:
-                    continue
-                after = state - stride
-                reach = cost + rank[o]
-                held = layer.get(after)
-                if held is None or reach < held[0]:
-                    layer[after] = (reach, count)
-                elif reach == held[0]:
-                    layer[after] = (reach, held[1] + count)
-        forward.append(layer)
-    return start, moves, forward
+    return start, moves
+
+
+def _forward_step(
+    layer: dict[int, tuple[int, int]], moves: list[tuple[TypeIndex, int, int]], rank: list[int]
+) -> dict[int, tuple[int, int]]:
+    """One agent's step of the forward half of the counting pass.
+
+    ``layer`` maps each state the agents so far can leave to its least
+    prefix rank and the number of prefixes reaching it with that rank; the
+    result is the same map once one more agent, with rank table ``rank``,
+    has moved.
+    """
+    after_layer: dict[int, tuple[int, int]] = {}
+    for state, (cost, count) in layer.items():
+        for o, stride, radix in moves:
+            if stride and not state // stride % radix:
+                continue
+            after = state - stride
+            reach = cost + rank[o]
+            held = after_layer.get(after)
+            if held is None or reach < held[0]:
+                after_layer[after] = (reach, count)
+            elif reach == held[0]:
+                after_layer[after] = (reach, held[1] + count)
+    return after_layer
 
 
 def uniform_mechanism(
@@ -198,7 +205,10 @@ def _integer_rows(
     n = market.n_agents
     m = market.n_types
     ranks = [_rank_table(order) for order in profile.orders]
-    start, moves, forward = _forward_layers(market, ranks)
+    start, moves = _moves(market)
+    forward = [{start: (0, 1)}]
+    for rank in ranks:
+        forward.append(_forward_step(forward[-1], moves, rank))
     optimum = min(cost for cost, _ in forward[n].values())
 
     counts = [[0] * m for _ in range(n)]
@@ -283,6 +293,19 @@ def _match_pattern(market: Market, profile: Profile) -> ModifiedPattern | None:
     if deepest < 3 or null_ranks.count(deepest) > 1:
         return None
     return _try_parse(market, profile, null_ranks.index(deepest))
+
+
+def _may_match(null_rank: int, deepest: int, lone: bool) -> bool:
+    """Whether :func:`_match_pattern` can parse a profile, from outside-option ranks.
+
+    ``null_rank`` is one agent's outside-option rank, ``deepest`` the
+    deepest among the other agents and ``lone`` whether only one of them
+    ranks it there.  Only an agent whose rank is at least 3 and strictly
+    deeper than every other agent's can be the special agent.
+    """
+    if null_rank > deepest:
+        return null_rank >= 3
+    return lone and deepest > null_rank and deepest >= 3
 
 
 def _try_parse(market: Market, profile: Profile, special: AgentIndex) -> ModifiedPattern | None:

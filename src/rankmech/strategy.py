@@ -9,9 +9,9 @@ verdicts are exhaustive rather than sampled.  Both mechanisms are
 anonymous, so it walks each multiset of opponent reveals once, in sorted
 order, with the queried agent seated last: one forward layer of the uniform
 mechanism's counting pass over the opponents then gives the agent's row
-under every reveal in integers.  The first failing opponent profile in
-product order is always sorted, so the witnesses are those of the full
-product.
+under every reveal in integers, and multisets sharing a sorted prefix share
+the layers of that prefix.  The first failing opponent profile in product
+order is always sorted, so the witnesses are those of the full product.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .assignment import Assignment, ZERO, build_assignment
 from .errors import BudgetError, DomainError
@@ -35,8 +35,10 @@ from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
     _check_budget,
-    _forward_layers,
+    _forward_step,
     _match_pattern,
+    _may_match,
+    _moves,
     _rank_table,
     _override_row,
     get_mechanism,
@@ -264,32 +266,38 @@ def _first_witnesses(
     refusal: bool,
     pairs: Iterable[tuple[PreferenceOrder, PreferenceOrder]],
     budget: Budget = DEFAULT_BUDGET,
+    *,
+    decide: bool = False,
 ) -> dict[tuple[PreferenceOrder, PreferenceOrder], Witnesses]:
     """First failing and first strict opponent multiset of every (truth, candidate).
 
     The queried agent's row does not depend on which agent it is, nor on the
     order of its opponents, so the agent is seated last and the opponents
-    are walked as sorted tuples from ``combinations_with_replacement``.  A
-    failing opponent tuple and its sorted permutation have the same
-    multiset, so the sorted one fails too and is no later in product order:
-    the first failing tuple of the product is sorted, and the walk meets it
-    first.  The same holds for the first strict tuple.
+    are walked as sorted tuples, in ``combinations_with_replacement`` order
+    (:meth:`_OpponentLayers.walk`).  A failing opponent tuple and its sorted
+    permutation have the same multiset, so the sorted one fails too and is
+    no later in product order: the first failing tuple of the product is
+    sorted, and the walk meets it first.  The same holds for the first
+    strict tuple.
 
-    For each multiset one forward layer of the uniform mechanism's counting
-    pass over the opponents (:class:`_OpponentLayers`) maps each
-    remaining-capacity state to its least prefix rank and prefix count.  The
-    last agent's optimum under reveal r is the least ``cost(s) + rank_r(o)``
-    over states s and types o with room in s, and ``row[o]`` counts the
-    prefixes reaching it through o; the row total is the number of optimal
-    assignments.  Rows are compared in
-    integers, by cross-multiplying cumulative sums along the truth's
+    For each multiset the walk gives the forward layer of the uniform
+    mechanism's counting pass over the opponents, folded per room mask, and
+    the last agent's row under any reveal is read from it in integers.  Rows
+    are compared by cross-multiplying cumulative sums along the truth's
     ranking.  Refusal moves everything from the truth's outside option down
     onto it, so every cumulative sum from there on equals the total: with
     refusal on the comparison stops just above the outside option, without
     it just before the last rank.  Under the modified mechanism a profile
-    matching the crowd-out pattern takes its override row instead.  A pair
-    is dropped once both of its witnesses are found, and the walk ends once
-    no pair is open.
+    matching the crowd-out pattern takes its override row; the pattern is
+    parsed only where the outside-option ranks allow it.
+
+    A pair closes once both of its witnesses are found, and the walk ends
+    once no pair is open.  With ``decide`` on, a pair closes at its first
+    failure instead, since nothing after it changes the pair's verdict.  A
+    pair that weakly dominates still walks to the end, so the failure
+    witness of every pair, and the strict witness of every pair that weakly
+    dominates, are those of the full walk; a failing pair keeps only a
+    strict witness found before its failure.
     """
     pairs = list(dict.fromkeys(pairs))
     if not pairs:  # a sweep with no units evaluates nothing, so no budget applies
@@ -302,6 +310,7 @@ def _first_witnesses(
     orders = market.all_orders()
     index = {order: i for i, order in enumerate(orders)}
     m = market.n_types
+    null_rank = [order.rank(market.null_type) for order in orders]
     layers = _OpponentLayers(market, orders)
     found: dict[tuple[PreferenceOrder, PreferenceOrder], list] = {
         pair: [None, None] for pair in pairs
@@ -313,23 +322,22 @@ def _first_witnesses(
         slot = found[truth, candidate]
         open_pairs.append((index[truth], index[candidate], truth.ranking[:stop], slot))
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    n_opponents = market.n_agents - 1
-    for combo in itertools.combinations_with_replacement(range(len(orders)), n_opponents):
-        ends = layers.ends(combo)
-        opponents = tuple(orders[i] for i in combo)
+    for combo, ends in layers.walk(market.n_agents - 1):
+        if mechanism == "modified":
+            deep = [null_rank[i] for i in combo]
+            deepest = max(deep, default=0)
+            lone = deep.count(deepest) == 1
         rows = {}
         for reveal in needed:
-            pattern = None
-            if mechanism == "modified":
-                profile = Profile((orders[reveal], *opponents))
+            if mechanism == "modified" and _may_match(null_rank[reveal], deepest, lone):
+                profile = Profile((orders[reveal], *(orders[i] for i in combo)))
                 pattern = _match_pattern(market, profile)
-            if pattern is None:
-                rows[reveal] = layers.row(ends, reveal)
-            else:
-                rows[reveal] = _override_row(market, profile, pattern, 0)
-        still_open = []
-        for entry in open_pairs:
-            t, c, prefix, slot = entry
+                if pattern is not None:
+                    rows[reveal] = _override_row(market, profile, pattern, 0)
+                    continue
+            rows[reveal] = layers.row(ends, reveal)
+        closed = False
+        for t, c, prefix, slot in open_pairs:
             truth_row, truth_total = rows[t]
             candidate_row, candidate_total = rows[c]
             weak = True
@@ -346,13 +354,16 @@ def _first_witnesses(
                     strict = True
             if not weak:
                 if slot[0] is None:
-                    slot[0] = opponents
+                    slot[0] = tuple(orders[i] for i in combo)
+                    closed = closed or decide or slot[1] is not None
             elif strict and slot[1] is None:
-                slot[1] = opponents
-            if slot[0] is None or slot[1] is None:
-                still_open.append(entry)
-        if len(still_open) < len(open_pairs):
-            open_pairs = still_open
+                slot[1] = tuple(orders[i] for i in combo)
+                closed = closed or slot[0] is not None
+        if closed:
+            open_pairs = [
+                entry for entry in open_pairs
+                if entry[3][0] is None or (not decide and entry[3][1] is None)
+            ]
             if not open_pairs:
                 break
             needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
@@ -365,7 +376,11 @@ class _OpponentLayers:
     Reveals and opponents are indices into ``orders``.  Both mechanisms are
     anonymous, so an agent's row depends only on its reveal and the multiset
     of the other reveals; the dominance walk and the equal-treatment sweep
-    both read rows this way.
+    both read rows this way.  A multiset's ``ends`` is the forward layer of
+    the counting pass over it, folded per room mask: in each state the
+    agent's best move, and so its rank, depend only on which types have room
+    there, so within one room mask only the least prefix rank can be
+    optimal.
     """
 
     def __init__(self, market: Market, orders: tuple[PreferenceOrder, ...]):
@@ -379,25 +394,64 @@ class _OpponentLayers:
             ]
             for order in orders
         ]
+        self.start, self.moves = _moves(market)
+        # the room mask of each state met so far; at most prod(q + 1) of them
+        self.masks: dict[int, int] = {}
+
+    def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """Every multiset of ``k`` opponents with its ``ends``.
+
+        The multisets come as sorted tuples in ``combinations_with_replacement``
+        order.  They are the leaves of a trie over their sorted prefixes, and
+        the walk keeps one forward layer per prefix on a stack, so each trie
+        node costs one step of the counting pass; nothing recurses.
+        """
+        top = len(self.ranks) - 1
+        combo = [0] * k
+        stack = [{self.start: (0, 1)}]
+        while True:
+            for reveal in combo[len(stack) - 1 :]:
+                stack.append(_forward_step(stack[-1], self.moves, self.ranks[reveal]))
+            yield tuple(combo), self._fold(stack[-1])
+            i = k - 1
+            while i >= 0 and combo[i] == top:
+                i -= 1
+            if i < 0:
+                return
+            combo[i:] = [combo[i] + 1] * (k - i)
+            del stack[i + 1 :]
 
     def ends(self, opponents: Iterable[int]) -> list[tuple[int, int, int]]:
-        """One forward layer of the counting pass over the opponents.
+        """The ``ends`` of one multiset of opponents, given in any order."""
+        layer = {self.start: (0, 1)}
+        for i in opponents:
+            layer = _forward_step(layer, self.moves, self.ranks[i])
+        return self._fold(layer)
 
-        Each state the opponents can leave becomes its least prefix rank,
-        its prefix count and the bit mask of the types with room in it.
-        """
-        _, moves, forward = _forward_layers(self.market, [self.ranks[i] for i in opponents])
-        ends = []
-        for state, (cost, count) in forward[-1].items():
-            room = [o for o, stride, radix in moves if not stride or state // stride % radix]
-            ends.append((cost, count, sum(1 << o for o in room)))
-        return ends
+    def _fold(self, layer: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
+        """One (least prefix rank, summed prefix count, room mask) per room mask of ``layer``."""
+        masks = self.masks
+        folded: dict[int, tuple[int, int]] = {}
+        for state, (cost, count) in layer.items():
+            mask = masks.get(state)
+            if mask is None:
+                mask = masks[state] = sum(
+                    1 << o
+                    for o, stride, radix in self.moves
+                    if not stride or state // stride % radix
+                )
+            held = folded.get(mask)
+            if held is None or cost < held[0]:
+                folded[mask] = (cost, count)
+            elif cost == held[0]:
+                folded[mask] = (cost, held[1] + count)
+        return [(cost, count, mask) for mask, (cost, count) in folded.items()]
 
     def row(self, ends: list[tuple[int, int, int]], reveal: int) -> tuple[list[int], int]:
         """The row of the agent revealing ``reveal`` against the opponents of ``ends``.
 
         The row is integer counts over the number of optimal assignments.  In
-        each state the agent's best move is its best type with room.
+        each room mask the agent's best move is its best type with room.
         """
         m = self.market.n_types
         rank = self.ranks[reveal]

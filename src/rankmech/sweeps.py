@@ -4,12 +4,13 @@ Each sweep walks a finite list of units (profiles, or an agent with a truth
 and a reveal) and counts the units that violate one property, keeping the
 first counterexample for reporting.  Sweeps are deterministic.  A dominance
 sweep hands every distinct (truth, candidate) pair of its units to one walk
-over opponent multisets, for agent 0; both mechanisms are anonymous, so the
-witnesses found there are relabelled for every other agent.  Equal
-treatment walks profile multisets, each weighted by its number of
-arrangements, with the same argument for its first violation, and reads
-each compared agent's row from the same opponent layers as the dominance
-walk.
+over opponent multisets, which decides each pair rather than witnessing it.
+Both mechanisms are anonymous, so a unit's answer does not depend on its
+agent: the sweep checks agent 0's units and counts each answer once per
+agent.  Equal treatment walks profile multisets, each weighted by its
+number of arrangements, with the same argument for its first violation, and
+reads each compared agent's row from the same opponent layers as the
+dominance walk.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ def _sweep(name: str, units: Iterable[tuple], check: Callable[..., str | None]) 
     return SweepOutcome(name, checked, violations, first)
 
 
+def _per_agent(market: Market, outcome: SweepOutcome) -> SweepOutcome:
+    """``outcome`` over agent 0's units, counted for every agent.
+
+    The units of a dominance sweep are agent-major, and a unit's check
+    depends on its agent only through the label, so every agent fails the
+    same units as agent 0 and agent 0's first failure is the first of all.
+    """
+    n = market.n_agents
+    return SweepOutcome(
+        outcome.name, n * outcome.checked, n * outcome.violations, outcome.first_violation
+    )
+
+
 def _verdicts(
     market: Market,
     mechanism_name: str,
@@ -86,10 +100,14 @@ def _verdicts(
 ) -> Callable[[AgentIndex, PreferenceOrder, PreferenceOrder], DominanceVerdict]:
     """Dominance verdicts for one sweep's (truth, candidate) pairs, any agent.
 
-    One walk over opponent multisets answers every pair at once; a verdict
+    One walk over opponent multisets decides every pair at once; a verdict
     for agent a zips the witness multisets with a's opponents in index order.
+    Each verdict's booleans and failure witness are exact, and so is the
+    strict witness of a pair that weakly dominates; a failing pair's strict
+    witness is only the first one seen before its failure
+    (:func:`_first_witnesses` with ``decide`` on).
     """
-    found = _first_witnesses(market, mechanism_name, refusal, pairs, budget)
+    found = _first_witnesses(market, mechanism_name, refusal, pairs, budget, decide=True)
 
     def verdict(agent: AgentIndex, truth: PreferenceOrder, candidate: PreferenceOrder):
         return _verdict(market, agent, *found[truth, candidate])
@@ -108,12 +126,14 @@ def _profile_label(market: Market, profile: Profile) -> str:
     )
 
 
-def _promotion_units(market: Market) -> list[tuple[AgentIndex, PreferenceOrder, TypeIndex]]:
-    """Every agent and truth with each type a scarce pair promotes, ascending."""
+def _promotion_units(
+    market: Market, agents: Iterable[AgentIndex]
+) -> list[tuple[AgentIndex, PreferenceOrder, TypeIndex]]:
+    """Each of ``agents`` and every truth with each type a scarce pair promotes, ascending."""
     orders = market.all_orders()
     return [
         (agent, truth, o_prime)
-        for agent in range(market.n_agents)
+        for agent in agents
         for truth in orders
         for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
     ]
@@ -219,12 +239,8 @@ def sweep_demotion_weak_dominance(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Under refusal, every demotion weakly dominates its truth (uniform)."""
-    orders = market.all_orders()
     units = [
-        (agent, truth, demoted)
-        for agent in range(market.n_agents)
-        for truth in orders
-        for demoted in ods_set(market, truth)
+        (0, truth, demoted) for truth in market.all_orders() for demoted in ods_set(market, truth)
     ]
     verdict = _verdicts(market, "uniform", True, budget, (u[1:] for u in units))
 
@@ -236,7 +252,7 @@ def sweep_demotion_weak_dominance(
             f"demotion=({order_to_names(market, demoted)})"
         )
 
-    return _sweep("thm1", units, check)
+    return _per_agent(market, _sweep("thm1", units, check))
 
 
 def sweep_demotion_strict_gain(
@@ -244,7 +260,7 @@ def sweep_demotion_strict_gain(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
-    units = _promotion_units(market)
+    units = _promotion_units(market, [0])
     pairs = [(truth, ods_promoting(market, truth, o_prime)) for _, truth, o_prime in units]
     verdict = _verdicts(market, "uniform", True, budget, pairs)
 
@@ -254,7 +270,7 @@ def sweep_demotion_strict_gain(
             return None
         return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
 
-    return _sweep("thm2", units, check)
+    return _per_agent(market, _sweep("thm2", units, check))
 
 
 def sweep_demotion_waste(
@@ -274,7 +290,7 @@ def sweep_demotion_waste(
             return None
         return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
 
-    return _sweep("prop3", _promotion_units(market), check)
+    return _sweep("prop3", _promotion_units(market, range(market.n_agents)), check)
 
 
 def sweep_no_strict_dominance(
@@ -293,11 +309,7 @@ def sweep_no_strict_dominance(
     """
     orders = market.all_orders()
     units = [
-        (agent, truth, candidate)
-        for agent in range(market.n_agents)
-        for truth in orders
-        for candidate in orders
-        if candidate != truth
+        (0, truth, candidate) for truth in orders for candidate in orders if candidate != truth
     ]
     verdict = _verdicts(market, mechanism_name, refusal, budget, (u[1:] for u in units))
 
@@ -323,4 +335,4 @@ def sweep_no_strict_dominance(
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:
         name = "prop5"
-    return _sweep(name, units, check)
+    return _per_agent(market, _sweep(name, units, check))

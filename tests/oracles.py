@@ -22,7 +22,7 @@ from rankmech import (
     row_weakly_prefers,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
-from rankmech.mechanisms import _try_parse
+from rankmech.mechanisms import _rank_table, _try_parse
 from rankmech.sweeps import SweepOutcome, _profile_label, _sweep
 
 ZERO = Fraction(0)
@@ -280,3 +280,84 @@ def all_agents_pattern(market, profile):
             f"profile admits {len(parses)} conflicting special-case parses"
         )
     return parses[0] if parses else None
+
+
+def forward_layers(market, ranks):
+    """The forward half of the counting pass over agents with rank tables ``ranks``.
+
+    Returns the packed start state, the moves as (type, stride, radix) with
+    stride 0 for the null type, and one layer per agent boundary: layer k maps
+    each state the first k agents can leave to its least prefix rank and the
+    number of prefixes reaching it with that rank.
+    """
+    moves = []
+    start = 0
+    stride = 1
+    for o, q in enumerate(market.capacities):
+        if o == market.null_type:
+            moves.append((o, 0, 1))
+        else:
+            moves.append((o, stride, q + 1))
+            start += q * stride
+            stride *= q + 1
+    forward = [{start: (0, 1)}]
+    for rank in ranks:
+        layer = {}
+        for state, (cost, count) in forward[-1].items():
+            for o, stride, radix in moves:
+                if stride and not state // stride % radix:
+                    continue
+                after = state - stride
+                reach = cost + rank[o]
+                held = layer.get(after)
+                if held is None or reach < held[0]:
+                    layer[after] = (reach, count)
+                elif reach == held[0]:
+                    layer[after] = (reach, held[1] + count)
+        forward.append(layer)
+    return start, moves, forward
+
+
+class PerStateLayers:
+    """``_OpponentLayers`` without the shared walk or the room-mask fold.
+
+    Each multiset runs a fresh forward pass over its opponents, and the row
+    is read from every state of the last layer.
+    """
+
+    def __init__(self, market, orders):
+        self.market = market
+        self.ranks = [_rank_table(order) for order in orders]
+        self.first_with_room = [
+            [
+                next((o for o in order.ranking if mask >> o & 1), None)
+                for mask in range(1 << market.n_types)
+            ]
+            for order in orders
+        ]
+
+    def ends(self, opponents):
+        """Each state the opponents can leave, as (least prefix rank, prefix count, room mask)."""
+        _, moves, forward = forward_layers(self.market, [self.ranks[i] for i in opponents])
+        ends = []
+        for state, (cost, count) in forward[-1].items():
+            room = [o for o, stride, radix in moves if not stride or state // stride % radix]
+            ends.append((cost, count, sum(1 << o for o in room)))
+        return ends
+
+    def row(self, ends, reveal):
+        """The last agent's row as integer counts over the number of optimal assignments."""
+        m = self.market.n_types
+        rank = self.ranks[reveal]
+        first_with_room = self.first_with_room[reveal]
+        row = [0] * m
+        best = None
+        for cost, count, mask in ends:
+            o = first_with_room[mask]
+            reach = cost + rank[o]
+            if best is None or reach < best:
+                row = [0] * m
+                best = reach
+            if reach == best:
+                row[o] += count
+        return row, sum(row)

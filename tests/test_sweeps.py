@@ -8,6 +8,8 @@ violations (strict demotion gains are a feature, so scanning for
 no-strict-dominance under refusal must find them).
 """
 
+import dataclasses
+import itertools
 import math
 import random
 
@@ -36,9 +38,11 @@ from rankmech.sweeps import (
 from rankmech.examples import (
     example1_market,
     example2_market,
+    example3_market,
     example4_market,
     make_denial_mechanism,
 )
+from rankmech.mechanisms import _match_pattern, _may_match
 
 import oracles
 from oracles import fraction_sweep_ete, product_check_dominance
@@ -170,10 +174,11 @@ def _unit_detail(prop, market, query, verdict):
 @pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
-    """A sweep answers all its units from one shared walk over opponent
-    multisets.  Every verdict it reads from that walk equals the verdict of
+    """A sweep decides all its pairs from one shared walk over opponent
+    multisets and reads the verdicts of agent 0's units only.  For every
+    agent and every unit, each verdict field the sweep reads equals that of
     the same query run alone through the product oracle, and the outcome
-    built from the oracle's verdicts equals the sweep's."""
+    built from the oracle's verdicts over all agents equals the sweep's."""
     market = make_market()
     queries = []
     walks = []
@@ -193,22 +198,64 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
 
     monkeypatch.setattr(sweeps, "_verdicts", recording)
     outcome = DOMINANCE_SWEEPS[prop](market)
-    assert len(queries) == outcome.checked
+    assert market.n_agents * len(queries) == outcome.checked
     assert len(walks) == 1
+    assert all(query.agent == 0 for query, _, _ in queries)
 
     details = []
     table = {}
-    for query, budget, shared in queries:
-        alone = product_check_dominance(query, budget, table=table)
-        assert alone.failure_witness == shared.failure_witness
-        assert alone.strict_witness == shared.strict_witness
-        assert alone.weakly_dominates == shared.weakly_dominates
-        assert alone.strictly_dominates == shared.strictly_dominates
-        details.append(_unit_detail(prop, market, query, alone))
+    for agent in range(market.n_agents):
+        for query, budget, shared in queries:
+            query = dataclasses.replace(query, agent=agent)
+            alone = product_check_dominance(query, budget, table=table)
+            assert alone.weakly_dominates == shared.weakly_dominates
+            assert alone.strictly_dominates == shared.strictly_dominates
+            if prop == "prop2":
+                assert (alone.failure_witness is None) == (shared.failure_witness is None)
+                if alone.weakly_dominates:
+                    assert (alone.strict_witness is None) == (shared.strict_witness is None)
+            details.append(_unit_detail(prop, market, query, alone))
     failures = [d for d in details if d is not None]
     assert outcome == SweepOutcome(
         prop, len(details), len(failures), failures[0] if failures else None
     )
+
+
+@pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
+@pytest.mark.parametrize("make_market", [example2_market, example4_market])
+def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, make_market, prop):
+    """The full walk, which ``check_dominance`` and ``rankmech dominance``
+    run, finds the product oracle's witnesses on every pair a dominance sweep
+    hands its walk.  The deciding walk the sweep ran finds the same failure
+    witness on every pair, and the same strict witness wherever the pair
+    weakly dominates."""
+    market = make_market()
+    walks = []
+
+    def recording(market, mechanism, refusal, pairs, budget, **kwargs):
+        pairs = list(pairs)
+        found = strategy._first_witnesses(market, mechanism, refusal, pairs, budget, **kwargs)
+        walks.append((mechanism, refusal, pairs, budget, kwargs, found))
+        return found
+
+    monkeypatch.setattr(sweeps, "_first_witnesses", recording)
+    DOMINANCE_SWEEPS[prop](market)
+    [(mechanism, refusal, pairs, budget, kwargs, decided)] = walks
+    assert kwargs == {"decide": True}
+    full = strategy._first_witnesses(market, mechanism, refusal, pairs, budget, decide=False)
+    assert full.keys() == decided.keys() == set(pairs)
+    others = range(1, market.n_agents)
+    table = {}
+    for truth, candidate in pairs:
+        query = strategy.DominanceQuery(market, 0, truth, candidate, mechanism, refusal)
+        oracle = product_check_dominance(query, budget, table=table)
+        failure, strict = full[truth, candidate]
+        assert oracle.failure_witness == (None if failure is None else tuple(zip(others, failure)))
+        assert oracle.strict_witness == (None if strict is None else tuple(zip(others, strict)))
+        decided_failure, decided_strict = decided[truth, candidate]
+        assert decided_failure == failure
+        if failure is None:
+            assert decided_strict == strict
 
 
 def denial_layers(denial):
@@ -377,3 +424,67 @@ def test_sweeps_with_four_agents_and_a_double_seat(prop, checked, violations, fi
     """Every sweep on a four-agent market whose first type has two seats."""
     outcome = FOUR_AGENT_SWEEPS[prop](DOUBLE_SEAT)
     assert outcome == SweepOutcome(prop, checked, violations, first)
+
+
+WALK_MARKETS = {
+    "ex1": example1_market(),
+    "ex2": example2_market(),
+    "ex3": example3_market(),
+    "ex4": example4_market(),
+    "four": FOUR_AGENTS,
+    "double": DOUBLE_SEAT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MARKETS))
+def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
+    """``walk(n - 1)`` yields the multisets of ``combinations_with_replacement``
+    in its order, each with one entry per room mask.  On every multiset and
+    reveal its rows, and those of ``ends`` on the multiset given in any
+    order, equal the rows read from every state of a fresh forward pass."""
+    market = WALK_MARKETS[name]
+    orders = market.all_orders()
+    layers = strategy._OpponentLayers(market, orders)
+    oracle = oracles.PerStateLayers(market, orders)
+    walked = list(layers.walk(market.n_agents - 1))
+    assert [combo for combo, _ in walked] == list(
+        itertools.combinations_with_replacement(range(len(orders)), market.n_agents - 1)
+    )
+    rng = random.Random(name)
+    for combo, ends in walked:
+        assert len({mask for _, _, mask in ends}) == len(ends)
+        shuffled = list(combo)
+        rng.shuffle(shuffled)
+        direct = layers.ends(shuffled)
+        per_state = oracle.ends(combo)
+        for reveal in range(len(orders)):
+            expected = oracle.row(per_state, reveal)
+            assert layers.row(ends, reveal) == expected
+            assert layers.row(direct, reveal) == expected
+    states = math.prod(q + 1 for o, q in enumerate(market.capacities) if o != market.null_type)
+    assert len(layers.masks) <= states
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MARKETS))
+def test_crowd_out_filter_agrees_with_the_parse(name):
+    """The dominance walk parses a (multiset, reveal) for the crowd-out
+    pattern only where the outside-option ranks allow it; everywhere else
+    the unfiltered parse finds no pattern either."""
+    market = WALK_MARKETS[name]
+    orders = market.all_orders()
+    null_rank = [order.rank(market.null_type) for order in orders]
+    seen = {"skipped": 0, "parsed": 0, "matched": 0}
+    for combo in itertools.combinations_with_replacement(range(len(orders)), market.n_agents - 1):
+        deep = [null_rank[i] for i in combo]
+        deepest = max(deep)
+        lone = deep.count(deepest) == 1
+        for reveal in range(len(orders)):
+            pattern = _match_pattern(market, Profile((orders[reveal], *(orders[i] for i in combo))))
+            if not _may_match(null_rank[reveal], deepest, lone):
+                seen["skipped"] += 1
+                assert pattern is None
+            else:
+                seen["parsed"] += 1
+                seen["matched"] += pattern is not None
+    assert seen["skipped"] > 0
+    assert seen["parsed"] > seen["matched"] > 0
