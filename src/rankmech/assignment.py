@@ -218,46 +218,54 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
 
     The assignment polytope here has unit demands and per-type capacities, so
     the classic bistochastic argument applies after splitting each type into
-    unit-capacity copies and padding with dummy agents.  Each extraction step
-    finds a perfect matching over the positive entries (one always exists for
-    a matrix with equal row and column sums) and subtracts the largest weight
-    that keeps the remainder nonnegative, zeroing at least one entry, so the
-    loop terminates.  Projecting matched copies back to their types yields
+    unit-capacity copies and padding with dummy agents.  A type of capacity q
+    gets min(q, n) copies, n the number of agents.  No seating puts more than
+    n agents on one type and no column of ``x`` sums to more than n, so the
+    market with capacities min(q, n) has the same deterministic assignments
+    and the same feasible matrices (Budish, Che, Kojima and Milgrom 2013),
+    and the number of copies, hence the cost, is bounded in n and the number
+    of types however large q is.  Each extraction step finds a perfect
+    matching over the positive entries (one always exists for a matrix with
+    equal row and column sums) and subtracts the largest weight that keeps
+    the remainder nonnegative, zeroing at least one entry, so the loop
+    terminates.  Projecting matched copies back to their types yields
     deterministic assignments that respect every capacity, and the weights
     recombine to ``x`` exactly.
 
     The work is done in integers over one common denominator ``D``, the least
-    common multiple of ``denominator * capacity`` over the nonzero entries:
+    common multiple of ``denominator * copies`` over the nonzero entries:
     the unit-copy matrix, the dummy rows (filled northwest-corner style from
     the column deficits) and the weights are all ``D`` times their rational
     values.  Each row keeps its positive columns as a bit mask, whose bit is
     cleared when its entry reaches zero, and every step reruns Kuhn's
     augmenting-path matching from an empty matching over those masks, with
-    an explicit stack instead of recursion.  The parts are the ones the same algorithm
-    gives over ``Fraction`` entries (the oracle in the tests): at every step
-    the integer matrix is exactly ``D`` times the rational one, so it has the
-    same positive support, hence the same matching, the same minimum weight
-    times ``D``, and the same projected seating.  Weights come out as ``Fraction(w, D)``, sorted by seating.
+    an explicit stack instead of recursion.  The parts are the ones the same
+    algorithm gives over ``Fraction`` entries on the capped market (the
+    oracle in the tests): at every step the integer matrix is exactly ``D``
+    times the rational one, so it has the same positive support, hence the
+    same matching, the same minimum weight times ``D``, and the same
+    projected seating.  Weights come out as ``Fraction(w, D)``, sorted by
+    seating.
     """
     rows = build_assignment(market, x.rows).rows  # malformed input is a domain error
-    capacities = market.capacities
+    n_real = market.n_agents
+    copies = [min(q, n_real) for q in market.capacities]
     copy_type: list[TypeIndex] = []
     for o in range(market.n_types):
-        copy_type.extend([o] * capacities[o])
+        copy_type.extend([o] * copies[o])
     n_copies = len(copy_type)
-    n_real = market.n_agents
 
     denominator = 1
     for row in rows:
         for o, v in enumerate(row):
             if v:
-                denominator = lcm(denominator, v.denominator * capacities[o])
+                denominator = lcm(denominator, v.denominator * copies[o])
 
     # Real agents spread each type's probability evenly over its copies.
     matrix: list[list[int]] = []
     for row in rows:
         per_copy = [
-            denominator // (v.denominator * capacities[o]) * v.numerator
+            denominator // (v.denominator * copies[o]) * v.numerator
             for o, v in enumerate(row)
         ]
         matrix.append([per_copy[o] for o in copy_type])

@@ -1,8 +1,10 @@
 """Tests for assignment matrices, rank values, waste, dominance rows and
 the deterministic decomposition."""
 
+import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -306,11 +308,43 @@ def _seeded_assign_input(rng, tie_heavy):
     return market, refusal_transform(market, x, _random_profile(rng, market))
 
 
+def _capped(market):
+    """``market`` with every capacity q set to min(q, n), n its agent count."""
+    n = market.n_agents
+    return dataclasses.replace(market, capacities=tuple(min(q, n) for q in market.capacities))
+
+
 @pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
 def test_decompose_matches_fraction_oracle_on_seeded_markets(tie_heavy):
+    """About half these markets have null capacity 2n.  ``decompose`` splits
+    each type into min(q, n) copies, so the oracle runs on the capped market,
+    which has the same seatings and the same feasible matrices."""
     rng = random.Random(3301 + tie_heavy)
     for _ in range(100):
-        _assert_matches_oracle(*_seeded_assign_input(rng, tie_heavy))
+        market, x = _seeded_assign_input(rng, tie_heavy)
+        d = decompose(market, x)
+        assert d == fraction_decompose(_capped(market), x)
+        assert d.recombine(market) == x
+
+
+def test_decompose_cost_is_bounded_in_the_capacities():
+    """Null capacity 10**6 gives the null type eight copies, not a million."""
+    market = Market(
+        agent_names=tuple(f"a{j + 1}" for j in range(8)),
+        type_names=("o1", "o2", "o3", "null"),
+        capacities=(2, 2, 2, 10**6),
+        null_type=3,
+    )
+    x = uniform_mechanism(market, Profile((PreferenceOrder((0, 1, 2, 3)),) * 8))
+    start = time.perf_counter()
+    d = decompose(market, x)
+    assert time.perf_counter() - start < 1.0
+    assert d.recombine(market) == x
+    assert d == fraction_decompose(_capped(market), x)
+    assert len(d.parts) > 1
+    for w, det in d.parts:
+        assert w > 0
+        assert det.respects_capacities(market)
 
 
 def _build_outcome(build, market, rows):

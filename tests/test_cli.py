@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface via main()."""
 
+import time
+
 import pytest
 
 from rankmech.cli import main
@@ -23,6 +25,16 @@ type null capacity 3 null
 agent a1 prefers o1 > o2 > o3 > null
 agent a2 prefers o1 > o2 > null > o3
 agent a3 prefers o1 > o2 > null > o3
+"""
+
+NULL_2N_SPEC = """\
+type o1 capacity 1
+type o2 capacity 1
+type null capacity 8 null
+agent a1 prefers o2 > o1 > null
+agent a2 prefers o1 > o2 > null
+agent a3 prefers o1 > o2 > null
+agent a4 prefers o2 > o1 > null
 """
 
 
@@ -228,13 +240,39 @@ def test_decompose_crowd_out_pattern(tmp_path, capsys):
      "weight 1/2: a1->o2 a2->o1 a3->null\n"
      "weight 1/2: a1->o2 a2->null a3->o1\n"
      "recombines exactly: yes\n"),
-], ids=["bundled-uniform", "bundled-modified", "crowd-modified"])
+    (NULL_2N_SPEC, "uniform",
+     "mechanism: uniform\n"
+     "     o1   o2  null\n"
+     "a1    0  1/2   1/2\n"
+     "a2  1/2    0   1/2\n"
+     "a3  1/2    0   1/2\n"
+     "a4    0  1/2   1/2\n"
+     "weight 1/8: a1->o2 a2->o1 a3->null a4->null\n"
+     "weight 3/8: a1->o2 a2->null a3->o1 a4->null\n"
+     "weight 3/8: a1->null a2->o1 a3->null a4->o2\n"
+     "weight 1/8: a1->null a2->null a3->o1 a4->o2\n"
+     "recombines exactly: yes\n"),
+], ids=["bundled-uniform", "bundled-modified", "crowd-modified", "null-2n-uniform"])
 def test_decompose_output_is_pinned(tmp_path, capsys, spec, mechanism, expected):
     """The whole report, parts in order, byte for byte."""
     path = tmp_path / "market.txt"
     path.write_text(spec)
     assert main(["decompose", "--spec", str(path), "--mechanism", mechanism]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_decompose_with_a_million_null_seats(tmp_path, capsys):
+    """The null type splits into n copies, so the report matches null capacity n."""
+    reports = []
+    for capacity in (1000000, 4):
+        path = tmp_path / f"null{capacity}.txt"
+        path.write_text(NULL_2N_SPEC.replace("capacity 8 null", f"capacity {capacity} null"))
+        start = time.perf_counter()
+        assert main(["decompose", "--spec", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        reports.append(capsys.readouterr().out)
+    assert "recombines exactly: yes" in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
