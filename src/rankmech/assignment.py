@@ -237,15 +237,18 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     the unit-copy matrix, the dummy rows (filled northwest-corner style from
     the column deficits) and the weights are all ``D`` times their rational
     values.  Each row keeps its positive columns as a bit mask, whose bit is
-    cleared when its entry reaches zero, and every step reruns Kuhn's
-    augmenting-path matching from an empty matching over those masks, with
-    an explicit stack instead of recursion.  The parts are the ones the same
-    algorithm gives over ``Fraction`` entries on the capped market (the
-    oracle in the tests): at every step the integer matrix is exactly ``D``
-    times the rational one, so it has the same positive support, hence the
-    same matching, the same minimum weight times ``D``, and the same
-    projected seating.  Weights come out as ``Fraction(w, D)``, sorted by
-    seating.
+    cleared when its entry reaches zero.  The matching is kept from one step
+    to the next: the first step runs Kuhn's augmenting-path matching over
+    the masks from an empty matching, and each later step unmatches only the
+    rows whose matched entry reached zero and re-augments them in ascending
+    order, with an explicit stack instead of recursion.  Every other matched
+    entry is still positive, so the kept pairs stay valid.  The parts are
+    the ones the same warm-started algorithm gives over ``Fraction`` entries
+    on the capped market (the oracle in the tests): at every step the
+    integer matrix is exactly ``D`` times the rational one, so it has the
+    same positive support, hence the same matching, the same minimum weight
+    times ``D``, and the same projected seating.  Weights come out as
+    ``Fraction(w, D)``, sorted by seating.
     """
     rows = build_assignment(market, x.rows).rows  # malformed input is a domain error
     n_real = market.n_agents
@@ -289,19 +292,31 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     assert all(d == 0 for d in deficits)
 
     positive = [sum(1 << c for c, v in enumerate(row) if v > 0) for row in matrix]
+    col_of_row = [-1] * n_copies
+    row_of_col = [-1] * n_copies
+    free = (1 << n_copies) - 1
+    roots = list(range(n_copies))
     weights: dict[tuple[TypeIndex, ...], int] = {}
     remaining = denominator
     while remaining > 0:
-        matched = _positive_perfect_matching(positive)
-        weight = min(matrix[r][c] for r, c in enumerate(matched))
+        _complete_matching(positive, col_of_row, row_of_col, free, roots)
+        weight = min(matrix[r][c] for r, c in enumerate(col_of_row))
         assert weight > 0
-        for r, c in enumerate(matched):
-            matrix[r][c] -= weight
-            if matrix[r][c] == 0:
-                positive[r] ^= 1 << c
-        choices = tuple(copy_type[matched[a]] for a in range(n_real))
+        # Read the seating before the zeroed rows give up their columns.
+        choices = tuple(copy_type[c] for c in col_of_row[:n_real])
         weights[choices] = weights.get(choices, 0) + weight
         remaining -= weight
+        free = 0
+        roots = []
+        for r, c in enumerate(col_of_row):
+            matrix[r][c] -= weight
+            if matrix[r][c] == 0:
+                bit = 1 << c
+                positive[r] ^= bit
+                free |= bit
+                row_of_col[c] = -1
+                col_of_row[r] = -1
+                roots.append(r)
 
     parts = tuple(
         (Fraction(weights[choices], denominator), DeterministicAssignment(choices))
@@ -310,9 +325,20 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     return Decomposition(parts)
 
 
-def _positive_perfect_matching(positive: list[int]) -> list[int]:
-    """Kuhn's augmenting-path matching; bit c of ``positive[r]`` is set when
-    row r may take column c.
+def _complete_matching(
+    positive: list[int], col_of_row: list[int], row_of_col: list[int], free: int, roots
+) -> None:
+    """Complete a partial matching to a perfect one by Kuhn's augmenting paths.
+
+    Bit c of ``positive[r]`` is set when row r may take column c.
+    ``col_of_row`` and ``row_of_col`` hold the partial matching (-1 where
+    unmatched) and are updated in place; bit c of ``free`` is set while
+    column c is unmatched, and ``roots`` lists the unmatched rows, searched
+    in that order.  From an empty matching with every row as a root this is
+    Kuhn's algorithm.  From any partial matching each unmatched row has an
+    augmenting path whenever a perfect matching exists (its alternating path
+    through the symmetric difference with that perfect matching), and
+    flipping a path keeps every matched row matched, so every root succeeds.
 
     Each row's search takes its columns in ascending order, skipping columns
     already seen in this search and descending into a taken column's row,
@@ -325,12 +351,8 @@ def _positive_perfect_matching(positive: list[int]) -> list[int]:
     limit.  Each row on it left through the column the next row holds, so
     flipping the path hands every row its successor's column.
     """
-    n = len(positive)
-    col_of_row = [-1] * n
-    row_of_col = [-1] * n
-    every = (1 << n) - 1
-    free = every  # bit c set while column c is unmatched
-    for root in range(n):
+    every = (1 << len(positive)) - 1
+    for root in roots:
         columns = positive[root]
         bit = columns & -columns
         if bit & free:
@@ -363,7 +385,6 @@ def _positive_perfect_matching(positive: list[int]) -> list[int]:
                 break
             path.append(r)
             r = row_of_col[c]
-    return col_of_row
 
 
 def render_matrix(market: Market, x: Assignment) -> str:

@@ -147,7 +147,9 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
     that keeps the remainder nonnegative, zeroing at least one entry, so the
     loop terminates.  Projecting matched copies back to their types yields
     deterministic assignments that respect every capacity, and the weights
-    recombine to ``x`` exactly.
+    recombine to ``x`` exactly.  The matching is kept across steps: only the
+    rows whose matched entry reached zero are unmatched and re-augmented, in
+    ascending order.
     """
     build_assignment(market, x.rows)  # re-validate; malformed input is a domain error
     copy_type: list[TypeIndex] = []
@@ -180,17 +182,26 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
         matrix.append(row)
     assert all(d == 0 for d in deficits)
 
+    col_of_row = [-1] * n_copies
+    row_of_col = [-1] * n_copies
+    roots = list(range(n_copies))
     weights: dict[tuple[TypeIndex, ...], Fraction] = {}
     remaining = ONE
     while remaining > 0:
-        matched = recursive_positive_perfect_matching(matrix)
+        matched = recursive_positive_perfect_matching(matrix, col_of_row, row_of_col, roots)
         weight = min(matrix[r][matched[r]] for r in range(n_copies))
         assert weight > 0
-        for r in range(n_copies):
-            matrix[r][matched[r]] -= weight
         choices = tuple(copy_type[matched[a]] for a in range(n_real))
         weights[choices] = weights.get(choices, ZERO) + weight
         remaining -= weight
+        roots = []
+        for r in range(n_copies):
+            c = matched[r]
+            matrix[r][c] -= weight
+            if matrix[r][c] == 0:
+                row_of_col[c] = -1
+                col_of_row[r] = -1
+                roots.append(r)
 
     parts = tuple(
         (weights[choices], DeterministicAssignment(choices))
@@ -199,11 +210,21 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
     return Decomposition(parts)
 
 
-def recursive_positive_perfect_matching(matrix: list[list[Fraction]]) -> list[int]:
-    """Kuhn's augmenting-path matching over the strictly positive entries."""
+def recursive_positive_perfect_matching(
+    matrix: list[list[Fraction]], col_of_row=None, row_of_col=None, roots=None
+) -> list[int]:
+    """Kuhn's augmenting-path matching over the strictly positive entries.
+
+    Given a partial matching (``col_of_row``/``row_of_col``, -1 where
+    unmatched, updated in place) and its unmatched ``roots``, only those rows
+    are augmented, in that order; with none given it starts from an empty
+    matching with every row as a root.
+    """
     n = len(matrix)
-    col_of_row = [-1] * n
-    row_of_col = [-1] * n
+    if col_of_row is None:
+        col_of_row = [-1] * n
+        row_of_col = [-1] * n
+        roots = range(n)
 
     def try_assign(r: int, seen: list[bool]) -> bool:
         for c in range(n):
@@ -215,7 +236,7 @@ def recursive_positive_perfect_matching(matrix: list[list[Fraction]]) -> list[in
                     return True
         return False
 
-    for r in range(n):
+    for r in roots:
         if not try_assign(r, [False] * n):
             raise AssertionError("no perfect matching; matrix row/column sums are unequal")
     return col_of_row

@@ -34,7 +34,7 @@ from rankmech import (
     wastefulness_witness,
     weakly_prefers,
 )
-from rankmech.assignment import _positive_perfect_matching
+from rankmech.assignment import _complete_matching
 from rankmech.examples import (
     example1_market,
     example2_market,
@@ -457,6 +457,14 @@ def test_waste_scan_matches_fraction_oracle_on_every_small_profile(market):
     assert found == {True, False}
 
 
+def _cold_matching(positive):
+    """``_complete_matching`` from an empty matching with every row a root."""
+    n = len(positive)
+    col_of_row = [-1] * n
+    _complete_matching(positive, col_of_row, [-1] * n, (1 << n) - 1, range(n))
+    return col_of_row
+
+
 def test_stack_matching_matches_recursive_oracle():
     """Supports that are unions of 1-4 random permutations, so a perfect
     matching always exists."""
@@ -469,7 +477,42 @@ def test_stack_matching_matches_recursive_oracle():
                 support[r].add(c)
         matrix = [[F(int(c in cols)) for c in range(n)] for cols in support]
         positive = [sum(1 << c for c in cols) for cols in support]
-        assert _positive_perfect_matching(positive) == recursive_positive_perfect_matching(matrix)
+        assert _cold_matching(positive) == recursive_positive_perfect_matching(matrix)
+
+
+def test_warm_stack_matching_matches_recursive_oracle():
+    """Completing a partial matching, as each extraction step of ``decompose``
+    does.  The support is a union of 2-5 random permutations; the first is
+    the perfect matching taken, a random subset of its rows is unmatched, and
+    as in ``decompose`` their old entries leave the support where no other
+    permutation holds them, so the rest still admit a perfect matching."""
+    rng = random.Random(7741)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        taken, *others = [rng.sample(range(n), n) for _ in range(rng.randint(2, 5))]
+        support = [{taken[r]} | {p[r] for p in others} for r in range(n)]
+        unmatched = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for r in unmatched:
+            if rng.random() < 0.5 and all(p[r] != taken[r] for p in others):
+                support[r].discard(taken[r])
+        col_of_row = list(taken)
+        row_of_col = [0] * n
+        for r, c in enumerate(taken):
+            row_of_col[c] = r
+        free = 0
+        for r in unmatched:
+            free |= 1 << taken[r]
+            row_of_col[taken[r]] = -1
+            col_of_row[r] = -1
+        matrix = [[F(int(c in cols)) for c in range(n)] for cols in support]
+        positive = [sum(1 << c for c in cols) for cols in support]
+        stack = (list(col_of_row), list(row_of_col))
+        _complete_matching(positive, *stack, free, unmatched)
+        recursive = (list(col_of_row), list(row_of_col))
+        recursive_positive_perfect_matching(matrix, *recursive, unmatched)
+        assert stack == recursive
+        assert sorted(stack[0]) == list(range(n))
+        assert all(positive[r] >> c & 1 for r, c in enumerate(stack[0]))
 
 
 def test_stack_matching_has_no_recursion_limit():
@@ -477,7 +520,20 @@ def test_stack_matching_has_no_recursion_limit():
     search for row r runs r rows deep, past the default recursion limit."""
     n = 1500
     positive = [0b1] + [0b11 << (r - 1) for r in range(1, n)]
-    assert _positive_perfect_matching(positive) == list(range(n))
+    assert _cold_matching(positive) == list(range(n))
+
+
+def test_warm_stack_matching_has_no_recursion_limit():
+    """A staircase re-augmentation: row r < n-1 holds columns r and r+1 and
+    is matched to r+1, and the last row, unmatched, holds only column n-1,
+    so its path runs through every row down to the free column 0."""
+    n = 1500
+    positive = [0b11 << r for r in range(n - 1)] + [1 << (n - 1)]
+    col_of_row = [r + 1 for r in range(n - 1)] + [-1]
+    row_of_col = [-1] + list(range(n - 1))
+    _complete_matching(positive, col_of_row, row_of_col, 0b1, [n - 1])
+    assert col_of_row == list(range(n))
+    assert row_of_col == list(range(n))
 
 
 def test_render_matrix_layout():

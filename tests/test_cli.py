@@ -37,6 +37,15 @@ agent a3 prefers o1 > o2 > null
 agent a4 prefers o2 > o1 > null
 """
 
+SHARED_ORDER_SPEC = """\
+type o1 capacity 1
+type o2 capacity 1
+type null capacity 3 null
+agent a1 prefers o1 > o2 > null
+agent a2 prefers o1 > o2 > null
+agent a3 prefers o1 > o2 > null
+"""
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -252,7 +261,20 @@ def test_decompose_crowd_out_pattern(tmp_path, capsys):
      "weight 3/8: a1->null a2->o1 a3->null a4->o2\n"
      "weight 1/8: a1->null a2->null a3->o1 a4->o2\n"
      "recombines exactly: yes\n"),
-], ids=["bundled-uniform", "bundled-modified", "crowd-modified", "null-2n-uniform"])
+    # The matching is kept across extraction steps, so each step re-seats
+    # only the agents whose entry ran out: three parts, not six.
+    (SHARED_ORDER_SPEC, "uniform",
+     "mechanism: uniform\n"
+     "     o1   o2  null\n"
+     "a1  1/3  1/3   1/3\n"
+     "a2  1/3  1/3   1/3\n"
+     "a3  1/3  1/3   1/3\n"
+     "weight 1/3: a1->o1 a2->null a3->o2\n"
+     "weight 1/3: a1->o2 a2->o1 a3->null\n"
+     "weight 1/3: a1->null a2->o2 a3->o1\n"
+     "recombines exactly: yes\n"),
+], ids=["bundled-uniform", "bundled-modified", "crowd-modified", "null-2n-uniform",
+        "shared-order-uniform"])
 def test_decompose_output_is_pinned(tmp_path, capsys, spec, mechanism, expected):
     """The whole report, parts in order, byte for byte."""
     path = tmp_path / "market.txt"
