@@ -13,7 +13,10 @@ mechanisms compute their rows as integer counts over a total in one core,
 ``_integer_rows``; the public functions wrap its rows as a validated
 ``Fraction`` assignment.  The forward half of the counting pass is shared
 with the dominance checker and the equal-treatment sweep, which run it over
-an agent's opponents only.
+an agent's opponents only.  Neither mechanism reads a reveal below its
+outside option, so those two walk truncation classes of orders instead of
+orders (``_truncation_classes``) and read the crowd-out parse from class
+tables (``_PatternTables``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .assignment import Assignment, DeterministicAssignment, build_assignment
 from .errors import BudgetError, DomainError
@@ -200,7 +203,8 @@ def _integer_rows(
     if mechanism == "modified":
         pattern = _match_pattern(market, profile)
         if pattern is not None:
-            return [_override_row(market, profile, pattern, a) for a in range(market.n_agents)]
+            second = profile[pattern.special_agent].ranking[1]
+            return [_override_row(market, pattern, second, a) for a in range(market.n_agents)]
     _check_budget(market, budget)
     n = market.n_agents
     m = market.n_types
@@ -311,41 +315,118 @@ def _may_match(null_rank: int, deepest: int, lone: bool) -> bool:
 def _try_parse(market: Market, profile: Profile, special: AgentIndex) -> ModifiedPattern | None:
     """The parse with ``special`` as the special agent, or None if it fails."""
     order = profile[special]
-    null_rank = order.rank(market.null_type)
-    focal = order.ranking[0]
-    competitors: list[AgentIndex] = []
-    bystanders: list[AgentIndex] = []
-    shared_level: int | None = None
-    for a in range(market.n_agents):
-        if a == special:
-            continue
-        other = profile[a]
-        if other.ranking[0] == market.null_type:
-            bystanders.append(a)
-            continue
-        level = other.rank(market.null_type)
-        if (
-            level >= 2
-            and level < null_rank
-            and other.top(level - 1) == order.top(level - 1)
-            and market.capacity_threshold_rank(other) == level
-        ):
-            if shared_level is None:
-                shared_level = level
-            elif shared_level != level:
-                return None
-            competitors.append(a)
-            continue
-        return None
-    if shared_level is None or len(competitors) < market.capacities[focal]:
+    roles = [_role(market, order, other) for other in profile.orders]
+    return _pattern_from_roles(market, special, order.ranking[0], roles)
+
+
+def _pattern_from_roles(
+    market: Market, special: AgentIndex, focal: TypeIndex, roles: list[int | None]
+) -> ModifiedPattern | None:
+    """The parse with ``special`` as the special agent, from every agent's :func:`_role`.
+
+    ``roles[special]`` is ignored.  The parse fails when an agent voids it,
+    when there is no competitor, when competitors disagree on their level,
+    or when there are fewer of them than the focal type has seats.
+    """
+    others = [a for a in range(len(roles)) if a != special]
+    competitors = tuple(a for a in others if roles[a] != 0)
+    levels = {roles[a] for a in competitors}
+    if len(levels) != 1 or None in levels or len(competitors) < market.capacities[focal]:
         return None
     return ModifiedPattern(
         special_agent=special,
         focal_type=focal,
-        prefix_length=shared_level,
-        competitors=tuple(competitors),
-        bystanders=tuple(bystanders),
+        prefix_length=levels.pop(),
+        competitors=competitors,
+        bystanders=tuple(a for a in others if roles[a] == 0),
     )
+
+
+def _truncation_classes(market: Market) -> tuple[list[int], list[int]]:
+    """The class of each of ``market.all_orders()`` and each class's representative.
+
+    Two orders share a class when they rank the same types down to and
+    including the outside option.  Neither mechanism reads a rank below it:
+    the null type always has room, so no rank-minimizing assignment seats an
+    agent below it, and the crowd-out parse stops there too.  A class's
+    representative is its least order index, and classes are numbered in the
+    order of their representatives.
+    """
+    first: dict[tuple[TypeIndex, ...], int] = {}
+    class_of = []
+    representatives = []
+    for i, order in enumerate(market.all_orders()):
+        cut = order.top(order.rank(market.null_type))
+        c = first.setdefault(cut, len(representatives))
+        if c == len(representatives):
+            representatives.append(i)
+        class_of.append(c)
+    return class_of, representatives
+
+
+def _role(market: Market, special: PreferenceOrder, other: PreferenceOrder) -> int | None:
+    """What an agent revealing ``other`` is in a parse whose special agent reveals ``special``.
+
+    0 for a bystander, which ranks the outside option first; its level L
+    for a competitor, which ranks the outside option at L, earlier than the
+    special agent does, agrees with it on every earlier rank and has its
+    capacity threshold at L; None for anyone else, who voids the parse.
+    """
+    level = other.rank(market.null_type)
+    if level == 1:
+        return 0
+    if (
+        level < special.rank(market.null_type)
+        and other.top(level - 1) == special.top(level - 1)
+        and market.capacity_threshold_rank(other) == level
+    ):
+        return level
+    return None
+
+
+class _PatternTables:
+    """The crowd-out parse over truncation classes, as table lookups.
+
+    ``classes`` are the class representatives of :func:`_truncation_classes`,
+    and a profile is given as the class number of each agent's reveal.  The
+    parse reads no rank below the outside option, so it is the same for every
+    lift of a class profile to full orders.  The tables hold each class's
+    outside-option rank and first and second type, and, for each class that
+    can be special (outside option at rank 3 or later), the :func:`_role` of
+    every class against it; no ``Profile`` is built.
+    """
+
+    def __init__(self, market: Market, classes: list[PreferenceOrder]):
+        self.market = market
+        self.null_rank = [order.rank(market.null_type) for order in classes]
+        self.first = [order.ranking[0] for order in classes]
+        self.second = [order.ranking[1] for order in classes]
+        self.role = [
+            [_role(market, special, other) for other in classes] if null_rank >= 3 else None
+            for special, null_rank in zip(classes, self.null_rank)
+        ]
+
+    def parse(self, profile: Sequence[int]) -> ModifiedPattern | None:
+        """:func:`_match_pattern` on the class profile ``profile``."""
+        deep = [self.null_rank[c] for c in profile]
+        deepest = max(deep)
+        if deepest < 3 or deep.count(deepest) > 1:
+            return None
+        return self.try_parse(profile, deep.index(deepest))
+
+    def try_parse(self, profile: Sequence[int], special: AgentIndex) -> ModifiedPattern | None:
+        """:func:`_try_parse` on the class profile ``profile``."""
+        role = self.role[profile[special]]
+        roles = [role[c] for c in profile]
+        return _pattern_from_roles(self.market, special, self.first[profile[special]], roles)
+
+    def override_row(
+        self, profile: Sequence[int], pattern: ModifiedPattern, agent: AgentIndex
+    ) -> tuple[list[int], int]:
+        """:func:`_override_row` on the class profile ``profile``."""
+        return _override_row(
+            self.market, pattern, self.second[profile[pattern.special_agent]], agent
+        )
 
 
 def modified_mechanism(
@@ -363,12 +444,15 @@ def modified_mechanism(
 
 
 def _override_row(
-    market: Market, profile: Profile, pattern: ModifiedPattern, agent: AgentIndex
+    market: Market, pattern: ModifiedPattern, second: TypeIndex, agent: AgentIndex
 ) -> tuple[list[int], int]:
-    """``agent``'s row on a patterned profile, as integer counts over a total."""
+    """``agent``'s row on a patterned profile, as integer counts over a total.
+
+    ``second`` is the special agent's revealed second best.
+    """
     row = [0] * market.n_types
     if agent == pattern.special_agent:
-        row[profile[agent].ranking[1]] = 1
+        row[second] = 1
         return row, 1
     if agent in pattern.competitors:
         seats = market.capacities[pattern.focal_type]

@@ -10,8 +10,12 @@ anonymous, so it walks each multiset of opponent reveals once, in sorted
 order, with the queried agent seated last: one forward layer of the uniform
 mechanism's counting pass over the opponents then gives the agent's row
 under every reveal in integers, and multisets sharing a sorted prefix share
-the layers of that prefix.  The first failing opponent profile in product
-order is always sorted, so the witnesses are those of the full product.
+the layers of that prefix.  Neither mechanism reads a reveal below its
+outside option, so the walk visits multisets of truncation class
+representatives only, and under the modified mechanism reads the crowd-out
+parse from class tables.  The first failing opponent profile in product
+order is a sorted tuple of representatives, the least lift of its class
+multiset, so the witnesses are those of the full product.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
+    _PatternTables,
     _check_budget,
     _forward_step,
-    _match_pattern,
     _may_match,
     _moves,
     _rank_table,
-    _override_row,
+    _truncation_classes,
     get_mechanism,
 )
 
@@ -272,24 +276,30 @@ def _first_witnesses(
     """First failing and first strict opponent multiset of every (truth, candidate).
 
     The queried agent's row does not depend on which agent it is, nor on the
-    order of its opponents, so the agent is seated last and the opponents
-    are walked as sorted tuples, in ``combinations_with_replacement`` order
-    (:meth:`_OpponentLayers.walk`).  A failing opponent tuple and its sorted
-    permutation have the same multiset, so the sorted one fails too and is
-    no later in product order: the first failing tuple of the product is
-    sorted, and the walk meets it first.  The same holds for the first
-    strict tuple.
+    order of its opponents, nor on any reveal below its outside option
+    (:func:`~rankmech.mechanisms._truncation_classes`).  So the agent is
+    seated last and the opponents are walked as sorted tuples of class
+    representatives, in ``combinations_with_replacement`` order
+    (:meth:`_OpponentLayers.walk`).  Replacing each reveal of a failing
+    opponent tuple by its representative and sorting gives a failing tuple
+    no later in product order, since a representative is the least order of
+    its class: the first failing tuple of the product is a sorted tuple of
+    representatives, and the walk meets it first.  The same holds for the
+    first strict tuple.
 
     For each multiset the walk gives the forward layer of the uniform
     mechanism's counting pass over the opponents, folded per room mask, and
-    the last agent's row under any reveal is read from it in integers.  Rows
+    the last agent's row under each needed class is read from it once, in
+    integers.  A truth and candidate in one class get the same row
+    everywhere, so such a pair is never compared and has no witness.  Rows
     are compared by cross-multiplying cumulative sums along the truth's
     ranking.  Refusal moves everything from the truth's outside option down
     onto it, so every cumulative sum from there on equals the total: with
     refusal on the comparison stops just above the outside option, without
     it just before the last rank.  Under the modified mechanism a profile
     matching the crowd-out pattern takes its override row; the pattern is
-    parsed only where the outside-option ranks allow it.
+    parsed only where the outside-option ranks allow it, from the class
+    tables of :class:`~rankmech.mechanisms._PatternTables`.
 
     A pair closes once both of its witnesses are found, and the walk ends
     once no pair is open.  With ``decide`` on, a pair closes at its first
@@ -309,33 +319,40 @@ def _first_witnesses(
     _check_budget(market, budget)
     orders = market.all_orders()
     index = {order: i for i, order in enumerate(orders)}
+    class_of, representatives = _truncation_classes(market)
     m = market.n_types
-    null_rank = [order.rank(market.null_type) for order in orders]
     layers = _OpponentLayers(market, orders)
+    tables = None
+    if mechanism == "modified":
+        tables = _PatternTables(market, [orders[i] for i in representatives])
+        null_rank = tables.null_rank
     found: dict[tuple[PreferenceOrder, PreferenceOrder], list] = {
         pair: [None, None] for pair in pairs
     }
-    # (truth, candidate, the truth's types in the compared prefix, found slot)
+    # (truth's class, candidate's class, the truth's types in the compared prefix, found slot)
     open_pairs = []
     for truth, candidate in pairs:
-        stop = truth.rank(market.null_type) - 1 if refusal else m - 1
-        slot = found[truth, candidate]
-        open_pairs.append((index[truth], index[candidate], truth.ranking[:stop], slot))
+        t, c = class_of[index[truth]], class_of[index[candidate]]
+        if t != c:  # a pair inside one class ties at every multiset
+            stop = truth.rank(market.null_type) - 1 if refusal else m - 1
+            open_pairs.append((t, c, truth.ranking[:stop], found[truth, candidate]))
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    for combo, ends in layers.walk(market.n_agents - 1):
-        if mechanism == "modified":
-            deep = [null_rank[i] for i in combo]
+    for combo, ends in layers.walk(market.n_agents - 1, representatives) if open_pairs else ():
+        if tables is not None:
+            profile = [0, *(class_of[i] for i in combo)]
+            deep = [null_rank[c] for c in profile[1:]]
             deepest = max(deep, default=0)
             lone = deep.count(deepest) == 1
         rows = {}
         for reveal in needed:
-            if mechanism == "modified" and _may_match(null_rank[reveal], deepest, lone):
-                profile = Profile((orders[reveal], *(orders[i] for i in combo)))
-                pattern = _match_pattern(market, profile)
+            if tables is not None and _may_match(null_rank[reveal], deepest, lone):
+                profile[0] = reveal
+                special = 0 if null_rank[reveal] > deepest else 1 + deep.index(deepest)
+                pattern = tables.try_parse(profile, special)
                 if pattern is not None:
-                    rows[reveal] = _override_row(market, profile, pattern, 0)
+                    rows[reveal] = tables.override_row(profile, pattern, 0)
                     continue
-            rows[reveal] = layers.row(ends, reveal)
+            rows[reveal] = layers.row(ends, representatives[reveal])
         closed = False
         for t, c, prefix, slot in open_pairs:
             truth_row, truth_total = rows[t]
@@ -398,21 +415,24 @@ class _OpponentLayers:
         # the room mask of each state met so far; at most prod(q + 1) of them
         self.masks: dict[int, int] = {}
 
-    def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """Every multiset of ``k`` opponents with its ``ends``.
+    def walk(
+        self, k: int, reveals: list[int]
+    ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """Every multiset of ``k`` opponents drawn from ``reveals``, with its ``ends``.
 
-        The multisets come as sorted tuples in ``combinations_with_replacement``
-        order.  They are the leaves of a trie over their sorted prefixes, and
-        the walk keeps one forward layer per prefix on a stack, so each trie
-        node costs one step of the counting pass; nothing recurses.
+        ``reveals`` must be ascending.  The multisets come as sorted tuples
+        in ``combinations_with_replacement`` order.  They are the leaves of a
+        trie over their sorted prefixes, and the walk keeps one forward layer
+        per prefix on a stack, so each trie node costs one step of the
+        counting pass; nothing recurses.
         """
-        top = len(self.ranks) - 1
-        combo = [0] * k
+        top = len(reveals) - 1
+        combo = [0] * k  # positions in reveals
         stack = [{self.start: (0, 1)}]
         while True:
-            for reveal in combo[len(stack) - 1 :]:
-                stack.append(_forward_step(stack[-1], self.moves, self.ranks[reveal]))
-            yield tuple(combo), self._fold(stack[-1])
+            for p in combo[len(stack) - 1 :]:
+                stack.append(_forward_step(stack[-1], self.moves, self.ranks[reveals[p]]))
+            yield tuple(reveals[p] for p in combo), self._fold(stack[-1])
             i = k - 1
             while i >= 0 and combo[i] == top:
                 i -= 1

@@ -7,14 +7,17 @@ sweep hands every distinct (truth, candidate) pair of its units to one walk
 over opponent multisets, which decides each pair rather than witnessing it.
 Both mechanisms are anonymous, so a unit's answer does not depend on its
 agent: the sweep checks agent 0's units and counts each answer once per
-agent.  Equal treatment walks profile multisets, each weighted by its
-number of arrangements, with the same argument for its first violation, and
-reads each compared agent's row from the same opponent layers as the
-dominance walk.
+agent.  The dominance walk visits opponent multisets of truncation class
+representatives only.  Equal treatment walks multisets of truncation
+classes, each weighted by the number of profiles lifting it, with the same
+argument for its first violation, reads each compared agent's row from the
+same opponent layers as the dominance walk, and under the modified
+mechanism reads the crowd-out parse from the same class tables.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,9 +36,9 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
+    _PatternTables,
     _check_budget,
-    _match_pattern,
-    _override_row,
+    _truncation_classes,
     get_mechanism,
     uniform_mechanism,
 )
@@ -148,81 +151,94 @@ def sweep_ete(
     """Equal treatment of essentially equal reveals, profile by profile.
 
     Left out, ``profiles`` is every profile of the market.  Both mechanisms
-    are anonymous, so whether a profile violates depends only on its
-    multiset of reveals: each sorted profile is checked once and counts as
-    many profiles as it has arrangements.  The first failing profile in
-    product order is sorted (sorting a failing profile gives a failing one
-    no later in that order), so it is the first failing sorted profile.
+    are anonymous and read no reveal below its outside option, so whether a
+    profile violates depends only on its multiset of truncation classes:
+    each class multiset is checked once, on its class representatives, and
+    counts as n!/prod(k_c!) * prod(|C|^k_c) profiles, where k_c agents
+    reveal class C.  The first failing profile in product order is the
+    least lift of the first failing class multiset, its sorted tuple of
+    representatives (replacing each reveal by its representative and
+    sorting gives a failing profile no later in that order).
 
     Two orders are essentially equal exactly when they share their top ranks
-    up to the threshold, so each order is keyed by that prefix once.
-    Anonymity also gives identical reveals identical rows, so only distinct
-    reveals sharing a key are compared, and a profile with no such pair
-    computes no row.  An agent's row is the last agent's row against the
-    multiset of the other reveals, read from one forward layer over them as
-    in the dominance walk; each opponent multiset's layer is built once per
-    call.  Under the modified mechanism a patterned profile takes its
-    override rows.  Rows are compared by cross-multiplying.
+    up to the threshold, which is never below the outside option, so each
+    class is keyed by that prefix once.  Agents in one class get identical
+    rows, so only distinct classes sharing a key are compared, and a profile
+    with no such pair computes no row.  An agent's row is the last agent's
+    row against the multiset of the other reveals, read from one forward
+    layer over them as in the dominance walk; each opponent multiset's
+    layer is built once per call.  Under the modified mechanism a patterned
+    profile takes its override rows, parsed from class tables.  Rows are
+    compared by cross-multiplying.  Given ``profiles``, each is checked as
+    given, on the classes of its reveals.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
     name = f"ete-{mechanism_name}"
     orders = market.all_orders()
-    index = {order: i for i, order in enumerate(orders)}
-    key = [order.top(market.capacity_threshold_rank(order)) for order in orders]
+    class_of, representatives = _truncation_classes(market)
+    classes = [orders[i] for i in representatives]
+    key = [order.top(market.capacity_threshold_rank(order)) for order in classes]
+    tables = _PatternTables(market, classes) if mechanism_name == "modified" else None
     layers = _OpponentLayers(market, orders)
     ends: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
-    def row(reveals: tuple[int, ...], agent: AgentIndex) -> tuple[list[int], int]:
-        opponents = tuple(sorted(reveals[:agent] + reveals[agent + 1 :]))
+    def row(profile: tuple[int, ...], agent: AgentIndex) -> tuple[list[int], int]:
+        others = profile[:agent] + profile[agent + 1 :]
+        opponents = tuple(sorted(representatives[c] for c in others))
         layer = ends.get(opponents)
         if layer is None:
             layer = ends[opponents] = layers.ends(opponents)
-        return layers.row(layer, reveals[agent])
+        return layers.row(layer, representatives[profile[agent]])
 
-    def check(profile: Profile, reveals: tuple[int, ...]) -> str | None:
-        pattern = _match_pattern(market, profile) if mechanism_name == "modified" else None
+    def violates(profile: tuple[int, ...]) -> bool:
+        """Whether the class profile ``profile`` treats essentially equal reveals unequally."""
+        pattern = None if tables is None else tables.parse(profile)
         if pattern is None:
             _check_budget(market, budget)
-        # each key's distinct reveals, each with the first agent revealing it
+        # each key's distinct classes, each with the first agent revealing it
         groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
-        for agent, reveal in enumerate(reveals):
-            groups.setdefault(key[reveal], {}).setdefault(reveal, agent)
+        for agent, c in enumerate(profile):
+            groups.setdefault(key[c], {}).setdefault(c, agent)
         for group in groups.values():
             if len(group) < 2:
                 continue
             rows = [
-                row(reveals, agent)
+                row(profile, agent)
                 if pattern is None
-                else _override_row(market, profile, pattern, agent)
+                else tables.override_row(profile, pattern, agent)
                 for agent in group.values()
             ]
             counts_a, total_a = rows[0]
             for counts_b, total_b in rows[1:]:
                 if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
-                    return _profile_label(market, profile)
-        return None
+                    return True
+        return False
 
     if profiles is not None:
+        index = {order: i for i, order in enumerate(orders)}
 
         def check_given(profile: Profile) -> str | None:
             check_profile(market, profile)
-            return check(profile, tuple(index[order] for order in profile.orders))
+            if violates(tuple(class_of[index[order]] for order in profile.orders)):
+                return _profile_label(market, profile)
+            return None
 
         return _sweep(name, ((p,) for p in profiles), check_given)
+    size = collections.Counter(class_of)
     checked = 0
     violations = 0
     first: str | None = None
-    arrangements = math.factorial(market.n_agents)
-    for reveals in itertools.combinations_with_replacement(range(len(orders)), market.n_agents):
-        weight = arrangements
-        for group in itertools.groupby(reveals):
-            weight //= math.factorial(len(list(group[1])))
+    n = market.n_agents
+    for profile in itertools.combinations_with_replacement(range(len(classes)), n):
+        weight = math.factorial(n)
+        for c, group in itertools.groupby(profile):
+            k = len(list(group))
+            weight = weight // math.factorial(k) * size[c] ** k
         checked += weight
-        detail = check(Profile(tuple(orders[i] for i in reveals)), reveals)
-        if detail is not None:
+        if violates(profile):
             violations += weight
             if first is None:
-                first = detail
+                first = _profile_label(market, Profile(tuple(classes[c] for c in profile)))
     return SweepOutcome(name, checked, violations, first)
 
 

@@ -303,6 +303,17 @@ def all_agents_pattern(market, profile):
     return parses[0] if parses else None
 
 
+def truncation_representatives(market):
+    """Each of ``market.all_orders()``'s least-index order ranking the same
+    types down to and including the outside option, by order index."""
+    orders = market.all_orders()
+    cuts = [order.top(order.rank(market.null_type)) for order in orders]
+    least = {}
+    for i, cut in enumerate(cuts):
+        least.setdefault(cut, i)
+    return [least[cut] for cut in cuts]
+
+
 def forward_layers(market, ranks):
     """The forward half of the counting pass over agents with rank tables ``ranks``.
 

@@ -38,9 +38,16 @@ from rankmech.examples import (
     example4_market,
     make_denial_mechanism,
 )
+from rankmech.mechanisms import (
+    DEFAULT_BUDGET,
+    _PatternTables,
+    _integer_rows,
+    _match_pattern,
+    _truncation_classes,
+)
 from rankmech.sweeps import all_profiles
 
-from oracles import all_agents_pattern, check_weak_ete
+from oracles import all_agents_pattern, check_weak_ete, truncation_representatives
 
 F = Fraction
 
@@ -419,3 +426,100 @@ def test_mechanisms_are_anonymous(make_market, mechanism):
         for perm in itertools.permutations(range(n)):
             permuted = Profile(tuple(profile[perm[a]] for a in range(n)))
             assert mechanism(market, permuted).rows == tuple(rows[perm[a]] for a in range(n))
+
+
+# Four agents share three unit seats.
+FOUR_AGENTS = Market(
+    agent_names=("a1", "a2", "a3", "a4"),
+    type_names=("o1", "o2", "o3", "null"),
+    capacities=(1, 1, 1, 4),
+    null_type=3,
+)
+
+# Each market with the reveal tuples its class tests cover, as order indices:
+# every profile of the three-agent and two-agent markets, every sorted
+# profile of the four-agent one.
+CLASS_MARKETS = {
+    "ex1": (example1_market(), itertools.product),
+    "ex1-double": (example1_market(second_capacity=2), itertools.product),
+    "ex2": (example2_market(), itertools.product),
+    "ex3": (example3_market(), itertools.product),
+    "ex4": (example4_market(), itertools.product),
+    "four": (FOUR_AGENTS, itertools.combinations_with_replacement),
+}
+
+
+def _class_market(name):
+    market, walk = CLASS_MARKETS[name]
+    orders = market.all_orders()
+    if walk is itertools.product:
+        reveal_tuples = walk(range(len(orders)), repeat=market.n_agents)
+    else:
+        reveal_tuples = walk(range(len(orders)), market.n_agents)
+    return market, orders, reveal_tuples
+
+
+@pytest.mark.parametrize("mechanism", ["uniform", "modified"])
+@pytest.mark.parametrize("name", sorted(CLASS_MARKETS))
+def test_rows_depend_on_reveals_only_down_to_the_outside_option(name, mechanism):
+    """Replacing every reveal of a profile by its truncation class
+    representative, the least order by index that agrees with it down to and
+    including the outside option, changes no row of either mechanism.  The
+    null type always has room, so no rank-minimizing assignment seats an
+    agent below it, and the crowd-out parse reads no rank below it either.
+    The dominance walk and the equal-treatment sweep rely on this to walk
+    classes instead of orders.  Rows are compared as the integer counts
+    over a total that both public mechanisms wrap as ``Fraction``s."""
+    market, orders, reveal_tuples = _class_market(name)
+    rep = truncation_representatives(market)
+    cache = {}
+
+    def rows(reveals):
+        if reveals not in cache:
+            profile = Profile(tuple(orders[i] for i in reveals))
+            cache[reveals] = _integer_rows(market, profile, mechanism, DEFAULT_BUDGET)
+        return cache[reveals]
+
+    moved = 0
+    for reveals in reveal_tuples:
+        lifted = tuple(rep[i] for i in reveals)
+        moved += lifted != reveals
+        for (counts, total), (rep_counts, rep_total) in zip(rows(reveals), rows(lifted)):
+            assert [c * rep_total for c in counts] == [c * total for c in rep_counts]
+    assert moved > 0
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MARKETS))
+def test_truncation_classes_are_numbered_by_representative(name):
+    """Each order's class representative is the least order by index that
+    agrees with it down to the outside option, and classes are numbered in
+    ascending order of their representatives."""
+    market, _, _ = _class_market(name)
+    class_of, representatives = _truncation_classes(market)
+    assert [representatives[c] for c in class_of] == truncation_representatives(market)
+    assert representatives == sorted(set(representatives))
+    assert [class_of[i] for i in representatives] == list(range(len(representatives)))
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MARKETS))
+def test_table_parse_matches_the_profile_parse(name):
+    """On every sorted profile, the crowd-out parse read from the class
+    tables equals ``_match_pattern`` on the profile itself, and on a
+    patterned profile the tables' override rows are the modified
+    mechanism's rows."""
+    market, orders, _ = _class_market(name)
+    class_of, representatives = _truncation_classes(market)
+    tables = _PatternTables(market, [orders[i] for i in representatives])
+    matched = 0
+    for reveals in itertools.combinations_with_replacement(range(len(orders)), market.n_agents):
+        profile = Profile(tuple(orders[i] for i in reveals))
+        classes = [class_of[i] for i in reveals]
+        pattern = tables.parse(classes)
+        assert pattern == _match_pattern(market, profile)
+        if pattern is not None:
+            matched += 1
+            rows = _integer_rows(market, profile, "modified", DEFAULT_BUDGET)
+            assert [
+                tables.override_row(classes, pattern, a) for a in range(market.n_agents)
+            ] == rows
+    assert matched > 0

@@ -13,7 +13,9 @@ import pytest
 from rankmech import (
     BudgetError,
     DominanceQuery,
+    DominanceVerdict,
     DomainError,
+    Market,
     Profile,
     adversarial_profile,
     build_assignment,
@@ -274,6 +276,44 @@ def test_dominance_witness_is_canonically_first():
             expected = ((1, combo[0]), (2, combo[1]))
             break
     assert verdict.failure_witness == expected
+
+
+# Four agents, four unit-capacity types and the outside option.
+FOUR_BY_FIVE = Market(
+    agent_names=("a1", "a2", "a3", "a4"),
+    type_names=("o1", "o2", "o3", "o4", "null"),
+    capacities=(1, 1, 1, 1, 4),
+    null_type=4,
+)
+
+
+@pytest.mark.parametrize("refusal, candidate, weakly, strictly, failure, strict", [
+    (True, None, True, True, None, "o1>o2>o3>o4>null"),
+    (False, "o2>o1>null>o3>o4", False, False, "o1>o2>o3>o4>null", None),
+])
+def test_four_by_five_dominance_queries_are_pinned(
+    refusal, candidate, weakly, strictly, failure, strict
+):
+    """The two 4 x 5 queries of agent a1 with truth o1>null>o2>o3>o4 under
+    the uniform mechanism: against its full extension with refusal on, and
+    against o2>o1>null>o3>o4 with refusal off.  The expected verdicts and
+    witnesses are those of the walk over every multiset of full orders, not
+    of truncation class representatives (about 8 s a query); each witness
+    has all three opponents revealing the order given."""
+    market = FOUR_BY_FIVE
+    truth = order_from_names(market, "o1>null>o2>o3>o4")
+    if candidate is None:
+        candidate = full_extension(market, truth)
+    else:
+        candidate = order_from_names(market, candidate)
+    verdict = check_dominance(DominanceQuery(market, 0, truth, candidate, "uniform", refusal))
+
+    def witness(text):
+        if text is None:
+            return None
+        return tuple((a, order_from_names(market, text)) for a in (1, 2, 3))
+
+    assert verdict == DominanceVerdict(weakly, strictly, witness(failure), witness(strict))
 
 
 def test_dominance_identical_candidate_is_a_weak_tie():

@@ -42,7 +42,7 @@ from rankmech.examples import (
     example4_market,
     make_denial_mechanism,
 )
-from rankmech.mechanisms import _match_pattern, _may_match
+from rankmech.mechanisms import _match_pattern, _may_match, _truncation_classes
 
 import oracles
 from oracles import fraction_sweep_ete, product_check_dominance
@@ -438,20 +438,29 @@ WALK_MARKETS = {
 
 @pytest.mark.parametrize("name", sorted(WALK_MARKETS))
 def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
-    """``walk(n - 1)`` yields the multisets of ``combinations_with_replacement``
-    in its order, each with one entry per room mask.  On every multiset and
-    reveal its rows, and those of ``ends`` on the multiset given in any
-    order, equal the rows read from every state of a fresh forward pass."""
+    """``walk(n - 1, representatives)`` yields exactly the multisets of
+    truncation class representatives, in ``combinations_with_replacement``
+    order, each with one entry per room mask.  Every multiset of full orders
+    maps to the sorted multiset of its representatives; on each one and each
+    reveal, the row read from the walk's ``ends`` for the reveal's
+    representative, and the row read from ``ends`` on the full multiset given
+    in any order, equal the rows read from every state of a fresh forward
+    pass over the full multiset."""
     market = WALK_MARKETS[name]
     orders = market.all_orders()
+    k = market.n_agents - 1
+    _, representatives = _truncation_classes(market)
+    rep = oracles.truncation_representatives(market)
     layers = strategy._OpponentLayers(market, orders)
     oracle = oracles.PerStateLayers(market, orders)
-    walked = list(layers.walk(market.n_agents - 1))
+    walked = list(layers.walk(k, representatives))
     assert [combo for combo, _ in walked] == list(
-        itertools.combinations_with_replacement(range(len(orders)), market.n_agents - 1)
+        itertools.combinations_with_replacement(sorted(set(rep)), k)
     )
+    walked = dict(walked)
     rng = random.Random(name)
-    for combo, ends in walked:
+    for combo in itertools.combinations_with_replacement(range(len(orders)), k):
+        ends = walked[tuple(sorted(rep[i] for i in combo))]
         assert len({mask for _, _, mask in ends}) == len(ends)
         shuffled = list(combo)
         rng.shuffle(shuffled)
@@ -459,7 +468,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
         per_state = oracle.ends(combo)
         for reveal in range(len(orders)):
             expected = oracle.row(per_state, reveal)
-            assert layers.row(ends, reveal) == expected
+            assert layers.row(ends, rep[reveal]) == expected
             assert layers.row(direct, reveal) == expected
     states = math.prod(q + 1 for o, q in enumerate(market.capacities) if o != market.null_type)
     assert len(layers.masks) <= states
