@@ -2,12 +2,15 @@
 
 Everything here is exact: probabilities are `fractions.Fraction`, equality is
 bit-for-bit, and no tolerance appears anywhere.  Matrices are indexed
-``rows[agent][type]`` in the market's declaration order.
+``rows[agent][type]`` in the market's declaration order.  A matrix is
+validated once, when it is made, in integers over one common denominator
+``D``; the validated ``Assignment`` carries that integer form, and refusal,
+the waste scan and ``decompose`` read it instead of the ``Fraction`` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -20,9 +23,18 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Assignment:
-    """A random assignment: one probability row per agent over all types."""
+    """A random assignment: one probability row per agent over all types.
+
+    A validated assignment also carries, privately, the market it was checked
+    against and its integer form ``(D, counts)``, every entry being
+    ``counts[a][o] / D``.  That field takes no part in ``==``, ``hash`` or
+    ``repr``, and a bare ``Assignment(rows)`` has none.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    _form: tuple[Market, int, tuple[tuple[int, ...], ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def row(self, agent: AgentIndex) -> tuple[Fraction, ...]:
         return self.rows[agent]
@@ -37,46 +49,65 @@ class Assignment:
 def build_assignment(market: Market, rows) -> Assignment:
     """Validate ``rows`` against ``market`` and wrap them as an Assignment.
 
-    Raises DomainError when a row does not sum to one, an entry leaves [0, 1],
-    a column exceeds its capacity, or the shape is off.  The checks run on
-    integers: an entry is in [0, 1] when ``0 <= numerator <= denominator``,
-    and a row or column sum is compared over the lcm of its denominators.
+    This is the entry point for untrusted rows.  Raises DomainError when the
+    shape is off, an entry leaves [0, 1], a row does not sum to one or a
+    column exceeds its capacity.  The checks are :func:`_checked`'s, over
+    ``D``, the lcm of every entry's denominator.
     """
     rows = tuple(
         tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
     )
-    if len(rows) != market.n_agents:
-        raise DomainError(f"expected {market.n_agents} rows, got {len(rows)}")
-    for a, row in enumerate(rows):
+    denominator = lcm(*(v.denominator for row in rows for v in row))
+    counts = tuple(
+        tuple(v.numerator * (denominator // v.denominator) for v in row) for row in rows
+    )
+    return _checked(market, denominator, counts)
+
+
+def _checked(market: Market, denominator: int, counts) -> Assignment:
+    """Validate the matrix ``counts / denominator`` and wrap it with its integer form.
+
+    Every entry must lie in [0, D], every row sum to D and every column sum
+    to at most its capacity times D, D being ``denominator``.
+    """
+    if len(counts) != market.n_agents:
+        raise DomainError(f"expected {market.n_agents} rows, got {len(counts)}")
+    for a, row in enumerate(counts):
         if len(row) != market.n_types:
             raise DomainError(
                 f"row {market.agent_names[a]} has {len(row)} entries, "
                 f"expected {market.n_types}"
             )
-        for o, v in enumerate(row):
-            if not 0 <= v.numerator <= v.denominator:
+        for o, c in enumerate(row):
+            if not 0 <= c <= denominator:
                 raise DomainError(
-                    f"probability {v} for ({market.agent_names[a]}, "
+                    f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
                     f"{market.type_names[o]}) is outside [0, 1]"
                 )
-        denominator, total = _integer_sum(row)
-        if total != denominator:
+        if sum(row) != denominator:
             raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
-    for o, capacity in enumerate(market.capacities):
-        column = [row[o] for row in rows]
-        denominator, total = _integer_sum(column)
+    for o, (capacity, column) in enumerate(zip(market.capacities, zip(*counts))):
+        total = sum(column)
         if total > capacity * denominator:
             raise DomainError(
-                f"column {market.type_names[o]} sums to {sum(column, start=ZERO)}, "
+                f"column {market.type_names[o]} sums to {Fraction(total, denominator)}, "
                 f"exceeding capacity {capacity}"
             )
-    return Assignment(rows)
+    counts = tuple(map(tuple, counts))
+    x = Assignment(
+        tuple(tuple(Fraction(c, denominator) if c else ZERO for c in row) for row in counts)
+    )
+    object.__setattr__(x, "_form", (market, denominator, counts))
+    return x
 
 
-def _integer_sum(values) -> tuple[int, int]:
-    """(D, D times the sum) of ``values``, D the lcm of their denominators."""
-    denominator = lcm(*(v.denominator for v in values))
-    return denominator, sum(v.numerator * (denominator // v.denominator) for v in values)
+def _scaled(market: Market, x: Assignment) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``x``'s integer form ``(D, counts)``, validating ``x`` first when it
+    carries none for ``market`` (a bare ``Assignment(rows)``)."""
+    form = x._form
+    if form is None or (form[0] is not market and form[0] != market):
+        form = build_assignment(market, x.rows)._form
+    return form[1], form[2]
 
 
 @dataclass(frozen=True)
@@ -141,22 +172,24 @@ def wastefulness_witness(
     Waste means some agent holds probability on a type while a type they rank
     strictly higher still has slack capacity.  The scan runs in agent order,
     then preferred-type order, then held-type order, so the witness is the
-    lexicographically first one.  Column slack is decided in integers, as in
-    ``build_assignment``.
+    lexicographically first one.  Slack and holdings are read from ``x``'s
+    integer form over D: a column has slack when it sums to less than its
+    capacity times D.
     """
     check_profile(market, profile)
-    slack = []
-    for o, capacity in enumerate(market.capacities):
-        denominator, total = _integer_sum([row[o] for row in x.rows])
-        slack.append(total < capacity * denominator)
+    denominator, counts = _scaled(market, x)
+    slack = [
+        sum(column) < capacity * denominator
+        for capacity, column in zip(market.capacities, zip(*counts))
+    ]
     for a in range(market.n_agents):
         order = profile[a]
-        row = x.rows[a]
+        row = counts[a]
         for o in range(market.n_types):
             if not slack[o]:
                 continue
             for held in range(market.n_types):
-                if row[held].numerator > 0 and order.rank(o) < order.rank(held):
+                if row[held] > 0 and order.rank(o) < order.rank(held):
                     return (a, o, held)
     return None
 
@@ -232,12 +265,13 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     deterministic assignments that respect every capacity, and the weights
     recombine to ``x`` exactly.
 
-    The work is done in integers over one common denominator ``D``, the least
-    common multiple of ``denominator * copies`` over the nonzero entries:
-    the unit-copy matrix, the dummy rows (filled northwest-corner style from
-    the column deficits) and the weights are all ``D`` times their rational
-    values.  Each row keeps its positive columns as a bit mask, whose bit is
-    cleared when its entry reaches zero.  The matching is kept from one step
+    The work is done in integers over one common denominator, ``D`` times
+    the lcm of the copy counts, ``D`` the denominator of ``x``'s integer
+    form (a bare ``Assignment`` is validated first): the unit-copy matrix,
+    the dummy rows (filled northwest-corner style from the column deficits)
+    and the weights are all that denominator times their rational values.
+    Each row keeps its positive columns as a bit mask, whose bit is cleared
+    when its entry reaches zero.  The matching is kept from one step
     to the next: the first step runs Kuhn's augmenting-path matching over
     the masks from an empty matching, and each later step unmatches only the
     rows whose matched entry reached zero and re-augments them in ascending
@@ -245,12 +279,12 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     entry is still positive, so the kept pairs stay valid.  The parts are
     the ones the same warm-started algorithm gives over ``Fraction`` entries
     on the capped market (the oracle in the tests): at every step the
-    integer matrix is exactly ``D`` times the rational one, so it has the
+    integer matrix is an exact multiple of the rational one, so it has the
     same positive support, hence the same matching, the same minimum weight
-    times ``D``, and the same projected seating.  Weights come out as
-    ``Fraction(w, D)``, sorted by seating.
+    up to that factor, and the same projected seating.  Weights come out
+    as ``Fraction(w, denominator)``, sorted by seating.
     """
-    rows = build_assignment(market, x.rows).rows  # malformed input is a domain error
+    denominator, counts = _scaled(market, x)  # malformed input is a domain error
     n_real = market.n_agents
     copies = [min(q, n_real) for q in market.capacities]
     copy_type: list[TypeIndex] = []
@@ -258,20 +292,11 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         copy_type.extend([o] * copies[o])
     n_copies = len(copy_type)
 
-    denominator = 1
-    for row in rows:
-        for o, v in enumerate(row):
-            if v:
-                denominator = lcm(denominator, v.denominator * copies[o])
-
     # Real agents spread each type's probability evenly over its copies.
-    matrix: list[list[int]] = []
-    for row in rows:
-        per_copy = [
-            denominator // (v.denominator * copies[o]) * v.numerator
-            for o, v in enumerate(row)
-        ]
-        matrix.append([per_copy[o] for o in copy_type])
+    spread = lcm(*copies)
+    denominator *= spread
+    per_copy = [spread // c for c in copies]
+    matrix = [[row[o] * per_copy[o] for o in copy_type] for row in counts]
 
     # Dummy agents absorb the remaining column slack, northwest-corner style.
     deficits = [denominator - sum(matrix[a][c] for a in range(n_real))

@@ -10,13 +10,13 @@ best.  Both treat agents with essentially equal revealed orders identically.
 ``enumerate_rank_minimizers`` lists the set itself; the uniform mechanism
 does not use it, and the tests use it as the counting pass's oracle.  Both
 mechanisms compute their rows as integer counts over a total in one core,
-``_integer_rows``; the public functions wrap its rows as a validated
-``Fraction`` assignment.  The forward half of the counting pass is shared
-with the dominance checker and the equal-treatment sweep, which run it over
-an agent's opponents only.  Neither mechanism reads a reveal below its
-outside option, so those two walk truncation classes of orders instead of
-orders (``_truncation_classes``) and read the crowd-out parse from class
-tables (``_PatternTables``).
+``_integer_rows``; the public functions validate its rows once, in
+integers, and wrap them as an ``Assignment``.  The forward half of the
+counting pass is shared with the dominance checker and the equal-treatment
+sweep, which run it over an agent's opponents only.  Neither mechanism
+reads a reveal below its outside option, so those two walk truncation
+classes of orders instead of orders (``_truncation_classes``) and read the
+crowd-out parse from class tables (``_PatternTables``).
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
-from .assignment import Assignment, DeterministicAssignment, build_assignment
+from .assignment import Assignment, DeterministicAssignment, _checked
 from .errors import BudgetError, DomainError
 from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
 
@@ -245,10 +246,11 @@ def _integer_rows(
 
 
 def _to_assignment(market: Market, rows: list[tuple[list[int], int]]) -> Assignment:
-    """The public, validated ``Fraction`` form of :func:`_integer_rows`' rows."""
-    return build_assignment(
-        market, [[Fraction(c, total) for c in counts] for counts, total in rows]
-    )
+    """The public, validated form of :func:`_integer_rows`' rows, over the
+    lcm of their totals."""
+    denominator = lcm(*(total for _, total in rows))
+    scaled = [[c * (denominator // total) for c in counts] for counts, total in rows]
+    return _checked(market, denominator, scaled)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .assignment import Assignment, ZERO, build_assignment
+from .assignment import Assignment, ZERO, _checked, _scaled
 from .errors import BudgetError, DomainError
 from .market import (
     AgentIndex,
@@ -60,24 +60,38 @@ def refuse_row(
     the outside option; acceptable entries are untouched.
     """
     market.check_order(truth)
-    null_rank = truth.rank(market.null_type)
     out = list(row)
-    moved = ZERO
-    for o in range(market.n_types):
-        if o != market.null_type and truth.rank(o) >= null_rank:
-            moved += out[o]
-            out[o] = ZERO
-    out[market.null_type] += moved
+    for o in _refused(market, truth):
+        out[market.null_type] += out[o]
+        out[o] = ZERO
     return tuple(out)
 
 
+def _refused(market: Market, truth: PreferenceOrder) -> tuple[TypeIndex, ...]:
+    """The types ``truth`` ranks below the outside option, which refusal empties."""
+    return truth.ranking[truth.rank(market.null_type):]
+
+
 def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignment:
-    """Apply :func:`refuse_row` to every agent under its true order."""
+    """Apply :func:`refuse_row` to every agent under its true order.
+
+    The refusal moves counts within each row of ``x``'s integer form (a bare
+    ``Assignment`` is validated first), and the refused matrix is validated
+    once over the same denominator.
+    """
     check_profile(market, truths)
     if len(x.rows) != market.n_agents:
         raise DomainError("assignment and market disagree on the number of agents")
-    rows = [refuse_row(market, x.row(a), truths[a]) for a in range(market.n_agents)]
-    return build_assignment(market, rows)
+    denominator, counts = _scaled(market, x)
+    null = market.null_type
+    rows = []
+    for row, truth in zip(counts, truths):
+        row = list(row)
+        for o in _refused(market, truth):
+            row[null] += row[o]
+            row[o] = 0
+        rows.append(row)
+    return _checked(market, denominator, rows)
 
 
 def _acceptable_block(market: Market, truth: PreferenceOrder) -> tuple[list[TypeIndex], list[TypeIndex]]:

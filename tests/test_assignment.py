@@ -34,6 +34,7 @@ from rankmech import (
     wastefulness_witness,
     weakly_prefers,
 )
+from rankmech import assignment, mechanisms, strategy
 from rankmech.assignment import _complete_matching
 from rankmech.examples import (
     example1_market,
@@ -222,6 +223,80 @@ def test_decompose_validates_input():
         decompose(market, Assignment(((F(1, 2), F(1, 2)),)))
 
 
+def _crowded_bare_input():
+    """Every agent holds o1 with 1/2 against its one seat, and every truth
+    refuses o1, so the refused matrix alone would pass validation."""
+    market = example2_market()
+    crowded = Assignment(((F(1, 2), F(0), F(1, 2)),) * 3)
+    truths = Profile((order_from_names(market, "o2>null>o1"),) * 3)
+    return market, crowded, truths
+
+
+def test_refusal_transform_validates_input():
+    market, crowded, truths = _crowded_bare_input()
+    with pytest.raises(DomainError, match="column o1 sums to 3/2, exceeding capacity 1"):
+        refusal_transform(market, crowded, truths)
+
+
+def test_wastefulness_witness_validates_input():
+    market, crowded, truths = _crowded_bare_input()
+    with pytest.raises(DomainError, match="column o1 sums to 3/2, exceeding capacity 1"):
+        wastefulness_witness(market, crowded, truths)
+    with pytest.raises(DomainError, match="row a1 has 2 entries, expected 3"):
+        wastefulness_witness(market, Assignment(((F(1), F(0)),) * 3), truths)
+
+
+def test_assign_path_validates_each_matrix_once(monkeypatch):
+    """Mechanism, waste scan, refusal, waste scan and ``decompose`` validate
+    two matrices, the mechanism's output and the refused one, once each;
+    only a bare ``Assignment`` goes through ``build_assignment``."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (assignment, mechanisms, strategy):
+        monkeypatch.setattr(module, "_checked", counted("checked", module._checked))
+    monkeypatch.setattr(assignment, "build_assignment", counted("build", build_assignment))
+    market = example3_market()
+    revealed = Profile(tuple(
+        order_from_names(market, spec)
+        for spec in ("o1>o2>o3>null", "o1>null>o2>o3", "o2>o1>o3>null")
+    ))
+    truths = revealed.replace(0, order_from_names(market, "o1>null>o2>o3"))
+    x = uniform_mechanism(market, revealed)
+    wastefulness_witness(market, x, revealed)
+    refused = refusal_transform(market, x, truths)
+    wastefulness_witness(market, refused, truths)
+    d = decompose(market, refused)
+    assert refused != x
+    assert calls == ["checked", "checked"]
+    assert decompose(market, Assignment(refused.rows)) == d
+    assert calls == ["checked", "checked", "build", "checked"]
+
+
+def test_integer_form_leaves_identity_unchanged():
+    market = example3_market()
+    x = uniform_mechanism(market, Profile((order_from_names(market, "o1>o2>o3>null"),) * 3))
+    bare = Assignment(x.rows)
+    assert x == bare and hash(x) == hash(bare) and repr(x) == repr(bare)
+    assert x._form is not None and bare._form is None
+    assert dataclasses.replace(x, rows=x.rows)._form is None
+
+
+def test_integer_form_is_tied_to_its_market():
+    """A matrix validated against one market is validated again against another."""
+    market = example3_market()
+    x = build_assignment(market, [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    narrow = dataclasses.replace(market, capacities=(1, 1, 1, 3))
+    with pytest.raises(DomainError, match="column o2 sums to 2, exceeding capacity 1"):
+        decompose(narrow, x)
+    assert decompose(example3_market(), x) == decompose(market, x)
+
+
 def _all_deterministics(market):
     dets = []
     for choices in itertools.product(range(market.n_types), repeat=market.n_agents):
@@ -325,6 +400,21 @@ def test_decompose_matches_fraction_oracle_on_seeded_markets(tie_heavy):
         d = decompose(market, x)
         assert d == fraction_decompose(_capped(market), x)
         assert d.recombine(market) == x
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
+def test_decompose_parts_do_not_depend_on_the_denominator(tie_heavy):
+    """The same markets as the oracle test: ``decompose`` on the refused
+    matrix, which carries the mechanism's denominator, equals ``decompose``
+    on a bare copy, validated over the lcm of its entries' denominators."""
+    rng = random.Random(3301 + tie_heavy)
+    differ = 0
+    for _ in range(100):
+        market, x = _seeded_assign_input(rng, tie_heavy)
+        bare = Assignment(x.rows)
+        assert decompose(market, x) == decompose(market, bare)
+        differ += x._form[1] != build_assignment(market, bare.rows)._form[1]
+    assert differ > 0
 
 
 def test_decompose_cost_is_bounded_in_the_capacities():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from rankmech import (
+    Assignment,
     BudgetError,
     DominanceQuery,
     DominanceVerdict,
@@ -18,9 +19,11 @@ from rankmech import (
     Market,
     Profile,
     adversarial_profile,
+    all_profiles,
     build_assignment,
     check_dominance,
     full_extension,
+    modified_mechanism,
     ods_promoting,
     ods_set,
     order_from_names,
@@ -33,7 +36,7 @@ from rankmech import (
 )
 from rankmech.examples import example1_market, example2_market, example3_market, example4_market
 
-from oracles import product_check_dominance
+from oracles import fraction_build_assignment, product_check_dominance
 
 F = Fraction
 
@@ -64,6 +67,25 @@ def test_refusal_transform_applies_rows_and_checks_shapes():
     assert refused.row(1) == (F(1, 3), F(1, 3), F(1, 3))
     with pytest.raises(DomainError):
         refusal_transform(market, x, Profile((truth, keen)))
+
+
+@pytest.mark.parametrize("market", [example2_market(), example4_market()], ids=["ex2", "ex4"])
+def test_refusal_transform_matches_refused_fraction_rows(market):
+    """Refusal moves integer counts; it must equal ``refuse_row`` on every
+    ``Fraction`` row, validated by the ``Fraction`` oracle, on every profile
+    under both mechanisms, and refusing a bare copy must give the same."""
+    rng = random.Random(2719)
+    orders = market.all_orders()
+    for profile in all_profiles(market):
+        truths = Profile(tuple(rng.choice(orders) for _ in range(market.n_agents)))
+        for mechanism in (uniform_mechanism, modified_mechanism):
+            x = mechanism(market, profile)
+            refused = refusal_transform(market, x, truths)
+            expected = fraction_build_assignment(
+                market, [refuse_row(market, row, truth) for row, truth in zip(x.rows, truths)]
+            )
+            assert refused == expected
+            assert refusal_transform(market, Assignment(x.rows), truths) == refused
 
 
 def test_ods_set_permutes_only_unacceptable_types():
