@@ -2,20 +2,19 @@
 
 The uniform mechanism averages every deterministic assignment of minimal
 expected total rank with equal weight.  It counts, rather than lists, those
-assignments: a forward-backward (min rank, count) pass over agents and
-remaining capacities gives every entry as an exact ratio of integers.  The
-modified mechanism coincides with it except on profiles matching a narrow
-crowd-out pattern, where it instead denies the patterned agent its first
-best.  Both treat agents with essentially equal revealed orders identically.
-``enumerate_rank_minimizers`` lists the set itself; the uniform mechanism
-does not use it, and the tests use it as the counting pass's oracle.  Both
-mechanisms compute their rows as integer counts over a total in one core,
-``_integer_rows``; the public functions validate its rows once, in
-integers, and wrap them as an ``Assignment``.  The forward half of the
-counting pass is shared with the dominance checker and the equal-treatment
-sweep, which run it over an agent's opponents only.  Neither mechanism
-reads a reveal below its outside option, so those two walk truncation
-classes of orders instead of orders (``_truncation_classes``) and read the
+assignments: a forward (min rank, count) pass over agents and remaining
+capacities, then a backward pass along the moves that reach the optimum,
+give every entry as an exact ratio of integers.  The outside option always
+has room, so no such assignment seats an agent below it, and neither pass
+tries those moves.  The modified mechanism coincides with the uniform one
+except on profiles matching a narrow crowd-out pattern, where it denies the
+patterned agent its first best.  Both treat agents with essentially equal
+revealed orders identically and compute their rows as integer counts over
+a total in one core, ``_integer_rows``; the public functions validate them
+once and wrap them as an ``Assignment``.  ``enumerate_rank_minimizers``
+lists the set itself, for the tests.  The dominance checker and the
+equal-treatment sweep run the forward pass over an agent's opponents only,
+walk truncation classes of orders (``_truncation_classes``), and read the
 crowd-out parse from class tables (``_PatternTables``).
 """
 
@@ -34,7 +33,7 @@ from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, che
 
 @dataclass(frozen=True)
 class Budget:
-    """Hard size limits for brute-force enumeration."""
+    """Market size limits for the counting pass, enumeration and dominance walks."""
 
     max_agents: int = 8
     max_types: int = 6
@@ -144,23 +143,32 @@ def _moves(market: Market) -> tuple[int, list[tuple[TypeIndex, int, int]]]:
     return start, moves
 
 
+def _cut_moves(
+    moves: list[tuple[TypeIndex, int, int]], rank: list[int], null: TypeIndex
+) -> list[tuple[TypeIndex, int, int, int]]:
+    """The ``moves`` of an agent with rank table ``rank`` as (type, stride,
+    radix, rank), down to its outside option; none below it is ever optimal."""
+    return [(o, stride, radix, rank[o]) for o, stride, radix in moves if rank[o] <= rank[null]]
+
+
 def _forward_step(
-    layer: dict[int, tuple[int, int]], moves: list[tuple[TypeIndex, int, int]], rank: list[int]
+    layer: dict[int, tuple[int, int]], moves: list[tuple[TypeIndex, int, int, int]]
 ) -> dict[int, tuple[int, int]]:
     """One agent's step of the forward half of the counting pass.
 
     ``layer`` maps each state the agents so far can leave to its least
     prefix rank and the number of prefixes reaching it with that rank; the
-    result is the same map once one more agent, with rank table ``rank``,
-    has moved.
+    result is the same map once one more agent, with the :func:`_cut_moves`
+    ``moves``, has moved.  The cut can raise a state's cost or drop it, but
+    not on any state an optimal assignment passes through.
     """
     after_layer: dict[int, tuple[int, int]] = {}
     for state, (cost, count) in layer.items():
-        for o, stride, radix in moves:
+        for _, stride, radix, rank in moves:
             if stride and not state // stride % radix:
                 continue
             after = state - stride
-            reach = cost + rank[o]
+            reach = cost + rank
             held = after_layer.get(after)
             if held is None or reach < held[0]:
                 after_layer[after] = (reach, count)
@@ -193,13 +201,15 @@ def _integer_rows(
     The uniform rows come from a counting forward-backward pass over agents
     in index order.  A state is the remaining capacity of every non-null
     type, packed into one int in mixed radix (the null type always has
-    room, so it is no digit).  The forward pass gives each state its least
-    prefix rank and how many prefixes reach it; the backward pass gives its
-    least completion rank and how many completions start with each move.
-    An optimal assignment passes through a state exactly when the two ranks
-    sum to the optimum, so ``row[a][o]`` counts prefix count times
-    completion count over such states, over the number of optimal
-    assignments.
+    room, so it is no digit), and each agent moves only down to its outside
+    option (:func:`_cut_moves`).  The forward pass gives each state its
+    least prefix rank and how many prefixes reach it.  The backward pass
+    starts from the final states at the optimum, one completion each, and
+    steps back only along tight moves, where the prefix rank plus the
+    move's rank is the next state's prefix rank; it counts the optimal
+    completions of each state it reaches.  So ``row[a][o]`` sums prefix
+    count times completion count over agent ``a``'s tight moves to ``o``,
+    over the number of optimal assignments.
     """
     if mechanism == "modified":
         pattern = _match_pattern(market, profile)
@@ -207,42 +217,29 @@ def _integer_rows(
             second = profile[pattern.special_agent].ranking[1]
             return [_override_row(market, pattern, second, a) for a in range(market.n_agents)]
     _check_budget(market, budget)
-    n = market.n_agents
-    m = market.n_types
-    ranks = [_rank_table(order) for order in profile.orders]
     start, moves = _moves(market)
+    cuts = [_cut_moves(moves, _rank_table(order), market.null_type) for order in profile.orders]
     forward = [{start: (0, 1)}]
-    for rank in ranks:
-        forward.append(_forward_step(forward[-1], moves, rank))
-    optimum = min(cost for cost, _ in forward[n].values())
+    for cut in cuts:
+        forward.append(_forward_step(forward[-1], cut))
+    optimum = min(cost for cost, _ in forward[-1].values())
 
-    counts = [[0] * m for _ in range(n)]
-    below = dict.fromkeys(forward[n], (0, 1))
-    for a in range(n - 1, -1, -1):
-        rank = ranks[a]
-        row = counts[a]
-        here: dict[int, tuple[int, int]] = {}
-        for state, (cost, count) in forward[a].items():
-            best = None
-            ways = 0
-            steps = []
-            for o, stride, radix in moves:
-                if stride and not state // stride % radix:
+    counts = [[0] * market.n_types for _ in cuts]
+    below = {state: 1 for state, (cost, _) in forward[-1].items() if cost == optimum}
+    for row, cut, prefixes, layer in reversed(list(zip(counts, cuts, forward, forward[1:]))):
+        here: dict[int, int] = {}
+        for after, ways in below.items():
+            reach = layer[after][0]
+            for o, stride, radix, rank in cut:
+                if stride and after // stride % radix == radix - 1:
                     continue
-                rest, through = below[state - stride]
-                rest += rank[o]
-                if best is None or rest < best:
-                    best, ways, steps = rest, through, [(o, through)]
-                elif rest == best:
-                    ways += through
-                    steps.append((o, through))
-            here[state] = (best, ways)
-            if cost + best == optimum:
-                for o, through in steps:
-                    row[o] += count * through
+                state = after + stride
+                held = prefixes.get(state)
+                if held is not None and held[0] + rank == reach:
+                    row[o] += held[1] * ways
+                    here[state] = here.get(state, 0) + ways
         below = here
-    total = below[start][1]
-    return [(row, total) for row in counts]
+    return [(row, below[start]) for row in counts]
 
 
 def _to_assignment(market: Market, rows: list[tuple[list[int], int]]) -> Assignment:

@@ -40,6 +40,7 @@ from .mechanisms import (
     DEFAULT_BUDGET,
     _PatternTables,
     _check_budget,
+    _cut_moves,
     _forward_step,
     _may_match,
     _moves,
@@ -408,10 +409,11 @@ class _OpponentLayers:
     anonymous, so an agent's row depends only on its reveal and the multiset
     of the other reveals; the dominance walk and the equal-treatment sweep
     both read rows this way.  A multiset's ``ends`` is the forward layer of
-    the counting pass over it, folded per room mask: in each state the
-    agent's best move, and so its rank, depend only on which types have room
-    there, so within one room mask only the least prefix rank can be
-    optimal.
+    the counting pass over it, each opponent moving only down to its
+    outside option (:func:`_cut_moves`), folded per room mask: in each
+    state the agent's best move, and so its rank, depend only on which
+    types have room there, so within one room mask only the least prefix
+    rank can be optimal.
     """
 
     def __init__(self, market: Market, orders: tuple[PreferenceOrder, ...]):
@@ -426,6 +428,7 @@ class _OpponentLayers:
             for order in orders
         ]
         self.start, self.moves = _moves(market)
+        self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
         # the room mask of each state met so far; at most prod(q + 1) of them
         self.masks: dict[int, int] = {}
 
@@ -445,7 +448,7 @@ class _OpponentLayers:
         stack = [{self.start: (0, 1)}]
         while True:
             for p in combo[len(stack) - 1 :]:
-                stack.append(_forward_step(stack[-1], self.moves, self.ranks[reveals[p]]))
+                stack.append(_forward_step(stack[-1], self.cuts[reveals[p]]))
             yield tuple(reveals[p] for p in combo), self._fold(stack[-1])
             i = k - 1
             while i >= 0 and combo[i] == top:
@@ -459,7 +462,7 @@ class _OpponentLayers:
         """The ``ends`` of one multiset of opponents, given in any order."""
         layer = {self.start: (0, 1)}
         for i in opponents:
-            layer = _forward_step(layer, self.moves, self.ranks[i])
+            layer = _forward_step(layer, self.cuts[i])
         return self._fold(layer)
 
     def _fold(self, layer: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:

@@ -350,6 +350,51 @@ def forward_layers(market, ranks):
     return start, moves, forward
 
 
+def uncut_integer_rows(market, profile):
+    """The uniform rows as integer counts over a total, from every move.
+
+    A forward-backward pass over agents in index order that tries every
+    type for every agent, outside option or not.  The forward pass gives
+    each state its least prefix rank and how many prefixes reach it; the
+    backward pass gives every state its least completion rank and how many
+    completions start with each move.  An optimal assignment passes through
+    a state exactly when the two ranks sum to the optimum.
+    """
+    n = market.n_agents
+    m = market.n_types
+    ranks = [_rank_table(order) for order in profile.orders]
+    start, moves, forward = forward_layers(market, ranks)
+    optimum = min(cost for cost, _ in forward[n].values())
+
+    counts = [[0] * m for _ in range(n)]
+    below = dict.fromkeys(forward[n], (0, 1))
+    for a in range(n - 1, -1, -1):
+        rank = ranks[a]
+        row = counts[a]
+        here = {}
+        for state, (cost, count) in forward[a].items():
+            best = None
+            ways = 0
+            steps = []
+            for o, stride, radix in moves:
+                if stride and not state // stride % radix:
+                    continue
+                rest, through = below[state - stride]
+                rest += rank[o]
+                if best is None or rest < best:
+                    best, ways, steps = rest, through, [(o, through)]
+                elif rest == best:
+                    ways += through
+                    steps.append((o, through))
+            here[state] = (best, ways)
+            if cost + best == optimum:
+                for o, through in steps:
+                    row[o] += count * through
+        below = here
+    total = below[start][1]
+    return [(row, total) for row in counts]
+
+
 class PerStateLayers:
     """``_OpponentLayers`` without the shared walk or the room-mask fold.
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface via main()."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,17 @@ def test_sweep_prop2_and_prop5(spec_path, capsys):
     assert "checked: 90" in capsys.readouterr().out
     assert main(["sweep", "prop5", "--spec", spec_path]) == 0
     assert "checked: 90" in capsys.readouterr().out
+
+
+def test_sweep_prop2_on_the_committed_3x5_market(capsys):
+    """Four one-seat types and an outside option: most reveals rank the
+    outside option mid-order, so the walk runs on cut moves throughout.
+    The CI workflow runs the installed script on the same file."""
+    path = Path(__file__).parent / "data" / "market_3x5.txt"
+    assert main(["sweep", "prop2", "--spec", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "property: prop2\nchecked: 42840\nviolations: 0\nresult: pass\n"
+    )
 
 
 def test_sweep_parallel_flag_is_gone(spec_path):

@@ -47,7 +47,12 @@ from rankmech.mechanisms import (
 )
 from rankmech.sweeps import all_profiles
 
-from oracles import all_agents_pattern, check_weak_ete, truncation_representatives
+from oracles import (
+    all_agents_pattern,
+    check_weak_ete,
+    truncation_representatives,
+    uncut_integer_rows,
+)
 
 F = Fraction
 
@@ -153,10 +158,17 @@ def test_uniform_rows_match_enumeration_sampled_wide():
             assert_rows_match_enumeration(market, profile)
 
 
-def test_uniform_rows_match_enumeration_on_random_markets():
-    """200 seeded markets; every other one has most agents sharing one order."""
+def every_small_profile():
+    """Every (market, profile) of the two-type market and the two-agent one."""
+    for market in (example2_market(), example4_market()):
+        for profile in all_profiles(market):
+            yield market, profile
+
+
+def random_markets():
+    """200 seeded (market, profile) pairs; every other one has most agents
+    sharing one order."""
     rng = random.Random(2718)
-    budget = Budget(max_agents=12)
     for i in range(200):
         n = rng.randint(2, 7)
         m = rng.randint(3, 5)
@@ -175,7 +187,49 @@ def test_uniform_rows_match_enumeration_on_random_markets():
             shared if tie_heavy and rng.random() < 0.8 else rng.choice(orders)
             for _ in range(n)
         ))
-        assert_rows_match_enumeration(market, profile, budget)
+        yield market, profile
+
+
+RANDOM_BUDGET = Budget(max_agents=12)
+
+
+def test_uniform_rows_match_enumeration_on_random_markets():
+    """200 seeded markets; every other one has most agents sharing one order."""
+    for market, profile in random_markets():
+        assert_rows_match_enumeration(market, profile, RANDOM_BUDGET)
+
+
+def test_no_rank_minimizer_seats_an_agent_below_its_outside_option():
+    """The counting pass drops every move below an agent's outside option.
+
+    That is sound because the outside option always has room: an
+    assignment seating an agent below it would lose rank by moving that
+    agent there instead.  Checked on every profile of the two small markets
+    and on the 200 seeded random markets, member by member.
+    """
+    cases = [*every_small_profile(), *random_markets()]
+    for market, profile in cases:
+        members = enumerate_rank_minimizers(market, profile, RANDOM_BUDGET).members
+        for det in members:
+            for order, o in zip(profile.orders, det.choices):
+                assert order.rank(o) <= order.rank(market.null_type), (profile, det)
+
+
+def test_integer_rows_match_the_uncut_pass():
+    """The cut counting pass gives the same integer rows and totals as the
+    pass over every move, on every profile of the two small markets and on
+    150 seeded profiles each of the two four-type markets."""
+    cases = list(every_small_profile())
+    rng = random.Random(4411)
+    for market in (example1_market(), example3_market()):
+        orders = market.all_orders()
+        cases += [
+            (market, Profile(tuple(rng.choice(orders) for _ in range(market.n_agents))))
+            for _ in range(150)
+        ]
+    for market, profile in cases:
+        expected = uncut_integer_rows(market, profile)
+        assert _integer_rows(market, profile, "uniform", DEFAULT_BUDGET) == expected, profile
 
 
 @pytest.mark.parametrize("n, caps", [(12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))])
