@@ -18,17 +18,12 @@ from .assignment import (
     is_wasteful,
     rank_value,
     render_matrix,
-    row_strictly_prefers,
-    row_weakly_prefers,
-    strictly_prefers,
     wastefulness_witness,
-    weakly_prefers,
 )
 from .errors import (
     BudgetError,
     DomainError,
     MarketSpecError,
-    PatternAmbiguityError,
     RankMechError,
 )
 from .market import (
@@ -66,7 +61,6 @@ from .strategy import (
 )
 from .sweeps import (
     SweepOutcome,
-    all_profiles,
     sweep_demotion_strict_gain,
     sweep_demotion_waste,
     sweep_demotion_weak_dominance,
@@ -89,14 +83,12 @@ __all__ = [
     "Market",
     "MarketSpecError",
     "ModifiedPattern",
-    "PatternAmbiguityError",
     "PreferenceOrder",
     "Profile",
     "RankMechError",
     "RankMinimizingSet",
     "SweepOutcome",
     "adversarial_profile",
-    "all_profiles",
     "build_assignment",
     "check_dominance",
     "check_ete",
@@ -120,10 +112,7 @@ __all__ = [
     "refuse_row",
     "render_market_spec",
     "render_matrix",
-    "row_strictly_prefers",
-    "row_weakly_prefers",
     "strict_gain_pairs",
-    "strictly_prefers",
     "sweep_demotion_strict_gain",
     "sweep_demotion_waste",
     "sweep_demotion_weak_dominance",
@@ -131,5 +120,4 @@ __all__ = [
     "sweep_no_strict_dominance",
     "uniform_mechanism",
     "wastefulness_witness",
-    "weakly_prefers",
 ]

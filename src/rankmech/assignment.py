@@ -15,10 +15,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError
-from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
+from .market import AgentIndex, Market, Profile, TypeIndex, check_profile
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -116,14 +115,6 @@ class DeterministicAssignment:
 
     choices: tuple[TypeIndex, ...]
 
-    def to_assignment(self, market: Market) -> Assignment:
-        rows = []
-        for choice in self.choices:
-            row = [ZERO] * market.n_types
-            row[choice] = ONE
-            rows.append(tuple(row))
-        return build_assignment(market, rows)
-
     def respects_capacities(self, market: Market) -> bool:
         for o in range(market.n_types):
             if self.choices.count(o) > market.capacities[o]:
@@ -196,54 +187,6 @@ def wastefulness_witness(
 
 def is_wasteful(market: Market, x: Assignment, profile: Profile) -> bool:
     return wastefulness_witness(market, x, profile) is not None
-
-
-def row_weakly_prefers(
-    order: PreferenceOrder, row: tuple[Fraction, ...], other: tuple[Fraction, ...]
-) -> bool:
-    """First-order stochastic dominance of ``row`` over ``other`` under ``order``.
-
-    Returns False when the rows are incomparable; this is a partial order,
-    not a total one.
-    """
-    if len(row) != len(order) or len(other) != len(order):
-        raise DomainError("rows and order disagree on the number of types")
-    cum_row = ZERO
-    cum_other = ZERO
-    for o in order.ranking:
-        cum_row += row[o]
-        cum_other += other[o]
-        if cum_row < cum_other:
-            return False
-    return True
-
-
-def row_strictly_prefers(
-    order: PreferenceOrder, row: tuple[Fraction, ...], other: tuple[Fraction, ...]
-) -> bool:
-    """Weak preference plus a strict cumulative gap above some rank.
-
-    The final cumulative sums always tie at 1, so the strict gap must appear
-    at a rank below the bottom one.
-    """
-    if not row_weakly_prefers(order, row, other):
-        return False
-    cum_row = ZERO
-    cum_other = ZERO
-    for o in order.ranking[:-1]:
-        cum_row += row[o]
-        cum_other += other[o]
-        if cum_row > cum_other:
-            return True
-    return False
-
-
-def weakly_prefers(order: PreferenceOrder, x: Assignment, other: Assignment, agent: AgentIndex) -> bool:
-    return row_weakly_prefers(order, x.row(agent), other.row(agent))
-
-
-def strictly_prefers(order: PreferenceOrder, x: Assignment, other: Assignment, agent: AgentIndex) -> bool:
-    return row_strictly_prefers(order, x.row(agent), other.row(agent))
 
 
 def decompose(market: Market, x: Assignment) -> Decomposition:

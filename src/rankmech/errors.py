@@ -13,16 +13,6 @@ class BudgetError(RankMechError):
     """A brute-force computation would exceed the configured size budget."""
 
 
-class PatternAmbiguityError(DomainError):
-    """Two conflicting special-case parses matched the same revealed profile.
-
-    The library does not raise it: :func:`rankmech.mechanisms.detect_modified_pattern`
-    tries only the one agent whose outside-option rank strictly exceeds
-    every other agent's, so at most one parse exists.  It stays exported for
-    code that catches it.
-    """
-
-
 class MarketSpecError(RankMechError):
     """A market spec file failed to parse or validate.
 

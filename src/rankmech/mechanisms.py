@@ -13,9 +13,11 @@ revealed orders identically and compute their rows as integer counts over
 a total in one core, ``_integer_rows``; the public functions validate them
 once and wrap them as an ``Assignment``.  ``enumerate_rank_minimizers``
 lists the set itself, for the tests.  The dominance checker and the
-equal-treatment sweep run the forward pass over an agent's opponents only,
-walk truncation classes of orders (``_truncation_classes``), and read the
-crowd-out parse from class tables (``_PatternTables``).
+equal-treatment sweep run the forward pass over an agent's opponents only
+and walk truncation classes of orders (``_truncation_classes``).  The
+crowd-out parse has one implementation, ``_PatternTables``: the mechanisms
+build its tables from a profile's own orders, the dominance checker and
+the equal-treatment sweep from the class representatives.
 """
 
 from __future__ import annotations
@@ -212,10 +214,11 @@ def _integer_rows(
     over the number of optimal assignments.
     """
     if mechanism == "modified":
-        pattern = _match_pattern(market, profile)
+        tables = _PatternTables(market, profile.orders)
+        agents = range(market.n_agents)
+        pattern = tables.parse(agents)
         if pattern is not None:
-            second = profile[pattern.special_agent].ranking[1]
-            return [_override_row(market, pattern, second, a) for a in range(market.n_agents)]
+            return [tables.override_row(agents, pattern, a) for a in agents]
     _check_budget(market, budget)
     start, moves = _moves(market)
     cuts = [_cut_moves(moves, _rank_table(order), market.null_type) for order in profile.orders]
@@ -286,20 +289,11 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
     coexist.
     """
     check_profile(market, profile)
-    return _match_pattern(market, profile)
-
-
-def _match_pattern(market: Market, profile: Profile) -> ModifiedPattern | None:
-    """:func:`detect_modified_pattern` on a profile already known to be well formed."""
-    null_ranks = [order.rank(market.null_type) for order in profile.orders]
-    deepest = max(null_ranks)
-    if deepest < 3 or null_ranks.count(deepest) > 1:
-        return None
-    return _try_parse(market, profile, null_ranks.index(deepest))
+    return _PatternTables(market, profile.orders).parse(range(market.n_agents))
 
 
 def _may_match(null_rank: int, deepest: int, lone: bool) -> bool:
-    """Whether :func:`_match_pattern` can parse a profile, from outside-option ranks.
+    """Whether :meth:`_PatternTables.parse` can find a pattern, from outside-option ranks.
 
     ``null_rank`` is one agent's outside-option rank, ``deepest`` the
     deepest among the other agents and ``lone`` whether only one of them
@@ -309,36 +303,6 @@ def _may_match(null_rank: int, deepest: int, lone: bool) -> bool:
     if null_rank > deepest:
         return null_rank >= 3
     return lone and deepest > null_rank and deepest >= 3
-
-
-def _try_parse(market: Market, profile: Profile, special: AgentIndex) -> ModifiedPattern | None:
-    """The parse with ``special`` as the special agent, or None if it fails."""
-    order = profile[special]
-    roles = [_role(market, order, other) for other in profile.orders]
-    return _pattern_from_roles(market, special, order.ranking[0], roles)
-
-
-def _pattern_from_roles(
-    market: Market, special: AgentIndex, focal: TypeIndex, roles: list[int | None]
-) -> ModifiedPattern | None:
-    """The parse with ``special`` as the special agent, from every agent's :func:`_role`.
-
-    ``roles[special]`` is ignored.  The parse fails when an agent voids it,
-    when there is no competitor, when competitors disagree on their level,
-    or when there are fewer of them than the focal type has seats.
-    """
-    others = [a for a in range(len(roles)) if a != special]
-    competitors = tuple(a for a in others if roles[a] != 0)
-    levels = {roles[a] for a in competitors}
-    if len(levels) != 1 or None in levels or len(competitors) < market.capacities[focal]:
-        return None
-    return ModifiedPattern(
-        special_agent=special,
-        focal_type=focal,
-        prefix_length=levels.pop(),
-        competitors=competitors,
-        bystanders=tuple(a for a in others if roles[a] == 0),
-    )
 
 
 def _truncation_classes(market: Market) -> tuple[list[int], list[int]]:
@@ -384,29 +348,32 @@ def _role(market: Market, special: PreferenceOrder, other: PreferenceOrder) -> i
 
 
 class _PatternTables:
-    """The crowd-out parse over truncation classes, as table lookups.
+    """The crowd-out parse, as table lookups over a list of orders.
 
-    ``classes`` are the class representatives of :func:`_truncation_classes`,
-    and a profile is given as the class number of each agent's reveal.  The
-    parse reads no rank below the outside option, so it is the same for every
-    lift of a class profile to full orders.  The tables hold each class's
-    outside-option rank and first and second type, and, for each class that
-    can be special (outside option at rank 3 or later), the :func:`_role` of
-    every class against it; no ``Profile`` is built.
+    A profile is given as an index into ``classes`` for each agent's reveal.
+    The dominance walk and the equal-treatment sweep pass the class
+    representatives of :func:`_truncation_classes` and class profiles; the
+    parse reads no rank below the outside option, so it is the same for
+    every lift of a class profile to full orders.  Both mechanisms pass a
+    profile's own orders and ``range(n)``.  The tables hold each class's
+    outside-option rank and, once a class is first tried as the special
+    agent, the :func:`_role` of every class against it; no ``Profile`` is
+    built.
     """
 
-    def __init__(self, market: Market, classes: list[PreferenceOrder]):
+    def __init__(self, market: Market, classes: Sequence[PreferenceOrder]):
         self.market = market
+        self.classes = classes
         self.null_rank = [order.rank(market.null_type) for order in classes]
-        self.first = [order.ranking[0] for order in classes]
-        self.second = [order.ranking[1] for order in classes]
-        self.role = [
-            [_role(market, special, other) for other in classes] if null_rank >= 3 else None
-            for special, null_rank in zip(classes, self.null_rank)
-        ]
+        self.role: list[list[int | None] | None] = [None] * len(classes)
 
     def parse(self, profile: Sequence[int]) -> ModifiedPattern | None:
-        """:func:`_match_pattern` on the class profile ``profile``."""
+        """The crowd-out parse of the class profile ``profile``, or None.
+
+        Only the one agent whose outside-option rank is at least 3 and
+        strictly deeper than every other agent's can be the special agent,
+        so it is the only one tried.
+        """
         deep = [self.null_rank[c] for c in profile]
         deepest = max(deep)
         if deepest < 3 or deep.count(deepest) > 1:
@@ -414,18 +381,50 @@ class _PatternTables:
         return self.try_parse(profile, deep.index(deepest))
 
     def try_parse(self, profile: Sequence[int], special: AgentIndex) -> ModifiedPattern | None:
-        """:func:`_try_parse` on the class profile ``profile``."""
-        role = self.role[profile[special]]
+        """The parse of ``profile`` with ``special`` as the special agent, or None.
+
+        The parse fails when an agent voids it, when there is no competitor,
+        when competitors disagree on their level, or when there are fewer of
+        them than the focal type has seats.
+        """
+        special_class = profile[special]
+        order = self.classes[special_class]
+        role = self.role[special_class]
+        if role is None:
+            role = [_role(self.market, order, other) for other in self.classes]
+            self.role[special_class] = role
         roles = [role[c] for c in profile]
-        return _pattern_from_roles(self.market, special, self.first[profile[special]], roles)
+        others = [a for a in range(len(roles)) if a != special]
+        competitors = tuple(a for a in others if roles[a] != 0)
+        levels = {roles[a] for a in competitors}
+        focal = order.ranking[0]
+        if len(levels) != 1 or None in levels or len(competitors) < self.market.capacities[focal]:
+            return None
+        return ModifiedPattern(
+            special_agent=special,
+            focal_type=focal,
+            prefix_length=levels.pop(),
+            competitors=competitors,
+            bystanders=tuple(a for a in others if roles[a] == 0),
+        )
 
     def override_row(
         self, profile: Sequence[int], pattern: ModifiedPattern, agent: AgentIndex
     ) -> tuple[list[int], int]:
-        """:func:`_override_row` on the class profile ``profile``."""
-        return _override_row(
-            self.market, pattern, self.second[profile[pattern.special_agent]], agent
-        )
+        """``agent``'s row on the patterned class profile ``profile``, as
+        integer counts over a total."""
+        market = self.market
+        row = [0] * market.n_types
+        if agent == pattern.special_agent:
+            row[self.classes[profile[agent]].ranking[1]] = 1
+            return row, 1
+        if agent in pattern.competitors:
+            seats = market.capacities[pattern.focal_type]
+            row[pattern.focal_type] = seats
+            row[market.null_type] = len(pattern.competitors) - seats
+            return row, len(pattern.competitors)
+        row[market.null_type] = 1
+        return row, 1
 
 
 def modified_mechanism(
@@ -440,26 +439,6 @@ def modified_mechanism(
     """
     check_profile(market, profile)
     return _to_assignment(market, _integer_rows(market, profile, "modified", budget))
-
-
-def _override_row(
-    market: Market, pattern: ModifiedPattern, second: TypeIndex, agent: AgentIndex
-) -> tuple[list[int], int]:
-    """``agent``'s row on a patterned profile, as integer counts over a total.
-
-    ``second`` is the special agent's revealed second best.
-    """
-    row = [0] * market.n_types
-    if agent == pattern.special_agent:
-        row[second] = 1
-        return row, 1
-    if agent in pattern.competitors:
-        seats = market.capacities[pattern.focal_type]
-        row[pattern.focal_type] = seats
-        row[market.null_type] = len(pattern.competitors) - seats
-        return row, len(pattern.competitors)
-    row[market.null_type] = 1
-    return row, 1
 
 
 def get_mechanism(name: str) -> MechanismFn:

@@ -242,14 +242,6 @@ def sweep_ete(
     return SweepOutcome(name, checked, violations, first)
 
 
-def all_profiles(market: Market) -> list[Profile]:
-    orders = market.all_orders()
-    return [
-        Profile(combo)
-        for combo in itertools.product(orders, repeat=market.n_agents)
-    ]
-
-
 def sweep_demotion_weak_dominance(
     market: Market,
     budget: Budget = DEFAULT_BUDGET,

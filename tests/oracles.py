@@ -12,21 +12,95 @@ from rankmech import (
     DomainError,
     DominanceVerdict,
     Market,
-    PatternAmbiguityError,
+    ModifiedPattern,
+    PreferenceOrder,
     Profile,
     build_assignment,
     check_ete,
     get_mechanism,
     refuse_row,
-    row_strictly_prefers,
-    row_weakly_prefers,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
-from rankmech.mechanisms import _rank_table, _try_parse
+from rankmech.mechanisms import _rank_table
 from rankmech.sweeps import SweepOutcome, _profile_label, _sweep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class PatternAmbiguityError(DomainError):
+    """Two conflicting special-case parses matched the same revealed profile.
+
+    Only :func:`all_agents_pattern` raises it: the library tries only the
+    one agent whose outside-option rank strictly exceeds every other
+    agent's, so at most one parse exists there.
+    """
+
+
+def all_profiles(market: Market) -> list[Profile]:
+    orders = market.all_orders()
+    return [
+        Profile(combo)
+        for combo in itertools.product(orders, repeat=market.n_agents)
+    ]
+
+
+def to_assignment(det: DeterministicAssignment, market: Market) -> Assignment:
+    """The deterministic assignment ``det`` as a validated 0/1 random assignment."""
+    rows = []
+    for choice in det.choices:
+        row = [ZERO] * market.n_types
+        row[choice] = ONE
+        rows.append(tuple(row))
+    return build_assignment(market, rows)
+
+
+def row_weakly_prefers(
+    order: PreferenceOrder, row: tuple[Fraction, ...], other: tuple[Fraction, ...]
+) -> bool:
+    """First-order stochastic dominance of ``row`` over ``other`` under ``order``.
+
+    Returns False when the rows are incomparable; this is a partial order,
+    not a total one.
+    """
+    if len(row) != len(order) or len(other) != len(order):
+        raise DomainError("rows and order disagree on the number of types")
+    cum_row = ZERO
+    cum_other = ZERO
+    for o in order.ranking:
+        cum_row += row[o]
+        cum_other += other[o]
+        if cum_row < cum_other:
+            return False
+    return True
+
+
+def row_strictly_prefers(
+    order: PreferenceOrder, row: tuple[Fraction, ...], other: tuple[Fraction, ...]
+) -> bool:
+    """Weak preference plus a strict cumulative gap above some rank.
+
+    The final cumulative sums always tie at 1, so the strict gap must appear
+    at a rank below the bottom one.
+    """
+    if not row_weakly_prefers(order, row, other):
+        return False
+    cum_row = ZERO
+    cum_other = ZERO
+    for o in order.ranking[:-1]:
+        cum_row += row[o]
+        cum_other += other[o]
+        if cum_row > cum_other:
+            return True
+    return False
+
+
+def weakly_prefers(order: PreferenceOrder, x: Assignment, other: Assignment, agent: AgentIndex) -> bool:
+    return row_weakly_prefers(order, x.row(agent), other.row(agent))
+
+
+def strictly_prefers(order: PreferenceOrder, x: Assignment, other: Assignment, agent: AgentIndex) -> bool:
+    return row_strictly_prefers(order, x.row(agent), other.row(agent))
 
 
 def product_check_dominance(query, budget=DEFAULT_BUDGET, *, table=None):
@@ -286,6 +360,78 @@ def check_weak_ete(mechanism, market, profile):
     return True
 
 
+def try_parse(market, profile, special):
+    """The crowd-out parse of ``profile`` with ``special`` as the special agent, or None.
+
+    Written from the ``ModifiedPattern`` docstring, without the library's
+    parse.  The special agent ranks the outside option third or deeper and
+    its first type is the focal type.  Every other agent is a bystander,
+    which ranks the outside option first, or a competitor: it ranks the
+    outside option at some level L, earlier than the special agent does,
+    agrees with the special agent on the L - 1 types above it, and its
+    capacity threshold, the least rank whose top types can seat every
+    agent, is L.  Any other agent voids the parse.  The competitors must
+    share one level and number at least the focal type's capacity.
+    """
+    null = market.null_type
+    special_order = profile[special]
+    depth = special_order.rank(null)
+    if depth < 3:
+        return None
+    competitors = []
+    bystanders = []
+    levels = set()
+    for agent, order in enumerate(profile.orders):
+        if agent == special:
+            continue
+        level = order.rank(null)
+        if level == 1:
+            bystanders.append(agent)
+            continue
+        seats = itertools.accumulate(market.capacities[o] for o in order.ranking)
+        threshold = next(k for k, total in enumerate(seats, start=1) if total >= market.n_agents)
+        if (
+            level >= depth
+            or order.ranking[: level - 1] != special_order.ranking[: level - 1]
+            or threshold != level
+        ):
+            return None
+        competitors.append(agent)
+        levels.add(level)
+    focal = special_order.ranking[0]
+    if len(levels) != 1 or len(competitors) < market.capacities[focal]:
+        return None
+    return ModifiedPattern(
+        special_agent=special,
+        focal_type=focal,
+        prefix_length=levels.pop(),
+        competitors=tuple(competitors),
+        bystanders=tuple(bystanders),
+    )
+
+
+def override_rows(market, profile, pattern):
+    """The modified mechanism's ``Fraction`` rows on a patterned profile.
+
+    The special agent gets its revealed second type outright, each
+    competitor an even share of the focal type's seats and the outside
+    option for the rest, and each bystander the outside option.
+    """
+    share = Fraction(market.capacities[pattern.focal_type], len(pattern.competitors))
+    rows = []
+    for agent in range(market.n_agents):
+        row = [ZERO] * market.n_types
+        if agent == pattern.special_agent:
+            row[profile[agent].ranking[1]] = ONE
+        elif agent in pattern.competitors:
+            row[pattern.focal_type] = share
+            row[market.null_type] = ONE - share
+        else:
+            row[market.null_type] = ONE
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def all_agents_pattern(market, profile):
     """The crowd-out parse tried with every agent as the special agent.
 
@@ -294,7 +440,7 @@ def all_agents_pattern(market, profile):
     parses = [
         pattern
         for special in range(market.n_agents)
-        if (pattern := _try_parse(market, profile, special)) is not None
+        if (pattern := try_parse(market, profile, special)) is not None
     ]
     if len(parses) > 1:
         raise PatternAmbiguityError(

@@ -37,7 +37,6 @@ from rankmech.examples import (
     make_denial_mechanism,
 )
 from rankmech.sweeps import (
-    all_profiles,
     sweep_demotion_strict_gain,
     sweep_demotion_waste,
     sweep_demotion_weak_dominance,

@@ -16,7 +16,6 @@ from rankmech import (
     Market,
     PreferenceOrder,
     Profile,
-    all_profiles,
     build_assignment,
     csv_rows,
     decompose,
@@ -27,12 +26,8 @@ from rankmech import (
     rank_value,
     refusal_transform,
     render_matrix,
-    row_strictly_prefers,
-    row_weakly_prefers,
-    strictly_prefers,
     uniform_mechanism,
     wastefulness_witness,
-    weakly_prefers,
 )
 from rankmech import assignment, mechanisms, strategy
 from rankmech.assignment import _complete_matching
@@ -43,10 +38,16 @@ from rankmech.examples import (
     example4_market,
 )
 from oracles import (
+    all_profiles,
     fraction_build_assignment,
     fraction_decompose,
     fraction_wastefulness_witness,
     recursive_positive_perfect_matching,
+    row_strictly_prefers,
+    row_weakly_prefers,
+    strictly_prefers,
+    to_assignment,
+    weakly_prefers,
 )
 
 F = Fraction
@@ -90,7 +91,7 @@ def test_rank_value_hand_computed():
     assert rank_value(x, profile) == 4
     det = DeterministicAssignment((2, 0, 1))
     assert deterministic_rank_value(det, profile) == 4
-    assert rank_value(det.to_assignment(market), profile) == 4
+    assert rank_value(to_assignment(det, market), profile) == 4
 
 
 def test_rank_value_shape_checks():

@@ -42,14 +42,13 @@ from rankmech.mechanisms import (
     DEFAULT_BUDGET,
     _PatternTables,
     _integer_rows,
-    _match_pattern,
     _truncation_classes,
 )
-from rankmech.sweeps import all_profiles
-
 from oracles import (
     all_agents_pattern,
+    all_profiles,
     check_weak_ete,
+    override_rows,
     truncation_representatives,
     uncut_integer_rows,
 )
@@ -558,7 +557,7 @@ def test_truncation_classes_are_numbered_by_representative(name):
 @pytest.mark.parametrize("name", sorted(CLASS_MARKETS))
 def test_table_parse_matches_the_profile_parse(name):
     """On every sorted profile, the crowd-out parse read from the class
-    tables equals ``_match_pattern`` on the profile itself, and on a
+    tables equals ``all_agents_pattern`` on the profile itself, and on a
     patterned profile the tables' override rows are the modified
     mechanism's rows."""
     market, orders, _ = _class_market(name)
@@ -569,11 +568,34 @@ def test_table_parse_matches_the_profile_parse(name):
         profile = Profile(tuple(orders[i] for i in reveals))
         classes = [class_of[i] for i in reveals]
         pattern = tables.parse(classes)
-        assert pattern == _match_pattern(market, profile)
+        assert pattern == all_agents_pattern(market, profile)
         if pattern is not None:
             matched += 1
             rows = _integer_rows(market, profile, "modified", DEFAULT_BUDGET)
             assert [
                 tables.override_row(classes, pattern, a) for a in range(market.n_agents)
             ] == rows
+    assert matched > 0
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MARKETS))
+def test_modified_mechanism_matches_the_written_out_parse(name):
+    """Where the parse written out in ``tests/oracles.py``, which shares no
+    code with the library's, finds a crowd-out pattern, the modified
+    mechanism gives its override rows; everywhere else it equals the
+    uniform mechanism.  Every sorted profile is tried, and every profile
+    of ``ex1`` and ``ex2``."""
+    market, orders, reveal_tuples = _class_market(name)
+    if name not in ("ex1", "ex2"):
+        reveal_tuples = itertools.combinations_with_replacement(range(len(orders)), market.n_agents)
+    matched = 0
+    for reveals in reveal_tuples:
+        profile = Profile(tuple(orders[i] for i in reveals))
+        pattern = all_agents_pattern(market, profile)
+        rows = modified_mechanism(market, profile).rows
+        if pattern is None:
+            assert rows == uniform_mechanism(market, profile).rows, profile
+        else:
+            matched += 1
+            assert rows == override_rows(market, profile, pattern), profile
     assert matched > 0

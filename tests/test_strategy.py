@@ -19,7 +19,6 @@ from rankmech import (
     Market,
     Profile,
     adversarial_profile,
-    all_profiles,
     build_assignment,
     check_dominance,
     full_extension,
@@ -29,14 +28,18 @@ from rankmech import (
     order_from_names,
     refusal_transform,
     refuse_row,
-    row_strictly_prefers,
-    row_weakly_prefers,
     strict_gain_pairs,
     uniform_mechanism,
 )
 from rankmech.examples import example1_market, example2_market, example3_market, example4_market
 
-from oracles import fraction_build_assignment, product_check_dominance
+from oracles import (
+    all_profiles,
+    fraction_build_assignment,
+    product_check_dominance,
+    row_strictly_prefers,
+    row_weakly_prefers,
+)
 
 F = Fraction
 

@@ -28,7 +28,6 @@ from rankmech import (
 )
 from rankmech.sweeps import (
     SweepOutcome,
-    all_profiles,
     sweep_demotion_strict_gain,
     sweep_demotion_waste,
     sweep_demotion_weak_dominance,
@@ -42,10 +41,10 @@ from rankmech.examples import (
     example4_market,
     make_denial_mechanism,
 )
-from rankmech.mechanisms import _match_pattern, _may_match, _truncation_classes
+from rankmech.mechanisms import _may_match, _truncation_classes
 
 import oracles
-from oracles import fraction_sweep_ete, product_check_dominance
+from oracles import all_agents_pattern, all_profiles, fraction_sweep_ete, product_check_dominance
 
 
 def test_all_profiles_counts():
@@ -488,7 +487,7 @@ def test_crowd_out_filter_agrees_with_the_parse(name):
         deepest = max(deep)
         lone = deep.count(deepest) == 1
         for reveal in range(len(orders)):
-            pattern = _match_pattern(market, Profile((orders[reveal], *(orders[i] for i in combo))))
+            pattern = all_agents_pattern(market, Profile((orders[reveal], *(orders[i] for i in combo))))
             if not _may_match(null_rank[reveal], deepest, lone):
                 seen["skipped"] += 1
                 assert pattern is None
