@@ -11,7 +11,6 @@ wrapper around it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from .assignment import Assignment, build_assignment, wastefulness_witness
 from .market import Market, Profile, order_from_names

@@ -13,11 +13,11 @@ revealed orders identically and compute their rows as integer counts over
 a total in one core, ``_integer_rows``; the public functions validate them
 once and wrap them as an ``Assignment``.  ``enumerate_rank_minimizers``
 lists the set itself, for the tests.  The dominance checker and the
-equal-treatment sweep run the forward pass over an agent's opponents only
-and walk truncation classes of orders (``_truncation_classes``).  The
-crowd-out parse has one implementation, ``_PatternTables``: the mechanisms
-build its tables from a profile's own orders, the dominance checker and
-the equal-treatment sweep from the class representatives.
+equal-treatment sweep read rows from one source in ``strategy``, which runs
+the forward pass over an agent's opponents only and works in truncation
+classes of orders (``_truncation_classes``).  The crowd-out parse has one
+implementation, ``_PatternTables``: the mechanisms build its tables from a
+profile's own orders, the row source from the class representatives.
 """
 
 from __future__ import annotations
@@ -292,19 +292,6 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
     return _PatternTables(market, profile.orders).parse(range(market.n_agents))
 
 
-def _may_match(null_rank: int, deepest: int, lone: bool) -> bool:
-    """Whether :meth:`_PatternTables.parse` can find a pattern, from outside-option ranks.
-
-    ``null_rank`` is one agent's outside-option rank, ``deepest`` the
-    deepest among the other agents and ``lone`` whether only one of them
-    ranks it there.  Only an agent whose rank is at least 3 and strictly
-    deeper than every other agent's can be the special agent.
-    """
-    if null_rank > deepest:
-        return null_rank >= 3
-    return lone and deepest > null_rank and deepest >= 3
-
-
 def _truncation_classes(market: Market) -> tuple[list[int], list[int]]:
     """The class of each of ``market.all_orders()`` and each class's representative.
 
@@ -351,14 +338,14 @@ class _PatternTables:
     """The crowd-out parse, as table lookups over a list of orders.
 
     A profile is given as an index into ``classes`` for each agent's reveal.
-    The dominance walk and the equal-treatment sweep pass the class
-    representatives of :func:`_truncation_classes` and class profiles; the
-    parse reads no rank below the outside option, so it is the same for
-    every lift of a class profile to full orders.  Both mechanisms pass a
-    profile's own orders and ``range(n)``.  The tables hold each class's
-    outside-option rank and, once a class is first tried as the special
-    agent, the :func:`_role` of every class against it; no ``Profile`` is
-    built.
+    The row source of the dominance walk and the equal-treatment sweep
+    passes the class representatives of :func:`_truncation_classes` and
+    class profiles; the parse reads no rank below the outside option, so it
+    is the same for every lift of a class profile to full orders.  Both
+    mechanisms pass a profile's own orders and ``range(n)``.  The tables
+    hold each class's outside-option rank and, once a class is first tried
+    as the special agent, the :func:`_role` of every class against it; no
+    ``Profile`` is built.
     """
 
     def __init__(self, market: Market, classes: Sequence[PreferenceOrder]):
@@ -372,40 +359,45 @@ class _PatternTables:
 
         Only the one agent whose outside-option rank is at least 3 and
         strictly deeper than every other agent's can be the special agent,
-        so it is the only one tried.
+        so it is the only one tried.  The parse fails when an agent voids
+        it, when there is no competitor, when competitors disagree on their
+        level, or when there are fewer of them than the focal type has
+        seats.
         """
         deep = [self.null_rank[c] for c in profile]
         deepest = max(deep)
         if deepest < 3 or deep.count(deepest) > 1:
             return None
-        return self.try_parse(profile, deep.index(deepest))
-
-    def try_parse(self, profile: Sequence[int], special: AgentIndex) -> ModifiedPattern | None:
-        """The parse of ``profile`` with ``special`` as the special agent, or None.
-
-        The parse fails when an agent voids it, when there is no competitor,
-        when competitors disagree on their level, or when there are fewer of
-        them than the focal type has seats.
-        """
+        special = deep.index(deepest)
         special_class = profile[special]
         order = self.classes[special_class]
         role = self.role[special_class]
         if role is None:
             role = [_role(self.market, order, other) for other in self.classes]
             self.role[special_class] = role
-        roles = [role[c] for c in profile]
-        others = [a for a in range(len(roles)) if a != special]
-        competitors = tuple(a for a in others if roles[a] != 0)
-        levels = {roles[a] for a in competitors}
+        competitors = []
+        bystanders = []
+        levels = set()
+        for a, c in enumerate(profile):
+            if a == special:
+                continue
+            level = role[c]
+            if level is None:
+                return None
+            if level:
+                competitors.append(a)
+                levels.add(level)
+            else:
+                bystanders.append(a)
         focal = order.ranking[0]
-        if len(levels) != 1 or None in levels or len(competitors) < self.market.capacities[focal]:
+        if len(levels) != 1 or len(competitors) < self.market.capacities[focal]:
             return None
         return ModifiedPattern(
             special_agent=special,
             focal_type=focal,
             prefix_length=levels.pop(),
-            competitors=competitors,
-            bystanders=tuple(a for a in others if roles[a] == 0),
+            competitors=tuple(competitors),
+            bystanders=tuple(bystanders),
         )
 
     def override_row(

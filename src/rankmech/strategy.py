@@ -6,16 +6,18 @@ escape hatch: they reveal the outside option last while keeping the
 acceptable block intact.  The dominance checker compares a candidate reveal
 against the truth across every combination of opponent reveals, so its
 verdicts are exhaustive rather than sampled.  Both mechanisms are
-anonymous, so it walks each multiset of opponent reveals once, in sorted
-order, with the queried agent seated last: one forward layer of the uniform
-mechanism's counting pass over the opponents then gives the agent's row
-under every reveal in integers, and multisets sharing a sorted prefix share
-the layers of that prefix.  Neither mechanism reads a reveal below its
-outside option, so the walk visits multisets of truncation class
-representatives only, and under the modified mechanism reads the crowd-out
-parse from class tables.  The first failing opponent profile in product
-order is a sorted tuple of representatives, the least lift of its class
-multiset, so the witnesses are those of the full product.
+anonymous and read no reveal below its outside option, so one row source,
+``_ClassRows``, gives an agent's row in integers from its reveal's
+truncation class and the multiset of its opponents' classes: one forward
+layer of the uniform mechanism's counting pass over the opponents, or under
+the modified mechanism the override row where the profile parses as the
+crowd-out pattern.  The dominance walk seats the queried agent last and
+visits each multiset of opponent classes once, in sorted order, and
+multisets sharing a sorted prefix share the layers of that prefix.  The
+first failing opponent profile in product order is a sorted tuple of class
+representatives, the least lift of its class multiset, so the witnesses are
+those of the full product.  The equal-treatment sweep reads its rows from
+the same source.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .assignment import Assignment, ZERO, _checked, _scaled
 from .errors import BudgetError, DomainError
@@ -42,7 +44,6 @@ from .mechanisms import (
     _check_budget,
     _cut_moves,
     _forward_step,
-    _may_match,
     _moves,
     _rank_table,
     _truncation_classes,
@@ -293,28 +294,25 @@ def _first_witnesses(
     The queried agent's row does not depend on which agent it is, nor on the
     order of its opponents, nor on any reveal below its outside option
     (:func:`~rankmech.mechanisms._truncation_classes`).  So the agent is
-    seated last and the opponents are walked as sorted tuples of class
-    representatives, in ``combinations_with_replacement`` order
-    (:meth:`_OpponentLayers.walk`).  Replacing each reveal of a failing
-    opponent tuple by its representative and sorting gives a failing tuple
-    no later in product order, since a representative is the least order of
+    seated last and the opponents are walked as sorted tuples of truncation
+    classes, in ``combinations_with_replacement`` order
+    (:meth:`_ClassRows.walk`).  Replacing each reveal of a failing opponent
+    tuple by its class representative and sorting gives a failing tuple no
+    later in product order, since a representative is the least order of
     its class: the first failing tuple of the product is a sorted tuple of
     representatives, and the walk meets it first.  The same holds for the
     first strict tuple.
 
-    For each multiset the walk gives the forward layer of the uniform
-    mechanism's counting pass over the opponents, folded per room mask, and
-    the last agent's row under each needed class is read from it once, in
-    integers.  A truth and candidate in one class get the same row
+    For each multiset the last agent's row under each needed class is read
+    once, in integers, from :class:`_ClassRows`, which also gives the
+    modified mechanism's override row where the profile parses as the
+    crowd-out pattern.  A truth and candidate in one class get the same row
     everywhere, so such a pair is never compared and has no witness.  Rows
     are compared by cross-multiplying cumulative sums along the truth's
     ranking.  Refusal moves everything from the truth's outside option down
     onto it, so every cumulative sum from there on equals the total: with
     refusal on the comparison stops just above the outside option, without
-    it just before the last rank.  Under the modified mechanism a profile
-    matching the crowd-out pattern takes its override row; the pattern is
-    parsed only where the outside-option ranks allow it, from the class
-    tables of :class:`~rankmech.mechanisms._PatternTables`.
+    it just before the last rank.
 
     A pair closes once both of its witnesses are found, and the walk ends
     once no pair is open.  With ``decide`` on, a pair closes at its first
@@ -325,49 +323,26 @@ def _first_witnesses(
     strict witness found before its failure.
     """
     pairs = list(dict.fromkeys(pairs))
-    if not pairs:  # a sweep with no units evaluates nothing, so no budget applies
-        return {}
     for truth, candidate in pairs:
         market.check_order(truth)
         market.check_order(candidate)
     get_mechanism(mechanism)
     _check_budget(market, budget)
-    orders = market.all_orders()
-    index = {order: i for i, order in enumerate(orders)}
-    class_of, representatives = _truncation_classes(market)
+    source = _ClassRows(market, mechanism)
     m = market.n_types
-    layers = _OpponentLayers(market, orders)
-    tables = None
-    if mechanism == "modified":
-        tables = _PatternTables(market, [orders[i] for i in representatives])
-        null_rank = tables.null_rank
     found: dict[tuple[PreferenceOrder, PreferenceOrder], list] = {
         pair: [None, None] for pair in pairs
     }
     # (truth's class, candidate's class, the truth's types in the compared prefix, found slot)
     open_pairs = []
     for truth, candidate in pairs:
-        t, c = class_of[index[truth]], class_of[index[candidate]]
+        t, c = source.class_of[truth], source.class_of[candidate]
         if t != c:  # a pair inside one class ties at every multiset
             stop = truth.rank(market.null_type) - 1 if refusal else m - 1
             open_pairs.append((t, c, truth.ranking[:stop], found[truth, candidate]))
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    for combo, ends in layers.walk(market.n_agents - 1, representatives) if open_pairs else ():
-        if tables is not None:
-            profile = [0, *(class_of[i] for i in combo)]
-            deep = [null_rank[c] for c in profile[1:]]
-            deepest = max(deep, default=0)
-            lone = deep.count(deepest) == 1
-        rows = {}
-        for reveal in needed:
-            if tables is not None and _may_match(null_rank[reveal], deepest, lone):
-                profile[0] = reveal
-                special = 0 if null_rank[reveal] > deepest else 1 + deep.index(deepest)
-                pattern = tables.try_parse(profile, special)
-                if pattern is not None:
-                    rows[reveal] = tables.override_row(profile, pattern, 0)
-                    continue
-            rows[reveal] = layers.row(ends, representatives[reveal])
+    for combo, ends in source.walk(market.n_agents - 1) if open_pairs else ():
+        rows = {r: source.row(ends, combo, r) for r in needed}
         closed = False
         for t, c, prefix, slot in open_pairs:
             truth_row, truth_total = rows[t]
@@ -386,10 +361,10 @@ def _first_witnesses(
                     strict = True
             if not weak:
                 if slot[0] is None:
-                    slot[0] = tuple(orders[i] for i in combo)
+                    slot[0] = tuple(source.classes[i] for i in combo)
                     closed = closed or decide or slot[1] is not None
             elif strict and slot[1] is None:
-                slot[1] = tuple(orders[i] for i in combo)
+                slot[1] = tuple(source.classes[i] for i in combo)
                 closed = closed or slot[0] is not None
         if closed:
             open_pairs = [
@@ -402,54 +377,61 @@ def _first_witnesses(
     return {pair: tuple(slot) for pair, slot in found.items()}
 
 
-class _OpponentLayers:
-    """The last agent's row under any of ``orders``, against opponent multisets.
+class _ClassRows:
+    """The row of an agent against opponents, in truncation class indices.
 
-    Reveals and opponents are indices into ``orders``.  Both mechanisms are
-    anonymous, so an agent's row depends only on its reveal and the multiset
-    of the other reveals; the dominance walk and the equal-treatment sweep
-    both read rows this way.  A multiset's ``ends`` is the forward layer of
-    the counting pass over it, each opponent moving only down to its
-    outside option (:func:`_cut_moves`), folded per room mask: in each
-    state the agent's best move, and so its rank, depend only on which
-    types have room there, so within one room mask only the least prefix
-    rank can be optimal.
+    Both mechanisms are anonymous and read no reveal below its outside
+    option (:func:`~rankmech.mechanisms._truncation_classes`), so an agent's
+    row depends only on its reveal's class and the multiset of its
+    opponents' classes.  The dominance walk and the equal-treatment sweep
+    both read rows here.  ``class_of`` maps every order to its class and
+    ``classes`` lists each class's representative, its least order.
+
+    A multiset's ``ends`` is the forward layer of the counting pass over it,
+    each opponent moving only down to its outside option
+    (:func:`_cut_moves`), folded per room mask: in each state the agent's
+    best move, and so its rank, depend only on which types have room there,
+    so within one room mask only the least prefix rank can be optimal.
+    Under the modified mechanism ``tables`` holds the crowd-out parse over
+    the classes (:class:`~rankmech.mechanisms._PatternTables`).
     """
 
-    def __init__(self, market: Market, orders: tuple[PreferenceOrder, ...]):
+    def __init__(self, market: Market, mechanism: str):
         self.market = market
-        self.ranks = [_rank_table(order) for order in orders]
-        # first_with_room[r][mask]: reveal r's best type among those whose bit is set
+        orders = market.all_orders()
+        class_of, representatives = _truncation_classes(market)
+        self.class_of = dict(zip(orders, class_of))
+        self.classes = [orders[i] for i in representatives]
+        self.ranks = [_rank_table(order) for order in self.classes]
+        # first_with_room[c][mask]: class c's best type among those whose bit is set
         self.first_with_room = [
             [
                 next((o for o in order.ranking if mask >> o & 1), None)
                 for mask in range(1 << market.n_types)
             ]
-            for order in orders
+            for order in self.classes
         ]
         self.start, self.moves = _moves(market)
         self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
         # the room mask of each state met so far; at most prod(q + 1) of them
         self.masks: dict[int, int] = {}
+        self.tables = _PatternTables(market, self.classes) if mechanism == "modified" else None
 
-    def walk(
-        self, k: int, reveals: list[int]
-    ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """Every multiset of ``k`` opponents drawn from ``reveals``, with its ``ends``.
+    def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """Every multiset of ``k`` opponent classes, with its ``ends``.
 
-        ``reveals`` must be ascending.  The multisets come as sorted tuples
-        in ``combinations_with_replacement`` order.  They are the leaves of a
-        trie over their sorted prefixes, and the walk keeps one forward layer
-        per prefix on a stack, so each trie node costs one step of the
-        counting pass; nothing recurses.
+        The multisets come as sorted tuples in ``combinations_with_replacement``
+        order.  They are the leaves of a trie over their sorted prefixes, and
+        the walk keeps one forward layer per prefix on a stack, so each trie
+        node costs one step of the counting pass; nothing recurses.
         """
-        top = len(reveals) - 1
-        combo = [0] * k  # positions in reveals
+        top = len(self.classes) - 1
+        combo = [0] * k
         stack = [{self.start: (0, 1)}]
         while True:
-            for p in combo[len(stack) - 1 :]:
-                stack.append(_forward_step(stack[-1], self.cuts[reveals[p]]))
-            yield tuple(reveals[p] for p in combo), self._fold(stack[-1])
+            for c in combo[len(stack) - 1 :]:
+                stack.append(_forward_step(stack[-1], self.cuts[c]))
+            yield tuple(combo), self._fold(stack[-1])
             i = k - 1
             while i >= 0 and combo[i] == top:
                 i -= 1
@@ -459,10 +441,10 @@ class _OpponentLayers:
             del stack[i + 1 :]
 
     def ends(self, opponents: Iterable[int]) -> list[tuple[int, int, int]]:
-        """The ``ends`` of one multiset of opponents, given in any order."""
+        """The ``ends`` of one multiset of opponent classes, given in any order."""
         layer = {self.start: (0, 1)}
-        for i in opponents:
-            layer = _forward_step(layer, self.cuts[i])
+        for c in opponents:
+            layer = _forward_step(layer, self.cuts[c])
         return self._fold(layer)
 
     def _fold(self, layer: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -484,12 +466,22 @@ class _OpponentLayers:
                 folded[mask] = (cost, held[1] + count)
         return [(cost, count, mask) for mask, (cost, count) in folded.items()]
 
-    def row(self, ends: list[tuple[int, int, int]], reveal: int) -> tuple[list[int], int]:
-        """The row of the agent revealing ``reveal`` against the opponents of ``ends``.
+    def row(
+        self, ends: list[tuple[int, int, int]], opponents: Sequence[int], reveal: int
+    ) -> tuple[list[int], int]:
+        """The row of the agent revealing class ``reveal`` against ``opponents``.
 
-        The row is integer counts over the number of optimal assignments.  In
-        each room mask the agent's best move is its best type with room.
+        ``ends`` must be the ``ends`` of ``opponents``.  The row is integer
+        counts over a total.  When ``(reveal, *opponents)`` parses as the
+        crowd-out pattern it is the override row.  Otherwise it is counted
+        over the number of optimal assignments: in each room mask the
+        agent's best move is its best type with room.
         """
+        if self.tables is not None:
+            profile = (reveal, *opponents)
+            pattern = self.tables.parse(profile)
+            if pattern is not None:
+                return self.tables.override_row(profile, pattern, 0)
         m = self.market.n_types
         rank = self.ranks[reveal]
         first_with_room = self.first_with_room[reveal]

@@ -4,15 +4,15 @@ Each sweep walks a finite list of units (profiles, or an agent with a truth
 and a reveal) and counts the units that violate one property, keeping the
 first counterexample for reporting.  Sweeps are deterministic.  A dominance
 sweep hands every distinct (truth, candidate) pair of its units to one walk
-over opponent multisets, which decides each pair rather than witnessing it.
-Both mechanisms are anonymous, so a unit's answer does not depend on its
-agent: the sweep checks agent 0's units and counts each answer once per
-agent.  The dominance walk visits opponent multisets of truncation class
-representatives only.  Equal treatment walks multisets of truncation
+over opponent multisets, which decides each pair rather than witnessing it;
+the sweep reads only whether a pair fails and whether it is strictly
+preferred somewhere.  Both mechanisms are anonymous, so a unit's answer does
+not depend on its agent: the sweep checks agent 0's units and counts each
+answer once per agent.  Equal treatment walks multisets of truncation
 classes, each weighted by the number of profiles lifting it, with the same
-argument for its first violation, reads each compared agent's row from the
-same opponent layers as the dominance walk, and under the modified
-mechanism reads the crowd-out parse from the same class tables.
+argument for its first violation.  The dominance walk and equal treatment
+read every row from one source, ``strategy._ClassRows``.  Every sweep over
+the whole market checks the budget before it lists the market's orders.
 """
 
 from __future__ import annotations
@@ -36,17 +36,13 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
-    _PatternTables,
     _check_budget,
-    _truncation_classes,
     get_mechanism,
     uniform_mechanism,
 )
 from .strategy import (
-    DominanceVerdict,
-    _OpponentLayers,
+    _ClassRows,
     _first_witnesses,
-    _verdict,
     ods_promoting,
     ods_set,
     refusal_transform,
@@ -94,30 +90,6 @@ def _per_agent(market: Market, outcome: SweepOutcome) -> SweepOutcome:
     )
 
 
-def _verdicts(
-    market: Market,
-    mechanism_name: str,
-    refusal: bool,
-    budget: Budget,
-    pairs: Iterable[tuple[PreferenceOrder, PreferenceOrder]],
-) -> Callable[[AgentIndex, PreferenceOrder, PreferenceOrder], DominanceVerdict]:
-    """Dominance verdicts for one sweep's (truth, candidate) pairs, any agent.
-
-    One walk over opponent multisets decides every pair at once; a verdict
-    for agent a zips the witness multisets with a's opponents in index order.
-    Each verdict's booleans and failure witness are exact, and so is the
-    strict witness of a pair that weakly dominates; a failing pair's strict
-    witness is only the first one seen before its failure
-    (:func:`_first_witnesses` with ``decide`` on).
-    """
-    found = _first_witnesses(market, mechanism_name, refusal, pairs, budget, decide=True)
-
-    def verdict(agent: AgentIndex, truth: PreferenceOrder, candidate: PreferenceOrder):
-        return _verdict(market, agent, *found[truth, candidate])
-
-    return verdict
-
-
 def _agent_truth_label(market: Market, agent: AgentIndex, truth: PreferenceOrder) -> str:
     return f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)})"
 
@@ -150,51 +122,47 @@ def sweep_ete(
 ) -> SweepOutcome:
     """Equal treatment of essentially equal reveals, profile by profile.
 
-    Left out, ``profiles`` is every profile of the market.  Both mechanisms
-    are anonymous and read no reveal below its outside option, so whether a
-    profile violates depends only on its multiset of truncation classes:
-    each class multiset is checked once, on its class representatives, and
-    counts as n!/prod(k_c!) * prod(|C|^k_c) profiles, where k_c agents
-    reveal class C.  The first failing profile in product order is the
-    least lift of the first failing class multiset, its sorted tuple of
-    representatives (replacing each reveal by its representative and
-    sorting gives a failing profile no later in that order).
+    Left out, ``profiles`` is every profile of the market, and the budget
+    is checked before any is listed.  Both mechanisms are anonymous and read
+    no reveal below its outside option, so whether a profile violates
+    depends only on its multiset of truncation classes: each class multiset
+    is checked once, on its class representatives, and counts as
+    n!/prod(k_c!) * prod(|C|^k_c) profiles, where k_c agents reveal class
+    C.  The first failing profile in product order is the least lift of the
+    first failing class multiset, its sorted tuple of representatives
+    (replacing each reveal by its representative and sorting gives a
+    failing profile no later in that order).
 
     Two orders are essentially equal exactly when they share their top ranks
     up to the threshold, which is never below the outside option, so each
     class is keyed by that prefix once.  Agents in one class get identical
     rows, so only distinct classes sharing a key are compared, and a profile
-    with no such pair computes no row.  An agent's row is the last agent's
-    row against the multiset of the other reveals, read from one forward
-    layer over them as in the dominance walk; each opponent multiset's
-    layer is built once per call.  Under the modified mechanism a patterned
-    profile takes its override rows, parsed from class tables.  Rows are
-    compared by cross-multiplying.  Given ``profiles``, each is checked as
-    given, on the classes of its reveals.
+    with no such pair computes no row.  An agent's row is read from
+    :class:`~rankmech.strategy._ClassRows` against the multiset of the other
+    reveals, as in the dominance walk, and each opponent multiset's layer is
+    built once per call.  Rows are compared by cross-multiplying.  Given
+    ``profiles``, each is checked as given, on the classes of its reveals,
+    and against the budget unless it parses as the crowd-out pattern under
+    the modified mechanism.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
+    if profiles is None:
+        _check_budget(market, budget)
     name = f"ete-{mechanism_name}"
-    orders = market.all_orders()
-    class_of, representatives = _truncation_classes(market)
-    classes = [orders[i] for i in representatives]
+    source = _ClassRows(market, mechanism_name)
+    classes = source.classes
     key = [order.top(market.capacity_threshold_rank(order)) for order in classes]
-    tables = _PatternTables(market, classes) if mechanism_name == "modified" else None
-    layers = _OpponentLayers(market, orders)
     ends: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
     def row(profile: tuple[int, ...], agent: AgentIndex) -> tuple[list[int], int]:
-        others = profile[:agent] + profile[agent + 1 :]
-        opponents = tuple(sorted(representatives[c] for c in others))
+        opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
         layer = ends.get(opponents)
         if layer is None:
-            layer = ends[opponents] = layers.ends(opponents)
-        return layers.row(layer, representatives[profile[agent]])
+            layer = ends[opponents] = source.ends(opponents)
+        return source.row(layer, opponents, profile[agent])
 
     def violates(profile: tuple[int, ...]) -> bool:
         """Whether the class profile ``profile`` treats essentially equal reveals unequally."""
-        pattern = None if tables is None else tables.parse(profile)
-        if pattern is None:
-            _check_budget(market, budget)
         # each key's distinct classes, each with the first agent revealing it
         groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
         for agent, c in enumerate(profile):
@@ -202,12 +170,7 @@ def sweep_ete(
         for group in groups.values():
             if len(group) < 2:
                 continue
-            rows = [
-                row(profile, agent)
-                if pattern is None
-                else tables.override_row(profile, pattern, agent)
-                for agent in group.values()
-            ]
+            rows = [row(profile, agent) for agent in group.values()]
             counts_a, total_a = rows[0]
             for counts_b, total_b in rows[1:]:
                 if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
@@ -215,16 +178,18 @@ def sweep_ete(
         return False
 
     if profiles is not None:
-        index = {order: i for i, order in enumerate(orders)}
 
         def check_given(profile: Profile) -> str | None:
             check_profile(market, profile)
-            if violates(tuple(class_of[index[order]] for order in profile.orders)):
+            reveals = tuple(source.class_of[order] for order in profile.orders)
+            if source.tables is None or source.tables.parse(reveals) is None:
+                _check_budget(market, budget)
+            if violates(reveals):
                 return _profile_label(market, profile)
             return None
 
         return _sweep(name, ((p,) for p in profiles), check_given)
-    size = collections.Counter(class_of)
+    size = collections.Counter(source.class_of.values())
     checked = 0
     violations = 0
     first: str | None = None
@@ -247,13 +212,15 @@ def sweep_demotion_weak_dominance(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Under refusal, every demotion weakly dominates its truth (uniform)."""
+    _check_budget(market, budget)
     units = [
         (0, truth, demoted) for truth in market.all_orders() for demoted in ods_set(market, truth)
     ]
-    verdict = _verdicts(market, "uniform", True, budget, (u[1:] for u in units))
+    found = _first_witnesses(market, "uniform", True, (u[1:] for u in units), budget, decide=True)
 
     def check(agent, truth, demoted) -> str | None:
-        if verdict(agent, truth, demoted).weakly_dominates:
+        failure, _ = found[truth, demoted]
+        if failure is None:
             return None
         return (
             f"{_agent_truth_label(market, agent, truth)} "
@@ -268,13 +235,14 @@ def sweep_demotion_strict_gain(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
+    _check_budget(market, budget)
     units = _promotion_units(market, [0])
     pairs = [(truth, ods_promoting(market, truth, o_prime)) for _, truth, o_prime in units]
-    verdict = _verdicts(market, "uniform", True, budget, pairs)
+    found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
 
     def check(agent, truth, o_prime) -> str | None:
-        demoted = ods_promoting(market, truth, o_prime)
-        if verdict(agent, truth, demoted).strictly_dominates:
+        failure, strict = found[truth, ods_promoting(market, truth, o_prime)]
+        if failure is None and strict is not None:
             return None
         return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
 
@@ -286,6 +254,7 @@ def sweep_demotion_waste(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """When everyone else reveals the same demotion, refusal strands capacity."""
+    _check_budget(market, budget)
 
     def check(agent, truth, o_prime) -> str | None:
         demoted = ods_promoting(market, truth, o_prime)
@@ -315,23 +284,26 @@ def sweep_no_strict_dominance(
     profile while every other candidate has a profile where it is not weakly
     preferred.
     """
+    _check_budget(market, budget)
     orders = market.all_orders()
     units = [
         (0, truth, candidate) for truth in orders for candidate in orders if candidate != truth
     ]
-    verdict = _verdicts(market, mechanism_name, refusal, budget, (u[1:] for u in units))
+    found = _first_witnesses(
+        market, mechanism_name, refusal, (u[1:] for u in units), budget, decide=True
+    )
 
     def check(agent, truth, candidate) -> str | None:
-        result = verdict(agent, truth, candidate)
-        if result.strictly_dominates:
+        failure, strict = found[truth, candidate]
+        if failure is None and strict is not None:
             problem = "strictly dominates"
         elif not dichotomy:
             return None
         elif market.essentially_equal(truth, candidate):
-            if result.weakly_dominates and result.strict_witness is None:
+            if failure is None and strict is None:
                 return None
             problem = "essentially equal but rows differ somewhere"
-        elif result.failure_witness is None:
+        elif failure is None:
             problem = "expected a failure witness"
         else:
             return None

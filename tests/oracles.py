@@ -542,10 +542,12 @@ def uncut_integer_rows(market, profile):
 
 
 class PerStateLayers:
-    """``_OpponentLayers`` without the shared walk or the room-mask fold.
+    """The counted rows of ``strategy._ClassRows`` without the shared walk,
+    the truncation classes or the room-mask fold.
 
-    Each multiset runs a fresh forward pass over its opponents, and the row
-    is read from every state of the last layer.
+    Reveals and opponents are indices into ``orders``.  Each multiset runs a
+    fresh forward pass over its opponents, and the row is read from every
+    state of the last layer.
     """
 
     def __init__(self, market, orders):

@@ -177,15 +177,40 @@ def test_sweep_prop2_and_prop5(spec_path, capsys):
     assert "checked: 90" in capsys.readouterr().out
 
 
-def test_sweep_prop2_on_the_committed_3x5_market(capsys):
+@pytest.mark.parametrize("prop, checked", [
+    ("prop2", 42840),
+    ("prop5", 42840),
+    ("ete-fM", 1728000),
+])
+def test_sweep_prop2_on_the_committed_3x5_market(capsys, prop, checked):
     """Four one-seat types and an outside option: most reveals rank the
-    outside option mid-order, so the walk runs on cut moves throughout.
+    outside option mid-order, so the walk runs on cut moves throughout, and
+    ``prop5`` and ``ete-fM`` read the modified mechanism's override rows.
     The CI workflow runs the installed script on the same file."""
     path = Path(__file__).parent / "data" / "market_3x5.txt"
-    assert main(["sweep", "prop2", "--spec", str(path)]) == 0
+    assert main(["sweep", prop, "--spec", str(path)]) == 0
     assert capsys.readouterr().out == (
-        "property: prop2\nchecked: 42840\nviolations: 0\nresult: pass\n"
+        f"property: {prop}\nchecked: {checked}\nviolations: 0\nresult: pass\n"
     )
+
+
+SWEEP_TOKENS = ["ete-fU", "ete-fM", "prop2", "prop5", "thm1", "thm2", "prop3"]
+
+
+@pytest.mark.parametrize("prop", SWEEP_TOKENS)
+def test_sweep_checks_the_budget_before_listing_orders(tmp_path, capsys, prop):
+    """Two agents and seven types exceed the six-type limit.  Every sweep
+    fails with exit 3 before it lists the 5,040 orders, even one with no
+    units to check."""
+    lines = [f"type o{i} capacity 1" for i in range(1, 7)] + ["type null capacity 2 null"]
+    lines += ["agent a1 prefers o1 > o2 > o3 > o4 > o5 > o6 > null",
+              "agent a2 prefers o2 > o1 > o3 > o4 > o5 > o6 > null"]
+    path = tmp_path / "seven.txt"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    assert main(["sweep", prop, "--spec", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert "budget" in capsys.readouterr().err
 
 
 def test_sweep_parallel_flag_is_gone(spec_path):

@@ -8,7 +8,6 @@ violations (strict demotion gains are a feature, so scanning for
 no-strict-dominance under refusal must find them).
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -41,7 +40,7 @@ from rankmech.examples import (
     example4_market,
     make_denial_mechanism,
 )
-from rankmech.mechanisms import _may_match, _truncation_classes
+from rankmech.mechanisms import DEFAULT_BUDGET, _integer_rows
 
 import oracles
 from oracles import all_agents_pattern, all_profiles, fraction_sweep_ete, product_check_dominance
@@ -174,45 +173,53 @@ def _unit_detail(prop, market, query, verdict):
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
     """A sweep decides all its pairs from one shared walk over opponent
-    multisets and reads the verdicts of agent 0's units only.  For every
-    agent and every unit, each verdict field the sweep reads equals that of
-    the same query run alone through the product oracle, and the outcome
+    multisets and checks agent 0's units only.  For every agent and every
+    unit, the booleans the sweep reads from the walk's witnesses equal those
+    of the same query run alone through the product oracle, and the outcome
     built from the oracle's verdicts over all agents equals the sweep's."""
     market = make_market()
-    queries = []
     walks = []
-    shared_verdicts = sweeps._verdicts
+    reads = []
+    units = []
 
-    def recording(market, mechanism, refusal, budget, pairs):
-        verdict = shared_verdicts(market, mechanism, refusal, budget, pairs)
-        walks.append(mechanism)
+    class Recorded(dict):
+        def __getitem__(self, pair):
+            reads.append(pair)
+            return super().__getitem__(pair)
 
-        def record(agent, truth, candidate):
-            result = verdict(agent, truth, candidate)
-            query = strategy.DominanceQuery(market, agent, truth, candidate, mechanism, refusal)
-            queries.append((query, budget, result))
-            return result
+    def recording_walk(market, mechanism, refusal, pairs, budget, **kwargs):
+        found = strategy._first_witnesses(market, mechanism, refusal, pairs, budget, **kwargs)
+        walks.append((mechanism, refusal, budget, found))
+        return Recorded(found)
 
-        return record
+    shared_sweep = sweeps._sweep
 
-    monkeypatch.setattr(sweeps, "_verdicts", recording)
+    def recording_sweep(name, unit_list, check):
+        unit_list = list(unit_list)
+        units.extend(unit_list)
+        return shared_sweep(name, unit_list, check)
+
+    monkeypatch.setattr(sweeps, "_first_witnesses", recording_walk)
+    monkeypatch.setattr(sweeps, "_sweep", recording_sweep)
     outcome = DOMINANCE_SWEEPS[prop](market)
-    assert market.n_agents * len(queries) == outcome.checked
-    assert len(walks) == 1
-    assert all(query.agent == 0 for query, _, _ in queries)
+    [(mechanism, refusal, budget, found)] = walks
+    assert market.n_agents * len(units) == outcome.checked
+    assert len(reads) == len(units)
+    assert all(unit[0] == 0 for unit in units)
 
     details = []
     table = {}
     for agent in range(market.n_agents):
-        for query, budget, shared in queries:
-            query = dataclasses.replace(query, agent=agent)
+        for pair in reads:
+            failure, strict = found[pair]
+            query = strategy.DominanceQuery(market, agent, *pair, mechanism, refusal)
             alone = product_check_dominance(query, budget, table=table)
-            assert alone.weakly_dominates == shared.weakly_dominates
-            assert alone.strictly_dominates == shared.strictly_dominates
+            assert alone.weakly_dominates == (failure is None)
+            assert alone.strictly_dominates == (failure is None and strict is not None)
             if prop == "prop2":
-                assert (alone.failure_witness is None) == (shared.failure_witness is None)
+                assert (alone.failure_witness is None) == (failure is None)
                 if alone.weakly_dominates:
-                    assert (alone.strict_witness is None) == (shared.strict_witness is None)
+                    assert (alone.strict_witness is None) == (strict is None)
             details.append(_unit_detail(prop, market, query, alone))
     failures = [d for d in details if d is not None]
     assert outcome == SweepOutcome(
@@ -257,28 +264,24 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
             assert decided_strict == strict
 
 
-def denial_layers(denial):
-    """The sweep's row seam, reading rows from the denial fixture instead.
+def denial_rows(denial):
+    """The sweep's row source, reading rows from the denial fixture instead.
 
     The fixture is anonymous, so an agent's row is the row of an agent
-    seated first against the other reveals, as the sweep reads the
-    mechanisms' rows."""
+    seated first against the other reveals, as the row source reads the
+    mechanisms' rows; the profile is that of the class representatives."""
 
-    class DenialLayers:
-        def __init__(self, market, orders):
-            self.market = market
-            self.orders = orders
-
+    class DenialRows(strategy._ClassRows):
         def ends(self, opponents):
-            return opponents
+            return None
 
-        def row(self, opponents, reveal):
-            profile = Profile((self.orders[reveal], *(self.orders[i] for i in opponents)))
+        def row(self, ends, opponents, reveal):
+            profile = Profile(tuple(self.classes[c] for c in (reveal, *opponents)))
             row = denial(self.market, profile).row(0)
             total = math.lcm(*(entry.denominator for entry in row))
             return [int(entry * total) for entry in row], total
 
-    return DenialLayers
+    return DenialRows
 
 
 def test_ete_multisets_match_the_product_walk(monkeypatch):
@@ -295,7 +298,7 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
         null_type=3,
     )
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "_OpponentLayers", denial_layers(denial))
+    monkeypatch.setattr(sweeps, "_ClassRows", denial_rows(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == sweep_ete(market, "uniform", all_profiles(market))
     assert outcome == SweepOutcome(
@@ -311,7 +314,7 @@ def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
     Rows read against the wrong opponents would flag other profiles too."""
     market = example1_market(second_capacity=2)
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "_OpponentLayers", denial_layers(denial))
+    monkeypatch.setattr(sweeps, "_ClassRows", denial_rows(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == SweepOutcome(
         "ete-uniform", 24 ** 3, 3, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3) a3=(o1>o2>null>o3)"
@@ -437,62 +440,58 @@ WALK_MARKETS = {
 
 @pytest.mark.parametrize("name", sorted(WALK_MARKETS))
 def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
-    """``walk(n - 1, representatives)`` yields exactly the multisets of
-    truncation class representatives, in ``combinations_with_replacement``
-    order, each with one entry per room mask.  Every multiset of full orders
-    maps to the sorted multiset of its representatives; on each one and each
-    reveal, the row read from the walk's ``ends`` for the reveal's
-    representative, and the row read from ``ends`` on the full multiset given
-    in any order, equal the rows read from every state of a fresh forward
-    pass over the full multiset."""
+    """``walk(n - 1)`` yields exactly the multisets of truncation classes,
+    in ``combinations_with_replacement`` order, each with one entry per room
+    mask.  Every multiset of full orders maps to the sorted multiset of its
+    classes; on each one and each reveal, the row read from the walk's
+    ``ends`` for the reveal's class, and the row read from ``ends`` on the
+    classes of the full multiset given in any order, equal the rows read
+    from every state of a fresh forward pass over the full multiset."""
     market = WALK_MARKETS[name]
     orders = market.all_orders()
     k = market.n_agents - 1
-    _, representatives = _truncation_classes(market)
     rep = oracles.truncation_representatives(market)
-    layers = strategy._OpponentLayers(market, orders)
+    class_of = {r: c for c, r in enumerate(sorted(set(rep)))}
+    source = strategy._ClassRows(market, "uniform")
+    assert [source.class_of[order] for order in orders] == [class_of[r] for r in rep]
     oracle = oracles.PerStateLayers(market, orders)
-    walked = list(layers.walk(k, representatives))
+    walked = list(source.walk(k))
     assert [combo for combo, _ in walked] == list(
-        itertools.combinations_with_replacement(sorted(set(rep)), k)
+        itertools.combinations_with_replacement(range(len(class_of)), k)
     )
     walked = dict(walked)
     rng = random.Random(name)
     for combo in itertools.combinations_with_replacement(range(len(orders)), k):
-        ends = walked[tuple(sorted(rep[i] for i in combo))]
+        opponents = tuple(sorted(class_of[rep[i]] for i in combo))
+        ends = walked[opponents]
         assert len({mask for _, _, mask in ends}) == len(ends)
-        shuffled = list(combo)
+        shuffled = [class_of[rep[i]] for i in combo]
         rng.shuffle(shuffled)
-        direct = layers.ends(shuffled)
+        direct = source.ends(shuffled)
         per_state = oracle.ends(combo)
         for reveal in range(len(orders)):
             expected = oracle.row(per_state, reveal)
-            assert layers.row(ends, rep[reveal]) == expected
-            assert layers.row(direct, reveal) == expected
+            assert source.row(ends, opponents, class_of[rep[reveal]]) == expected
+            assert source.row(direct, shuffled, class_of[rep[reveal]]) == expected
     states = math.prod(q + 1 for o, q in enumerate(market.capacities) if o != market.null_type)
-    assert len(layers.masks) <= states
+    assert len(source.masks) <= states
 
 
+@pytest.mark.parametrize("mechanism", ["uniform", "modified"])
 @pytest.mark.parametrize("name", sorted(WALK_MARKETS))
-def test_crowd_out_filter_agrees_with_the_parse(name):
-    """The dominance walk parses a (multiset, reveal) for the crowd-out
-    pattern only where the outside-option ranks allow it; everywhere else
-    the unfiltered parse finds no pattern either."""
+def test_class_rows_match_the_mechanism_rows(name, mechanism):
+    """On every multiset of opponent classes and every reveal class, the
+    row source gives agent 0's integer row of the mechanism run on the
+    representatives: under the modified mechanism the override row wherever
+    the crowd-out pattern matches, which it does somewhere on every market
+    here, and the counted row everywhere else."""
     market = WALK_MARKETS[name]
-    orders = market.all_orders()
-    null_rank = [order.rank(market.null_type) for order in orders]
-    seen = {"skipped": 0, "parsed": 0, "matched": 0}
-    for combo in itertools.combinations_with_replacement(range(len(orders)), market.n_agents - 1):
-        deep = [null_rank[i] for i in combo]
-        deepest = max(deep)
-        lone = deep.count(deepest) == 1
-        for reveal in range(len(orders)):
-            pattern = all_agents_pattern(market, Profile((orders[reveal], *(orders[i] for i in combo))))
-            if not _may_match(null_rank[reveal], deepest, lone):
-                seen["skipped"] += 1
-                assert pattern is None
-            else:
-                seen["parsed"] += 1
-                seen["matched"] += pattern is not None
-    assert seen["skipped"] > 0
-    assert seen["parsed"] > seen["matched"] > 0
+    source = strategy._ClassRows(market, mechanism)
+    patterned = 0
+    for opponents, ends in source.walk(market.n_agents - 1):
+        for reveal in range(len(source.classes)):
+            profile = Profile(tuple(source.classes[c] for c in (reveal, *opponents)))
+            expected = _integer_rows(market, profile, mechanism, DEFAULT_BUDGET)[0]
+            assert source.row(ends, opponents, reveal) == expected
+            patterned += all_agents_pattern(market, profile) is not None
+    assert patterned > 0
