@@ -61,7 +61,7 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
                 raise MarketSpecError(
                     "E_DUP_AGENT", lineno, f"agent {name!r} declared twice"
                 )
-            ranking_text = line.split("prefers", 1)[1]
+            ranking_text = line.split(None, 3)[3]
             ranked = [part.strip() for part in ranking_text.split(">")]
             if any(not part for part in ranked):
                 raise MarketSpecError(

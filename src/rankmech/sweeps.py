@@ -1,18 +1,19 @@
 """Exhaustive property sweeps over small markets.
 
-Each sweep walks a finite list of units (profiles, or an agent with a truth
-and a reveal) and counts the units that violate one property, keeping the
-first counterexample for reporting.  Sweeps are deterministic.  A dominance
-sweep hands every distinct (truth, candidate) pair of its units to one walk
-over opponent multisets, which decides each pair rather than witnessing it;
-the sweep reads only whether a pair fails and whether it is strictly
-preferred somewhere.  Both mechanisms are anonymous, so a unit's answer does
-not depend on its agent: the sweep checks agent 0's units and counts each
-answer once per agent.  Equal treatment walks multisets of truncation
-classes, each weighted by the number of profiles lifting it, with the same
-argument for its first violation.  The dominance walk and equal treatment
-read every row from one source, ``strategy._ClassRows``.  Every sweep over
-the whole market checks the budget before it lists the market's orders.
+Every sweep hands its units, each with a weight and the detail of its
+violation or None, to one counter, ``_tally``, which adds up the weights
+and keeps the first detail for reporting.  Sweeps are deterministic.  Both
+mechanisms are anonymous, so a unit's answer does not depend on its agent:
+every sweep but equal treatment checks agent 0's units only, each counted
+once per agent.  A dominance sweep hands every distinct (truth, candidate)
+pair to one walk over opponent multisets, which decides each pair rather
+than witnessing it; the sweep reads only whether a pair fails and whether
+it is strictly preferred somewhere.  Equal treatment walks multisets of
+truncation classes, each weighted by the number of profiles lifting it,
+with the same argument for its first violation, and weights each given
+profile 1.  The dominance walk and equal treatment read every row from one
+source, ``strategy._ClassRows``.  Every sweep over the whole market checks
+the budget before it lists the market's orders.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .assignment import is_wasteful
 from .market import (
@@ -62,36 +63,22 @@ class SweepOutcome:
         return self.violations == 0
 
 
-def _sweep(name: str, units: Iterable[tuple], check: Callable[..., str | None]) -> SweepOutcome:
-    """Run ``check`` on every unit in order; a unit violates when it returns a detail."""
+def _tally(name: str, items: Iterable[tuple[int, str | None]]) -> SweepOutcome:
+    """Count ``(weight, detail)`` items in order; an item with a detail violates."""
     checked = 0
     violations = 0
     first: str | None = None
-    for unit in units:
-        checked += 1
-        detail = check(*unit)
+    for weight, detail in items:
+        checked += weight
         if detail is not None:
-            violations += 1
+            violations += weight
             if first is None:
                 first = detail
     return SweepOutcome(name, checked, violations, first)
 
 
-def _per_agent(market: Market, outcome: SweepOutcome) -> SweepOutcome:
-    """``outcome`` over agent 0's units, counted for every agent.
-
-    The units of a dominance sweep are agent-major, and a unit's check
-    depends on its agent only through the label, so every agent fails the
-    same units as agent 0 and agent 0's first failure is the first of all.
-    """
-    n = market.n_agents
-    return SweepOutcome(
-        outcome.name, n * outcome.checked, n * outcome.violations, outcome.first_violation
-    )
-
-
-def _agent_truth_label(market: Market, agent: AgentIndex, truth: PreferenceOrder) -> str:
-    return f"agent={market.agent_names[agent]} truth=({order_to_names(market, truth)})"
+def _truth_label(market: Market, truth: PreferenceOrder) -> str:
+    return f"agent={market.agent_names[0]} truth=({order_to_names(market, truth)})"
 
 
 def _profile_label(market: Market, profile: Profile) -> str:
@@ -101,15 +88,11 @@ def _profile_label(market: Market, profile: Profile) -> str:
     )
 
 
-def _promotion_units(
-    market: Market, agents: Iterable[AgentIndex]
-) -> list[tuple[AgentIndex, PreferenceOrder, TypeIndex]]:
-    """Each of ``agents`` and every truth with each type a scarce pair promotes, ascending."""
-    orders = market.all_orders()
+def _promotion_units(market: Market) -> list[tuple[PreferenceOrder, TypeIndex, PreferenceOrder]]:
+    """Every truth with each type a scarce pair promotes, ascending, and its promoting demotion."""
     return [
-        (agent, truth, o_prime)
-        for agent in agents
-        for truth in orders
+        (truth, o_prime, ods_promoting(market, truth, o_prime))
+        for truth in market.all_orders()
         for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
     ]
 
@@ -177,34 +160,29 @@ def sweep_ete(
                     return True
         return False
 
+    def given(profile: Profile) -> tuple[int, str | None]:
+        check_profile(market, profile)
+        reveals = tuple(source.class_of[order] for order in profile.orders)
+        if source.tables is None or source.tables.parse(reveals) is None:
+            _check_budget(market, budget)
+        return 1, _profile_label(market, profile) if violates(reveals) else None
+
     if profiles is not None:
-
-        def check_given(profile: Profile) -> str | None:
-            check_profile(market, profile)
-            reveals = tuple(source.class_of[order] for order in profile.orders)
-            if source.tables is None or source.tables.parse(reveals) is None:
-                _check_budget(market, budget)
-            if violates(reveals):
-                return _profile_label(market, profile)
-            return None
-
-        return _sweep(name, ((p,) for p in profiles), check_given)
+        return _tally(name, map(given, profiles))
     size = collections.Counter(source.class_of.values())
-    checked = 0
-    violations = 0
-    first: str | None = None
     n = market.n_agents
-    for profile in itertools.combinations_with_replacement(range(len(classes)), n):
+
+    def lifted(profile: tuple[int, ...]) -> tuple[int, str | None]:
         weight = math.factorial(n)
         for c, group in itertools.groupby(profile):
             k = len(list(group))
             weight = weight // math.factorial(k) * size[c] ** k
-        checked += weight
-        if violates(profile):
-            violations += weight
-            if first is None:
-                first = _profile_label(market, Profile(tuple(classes[c] for c in profile)))
-    return SweepOutcome(name, checked, violations, first)
+        if not violates(profile):
+            return weight, None
+        return weight, _profile_label(market, Profile(tuple(classes[c] for c in profile)))
+
+    multisets = itertools.combinations_with_replacement(range(len(classes)), n)
+    return _tally(name, map(lifted, multisets))
 
 
 def sweep_demotion_weak_dominance(
@@ -213,21 +191,17 @@ def sweep_demotion_weak_dominance(
 ) -> SweepOutcome:
     """Under refusal, every demotion weakly dominates its truth (uniform)."""
     _check_budget(market, budget)
-    units = [
-        (0, truth, demoted) for truth in market.all_orders() for demoted in ods_set(market, truth)
-    ]
-    found = _first_witnesses(market, "uniform", True, (u[1:] for u in units), budget, decide=True)
+    orders = market.all_orders()
+    pairs = [(truth, demoted) for truth in orders for demoted in ods_set(market, truth)]
+    found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
 
-    def check(agent, truth, demoted) -> str | None:
+    def detail(truth, demoted) -> str | None:
         failure, _ = found[truth, demoted]
         if failure is None:
             return None
-        return (
-            f"{_agent_truth_label(market, agent, truth)} "
-            f"demotion=({order_to_names(market, demoted)})"
-        )
+        return f"{_truth_label(market, truth)} demotion=({order_to_names(market, demoted)})"
 
-    return _per_agent(market, _sweep("thm1", units, check))
+    return _tally("thm1", ((market.n_agents, detail(*pair)) for pair in pairs))
 
 
 def sweep_demotion_strict_gain(
@@ -236,38 +210,42 @@ def sweep_demotion_strict_gain(
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
     _check_budget(market, budget)
-    units = _promotion_units(market, [0])
-    pairs = [(truth, ods_promoting(market, truth, o_prime)) for _, truth, o_prime in units]
+    units = _promotion_units(market)
+    pairs = [(truth, demoted) for truth, _, demoted in units]
     found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
 
-    def check(agent, truth, o_prime) -> str | None:
-        failure, strict = found[truth, ods_promoting(market, truth, o_prime)]
+    def detail(truth, o_prime, demoted) -> str | None:
+        failure, strict = found[truth, demoted]
         if failure is None and strict is not None:
             return None
-        return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
+        return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
 
-    return _per_agent(market, _sweep("thm2", units, check))
+    return _tally("thm2", ((market.n_agents, detail(*unit)) for unit in units))
 
 
 def sweep_demotion_waste(
     market: Market,
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
-    """When everyone else reveals the same demotion, refusal strands capacity."""
-    _check_budget(market, budget)
+    """When everyone else reveals the same demotion, refusal strands capacity.
 
-    def check(agent, truth, o_prime) -> str | None:
-        demoted = ods_promoting(market, truth, o_prime)
-        revealed = Profile((demoted,) * market.n_agents)
-        truths = revealed.replace(agent, truth)
+    The others reveal one order, so seating the truth at another agent only
+    permutes the matrix: agent 0's verdict is every agent's.
+    """
+    _check_budget(market, budget)
+    n = market.n_agents
+
+    def detail(truth, o_prime, demoted) -> str | None:
+        revealed = Profile((demoted,) * n)
+        truths = revealed.replace(0, truth)
         outcome = refusal_transform(
             market, uniform_mechanism(market, revealed, budget), truths
         )
         if is_wasteful(market, outcome, truths):
             return None
-        return f"{_agent_truth_label(market, agent, truth)} promoted={market.type_names[o_prime]}"
+        return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
 
-    return _sweep("prop3", _promotion_units(market, range(market.n_agents)), check)
+    return _tally("prop3", ((n, detail(*unit)) for unit in _promotion_units(market)))
 
 
 def sweep_no_strict_dominance(
@@ -286,14 +264,10 @@ def sweep_no_strict_dominance(
     """
     _check_budget(market, budget)
     orders = market.all_orders()
-    units = [
-        (0, truth, candidate) for truth in orders for candidate in orders if candidate != truth
-    ]
-    found = _first_witnesses(
-        market, mechanism_name, refusal, (u[1:] for u in units), budget, decide=True
-    )
+    pairs = [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
+    found = _first_witnesses(market, mechanism_name, refusal, pairs, budget, decide=True)
 
-    def check(agent, truth, candidate) -> str | None:
+    def detail(truth, candidate) -> str | None:
         failure, strict = found[truth, candidate]
         if failure is None and strict is not None:
             problem = "strictly dominates"
@@ -308,11 +282,11 @@ def sweep_no_strict_dominance(
         else:
             return None
         return (
-            f"{_agent_truth_label(market, agent, truth)} "
+            f"{_truth_label(market, truth)} "
             f"candidate=({order_to_names(market, candidate)}): {problem}"
         )
 
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:
         name = "prop5"
-    return _per_agent(market, _sweep(name, units, check))
+    return _tally(name, ((market.n_agents, detail(*pair)) for pair in pairs))

@@ -18,11 +18,16 @@ from rankmech import (
     build_assignment,
     check_ete,
     get_mechanism,
+    is_wasteful,
+    ods_promoting,
+    refusal_transform,
     refuse_row,
+    strict_gain_pairs,
+    uniform_mechanism,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
 from rankmech.mechanisms import _rank_table
-from rankmech.sweeps import SweepOutcome, _profile_label, _sweep
+from rankmech.sweeps import SweepOutcome
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -322,33 +327,66 @@ def fraction_sweep_ete(market, mechanism_name, profiles=None, budget=DEFAULT_BUD
     Every profile multiset (or every given profile) runs the whole mechanism,
     validated by ``build_assignment``, and compares ``Fraction`` rows of
     essentially equal reveals.  Multisets are weighted by their arrangements,
-    as in the sweep.
+    as in the sweep, and each given profile counts once.  A violation is
+    labelled as the README prints a profile: ``name=(type>type>...)`` for
+    every agent, separated by spaces.
     """
     mech = get_mechanism(mechanism_name)
-    name = f"ete-{mechanism_name}"
-
-    def check(profile: Profile) -> str | None:
-        if check_ete(lambda m, p: mech(m, p, budget), market, profile):
-            return None
-        return _profile_label(market, profile)
-
-    if profiles is not None:
-        return _sweep(name, ((p,) for p in profiles), check)
+    if profiles is None:
+        arrangements = math.factorial(market.n_agents)
+        profiles = []
+        for combo in itertools.combinations_with_replacement(market.all_orders(), market.n_agents):
+            weight = arrangements
+            for _, group in itertools.groupby(combo):
+                weight //= math.factorial(len(list(group)))
+            profiles.append((weight, Profile(combo)))
+    else:
+        profiles = [(1, profile) for profile in profiles]
     checked = 0
     violations = 0
-    first: str | None = None
-    arrangements = math.factorial(market.n_agents)
-    for combo in itertools.combinations_with_replacement(market.all_orders(), market.n_agents):
-        weight = arrangements
-        for group in itertools.groupby(combo):
-            weight //= math.factorial(len(list(group[1])))
+    first = None
+    for weight, profile in profiles:
         checked += weight
-        detail = check(Profile(combo))
-        if detail is not None:
+        if not check_ete(lambda m, p: mech(m, p, budget), market, profile):
             violations += weight
             if first is None:
-                first = detail
-    return SweepOutcome(name, checked, violations, first)
+                first = " ".join(
+                    f"{name}=({'>'.join(market.type_names[o] for o in order.ranking)})"
+                    for name, order in zip(market.agent_names, profile.orders)
+                )
+    return SweepOutcome(f"ete-{mechanism_name}", checked, violations, first)
+
+
+def demotion_wastes(market, agent, truth, o_prime, budget=DEFAULT_BUDGET):
+    """Whether refusal leaves waste when ``agent`` holds ``truth`` and
+    everyone, that agent included, reveals the demotion promoting ``o_prime``."""
+    revealed = Profile((ods_promoting(market, truth, o_prime),) * market.n_agents)
+    truths = revealed.replace(agent, truth)
+    outcome = refusal_transform(market, uniform_mechanism(market, revealed, budget), truths)
+    return is_wasteful(market, outcome, truths)
+
+
+def all_agents_sweep_demotion_waste(market, budget=DEFAULT_BUDGET):
+    """``sweep_demotion_waste`` over every agent's units, agent-major.
+
+    Each agent, truth and promoted type is one unit, checked with the truth
+    at that agent, so no anonymity is assumed."""
+    checked = 0
+    violations = 0
+    first = None
+    for agent in range(market.n_agents):
+        for truth in market.all_orders():
+            for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)}):
+                checked += 1
+                if not demotion_wastes(market, agent, truth, o_prime, budget):
+                    violations += 1
+                    if first is None:
+                        first = (
+                            f"agent={market.agent_names[agent]} "
+                            f"truth=({'>'.join(market.type_names[o] for o in truth.ranking)}) "
+                            f"promoted={market.type_names[o_prime]}"
+                        )
+    return SweepOutcome("prop3", checked, violations, first)
 
 
 def check_weak_ete(mechanism, market, profile):

@@ -181,12 +181,17 @@ def test_sweep_prop2_and_prop5(spec_path, capsys):
     ("prop2", 42840),
     ("prop5", 42840),
     ("ete-fM", 1728000),
+    ("ete-fU", 1728000),
+    ("thm1", 2448),
+    ("thm2", 216),
+    ("prop3", 216),
 ])
 def test_sweep_prop2_on_the_committed_3x5_market(capsys, prop, checked):
     """Four one-seat types and an outside option: most reveals rank the
     outside option mid-order, so the walk runs on cut moves throughout, and
     ``prop5`` and ``ete-fM`` read the modified mechanism's override rows.
-    The CI workflow runs the installed script on the same file."""
+    Every ``sweep`` token is pinned.  The CI workflow runs the installed
+    script on the same file."""
     path = Path(__file__).parent / "data" / "market_3x5.txt"
     assert main(["sweep", prop, "--spec", str(path)]) == 0
     assert capsys.readouterr().out == (

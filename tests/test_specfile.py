@@ -44,6 +44,24 @@ def test_render_round_trips():
     assert text.endswith("\n")
 
 
+def test_names_containing_prefers_round_trip():
+    """The ranking is the text after the third token, so an agent or type
+    name may contain the keyword."""
+    text = (
+        "type o1 capacity 1\n"
+        "type prefersmore capacity 1\n"
+        "type null capacity 2 null\n"
+        "agent whoprefers prefers o1 > prefersmore > null\n"
+        "agent a2 prefers prefersmore > null > o1\n"
+    )
+    market, profile = parse_market_spec(text)
+    assert market.agent_names == ("whoprefers", "a2")
+    assert profile[0].ranking == (0, 1, 2)
+    assert profile[1].ranking == (1, 2, 0)
+    assert render_market_spec(market, profile) == text
+    assert parse_market_spec(render_market_spec(market, profile)) == (market, profile)
+
+
 def expect_error(text, code, line):
     with pytest.raises(MarketSpecError) as info:
         parse_market_spec(text)

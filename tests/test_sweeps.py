@@ -131,6 +131,45 @@ def test_promoted_types_are_counted_once():
     assert outcome.passed
 
 
+WASTE_MARKETS = {
+    "ex1": example1_market(),
+    "ex1-double": example1_market(second_capacity=2),
+    "ex2": example2_market(),
+    "ex3": example3_market(),
+    "ex4": example4_market(),
+    "four": FOUR_AGENTS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WASTE_MARKETS))
+def test_demotion_waste_verdict_does_not_depend_on_the_agent(name):
+    """Everyone else reveals the same demotion, so seating the truth at any
+    agent only permutes the matrix: on every promotion unit the waste
+    verdict with the truth at agent a is agent 0's.  ``sweep_demotion_waste``
+    checks agent 0's units only and relies on this."""
+    market = WASTE_MARKETS[name]
+    units = [
+        (truth, o_prime)
+        for truth in market.all_orders()
+        for o_prime in {o for _, o in strategy.strict_gain_pairs(market, truth)}
+    ]
+    assert market.n_agents * len(units) == sweep_demotion_waste(market).checked
+    for truth, o_prime in units:
+        verdicts = {
+            oracles.demotion_wastes(market, agent, truth, o_prime)
+            for agent in range(market.n_agents)
+        }
+        assert len(verdicts) == 1, (truth, o_prime)
+
+
+@pytest.mark.parametrize("name", sorted(WASTE_MARKETS))
+def test_demotion_waste_matches_the_all_agents_loop(name):
+    """Agent 0's units counted once per agent equal the loop over every
+    agent's units, first violation included."""
+    market = WASTE_MARKETS[name]
+    assert sweep_demotion_waste(market) == oracles.all_agents_sweep_demotion_waste(market)
+
+
 # Keyed by outcome name; the uniform scan with refusal has violations, so it
 # also pins the order in which they are found.
 DOMINANCE_SWEEPS = {
@@ -173,14 +212,16 @@ def _unit_detail(prop, market, query, verdict):
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
     """A sweep decides all its pairs from one shared walk over opponent
-    multisets and checks agent 0's units only.  For every agent and every
-    unit, the booleans the sweep reads from the walk's witnesses equal those
-    of the same query run alone through the product oracle, and the outcome
-    built from the oracle's verdicts over all agents equals the sweep's."""
+    multisets and checks agent 0's units only, each counted once per agent.
+    For every agent and every unit, the booleans the sweep reads from the
+    walk's witnesses equal those of the same query run alone through the
+    product oracle, agent 0's details are the ones the sweep counted, and
+    the outcome built from the oracle's verdicts over all agents equals the
+    sweep's."""
     market = make_market()
     walks = []
     reads = []
-    units = []
+    items = []
 
     class Recorded(dict):
         def __getitem__(self, pair):
@@ -192,20 +233,20 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
         walks.append((mechanism, refusal, budget, found))
         return Recorded(found)
 
-    shared_sweep = sweeps._sweep
+    shared_tally = sweeps._tally
 
-    def recording_sweep(name, unit_list, check):
-        unit_list = list(unit_list)
-        units.extend(unit_list)
-        return shared_sweep(name, unit_list, check)
+    def recording_tally(name, item_list):
+        item_list = list(item_list)
+        items.extend(item_list)
+        return shared_tally(name, item_list)
 
     monkeypatch.setattr(sweeps, "_first_witnesses", recording_walk)
-    monkeypatch.setattr(sweeps, "_sweep", recording_sweep)
+    monkeypatch.setattr(sweeps, "_tally", recording_tally)
     outcome = DOMINANCE_SWEEPS[prop](market)
     [(mechanism, refusal, budget, found)] = walks
-    assert market.n_agents * len(units) == outcome.checked
-    assert len(reads) == len(units)
-    assert all(unit[0] == 0 for unit in units)
+    assert all(weight == market.n_agents for weight, _ in items)
+    assert market.n_agents * len(items) == outcome.checked
+    assert len(reads) == len(items)
 
     details = []
     table = {}
@@ -221,6 +262,7 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
                 if alone.weakly_dominates:
                     assert (alone.strict_witness is None) == (strict is None)
             details.append(_unit_detail(prop, market, query, alone))
+    assert details[: len(items)] == [detail for _, detail in items]
     failures = [d for d in details if d is not None]
     assert outcome == SweepOutcome(
         prop, len(details), len(failures), failures[0] if failures else None
