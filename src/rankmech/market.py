@@ -23,11 +23,15 @@ class PreferenceOrder:
     """A strict ranking of every object type, best first.
 
     ``ranking[k]`` is the type index holding rank ``k + 1``.  Ranks are
-    1-based throughout so that "rank 1" means first best.
+    1-based throughout so that "rank 1" means first best.  An order also
+    stores its rank table and its hash, ``hash((ranking,))``, the hash the
+    dataclass would compute on every call; neither takes part in ``==`` or
+    ``repr``.
     """
 
     ranking: tuple[TypeIndex, ...]
     _ranks: dict[TypeIndex, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.ranking) != list(range(len(self.ranking))):
@@ -37,6 +41,10 @@ class PreferenceOrder:
             )
         ranks = {o: k + 1 for k, o in enumerate(self.ranking)}
         object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "_hash", hash((self.ranking,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def rank(self, o: TypeIndex) -> int:
         """1-based rank of type ``o`` under this order."""
@@ -61,12 +69,18 @@ class Market:
       - at least two agents and at least three types (outside option included);
       - the outside option's capacity is at least the number of agents;
       - every other capacity q satisfies 1 <= q < number of agents.
+
+    A market keeps, privately, the tuple :meth:`all_orders` built on its
+    first call; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     agent_names: tuple[str, ...]
     type_names: tuple[str, ...]
     capacities: tuple[int, ...]
     null_type: TypeIndex
+    _orders: tuple[PreferenceOrder, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.agent_names) < 2:
@@ -143,10 +157,17 @@ class Market:
         return True
 
     def all_orders(self) -> tuple[PreferenceOrder, ...]:
-        """Every strict order over this market's types, lexicographic by index."""
-        return tuple(
-            PreferenceOrder(perm) for perm in itertools.permutations(range(self.n_types))
-        )
+        """Every strict order over this market's types, lexicographic by index.
+
+        The tuple is built on the first call and kept on the market, so every
+        later call returns the same object.
+        """
+        if self._orders is None:
+            orders = tuple(
+                PreferenceOrder(perm) for perm in itertools.permutations(range(self.n_types))
+            )
+            object.__setattr__(self, "_orders", orders)
+        return self._orders
 
     def null_first_order(self) -> PreferenceOrder:
         """The canonical order placing the outside option first."""

@@ -314,32 +314,38 @@ def _first_witnesses(
     refusal on the comparison stops just above the outside option, without
     it just before the last rank.
 
-    A pair closes once both of its witnesses are found, and the walk ends
-    once no pair is open.  With ``decide`` on, a pair closes at its first
+    Two pairs with the same truth class, candidate class and compared
+    prefix compare the same rows on the same multisets in the same order,
+    so they share one found slot and are compared once: each distinct
+    comparison is an open entry of the walk.  The orders are not checked
+    here; the entry points (:func:`check_dominance`,
+    :func:`~rankmech.market.order_from_names`, :func:`ods_set`) check them,
+    and the sweeps pass orders of ``market.all_orders()``.
+
+    An entry closes once both of its witnesses are found, and the walk ends
+    once no entry is open.  With ``decide`` on, a pair closes at its first
     failure instead, since nothing after it changes the pair's verdict.  A
     pair that weakly dominates still walks to the end, so the failure
     witness of every pair, and the strict witness of every pair that weakly
     dominates, are those of the full walk; a failing pair keeps only a
     strict witness found before its failure.
     """
-    pairs = list(dict.fromkeys(pairs))
-    for truth, candidate in pairs:
-        market.check_order(truth)
-        market.check_order(candidate)
     get_mechanism(mechanism)
     _check_budget(market, budget)
     source = _ClassRows(market, mechanism)
     m = market.n_types
-    found: dict[tuple[PreferenceOrder, PreferenceOrder], list] = {
-        pair: [None, None] for pair in pairs
-    }
-    # (truth's class, candidate's class, the truth's types in the compared prefix, found slot)
-    open_pairs = []
+    tie = (None, None)  # a pair inside one class ties at every multiset
+    # (truth's class, candidate's class, the truth's types in the compared prefix) -> found slot
+    slots: dict[tuple[int, int, tuple[TypeIndex, ...]], list] = {}
+    found: dict[tuple[PreferenceOrder, PreferenceOrder], list | tuple] = {}
     for truth, candidate in pairs:
         t, c = source.class_of[truth], source.class_of[candidate]
-        if t != c:  # a pair inside one class ties at every multiset
+        if t == c:
+            found[truth, candidate] = tie
+        else:
             stop = truth.rank(market.null_type) - 1 if refusal else m - 1
-            open_pairs.append((t, c, truth.ranking[:stop], found[truth, candidate]))
+            found[truth, candidate] = slots.setdefault((t, c, truth.ranking[:stop]), [None, None])
+    open_pairs = [(t, c, prefix, slot) for (t, c, prefix), slot in slots.items()]
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     for combo, ends in source.walk(market.n_agents - 1) if open_pairs else ():
         rows = {r: source.row(ends, combo, r) for r in needed}
@@ -403,14 +409,14 @@ class _ClassRows:
         self.class_of = dict(zip(orders, class_of))
         self.classes = [orders[i] for i in representatives]
         self.ranks = [_rank_table(order) for order in self.classes]
-        # first_with_room[c][mask]: class c's best type among those whose bit is set
-        self.first_with_room = [
-            [
-                next((o for o in order.ranking if mask >> o & 1), None)
-                for mask in range(1 << market.n_types)
-            ]
-            for order in self.classes
-        ]
+        # first_with_room[c][mask]: class c's best type among those whose bit
+        # is set; each type, worst first, overwrites the masks holding it
+        self.first_with_room = []
+        for order in self.classes:
+            table = [None] * (1 << market.n_types)
+            for o in reversed(order.ranking):
+                table = [o if mask >> o & 1 else t for mask, t in enumerate(table)]
+            self.first_with_room.append(table)
         self.start, self.moves = _moves(market)
         self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
         # the room mask of each state met so far; at most prod(q + 1) of them

@@ -199,6 +199,33 @@ def test_sweep_prop2_on_the_committed_3x5_market(capsys, prop, checked):
     )
 
 
+def test_dominance_on_the_committed_3x5_market_is_pinned(capsys):
+    """Every demotion of a1's truth on the 3 x 5 market, with refusal: the
+    six candidates make six distinct comparisons, and each report, witness
+    included, is pinned byte for byte.  The CI workflow runs the installed
+    script on the same query."""
+    path = Path(__file__).parent / "data" / "market_3x5.txt"
+    assert main([
+        "dominance", "--spec", str(path), "--agent", "a1",
+        "--truth-order", "o1>null>o2>o3>o4", "--ods", "--refusal",
+    ]) == 0
+    assert capsys.readouterr().out == (
+        "agent: a1  truth: o1>null>o2>o3>o4  mechanism: uniform  refusal: on\n"
+        "candidate o1>o2>o3>o4>null [full extension]: weak=yes strict=yes\n"
+        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o2>o3>o4>null)\n"
+        "candidate o1>o2>o4>o3>null [demotion]: weak=yes strict=yes\n"
+        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o2>o3>o4>null)\n"
+        "candidate o1>o3>o2>o4>null [demotion]: weak=yes strict=yes\n"
+        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o3>o2>o4>null)\n"
+        "candidate o1>o3>o4>o2>null [demotion]: weak=yes strict=yes\n"
+        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o3>o2>o4>null)\n"
+        "candidate o1>o4>o2>o3>null [demotion]: weak=yes strict=yes\n"
+        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o4>o2>o3>null)\n"
+        "candidate o1>o4>o3>o2>null [demotion]: weak=yes strict=yes\n"
+        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o4>o2>o3>null)\n"
+    )
+
+
 SWEEP_TOKENS = ["ete-fU", "ete-fM", "prop2", "prop5", "thm1", "thm2", "prop3"]
 
 

@@ -1,5 +1,8 @@
 """Tests for markets, preference orders and profiles."""
 
+import copy
+import pickle
+
 import pytest
 
 from rankmech import (
@@ -128,6 +131,26 @@ def test_all_orders_enumeration():
     rankings = [o.ranking for o in orders]
     assert rankings == sorted(rankings)
     assert len(set(rankings)) == 6
+
+
+def test_all_orders_is_built_once_and_leaves_identity_unchanged():
+    """The market keeps the tuple of its first ``all_orders`` call and hands
+    out that same object; keeping it changes neither ``==``, ``hash`` nor
+    ``repr``, and a copied or unpickled market equals the original."""
+    market = example2_market()
+    fresh = example2_market()
+    before = (hash(market), repr(market))
+    orders = market.all_orders()
+    assert market.all_orders() is orders
+    assert (hash(market), repr(market)) == before
+    assert market == fresh and hash(market) == hash(fresh)
+    assert "PreferenceOrder" not in repr(market)
+    for copied in (copy.deepcopy(market), pickle.loads(pickle.dumps(market))):
+        assert copied == market and hash(copied) == hash(market)
+        assert repr(copied) == repr(market)
+        assert copied.all_orders() == orders
+    unpickled = pickle.loads(pickle.dumps(fresh))
+    assert unpickled == fresh and unpickled.all_orders() == orders
 
 
 def test_null_first_order():

@@ -17,6 +17,7 @@ from rankmech import (
     DominanceVerdict,
     DomainError,
     Market,
+    PreferenceOrder,
     Profile,
     adversarial_profile,
     build_assignment,
@@ -368,6 +369,18 @@ def test_dominance_validates_agent():
     broad = order_from_names(market, "o1>o2>null")
     with pytest.raises(DomainError):
         check_dominance(DominanceQuery(market, 4, broad, broad))
+
+
+def test_dominance_rejects_orders_of_the_wrong_length():
+    """``check_dominance`` checks both orders before the walk, which reads
+    them unchecked."""
+    market = example2_market()
+    fits = order_from_names(market, "o1>null>o2")
+    for wrong in (PreferenceOrder((0, 1)), PreferenceOrder((0, 1, 2, 3))):
+        with pytest.raises(DomainError):
+            check_dominance(DominanceQuery(market, 0, wrong, fits))
+        with pytest.raises(DomainError):
+            check_dominance(DominanceQuery(market, 0, fits, wrong))
 
 
 def test_dominance_respects_budget():

@@ -11,6 +11,7 @@ no-strict-dominance under refusal must find them).
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,7 @@ from rankmech.examples import (
     make_denial_mechanism,
 )
 from rankmech.mechanisms import DEFAULT_BUDGET, _integer_rows
+from rankmech.specfile import parse_market_spec
 
 import oracles
 from oracles import all_agents_pattern, all_profiles, fraction_sweep_ete, product_check_dominance
@@ -365,6 +367,27 @@ def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
     assert outcome == fraction_sweep_ete(market, "uniform")
 
 
+def test_demotion_sweep_details_are_pinned(monkeypatch):
+    """Under the denial fixture the lone reveal of o1>o2>null among two of
+    o1>null>o2 is kept off o1.  For the truth o1>null>o2 that demotion, the
+    one promoting o2, is then not weakly preferred, so both ``thm1`` and
+    ``thm2`` report violations, and their detail strings are pinned."""
+    market = Market(
+        agent_names=("a1", "a2", "a3"),
+        type_names=("o1", "o2", "null"),
+        capacities=(1, 1, 3),
+        null_type=2,
+    )
+    denial = make_denial_mechanism(market, "o1>o2>null", "o1>null>o2", "o1")
+    monkeypatch.setattr(strategy, "_ClassRows", denial_rows(denial))
+    assert sweep_demotion_weak_dominance(market) == SweepOutcome(
+        "thm1", 24, 3, "agent=a1 truth=(o1>null>o2) demotion=(o1>o2>null)"
+    )
+    assert sweep_demotion_strict_gain(market) == SweepOutcome(
+        "thm2", 6, 3, "agent=a1 truth=(o1>null>o2) promoted=o2"
+    )
+
+
 @pytest.mark.parametrize("mechanism", ["uniform", "modified"])
 def test_ete_matches_the_fraction_oracle_on_random_markets(mechanism):
     """Three agents and three types with seeded capacities, every multiset."""
@@ -537,3 +560,111 @@ def test_class_rows_match_the_mechanism_rows(name, mechanism):
             assert source.row(ends, opponents, reveal) == expected
             patterned += all_agents_pattern(market, profile) is not None
     assert patterned > 0
+
+
+MARKET_3X5 = parse_market_spec((Path(__file__).parent / "data" / "market_3x5.txt").read_text())[0]
+
+
+def test_the_3x5_no_strict_dominance_sweep_with_refusal_is_pinned():
+    """The one sweep on the committed 3 x 5 market that has violations; its
+    13,584 pairs of distinct classes make 4,160 distinct comparisons."""
+    assert sweep_no_strict_dominance(MARKET_3X5, "uniform", True) == SweepOutcome(
+        "no-strict-dominance-uniform", 42840, 1296,
+        "agent=a1 truth=(o1>null>o2>o3>o4) candidate=(o1>o2>o3>o4>null): strictly dominates",
+    )
+
+
+SHARING_MARKETS = {
+    "3x5": MARKET_3X5,
+    "four": FOUR_AGENTS,
+    "five": Market(
+        agent_names=("a1", "a2", "a3", "a4", "a5"),
+        type_names=("o1", "o2", "o3", "null"),
+        capacities=(1, 1, 1, 5),
+        null_type=3,
+    ),
+}
+
+
+class _Listed(Exception):
+    """Raised by the recording walk once a sweep has handed over its pairs."""
+
+
+def _sweep_pairs(monkeypatch, prop, market):
+    """The mechanism, refusal and (truth, candidate) list the dominance sweep
+    ``prop`` hands its walk; the sweep stops there."""
+    listed = []
+
+    def record(market, mechanism, refusal, pairs, budget, **kwargs):
+        listed.append((mechanism, refusal, list(pairs)))
+        raise _Listed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeps, "_first_witnesses", record)
+        with pytest.raises(_Listed):
+            DOMINANCE_SWEEPS[prop](market)
+    [listing] = listed
+    return listing
+
+
+def _comparisons(market, refusal, pairs):
+    """The pairs of distinct truncation classes, grouped by the comparison
+    they make: truth class, candidate class and the truth's compared prefix,
+    which stops above the outside option under refusal and before the last
+    rank otherwise."""
+    rep = dict(zip(market.all_orders(), oracles.truncation_representatives(market)))
+    groups = {}
+    for truth, candidate in pairs:
+        if rep[truth] != rep[candidate]:
+            stop = truth.rank(market.null_type) - 1 if refusal else market.n_types - 1
+            key = rep[truth], rep[candidate], truth.ranking[:stop]
+            groups.setdefault(key, []).append((truth, candidate))
+    return groups
+
+
+@pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
+@pytest.mark.parametrize("name", sorted(SHARING_MARKETS))
+def test_pairs_sharing_a_comparison_get_their_own_witnesses(monkeypatch, name, prop):
+    """Pairs making the same comparison share one found slot in the walk.
+    Every market here has such pairs in every sweep's list.  From two seeded
+    groups of them, the first and last pair each get, with ``decide`` off
+    and on, the witnesses of a walk over that pair alone: with ``decide``
+    on amid the sweep's whole list, with it off amid the pairs of the two
+    groups (the whole list walks for seconds there on the 3 x 5 market)."""
+    market = SHARING_MARKETS[name]
+    mechanism, refusal, pairs = _sweep_pairs(monkeypatch, prop, market)
+    shared = [group for group in _comparisons(market, refusal, pairs).values() if len(group) > 1]
+    assert shared
+    groups = random.Random(f"{name} {prop}").sample(shared, min(2, len(shared)))
+    for decide, walked in [(True, pairs), (False, [pair for group in groups for pair in group])]:
+        found = strategy._first_witnesses(
+            market, mechanism, refusal, walked, DEFAULT_BUDGET, decide=decide
+        )
+        for pair in (pair for group in groups for pair in (group[0], group[-1])):
+            alone = strategy._first_witnesses(
+                market, mechanism, refusal, [pair], DEFAULT_BUDGET, decide=decide
+            )
+            assert found[pair] == alone[pair]
+
+
+def test_pairs_sharing_a_comparison_match_the_product_oracle(monkeypatch):
+    """On four agents, two ``prop5`` pairs with one candidate and truths of
+    one class make the same comparison; the walk over the sweep's whole
+    list gives each of them the product oracle's witnesses."""
+    market = FOUR_AGENTS
+    mechanism, refusal, pairs = _sweep_pairs(monkeypatch, "prop5", market)
+    first, second = next(
+        (a, b)
+        for group in _comparisons(market, refusal, pairs).values()
+        for a, b in itertools.combinations(group, 2)
+        if a[1] == b[1]
+    )
+    found = strategy._first_witnesses(market, mechanism, refusal, pairs, DEFAULT_BUDGET)
+    others = range(1, market.n_agents)
+    table = {}
+    for truth, candidate in (first, second):
+        query = strategy.DominanceQuery(market, 0, truth, candidate, mechanism, refusal)
+        oracle = product_check_dominance(query, table=table)
+        failure, strict = found[truth, candidate]
+        assert oracle.failure_witness == (None if failure is None else tuple(zip(others, failure)))
+        assert oracle.strict_witness == (None if strict is None else tuple(zip(others, strict)))
