@@ -71,7 +71,10 @@ class Market:
       - every other capacity q satisfies 1 <= q < number of agents.
 
     A market keeps, privately, the tuple :meth:`all_orders` built on its
-    first call; it takes no part in ``==``, ``hash`` or ``repr``.
+    first call and the class tables ``strategy._class_rows`` builds on first
+    use, which every sweep and dominance walk on the market then shares.
+    Neither takes part in ``==``, ``hash`` or ``repr``, and the class tables
+    hold no reference back to the market.
     """
 
     agent_names: tuple[str, ...]
@@ -81,6 +84,7 @@ class Market:
     _orders: tuple[PreferenceOrder, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _class_rows: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.agent_names) < 2:

@@ -314,26 +314,6 @@ def _truncation_classes(market: Market) -> tuple[list[int], list[int]]:
     return class_of, representatives
 
 
-def _role(market: Market, special: PreferenceOrder, other: PreferenceOrder) -> int | None:
-    """What an agent revealing ``other`` is in a parse whose special agent reveals ``special``.
-
-    0 for a bystander, which ranks the outside option first; its level L
-    for a competitor, which ranks the outside option at L, earlier than the
-    special agent does, agrees with it on every earlier rank and has its
-    capacity threshold at L; None for anyone else, who voids the parse.
-    """
-    level = other.rank(market.null_type)
-    if level == 1:
-        return 0
-    if (
-        level < special.rank(market.null_type)
-        and other.top(level - 1) == special.top(level - 1)
-        and market.capacity_threshold_rank(other) == level
-    ):
-        return level
-    return None
-
-
 class _PatternTables:
     """The crowd-out parse, as table lookups over a list of orders.
 
@@ -344,15 +324,39 @@ class _PatternTables:
     is the same for every lift of a class profile to full orders.  Both
     mechanisms pass a profile's own orders and ``range(n)``.  The tables
     hold each class's outside-option rank and, once a class is first tried
-    as the special agent, the :func:`_role` of every class against it; no
-    ``Profile`` is built.
+    as the special agent, the :meth:`_role` of every class against it; no
+    ``Profile`` is built.  They keep the market's sizes, not the market, so
+    a market that keeps them does not refer to itself.
     """
 
     def __init__(self, market: Market, classes: Sequence[PreferenceOrder]):
-        self.market = market
+        self.null_type = market.null_type
+        self.capacities = market.capacities
+        self.n_agents = market.n_agents
         self.classes = classes
         self.null_rank = [order.rank(market.null_type) for order in classes]
         self.role: list[list[int | None] | None] = [None] * len(classes)
+
+    def _role(self, special: PreferenceOrder, other: PreferenceOrder) -> int | None:
+        """What an agent revealing ``other`` is in a parse whose special agent reveals ``special``.
+
+        0 for a bystander, which ranks the outside option first; its level L
+        for a competitor, which ranks the outside option at L, earlier than
+        the special agent does, agrees with it on every earlier rank and has
+        its capacity threshold at L; None for anyone else, who voids the
+        parse.  The outside option seats every agent, so the threshold is at
+        L exactly when the types above it cannot.
+        """
+        level = other.rank(self.null_type)
+        if level == 1:
+            return 0
+        if (
+            level < special.rank(self.null_type)
+            and other.top(level - 1) == special.top(level - 1)
+            and sum(self.capacities[o] for o in other.top(level - 1)) < self.n_agents
+        ):
+            return level
+        return None
 
     def parse(self, profile: Sequence[int]) -> ModifiedPattern | None:
         """The crowd-out parse of the class profile ``profile``, or None.
@@ -373,7 +377,7 @@ class _PatternTables:
         order = self.classes[special_class]
         role = self.role[special_class]
         if role is None:
-            role = [_role(self.market, order, other) for other in self.classes]
+            role = [self._role(order, other) for other in self.classes]
             self.role[special_class] = role
         competitors = []
         bystanders = []
@@ -390,7 +394,7 @@ class _PatternTables:
             else:
                 bystanders.append(a)
         focal = order.ranking[0]
-        if len(levels) != 1 or len(competitors) < self.market.capacities[focal]:
+        if len(levels) != 1 or len(competitors) < self.capacities[focal]:
             return None
         return ModifiedPattern(
             special_agent=special,
@@ -405,17 +409,16 @@ class _PatternTables:
     ) -> tuple[list[int], int]:
         """``agent``'s row on the patterned class profile ``profile``, as
         integer counts over a total."""
-        market = self.market
-        row = [0] * market.n_types
+        row = [0] * len(self.capacities)
         if agent == pattern.special_agent:
             row[self.classes[profile[agent]].ranking[1]] = 1
             return row, 1
         if agent in pattern.competitors:
-            seats = market.capacities[pattern.focal_type]
+            seats = self.capacities[pattern.focal_type]
             row[pattern.focal_type] = seats
-            row[market.null_type] = len(pattern.competitors) - seats
+            row[self.null_type] = len(pattern.competitors) - seats
             return row, len(pattern.competitors)
-        row[market.null_type] = 1
+        row[self.null_type] = 1
         return row, 1
 
 

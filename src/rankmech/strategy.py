@@ -7,17 +7,20 @@ acceptable block intact.  The dominance checker compares a candidate reveal
 against the truth across every combination of opponent reveals, so its
 verdicts are exhaustive rather than sampled.  Both mechanisms are
 anonymous and read no reveal below its outside option, so one row source,
-``_ClassRows``, gives an agent's row in integers from its reveal's
-truncation class and the multiset of its opponents' classes: one forward
-layer of the uniform mechanism's counting pass over the opponents, or under
-the modified mechanism the override row where the profile parses as the
-crowd-out pattern.  The dominance walk seats the queried agent last and
-visits each multiset of opponent classes once, in sorted order, and
-multisets sharing a sorted prefix share the layers of that prefix.  The
-first failing opponent profile in product order is a sorted tuple of class
-representatives, the least lift of its class multiset, so the witnesses are
-those of the full product.  The equal-treatment sweep reads its rows from
-the same source.
+the market's class tables (``_ClassRows``), gives an agent's row in
+integers from its reveal's truncation class and the multiset of its
+opponents' classes: one forward layer of the uniform mechanism's counting
+pass over the opponents, or under the modified mechanism the override row
+where the profile parses as the crowd-out pattern.  The tables do not
+depend on the mechanism, so :func:`_class_rows` builds them once per
+market, after the caller's budget check, and keeps them on the market for
+every later sweep and walk.  The dominance walk seats the queried agent
+last and visits each multiset of opponent classes once, in sorted order,
+and multisets sharing a sorted prefix share the layers of that prefix.
+The first failing opponent profile in product order is a sorted tuple of
+class representatives, the least lift of its class multiset, so the
+witnesses are those of the full product.  The equal-treatment sweep reads
+its rows from the same source.
 """
 
 from __future__ import annotations
@@ -332,7 +335,8 @@ def _first_witnesses(
     """
     get_mechanism(mechanism)
     _check_budget(market, budget)
-    source = _ClassRows(market, mechanism)
+    source = _class_rows(market)
+    parse = mechanism == "modified"
     m = market.n_types
     tie = (None, None)  # a pair inside one class ties at every multiset
     # (truth's class, candidate's class, the truth's types in the compared prefix) -> found slot
@@ -348,7 +352,7 @@ def _first_witnesses(
     open_pairs = [(t, c, prefix, slot) for (t, c, prefix), slot in slots.items()]
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     for combo, ends in source.walk(market.n_agents - 1) if open_pairs else ():
-        rows = {r: source.row(ends, combo, r) for r in needed}
+        rows = {r: source.row(ends, combo, r, parse) for r in needed}
         closed = False
         for t, c, prefix, slot in open_pairs:
             truth_row, truth_total = rows[t]
@@ -384,30 +388,38 @@ def _first_witnesses(
 
 
 class _ClassRows:
-    """The row of an agent against opponents, in truncation class indices.
+    """A market's class tables: the row of an agent against opponents, in
+    truncation class indices.
 
     Both mechanisms are anonymous and read no reveal below its outside
     option (:func:`~rankmech.mechanisms._truncation_classes`), so an agent's
     row depends only on its reveal's class and the multiset of its
-    opponents' classes.  The dominance walk and the equal-treatment sweep
-    both read rows here.  ``class_of`` maps every order to its class and
-    ``classes`` lists each class's representative, its least order.
+    opponents' classes.  Nothing here depends on the mechanism, so one
+    object serves every sweep and dominance walk on a market
+    (:func:`_class_rows`); whether the crowd-out parse is consulted is the
+    caller's choice, per call of :meth:`row`.  ``class_of`` maps every order
+    to its class, ``classes`` lists each class's representative, its least
+    order, and ``key`` each class's top ranks down to its capacity
+    threshold, which is never below the outside option: two orders are
+    essentially equal exactly when their classes' keys are equal.
 
     A multiset's ``ends`` is the forward layer of the counting pass over it,
     each opponent moving only down to its outside option
     (:func:`_cut_moves`), folded per room mask: in each state the agent's
     best move, and so its rank, depend only on which types have room there,
     so within one room mask only the least prefix rank can be optimal.
-    Under the modified mechanism ``tables`` holds the crowd-out parse over
-    the classes (:class:`~rankmech.mechanisms._PatternTables`).
+    ``tables`` holds the crowd-out parse over the classes
+    (:class:`~rankmech.mechanisms._PatternTables`).  No table refers to the
+    market, so a market keeping them is still freed by reference counting.
     """
 
-    def __init__(self, market: Market, mechanism: str):
-        self.market = market
+    def __init__(self, market: Market):
+        self.n_types = market.n_types
         orders = market.all_orders()
         class_of, representatives = _truncation_classes(market)
         self.class_of = dict(zip(orders, class_of))
         self.classes = [orders[i] for i in representatives]
+        self.key = [order.top(market.capacity_threshold_rank(order)) for order in self.classes]
         self.ranks = [_rank_table(order) for order in self.classes]
         # first_with_room[c][mask]: class c's best type among those whose bit
         # is set; each type, worst first, overwrites the masks holding it
@@ -421,7 +433,7 @@ class _ClassRows:
         self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
         # the room mask of each state met so far; at most prod(q + 1) of them
         self.masks: dict[int, int] = {}
-        self.tables = _PatternTables(market, self.classes) if mechanism == "modified" else None
+        self.tables = _PatternTables(market, self.classes)
 
     def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
         """Every multiset of ``k`` opponent classes, with its ``ends``.
@@ -473,22 +485,27 @@ class _ClassRows:
         return [(cost, count, mask) for mask, (cost, count) in folded.items()]
 
     def row(
-        self, ends: list[tuple[int, int, int]], opponents: Sequence[int], reveal: int
+        self,
+        ends: list[tuple[int, int, int]],
+        opponents: Sequence[int],
+        reveal: int,
+        parse: bool,
     ) -> tuple[list[int], int]:
         """The row of the agent revealing class ``reveal`` against ``opponents``.
 
         ``ends`` must be the ``ends`` of ``opponents``.  The row is integer
-        counts over a total.  When ``(reveal, *opponents)`` parses as the
-        crowd-out pattern it is the override row.  Otherwise it is counted
-        over the number of optimal assignments: in each room mask the
-        agent's best move is its best type with room.
+        counts over a total.  With ``parse`` on (the modified mechanism),
+        when ``(reveal, *opponents)`` parses as the crowd-out pattern it is
+        the override row.  Otherwise it is counted over the number of
+        optimal assignments: in each room mask the agent's best move is its
+        best type with room.
         """
-        if self.tables is not None:
+        if parse:
             profile = (reveal, *opponents)
             pattern = self.tables.parse(profile)
             if pattern is not None:
                 return self.tables.override_row(profile, pattern, 0)
-        m = self.market.n_types
+        m = self.n_types
         rank = self.ranks[reveal]
         first_with_room = self.first_with_room[reveal]
         row = [0] * m
@@ -502,6 +519,16 @@ class _ClassRows:
             if reach == best:
                 row[o] += count
         return row, sum(row)
+
+
+def _class_rows(market: Market) -> _ClassRows:
+    """The class tables of ``market``, built on first use and kept on it.
+
+    Callers check the budget first: building the tables lists every order.
+    """
+    if market._class_rows is None:
+        object.__setattr__(market, "_class_rows", _ClassRows(market))
+    return market._class_rows
 
 
 def _verdict(market: Market, agent: AgentIndex, failure, strict) -> DominanceVerdict:

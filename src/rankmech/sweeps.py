@@ -12,8 +12,11 @@ it is strictly preferred somewhere.  Equal treatment walks multisets of
 truncation classes, each weighted by the number of profiles lifting it,
 with the same argument for its first violation, and weights each given
 profile 1.  The dominance walk and equal treatment read every row from one
-source, ``strategy._ClassRows``.  Every sweep over the whole market checks
-the budget before it lists the market's orders.
+source, the market's class tables (``strategy._class_rows``), built once
+per market and shared by every sweep on it; ``prop2`` tells essentially
+equal orders apart by the tables' class keys.  Every sweep over the whole
+market checks the budget before it lists the market's orders or builds
+its class tables.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
     _check_budget,
+    detect_modified_pattern,
     get_mechanism,
     uniform_mechanism,
 )
 from .strategy import (
     _ClassRows,
+    _class_rows,
     _first_witnesses,
     ods_promoting,
     ods_set,
@@ -118,42 +123,43 @@ def sweep_ete(
 
     Two orders are essentially equal exactly when they share their top ranks
     up to the threshold, which is never below the outside option, so each
-    class is keyed by that prefix once.  Agents in one class get identical
-    rows, so only distinct classes sharing a key are compared, and a profile
-    with no such pair computes no row.  An agent's row is read from
-    :class:`~rankmech.strategy._ClassRows` against the multiset of the other
-    reveals, as in the dominance walk, and each opponent multiset's layer is
-    built once per call.  Rows are compared by cross-multiplying.  Given
-    ``profiles``, each is checked as given, on the classes of its reveals,
-    and against the budget unless it parses as the crowd-out pattern under
-    the modified mechanism.
+    class has one key, read from the market's class tables
+    (:func:`~rankmech.strategy._class_rows`).  Agents in one class get
+    identical rows, so only distinct classes sharing a key are compared, and
+    a profile with no such pair computes no row.  A profile that parses as
+    the crowd-out pattern has no such pair: its competitors share one class
+    and its bystanders another, and no two of the special agent, a
+    competitor and a bystander share a key.  So every row compared is the
+    uniform mechanism's under either mechanism, and no compared row is
+    parsed.  An agent's row is read from the class tables against the
+    multiset of the other reveals, as in the dominance walk, and each
+    opponent multiset's layer is built once per call.  Rows are compared by
+    cross-multiplying.  Given ``profiles``, each is checked as given: a
+    malformed profile fails, a profile that parses as the crowd-out pattern
+    under the modified mechanism passes, and any other is checked against
+    the budget before the class tables are built, then on the classes of
+    its reveals.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
-    if profiles is None:
-        _check_budget(market, budget)
     name = f"ete-{mechanism_name}"
-    source = _ClassRows(market, mechanism_name)
-    classes = source.classes
-    key = [order.top(market.capacity_threshold_rank(order)) for order in classes]
     ends: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
-    def row(profile: tuple[int, ...], agent: AgentIndex) -> tuple[list[int], int]:
-        opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
-        layer = ends.get(opponents)
-        if layer is None:
-            layer = ends[opponents] = source.ends(opponents)
-        return source.row(layer, opponents, profile[agent])
-
-    def violates(profile: tuple[int, ...]) -> bool:
+    def violates(source: _ClassRows, profile: tuple[int, ...]) -> bool:
         """Whether the class profile ``profile`` treats essentially equal reveals unequally."""
         # each key's distinct classes, each with the first agent revealing it
         groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
         for agent, c in enumerate(profile):
-            groups.setdefault(key[c], {}).setdefault(c, agent)
+            groups.setdefault(source.key[c], {}).setdefault(c, agent)
         for group in groups.values():
             if len(group) < 2:
                 continue
-            rows = [row(profile, agent) for agent in group.values()]
+            rows = []
+            for agent in group.values():
+                opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
+                layer = ends.get(opponents)
+                if layer is None:
+                    layer = ends[opponents] = source.ends(opponents)
+                rows.append(source.row(layer, opponents, profile[agent], False))
             counts_a, total_a = rows[0]
             for counts_b, total_b in rows[1:]:
                 if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
@@ -162,13 +168,18 @@ def sweep_ete(
 
     def given(profile: Profile) -> tuple[int, str | None]:
         check_profile(market, profile)
+        if mechanism_name == "modified" and detect_modified_pattern(market, profile) is not None:
+            return 1, None
+        _check_budget(market, budget)
+        source = _class_rows(market)
         reveals = tuple(source.class_of[order] for order in profile.orders)
-        if source.tables is None or source.tables.parse(reveals) is None:
-            _check_budget(market, budget)
-        return 1, _profile_label(market, profile) if violates(reveals) else None
+        return 1, _profile_label(market, profile) if violates(source, reveals) else None
 
     if profiles is not None:
         return _tally(name, map(given, profiles))
+    _check_budget(market, budget)
+    source = _class_rows(market)
+    classes = source.classes
     size = collections.Counter(source.class_of.values())
     n = market.n_agents
 
@@ -177,7 +188,7 @@ def sweep_ete(
         for c, group in itertools.groupby(profile):
             k = len(list(group))
             weight = weight // math.factorial(k) * size[c] ** k
-        if not violates(profile):
+        if not violates(source, profile):
             return weight, None
         return weight, _profile_label(market, Profile(tuple(classes[c] for c in profile)))
 
@@ -266,6 +277,8 @@ def sweep_no_strict_dominance(
     orders = market.all_orders()
     pairs = [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
     found = _first_witnesses(market, mechanism_name, refusal, pairs, budget, decide=True)
+    source = _class_rows(market)  # the walk's tables; their keys decide essential equality
+    key, class_of = source.key, source.class_of
 
     def detail(truth, candidate) -> str | None:
         failure, strict = found[truth, candidate]
@@ -273,7 +286,7 @@ def sweep_no_strict_dominance(
             problem = "strictly dominates"
         elif not dichotomy:
             return None
-        elif market.essentially_equal(truth, candidate):
+        elif key[class_of[truth]] == key[class_of[candidate]]:
             if failure is None and strict is None:
                 return None
             problem = "essentially equal but rows differ somewhere"

@@ -8,9 +8,14 @@ violations (strict demotion gains are a feature, so scanning for
 no-strict-dominance under refusal must find them).
 """
 
+import copy
+import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -309,17 +314,24 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
 
 
 def denial_rows(denial):
-    """The sweep's row source, reading rows from the denial fixture instead.
+    """The market's class tables, reading rows from the denial fixture instead.
 
     The fixture is anonymous, so an agent's row is the row of an agent
-    seated first against the other reveals, as the row source reads the
-    mechanisms' rows; the profile is that of the class representatives."""
+    seated first against the other reveals, as the class tables read the
+    mechanisms' rows; the profile is that of the class representatives.
+    Patched in for ``_class_rows``, the tables are built afresh on every
+    call, keep the market they run the fixture on, and are never kept on
+    the market."""
 
     class DenialRows(strategy._ClassRows):
+        def __init__(self, market):
+            super().__init__(market)
+            self.market = market
+
         def ends(self, opponents):
             return None
 
-        def row(self, ends, opponents, reveal):
+        def row(self, ends, opponents, reveal, parse):
             profile = Profile(tuple(self.classes[c] for c in (reveal, *opponents)))
             row = denial(self.market, profile).row(0)
             total = math.lcm(*(entry.denominator for entry in row))
@@ -342,7 +354,7 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
         null_type=3,
     )
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "_ClassRows", denial_rows(denial))
+    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == sweep_ete(market, "uniform", all_profiles(market))
     assert outcome == SweepOutcome(
@@ -358,7 +370,7 @@ def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
     Rows read against the wrong opponents would flag other profiles too."""
     market = example1_market(second_capacity=2)
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "_ClassRows", denial_rows(denial))
+    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == SweepOutcome(
         "ete-uniform", 24 ** 3, 3, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3) a3=(o1>o2>null>o3)"
@@ -379,7 +391,7 @@ def test_demotion_sweep_details_are_pinned(monkeypatch):
         null_type=2,
     )
     denial = make_denial_mechanism(market, "o1>o2>null", "o1>null>o2", "o1")
-    monkeypatch.setattr(strategy, "_ClassRows", denial_rows(denial))
+    monkeypatch.setattr(strategy, "_class_rows", denial_rows(denial))
     assert sweep_demotion_weak_dominance(market) == SweepOutcome(
         "thm1", 24, 3, "agent=a1 truth=(o1>null>o2) demotion=(o1>o2>null)"
     )
@@ -403,10 +415,10 @@ def test_ete_matches_the_fraction_oracle_on_random_markets(mechanism):
 
 
 def test_ete_budget_applies_to_unpatterned_profiles_only():
-    """A patterned profile under the modified mechanism takes its override
-    rows and never reaches the budget; every other profile is checked against
-    it, even one with no pair of reveals to compare, and a malformed profile
-    fails before the budget is looked at."""
+    """A patterned profile under the modified mechanism never reaches the
+    budget; every other profile is checked against it, even one with no
+    pair of reveals to compare, and a malformed profile fails before the
+    budget is looked at."""
     market = example1_market()
     eager = order_from_names(market, "o1>o2>o3>null")
     patient = order_from_names(market, "o1>o2>null>o3")
@@ -517,7 +529,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
     k = market.n_agents - 1
     rep = oracles.truncation_representatives(market)
     class_of = {r: c for c, r in enumerate(sorted(set(rep)))}
-    source = strategy._ClassRows(market, "uniform")
+    source = strategy._class_rows(market)
     assert [source.class_of[order] for order in orders] == [class_of[r] for r in rep]
     oracle = oracles.PerStateLayers(market, orders)
     walked = list(source.walk(k))
@@ -536,8 +548,8 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
         per_state = oracle.ends(combo)
         for reveal in range(len(orders)):
             expected = oracle.row(per_state, reveal)
-            assert source.row(ends, opponents, class_of[rep[reveal]]) == expected
-            assert source.row(direct, shuffled, class_of[rep[reveal]]) == expected
+            assert source.row(ends, opponents, class_of[rep[reveal]], False) == expected
+            assert source.row(direct, shuffled, class_of[rep[reveal]], False) == expected
     states = math.prod(q + 1 for o, q in enumerate(market.capacities) if o != market.null_type)
     assert len(source.masks) <= states
 
@@ -551,13 +563,13 @@ def test_class_rows_match_the_mechanism_rows(name, mechanism):
     the crowd-out pattern matches, which it does somewhere on every market
     here, and the counted row everywhere else."""
     market = WALK_MARKETS[name]
-    source = strategy._ClassRows(market, mechanism)
+    source = strategy._class_rows(market)
     patterned = 0
     for opponents, ends in source.walk(market.n_agents - 1):
         for reveal in range(len(source.classes)):
             profile = Profile(tuple(source.classes[c] for c in (reveal, *opponents)))
             expected = _integer_rows(market, profile, mechanism, DEFAULT_BUDGET)[0]
-            assert source.row(ends, opponents, reveal) == expected
+            assert source.row(ends, opponents, reveal, mechanism == "modified") == expected
             patterned += all_agents_pattern(market, profile) is not None
     assert patterned > 0
 
@@ -668,3 +680,168 @@ def test_pairs_sharing_a_comparison_match_the_product_oracle(monkeypatch):
         failure, strict = found[truth, candidate]
         assert oracle.failure_witness == (None if failure is None else tuple(zip(others, failure)))
         assert oracle.strict_witness == (None if strict is None else tuple(zip(others, strict)))
+
+
+# Every sweep variant: ete under both mechanisms, no strict dominance under
+# both mechanisms with refusal on and off (prop2 and prop5 among them), prop3,
+# thm1 and thm2.
+ALL_SWEEPS = {
+    **FOUR_AGENT_SWEEPS,
+    "no-strict-dominance-modified": lambda market: sweep_no_strict_dominance(
+        market, "modified", False),
+}
+MODIFIED_SWEEPS = ["ete-modified", "prop5", "no-strict-dominance-modified"]
+
+
+@pytest.mark.parametrize("name", ["3x5", "four"])
+def test_sweeps_sharing_class_tables_match_sweeps_on_fresh_markets(name):
+    """All nine sweeps run on one market object, uniform ones first and then
+    modified ones first, give what each gives on a fresh equal market, so no
+    mechanism leaves state in the tables it shares."""
+    market = SHARING_MARKETS[name]
+    fresh = {prop: sweep(dataclasses.replace(market)) for prop, sweep in ALL_SWEEPS.items()}
+    uniform = [prop for prop in ALL_SWEEPS if prop not in MODIFIED_SWEEPS]
+    assert len(fresh) == 9 and len(uniform) == 6
+    for order in (uniform + MODIFIED_SWEEPS, MODIFIED_SWEEPS + uniform):
+        shared = dataclasses.replace(market)
+        assert {prop: ALL_SWEEPS[prop](shared) for prop in order} == fresh
+
+
+def _spy(monkeypatch, method, seen):
+    """Patch ``strategy._ClassRows.<method>`` to record the tables it is called on."""
+    real = getattr(strategy._ClassRows, method)
+
+    def spied(self, *args):
+        seen.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(strategy._ClassRows, method, spied)
+
+
+def test_sweeps_share_the_class_tables_kept_on_the_market(monkeypatch):
+    """Every sweep on one market reads the one class table object the
+    market keeps, built once; keeping it changes neither ``==``, ``hash``
+    nor ``repr``, and a copied or unpickled market equals the original."""
+    built = []
+    _spy(monkeypatch, "__init__", built)
+    seen = []
+    _spy(monkeypatch, "walk", seen)
+    _spy(monkeypatch, "ends", seen)
+    market = dataclasses.replace(FOUR_AGENTS)
+    before = (hash(market), repr(market))
+    outcomes = [sweep(market) for sweep in ALL_SWEEPS.values()]
+    assert built == [market._class_rows]
+    assert seen and all(table is market._class_rows for table in seen)
+    assert (hash(market), repr(market)) == before
+    assert market == FOUR_AGENTS and hash(market) == hash(FOUR_AGENTS)
+    for copied in (copy.deepcopy(market), pickle.loads(pickle.dumps(market))):
+        assert copied == market and hash(copied) == hash(market)
+        assert repr(copied) == repr(market)
+        assert [sweep(copied) for sweep in ALL_SWEEPS.values()] == outcomes
+
+
+def test_a_swept_market_is_freed_by_reference_counting():
+    """The class tables hold no reference back to their market, so with the
+    cycle collector off a swept market dies with its last reference."""
+    market = dataclasses.replace(FOUR_AGENTS)
+    for sweep in ALL_SWEEPS.values():
+        sweep(market)
+    assert market._class_rows is not None
+    alive = weakref.ref(market)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del market
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_an_over_budget_market_builds_no_class_tables():
+    """Every sweep and ``check_dominance`` fail the budget before the
+    market's orders are listed or its class tables built, and so does the
+    equal-treatment sweep on a given profile.  A given profile that parses
+    as the crowd-out pattern passes under the modified mechanism without
+    them."""
+    market = dataclasses.replace(FOUR_AGENTS)
+    tight = Budget(max_types=3)
+    truth, candidate = market.all_orders()[:2]
+    patterned = Profile(tuple(order_from_names(market, order) for order in (
+        "o1>o2>o3>null", "o1>null>o2>o3", "null>o1>o2>o3", "null>o1>o2>o3")))
+    assert all_agents_pattern(market, patterned) is not None
+    object.__setattr__(market, "_orders", None)
+    assert sweep_ete(market, "modified", [patterned], tight).passed
+    assert market._orders is None and market._class_rows is None
+    calls = [
+        lambda: sweep_ete(market, "uniform", [patterned], tight),
+        lambda: sweep_ete(market, "modified", [patterned, Profile((truth,) * 4)], tight),
+        lambda: strategy.check_dominance(
+            strategy.DominanceQuery(market, 0, truth, candidate), tight),
+        lambda: sweep_ete(market, "uniform", budget=tight),
+        lambda: sweep_ete(market, "modified", budget=tight),
+        lambda: sweep_no_strict_dominance(market, "uniform", False, tight, dichotomy=True),
+        lambda: sweep_no_strict_dominance(market, "uniform", True, tight),
+        lambda: sweep_no_strict_dominance(market, "modified", False, tight),
+        lambda: sweep_no_strict_dominance(market, "modified", True, tight),
+        lambda: sweep_demotion_waste(market, tight),
+        lambda: sweep_demotion_weak_dominance(market, tight),
+        lambda: sweep_demotion_strict_gain(market, tight),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetError):
+            call()
+        assert market._orders is None and market._class_rows is None
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MARKETS))
+def test_class_keys_decide_essential_equality(name):
+    """Two orders' classes have equal keys exactly when the orders are
+    essentially equal, for every ordered pair of orders."""
+    market = WALK_MARKETS[name]
+    source = strategy._class_rows(market)
+    orders = market.all_orders()
+    for first, second in itertools.product(orders, repeat=2):
+        same_key = source.key[source.class_of[first]] == source.key[source.class_of[second]]
+        assert same_key == market.essentially_equal(first, second)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MARKETS))
+def test_a_patterned_profile_has_no_essentially_equal_reveals_of_two_classes(name):
+    """On every multiset of class representatives that parses as the
+    crowd-out pattern, with every agent tried as the special agent, two
+    reveals of distinct truncation classes are never essentially equal, so
+    the equal-treatment sweep compares no row there.  Every market here has
+    patterned multisets."""
+    market = WALK_MARKETS[name]
+    representatives = sorted(set(oracles.truncation_representatives(market)))
+    orders = market.all_orders()
+    patterned = 0
+    for combo in itertools.combinations_with_replacement(representatives, market.n_agents):
+        profile = Profile(tuple(orders[i] for i in combo))
+        if all_agents_pattern(market, profile) is None:
+            continue
+        patterned += 1
+        for a, b in itertools.combinations(range(market.n_agents), 2):
+            if combo[a] != combo[b]:
+                assert not market.essentially_equal(profile[a], profile[b])
+    assert patterned > 0
+
+
+def test_ete_reads_no_row_of_a_patterned_profile(monkeypatch):
+    """Under the modified mechanism a given patterned profile builds no
+    layer and reads no row, while the same reveals on a market where they
+    do not parse, and where the eager and patient reveals are essentially
+    equal, read both."""
+    seen = []
+    _spy(monkeypatch, "ends", seen)
+    _spy(monkeypatch, "row", seen)
+    for market, reads in ((example1_market(), False), (example1_market(2), True)):
+        eager = order_from_names(market, "o1>o2>o3>null")
+        patient = order_from_names(market, "o1>o2>null>o3")
+        profile = Profile((eager, patient, patient))
+        assert (all_agents_pattern(market, profile) is not None) is not reads
+        assert market.essentially_equal(eager, patient) is reads
+        seen.clear()
+        assert sweep_ete(market, "modified", [profile]).passed
+        assert bool(seen) is reads
