@@ -1,5 +1,8 @@
 """Command-line interface.
 
+``rankmech sweep`` offers the tokens of ``sweeps.SWEEPS`` and runs the
+chosen one's sweep from that table.
+
 Exit codes: 0 success, 1 a checked property or reproduction failed,
 2 usage or spec-file errors, 3 enumeration budget exceeded.
 """
@@ -28,13 +31,7 @@ from .strategy import (
     ods_set,
     refusal_transform,
 )
-from .sweeps import (
-    sweep_demotion_strict_gain,
-    sweep_demotion_waste,
-    sweep_demotion_weak_dominance,
-    sweep_ete,
-    sweep_no_strict_dominance,
-)
+from .sweeps import SWEEPS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="test every outside-option demotion of the truth")
 
     sweep = sub.add_parser("sweep", help="exhaustively check a named property")
-    sweep.add_argument("property",
-                       choices=["ete-fU", "ete-fM", "prop2", "prop5",
-                                "thm1", "thm2", "prop3"],
+    sweep.add_argument("property", choices=list(SWEEPS),
                        help="property to check over the market")
     _common_flags(sweep, mechanism=False, refusal=False, csv=False)
 
@@ -242,18 +237,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     market, _ = _load(args.spec)
-    budget = _budget(args)
-    runners = {
-        "ete-fU": lambda: sweep_ete(market, "uniform", None, budget),
-        "ete-fM": lambda: sweep_ete(market, "modified", None, budget),
-        "prop2": lambda: sweep_no_strict_dominance(
-            market, "uniform", False, budget, dichotomy=True),
-        "prop5": lambda: sweep_no_strict_dominance(market, "modified", True, budget),
-        "thm1": lambda: sweep_demotion_weak_dominance(market, budget),
-        "thm2": lambda: sweep_demotion_strict_gain(market, budget),
-        "prop3": lambda: sweep_demotion_waste(market, budget),
-    }
-    outcome = runners[args.property]()
+    outcome = SWEEPS[args.property](market, _budget(args))
     print(f"property: {args.property}")
     print(f"checked: {outcome.checked}")
     print(f"violations: {outcome.violations}")

@@ -29,7 +29,6 @@ from .strategy import (
     ods_promoting,
     ods_set,
     refusal_transform,
-    refuse_row,
     strict_gain_pairs,
 )
 
@@ -268,30 +267,19 @@ def _example3_checks(check, check_equal) -> None:
         f"verdict: weak={verdict.weakly_dominates} strict={verdict.strictly_dominates}",
     )
 
-    identical = True
-    witness = ""
-    for p2 in market.all_orders():
-        for p3 in market.all_orders():
-            row_keep = refuse_row(
-                market,
-                uniform_mechanism(market, Profile((keep, p2, p3))).row(0),
-                truth,
-            )
-            row_truth = refuse_row(
-                market,
-                uniform_mechanism(market, Profile((truth, p2, p3))).row(0),
-                truth,
-            )
-            if row_keep != row_truth:
-                identical = False
-                witness = f"differs at opponents ({p2.ranking}, {p3.ranking})"
-                break
-        if not identical:
-            break
+    # Refused rows carry no mass below the outside option, so they agree on
+    # every opponent profile exactly when no cumulative gap above it opens.
+    verdict = check_dominance(
+        DominanceQuery(market, 0, truth, keep, mechanism="uniform", refusal=True)
+    )
+    witness = verdict.failure_witness or verdict.strict_witness
+    detail = ""
+    if witness is not None:
+        detail = f"differs at opponents {tuple(order.ranking for _, order in witness)}"
     check(
         "ex3 full extension matches the truth row on all 576 opponent profiles",
-        identical,
-        witness,
+        witness is None,
+        detail,
     )
 
 

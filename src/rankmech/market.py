@@ -125,11 +125,6 @@ class Market:
                 f"order ranks {len(order)} types but the market has {self.n_types}"
             )
 
-    def is_acceptable(self, order: PreferenceOrder, o: TypeIndex) -> bool:
-        """True when ``o`` is ranked strictly above the outside option."""
-        self.check_order(order)
-        return order.rank(o) < order.rank(self.null_type)
-
     def capacity_threshold_rank(self, order: PreferenceOrder) -> int:
         """Least rank k whose top-k types can absorb every agent.
 

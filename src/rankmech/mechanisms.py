@@ -12,12 +12,13 @@ patterned agent its first best.  Both treat agents with essentially equal
 revealed orders identically and compute their rows as integer counts over
 a total in one core, ``_integer_rows``; the public functions validate them
 once and wrap them as an ``Assignment``.  ``enumerate_rank_minimizers``
-lists the set itself, for the tests.  The dominance checker and the
-equal-treatment sweep read rows from one source in ``strategy``, which runs
-the forward pass over an agent's opponents only and works in truncation
-classes of orders (``_truncation_classes``).  The crowd-out parse has one
-implementation, ``_PatternTables``: the mechanisms build its tables from a
-profile's own orders, the row source from the class representatives.
+lists the set itself; the tests, the denial fixture of ``examples`` and the
+bench tracer read it.  The dominance checker and the equal-treatment sweep
+read rows from one source in ``strategy``, which runs the forward pass over
+an agent's opponents only and works in truncation classes of orders
+(``_truncation_classes``).  The crowd-out parse has one implementation,
+``_PatternTables``: the mechanisms build its tables from a profile's own
+orders, the row source from the class representatives.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ appear in any order; types are resolved in a first pass.
 
 from __future__ import annotations
 
-from .errors import MarketSpecError
-from .market import Market, PreferenceOrder, Profile
+from .errors import DomainError, MarketSpecError
+from .market import Market, PreferenceOrder, Profile, check_profile
 
 # Diagnostic codes, stable across releases:
 #   E_SYNTAX             malformed declaration
@@ -160,7 +160,18 @@ def _parse_type_line(lineno, tokens, type_names, capacities, type_lines):
 
 
 def render_market_spec(market: Market, profile: Profile) -> str:
-    """Render a market and profile back to spec text; parses to equal objects."""
+    """Render a market and profile back to spec text that parses to equal objects.
+
+    A name the format cannot carry raises ``DomainError``: an empty one, one
+    containing whitespace or ``#``, or a type name containing ``>``.  So does
+    a profile without one well-formed order per agent.
+    """
+    check_profile(market, profile)
+    for kind, names, banned in (("type", market.type_names, "#>"),
+                                ("agent", market.agent_names, "#")):
+        for name in names:
+            if not name or any(c.isspace() or c in banned for c in name):
+                raise DomainError(f"{kind} name {name!r} cannot be written to a market file")
     lines = []
     for o, name in enumerate(market.type_names):
         marker = " null" if o == market.null_type else ""

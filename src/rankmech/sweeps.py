@@ -16,7 +16,8 @@ source, the market's class tables (``strategy._class_rows``), built once
 per market and shared by every sweep on it; ``prop2`` tells essentially
 equal orders apart by the tables' class keys.  Every sweep over the whole
 market checks the budget before it lists the market's orders or builds
-its class tables.
+its class tables.  ``SWEEPS`` maps each ``rankmech sweep`` token to its
+sweep and arguments; each entry looks its sweep up by name when called.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .assignment import is_wasteful
 from .market import (
@@ -303,3 +304,16 @@ def sweep_no_strict_dominance(
     if mechanism_name == "modified" and refusal:
         name = "prop5"
     return _tally(name, ((market.n_agents, detail(*pair)) for pair in pairs))
+
+
+SWEEPS: dict[str, Callable[[Market, Budget], SweepOutcome]] = {
+    "ete-fU": lambda market, budget: sweep_ete(market, "uniform", budget=budget),
+    "ete-fM": lambda market, budget: sweep_ete(market, "modified", budget=budget),
+    "prop2": lambda market, budget: sweep_no_strict_dominance(
+        market, "uniform", False, budget, dichotomy=True),
+    "prop5": lambda market, budget: sweep_no_strict_dominance(market, "modified", True, budget),
+    "thm1": lambda market, budget: sweep_demotion_weak_dominance(market, budget),
+    "thm2": lambda market, budget: sweep_demotion_strict_gain(market, budget),
+    "prop3": lambda market, budget: sweep_demotion_waste(market, budget),
+}
+"""Every claim ``rankmech sweep`` checks, by token."""

@@ -7,6 +7,7 @@ import pytest
 
 from rankmech.cli import main
 from rankmech.examples import EXAMPLE2_SPEC
+from rankmech.sweeps import SWEEPS
 
 WIDE_SPEC = """\
 type o1 capacity 1
@@ -163,7 +164,7 @@ def test_dominance_output_is_pinned(tmp_path, capsys, spec, argv, expected):
 
 
 def test_sweep_tokens_pass_on_bundled_market(spec_path, capsys):
-    for token in ["ete-fU", "ete-fM", "thm1", "thm2", "prop3"]:
+    for token in SWEEPS:
         assert main(["sweep", token, "--spec", spec_path]) == 0, token
         out = capsys.readouterr().out
         assert "result: pass" in out
@@ -177,15 +178,23 @@ def test_sweep_prop2_and_prop5(spec_path, capsys):
     assert "checked: 90" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("prop, checked", [
-    ("prop2", 42840),
-    ("prop5", 42840),
-    ("ete-fM", 1728000),
-    ("ete-fU", 1728000),
-    ("thm1", 2448),
-    ("thm2", 216),
-    ("prop3", 216),
-])
+# The units each token checks on tests/data/market_3x5.txt.
+CHECKED_3X5 = {
+    "ete-fU": 1728000,
+    "ete-fM": 1728000,
+    "prop2": 42840,
+    "prop5": 42840,
+    "thm1": 2448,
+    "thm2": 216,
+    "prop3": 216,
+}
+
+
+def test_the_3x5_pins_cover_every_sweep_token():
+    assert list(CHECKED_3X5) == list(SWEEPS)
+
+
+@pytest.mark.parametrize("prop, checked", CHECKED_3X5.items())
 def test_sweep_prop2_on_the_committed_3x5_market(capsys, prop, checked):
     """Four one-seat types and an outside option: most reveals rank the
     outside option mid-order, so the walk runs on cut moves throughout, and
@@ -226,10 +235,7 @@ def test_dominance_on_the_committed_3x5_market_is_pinned(capsys):
     )
 
 
-SWEEP_TOKENS = ["ete-fU", "ete-fM", "prop2", "prop5", "thm1", "thm2", "prop3"]
-
-
-@pytest.mark.parametrize("prop", SWEEP_TOKENS)
+@pytest.mark.parametrize("prop", SWEEPS)
 def test_sweep_checks_the_budget_before_listing_orders(tmp_path, capsys, prop):
     """Two agents and seven types exceed the six-type limit.  Every sweep
     fails with exit 3 before it lists the 5,040 orders, even one with no

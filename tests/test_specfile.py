@@ -2,7 +2,15 @@
 
 import pytest
 
-from rankmech import MarketSpecError, parse_market_spec, render_market_spec
+from rankmech import (
+    DomainError,
+    Market,
+    MarketSpecError,
+    PreferenceOrder,
+    Profile,
+    parse_market_spec,
+    render_market_spec,
+)
 from rankmech.examples import EXAMPLE2_SPEC
 
 
@@ -59,6 +67,53 @@ def test_names_containing_prefers_round_trip():
     assert profile[0].ranking == (0, 1, 2)
     assert profile[1].ranking == (1, 2, 0)
     assert render_market_spec(market, profile) == text
+    assert parse_market_spec(render_market_spec(market, profile)) == (market, profile)
+
+
+def _named_market(type_name, agent_name):
+    market = Market(
+        agent_names=(agent_name, "a2"),
+        type_names=(type_name, "o2", "null"),
+        capacities=(1, 1, 2),
+        null_type=2,
+    )
+    return market, Profile((PreferenceOrder((0, 2, 1)), PreferenceOrder((1, 0, 2))))
+
+
+@pytest.mark.parametrize("type_name, agent_name, bad", [
+    ("o#1", "a1", "type name 'o#1'"),
+    ("o 1", "a1", "type name 'o 1'"),
+    ("a>b", "a1", "type name 'a>b'"),
+    ("", "a1", "type name ''"),
+    ("o1", "", "agent name ''"),
+    ("o1", "a\t1", "agent name 'a\\t1'"),
+    ("o1", "a#1", "agent name 'a#1'"),
+    ("o 1", "a 1", "type name 'o 1'"),
+])
+def test_render_rejects_names_the_format_cannot_carry(type_name, agent_name, bad):
+    """Each of these names would re-parse as an error or as another market;
+    the first one in rendering order is named."""
+    market, profile = _named_market(type_name, agent_name)
+    with pytest.raises(DomainError) as info:
+        render_market_spec(market, profile)
+    assert str(info.value) == f"{bad} cannot be written to a market file"
+
+
+@pytest.mark.parametrize("orders", [
+    ((0, 2, 1),),
+    ((0, 2, 1), (1, 0, 2), (0, 1, 2)),
+    ((0, 1), (1, 0, 2)),
+])
+def test_render_rejects_a_profile_the_market_cannot_hold(orders):
+    """Too few or too many orders, or an order of the wrong length, would
+    render text that re-parses as an error or as another profile."""
+    market, _ = _named_market("o1", "a1")
+    with pytest.raises(DomainError):
+        render_market_spec(market, Profile(tuple(map(PreferenceOrder, orders))))
+
+
+def test_agent_names_containing_the_ranking_separator_round_trip():
+    market, profile = _named_market("o1", "a>1")
     assert parse_market_spec(render_market_spec(market, profile)) == (market, profile)
 
 

@@ -10,6 +10,7 @@ no-strict-dominance under refusal must find them).
 
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -26,12 +27,14 @@ from rankmech import (
     DomainError,
     Market,
     Profile,
+    mechanisms,
     order_from_names,
     order_to_names,
     strategy,
     sweeps,
 )
 from rankmech.sweeps import (
+    SWEEPS,
     SweepOutcome,
     sweep_demotion_strict_gain,
     sweep_demotion_waste,
@@ -177,15 +180,57 @@ def test_demotion_waste_matches_the_all_agents_loop(name):
     assert sweep_demotion_waste(market) == oracles.all_agents_sweep_demotion_waste(market)
 
 
+# Each token's sweep and its arguments past the market, as the README names them.
+TOKEN_CALLS = {
+    "ete-fU": ("sweep_ete", ("uniform",), {}),
+    "ete-fM": ("sweep_ete", ("modified",), {}),
+    "prop2": ("sweep_no_strict_dominance", ("uniform", False), {"dichotomy": True}),
+    "prop5": ("sweep_no_strict_dominance", ("modified", True), {}),
+    "thm1": ("sweep_demotion_weak_dominance", (), {}),
+    "thm2": ("sweep_demotion_strict_gain", (), {}),
+    "prop3": ("sweep_demotion_waste", (), {}),
+}
+
+
+@pytest.mark.parametrize("token", list(TOKEN_CALLS))
+def test_each_token_runs_its_sweep_by_module_name(monkeypatch, token):
+    """On every bundled market a ``SWEEPS`` entry gives what the direct call
+    of its sweep gives, and it raises the budget error of a budget it is
+    handed.  It looks the sweep up on the module when called, so a wrapper
+    set there sees every call."""
+    assert list(SWEEPS) == list(TOKEN_CALLS)
+    name, args, kwargs = TOKEN_CALLS[token]
+    direct = getattr(sweeps, name)
+    seen = []
+
+    def wrapped(market, *rest, **options):
+        seen.append(market)
+        return direct(market, *rest, **options)
+
+    monkeypatch.setattr(sweeps, name, wrapped)
+    markets = [example1_market(), example1_market(2), example2_market(),
+               example3_market(), example4_market()]
+    for market in markets:
+        assert SWEEPS[token](market, DEFAULT_BUDGET) == direct(market, *args, **kwargs)
+        with pytest.raises(BudgetError):
+            SWEEPS[token](market, Budget(max_agents=market.n_agents - 1))
+    assert seen == [market for market in markets for _ in range(2)]
+
+
+def _claim(token):
+    """The sweep ``rankmech sweep <token>`` runs, at the default budget."""
+    return lambda market: SWEEPS[token](market, DEFAULT_BUDGET)
+
+
 # Keyed by outcome name; the uniform scan with refusal has violations, so it
 # also pins the order in which they are found.
 DOMINANCE_SWEEPS = {
-    "prop2": lambda market: sweep_no_strict_dominance(market, "uniform", False, dichotomy=True),
-    "prop5": lambda market: sweep_no_strict_dominance(market, "modified", True),
+    "prop2": _claim("prop2"),
+    "prop5": _claim("prop5"),
     "no-strict-dominance-uniform": lambda market: sweep_no_strict_dominance(
         market, "uniform", True),
-    "thm1": sweep_demotion_weak_dominance,
-    "thm2": sweep_demotion_strict_gain,
+    "thm1": _claim("thm1"),
+    "thm2": _claim("thm2"),
 }
 
 
@@ -455,9 +500,9 @@ def test_ete_budget_applies_with_nothing_to_compare(mechanism):
 
 FOUR_AGENT_SWEEPS = {
     **DOMINANCE_SWEEPS,
-    "prop3": sweep_demotion_waste,
-    "ete-uniform": lambda market: sweep_ete(market, "uniform"),
-    "ete-modified": lambda market: sweep_ete(market, "modified"),
+    "prop3": _claim("prop3"),
+    "ete-uniform": _claim("ete-fU"),
+    "ete-modified": _claim("ete-fM"),
 }
 
 
@@ -778,15 +823,9 @@ def test_an_over_budget_market_builds_no_class_tables():
         lambda: sweep_ete(market, "modified", [patterned, Profile((truth,) * 4)], tight),
         lambda: strategy.check_dominance(
             strategy.DominanceQuery(market, 0, truth, candidate), tight),
-        lambda: sweep_ete(market, "uniform", budget=tight),
-        lambda: sweep_ete(market, "modified", budget=tight),
-        lambda: sweep_no_strict_dominance(market, "uniform", False, tight, dichotomy=True),
         lambda: sweep_no_strict_dominance(market, "uniform", True, tight),
         lambda: sweep_no_strict_dominance(market, "modified", False, tight),
-        lambda: sweep_no_strict_dominance(market, "modified", True, tight),
-        lambda: sweep_demotion_waste(market, tight),
-        lambda: sweep_demotion_weak_dominance(market, tight),
-        lambda: sweep_demotion_strict_gain(market, tight),
+        *(functools.partial(sweep, market, tight) for sweep in SWEEPS.values()),
     ]
     for call in calls:
         with pytest.raises(BudgetError):
@@ -845,3 +884,22 @@ def test_ete_reads_no_row_of_a_patterned_profile(monkeypatch):
         seen.clear()
         assert sweep_ete(market, "modified", [profile]).passed
         assert bool(seen) is reads
+
+
+ETE_MARKETS = {**WALK_MARKETS, **SHARING_MARKETS}
+
+
+@pytest.mark.parametrize("name", sorted(ETE_MARKETS))
+def test_whole_market_ete_does_not_depend_on_the_mechanism(monkeypatch, name):
+    """Over the whole market, equal treatment under the modified mechanism
+    gives the uniform outcome under its own name, and never parses a
+    profile for the crowd-out pattern: a patterned profile compares no row."""
+    market = ETE_MARKETS[name]
+    uniform = sweep_ete(dataclasses.replace(market), "uniform")
+
+    def parse(self, profile):
+        raise AssertionError("parsed a profile for the crowd-out pattern")
+
+    monkeypatch.setattr(mechanisms._PatternTables, "parse", parse)
+    modified = sweep_ete(dataclasses.replace(market), "modified")
+    assert modified == dataclasses.replace(uniform, name="ete-modified")
