@@ -56,7 +56,6 @@ from .strategy import (
     ods_promoting,
     ods_set,
     refusal_transform,
-    refuse_row,
     strict_gain_pairs,
 )
 from .sweeps import (
@@ -109,7 +108,6 @@ __all__ = [
     "parse_market_spec",
     "rank_value",
     "refusal_transform",
-    "refuse_row",
     "render_market_spec",
     "render_matrix",
     "strict_gain_pairs",

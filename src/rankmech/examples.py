@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .assignment import Assignment, build_assignment, wastefulness_witness
+from .assignment import Assignment, build_assignment, rank_value, wastefulness_witness
+from .errors import DomainError
 from .market import Market, Profile, order_from_names
 from .mechanisms import (
     MechanismFn,
+    _count_rows,
+    _rank_table,
+    _to_assignment,
     check_ete,
     detect_modified_pattern,
-    enumerate_rank_minimizers,
     modified_mechanism,
     uniform_mechanism,
 )
@@ -93,30 +96,35 @@ def make_denial_mechanism(
     keep the trigger agent off ``denied``.  Elsewhere fall back to the
     uniform mechanism.  Deliberately biased; used to demonstrate what the
     equal-treatment checker flags.
+
+    The assignments are counted: the trigger agent ranks ``denied`` below
+    its outside option, where the counting pass never seats it.  Where that
+    raises the optimum, no rank-minimizing assignment keeps the agent off
+    ``denied``, and the fixture raises ``DomainError``; so it does for a
+    null ``denied``, since the null type always has room.
     """
     trigger_order = order_from_names(market, trigger)
     filler_order = order_from_names(market, filler)
     denied_type = market.type_index(denied)
+    if denied_type == market.null_type:
+        raise DomainError("the denial fixture cannot deny the null type")
 
     def mechanism(mkt: Market, profile: Profile, *args) -> Assignment:
         triggered = [a for a in range(mkt.n_agents) if profile[a] == trigger_order]
         rest_fill = all(
             profile[a] == filler_order for a in range(mkt.n_agents) if profile[a] != trigger_order
         )
+        fair = uniform_mechanism(mkt, profile)
         if len(triggered) != 1 or not rest_fill:
-            return uniform_mechanism(mkt, profile)
-        special = triggered[0]
-        members = [
-            det
-            for det in enumerate_rank_minimizers(mkt, profile).members
-            if det.choices[special] != denied_type
-        ]
-        rows = [[Fraction(0)] * mkt.n_types for _ in range(mkt.n_agents)]
-        share = Fraction(1, len(members))
-        for det in members:
-            for a, o in enumerate(det.choices):
-                rows[a][o] += share
-        return build_assignment(mkt, rows)
+            return fair
+        ranks = [_rank_table(order) for order in profile.orders]
+        ranks[triggered[0]][denied_type] = mkt.n_types + 1
+        kept_off = _to_assignment(mkt, _count_rows(mkt, ranks))
+        if rank_value(kept_off, profile) > rank_value(fair, profile):
+            raise DomainError(
+                f"no rank-minimizing assignment keeps the {trigger} agent off {denied}"
+            )
+        return kept_off
 
     return mechanism
 

@@ -10,15 +10,18 @@ tries those moves.  The modified mechanism coincides with the uniform one
 except on profiles matching a narrow crowd-out pattern, where it denies the
 patterned agent its first best.  Both treat agents with essentially equal
 revealed orders identically and compute their rows as integer counts over
-a total in one core, ``_integer_rows``; the public functions validate them
-once and wrap them as an ``Assignment``.  ``enumerate_rank_minimizers``
-lists the set itself; the tests, the denial fixture of ``examples`` and the
-bench tracer read it.  The dominance checker and the equal-treatment sweep
-read rows from one source in ``strategy``, which runs the forward pass over
-an agent's opponents only and works in truncation classes of orders
-(``_truncation_classes``).  The crowd-out parse has one implementation,
-``_PatternTables``: the mechanisms build its tables from a profile's own
-orders, the row source from the class representatives.
+a total in one core, ``_integer_rows``, whose uniform rows come from the
+one counting pass, ``_count_rows`` (the denial fixture of ``examples`` runs
+it too); the public functions validate them once and wrap them as an
+``Assignment``.  ``enumerate_rank_minimizers`` lists the set itself.
+Nothing in the package calls it: it stays defined and exported because the
+bench tracer binds it for its ``mechanisms.solve_*`` metrics and the tests
+check the count against it.  The dominance checker and the equal-treatment
+sweep read rows from one source in ``strategy``, which runs the forward
+pass over an agent's opponents only and works in truncation classes of
+orders (``_truncation_classes``).  The crowd-out parse has one
+implementation, ``_PatternTables``: the mechanisms build its tables from a
+profile's own orders, the row source from the class representatives.
 """
 
 from __future__ import annotations
@@ -199,20 +202,8 @@ def _integer_rows(
 
     ``profile`` must already be known to be well formed.  Under
     ``"modified"`` a patterned profile gets the override rows, without a
-    budget check; every other profile gets the uniform rows.
-
-    The uniform rows come from a counting forward-backward pass over agents
-    in index order.  A state is the remaining capacity of every non-null
-    type, packed into one int in mixed radix (the null type always has
-    room, so it is no digit), and each agent moves only down to its outside
-    option (:func:`_cut_moves`).  The forward pass gives each state its
-    least prefix rank and how many prefixes reach it.  The backward pass
-    starts from the final states at the optimum, one completion each, and
-    steps back only along tight moves, where the prefix rank plus the
-    move's rank is the next state's prefix rank; it counts the optimal
-    completions of each state it reaches.  So ``row[a][o]`` sums prefix
-    count times completion count over agent ``a``'s tight moves to ``o``,
-    over the number of optimal assignments.
+    budget check; every other profile is checked against the budget and
+    gets the uniform rows of :func:`_count_rows`.
     """
     if mechanism == "modified":
         tables = _PatternTables(market, profile.orders)
@@ -221,8 +212,28 @@ def _integer_rows(
         if pattern is not None:
             return [tables.override_row(agents, pattern, a) for a in agents]
     _check_budget(market, budget)
+    return _count_rows(market, [_rank_table(order) for order in profile.orders])
+
+
+def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int], int]]:
+    """Every agent's uniform row as integer counts over a total, from the
+    agents' rank tables (:func:`_rank_table`).
+
+    A counting forward-backward pass over agents in index order.  A state
+    is the remaining capacity of every non-null type, packed into one int
+    in mixed radix (the null type always has room, so it is no digit), and
+    each agent moves only down to its outside option (:func:`_cut_moves`).
+    The forward pass gives each state its least prefix rank and how many
+    prefixes reach it.  The backward pass starts from the final states at
+    the optimum, one completion each, and steps back only along tight
+    moves, where the prefix rank plus the move's rank is the next state's
+    prefix rank; it counts the optimal completions of each state it
+    reaches.  So ``row[a][o]`` sums prefix count times completion count
+    over agent ``a``'s tight moves to ``o``, over the number of optimal
+    assignments.
+    """
     start, moves = _moves(market)
-    cuts = [_cut_moves(moves, _rank_table(order), market.null_type) for order in profile.orders]
+    cuts = [_cut_moves(moves, rank, market.null_type) for rank in ranks]
     forward = [{start: (0, 1)}]
     for cut in cuts:
         forward.append(_forward_step(forward[-1], cut))

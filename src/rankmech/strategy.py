@@ -13,24 +13,23 @@ opponents' classes: one forward layer of the uniform mechanism's counting
 pass over the opponents, or under the modified mechanism the override row
 where the profile parses as the crowd-out pattern.  The tables do not
 depend on the mechanism, so :func:`_class_rows` builds them once per
-market, after the caller's budget check, and keeps them on the market for
-every later sweep and walk.  The dominance walk seats the queried agent
-last and visits each multiset of opponent classes once, in sorted order,
-and multisets sharing a sorted prefix share the layers of that prefix.
-The first failing opponent profile in product order is a sorted tuple of
-class representatives, the least lift of its class multiset, so the
-witnesses are those of the full product.  The equal-treatment sweep reads
-its rows from the same source.
+market, after its budget check, and keeps them on the market for every
+later sweep and walk; the sweeps read the market's orders from them.  The
+dominance walk seats the queried agent last and visits each multiset of
+opponent classes once, in sorted order, and multisets sharing a sorted
+prefix share the layers of that prefix.  The first failing opponent
+profile in product order is a sorted tuple of class representatives, the
+least lift of its class multiset, so the witnesses are those of the full
+product.  The equal-treatment sweep reads its rows from the same source.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .assignment import Assignment, ZERO, _checked, _scaled
+from .assignment import Assignment, _checked, _scaled
 from .errors import BudgetError, DomainError
 from .market import (
     AgentIndex,
@@ -56,33 +55,13 @@ from .mechanisms import (
 OpponentProfile = tuple[tuple[AgentIndex, PreferenceOrder], ...]
 
 
-def refuse_row(
-    market: Market, row: tuple[Fraction, ...], truth: PreferenceOrder
-) -> tuple[Fraction, ...]:
-    """One agent's row after refusing everything truly unacceptable.
-
-    Probability on types ranked at or below the true outside option moves to
-    the outside option; acceptable entries are untouched.
-    """
-    market.check_order(truth)
-    out = list(row)
-    for o in _refused(market, truth):
-        out[market.null_type] += out[o]
-        out[o] = ZERO
-    return tuple(out)
-
-
-def _refused(market: Market, truth: PreferenceOrder) -> tuple[TypeIndex, ...]:
-    """The types ``truth`` ranks below the outside option, which refusal empties."""
-    return truth.ranking[truth.rank(market.null_type):]
-
-
 def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignment:
-    """Apply :func:`refuse_row` to every agent under its true order.
+    """Every agent refuses what its true order ranks below the outside option.
 
-    The refusal moves counts within each row of ``x``'s integer form (a bare
-    ``Assignment`` is validated first), and the refused matrix is validated
-    once over the same denominator.
+    Each refused type's count moves onto the outside option; acceptable
+    entries are untouched.  The refusal moves counts within each row of
+    ``x``'s integer form (a bare ``Assignment`` is validated first), and the
+    refused matrix is validated once over the same denominator.
     """
     check_profile(market, truths)
     if len(x.rows) != market.n_agents:
@@ -92,19 +71,20 @@ def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignm
     rows = []
     for row, truth in zip(counts, truths):
         row = list(row)
-        for o in _refused(market, truth):
+        for o in _acceptable_block(market, truth)[1]:
             row[null] += row[o]
             row[o] = 0
         rows.append(row)
     return _checked(market, denominator, rows)
 
 
-def _acceptable_block(market: Market, truth: PreferenceOrder) -> tuple[list[TypeIndex], list[TypeIndex]]:
+def _acceptable_block(
+    market: Market, truth: PreferenceOrder
+) -> tuple[tuple[TypeIndex, ...], tuple[TypeIndex, ...]]:
+    """The types ``truth`` ranks above and below the outside option, in its order."""
     market.check_order(truth)
-    null_rank = truth.rank(market.null_type)
-    acceptable = [o for o in truth.ranking if truth.rank(o) < null_rank]
-    unacceptable = [o for o in truth.ranking if o != market.null_type and truth.rank(o) > null_rank]
-    return acceptable, unacceptable
+    k = truth.rank(market.null_type)
+    return truth.ranking[: k - 1], truth.ranking[k:]
 
 
 def ods_set(market: Market, truth: PreferenceOrder) -> tuple[PreferenceOrder, ...]:
@@ -334,8 +314,7 @@ def _first_witnesses(
     strict witness found before its failure.
     """
     get_mechanism(mechanism)
-    _check_budget(market, budget)
-    source = _class_rows(market)
+    source = _class_rows(market, budget)
     parse = mechanism == "modified"
     m = market.n_types
     tie = (None, None)  # a pair inside one class ties at every multiset
@@ -397,11 +376,12 @@ class _ClassRows:
     opponents' classes.  Nothing here depends on the mechanism, so one
     object serves every sweep and dominance walk on a market
     (:func:`_class_rows`); whether the crowd-out parse is consulted is the
-    caller's choice, per call of :meth:`row`.  ``class_of`` maps every order
-    to its class, ``classes`` lists each class's representative, its least
-    order, and ``key`` each class's top ranks down to its capacity
-    threshold, which is never below the outside option: two orders are
-    essentially equal exactly when their classes' keys are equal.
+    caller's choice, per call of :meth:`row`.  ``orders`` is
+    ``market.all_orders()``, ``class_of`` maps every order to its class,
+    ``classes`` lists each class's representative, its least order, and
+    ``key`` each class's top ranks down to its capacity threshold, which is
+    never below the outside option: two orders are essentially equal
+    exactly when their classes' keys are equal.
 
     A multiset's ``ends`` is the forward layer of the counting pass over it,
     each opponent moving only down to its outside option
@@ -415,7 +395,7 @@ class _ClassRows:
 
     def __init__(self, market: Market):
         self.n_types = market.n_types
-        orders = market.all_orders()
+        self.orders = orders = market.all_orders()
         class_of, representatives = _truncation_classes(market)
         self.class_of = dict(zip(orders, class_of))
         self.classes = [orders[i] for i in representatives]
@@ -521,11 +501,13 @@ class _ClassRows:
         return row, sum(row)
 
 
-def _class_rows(market: Market) -> _ClassRows:
+def _class_rows(market: Market, budget: Budget) -> _ClassRows:
     """The class tables of ``market``, built on first use and kept on it.
 
-    Callers check the budget first: building the tables lists every order.
+    The budget is checked on every call, before the tables are built or
+    returned: building them lists every order.
     """
+    _check_budget(market, budget)
     if market._class_rows is None:
         object.__setattr__(market, "_class_rows", _ClassRows(market))
     return market._class_rows

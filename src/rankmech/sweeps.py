@@ -15,9 +15,10 @@ profile 1.  The dominance walk and equal treatment read every row from one
 source, the market's class tables (``strategy._class_rows``), built once
 per market and shared by every sweep on it; ``prop2`` tells essentially
 equal orders apart by the tables' class keys.  Every sweep over the whole
-market checks the budget before it lists the market's orders or builds
-its class tables.  ``SWEEPS`` maps each ``rankmech sweep`` token to its
-sweep and arguments; each entry looks its sweep up by name when called.
+market reads the market's orders from those tables, which check the
+budget before they list the orders.  ``SWEEPS`` maps each ``rankmech
+sweep`` token to its sweep and arguments; each entry looks its sweep up by
+name when called.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
-    _check_budget,
     detect_modified_pattern,
     get_mechanism,
     uniform_mechanism,
@@ -94,11 +94,13 @@ def _profile_label(market: Market, profile: Profile) -> str:
     )
 
 
-def _promotion_units(market: Market) -> list[tuple[PreferenceOrder, TypeIndex, PreferenceOrder]]:
+def _promotion_units(
+    market: Market, budget: Budget
+) -> list[tuple[PreferenceOrder, TypeIndex, PreferenceOrder]]:
     """Every truth with each type a scarce pair promotes, ascending, and its promoting demotion."""
     return [
         (truth, o_prime, ods_promoting(market, truth, o_prime))
-        for truth in market.all_orders()
+        for truth in _class_rows(market, budget).orders
         for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
     ]
 
@@ -171,15 +173,13 @@ def sweep_ete(
         check_profile(market, profile)
         if mechanism_name == "modified" and detect_modified_pattern(market, profile) is not None:
             return 1, None
-        _check_budget(market, budget)
-        source = _class_rows(market)
+        source = _class_rows(market, budget)
         reveals = tuple(source.class_of[order] for order in profile.orders)
         return 1, _profile_label(market, profile) if violates(source, reveals) else None
 
     if profiles is not None:
         return _tally(name, map(given, profiles))
-    _check_budget(market, budget)
-    source = _class_rows(market)
+    source = _class_rows(market, budget)
     classes = source.classes
     size = collections.Counter(source.class_of.values())
     n = market.n_agents
@@ -202,8 +202,7 @@ def sweep_demotion_weak_dominance(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Under refusal, every demotion weakly dominates its truth (uniform)."""
-    _check_budget(market, budget)
-    orders = market.all_orders()
+    orders = _class_rows(market, budget).orders
     pairs = [(truth, demoted) for truth in orders for demoted in ods_set(market, truth)]
     found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
 
@@ -221,8 +220,7 @@ def sweep_demotion_strict_gain(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
-    _check_budget(market, budget)
-    units = _promotion_units(market)
+    units = _promotion_units(market, budget)
     pairs = [(truth, demoted) for truth, _, demoted in units]
     found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
 
@@ -244,7 +242,6 @@ def sweep_demotion_waste(
     The others reveal one order, so seating the truth at another agent only
     permutes the matrix: agent 0's verdict is every agent's.
     """
-    _check_budget(market, budget)
     n = market.n_agents
 
     def detail(truth, o_prime, demoted) -> str | None:
@@ -257,7 +254,7 @@ def sweep_demotion_waste(
             return None
         return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
 
-    return _tally("prop3", ((n, detail(*unit)) for unit in _promotion_units(market)))
+    return _tally("prop3", ((n, detail(*unit)) for unit in _promotion_units(market, budget)))
 
 
 def sweep_no_strict_dominance(
@@ -274,12 +271,10 @@ def sweep_no_strict_dominance(
     profile while every other candidate has a profile where it is not weakly
     preferred.
     """
-    _check_budget(market, budget)
-    orders = market.all_orders()
+    source = _class_rows(market, budget)  # the walk's tables; their keys decide essential equality
+    orders, key, class_of = source.orders, source.key, source.class_of
     pairs = [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
     found = _first_witnesses(market, mechanism_name, refusal, pairs, budget, decide=True)
-    source = _class_rows(market)  # the walk's tables; their keys decide essential equality
-    key, class_of = source.key, source.class_of
 
     def detail(truth, candidate) -> str | None:
         failure, strict = found[truth, candidate]

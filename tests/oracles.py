@@ -17,11 +17,12 @@ from rankmech import (
     Profile,
     build_assignment,
     check_ete,
+    enumerate_rank_minimizers,
     get_mechanism,
     is_wasteful,
     ods_promoting,
+    order_from_names,
     refusal_transform,
-    refuse_row,
     strict_gain_pairs,
     uniform_mechanism,
 )
@@ -106,6 +107,62 @@ def weakly_prefers(order: PreferenceOrder, x: Assignment, other: Assignment, age
 
 def strictly_prefers(order: PreferenceOrder, x: Assignment, other: Assignment, agent: AgentIndex) -> bool:
     return row_strictly_prefers(order, x.row(agent), other.row(agent))
+
+
+def refuse_row(
+    market: Market, row: tuple[Fraction, ...], truth: PreferenceOrder
+) -> tuple[Fraction, ...]:
+    """One agent's ``Fraction`` row after refusing everything truly unacceptable.
+
+    Probability on types ranked below the true outside option moves to the
+    outside option; acceptable entries are untouched.  The oracle of
+    ``refusal_transform``, which moves integer counts instead.
+    """
+    market.check_order(truth)
+    null_rank = truth.rank(market.null_type)
+    out = list(row)
+    for o in range(market.n_types):
+        if truth.rank(o) > null_rank:
+            out[market.null_type] += out[o]
+            out[o] = ZERO
+    return tuple(out)
+
+
+def listing_denial_mechanism(market: Market, trigger: str, filler: str, denied: str):
+    """The denial fixture by listing: ``make_denial_mechanism``'s slow oracle.
+
+    On profiles where exactly one agent reveals ``trigger`` and everyone
+    else reveals ``filler``, average, in ``Fraction``s, the listed
+    rank-minimizing assignments that keep the trigger agent off ``denied``;
+    elsewhere fall back to the uniform mechanism.  When every listed
+    assignment seats the trigger agent on ``denied``, none is left to
+    average and the share divides by zero.
+    """
+    trigger_order = order_from_names(market, trigger)
+    filler_order = order_from_names(market, filler)
+    denied_type = market.type_index(denied)
+
+    def mechanism(mkt: Market, profile: Profile, *args) -> Assignment:
+        triggered = [a for a in range(mkt.n_agents) if profile[a] == trigger_order]
+        rest_fill = all(
+            profile[a] == filler_order for a in range(mkt.n_agents) if profile[a] != trigger_order
+        )
+        if len(triggered) != 1 or not rest_fill:
+            return uniform_mechanism(mkt, profile)
+        special = triggered[0]
+        members = [
+            det
+            for det in enumerate_rank_minimizers(mkt, profile).members
+            if det.choices[special] != denied_type
+        ]
+        rows = [[ZERO] * mkt.n_types for _ in range(mkt.n_agents)]
+        share = Fraction(1, len(members))
+        for det in members:
+            for a, o in enumerate(det.choices):
+                rows[a][o] += share
+        return build_assignment(mkt, rows)
+
+    return mechanism
 
 
 def product_check_dominance(query, budget=DEFAULT_BUDGET, *, table=None):

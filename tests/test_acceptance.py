@@ -25,7 +25,6 @@ from rankmech import (
     order_from_names,
     rank_value,
     refusal_transform,
-    refuse_row,
     uniform_mechanism,
     wastefulness_witness,
 )
@@ -44,7 +43,7 @@ from rankmech.sweeps import (
     sweep_no_strict_dominance,
 )
 
-from oracles import fraction_sweep_ete
+from oracles import fraction_sweep_ete, refuse_row
 
 F = Fraction
 

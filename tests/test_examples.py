@@ -3,15 +3,26 @@
 import ast
 import dataclasses
 
+import pytest
+
 from rankmech import (
+    DomainError,
+    Market,
     PreferenceOrder,
     Profile,
     examples,
     order_from_names,
-    refuse_row,
     uniform_mechanism,
 )
-from rankmech.examples import example3_market, run_example_checks
+from rankmech.examples import (
+    example1_market,
+    example2_market,
+    example3_market,
+    make_denial_mechanism,
+    run_example_checks,
+)
+
+from oracles import all_profiles, listing_denial_mechanism, refuse_row
 
 
 def test_every_example_check_passes():
@@ -56,3 +67,67 @@ def test_ex3_full_extension_mismatch_names_opponents_where_rows_differ(monkeypat
         for own in (truth, swap)
     ]
     assert rows[0] != rows[1]
+
+
+def _market(n, capacities):
+    """``n`` agents; the last capacity is the null type's."""
+    return Market(
+        agent_names=tuple(f"a{i + 1}" for i in range(n)),
+        type_names=(*(f"o{i + 1}" for i in range(len(capacities) - 1)), "null"),
+        capacities=capacities,
+        null_type=len(capacities) - 1,
+    )
+
+
+# Every market and (trigger, filler, denied) the tests feed the denial
+# fixture, with how many profiles leave no rank-minimizing assignment that
+# keeps the trigger agent off the denied type.
+DENIAL_CASES = {
+    "3x(1,2,1,3)": (example1_market(2), "o1>o2>o3>null", "o1>o2>null>o3", "o1", 0),
+    "2x(1,1,1,2)": (_market(2, (1, 1, 1, 2)), "o1>o2>o3>null", "o1>o2>null>o3", "o1", 0),
+    "3x(1,1,3)": (_market(3, (1, 1, 3)), "o1>o2>null", "o1>null>o2", "o1", 0),
+    "example2": (example2_market(), "o1>o2>null", "null>o1>o2", "o1", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENIAL_CASES))
+def test_counting_denial_fixture_matches_the_listing_oracle(name):
+    """On every profile the counting fixture gives the ``Fraction`` rows of
+    the listing oracle, and raises ``DomainError`` exactly where the oracle
+    is left with no assignment to average and divides by zero."""
+    market, trigger, filler, denied, expected_raised = DENIAL_CASES[name]
+    counted = make_denial_mechanism(market, trigger, filler, denied)
+    listed = listing_denial_mechanism(market, trigger, filler, denied)
+    raised = denied_rows = 0
+    for profile in all_profiles(market):
+        try:
+            expected = listed(market, profile)
+        except ZeroDivisionError:
+            with pytest.raises(DomainError):
+                counted(market, profile)
+            raised += 1
+            continue
+        got = counted(market, profile)
+        assert got.rows == expected.rows
+        denied_rows += got.rows != uniform_mechanism(market, profile).rows
+    assert raised == expected_raised
+    assert denied_rows == (0 if expected_raised else market.n_agents)
+
+
+def test_denial_fixture_raises_where_every_minimizer_seats_the_trigger_on_the_denied_type():
+    """Two agents who take the outside option first leave o1 to the trigger
+    agent in the only rank-minimizing assignment, so none keeps it off o1:
+    the fixture raises ``DomainError``, where listing divides by zero."""
+    market = example2_market()
+    trigger, filler = "o1>o2>null", "null>o1>o2"
+    profile = Profile(tuple(order_from_names(market, order) for order in (trigger, filler, filler)))
+    with pytest.raises(DomainError, match="keeps the o1>o2>null agent off o1"):
+        make_denial_mechanism(market, trigger, filler, "o1")(market, profile)
+    with pytest.raises(ZeroDivisionError):
+        listing_denial_mechanism(market, trigger, filler, "o1")(market, profile)
+
+
+def test_denial_fixture_cannot_deny_the_null_type():
+    market = example2_market()
+    with pytest.raises(DomainError, match="null type"):
+        make_denial_mechanism(market, "o1>o2>null", "null>o1>o2", "null")

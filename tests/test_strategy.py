@@ -28,7 +28,6 @@ from rankmech import (
     ods_set,
     order_from_names,
     refusal_transform,
-    refuse_row,
     strict_gain_pairs,
     uniform_mechanism,
 )
@@ -38,6 +37,7 @@ from oracles import (
     all_profiles,
     fraction_build_assignment,
     product_check_dominance,
+    refuse_row,
     row_strictly_prefers,
     row_weakly_prefers,
 )

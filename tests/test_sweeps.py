@@ -364,12 +364,13 @@ def denial_rows(denial):
     The fixture is anonymous, so an agent's row is the row of an agent
     seated first against the other reveals, as the class tables read the
     mechanisms' rows; the profile is that of the class representatives.
-    Patched in for ``_class_rows``, the tables are built afresh on every
-    call, keep the market they run the fixture on, and are never kept on
-    the market."""
+    Patched in for ``_class_rows``, the tables check the budget and are
+    built afresh on every call, keep the market they run the fixture on,
+    and are never kept on the market."""
 
     class DenialRows(strategy._ClassRows):
-        def __init__(self, market):
+        def __init__(self, market, budget):
+            mechanisms._check_budget(market, budget)
             super().__init__(market)
             self.market = market
 
@@ -574,7 +575,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
     k = market.n_agents - 1
     rep = oracles.truncation_representatives(market)
     class_of = {r: c for c, r in enumerate(sorted(set(rep)))}
-    source = strategy._class_rows(market)
+    source = strategy._class_rows(market, DEFAULT_BUDGET)
     assert [source.class_of[order] for order in orders] == [class_of[r] for r in rep]
     oracle = oracles.PerStateLayers(market, orders)
     walked = list(source.walk(k))
@@ -608,7 +609,7 @@ def test_class_rows_match_the_mechanism_rows(name, mechanism):
     the crowd-out pattern matches, which it does somewhere on every market
     here, and the counted row everywhere else."""
     market = WALK_MARKETS[name]
-    source = strategy._class_rows(market)
+    source = strategy._class_rows(market, DEFAULT_BUDGET)
     patterned = 0
     for opponents, ends in source.walk(market.n_agents - 1):
         for reveal in range(len(source.classes)):
@@ -838,7 +839,7 @@ def test_class_keys_decide_essential_equality(name):
     """Two orders' classes have equal keys exactly when the orders are
     essentially equal, for every ordered pair of orders."""
     market = WALK_MARKETS[name]
-    source = strategy._class_rows(market)
+    source = strategy._class_rows(market, DEFAULT_BUDGET)
     orders = market.all_orders()
     for first, second in itertools.product(orders, repeat=2):
         same_key = source.key[source.class_of[first]] == source.key[source.class_of[second]]
