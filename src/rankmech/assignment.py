@@ -194,34 +194,35 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
 
     The assignment polytope here has unit demands and per-type capacities, so
     the classic bistochastic argument applies after splitting each type into
-    unit-capacity copies and padding with dummy agents.  A type of capacity q
-    gets min(q, n) copies, n the number of agents.  No seating puts more than
-    n agents on one type and no column of ``x`` sums to more than n, so the
-    market with capacities min(q, n) has the same deterministic assignments
-    and the same feasible matrices (Budish, Che, Kojima and Milgrom 2013),
-    and the number of copies, hence the cost, is bounded in n and the number
-    of types however large q is.  Each extraction step finds a perfect
-    matching over the positive entries (one always exists for a matrix with
-    equal row and column sums) and subtracts the largest weight that keeps
-    the remainder nonnegative, zeroing at least one entry, so the loop
-    terminates.  Projecting matched copies back to their types yields
+    unit-capacity copies and padding with dummy agents (Budish, Che, Kojima
+    and Milgrom 2013).  A type whose column sums to s gets ⌈s⌉ copies, each
+    carrying s/⌈s⌉ ≤ 1 of its mass, and a type nobody holds gets none.
+    Since ``x`` is feasible and capacities are integers, ⌈s⌉ is at most the
+    type's capacity, so no projected seating overfills a type.  The copies
+    number at most n + m - 1 (n agents, m types), so the cost is bounded in
+    n and m however large the capacities are.  Each extraction step finds a
+    perfect matching over the positive entries (one always exists for a
+    matrix with equal row and column sums) and subtracts the largest weight
+    that keeps the remainder nonnegative, zeroing at least one entry, so the
+    loop terminates.  Projecting matched copies back to their types yields
     deterministic assignments that respect every capacity, and the weights
     recombine to ``x`` exactly.
 
     The work is done in integers over one common denominator, ``D`` times
-    the lcm of the copy counts, ``D`` the denominator of ``x``'s integer
-    form (a bare ``Assignment`` is validated first): the unit-copy matrix,
-    the dummy rows (filled northwest-corner style from the column deficits)
-    and the weights are all that denominator times their rational values.
-    Each row keeps its positive columns as a bit mask, whose bit is cleared
-    when its entry reaches zero.  The matching is kept from one step
-    to the next: the first step runs Kuhn's augmenting-path matching over
-    the masks from an empty matching, and each later step unmatches only the
-    rows whose matched entry reached zero and re-augments them in ascending
-    order, with an explicit stack instead of recursion.  Every other matched
-    entry is still positive, so the kept pairs stay valid.  The parts are
-    the ones the same warm-started algorithm gives over ``Fraction`` entries
-    on the capped market (the oracle in the tests): at every step the
+    the lcm of the positive copy counts, ``D`` the denominator of ``x``'s
+    integer form (a bare ``Assignment`` is validated first); a copy count is
+    read from that form as the column sum over ``D``, rounded up.  The
+    unit-copy matrix, the dummy rows (filled northwest-corner style from the
+    column deficits) and the weights are all that denominator times their
+    rational values.  Each row keeps its positive columns as a bit mask,
+    whose bit is cleared when its entry reaches zero.  The matching is kept
+    from one step to the next: the first step runs Kuhn's augmenting-path
+    matching over the masks from an empty matching, and each later step
+    unmatches only the rows whose matched entry reached zero and re-augments
+    them in ascending order, with an explicit stack instead of recursion.
+    Every other matched entry is still positive, so the kept pairs stay
+    valid.  The parts are the ones the same warm-started algorithm gives
+    over ``Fraction`` entries (the oracle in the tests): at every step the
     integer matrix is an exact multiple of the rational one, so it has the
     same positive support, hence the same matching, the same minimum weight
     up to that factor, and the same projected seating.  Weights come out
@@ -229,16 +230,16 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     """
     denominator, counts = _scaled(market, x)  # malformed input is a domain error
     n_real = market.n_agents
-    copies = [min(q, n_real) for q in market.capacities]
+    copies = [-(-sum(column) // denominator) for column in zip(*counts)]
     copy_type: list[TypeIndex] = []
     for o in range(market.n_types):
         copy_type.extend([o] * copies[o])
     n_copies = len(copy_type)
 
     # Real agents spread each type's probability evenly over its copies.
-    spread = lcm(*copies)
+    spread = lcm(*(c for c in copies if c))
     denominator *= spread
-    per_copy = [spread // c for c in copies]
+    per_copy = [spread // c if c else 0 for c in copies]
     matrix = [[row[o] * per_copy[o] for o in copy_type] for row in counts]
 
     # Dummy agents absorb the remaining column slack, northwest-corner style.

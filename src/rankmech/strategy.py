@@ -289,13 +289,15 @@ def _first_witnesses(
     For each multiset the last agent's row under each needed class is read
     once, in integers, from :class:`_ClassRows`, which also gives the
     modified mechanism's override row where the profile parses as the
-    crowd-out pattern.  A truth and candidate in one class get the same row
-    everywhere, so such a pair is never compared and has no witness.  Rows
-    are compared by cross-multiplying cumulative sums along the truth's
-    ranking.  Refusal moves everything from the truth's outside option down
-    onto it, so every cumulative sum from there on equals the total: with
-    refusal on the comparison stops just above the outside option, without
-    it just before the last rank.
+    crowd-out pattern; the parse is tried only for the reveals that
+    :meth:`_ClassRows.unparsed` does not rule out for the multiset.  A truth
+    and candidate in one class get the same row everywhere, so such a pair
+    is never compared and has no witness.  Rows are compared by
+    cross-multiplying cumulative sums along the truth's ranking.  Refusal
+    moves everything from the truth's outside option down onto it, so every
+    cumulative sum from there on equals the total: with refusal on the
+    comparison stops just above the outside option, without it just before
+    the last rank.
 
     Two pairs with the same truth class, candidate class and compared
     prefix compare the same rows on the same multisets in the same order,
@@ -330,8 +332,11 @@ def _first_witnesses(
             found[truth, candidate] = slots.setdefault((t, c, truth.ranking[:stop]), [None, None])
     open_pairs = [(t, c, prefix, slot) for (t, c, prefix), slot in slots.items()]
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
+    null_rank = source.tables.null_rank
     for combo, ends in source.walk(market.n_agents - 1) if open_pairs else ():
-        rows = {r: source.row(ends, combo, r, parse) for r in needed}
+        # every outside-option rank lies in 1..m, so no reveal parses under uniform
+        low, high = source.unparsed(combo) if parse else (1, m)
+        rows = {r: source.row(ends, combo, r, not low <= null_rank[r] <= high) for r in needed}
         closed = False
         for t, c, prefix, slot in open_pairs:
             truth_row, truth_total = rows[t]
@@ -463,6 +468,23 @@ class _ClassRows:
             elif cost == held[0]:
                 folded[mask] = (cost, held[1] + count)
         return [(cost, count, mask) for mask, (cost, count) in folded.items()]
+
+    def unparsed(self, opponents: Sequence[int]) -> tuple[int, int]:
+        """The outside-option ranks of the reveals that never parse against ``opponents``.
+
+        The crowd-out parse's special agent is the one agent whose outside
+        option is ranked 3rd or deeper and strictly deeper than everyone
+        else's.  With the opponents' deepest rank D, a reveal ranking its
+        outside option at ``low`` to ``high`` inclusive leaves no such agent:
+        from 1 to max(D, 2), or D alone when D is at least 3 and no other
+        opponent shares it.  Any other reveal may still parse.
+        """
+        deep = [self.tables.null_rank[c] for c in opponents]
+        deepest = max(deep)
+        high = max(deepest, 2)
+        if deepest >= 3 and deep.count(deepest) == 1:
+            return deepest, high
+        return 1, high
 
     def row(
         self,

@@ -277,27 +277,28 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
 
     The assignment polytope here has unit demands and per-type capacities, so
     the classic bistochastic argument applies after splitting each type into
-    unit-capacity copies and padding with dummy agents.  Each extraction step
-    finds a perfect matching over the positive entries (one always exists for
-    a matrix with equal row and column sums) and subtracts the largest weight
-    that keeps the remainder nonnegative, zeroing at least one entry, so the
-    loop terminates.  Projecting matched copies back to their types yields
-    deterministic assignments that respect every capacity, and the weights
-    recombine to ``x`` exactly.  The matching is kept across steps: only the
-    rows whose matched entry reached zero are unmatched and re-augmented, in
-    ascending order.
+    ⌈column sum⌉ unit-capacity copies and padding with dummy agents.  Each
+    extraction step finds a perfect matching over the positive entries (one
+    always exists for a matrix with equal row and column sums) and subtracts
+    the largest weight that keeps the remainder nonnegative, zeroing at least
+    one entry, so the loop terminates.  Projecting matched copies back to
+    their types yields deterministic assignments that respect every
+    capacity, and the weights recombine to ``x`` exactly.  The matching is
+    kept across steps: only the rows whose matched entry reached zero are
+    unmatched and re-augmented, in ascending order.
     """
     build_assignment(market, x.rows)  # re-validate; malformed input is a domain error
+    copies = [math.ceil(x.column_sum(o)) for o in range(market.n_types)]
     copy_type: list[TypeIndex] = []
     for o in range(market.n_types):
-        copy_type.extend([o] * market.capacities[o])
+        copy_type.extend([o] * copies[o])
     n_copies = len(copy_type)
     n_real = market.n_agents
 
     # Real agents spread each type's probability evenly over its copies.
     matrix: list[list[Fraction]] = []
     for a in range(n_real):
-        row = [x.entry(a, o) / market.capacities[o] for o in copy_type]
+        row = [x.entry(a, o) / copies[o] for o in copy_type]
         matrix.append(row)
 
     # Dummy agents absorb the remaining column slack, northwest-corner style.

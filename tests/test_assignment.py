@@ -3,6 +3,7 @@ the deterministic decomposition."""
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -218,6 +219,40 @@ def test_decompose_shared_column_needs_joint_extraction():
     ]
 
 
+def _matrix_sizes(monkeypatch):
+    """A list that gets the side of the square matrix at every matching
+    ``decompose`` runs."""
+    sizes = []
+
+    def spy(positive, *rest):
+        sizes.append(len(positive))
+        return _complete_matching(positive, *rest)
+
+    monkeypatch.setattr(assignment, "_complete_matching", spy)
+    return sizes
+
+
+def test_decompose_gives_an_unheld_type_no_copies(monkeypatch):
+    """Nobody holds null, so its column sums to zero and it gets no copies:
+    three copies for three agents, no dummy rows, no null in any seating."""
+    sizes = _matrix_sizes(monkeypatch)
+    market = Market(
+        agent_names=("a1", "a2", "a3"),
+        type_names=("o1", "o2", "o3", "null"),
+        capacities=(1, 2, 2, 3),
+        null_type=3,
+    )
+    half = F(1, 2)
+    x = build_assignment(
+        market, [[half, half, 0, 0], [half, 0, half, 0], [0, half, half, 0]]
+    )
+    d = decompose(market, x)
+    assert d.recombine(market) == x
+    assert d == fraction_decompose(market, x)
+    assert set(sizes) == {3}
+    assert all(3 not in det.choices for _, det in d.parts)
+
+
 def test_decompose_validates_input():
     market = example2_market()
     with pytest.raises(DomainError):
@@ -384,23 +419,31 @@ def _seeded_assign_input(rng, tie_heavy):
     return market, refusal_transform(market, x, _random_profile(rng, market))
 
 
-def _capped(market):
-    """``market`` with every capacity q set to min(q, n), n its agent count."""
-    n = market.n_agents
-    return dataclasses.replace(market, capacities=tuple(min(q, n) for q in market.capacities))
-
-
 @pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
 def test_decompose_matches_fraction_oracle_on_seeded_markets(tie_heavy):
-    """About half these markets have null capacity 2n.  ``decompose`` splits
-    each type into min(q, n) copies, so the oracle runs on the capped market,
-    which has the same seatings and the same feasible matrices."""
+    """About half these markets have null capacity 2n; either way each type
+    splits into as many copies as the ceiling of its column sum."""
     rng = random.Random(3301 + tie_heavy)
     for _ in range(100):
         market, x = _seeded_assign_input(rng, tie_heavy)
         d = decompose(market, x)
-        assert d == fraction_decompose(_capped(market), x)
+        assert d == fraction_decompose(market, x)
         assert d.recombine(market) == x
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
+def test_decompose_copies_are_at_most_agents_plus_types_minus_one(tie_heavy, monkeypatch):
+    """The ceilings of m column sums that add up to n add up to at most
+    n + m - 1, and that is the side of the square matrix the matching sees."""
+    sizes = _matrix_sizes(monkeypatch)
+    rng = random.Random(3301 + tie_heavy)
+    for _ in range(100):
+        market, x = _seeded_assign_input(rng, tie_heavy)
+        sizes.clear()
+        decompose(market, x)
+        copies = sum(math.ceil(x.column_sum(o)) for o in range(market.n_types))
+        assert copies <= market.n_agents + market.n_types - 1
+        assert sizes and set(sizes) == {copies}
 
 
 @pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
@@ -419,7 +462,8 @@ def test_decompose_parts_do_not_depend_on_the_denominator(tie_heavy):
 
 
 def test_decompose_cost_is_bounded_in_the_capacities():
-    """Null capacity 10**6 gives the null type eight copies, not a million."""
+    """Null capacity 10**6 gives the null type two copies, the ceiling of
+    its column sum, not a million."""
     market = Market(
         agent_names=tuple(f"a{j + 1}" for j in range(8)),
         type_names=("o1", "o2", "o3", "null"),
@@ -431,7 +475,7 @@ def test_decompose_cost_is_bounded_in_the_capacities():
     d = decompose(market, x)
     assert time.perf_counter() - start < 1.0
     assert d.recombine(market) == x
-    assert d == fraction_decompose(_capped(market), x)
+    assert d == fraction_decompose(market, x)
     assert len(d.parts) > 1
     for w, det in d.parts:
         assert w > 0

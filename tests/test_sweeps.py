@@ -620,6 +620,29 @@ def test_class_rows_match_the_mechanism_rows(name, mechanism):
     assert patterned > 0
 
 
+@pytest.mark.parametrize("name", sorted(WALK_MARKETS))
+def test_unparsed_reveals_are_those_with_no_lone_deepest_outside_option(name):
+    """A reveal is ruled out against a multiset exactly when the profile
+    they make has no agent ranking its outside option 3rd or deeper and
+    strictly deeper than every other agent, which no parse gets past."""
+    market = WALK_MARKETS[name]
+    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    null_rank = source.tables.null_rank
+    ruled_out = patterned = 0
+    for opponents, _ in source.walk(market.n_agents - 1):
+        low, high = source.unparsed(opponents)
+        for reveal in range(len(source.classes)):
+            deep = [null_rank[c] for c in (reveal, *opponents)]
+            lone = max(deep) >= 3 and deep.count(max(deep)) == 1
+            skipped = low <= null_rank[reveal] <= high
+            assert skipped == (not lone)
+            pattern = source.tables.parse((reveal, *opponents))
+            assert not (skipped and pattern is not None)
+            ruled_out += skipped
+            patterned += pattern is not None
+    assert ruled_out > 0 and patterned > 0
+
+
 MARKET_3X5 = parse_market_spec((Path(__file__).parent / "data" / "market_3x5.txt").read_text())[0]
 
 
