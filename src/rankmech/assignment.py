@@ -195,38 +195,39 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     The assignment polytope here has unit demands and per-type capacities, so
     the classic bistochastic argument applies after splitting each type into
     unit-capacity copies and padding with dummy agents (Budish, Che, Kojima
-    and Milgrom 2013).  A type whose column sums to s gets ⌈s⌉ copies, each
-    carrying s/⌈s⌉ ≤ 1 of its mass, and a type nobody holds gets none.
-    Since ``x`` is feasible and capacities are integers, ⌈s⌉ is at most the
-    type's capacity, so no projected seating overfills a type.  The copies
-    number at most n + m - 1 (n agents, m types), so the cost is bounded in
-    n and m however large the capacities are.  Each extraction step finds a
-    perfect matching over the positive entries (one always exists for a
-    matrix with equal row and column sums) and subtracts the largest weight
+    and Milgrom 2013).  A type whose column sums to s gets ⌈s⌉ copies, and a
+    type nobody holds gets none.  The agents fill a type's copies
+    northwest-corner style: in agent order, each agent's mass on the type goes
+    into the current copy until that copy holds one unit, and the rest spills
+    into the next.  Since ``x`` is feasible and capacities are integers, ⌈s⌉
+    is at most the type's capacity, so no projected seating overfills a type.
+    The copies number at most n + m - 1 (n agents, m types), so the cost is
+    bounded in n and m however large the capacities are.  Each extraction step
+    finds a perfect matching over the positive entries (one always exists for
+    a matrix with equal row and column sums) and subtracts the largest weight
     that keeps the remainder nonnegative, zeroing at least one entry, so the
     loop terminates.  Projecting matched copies back to their types yields
     deterministic assignments that respect every capacity, and the weights
     recombine to ``x`` exactly.
 
-    The work is done in integers over one common denominator, ``D`` times
-    the lcm of the positive copy counts, ``D`` the denominator of ``x``'s
+    The work is done in integers over ``D``, the denominator of ``x``'s
     integer form (a bare ``Assignment`` is validated first); a copy count is
     read from that form as the column sum over ``D``, rounded up.  The
     unit-copy matrix, the dummy rows (filled northwest-corner style from the
-    column deficits) and the weights are all that denominator times their
-    rational values.  Each row keeps its positive columns as a bit mask,
-    whose bit is cleared when its entry reaches zero.  The matching is kept
-    from one step to the next: the first step runs Kuhn's augmenting-path
-    matching over the masks from an empty matching, and each later step
-    unmatches only the rows whose matched entry reached zero and re-augments
-    them in ascending order, with an explicit stack instead of recursion.
-    Every other matched entry is still positive, so the kept pairs stay
-    valid.  The parts are the ones the same warm-started algorithm gives
-    over ``Fraction`` entries (the oracle in the tests): at every step the
-    integer matrix is an exact multiple of the rational one, so it has the
-    same positive support, hence the same matching, the same minimum weight
-    up to that factor, and the same projected seating.  Weights come out
-    as ``Fraction(w, denominator)``, sorted by seating.
+    column deficits) and the weights are all ``D`` times their rational
+    values.  Each row keeps its positive columns as a bit mask, whose bit is
+    cleared when its entry reaches zero.  The matching is kept from one step
+    to the next: the first step runs Kuhn's augmenting-path matching over the
+    masks from an empty matching, and each later step unmatches only the rows
+    whose matched entry reached zero and re-augments them in ascending order,
+    with an explicit stack instead of recursion.  Every other matched entry is
+    still positive, so the kept pairs stay valid.  The parts are the ones the
+    same warm-started algorithm gives over ``Fraction`` entries (the oracle in
+    the tests): at every step the integer matrix is an exact multiple of the
+    rational one, so it has the same positive support, hence the same
+    matching, the same minimum weight up to that factor, and the same
+    projected seating.  Weights come out as ``Fraction(w, D)``, sorted by
+    seating.
     """
     denominator, counts = _scaled(market, x)  # malformed input is a domain error
     n_real = market.n_agents
@@ -236,29 +237,13 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         copy_type.extend([o] * copies[o])
     n_copies = len(copy_type)
 
-    # Real agents spread each type's probability evenly over its copies.
-    spread = lcm(*(c for c in copies if c))
-    denominator *= spread
-    per_copy = [spread // c if c else 0 for c in copies]
-    matrix = [[row[o] * per_copy[o] for o in copy_type] for row in counts]
-
-    # Dummy agents absorb the remaining column slack, northwest-corner style.
-    deficits = [denominator - sum(matrix[a][c] for a in range(n_real))
-                for c in range(n_copies)]
-    for _ in range(n_copies - n_real):
-        row = [0] * n_copies
-        need = denominator
-        for c in range(n_copies):
-            if need == 0:
-                break
-            take = min(need, deficits[c])
-            if take > 0:
-                row[c] = take
-                deficits[c] -= take
-                need -= take
-        assert need == 0
-        matrix.append(row)
-    assert all(d == 0 for d in deficits)
+    # Real agents fill each type's copies in agent order; dummy agents, one
+    # unit each, fill the room the copies have left.
+    blocks = [_northwest_corner(column, [denominator] * k)
+              for column, k in zip(zip(*counts), copies)]
+    matrix = [[v for part in parts for v in part] for parts in zip(*blocks)]
+    room = [denominator - sum(column) for column in zip(*matrix)]
+    matrix += _northwest_corner([denominator] * (n_copies - n_real), room)
 
     positive = [sum(1 << c for c, v in enumerate(row) if v > 0) for row in matrix]
     col_of_row = [-1] * n_copies
@@ -292,6 +277,27 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         for choices in sorted(weights)
     )
     return Decomposition(parts)
+
+
+def _northwest_corner(supplies, demands) -> list[list[int]]:
+    """The northwest-corner table: row r sums to ``supplies[r]`` and column c
+    to at most ``demands[c]``, filled row by row, each row taking from the
+    first column with room left.  The supplies must not exceed the demands.
+    """
+    room = list(demands)
+    table = []
+    c = 0
+    for need in supplies:
+        row = [0] * len(room)
+        while need:
+            take = min(need, room[c])
+            row[c] = take
+            room[c] -= take
+            need -= take
+            if room[c] == 0:
+                c += 1
+        table.append(row)
+    return table
 
 
 def _complete_matching(

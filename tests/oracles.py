@@ -277,12 +277,17 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
 
     The assignment polytope here has unit demands and per-type capacities, so
     the classic bistochastic argument applies after splitting each type into
-    ⌈column sum⌉ unit-capacity copies and padding with dummy agents.  Each
-    extraction step finds a perfect matching over the positive entries (one
-    always exists for a matrix with equal row and column sums) and subtracts
-    the largest weight that keeps the remainder nonnegative, zeroing at least
-    one entry, so the loop terminates.  Projecting matched copies back to
-    their types yields deterministic assignments that respect every
+    ⌈column sum⌉ unit-capacity copies and padding with dummy agents.  The real
+    agents fill a type's copies consecutively, each copy with room ``ONE``:
+    laid end to end in agent order, the agents' entries on the type cover the
+    column's mass from 0 up, copy k holds the stretch [k, k + 1), and an
+    agent's entry on copy k is the overlap of its stretch with that one.  This
+    is the fill ``decompose`` makes in integers, divided by its denominator.
+    Each extraction step finds a perfect matching over the positive entries
+    (one always exists for a matrix with equal row and column sums) and
+    subtracts the largest weight that keeps the remainder nonnegative, zeroing
+    at least one entry, so the loop terminates.  Projecting matched copies
+    back to their types yields deterministic assignments that respect every
     capacity, and the weights recombine to ``x`` exactly.  The matching is
     kept across steps: only the rows whose matched entry reached zero are
     unmatched and re-augmented, in ascending order.
@@ -295,10 +300,15 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
     n_copies = len(copy_type)
     n_real = market.n_agents
 
-    # Real agents spread each type's probability evenly over its copies.
+    # Real agents fill each type's copies in agent order, room ONE per copy.
+    copy_index = [k for o in range(market.n_types) for k in range(copies[o])]
     matrix: list[list[Fraction]] = []
     for a in range(n_real):
-        row = [x.entry(a, o) / copies[o] for o in copy_type]
+        row = []
+        for o, k in zip(copy_type, copy_index):
+            low = sum((x.entry(b, o) for b in range(a)), start=ZERO)
+            high = low + x.entry(a, o)
+            row.append(max(ZERO, min(high, k + ONE) - max(low, Fraction(k))))
         matrix.append(row)
 
     # Dummy agents absorb the remaining column slack, northwest-corner style.

@@ -447,6 +447,25 @@ def test_decompose_copies_are_at_most_agents_plus_types_minus_one(tie_heavy, mon
 
 
 @pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
+def test_decompose_steps_are_few_and_each_gives_a_new_part(tie_heavy, monkeypatch):
+    """A measured guard on these seeded markets, not a theorem: extraction
+    takes at most nnz(x) - n + 1 steps, nnz(x) counting the positive entries
+    of the refused matrix, and no seating comes out twice, so every step is
+    a part.  Spreading each agent's mass evenly over a type's copies broke
+    the bound on all 200 markets; filling the copies consecutively keeps
+    both."""
+    sizes = _matrix_sizes(monkeypatch)
+    rng = random.Random(3301 + tie_heavy)
+    for _ in range(100):
+        market, x = _seeded_assign_input(rng, tie_heavy)
+        sizes.clear()
+        d = decompose(market, x)
+        nnz = sum(v > 0 for row in x.rows for v in row)
+        assert len(sizes) <= nnz - market.n_agents + 1
+        assert len(sizes) == len(d.parts)
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
 def test_decompose_parts_do_not_depend_on_the_denominator(tie_heavy):
     """The same markets as the oracle test: ``decompose`` on the refused
     matrix, which carries the mechanism's denominator, equals ``decompose``

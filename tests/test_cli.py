@@ -331,10 +331,8 @@ def test_decompose_crowd_out_pattern(tmp_path, capsys):
      "a2  1/2    0   1/2\n"
      "a3  1/2    0   1/2\n"
      "a4    0  1/2   1/2\n"
-     "weight 1/4: a1->o2 a2->o1 a3->null a4->null\n"
-     "weight 1/4: a1->o2 a2->null a3->o1 a4->null\n"
-     "weight 1/4: a1->null a2->o1 a3->null a4->o2\n"
-     "weight 1/4: a1->null a2->null a3->o1 a4->o2\n"
+     "weight 1/2: a1->o2 a2->null a3->o1 a4->null\n"
+     "weight 1/2: a1->null a2->o1 a3->null a4->o2\n"
      "recombines exactly: yes\n"),
     # The matching is kept across extraction steps, so each step re-seats
     # only the agents whose entry ran out: three parts, not six.
