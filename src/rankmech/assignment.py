@@ -67,7 +67,8 @@ def _checked(market: Market, denominator: int, counts) -> Assignment:
     """Validate the matrix ``counts / denominator`` and wrap it with its integer form.
 
     Every entry must lie in [0, D], every row sum to D and every column sum
-    to at most its capacity times D, D being ``denominator``.
+    to at most its capacity times D, D being ``denominator``.  Each distinct
+    count becomes one ``Fraction``, shared by its entries, and 0 is ``ZERO``.
     """
     if len(counts) != market.n_agents:
         raise DomainError(f"expected {market.n_agents} rows, got {len(counts)}")
@@ -77,12 +78,12 @@ def _checked(market: Market, denominator: int, counts) -> Assignment:
                 f"row {market.agent_names[a]} has {len(row)} entries, "
                 f"expected {market.n_types}"
             )
-        for o, c in enumerate(row):
-            if not 0 <= c <= denominator:
-                raise DomainError(
-                    f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
-                    f"{market.type_names[o]}) is outside [0, 1]"
-                )
+        if min(row) < 0 or max(row) > denominator:
+            o, c = next((o, c) for o, c in enumerate(row) if not 0 <= c <= denominator)
+            raise DomainError(
+                f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
+                f"{market.type_names[o]}) is outside [0, 1]"
+            )
         if sum(row) != denominator:
             raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
     for o, (capacity, column) in enumerate(zip(market.capacities, zip(*counts))):
@@ -93,9 +94,8 @@ def _checked(market: Market, denominator: int, counts) -> Assignment:
                 f"exceeding capacity {capacity}"
             )
     counts = tuple(map(tuple, counts))
-    x = Assignment(
-        tuple(tuple(Fraction(c, denominator) if c else ZERO for c in row) for row in counts)
-    )
+    value = {c: Fraction(c, denominator) if c else ZERO for c in set().union(*counts)}
+    x = Assignment(tuple(tuple(map(value.__getitem__, row)) for row in counts))
     object.__setattr__(x, "_form", (market, denominator, counts))
     return x
 

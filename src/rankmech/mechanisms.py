@@ -2,26 +2,29 @@
 
 The uniform mechanism averages every deterministic assignment of minimal
 expected total rank with equal weight.  It counts, rather than lists, those
-assignments: a forward (min rank, count) pass over agents and remaining
-capacities, then a backward pass along the moves that reach the optimum,
-give every entry as an exact ratio of integers.  The outside option always
-has room, so no such assignment seats an agent below it, and neither pass
-tries those moves.  The modified mechanism coincides with the uniform one
-except on profiles matching a narrow crowd-out pattern, where it denies the
-patterned agent its first best.  Both treat agents with essentially equal
-revealed orders identically and compute their rows as integer counts over
-a total in one core, ``_integer_rows``, whose uniform rows come from the
-one counting pass, ``_count_rows`` (the denial fixture of ``examples`` runs
-it too); the public functions validate them once and wrap them as an
-``Assignment``.  ``enumerate_rank_minimizers`` lists the set itself.
-Nothing in the package calls it: it stays defined and exported because the
-bench tracer binds it for its ``mechanisms.solve_*`` metrics and the tests
-check the count against it.  The dominance checker and the equal-treatment
-sweep read rows from one source in ``strategy``, which runs the forward
-pass over an agent's opponents only and works in truncation classes of
-orders (``_truncation_classes``).  The crowd-out parse has one
-implementation, ``_PatternTables``: the mechanisms build its tables from a
-profile's own orders, the row source from the class representatives.
+assignments: a forward (min rank, count) pass over remaining capacities,
+then a backward pass along the moves that reach the optimum, give every
+entry as an exact ratio of integers.  The outside option always has room,
+so no such assignment seats an agent below it, and neither pass tries those
+moves.  Agents whose moves down to it agree are interchangeable, so the
+passes take one step per such group, weighted by the number of ways to seat
+its members, and split its counts evenly among them.  The modified
+mechanism coincides with the uniform one except on profiles matching a
+narrow crowd-out pattern, where it denies the patterned agent its first
+best.  Both treat agents with essentially equal revealed orders identically
+and compute their rows as integer counts over a total in one core,
+``_integer_rows``, whose uniform rows come from the one counting pass,
+``_count_rows`` (the denial fixture of ``examples`` runs it too); the
+public functions validate them once and wrap them as an ``Assignment``.
+``enumerate_rank_minimizers`` lists the set itself.  Nothing in the package
+calls it: it stays defined and exported because the bench tracer binds it
+for its ``mechanisms.solve_*`` metrics and the tests check the count
+against it.  The dominance checker and the equal-treatment sweep read rows
+from one source in ``strategy``, which runs the forward pass over an
+agent's opponents only and works in truncation classes of orders
+(``_truncation_classes``).  The crowd-out parse has one implementation,
+``_PatternTables``: the mechanisms build its tables from a profile's own
+orders, the row source from the class representatives.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Sequence
 
 from .assignment import Assignment, DeterministicAssignment, _checked
@@ -151,14 +154,15 @@ def _moves(market: Market) -> tuple[int, list[tuple[TypeIndex, int, int]]]:
 
 def _cut_moves(
     moves: list[tuple[TypeIndex, int, int]], rank: list[int], null: TypeIndex
-) -> list[tuple[TypeIndex, int, int, int]]:
+) -> tuple[tuple[TypeIndex, int, int, int], ...]:
     """The ``moves`` of an agent with rank table ``rank`` as (type, stride,
     radix, rank), down to its outside option; none below it is ever optimal."""
-    return [(o, stride, radix, rank[o]) for o, stride, radix in moves if rank[o] <= rank[null]]
+    limit = rank[null]
+    return tuple([(o, stride, radix, rank[o]) for o, stride, radix in moves if rank[o] <= limit])
 
 
 def _forward_step(
-    layer: dict[int, tuple[int, int]], moves: list[tuple[TypeIndex, int, int, int]]
+    layer: dict[int, tuple[int, int]], moves: Sequence[tuple[TypeIndex, int, int, int]]
 ) -> dict[int, tuple[int, int]]:
     """One agent's step of the forward half of the counting pass.
 
@@ -219,49 +223,188 @@ def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int],
     """Every agent's uniform row as integer counts over a total, from the
     agents' rank tables (:func:`_rank_table`).
 
-    A counting forward-backward pass over agents in index order.  A state
-    is the remaining capacity of every non-null type, packed into one int
-    in mixed radix (the null type always has room, so it is no digit), and
-    each agent moves only down to its outside option (:func:`_cut_moves`).
-    The forward pass gives each state its least prefix rank and how many
-    prefixes reach it.  The backward pass starts from the final states at
-    the optimum, one completion each, and steps back only along tight
-    moves, where the prefix rank plus the move's rank is the next state's
-    prefix rank; it counts the optimal completions of each state it
-    reaches.  So ``row[a][o]`` sums prefix count times completion count
-    over agent ``a``'s tight moves to ``o``, over the number of optimal
-    assignments.
+    A counting forward-backward pass.  A state is the remaining capacity of
+    every non-null type, packed into one int in mixed radix (the null type
+    always has room, so it is no digit), and each agent moves only down to
+    its outside option (:func:`_cut_moves`).  Agents with equal cut moves
+    are interchangeable and form a group, taken in the order of their first
+    members, and the pass takes one step per group: a lone agent's moves
+    (:func:`_forward_step`), or a group's splits of its seats
+    (:class:`_Splits`), each counted once per way to hand them to the
+    members.  The forward pass gives each state its least prefix rank and
+    how many prefixes reach it.  The backward pass starts from the final
+    states at the optimum, one completion each, and steps back only along
+    tight moves, where the prefix rank plus the move's rank is the next
+    state's prefix rank; it counts the optimal completions of each state
+    it reaches.  A step's mass on ``o`` sums prefix count times completion
+    count times ways times seats on ``o`` over its tight moves, over the
+    number of optimal assignments.  Each member of a group of k gets a
+    k-th of the group's mass, exactly: the ways of the splits with a_o
+    seats on ``o``, times a_o, are k times the ways to seat the other
+    k - 1 members once one sits on ``o``.
     """
     start, moves = _moves(market)
-    cuts = [_cut_moves(moves, rank, market.null_type) for rank in ranks]
+    groups: dict[tuple[tuple[TypeIndex, int, int, int], ...], list[AgentIndex]] = {}
+    for a, rank in enumerate(ranks):
+        groups.setdefault(_cut_moves(moves, rank, market.null_type), []).append(a)
+    width = len(ranks).bit_length() + 1  # a scarce capacity is below n
+    steps = [
+        (cut, members, _Splits(cut, len(members), width) if len(members) > 1 else None)
+        for cut, members in groups.items()
+    ]
     forward = [{start: (0, 1)}]
-    for cut in cuts:
-        forward.append(_forward_step(forward[-1], cut))
+    for cut, _, splits in steps:
+        layer = forward[-1]
+        forward.append(_forward_step(layer, cut) if splits is None else splits.step(layer))
     optimum = min(cost for cost, _ in forward[-1].values())
 
-    counts = [[0] * market.n_types for _ in cuts]
+    counts: list[list[int]] = [[] for _ in ranks]
     below = {state: 1 for state, (cost, _) in forward[-1].items() if cost == optimum}
-    for row, cut, prefixes, layer in reversed(list(zip(counts, cuts, forward, forward[1:]))):
-        here: dict[int, int] = {}
-        for after, ways in below.items():
-            reach = layer[after][0]
-            for o, stride, radix, rank in cut:
-                if stride and after // stride % radix == radix - 1:
-                    continue
-                state = after + stride
-                held = prefixes.get(state)
-                if held is not None and held[0] + rank == reach:
-                    row[o] += held[1] * ways
-                    here[state] = here.get(state, 0) + ways
+    backward = reversed(list(zip(steps, forward, forward[1:])))
+    for (cut, members, splits), prefixes, layer in backward:
+        if splits is None:
+            here: dict[int, int] = {}
+            mass = [0] * market.n_types
+            for after, ways in below.items():
+                reach = layer[after][0]
+                for o, stride, radix, rank in cut:
+                    if stride and after // stride % radix == radix - 1:
+                        continue
+                    state = after + stride
+                    held = prefixes.get(state)
+                    if held is not None and held[0] + rank == reach:
+                        mass[o] += held[1] * ways
+                        here[state] = here.get(state, 0) + ways
+            counts[members[0]] = mass
+        else:
+            here, row = splits.back(below, prefixes, layer, market.n_types)
+            for a in members:
+                counts[a] = row[:]
         below = here
     return [(row, below[start]) for row in counts]
 
 
+class _Splits:
+    """One step of :func:`_count_rows` for ``k`` agents with the same ``cut`` moves.
+
+    A split seats a_o of the k agents on each cut move's type: at most
+    min(q_o, k) on a scarce type and the rest on the outside option, which
+    every cut keeps and which always has room.  ``entries`` lists each
+    split once as (need, delta, rank, ways, rest): its a_o on the scarce
+    moves, one per field of ``width`` bits with the top bit clear; its
+    state delta, sum a_o * stride_o; its rank, sum a_o * rank_o; its ways,
+    k! / prod a_o!, the number of ways to hand those seats to the k agents;
+    and its seats on the outside option.  There are at most
+    prod (min(q_o, k) + 1) entries over the scarce moves, no more than
+    there are states.  A split fits a state when it needs no more seats of
+    a type than the state has left (forward) or has taken (back): with
+    those counts packed the same way under a set top bit per field
+    (``guards``), subtracting the need clears no guard.  ``full`` is the
+    capacities packed that way; less a state's packed seats left, it is
+    the state's packed seats taken.
+    """
+
+    __slots__ = ("k", "null", "scarce", "guards", "full", "entries")
+
+    def __init__(self, cut: tuple[tuple[TypeIndex, int, int, int], ...], k: int, width: int):
+        self.k = k
+        self.scarce: list[tuple[TypeIndex, int, int, int]] = []
+        self.guards = self.full = 0
+        for o, stride, _, rank in cut:
+            if not stride:
+                self.null, null_rank = o, rank
+        table = [(0, 0, k * null_rank, 1, k)]
+        for o, stride, radix, rank in cut:
+            if not stride:
+                continue
+            shift = width * len(self.scarce)
+            self.scarce.append((o, stride, radix, shift))
+            guard = 1 << shift + width - 1
+            self.guards += guard
+            self.full += (radix - 1 << shift) + guard
+            gain = rank - null_rank
+            table = [
+                (need + (a << shift), delta + a * stride, reach + a * gain,
+                 ways * comb(left, a), left - a)
+                for need, delta, reach, ways, left in table
+                for a in range(min(radix - 1, left) + 1)
+            ]
+        self.entries = table
+
+    def step(self, layer: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+        """The group's forward step: :func:`_forward_step` with one move per
+        fitting split, each prefix counted once per way."""
+        after_layer: dict[int, tuple[int, int]] = {}
+        guards = self.guards
+        scarce = self.scarce
+        entries = self.entries
+        for state, (cost, count) in layer.items():
+            room = guards
+            for _, stride, radix, shift in scarce:
+                room += state // stride % radix << shift
+            for need, delta, rank, ways, _ in entries:
+                if (room - need) & guards != guards:
+                    continue
+                after = state - delta
+                reach = cost + rank
+                held = after_layer.get(after)
+                if held is None or reach < held[0]:
+                    after_layer[after] = (reach, count * ways)
+                elif reach == held[0]:
+                    after_layer[after] = (reach, held[1] + count * ways)
+        return after_layer
+
+    def back(
+        self,
+        below: dict[int, int],
+        prefixes: dict[int, tuple[int, int]],
+        layer: dict[int, tuple[int, int]],
+        n_types: int,
+    ) -> tuple[dict[int, int], list[int]]:
+        """The group's backward step, from the optimal completions ``below``
+        of the states in ``layer`` to those of the states in ``prefixes``.
+
+        Returns those and each member's row: the group's mass on each type,
+        summed per split and then spread over its seats, over k.
+        """
+        here: dict[int, int] = {}
+        mass_of: dict[int, int] = {}
+        guards = self.guards
+        scarce = self.scarce
+        entries = self.entries
+        for after, completions in below.items():
+            reach = layer[after][0]
+            taken = self.full
+            for _, stride, radix, shift in scarce:
+                taken -= after // stride % radix << shift
+            for need, delta, rank, ways, _ in entries:
+                if (taken - need) & guards != guards:
+                    continue
+                state = after + delta
+                held = prefixes.get(state)
+                if held is not None and held[0] + rank == reach:
+                    weight = ways * completions
+                    mass_of[delta] = mass_of.get(delta, 0) + held[1] * weight
+                    here[state] = here.get(state, 0) + weight
+        mass = [0] * n_types
+        for delta, weight in mass_of.items():
+            left = self.k
+            for o, stride, radix, _ in scarce:
+                a = delta // stride % radix
+                mass[o] += weight * a
+                left -= a
+            mass[self.null] += weight * left
+        return here, [c // self.k for c in mass]
+
+
 def _to_assignment(market: Market, rows: list[tuple[list[int], int]]) -> Assignment:
     """The public, validated form of :func:`_integer_rows`' rows, over the
-    lcm of their totals."""
+    lcm of their totals; counted rows share one total and need no scaling."""
     denominator = lcm(*(total for _, total in rows))
-    scaled = [[c * (denominator // total) for c in counts] for counts, total in rows]
+    scaled = [
+        counts if total == denominator else [c * (denominator // total) for c in counts]
+        for counts, total in rows
+    ]
     return _checked(market, denominator, scaled)
 
 

@@ -323,6 +323,20 @@ def test_integer_form_leaves_identity_unchanged():
     assert dataclasses.replace(x, rows=x.rows)._form is None
 
 
+def test_validation_builds_one_fraction_per_distinct_count():
+    """Entries with equal counts share one ``Fraction`` and zeros are
+    ``ZERO``; the matrix equals, hashes and prints as the one built entry
+    by entry."""
+    market = example3_market()
+    order = order_from_names(market, "o1>o2>o3>null")
+    x = uniform_mechanism(market, Profile((order,) * 3))
+    entries = [v for row in x.rows for v in row]
+    assert len({id(v) for v in entries}) == len(set(entries))
+    assert all(v is assignment.ZERO for v in entries if not v)
+    fresh = Assignment(tuple(tuple(Fraction(str(v)) for v in row) for row in x.rows))
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+
+
 def test_integer_form_is_tied_to_its_market():
     """A matrix validated against one market is validated again against another."""
     market = example3_market()

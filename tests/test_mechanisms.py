@@ -8,6 +8,7 @@ checked to be anonymous, which the dominance checker relies on.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -38,10 +39,15 @@ from rankmech.examples import (
     example4_market,
     make_denial_mechanism,
 )
+from rankmech import mechanisms
 from rankmech.mechanisms import (
     DEFAULT_BUDGET,
     _PatternTables,
+    _count_rows,
+    _cut_moves,
     _integer_rows,
+    _moves,
+    _rank_table,
     _truncation_classes,
 )
 from oracles import (
@@ -49,6 +55,7 @@ from oracles import (
     all_profiles,
     check_weak_ete,
     override_rows,
+    per_agent_count_rows,
     truncation_representatives,
     uncut_integer_rows,
 )
@@ -229,6 +236,131 @@ def test_integer_rows_match_the_uncut_pass():
     for market, profile in cases:
         expected = uncut_integer_rows(market, profile)
         assert _integer_rows(market, profile, "uniform", DEFAULT_BUDGET) == expected, profile
+
+
+def tie_heavy_ranks():
+    """(market, rank tables) with every agent but one on one order, the odd
+    agent swapping the top two, at n = 8, 12 and 16 and at every position."""
+    for n, caps in ((8, (2, 2, 2)), (12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))):
+        types = tuple(f"o{j}" for j in range(len(caps))) + ("null",)
+        market = Market(tuple(f"a{j}" for j in range(n)), types, (*caps, n), len(caps))
+        shared = order_from_names(market, ">".join(types))
+        odd = PreferenceOrder((1, 0, *shared.ranking[2:]))
+        for position in range(n):
+            orders = [odd if a == position else shared for a in range(n)]
+            yield market, [_rank_table(order) for order in orders]
+
+
+def denied_ranks(market, profile, agents, o):
+    """``profile``'s rank tables with type ``o`` ranked ``n_types + 1`` by
+    each of ``agents``, as the denial fixture ranks its denied type."""
+    ranks = [_rank_table(order) for order in profile.orders]
+    for a in agents:
+        ranks[a][o] = market.n_types + 1
+    return ranks
+
+
+def grouped_pass_cases():
+    for market, profile in [*every_small_profile(), *random_markets()]:
+        yield market, [_rank_table(order) for order in profile.orders]
+    # Stepping back from an optimal state here, a split of the two agents
+    # ranking t1 first would hand back a seat of t1 that was never taken:
+    # the packed state would carry into t2's digit and land on a state
+    # whose prefix rank looks tight.
+    carry = Market(("a1", "a2", "a3", "a4"), ("t0", "t1", "t2"), (4, 1, 3), 0)
+    rankings = ((2, 1, 0), (1, 0, 2), (1, 2, 0), (1, 0, 2))
+    yield carry, [_rank_table(PreferenceOrder(ranking)) for ranking in rankings]
+    yield from tie_heavy_ranks()
+    rng = random.Random(5151)
+    for i, (market, profile) in enumerate(random_markets()):
+        scarce = [o for o in range(market.n_types) if o != market.null_type]
+        denied = rng.sample(range(market.n_agents), 1 + i % 2)
+        yield market, denied_ranks(market, profile, denied, rng.choice(scarce))
+    for market, ranks in tie_heavy_ranks():
+        denied = [a for a in range(market.n_agents) if ranks[a] == ranks[-1]]
+        for agents in (denied[:1], denied[:2]):
+            yield market, [
+                [market.n_types + 1 if a in agents and o == 0 else r for o, r in enumerate(rank)]
+                for a, rank in enumerate(ranks)
+            ]
+
+
+def test_grouped_count_pass_matches_the_per_agent_pass():
+    """One step per group of equal cut moves gives the same integer rows
+    and totals as one step per agent: on every profile of the two small
+    markets, on the 200 seeded random markets, on one market where a step
+    back could carry between digits of the packed state, on tie-heavy
+    markets up to n = 16 with the odd agent at every position, and on rank
+    tables where one or two agents rank a scarce type ``n_types + 1``,
+    below their outside option, as the denial fixture does."""
+    cases = 0
+    for market, ranks in grouped_pass_cases():
+        got = _count_rows(market, ranks)
+        assert got == per_agent_count_rows(market, ranks), (market, ranks)
+        assert all(type(c) is int for row, total in got for c in (*row, total))
+        cases += 1
+    assert cases == 252 + 200 + 1 + 36 + 200 + 72
+
+
+def _spy_steps(monkeypatch):
+    """Count the forward steps of the counting pass, and check every split
+    table against its bound as it is built."""
+    steps = []
+    forward_step = mechanisms._forward_step
+    group_step = mechanisms._Splits.step
+    build = mechanisms._Splits.__init__
+
+    def spy_forward(layer, moves):
+        steps.append(1)
+        return forward_step(layer, moves)
+
+    def spy_group(self, layer):
+        steps.append(self.k)
+        return group_step(self, layer)
+
+    def spy_build(self, cut, k, width):
+        build(self, cut, k, width)
+        bound = math.prod(min(radix - 1, k) + 1 for _, stride, radix, _ in cut if stride)
+        states = math.prod(radix for _, stride, radix, _ in cut if stride)
+        assert len(self.entries) <= bound <= states
+
+    monkeypatch.setattr(mechanisms, "_forward_step", spy_forward)
+    monkeypatch.setattr(mechanisms._Splits, "step", spy_group)
+    monkeypatch.setattr(mechanisms._Splits, "__init__", spy_build)
+    return steps
+
+
+def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
+    """One forward step per distinct cut-move tuple, a group step for each
+    shared one: one step for 16 identical orders, n steps when every cut
+    differs, and as many as there are distinct cuts on every case of the
+    grouped-pass test.  No split table is longer than the product of
+    min(q_o, k) + 1 over its scarce moves, which is at most the number of
+    states."""
+    steps = _spy_steps(monkeypatch)
+    market = Market(
+        tuple(f"a{j}" for j in range(16)), ("o1", "o2", "o3", "o4", "null"), (4, 4, 3, 3, 16), 4
+    )
+    order = order_from_names(market, "o1>o2>o3>o4>null")
+    _count_rows(market, [_rank_table(order)] * 16)
+    assert steps == [16]
+
+    distinct = [
+        "null>o1>o2>o3>o4", "o1>null>o2>o3>o4", "o2>null>o1>o3>o4", "o1>o2>null>o3>o4",
+        "o2>o1>null>o3>o4", "o3>o4>null>o1>o2",
+    ]
+    six = Market(tuple(f"a{j}" for j in range(6)), market.type_names, (1, 1, 1, 1, 6), 4)
+    steps.clear()
+    _count_rows(six, [_rank_table(order_from_names(six, text)) for text in distinct])
+    assert steps == [1] * 6
+
+    for market, ranks in grouped_pass_cases():
+        start, moves = _moves(market)
+        cuts = [_cut_moves(moves, rank, market.null_type) for rank in ranks]
+        steps.clear()
+        _count_rows(market, ranks)
+        assert len(steps) == len(set(cuts))
+        assert sum(steps) == market.n_agents
 
 
 @pytest.mark.parametrize("n, caps", [(12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))])
