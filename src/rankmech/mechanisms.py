@@ -132,38 +132,41 @@ def _rank_table(order: PreferenceOrder) -> list[int]:
     return table
 
 
-def _moves(market: Market) -> tuple[int, list[tuple[TypeIndex, int, int]]]:
-    """The packed start state and the moves of the counting pass.
+Cut = tuple[tuple[TypeIndex, int, int, int], ...]
 
-    A state is the remaining capacity of every non-null type in mixed radix;
-    each move is (type, stride, radix), with stride 0 for the null type,
-    which always has room.
+
+def _moves(market: Market) -> tuple[int, int, list[tuple[TypeIndex, int, int]]]:
+    """The packed start state, its guard bits and the moves of the counting pass.
+
+    A state holds the remaining capacity q of every non-null type in a bit
+    field ``q.bit_length() + 1`` bits wide, whose top bit, its guard, is
+    clear in every state.  Each move is (type, need, field), the packed
+    seat it takes and its type's field mask, both 0 for the null type,
+    which always has room.  At most q plus q seats fit below a guard's
+    carry, so adding seats back to a state never reaches the next field.
     """
     moves = []
-    start = 0
-    stride = 1
+    start = guards = shift = 0
     for o, q in enumerate(market.capacities):
         if o == market.null_type:
-            moves.append((o, 0, 1))
+            moves.append((o, 0, 0))
         else:
-            moves.append((o, stride, q + 1))
-            start += q * stride
-            stride *= q + 1
-    return start, moves
+            width = q.bit_length() + 1
+            moves.append((o, 1 << shift, (1 << shift + width) - (1 << shift)))
+            start += q << shift
+            guards += 1 << shift + width - 1
+            shift += width
+    return start, guards, moves
 
 
-def _cut_moves(
-    moves: list[tuple[TypeIndex, int, int]], rank: list[int], null: TypeIndex
-) -> tuple[tuple[TypeIndex, int, int, int], ...]:
-    """The ``moves`` of an agent with rank table ``rank`` as (type, stride,
-    radix, rank), down to its outside option; none below it is ever optimal."""
+def _cut_moves(moves: list[tuple[TypeIndex, int, int]], rank: list[int], null: TypeIndex) -> Cut:
+    """The ``moves`` of an agent with rank table ``rank`` as (type, need,
+    field, rank), down to its outside option; none below it is ever optimal."""
     limit = rank[null]
-    return tuple([(o, stride, radix, rank[o]) for o, stride, radix in moves if rank[o] <= limit])
+    return tuple([(o, need, field, rank[o]) for o, need, field in moves if rank[o] <= limit])
 
 
-def _forward_step(
-    layer: dict[int, tuple[int, int]], moves: Sequence[tuple[TypeIndex, int, int, int]]
-) -> dict[int, tuple[int, int]]:
+def _forward_step(layer: dict[int, tuple[int, int]], moves: Cut) -> dict[int, tuple[int, int]]:
     """One agent's step of the forward half of the counting pass.
 
     ``layer`` maps each state the agents so far can leave to its least
@@ -174,10 +177,10 @@ def _forward_step(
     """
     after_layer: dict[int, tuple[int, int]] = {}
     for state, (cost, count) in layer.items():
-        for _, stride, radix, rank in moves:
-            if stride and not state // stride % radix:
+        for _, need, field, rank in moves:
+            if field and not state & field:
                 continue
-            after = state - stride
+            after = state - need
             reach = cost + rank
             held = after_layer.get(after)
             if held is None or reach < held[0]:
@@ -224,11 +227,12 @@ def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int],
     agents' rank tables (:func:`_rank_table`).
 
     A counting forward-backward pass.  A state is the remaining capacity of
-    every non-null type, packed into one int in mixed radix (the null type
-    always has room, so it is no digit), and each agent moves only down to
-    its outside option (:func:`_cut_moves`).  Agents with equal cut moves
-    are interchangeable and form a group, taken in the order of their first
-    members, and the pass takes one step per group: a lone agent's moves
+    every non-null type, packed into one int in a bit field per type
+    (:func:`_moves`; the null type always has room, so it has no field),
+    and each agent moves only down to its outside option
+    (:func:`_cut_moves`).  Agents with equal cut moves are interchangeable
+    and form a group, taken in the order of their first members, and the
+    pass takes one step per group: a lone agent's moves
     (:func:`_forward_step`), or a group's splits of its seats
     (:class:`_Splits`), each counted once per way to hand them to the
     members.  The forward pass gives each state its least prefix rank and
@@ -236,20 +240,20 @@ def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int],
     states at the optimum, one completion each, and steps back only along
     tight moves, where the prefix rank plus the move's rank is the next
     state's prefix rank; it counts the optimal completions of each state
-    it reaches.  A step's mass on ``o`` sums prefix count times completion
+    it reaches.  A lone agent's step back that overfills a field finds no
+    prefix state.  A step's mass on ``o`` sums prefix count times completion
     count times ways times seats on ``o`` over its tight moves, over the
     number of optimal assignments.  Each member of a group of k gets a
     k-th of the group's mass, exactly: the ways of the splits with a_o
     seats on ``o``, times a_o, are k times the ways to seat the other
     k - 1 members once one sits on ``o``.
     """
-    start, moves = _moves(market)
-    groups: dict[tuple[tuple[TypeIndex, int, int, int], ...], list[AgentIndex]] = {}
+    start, guards, moves = _moves(market)
+    groups: dict[Cut, list[AgentIndex]] = {}
     for a, rank in enumerate(ranks):
         groups.setdefault(_cut_moves(moves, rank, market.null_type), []).append(a)
-    width = len(ranks).bit_length() + 1  # a scarce capacity is below n
     steps = [
-        (cut, members, _Splits(cut, len(members), width) if len(members) > 1 else None)
+        (cut, members, _Splits(cut, len(members), start, guards) if len(members) > 1 else None)
         for cut, members in groups.items()
     ]
     forward = [{start: (0, 1)}]
@@ -267,10 +271,8 @@ def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int],
             mass = [0] * market.n_types
             for after, ways in below.items():
                 reach = layer[after][0]
-                for o, stride, radix, rank in cut:
-                    if stride and after // stride % radix == radix - 1:
-                        continue
-                    state = after + stride
+                for o, need, _, rank in cut:
+                    state = after + need
                     held = prefixes.get(state)
                     if held is not None and held[0] + rank == reach:
                         mass[o] += held[1] * ways
@@ -288,64 +290,56 @@ class _Splits:
     """One step of :func:`_count_rows` for ``k`` agents with the same ``cut`` moves.
 
     A split seats a_o of the k agents on each cut move's type: at most
-    min(q_o, k) on a scarce type and the rest on the outside option, which
-    every cut keeps and which always has room.  ``entries`` lists each
-    split once as (need, delta, rank, ways, rest): its a_o on the scarce
-    moves, one per field of ``width`` bits with the top bit clear; its
-    state delta, sum a_o * stride_o; its rank, sum a_o * rank_o; its ways,
-    k! / prod a_o!, the number of ways to hand those seats to the k agents;
-    and its seats on the outside option.  There are at most
+    min(q_o, k) on a scarce type, q_o read from the ``start`` state, and
+    the rest on the outside option, which every cut keeps and which always
+    has room.  ``entries`` lists each split once as (need, rank, ways): its
+    a_o packed in the fields of :func:`_moves`, which is its state delta;
+    its rank, sum a_o * rank_o; and its ways, k! / prod a_o!, the number of
+    ways to hand those seats to the k agents.  There are at most
     prod (min(q_o, k) + 1) entries over the scarce moves, no more than
     there are states.  A split fits a state when it needs no more seats of
-    a type than the state has left (forward) or has taken (back): with
-    those counts packed the same way under a set top bit per field
-    (``guards``), subtracting the need clears no guard.  ``full`` is the
-    capacities packed that way; less a state's packed seats left, it is
-    the state's packed seats taken.
+    a type than the state has left (forward) or has taken (back): with the
+    ``guards`` set, subtracting the need from those counts clears no guard.
+    ``full`` is ``start`` with its guards set; less a state, it is the
+    state's packed seats taken under the same guards.
     """
 
     __slots__ = ("k", "null", "scarce", "guards", "full", "entries")
 
-    def __init__(self, cut: tuple[tuple[TypeIndex, int, int, int], ...], k: int, width: int):
+    def __init__(self, cut: Cut, k: int, start: int, guards: int):
         self.k = k
-        self.scarce: list[tuple[TypeIndex, int, int, int]] = []
-        self.guards = self.full = 0
-        for o, stride, _, rank in cut:
-            if not stride:
+        self.guards = guards
+        self.full = start + guards
+        self.scarce: list[tuple[TypeIndex, int, int]] = []
+        for o, _, field, rank in cut:
+            if not field:
                 self.null, null_rank = o, rank
-        table = [(0, 0, k * null_rank, 1, k)]
-        for o, stride, radix, rank in cut:
-            if not stride:
+        table = [(0, k * null_rank, 1, k)]
+        for o, need, field, rank in cut:
+            if not field:
                 continue
-            shift = width * len(self.scarce)
-            self.scarce.append((o, stride, radix, shift))
-            guard = 1 << shift + width - 1
-            self.guards += guard
-            self.full += (radix - 1 << shift) + guard
+            shift = need.bit_length() - 1
+            self.scarce.append((o, field, shift))
             gain = rank - null_rank
             table = [
-                (need + (a << shift), delta + a * stride, reach + a * gain,
-                 ways * comb(left, a), left - a)
-                for need, delta, reach, ways, left in table
-                for a in range(min(radix - 1, left) + 1)
+                (packed + a * need, reach + a * gain, ways * comb(left, a), left - a)
+                for packed, reach, ways, left in table
+                for a in range(min((start & field) >> shift, left) + 1)
             ]
-        self.entries = table
+        self.entries = [entry[:3] for entry in table]
 
     def step(self, layer: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
         """The group's forward step: :func:`_forward_step` with one move per
         fitting split, each prefix counted once per way."""
         after_layer: dict[int, tuple[int, int]] = {}
         guards = self.guards
-        scarce = self.scarce
         entries = self.entries
         for state, (cost, count) in layer.items():
-            room = guards
-            for _, stride, radix, shift in scarce:
-                room += state // stride % radix << shift
-            for need, delta, rank, ways, _ in entries:
+            room = state | guards
+            for need, rank, ways in entries:
                 if (room - need) & guards != guards:
                     continue
-                after = state - delta
+                after = state - need
                 reach = cost + rank
                 held = after_layer.get(after)
                 if held is None or reach < held[0]:
@@ -370,27 +364,25 @@ class _Splits:
         here: dict[int, int] = {}
         mass_of: dict[int, int] = {}
         guards = self.guards
-        scarce = self.scarce
+        full = self.full
         entries = self.entries
         for after, completions in below.items():
             reach = layer[after][0]
-            taken = self.full
-            for _, stride, radix, shift in scarce:
-                taken -= after // stride % radix << shift
-            for need, delta, rank, ways, _ in entries:
+            taken = full - after
+            for need, rank, ways in entries:
                 if (taken - need) & guards != guards:
                     continue
-                state = after + delta
+                state = after + need
                 held = prefixes.get(state)
                 if held is not None and held[0] + rank == reach:
                     weight = ways * completions
-                    mass_of[delta] = mass_of.get(delta, 0) + held[1] * weight
+                    mass_of[need] = mass_of.get(need, 0) + held[1] * weight
                     here[state] = here.get(state, 0) + weight
         mass = [0] * n_types
-        for delta, weight in mass_of.items():
+        for need, weight in mass_of.items():
             left = self.k
-            for o, stride, radix, _ in scarce:
-                a = delta // stride % radix
+            for o, field, shift in self.scarce:
+                a = (need & field) >> shift
                 mass[o] += weight * a
                 left -= a
             mass[self.null] += weight * left

@@ -293,15 +293,22 @@ def _first_witnesses(
     :meth:`_ClassRows.unparsed` does not rule out for the multiset.  A truth
     and candidate in one class get the same row everywhere, so such a pair
     is never compared and has no witness.  Rows are compared by
-    cross-multiplying cumulative sums along the truth's ranking.  Refusal
-    moves everything from the truth's outside option down onto it, so every
+    cross-multiplying cumulative sums along the truth's ranking down to its
+    outside option, which depends on the truth's class only, so the ranks
+    compared are read from the class representative.  Refusal moves
+    everything from the truth's outside option down onto it, so every
     cumulative sum from there on equals the total: with refusal on the
-    comparison stops just above the outside option, without it just before
-    the last rank.
+    comparison stops just above the outside option.  Without refusal it
+    stops at the outside option, inclusive: a row carries no mass below its
+    reveal's outside option, so there the truth's sum is its total T_t,
+    and from there on the gap is T_t times the candidate's sum less its
+    total.  That is never positive and never falls, so if it is negative
+    at the outside option the comparison has already failed there, and if
+    it is zero it stays zero: no later rank changes either verdict.
 
-    Two pairs with the same truth class, candidate class and compared
-    prefix compare the same rows on the same multisets in the same order,
-    so they share one found slot and are compared once: each distinct
+    So two pairs with the same truth class and candidate class compare the
+    same rows along the same ranks on the same multisets in the same order,
+    and they share one found slot and are compared once: each distinct
     comparison is an open entry of the walk.  The orders are not checked
     here; the entry points (:func:`check_dominance`,
     :func:`~rankmech.market.order_from_names`, :func:`ods_set`) check them,
@@ -320,19 +327,17 @@ def _first_witnesses(
     parse = mechanism == "modified"
     m = market.n_types
     tie = (None, None)  # a pair inside one class ties at every multiset
-    # (truth's class, candidate's class, the truth's types in the compared prefix) -> found slot
-    slots: dict[tuple[int, int, tuple[TypeIndex, ...]], list] = {}
+    slots: dict[tuple[int, int], list] = {}  # (truth's class, candidate's class) -> found slot
     found: dict[tuple[PreferenceOrder, PreferenceOrder], list | tuple] = {}
     for truth, candidate in pairs:
         t, c = source.class_of[truth], source.class_of[candidate]
-        if t == c:
-            found[truth, candidate] = tie
-        else:
-            stop = truth.rank(market.null_type) - 1 if refusal else m - 1
-            found[truth, candidate] = slots.setdefault((t, c, truth.ranking[:stop]), [None, None])
-    open_pairs = [(t, c, prefix, slot) for (t, c, prefix), slot in slots.items()]
-    needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
+        found[truth, candidate] = tie if t == c else slots.setdefault((t, c), [None, None])
     null_rank = source.tables.null_rank
+    open_pairs = [
+        (t, c, source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]], slot)
+        for (t, c), slot in slots.items()
+    ]
+    needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     for combo, ends in source.walk(market.n_agents - 1) if open_pairs else ():
         # every outside-option rank lies in 1..m, so no reveal parses under uniform
         low, high = source.unparsed(combo) if parse else (1, m)
@@ -414,7 +419,7 @@ class _ClassRows:
             for o in reversed(order.ranking):
                 table = [o if mask >> o & 1 else t for mask, t in enumerate(table)]
             self.first_with_room.append(table)
-        self.start, self.moves = _moves(market)
+        self.start, _, self.moves = _moves(market)
         self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
         # the room mask of each state met so far; at most prod(q + 1) of them
         self.masks: dict[int, int] = {}
@@ -458,9 +463,7 @@ class _ClassRows:
             mask = masks.get(state)
             if mask is None:
                 mask = masks[state] = sum(
-                    1 << o
-                    for o, stride, radix in self.moves
-                    if not stride or state // stride % radix
+                    1 << o for o, _, field in self.moves if not field or state & field
                 )
             held = folded.get(mask)
             if held is None or cost < held[0]:

@@ -27,7 +27,7 @@ from rankmech import (
     uniform_mechanism,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
-from rankmech.mechanisms import _cut_moves, _forward_step, _moves, _rank_table
+from rankmech.mechanisms import _rank_table
 from rankmech.sweeps import SweepOutcome
 
 ZERO = Fraction(0)
@@ -649,40 +649,33 @@ def uncut_integer_rows(market, profile):
 
 def per_agent_count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int], int]]:
     """Every agent's uniform row as integer counts over a total, from the
-    agents' rank tables (:func:`_rank_table`).
+    agents' rank tables (:func:`_rank_table`), one agent at a time.
 
-    A counting forward-backward pass over agents in index order.  A state
-    is the remaining capacity of every non-null type, packed into one int
-    in mixed radix (the null type always has room, so it is no digit), and
-    each agent moves only down to its outside option (:func:`_cut_moves`).
-    The forward pass gives each state its least prefix rank and how many
-    prefixes reach it.  The backward pass starts from the final states at
-    the optimum, one completion each, and steps back only along tight
-    moves, where the prefix rank plus the move's rank is the next state's
-    prefix rank; it counts the optimal completions of each state it
-    reaches.  So ``row[a][o]`` sums prefix count times completion count
+    A counting forward-backward pass over agents in index order, on the
+    mixed-radix layers of :func:`forward_layers`, where every agent may
+    take every type with room.  The backward pass starts from the final
+    states at the optimum, one completion each, and steps back only along
+    tight moves, where the prefix rank plus the move's rank is the next
+    state's prefix rank; it counts the optimal completions of each state
+    it reaches.  So ``row[a][o]`` sums prefix count times completion count
     over agent ``a``'s tight moves to ``o``, over the number of optimal
     assignments.
     """
-    start, moves = _moves(market)
-    cuts = [_cut_moves(moves, rank, market.null_type) for rank in ranks]
-    forward = [{start: (0, 1)}]
-    for cut in cuts:
-        forward.append(_forward_step(forward[-1], cut))
+    start, moves, forward = forward_layers(market, ranks)
     optimum = min(cost for cost, _ in forward[-1].values())
 
-    counts = [[0] * market.n_types for _ in cuts]
+    counts = [[0] * market.n_types for _ in ranks]
     below = {state: 1 for state, (cost, _) in forward[-1].items() if cost == optimum}
-    for row, cut, prefixes, layer in reversed(list(zip(counts, cuts, forward, forward[1:]))):
+    for row, rank, prefixes, layer in reversed(list(zip(counts, ranks, forward, forward[1:]))):
         here: dict[int, int] = {}
         for after, ways in below.items():
             reach = layer[after][0]
-            for o, stride, radix, rank in cut:
+            for o, stride, radix in moves:
                 if stride and after // stride % radix == radix - 1:
                     continue
                 state = after + stride
                 held = prefixes.get(state)
-                if held is not None and held[0] + rank == reach:
+                if held is not None and held[0] + rank[o] == reach:
                     row[o] += held[1] * ways
                     here[state] = here.get(state, 0) + ways
         below = here

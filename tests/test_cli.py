@@ -154,9 +154,18 @@ def test_dominance_rejects_unknown_agent(spec_path, capsys):
      "candidate o1>o2>o3>null [full extension]: weak=yes strict=no\n"
      "candidate o1>o3>o2>null [demotion]: weak=yes strict=yes\n"
      "  strictly preferred at a1=(o1>o2>o3>null) a3=(o1>o3>o2>null)\n"),
-], ids=["ods-refusal", "candidate-failure", "wide-ods-refusal"])
+    ((Path(__file__).parent / "data" / "market_3x5.txt").read_text(),
+     ["--agent", "a1", "--truth-order", "o1>null>o2>o3>o4", "--candidate", "o1>o2>o3>o4>null"],
+     "agent: a1  truth: o1>null>o2>o3>o4  mechanism: uniform  refusal: off\n"
+     "candidate o1>o2>o3>o4>null: weak=no strict=no\n"
+     "  not weakly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o2>o3>o4>null)\n"
+     "  strictly preferred at a2=(o1>o3>o2>o4>null) a3=(o2>o1>o3>o4>null)\n"),
+], ids=["ods-refusal", "candidate-failure", "wide-ods-refusal", "3x5-candidate-both-witnesses"])
 def test_dominance_output_is_pinned(tmp_path, capsys, spec, argv, expected):
-    """The whole report, witnesses included, byte for byte."""
+    """The whole report, witnesses included, byte for byte.  The 3 x 5
+    query runs without refusal, so its comparison stops at the truth's
+    outside option, where the candidate already falls short; the CI
+    workflow runs the installed script on the same query."""
     path = tmp_path / "market.txt"
     path.write_text(spec)
     assert main(["dominance", "--spec", str(path), *argv]) == 0

@@ -44,9 +44,7 @@ from rankmech.mechanisms import (
     DEFAULT_BUDGET,
     _PatternTables,
     _count_rows,
-    _cut_moves,
     _integer_rows,
-    _moves,
     _rank_table,
     _truncation_classes,
 )
@@ -304,8 +302,11 @@ def test_grouped_count_pass_matches_the_per_agent_pass():
 
 def _spy_steps(monkeypatch):
     """Count the forward steps of the counting pass, and check every split
-    table against its bound as it is built."""
+    table against its bound, read from the counted market's capacities, as
+    it is built.  Returns the step list and a ``count(market, ranks)`` that
+    runs :func:`_count_rows` under the spies."""
     steps = []
+    counted = []
     forward_step = mechanisms._forward_step
     group_step = mechanisms._Splits.step
     build = mechanisms._Splits.__init__
@@ -318,31 +319,36 @@ def _spy_steps(monkeypatch):
         steps.append(self.k)
         return group_step(self, layer)
 
-    def spy_build(self, cut, k, width):
-        build(self, cut, k, width)
-        bound = math.prod(min(radix - 1, k) + 1 for _, stride, radix, _ in cut if stride)
-        states = math.prod(radix for _, stride, radix, _ in cut if stride)
-        assert len(self.entries) <= bound <= states
+    def spy_build(self, cut, k, *layout):
+        build(self, cut, k, *layout)
+        market = counted[-1]
+        scarce = [market.capacities[o] for o, *_ in cut if o != market.null_type]
+        bound = math.prod(min(q, k) + 1 for q in scarce)
+        assert len(self.entries) <= bound <= math.prod(q + 1 for q in scarce)
+
+    def count(market, ranks):
+        counted.append(market)
+        return _count_rows(market, ranks)
 
     monkeypatch.setattr(mechanisms, "_forward_step", spy_forward)
     monkeypatch.setattr(mechanisms._Splits, "step", spy_group)
     monkeypatch.setattr(mechanisms._Splits, "__init__", spy_build)
-    return steps
+    return steps, count
 
 
 def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
     """One forward step per distinct cut-move tuple, a group step for each
     shared one: one step for 16 identical orders, n steps when every cut
-    differs, and as many as there are distinct cuts on every case of the
-    grouped-pass test.  No split table is longer than the product of
-    min(q_o, k) + 1 over its scarce moves, which is at most the number of
-    states."""
-    steps = _spy_steps(monkeypatch)
+    differs, and as many as there are distinct cuts (the types and ranks
+    down to the outside option) on every case of the grouped-pass test.
+    No split table is longer than the product of min(q_o, k) + 1 over its
+    scarce moves, which is at most the number of states."""
+    steps, count = _spy_steps(monkeypatch)
     market = Market(
         tuple(f"a{j}" for j in range(16)), ("o1", "o2", "o3", "o4", "null"), (4, 4, 3, 3, 16), 4
     )
     order = order_from_names(market, "o1>o2>o3>o4>null")
-    _count_rows(market, [_rank_table(order)] * 16)
+    count(market, [_rank_table(order)] * 16)
     assert steps == [16]
 
     distinct = [
@@ -351,16 +357,59 @@ def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
     ]
     six = Market(tuple(f"a{j}" for j in range(6)), market.type_names, (1, 1, 1, 1, 6), 4)
     steps.clear()
-    _count_rows(six, [_rank_table(order_from_names(six, text)) for text in distinct])
+    count(six, [_rank_table(order_from_names(six, text)) for text in distinct])
     assert steps == [1] * 6
 
     for market, ranks in grouped_pass_cases():
-        start, moves = _moves(market)
-        cuts = [_cut_moves(moves, rank, market.null_type) for rank in ranks]
+        cuts = {
+            tuple((o, r) for o, r in enumerate(rank) if r <= rank[market.null_type])
+            for rank in ranks
+        }
         steps.clear()
-        _count_rows(market, ranks)
-        assert len(steps) == len(set(cuts))
+        count(market, ranks)
+        assert len(steps) == len(cuts)
         assert sum(steps) == market.n_agents
+
+
+def tight_width_cases():
+    """(market, profile, filled) at n = 8 and 16, on scarce capacities that
+    set every value bit of their fields (1, 3, 7 and 15) next to capacities
+    that just pass a power of two (2, 4 and 8; no scarce capacity reaches
+    n = 16).  Per market: every agent on one order, the outside option
+    last and the scarce types by rising or by falling capacity, so that
+    one group's splits fill the first type, ``filled``; and two seeded
+    profiles with every order distinct (``filled`` None)."""
+    rng = random.Random(8161)
+    for n, caps in (
+        (8, (1, 3, 7)), (8, (1, 2, 3, 4)), (8, (7, 4, 1)),
+        (16, (1, 3, 7, 15)), (16, (3, 4, 7, 8)), (16, (15, 8, 1)),
+    ):
+        types = tuple(f"o{j}" for j in range(len(caps))) + ("null",)
+        market = Market(tuple(f"a{j}" for j in range(n)), types, (*caps, n), len(caps))
+        rising = sorted(range(len(caps)), key=caps.__getitem__)
+        for ranking in (rising, rising[::-1]):
+            order = PreferenceOrder((*ranking, market.null_type))
+            yield market, Profile((order,) * n), ranking[0]
+        for _ in range(2):
+            yield market, Profile(tuple(rng.sample(market.all_orders(), n))), None
+
+
+def test_tight_fields_never_carry():
+    """Where a field's value bits are all set, a step back that adds a seat
+    to it reaches its guard bit, never the next field: the grouped pass
+    gives the per-agent pass's and the uncut pass's integer rows on every
+    case of :func:`tight_width_cases`, and where all agents share one
+    order their rows seat the first type's full capacity."""
+    cases = 0
+    for market, profile, filled in tight_width_cases():
+        ranks = [_rank_table(order) for order in profile.orders]
+        got = _count_rows(market, ranks)
+        assert got == per_agent_count_rows(market, ranks) == uncut_integer_rows(market, profile)
+        if filled is not None:
+            total = got[0][1]
+            assert sum(row[filled] for row, _ in got) == market.capacities[filled] * total
+        cases += 1
+    assert cases == 24
 
 
 @pytest.mark.parametrize("n, caps", [(12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))])

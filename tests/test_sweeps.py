@@ -600,6 +600,28 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
     assert len(source.masks) <= states
 
 
+@pytest.mark.parametrize("n, caps", [(8, (7, 3, 1)), (16, (15, 8, 1))])
+def test_ends_on_tight_fields_match_the_per_state_rows(n, caps):
+    """On markets whose scarce capacities set every value bit of their
+    packed fields, the row read from ``ends`` on 80 seeded multisets of
+    opponent orders, given as classes in any order, equals the row read
+    from every state of a fresh forward pass, for every reveal."""
+    types = tuple(f"o{j}" for j in range(len(caps))) + ("null",)
+    market = Market(tuple(f"a{j}" for j in range(n)), types, (*caps, n), len(caps))
+    orders = market.all_orders()
+    source = strategy._ClassRows(market)
+    oracle = oracles.PerStateLayers(market, orders)
+    rng = random.Random(n)
+    for _ in range(80):
+        combo = [rng.randrange(len(orders)) for _ in range(n - 1)]
+        opponents = [source.class_of[orders[i]] for i in combo]
+        ends = source.ends(opponents)
+        per_state = oracle.ends(combo)
+        for reveal, order in enumerate(orders):
+            expected = oracle.row(per_state, reveal)
+            assert source.row(ends, opponents, source.class_of[order], False) == expected
+
+
 @pytest.mark.parametrize("mechanism", ["uniform", "modified"])
 @pytest.mark.parametrize("name", sorted(WALK_MARKETS))
 def test_class_rows_match_the_mechanism_rows(name, mechanism):
