@@ -196,14 +196,14 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     the classic bistochastic argument applies after splitting each type into
     unit-capacity copies and padding with dummy agents (Budish, Che, Kojima
     and Milgrom 2013).  A type whose column sums to s gets ⌈s⌉ copies, and a
-    type nobody holds gets none.  The agents fill a type's copies
-    northwest-corner style: in agent order, each agent's mass on the type goes
-    into the current copy until that copy holds one unit, and the rest spills
-    into the next.  Since ``x`` is feasible and capacities are integers, ⌈s⌉
-    is at most the type's capacity, so no projected seating overfills a type.
-    The copies number at most n + m - 1 (n agents, m types), so the cost is
-    bounded in n and m however large the capacities are.  Each extraction step
-    finds a perfect matching over the positive entries (one always exists for
+    type nobody holds gets none.  The agents fill a type's copies in agent
+    order: each agent's mass on the type goes into the current copy until
+    that copy holds one unit, and the rest spills into the next.  Since
+    ``x`` is feasible and capacities are integers, ⌈s⌉ is at most the
+    type's capacity, so no projected seating overfills a type.  The copies
+    number at most n + m - 1 (n agents, m types), so the cost is bounded in
+    n and m however large the capacities are.  Each extraction step finds a
+    perfect matching over the positive entries (one always exists for
     a matrix with equal row and column sums) and subtracts the largest weight
     that keeps the remainder nonnegative, zeroing at least one entry, so the
     loop terminates.  Projecting matched copies back to their types yields
@@ -212,15 +212,18 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
 
     The work is done in integers over ``D``, the denominator of ``x``'s
     integer form (a bare ``Assignment`` is validated first); a copy count is
-    read from that form as the column sum over ``D``, rounded up.  The
-    unit-copy matrix, the dummy rows (filled northwest-corner style from the
-    column deficits) and the weights are all ``D`` times their rational
-    values.  Each row keeps its positive columns as a bit mask, whose bit is
-    cleared when its entry reaches zero.  The matching is kept from one step
-    to the next: the first step runs Kuhn's augmenting-path matching over the
-    masks from an empty matching, and each later step unmatches only the rows
-    whose matched entry reached zero and re-augments them in ascending order,
-    with an explicit stack instead of recursion.  Every other matched entry is
+    read from that form as the column sum over ``D``, rounded up.  Each row
+    of the unit-copy matrix holds only its positive entries, as a map from
+    copy to count: a real agent's row is filled as above, and the dummy
+    agents, one unit each, then fill the room the copies have left over all
+    copies in order, the same way.  Entries and weights are ``D`` times
+    their rational values.  Each row also keeps its copies as a bit mask,
+    read from its keys; when an entry reaches zero it is deleted and its
+    bit cleared.  The matching is kept from one step to the next: the first
+    step runs Kuhn's augmenting-path matching over the masks from an empty
+    matching, and each later step unmatches only the rows whose matched
+    entry reached zero and re-augments them in ascending order, with an
+    explicit stack instead of recursion.  Every other matched entry is
     still positive, so the kept pairs stay valid.  The parts are the ones the
     same warm-started algorithm gives over ``Fraction`` entries (the oracle in
     the tests): at every step the integer matrix is an exact multiple of the
@@ -231,21 +234,41 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     """
     denominator, counts = _scaled(market, x)  # malformed input is a domain error
     n_real = market.n_agents
-    copies = [-(-sum(column) // denominator) for column in zip(*counts)]
     copy_type: list[TypeIndex] = []
-    for o in range(market.n_types):
-        copy_type.extend([o] * copies[o])
+    current = []  # each type's copy being filled
+    for o, column in enumerate(zip(*counts)):
+        current.append(len(copy_type))
+        copy_type.extend([o] * -(-sum(column) // denominator))
     n_copies = len(copy_type)
 
-    # Real agents fill each type's copies in agent order; dummy agents, one
-    # unit each, fill the room the copies have left.
-    blocks = [_northwest_corner(column, [denominator] * k)
-              for column, k in zip(zip(*counts), copies)]
-    matrix = [[v for part in parts for v in part] for parts in zip(*blocks)]
-    room = [denominator - sum(column) for column in zip(*matrix)]
-    matrix += _northwest_corner([denominator] * (n_copies - n_real), room)
+    # Real agents fill each type's copies in agent order, then dummy agents,
+    # one unit each, fill the room left over all copies in order, as if on
+    # one type whose copies are all the copies: an entry goes into its
+    # current copy, and what that copy has no room for spills into the next.
+    # Each row keeps its positive entries only.
+    room = [denominator] * n_copies
+    rows: list[dict[int, int]] = []
+    dummy = [0]  # the dummy agents' current copy
+    supplies = [(current, row) for row in counts]
+    supplies += [(dummy, [denominator])] * (n_copies - n_real)
+    for cursor, row in supplies:
+        entries = {}
+        for o, need in enumerate(row):
+            while need:
+                c = cursor[o]
+                space = room[c]
+                if need < space:
+                    entries[c] = need
+                    room[c] = space - need
+                    break
+                if space:  # only a dummy meets a copy the real agents filled
+                    entries[c] = space
+                    room[c] = 0
+                    need -= space
+                cursor[o] = c + 1
+        rows.append(entries)
+    positive = [sum(1 << c for c in row) for row in rows]
 
-    positive = [sum(1 << c for c, v in enumerate(row) if v > 0) for row in matrix]
     col_of_row = [-1] * n_copies
     row_of_col = [-1] * n_copies
     free = (1 << n_copies) - 1
@@ -254,17 +277,20 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     remaining = denominator
     while remaining > 0:
         _complete_matching(positive, col_of_row, row_of_col, free, roots)
-        weight = min(matrix[r][c] for r, c in enumerate(col_of_row))
+        weight = min(map(dict.__getitem__, rows, col_of_row))
         assert weight > 0
         # Read the seating before the zeroed rows give up their columns.
-        choices = tuple(copy_type[c] for c in col_of_row[:n_real])
+        choices = tuple(map(copy_type.__getitem__, col_of_row[:n_real]))
         weights[choices] = weights.get(choices, 0) + weight
         remaining -= weight
         free = 0
         roots = []
-        for r, c in enumerate(col_of_row):
-            matrix[r][c] -= weight
-            if matrix[r][c] == 0:
+        for r, (row, c) in enumerate(zip(rows, col_of_row)):
+            left = row[c] - weight
+            if left:
+                row[c] = left
+            else:
+                del row[c]
                 bit = 1 << c
                 positive[r] ^= bit
                 free |= bit
@@ -277,27 +303,6 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
         for choices in sorted(weights)
     )
     return Decomposition(parts)
-
-
-def _northwest_corner(supplies, demands) -> list[list[int]]:
-    """The northwest-corner table: row r sums to ``supplies[r]`` and column c
-    to at most ``demands[c]``, filled row by row, each row taking from the
-    first column with room left.  The supplies must not exceed the demands.
-    """
-    room = list(demands)
-    table = []
-    c = 0
-    for need in supplies:
-        row = [0] * len(room)
-        while need:
-            take = min(need, room[c])
-            row[c] = take
-            room[c] -= take
-            need -= take
-            if room[c] == 0:
-                c += 1
-        table.append(row)
-    return table
 
 
 def _complete_matching(

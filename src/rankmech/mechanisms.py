@@ -8,7 +8,11 @@ entry as an exact ratio of integers.  The outside option always has room,
 so no such assignment seats an agent below it, and neither pass tries those
 moves.  Agents whose moves down to it agree are interchangeable, so the
 passes take one step per such group, weighted by the number of ways to seat
-its members, and split its counts evenly among them.  The modified
+its members, and split its counts evenly among them.  The forward pass is
+a branch and bound: a greedy seating's rank bounds the optimum from above,
+each later group adds at least its size times its best rank, and a state or
+a group's split past that bound, which no optimal assignment can use, is
+never stored.  The modified
 mechanism coincides with the uniform one except on profiles matching a
 narrow crowd-out pattern, where it denies the patterned agent its first
 best.  Both treat agents with essentially equal revealed orders identically
@@ -33,6 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .assignment import Assignment, DeterministicAssignment, _checked
@@ -134,6 +139,9 @@ def _rank_table(order: PreferenceOrder) -> list[int]:
 
 Cut = tuple[tuple[TypeIndex, int, int, int], ...]
 
+# No prefix rank reaches this: the limit of a forward step with no bound.
+_NO_LIMIT = 1 << 29
+
 
 def _moves(market: Market) -> tuple[int, int, list[tuple[TypeIndex, int, int]]]:
     """The packed start state, its guard bits and the moves of the counting pass.
@@ -166,22 +174,28 @@ def _cut_moves(moves: list[tuple[TypeIndex, int, int]], rank: list[int], null: T
     return tuple([(o, need, field, rank[o]) for o, need, field in moves if rank[o] <= limit])
 
 
-def _forward_step(layer: dict[int, tuple[int, int]], moves: Cut) -> dict[int, tuple[int, int]]:
+def _forward_step(
+    layer: dict[int, tuple[int, int]], moves: Cut, limit: int = _NO_LIMIT
+) -> dict[int, tuple[int, int]]:
     """One agent's step of the forward half of the counting pass.
 
     ``layer`` maps each state the agents so far can leave to its least
     prefix rank and the number of prefixes reaching it with that rank; the
     result is the same map once one more agent, with the :func:`_cut_moves`
-    ``moves``, has moved.  The cut can raise a state's cost or drop it, but
-    not on any state an optimal assignment passes through.
+    ``moves``, has moved, keeping only the states whose prefix rank is at
+    most ``limit`` (:func:`_count_rows`' bound; the dominance walk passes
+    none).  The cut can raise a state's cost or drop it, but not on any
+    state an optimal assignment passes through.
     """
     after_layer: dict[int, tuple[int, int]] = {}
     for state, (cost, count) in layer.items():
         for _, need, field, rank in moves:
             if field and not state & field:
                 continue
-            after = state - need
             reach = cost + rank
+            if reach > limit:
+                continue
+            after = state - need
             held = after_layer.get(after)
             if held is None or reach < held[0]:
                 after_layer[after] = (reach, count)
@@ -247,19 +261,64 @@ def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int],
     k-th of the group's mass, exactly: the ways of the splits with a_o
     seats on ``o``, times a_o, are k times the ways to seat the other
     k - 1 members once one sits on ``o``.
+
+    The forward pass keeps only states that can still be on an optimal
+    path, by branch and bound.  ``upper`` is the total rank of a greedy
+    seating: group by group, each member takes its best cut move that
+    still has room, and the null type always has room, so the seating is
+    feasible and ``upper`` is at least the optimum.  Group i's ``least``
+    is its size times its best cut rank, and no seating of the group
+    ranks less.  ``spare`` is ``upper`` less every group's ``least``.
+    After step i a state is kept only if its prefix rank is at most the
+    ``least`` of groups 0..i plus ``spare``, that is ``upper`` less the
+    later groups' ``least``; a group's split table holds only splits of
+    rank at most its own ``least`` plus ``spare``, since every prefix
+    before it ranks at least the earlier groups' ``least``.  This is exact:
+
+    - A state on an optimal path has prefix rank the optimum less its
+      optimal completion's rank, which is at least the later groups'
+      ``least``: it is within its limit, and the split that reached it,
+      whose rank is that prefix rank less one at least the earlier groups'
+      ``least``, is within its table's.
+    - A least-rank predecessor of such a state is on an optimal path too,
+      so by induction every such state is kept with its exact (least rank,
+      count), and the optimum is read exactly off the last layer.
+    - Any other kept state holds the rank of some real prefix, at least
+      its least one, so it fails the step back's tightness test from every
+      state on an optimal path (passing it would put it on one): the
+      backward pass reaches only states on optimal paths.
     """
     start, guards, moves = _moves(market)
     groups: dict[Cut, list[AgentIndex]] = {}
     for a, rank in enumerate(ranks):
         groups.setdefault(_cut_moves(moves, rank, market.null_type), []).append(a)
-    steps = [
-        (cut, members, _Splits(cut, len(members), start, guards) if len(members) > 1 else None)
-        for cut, members in groups.items()
-    ]
+    state = start
+    upper = 0
+    least = []
+    for cut in groups:
+        # Best move first, each taking as many of the members left as it has room for.
+        left = len(groups[cut])
+        by_rank = sorted(cut, key=itemgetter(3))
+        least.append(left * by_rank[0][3])
+        for _, need, field, rank in by_rank:
+            seats = min(left, (state & field) // need) if field else left
+            state -= seats * need
+            upper += seats * rank
+            left -= seats
+    spare = upper - sum(least)
+
+    steps = []
     forward = [{start: (0, 1)}]
-    for cut, _, splits in steps:
-        layer = forward[-1]
-        forward.append(_forward_step(layer, cut) if splits is None else splits.step(layer))
+    limit = spare
+    for (cut, members), low in zip(groups.items(), least):
+        limit += low
+        if len(members) == 1:
+            splits = None
+            forward.append(_forward_step(forward[-1], cut, limit))
+        else:
+            splits = _Splits(cut, len(members), start, guards, low + spare)
+            forward.append(splits.step(forward[-1], limit))
+        steps.append((cut, members, splits))
     optimum = min(cost for cost, _ in forward[-1].values())
 
     counts: list[list[int]] = [[] for _ in ranks]
@@ -292,10 +351,14 @@ class _Splits:
     A split seats a_o of the k agents on each cut move's type: at most
     min(q_o, k) on a scarce type, q_o read from the ``start`` state, and
     the rest on the outside option, which every cut keeps and which always
-    has room.  ``entries`` lists each split once as (need, rank, ways): its
-    a_o packed in the fields of :func:`_moves`, which is its state delta;
-    its rank, sum a_o * rank_o; and its ways, k! / prod a_o!, the number of
-    ways to hand those seats to the k agents.  There are at most
+    has room.  ``entries`` lists each split of rank at most ``limit`` (the
+    bound of :func:`_count_rows`) once as (need, rank, ways): its a_o
+    packed in the fields of :func:`_moves`, which is its state delta; its
+    rank, sum a_o * rank_o; and its ways, k! / prod a_o!, the number of
+    ways to hand those seats to the k agents.  The table is built one
+    scarce move at a time, and a partial split is dropped as soon as its
+    rank, less the most the moves still to come can lower it (each filled
+    to min(q_o, k) seats), exceeds ``limit``.  There are at most
     prod (min(q_o, k) + 1) entries over the scarce moves, no more than
     there are states.  A split fits a state when it needs no more seats of
     a type than the state has left (forward) or has taken (back): with the
@@ -306,29 +369,37 @@ class _Splits:
 
     __slots__ = ("k", "null", "scarce", "guards", "full", "entries")
 
-    def __init__(self, cut: Cut, k: int, start: int, guards: int):
+    def __init__(self, cut: Cut, k: int, start: int, guards: int, limit: int):
         self.k = k
         self.guards = guards
         self.full = start + guards
         self.scarce: list[tuple[TypeIndex, int, int]] = []
-        for o, _, field, rank in cut:
-            if not field:
-                self.null, null_rank = o, rank
-        table = [(0, k * null_rank, 1, k)]
+        tops = []
         for o, need, field, rank in cut:
-            if not field:
-                continue
-            shift = need.bit_length() - 1
-            self.scarce.append((o, field, shift))
-            gain = rank - null_rank
+            if field:
+                shift = need.bit_length() - 1
+                self.scarce.append((o, field, shift))
+                tops.append((need, min((start & field) >> shift, k), rank))
+            else:
+                self.null, null_rank = o, rank
+        # ``later`` is the most the scarce moves not yet taken can lower a
+        # split's rank: each filled to its top, at its gain per seat over
+        # the outside option.  Seating a on a move keeps the split only if
+        # its rank less ``later`` stays within ``limit``, which takes at
+        # least ceil((reach - later - limit) / gain) seats.
+        later = sum(top * (null_rank - rank) for _, top, rank in tops)
+        table = [(0, k * null_rank, 1, k)]
+        for need, top, rank in tops:
+            gain = null_rank - rank
+            later -= top * gain
             table = [
-                (packed + a * need, reach + a * gain, ways * comb(left, a), left - a)
+                (packed + a * need, reach - a * gain, ways * comb(left, a), left - a)
                 for packed, reach, ways, left in table
-                for a in range(min((start & field) >> shift, left) + 1)
+                for a in range(max(0, -((limit + later - reach) // gain)), min(top, left) + 1)
             ]
         self.entries = [entry[:3] for entry in table]
 
-    def step(self, layer: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    def step(self, layer: dict[int, tuple[int, int]], limit: int) -> dict[int, tuple[int, int]]:
         """The group's forward step: :func:`_forward_step` with one move per
         fitting split, each prefix counted once per way."""
         after_layer: dict[int, tuple[int, int]] = {}
@@ -339,8 +410,10 @@ class _Splits:
             for need, rank, ways in entries:
                 if (room - need) & guards != guards:
                     continue
-                after = state - need
                 reach = cost + rank
+                if reach > limit:
+                    continue
+                after = state - need
                 held = after_layer.get(after)
                 if held is None or reach < held[0]:
                     after_layer[after] = (reach, count * ways)

@@ -603,7 +603,13 @@ def forward_layers(market, ranks):
 
 
 def uncut_integer_rows(market, profile):
-    """The uniform rows as integer counts over a total, from every move.
+    """:func:`uncut_count_rows` from ``profile``'s rank tables."""
+    return uncut_count_rows(market, [_rank_table(order) for order in profile.orders])
+
+
+def uncut_count_rows(market, ranks):
+    """The uniform rows as integer counts over a total, from every move, for
+    agents with rank tables ``ranks``.
 
     A forward-backward pass over agents in index order that tries every
     type for every agent, outside option or not.  The forward pass gives
@@ -614,7 +620,6 @@ def uncut_integer_rows(market, profile):
     """
     n = market.n_agents
     m = market.n_types
-    ranks = [_rank_table(order) for order in profile.orders]
     start, moves, forward = forward_layers(market, ranks)
     optimum = min(cost for cost, _ in forward[n].values())
 
@@ -645,6 +650,42 @@ def uncut_integer_rows(market, profile):
         below = here
     total = below[start][1]
     return [(row, total) for row in counts]
+
+
+def optimal_path_states(market, ranks):
+    """The states of the unpruned pass of :func:`forward_layers` that lie on
+    an optimal path, after each agent boundary.
+
+    Entry k maps the remaining capacities of the non-null types, in type
+    order, of each state the first k agents can leave to its least prefix
+    rank and prefix count, for the states from which the remaining agents
+    can still reach the optimum: a backward pass over every move gives each
+    state its least completion rank, and a state is on an optimal path when
+    its least prefix rank plus that is the optimum.
+    """
+    start, moves, forward = forward_layers(market, ranks)
+    optimum = min(cost for cost, _ in forward[-1].values())
+    rest = dict.fromkeys(forward[-1], 0)
+    kept = []
+    for k in range(len(ranks), -1, -1):
+        if k < len(ranks):
+            rank = ranks[k]
+            after, rest = rest, {}
+            for state in forward[k]:
+                least = None
+                for o, stride, radix in moves:
+                    if stride and not state // stride % radix:
+                        continue
+                    reach = rank[o] + after[state - stride]
+                    if least is None or reach < least:
+                        least = reach
+                rest[state] = least
+        kept.append({
+            tuple(state // stride % radix for _, stride, radix in moves if stride): held
+            for state, held in forward[k].items()
+            if held[0] + rest[state] == optimum
+        })
+    return kept[::-1]
 
 
 def per_agent_count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int], int]]:

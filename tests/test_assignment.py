@@ -407,18 +407,26 @@ def test_decompose_matches_fraction_oracle_on_every_small_profile(market):
 
 
 def _seeded_assign_input(rng, tie_heavy):
-    """A market with 6-8 agents and null capacity n or 2n, its refused outcome.
+    """A market with 6-8 agents and null capacity n or 2n, its refused
+    outcome (:func:`_refused_input`)."""
+    n = rng.randint(6, 8)
+    scarce = rng.choice([(2, 2), (2, 1, 1), (1, 1, 1), (3, 1)])
+    return _refused_input(rng, n, scarce, rng.choice((n, 2 * n)), tie_heavy)
+
+
+def _refused_input(rng, n, scarce, null_capacity, tie_heavy):
+    """A market with ``n`` agents, the ``scarce`` capacities and
+    ``null_capacity`` null seats, and its uniform matrix refused against
+    seeded truths.
 
     Tie-heavy: every agent but one shares an order ranking the scarce types
     above null, and that one swaps the top two.  Spread: independent orders.
     """
-    n = rng.randint(6, 8)
-    scarce = rng.choice([(2, 2), (2, 1, 1), (1, 1, 1), (3, 1)])
     k = len(scarce)
     market = Market(
         agent_names=tuple(f"a{j + 1}" for j in range(n)),
         type_names=tuple(f"o{t + 1}" for t in range(k)) + ("null",),
-        capacities=(*scarce, rng.choice((n, 2 * n))),
+        capacities=(*scarce, null_capacity),
         null_type=k,
     )
     if tie_heavy:
@@ -429,7 +437,7 @@ def _seeded_assign_input(rng, tie_heavy):
         profile = Profile(tuple(PreferenceOrder(order) for order in reveals))
     else:
         profile = _random_profile(rng, market)
-    x = uniform_mechanism(market, profile)
+    x = uniform_mechanism(market, profile, mechanisms.Budget(max_agents=n))
     return market, refusal_transform(market, x, _random_profile(rng, market))
 
 
@@ -513,6 +521,35 @@ def test_decompose_cost_is_bounded_in_the_capacities():
     for w, det in d.parts:
         assert w > 0
         assert det.respects_capacities(market)
+
+
+def test_decompose_matches_the_oracle_where_it_takes_many_steps(monkeypatch):
+    """``decompose`` equals the ``Fraction`` oracle on the refused uniform
+    matrix of every profile of ``example2_market()``, each agent refusing
+    what the next agent's order ranks below the outside option; on four
+    seeded tie-heavy refused matrices at each of n = 10, 12 and 16, which
+    take 6 to 14 extraction steps each; and on one n = 16 matrix whose
+    null type has 10**6 seats, whose parts are those of the same matrix
+    with 16 null seats."""
+    sizes = _matrix_sizes(monkeypatch)
+    market = example2_market()
+    for profile in all_profiles(market):
+        truths = Profile(profile.orders[1:] + profile.orders[:1])
+        x = uniform_mechanism(market, profile)
+        _assert_matches_oracle(market, refusal_transform(market, x, truths))
+    rng = random.Random(1016)
+    steps = []
+    for n, scarce in ((10, (3, 3, 2)), (12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))):
+        for _ in range(4):
+            market, x = _refused_input(rng, n, scarce, n, True)
+            sizes.clear()
+            _assert_matches_oracle(market, x)
+            steps.append(len(sizes))
+    assert min(steps) >= 6
+    big, x = _refused_input(random.Random(106), 16, (4, 4, 3, 3), 10**6, True)
+    small, y = _refused_input(random.Random(106), 16, (4, 4, 3, 3), 16, True)
+    _assert_matches_oracle(big, x)
+    assert decompose(big, x).parts == decompose(small, y).parts
 
 
 def _build_outcome(build, market, rows):

@@ -429,6 +429,25 @@ def test_assign_with_raised_budget_on_twelve_tied_agents(tmp_path, capsys):
     assert "rank value: 33" in out
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["assign", "--refusal", "--truth", str(DATA / "ties_16_truth.txt")],
+     "ties_16_assign_refusal.out"),
+    (["decompose"], "ties_16_decompose.out"),
+], ids=["assign-refusal", "decompose"])
+def test_sixteen_tied_agents_are_pinned(capsys, argv, expected):
+    """``assign --refusal`` and ``decompose`` on ``tests/data/ties_16.txt``,
+    whose 126,126,000 rank-minimizing assignments the counting pass counts
+    and whose matrix decomposes into 15 parts, print the committed text
+    byte for byte; the CI workflow runs the installed script on the same
+    files."""
+    spec = str(DATA / "ties_16.txt")
+    assert main([*argv, "--spec", spec, "--budget-agents", "16"]) == 0
+    assert capsys.readouterr().out == (DATA / expected).read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "prop2", "--mechanism", "modified"],
     ["sweep", "prop2", "--refusal"],

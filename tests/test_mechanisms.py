@@ -52,9 +52,11 @@ from oracles import (
     all_agents_pattern,
     all_profiles,
     check_weak_ete,
+    optimal_path_states,
     override_rows,
     per_agent_count_rows,
     truncation_representatives,
+    uncut_count_rows,
     uncut_integer_rows,
 )
 
@@ -300,31 +302,62 @@ def test_grouped_count_pass_matches_the_per_agent_pass():
     assert cases == 252 + 200 + 1 + 36 + 200 + 72
 
 
+def full_split_table(market, cut, k):
+    """Every split of ``k`` seats over the ``cut`` moves as (need, rank,
+    ways), with no bound: a_o <= min(q_o, k) seats on each scarce move and
+    the rest on the outside option."""
+    scarce = [(need, market.capacities[o], rank) for o, need, field, rank in cut if field]
+    null_rank = next(rank for _, _, field, rank in cut if not field)
+    table = set()
+    for seats in itertools.product(*(range(min(q, k) + 1) for _, q, _ in scarce)):
+        left = k - sum(seats)
+        if left < 0:
+            continue
+        need = sum(a * step for a, (step, _, _) in zip(seats, scarce))
+        rank = sum(a * r for a, (_, _, r) in zip(seats, scarce)) + left * null_rank
+        ways = math.factorial(k) // math.prod(map(math.factorial, (*seats, left)))
+        table.add((need, rank, ways))
+    return table
+
+
 def _spy_steps(monkeypatch):
-    """Count the forward steps of the counting pass, and check every split
-    table against its bound, read from the counted market's capacities, as
-    it is built.  Returns the step list and a ``count(market, ranks)`` that
-    runs :func:`_count_rows` under the spies."""
+    """Count the forward steps of the counting pass, pass each step's bound
+    through and check what the bound keeps.  Every kept state's prefix
+    rank is within its step's limit.  Every split table, as it is built,
+    is no longer than its bound, read from the counted market's
+    capacities, is a subset of the unbounded table
+    (:func:`full_split_table`), and holds only splits within its limit.
+    Returns the step list, a list of each step's (limit, kept layer) and
+    a ``count(market, ranks)`` that runs :func:`_count_rows` under the
+    spies."""
     steps = []
+    layers = []
     counted = []
     forward_step = mechanisms._forward_step
     group_step = mechanisms._Splits.step
     build = mechanisms._Splits.__init__
 
-    def spy_forward(layer, moves):
+    def kept(layer, limit):
+        assert all(cost <= limit for cost, _ in layer.values())
+        layers.append((limit, layer))
+        return layer
+
+    def spy_forward(layer, moves, limit):
         steps.append(1)
-        return forward_step(layer, moves)
+        return kept(forward_step(layer, moves, limit), limit)
 
-    def spy_group(self, layer):
+    def spy_group(self, layer, limit):
         steps.append(self.k)
-        return group_step(self, layer)
+        return kept(group_step(self, layer, limit), limit)
 
-    def spy_build(self, cut, k, *layout):
-        build(self, cut, k, *layout)
+    def spy_build(self, cut, k, start, guards, limit):
+        build(self, cut, k, start, guards, limit)
         market = counted[-1]
         scarce = [market.capacities[o] for o, *_ in cut if o != market.null_type]
         bound = math.prod(min(q, k) + 1 for q in scarce)
         assert len(self.entries) <= bound <= math.prod(q + 1 for q in scarce)
+        assert set(self.entries) <= full_split_table(market, cut, k)
+        assert all(rank <= limit for _, rank, _ in self.entries)
 
     def count(market, ranks):
         counted.append(market)
@@ -333,7 +366,7 @@ def _spy_steps(monkeypatch):
     monkeypatch.setattr(mechanisms, "_forward_step", spy_forward)
     monkeypatch.setattr(mechanisms._Splits, "step", spy_group)
     monkeypatch.setattr(mechanisms._Splits, "__init__", spy_build)
-    return steps, count
+    return steps, layers, count
 
 
 def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
@@ -342,8 +375,9 @@ def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
     differs, and as many as there are distinct cuts (the types and ranks
     down to the outside option) on every case of the grouped-pass test.
     No split table is longer than the product of min(q_o, k) + 1 over its
-    scarce moves, which is at most the number of states."""
-    steps, count = _spy_steps(monkeypatch)
+    scarce moves, which is at most the number of states, and every table
+    holds only splits of the unbounded table within its limit."""
+    steps, _, count = _spy_steps(monkeypatch)
     market = Market(
         tuple(f"a{j}" for j in range(16)), ("o1", "o2", "o3", "o4", "null"), (4, 4, 3, 3, 16), 4
     )
@@ -410,6 +444,72 @@ def test_tight_fields_never_carry():
             assert sum(row[filled] for row, _ in got) == market.capacities[filled] * total
         cases += 1
     assert cases == 24
+
+
+def large_bound_cases():
+    """Seeded (market, rank tables) at n = 24 with capacities (6, 6, 6) and
+    at n = 32 with (8, 8, 8): one with most agents on one order, one with
+    every agent's order drawn independently."""
+    rng = random.Random(3224)
+    for n, caps in ((24, (6, 6, 6)), (32, (8, 8, 8))):
+        types = tuple(f"o{j}" for j in range(len(caps))) + ("null",)
+        market = Market(tuple(f"a{j}" for j in range(n)), types, (*caps, n), len(caps))
+        orders = market.all_orders()
+        shared = rng.choice(orders)
+        for tie_heavy in (True, False):
+            yield market, [
+                _rank_table(shared if tie_heavy and rng.random() < 0.8 else rng.choice(orders))
+                for _ in range(n)
+            ]
+
+
+def test_the_bound_keeps_every_state_on_an_optimal_path(monkeypatch):
+    """The counting pass's branch and bound drops nothing an optimal
+    assignment passes through.  On every case of the grouped-pass test
+    (denial-style rank tables among them), every case of
+    :func:`tight_width_cases` and the seeded n = 24 and n = 32 markets of
+    :func:`large_bound_cases`: the last step's limit, the greedy seating's
+    rank, is at least the optimum, and after each group every state of an
+    unpruned per-agent pass over the agents in group order that lies on an
+    optimal path is kept, with the same least prefix rank and prefix count.
+    The rows equal the uncut pass's on the grouped-pass cases and both the
+    per-agent and the uncut pass's on the large ones; the grouped-pass and
+    tight-width tests compare the rest."""
+    _, layers, count = _spy_steps(monkeypatch)
+    tight = [
+        (market, [_rank_table(order) for order in profile.orders])
+        for market, profile, _ in tight_width_cases()
+    ]
+    cases = 0
+    for checks, market, ranks in [
+        *(((uncut_count_rows,), *case) for case in grouped_pass_cases()),
+        *(((), *case) for case in tight),
+        *(((per_agent_count_rows, uncut_count_rows), *case) for case in large_bound_cases()),
+    ]:
+        layers.clear()
+        got = count(market, ranks)
+        for oracle in checks:
+            assert got == oracle(market, ranks), (market, ranks, oracle)
+        groups = {}
+        for a, rank in enumerate(ranks):
+            cut = tuple((o, r) for o, r in enumerate(rank) if r <= rank[market.null_type])
+            groups.setdefault(cut, []).append(a)
+        in_order = [a for members in groups.values() for a in members]
+        optimal = optimal_path_states(market, [ranks[a] for a in in_order])
+        optimum = min(cost for cost, _ in optimal[-1].values())
+        assert layers[-1][0] >= optimum
+        _, _, moves = mechanisms._moves(market)
+        boundary = 0
+        for members, (_, layer) in zip(groups.values(), layers, strict=True):
+            boundary += len(members)
+            kept = {
+                tuple((state & field) // need for _, need, field in moves if field): held
+                for state, held in layer.items()
+            }
+            for capacities, held in optimal[boundary].items():
+                assert kept.get(capacities) == held, (market, ranks, boundary, capacities)
+        cases += 1
+    assert cases == 761 + 24 + 4
 
 
 @pytest.mark.parametrize("n, caps", [(12, (3, 3, 2, 2)), (16, (4, 4, 3, 3))])
