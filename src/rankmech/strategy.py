@@ -5,22 +5,22 @@ option and walks away from the rest.  Demotion strategies exploit that
 escape hatch: they reveal the outside option last while keeping the
 acceptable block intact.  The dominance checker compares a candidate reveal
 against the truth across every combination of opponent reveals, so its
-verdicts are exhaustive rather than sampled.  Both mechanisms are
-anonymous and read no reveal below its outside option, so one row source,
-the market's class tables (``_ClassRows``), gives an agent's row in
-integers from its reveal's truncation class and the multiset of its
-opponents' classes: one forward layer of the uniform mechanism's counting
-pass over the opponents, or under the modified mechanism the override row
-where the profile parses as the crowd-out pattern.  The tables do not
-depend on the mechanism, so :func:`_class_rows` builds them once per
-market, after its budget check, and keeps them on the market for every
-later sweep and walk; the sweeps read the market's orders from them.  The
+verdicts are exhaustive rather than sampled.  Both mechanisms are anonymous
+and read no reveal below its outside option, so one row source, the market's
+class tables (``_ClassRows``), gives an agent's row in integers from its
+reveal's truncation class and the multiset of its opponents' classes: the
+uniform mechanism's counting pass over the opponents, its last step folded
+straight into one entry per room mask, or under the modified mechanism the
+override row where the profile parses as the crowd-out pattern.  The tables
+do not depend on the mechanism, so :func:`_class_rows` builds them once per
+market, after its budget check, and keeps them on the market for every later
+sweep and walk; the sweeps read the market's orders from them.  The
 dominance walk seats the queried agent last and visits each multiset of
 opponent classes once, in sorted order, and multisets sharing a sorted
-prefix share the layers of that prefix.  The first failing opponent
-profile in product order is a sorted tuple of class representatives, the
-least lift of its class multiset, so the witnesses are those of the full
-product.  The equal-treatment sweep reads its rows from the same source.
+prefix share the layers of that prefix.  The first failing opponent profile
+in product order is a sorted tuple of class representatives, the least lift
+of its class multiset, so the witnesses are those of the full product.  The
+equal-treatment sweep reads its rows from the same source.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
+    Cut,
     _PatternTables,
     _check_budget,
     _cut_moves,
@@ -397,8 +398,11 @@ class _ClassRows:
     each opponent moving only down to its outside option
     (:func:`_cut_moves`), folded per room mask: in each state the agent's
     best move, and so its rank, depend only on which types have room there,
-    so within one room mask only the least prefix rank can be optimal.
-    ``tables`` holds the crowd-out parse over the classes
+    so within one room mask only the least prefix rank can be optimal.  The
+    last opponent's moves go straight into the room masks (:meth:`_fold`),
+    so the layer after it is never built; ``masks`` keeps, per state before
+    that move, the room mask after each move.  ``tables`` holds the
+    crowd-out parse over the classes
     (:class:`~rankmech.mechanisms._PatternTables`).  No table refers to the
     market, so a market keeping them is still freed by reference counting.
     """
@@ -421,25 +425,28 @@ class _ClassRows:
             self.first_with_room.append(table)
         self.start, _, self.moves = _moves(market)
         self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
-        # the room mask of each state met so far; at most prod(q + 1) of them
-        self.masks: dict[int, int] = {}
+        # each state met so far before a last move, with the room mask after
+        # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
+        self.masks: dict[int, list[int | None]] = {}
         self.tables = _PatternTables(market, self.classes)
 
     def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """Every multiset of ``k`` opponent classes, with its ``ends``.
+        """Every multiset of ``k`` opponent classes, ``k`` at least 1, with its ``ends``.
 
         The multisets come as sorted tuples in ``combinations_with_replacement``
         order.  They are the leaves of a trie over their sorted prefixes, and
-        the walk keeps one forward layer per prefix on a stack, so each trie
-        node costs one step of the counting pass; nothing recurses.
+        the walk keeps one forward layer per proper prefix on a stack, so each
+        inner trie node costs one step of the counting pass; nothing recurses.
+        A leaf's last opponent is not stepped into a layer: :meth:`_fold`
+        takes its moves straight into the room masks.
         """
         top = len(self.classes) - 1
         combo = [0] * k
         stack = [{self.start: (0, 1)}]
         while True:
-            for c in combo[len(stack) - 1 :]:
+            for c in combo[len(stack) - 1 : -1]:
                 stack.append(_forward_step(stack[-1], self.cuts[c]))
-            yield tuple(combo), self._fold(stack[-1])
+            yield tuple(combo), self._fold(stack[-1], self.cuts[combo[-1]])
             i = k - 1
             while i >= 0 and combo[i] == top:
                 i -= 1
@@ -448,29 +455,57 @@ class _ClassRows:
             combo[i:] = [combo[i] + 1] * (k - i)
             del stack[i + 1 :]
 
-    def ends(self, opponents: Iterable[int]) -> list[tuple[int, int, int]]:
-        """The ``ends`` of one multiset of opponent classes, given in any order."""
+    def ends(self, opponents: Sequence[int]) -> list[tuple[int, int, int]]:
+        """The ``ends`` of one multiset of opponent classes, at least one,
+        given in any order."""
+        *first, last = opponents
         layer = {self.start: (0, 1)}
-        for c in opponents:
+        for c in first:
             layer = _forward_step(layer, self.cuts[c])
-        return self._fold(layer)
+        return self._fold(layer, self.cuts[last])
 
-    def _fold(self, layer: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
-        """One (least prefix rank, summed prefix count, room mask) per room mask of ``layer``."""
+    def _fold(self, layer: dict[int, tuple[int, int]], cut: Cut) -> list[tuple[int, int, int]]:
+        """The last opponent's step from ``layer`` with the moves ``cut``,
+        folded per room mask: one (least prefix rank, summed prefix count,
+        room mask) per room mask of the states it can leave.
+
+        Each (state, move) pair updates its after-state's room mask directly,
+        and no layer of after-states is built.  The counts are those of a
+        full forward step folded afterwards: a pair whose rank equals its
+        mask's least rank also equals its after-state's least rank, which is
+        no less than the mask's, so the pairs counted are exactly those that
+        the after-states of least rank in the mask sum.
+        """
         masks = self.masks
         folded: dict[int, tuple[int, int]] = {}
         for state, (cost, count) in layer.items():
-            mask = masks.get(state)
-            if mask is None:
-                mask = masks[state] = sum(
-                    1 << o for o, _, field in self.moves if not field or state & field
-                )
-            held = folded.get(mask)
-            if held is None or cost < held[0]:
-                folded[mask] = (cost, count)
-            elif cost == held[0]:
-                folded[mask] = (cost, held[1] + count)
+            after = masks.get(state)
+            if after is None:
+                after = masks[state] = self._masks_after(state)
+            for o, _, _, rank in cut:
+                mask = after[o]
+                if mask is None:
+                    continue
+                reach = cost + rank
+                held = folded.get(mask)
+                if held is None or reach < held[0]:
+                    folded[mask] = (reach, count)
+                elif reach == held[0]:
+                    folded[mask] = (reach, held[1] + count)
         return [(cost, count, mask) for mask, (cost, count) in folded.items()]
+
+    def _masks_after(self, state: int) -> list[int | None]:
+        """The room mask after each type's move from ``state``, by type; None
+        where the type has no room."""
+        moves = self.moves
+        after = []
+        for _, need, field in moves:
+            if field and not state & field:
+                after.append(None)
+            else:
+                left = state - need
+                after.append(sum(1 << o for o, _, f in moves if not f or left & f))
+        return after
 
     def unparsed(self, opponents: Sequence[int]) -> tuple[int, int]:
         """The outside-option ranks of the reveals that never parse against ``opponents``.

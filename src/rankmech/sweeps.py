@@ -1,24 +1,26 @@
 """Exhaustive property sweeps over small markets.
 
-Every sweep hands its units, each with a weight and the detail of its
-violation or None, to one counter, ``_tally``, which adds up the weights
-and keeps the first detail for reporting.  Sweeps are deterministic.  Both
-mechanisms are anonymous, so a unit's answer does not depend on its agent:
-every sweep but equal treatment checks agent 0's units only, each counted
-once per agent.  A dominance sweep hands every distinct (truth, candidate)
-pair to one walk over opponent multisets, which decides each pair rather
-than witnessing it; the sweep reads only whether a pair fails and whether
-it is strictly preferred somewhere.  Equal treatment walks multisets of
-truncation classes, each weighted by the number of profiles lifting it,
-with the same argument for its first violation, and weights each given
-profile 1.  The dominance walk and equal treatment read every row from one
-source, the market's class tables (``strategy._class_rows``), built once
-per market and shared by every sweep on it; ``prop2`` tells essentially
-equal orders apart by the tables' class keys.  Every sweep over the whole
-market reads the market's orders from those tables, which check the
-budget before they list the orders.  ``SWEEPS`` maps each ``rankmech
-sweep`` token to its sweep and arguments; each entry looks its sweep up by
-name when called.
+Every sweep but whole-market equal treatment hands its units, each with
+a weight and the detail of its violation or None, to one counter,
+``_tally``, which adds up the weights and keeps the first detail for
+reporting.  Sweeps are deterministic.  Both mechanisms are anonymous, so
+a unit's answer does not depend on its agent: every sweep but equal
+treatment checks agent 0's units only, each counted once per agent.  A
+dominance sweep hands every distinct (truth, candidate) pair to one walk
+over opponent multisets, which decides each pair rather than witnessing
+it; the sweep reads only whether a pair fails and whether it is strictly
+preferred somewhere.  Equal treatment counts every profile in closed
+form and visits only the multisets of truncation classes that can
+violate, each violating one weighted by the number of profiles lifting
+it, with the same argument for its first violation; it weights each
+given profile 1.  The dominance walk and equal treatment read every row
+from one source, the market's class tables (``strategy._class_rows``),
+built once per market and shared by every sweep on it; ``prop2`` tells
+essentially equal orders apart by the tables' class keys.  Every sweep
+over the whole market reads the market's orders from those tables, which
+check the budget before they list the orders.  ``SWEEPS`` maps each
+``rankmech sweep`` token to its sweep and arguments; each entry looks
+its sweep up by name when called.
 """
 
 from __future__ import annotations
@@ -105,6 +107,34 @@ def _promotion_units(
     ]
 
 
+def _violates(
+    source: _ClassRows,
+    profile: tuple[int, ...],
+    ends: dict[tuple[int, ...], list[tuple[int, int, int]]],
+) -> bool:
+    """Whether the class profile ``profile`` treats essentially equal reveals
+    unequally; ``ends`` keeps each opponent multiset's ``ends`` across calls."""
+    # each key's distinct classes, each with the first agent revealing it
+    groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
+    for agent, c in enumerate(profile):
+        groups.setdefault(source.key[c], {}).setdefault(c, agent)
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        rows = []
+        for agent in group.values():
+            opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
+            layer = ends.get(opponents)
+            if layer is None:
+                layer = ends[opponents] = source.ends(opponents)
+            rows.append(source.row(layer, opponents, profile[agent], False))
+        counts_a, total_a = rows[0]
+        for counts_b, total_b in rows[1:]:
+            if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
+                return True
+    return False
+
+
 def sweep_ete(
     market: Market,
     mechanism_name: str,
@@ -114,60 +144,45 @@ def sweep_ete(
     """Equal treatment of essentially equal reveals, profile by profile.
 
     Left out, ``profiles`` is every profile of the market, and the budget
-    is checked before any is listed.  Both mechanisms are anonymous and read
-    no reveal below its outside option, so whether a profile violates
-    depends only on its multiset of truncation classes: each class multiset
-    is checked once, on its class representatives, and counts as
-    n!/prod(k_c!) * prod(|C|^k_c) profiles, where k_c agents reveal class
-    C.  The first failing profile in product order is the least lift of the
-    first failing class multiset, its sorted tuple of representatives
-    (replacing each reveal by its representative and sorting gives a
-    failing profile no later in that order).
+    is checked before the class tables list the orders.  Both mechanisms are
+    anonymous and read no reveal below its outside option, so whether a
+    profile violates depends only on its multiset of truncation classes,
+    and a class multiset stands for n!/prod(k_c!) * prod(|C|^k_c) profiles,
+    where k_c agents reveal class C.  Those weights sum to |orders|^n over
+    all class multisets: that sum is the multinomial expansion of
+    (sum_C |C|)^n, and the classes partition the orders.  So the count
+    checked is |orders|^n, and only violating multisets are weighed.
 
     Two orders are essentially equal exactly when they share their top ranks
     up to the threshold, which is never below the outside option, so each
     class has one key, read from the market's class tables
     (:func:`~rankmech.strategy._class_rows`).  Agents in one class get
-    identical rows, so only distinct classes sharing a key are compared, and
-    a profile with no such pair computes no row.  A profile that parses as
-    the crowd-out pattern has no such pair: its competitors share one class
-    and its bystanders another, and no two of the special agent, a
-    competitor and a bystander share a key.  So every row compared is the
-    uniform mechanism's under either mechanism, and no compared row is
-    parsed.  An agent's row is read from the class tables against the
-    multiset of the other reveals, as in the dominance walk, and each
-    opponent multiset's layer is built once per call.  Rows are compared by
-    cross-multiplying.  Given ``profiles``, each is checked as given: a
-    malformed profile fails, a profile that parses as the crowd-out pattern
-    under the modified mechanism passes, and any other is checked against
-    the budget before the class tables are built, then on the classes of
-    its reveals.
+    identical rows, so only distinct classes sharing a key are compared: a
+    multiset can violate only when it holds two distinct classes of one
+    key.  With no key shared by two classes nothing is visited.  Otherwise
+    the multisets are visited in ``combinations_with_replacement`` order,
+    and each one holding no such pair is skipped before any row is read.
+    The first failing profile in product order is the least lift of the
+    first failing class multiset, its sorted tuple of representatives
+    (replacing each reveal by its representative and sorting gives a
+    failing profile no later in that order).
+
+    A profile that parses as the crowd-out pattern has no such pair: its
+    competitors share one class and its bystanders another, and no two of
+    the special agent, a competitor and a bystander share a key.  So every
+    row compared is the uniform mechanism's under either mechanism, and no
+    compared row is parsed.  An agent's row is read from the class tables
+    against the multiset of the other reveals, as in the dominance walk,
+    and each opponent multiset's ``ends`` are built once per call.  Rows are
+    compared by cross-multiplying.  Given ``profiles``, each is checked as
+    given and counts once: a malformed profile fails, a profile that parses
+    as the crowd-out pattern under the modified mechanism passes, and any
+    other is checked against the budget before the class tables are built,
+    then on the classes of its reveals.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
     name = f"ete-{mechanism_name}"
     ends: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-
-    def violates(source: _ClassRows, profile: tuple[int, ...]) -> bool:
-        """Whether the class profile ``profile`` treats essentially equal reveals unequally."""
-        # each key's distinct classes, each with the first agent revealing it
-        groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
-        for agent, c in enumerate(profile):
-            groups.setdefault(source.key[c], {}).setdefault(c, agent)
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            rows = []
-            for agent in group.values():
-                opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
-                layer = ends.get(opponents)
-                if layer is None:
-                    layer = ends[opponents] = source.ends(opponents)
-                rows.append(source.row(layer, opponents, profile[agent], False))
-            counts_a, total_a = rows[0]
-            for counts_b, total_b in rows[1:]:
-                if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
-                    return True
-        return False
 
     def given(profile: Profile) -> tuple[int, str | None]:
         check_profile(market, profile)
@@ -175,26 +190,34 @@ def sweep_ete(
             return 1, None
         source = _class_rows(market, budget)
         reveals = tuple(source.class_of[order] for order in profile.orders)
-        return 1, _profile_label(market, profile) if violates(source, reveals) else None
+        return 1, _profile_label(market, profile) if _violates(source, reveals, ends) else None
 
     if profiles is not None:
         return _tally(name, map(given, profiles))
     source = _class_rows(market, budget)
-    classes = source.classes
-    size = collections.Counter(source.class_of.values())
+    classes, key = source.classes, source.key
     n = market.n_agents
 
-    def lifted(profile: tuple[int, ...]) -> tuple[int, str | None]:
-        weight = math.factorial(n)
-        for c, group in itertools.groupby(profile):
-            k = len(list(group))
-            weight = weight // math.factorial(k) * size[c] ** k
-        if not violates(source, profile):
-            return weight, None
-        return weight, _profile_label(market, Profile(tuple(classes[c] for c in profile)))
+    def shares_a_key(profile: tuple[int, ...]) -> bool:
+        distinct = set(profile)
+        return len({key[c] for c in distinct}) < len(distinct)
 
     multisets = itertools.combinations_with_replacement(range(len(classes)), n)
-    return _tally(name, map(lifted, multisets))
+    candidates = filter(shares_a_key, multisets) if len(set(key)) < len(classes) else ()
+    violating = [profile for profile in candidates if _violates(source, profile, ends)]
+    size = collections.Counter(source.class_of.values())
+
+    def weight(profile: tuple[int, ...]) -> int:
+        lifts = math.factorial(n)
+        for c, group in itertools.groupby(profile):
+            k = len(list(group))
+            lifts = lifts // math.factorial(k) * size[c] ** k
+        return lifts
+
+    first = None
+    if violating:
+        first = _profile_label(market, Profile(tuple(classes[c] for c in violating[0])))
+    return SweepOutcome(name, len(source.orders) ** n, sum(map(weight, violating)), first)
 
 
 def sweep_demotion_weak_dominance(

@@ -1,5 +1,6 @@
 """Slow reference implementations the fast paths are checked against."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -28,6 +29,7 @@ from rankmech import (
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
 from rankmech.mechanisms import _rank_table
+from rankmech import sweeps
 from rankmech.sweeps import SweepOutcome
 
 ZERO = Fraction(0)
@@ -423,6 +425,59 @@ def fraction_sweep_ete(market, mechanism_name, profiles=None, budget=DEFAULT_BUD
                     for name, order in zip(market.agent_names, profile.orders)
                 )
     return SweepOutcome(f"ete-{mechanism_name}", checked, violations, first)
+
+
+def per_multiset_sweep_ete(market, mechanism_name, budget=DEFAULT_BUDGET):
+    """Whole-market ``sweep_ete`` walking every multiset of truncation classes.
+
+    Each class multiset is checked on the class tables and counts as
+    n!/prod(k_c!) * prod(|C|^k_c) profiles, with no closed form for the
+    count and no filter on which multisets can violate.  The class tables
+    are looked up through ``sweeps._class_rows``, so a test that patches
+    them there patches the oracle too.
+    """
+    get_mechanism(mechanism_name)  # rejects an unknown name
+    name = f"ete-{mechanism_name}"
+    ends = {}
+
+    def violates(source, profile):
+        """Whether the class profile ``profile`` treats essentially equal reveals unequally."""
+        # each key's distinct classes, each with the first agent revealing it
+        groups = {}
+        for agent, c in enumerate(profile):
+            groups.setdefault(source.key[c], {}).setdefault(c, agent)
+        for group in groups.values():
+            if len(group) < 2:
+                continue
+            rows = []
+            for agent in group.values():
+                opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
+                layer = ends.get(opponents)
+                if layer is None:
+                    layer = ends[opponents] = source.ends(opponents)
+                rows.append(source.row(layer, opponents, profile[agent], False))
+            counts_a, total_a = rows[0]
+            for counts_b, total_b in rows[1:]:
+                if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
+                    return True
+        return False
+
+    source = sweeps._class_rows(market, budget)
+    classes = source.classes
+    size = collections.Counter(source.class_of.values())
+    n = market.n_agents
+
+    def lifted(profile):
+        weight = math.factorial(n)
+        for c, group in itertools.groupby(profile):
+            k = len(list(group))
+            weight = weight // math.factorial(k) * size[c] ** k
+        if not violates(source, profile):
+            return weight, None
+        return weight, sweeps._profile_label(market, Profile(tuple(classes[c] for c in profile)))
+
+    multisets = itertools.combinations_with_replacement(range(len(classes)), n)
+    return sweeps._tally(name, map(lifted, multisets))
 
 
 def demotion_wastes(market, agent, truth, o_prime, budget=DEFAULT_BUDGET):

@@ -217,6 +217,21 @@ def test_sweep_prop2_on_the_committed_3x5_market(capsys, prop, checked):
     )
 
 
+@pytest.mark.parametrize("prop", ["ete-fU", "ete-fM"])
+def test_equal_treatment_on_the_committed_4x5_market(capsys, prop):
+    """Four agents and four one-seat types: 120^4 profiles, and no two
+    truncation classes share an essential-equality key, so the count comes
+    in closed form and no multiset is visited.  The CI workflow runs the
+    installed script on the same file."""
+    path = Path(__file__).parent / "data" / "market_4x5.txt"
+    start = time.perf_counter()
+    assert main(["sweep", prop, "--spec", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        f"property: {prop}\nchecked: 207360000\nviolations: 0\nresult: pass\n"
+    )
+
+
 def test_dominance_on_the_committed_3x5_market_is_pinned(capsys):
     """Every demotion of a1's truth on the 3 x 5 market, with refusal: the
     six candidates make six distinct comparisons, and each report, witness

@@ -406,6 +406,7 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
     assert outcome == SweepOutcome(
         "ete-uniform", 24 ** 2, 2, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3)"
     )
+    assert outcome == oracles.per_multiset_sweep_ete(market, "uniform")
     monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
     assert outcome == fraction_sweep_ete(market, "uniform")
 
@@ -421,6 +422,7 @@ def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
     assert outcome == SweepOutcome(
         "ete-uniform", 24 ** 3, 3, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3) a3=(o1>o2>null>o3)"
     )
+    assert outcome == oracles.per_multiset_sweep_ete(market, "uniform")
     monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
     assert outcome == fraction_sweep_ete(market, "uniform")
 
@@ -458,6 +460,65 @@ def test_ete_matches_the_fraction_oracle_on_random_markets(mechanism):
             null_type=2,
         )
         assert sweep_ete(market, mechanism) == fraction_sweep_ete(market, mechanism)
+
+
+def _market(n, caps):
+    """``n`` agents, scarce types of capacities ``caps`` and a null type of ``n`` seats."""
+    types = tuple(f"o{j + 1}" for j in range(len(caps))) + ("null",)
+    return Market(tuple(f"a{j + 1}" for j in range(n)), types, (*caps, n), len(caps))
+
+
+@pytest.mark.parametrize("mechanism", ["uniform", "modified"])
+def test_ete_matches_the_per_multiset_oracle(mechanism):
+    """The count in closed form and the walk over only the multisets that
+    can violate give the outcome of weighing and checking every multiset of
+    truncation classes, on seeded three-agent markets with three and four
+    types and on 4 x (3,3,3,4) and 5 x (4,4,4,5), where classes share keys."""
+    rng = random.Random(1013)
+    seeded = [_market(3, tuple(rng.randint(1, 2) for _ in range(t))) for t in (2, 2, 3, 3, 3)]
+    shared = 0
+    for market in [*seeded, _market(4, (3, 3, 3)), _market(5, (4, 4, 4))]:
+        source = strategy._class_rows(market, DEFAULT_BUDGET)
+        shared += len(set(source.key)) < len(source.classes)
+        assert sweep_ete(market, mechanism) == oracles.per_multiset_sweep_ete(market, mechanism)
+    assert shared >= 4
+
+
+def test_ete_visits_exactly_the_multisets_that_can_violate(monkeypatch):
+    """On markets where no two truncation classes are essentially equal no
+    ``ends`` is built and no row is read.  Where some are, the multisets
+    checked are, in ``combinations_with_replacement`` order, exactly those
+    holding two distinct classes of essentially equal orders, found by
+    comparing every pair of representatives."""
+    seen = []
+    _spy(monkeypatch, "ends", seen)
+    _spy(monkeypatch, "row", seen)
+    for market in (example2_market(), FOUR_AGENTS, _market(4, (1, 1, 1, 1))):
+        assert sweep_ete(market, "uniform").passed
+        assert seen == []
+    monkeypatch.undo()
+    visited = []
+    real = sweeps._violates
+
+    def violates(source, profile, ends):
+        visited.append(profile)
+        return real(source, profile, ends)
+
+    monkeypatch.setattr(sweeps, "_violates", violates)
+    for market in (example1_market(2), example3_market(), _market(4, (3, 3, 3))):
+        visited.clear()
+        classes = strategy._class_rows(market, DEFAULT_BUDGET).classes
+        candidates = [
+            profile
+            for profile in itertools.combinations_with_replacement(range(len(classes)), market.n_agents)
+            if any(
+                market.essentially_equal(classes[a], classes[b])
+                for a, b in itertools.combinations(sorted(set(profile)), 2)
+            )
+        ]
+        assert candidates
+        sweep_ete(market, "uniform")
+        assert visited == candidates
 
 
 def test_ete_budget_applies_to_unpatterned_profiles_only():
@@ -551,6 +612,10 @@ def test_sweeps_with_four_agents_and_a_double_seat(prop, checked, violations, fi
     assert outcome == SweepOutcome(prop, checked, violations, first)
 
 
+# "pair" has one opponent, so the walk folds it straight from the start
+# layer; the "tight" markets' scarce capacities set every value bit of
+# their packed fields, like those of the tight-field test below, which are
+# too large to walk.
 WALK_MARKETS = {
     "ex1": example1_market(),
     "ex2": example2_market(),
@@ -558,6 +623,9 @@ WALK_MARKETS = {
     "ex4": example4_market(),
     "four": FOUR_AGENTS,
     "double": DOUBLE_SEAT,
+    "pair": _market(2, (1, 1, 1)),
+    "tight31": _market(4, (3, 1)),
+    "tight331": _market(4, (3, 3, 1)),
 }
 
 
