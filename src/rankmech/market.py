@@ -73,8 +73,11 @@ class Market:
     A market keeps, privately, the tuple :meth:`all_orders` built on its
     first call and the class tables ``strategy._class_rows`` builds on first
     use, which every sweep and dominance walk on the market then shares.
-    Neither takes part in ``==``, ``hash`` or ``repr``, and the class tables
-    hold no reference back to the market.
+    The class tables also keep every class-pair verdict a sweep's walk has
+    decided, one table per (mechanism, refusal), so a later sweep on the
+    market walks only the pairs not yet decided.  Neither takes part in
+    ``==``, ``hash`` or ``repr``, and the class tables hold no reference back
+    to the market.
     """
 
     agent_names: tuple[str, ...]

@@ -15,12 +15,16 @@ override row where the profile parses as the crowd-out pattern.  The tables
 do not depend on the mechanism, so :func:`_class_rows` builds them once per
 market, after its budget check, and keeps them on the market for every later
 sweep and walk; the sweeps read the market's orders from them.  The
-dominance walk seats the queried agent last and visits each multiset of
-opponent classes once, in sorted order, and multisets sharing a sorted
-prefix share the layers of that prefix.  The first failing opponent profile
-in product order is a sorted tuple of class representatives, the least lift
-of its class multiset, so the witnesses are those of the full product.  The
-equal-treatment sweep reads its rows from the same source.
+dominance walk takes pairs of classes (truth class, candidate class), seats
+the queried agent last and visits each multiset of opponent classes once,
+in sorted order, and multisets sharing a sorted prefix share the layers of
+that prefix.  The first failing opponent profile in product order is a
+sorted tuple of class representatives, the least lift of its class
+multiset, so the witnesses are those of the full product.  The sweeps
+decide class pairs rather than witness them, and keep the verdicts on the
+class tables, per (mechanism, refusal), for every later sweep
+(:func:`_decided`).  The equal-treatment sweep reads its rows from the same
+source.
 """
 
 from __future__ import annotations
@@ -96,11 +100,14 @@ def ods_set(market: Market, truth: PreferenceOrder) -> tuple[PreferenceOrder, ..
     unacceptable the set collapses to the truth itself.  The first element
     always preserves the true relative order of the unacceptable types.
     """
-    acceptable, unacceptable = _acceptable_block(market, truth)
-    out = []
-    for middle in itertools.permutations(unacceptable):
-        out.append(PreferenceOrder((*acceptable, *middle, market.null_type)))
-    return tuple(out)
+    market.check_order(truth)
+    null = market.null_type
+    return tuple(map(PreferenceOrder, _demotions(truth.ranking, truth.rank(null), null)))
+
+
+def _demotions(ranking: tuple[TypeIndex, ...], k: int, null: TypeIndex) -> list[tuple[int, ...]]:
+    """The rankings of :func:`ods_set` for a truth ranking ``null`` at rank ``k``."""
+    return [(*ranking[: k - 1], *middle, null) for middle in itertools.permutations(ranking[k:])]
 
 
 def full_extension(market: Market, truth: PreferenceOrder) -> PreferenceOrder:
@@ -122,8 +129,13 @@ def ods_promoting(
         raise DomainError(
             f"type index {target} is not truly unacceptable under {truth.ranking!r}"
         )
-    rest = [o for o in unacceptable if o != target]
-    return PreferenceOrder((*acceptable, target, *rest, market.null_type))
+    k = len(acceptable) + 1
+    return PreferenceOrder(_promoting(truth.ranking, k, target, market.null_type))
+
+
+def _promoting(ranking: tuple[TypeIndex, ...], k: int, target: int, null: int) -> tuple[int, ...]:
+    """The ranking of :func:`ods_promoting` for a truth ranking ``null`` at rank ``k``."""
+    return (*ranking[: k - 1], target, *(o for o in ranking[k:] if o != target), null)
 
 
 def strict_gain_pairs(
@@ -262,6 +274,7 @@ def check_dominance(query: DominanceQuery, budget: Budget = DEFAULT_BUDGET) -> D
 
 
 Witnesses = tuple[tuple[PreferenceOrder, ...] | None, tuple[PreferenceOrder, ...] | None]
+Verdicts = dict[tuple[int, int], tuple[bool, bool]]
 
 
 def _first_witnesses(
@@ -270,36 +283,87 @@ def _first_witnesses(
     refusal: bool,
     pairs: Iterable[tuple[PreferenceOrder, PreferenceOrder]],
     budget: Budget = DEFAULT_BUDGET,
-    *,
-    decide: bool = False,
 ) -> dict[tuple[PreferenceOrder, PreferenceOrder], Witnesses]:
     """First failing and first strict opponent multiset of every (truth, candidate).
 
     The queried agent's row does not depend on which agent it is, nor on the
     order of its opponents, nor on any reveal below its outside option
-    (:func:`~rankmech.mechanisms._truncation_classes`).  So the agent is
-    seated last and the opponents are walked as sorted tuples of truncation
-    classes, in ``combinations_with_replacement`` order
-    (:meth:`_ClassRows.walk`).  Replacing each reveal of a failing opponent
-    tuple by its class representative and sorting gives a failing tuple no
-    later in product order, since a representative is the least order of
-    its class: the first failing tuple of the product is a sorted tuple of
-    representatives, and the walk meets it first.  The same holds for the
-    first strict tuple.
+    (:func:`~rankmech.mechanisms._truncation_classes`).  So pairs with one
+    (truth class, candidate class) share one entry of the class-pair walk
+    (:func:`_walk_pairs`), which runs until both witnesses of every entry
+    are found.  A truth and candidate in one class get the same row
+    everywhere, so such a pair is never compared and has no witness.
+    Replacing each reveal of a failing opponent tuple by its class
+    representative and sorting gives a failing tuple no later in product
+    order, since a representative is the least order of its class: the
+    first failing tuple of the product is a sorted tuple of representatives,
+    and the walk meets it first.  The same holds for the first strict
+    tuple.  The orders are not checked here; the entry points
+    (:func:`check_dominance`, :func:`~rankmech.market.order_from_names`,
+    :func:`ods_set`) check them.
+    """
+    get_mechanism(mechanism)
+    source = _class_rows(market, budget)
+    class_of, classes = source.class_of, source.classes
+    keys = {pair: (class_of[pair[0].ranking], class_of[pair[1].ranking]) for pair in pairs}
+    found = _walk_pairs(source, mechanism, refusal, {k for k in keys.values() if k[0] != k[1]})
 
-    For each multiset the last agent's row under each needed class is read
-    once, in integers, from :class:`_ClassRows`, which also gives the
-    modified mechanism's override row where the profile parses as the
-    crowd-out pattern; the parse is tried only for the reveals that
-    :meth:`_ClassRows.unparsed` does not rule out for the multiset.  A truth
-    and candidate in one class get the same row everywhere, so such a pair
-    is never compared and has no witness.  Rows are compared by
-    cross-multiplying cumulative sums along the truth's ranking down to its
-    outside option, which depends on the truth's class only, so the ranks
-    compared are read from the class representative.  Refusal moves
-    everything from the truth's outside option down onto it, so every
-    cumulative sum from there on equals the total: with refusal on the
-    comparison stops just above the outside option.  Without refusal it
+    def orders(combo: tuple[int, ...] | None) -> tuple[PreferenceOrder, ...] | None:
+        return None if combo is None else tuple(classes[c] for c in combo)
+
+    return {pair: tuple(map(orders, found.get(key, (None, None)))) for pair, key in keys.items()}
+
+
+def _decided(
+    source: _ClassRows, mechanism: str, refusal: bool, pairs: Iterable[tuple[int, int]]
+) -> Verdicts:
+    """Whether each (truth class, candidate class) weakly and strictly dominates.
+
+    The verdicts are kept on the class tables, one table per (mechanism,
+    refusal), which the call returns; a pair inside one class ties
+    everywhere, weakly but not strictly dominating.  The pairs not yet
+    decided are walked together, deciding rather than witnessing
+    (:func:`_walk_pairs`), and the table is written only once that walk has
+    finished, so a walk that raises leaves none of its verdicts behind.
+    """
+    get_mechanism(mechanism)
+    table = source.verdicts.setdefault(
+        (mechanism, refusal), {(c, c): (True, False) for c in range(len(source.classes))}
+    )
+    undecided = {pair for pair in pairs if pair not in table}
+    if undecided:
+        found = _walk_pairs(source, mechanism, refusal, undecided, decide=True)
+        table.update(
+            (pair, (failure is None, failure is None and strict is not None))
+            for pair, (failure, strict) in found.items()
+        )
+    return table
+
+
+def _walk_pairs(
+    source: _ClassRows,
+    mechanism: str,
+    refusal: bool,
+    pairs: Iterable[tuple[int, int]],
+    *,
+    decide: bool = False,
+) -> dict[tuple[int, int], list[tuple[int, ...] | None]]:
+    """First failing and first strict opponent class multiset of every pair
+    of distinct classes (truth class, candidate class).
+
+    The queried agent is seated last and the opponents are walked as sorted
+    tuples of truncation classes (:meth:`_ClassRows.walk`).  For each
+    multiset the last agent's row under each needed class is read once, in
+    integers, from :class:`_ClassRows`, which also gives the modified
+    mechanism's override row where the profile parses as the crowd-out
+    pattern; the parse is tried only for the reveals that
+    :meth:`_ClassRows.unparsed` does not rule out for the multiset.  Rows
+    are compared by cross-multiplying cumulative sums along the truth's
+    ranking down to its outside option, which depends on the truth's class
+    only, so the ranks compared are read from the class representative.
+    Refusal moves everything from the truth's outside option down onto it,
+    so every cumulative sum from there on equals the total: with refusal on
+    the comparison stops just above the outside option.  Without refusal it
     stops at the outside option, inclusive: a row carries no mass below its
     reveal's outside option, so there the truth's sum is its total T_t,
     and from there on the gap is T_t times the candidate's sum less its
@@ -307,39 +371,25 @@ def _first_witnesses(
     at the outside option the comparison has already failed there, and if
     it is zero it stays zero: no later rank changes either verdict.
 
-    So two pairs with the same truth class and candidate class compare the
-    same rows along the same ranks on the same multisets in the same order,
-    and they share one found slot and are compared once: each distinct
-    comparison is an open entry of the walk.  The orders are not checked
-    here; the entry points (:func:`check_dominance`,
-    :func:`~rankmech.market.order_from_names`, :func:`ods_set`) check them,
-    and the sweeps pass orders of ``market.all_orders()``.
-
-    An entry closes once both of its witnesses are found, and the walk ends
-    once no entry is open.  With ``decide`` on, a pair closes at its first
-    failure instead, since nothing after it changes the pair's verdict.  A
-    pair that weakly dominates still walks to the end, so the failure
-    witness of every pair, and the strict witness of every pair that weakly
-    dominates, are those of the full walk; a failing pair keeps only a
-    strict witness found before its failure.
+    Each pair is an open entry of the walk.  An entry closes once both of
+    its witnesses are found, and the walk ends once no entry is open.  With
+    ``decide`` on, an entry closes at its first failure instead, since
+    nothing after it changes the pair's verdict.  An entry that weakly
+    dominates still walks to the end, so the failure witness of every pair,
+    and the strict witness of every pair that weakly dominates, are those of
+    the full walk, whatever pairs are walked with it; a failing pair keeps
+    only a strict witness found before its failure.
     """
-    get_mechanism(mechanism)
-    source = _class_rows(market, budget)
     parse = mechanism == "modified"
-    m = market.n_types
-    tie = (None, None)  # a pair inside one class ties at every multiset
-    slots: dict[tuple[int, int], list] = {}  # (truth's class, candidate's class) -> found slot
-    found: dict[tuple[PreferenceOrder, PreferenceOrder], list | tuple] = {}
-    for truth, candidate in pairs:
-        t, c = source.class_of[truth], source.class_of[candidate]
-        found[truth, candidate] = tie if t == c else slots.setdefault((t, c), [None, None])
+    m = source.n_types
     null_rank = source.tables.null_rank
+    found = {pair: [None, None] for pair in pairs}
     open_pairs = [
         (t, c, source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]], slot)
-        for (t, c), slot in slots.items()
+        for (t, c), slot in found.items()
     ]
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    for combo, ends in source.walk(market.n_agents - 1) if open_pairs else ():
+    for combo, ends in source.walk(source.tables.n_agents - 1) if open_pairs else ():
         # every outside-option rank lies in 1..m, so no reveal parses under uniform
         low, high = source.unparsed(combo) if parse else (1, m)
         rows = {r: source.row(ends, combo, r, not low <= null_rank[r] <= high) for r in needed}
@@ -361,10 +411,10 @@ def _first_witnesses(
                     strict = True
             if not weak:
                 if slot[0] is None:
-                    slot[0] = tuple(source.classes[i] for i in combo)
+                    slot[0] = combo
                     closed = closed or decide or slot[1] is not None
             elif strict and slot[1] is None:
-                slot[1] = tuple(source.classes[i] for i in combo)
+                slot[1] = combo
                 closed = closed or slot[0] is not None
         if closed:
             open_pairs = [
@@ -374,7 +424,7 @@ def _first_witnesses(
             if not open_pairs:
                 break
             needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    return {pair: tuple(slot) for pair, slot in found.items()}
+    return found
 
 
 class _ClassRows:
@@ -388,11 +438,14 @@ class _ClassRows:
     object serves every sweep and dominance walk on a market
     (:func:`_class_rows`); whether the crowd-out parse is consulted is the
     caller's choice, per call of :meth:`row`.  ``orders`` is
-    ``market.all_orders()``, ``class_of`` maps every order to its class,
-    ``classes`` lists each class's representative, its least order, and
-    ``key`` each class's top ranks down to its capacity threshold, which is
-    never below the outside option: two orders are essentially equal
-    exactly when their classes' keys are equal.
+    ``market.all_orders()``, ``class_of`` maps every order's ranking to its
+    class, ``classes`` lists each class's representative, its least order,
+    ``size`` the number of orders in each class, and ``key`` each class's
+    top ranks down to its capacity threshold, which is never below the
+    outside option: two orders are essentially equal exactly when their
+    classes' keys are equal.  ``verdicts`` keeps the verdicts of every class
+    pair decided so far, per (mechanism, refusal) (:func:`_decided`): at
+    most four tables of classes squared entries.
 
     A multiset's ``ends`` is the forward layer of the counting pass over it,
     each opponent moving only down to its outside option
@@ -411,8 +464,9 @@ class _ClassRows:
         self.n_types = market.n_types
         self.orders = orders = market.all_orders()
         class_of, representatives = _truncation_classes(market)
-        self.class_of = dict(zip(orders, class_of))
+        self.class_of = {order.ranking: c for order, c in zip(orders, class_of)}
         self.classes = [orders[i] for i in representatives]
+        self.size = [class_of.count(c) for c in range(len(representatives))]
         self.key = [order.top(market.capacity_threshold_rank(order)) for order in self.classes]
         self.ranks = [_rank_table(order) for order in self.classes]
         # first_with_room[c][mask]: class c's best type among those whose bit
@@ -429,6 +483,7 @@ class _ClassRows:
         # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
         self.masks: dict[int, list[int | None]] = {}
         self.tables = _PatternTables(market, self.classes)
+        self.verdicts: dict[tuple[str, bool], Verdicts] = {}
 
     def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
         """Every multiset of ``k`` opponent classes, ``k`` at least 1, with its ``ends``.

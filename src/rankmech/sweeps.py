@@ -1,31 +1,32 @@
 """Exhaustive property sweeps over small markets.
 
-Every sweep but whole-market equal treatment hands its units, each with
-a weight and the detail of its violation or None, to one counter,
-``_tally``, which adds up the weights and keeps the first detail for
-reporting.  Sweeps are deterministic.  Both mechanisms are anonymous, so
-a unit's answer does not depend on its agent: every sweep but equal
-treatment checks agent 0's units only, each counted once per agent.  A
-dominance sweep hands every distinct (truth, candidate) pair to one walk
-over opponent multisets, which decides each pair rather than witnessing
-it; the sweep reads only whether a pair fails and whether it is strictly
-preferred somewhere.  Equal treatment counts every profile in closed
-form and visits only the multisets of truncation classes that can
-violate, each violating one weighted by the number of profiles lifting
-it, with the same argument for its first violation; it weights each
-given profile 1.  The dominance walk and equal treatment read every row
-from one source, the market's class tables (``strategy._class_rows``),
-built once per market and shared by every sweep on it; ``prop2`` tells
-essentially equal orders apart by the tables' class keys.  Every sweep
-over the whole market reads the market's orders from those tables, which
-check the budget before they list the orders.  ``SWEEPS`` maps each
-``rankmech sweep`` token to its sweep and arguments; each entry looks
-its sweep up by name when called.
+Sweeps are deterministic.  Both mechanisms are anonymous, so a unit's
+answer does not depend on its agent: every sweep but equal treatment checks
+agent 0's units only, each counted once per agent.  Neither mechanism reads
+a reveal below its outside option, so a dominance sweep counts pairs of
+truncation classes (truth class, candidate class), each standing for a
+known number of order pairs, adds their weights in closed form and names
+its first violation from class representatives.  Its class pairs are
+decided by one walk (``strategy._decided``), which reads only whether a
+pair fails and whether it is strictly preferred somewhere and keeps the
+verdicts on the market's class tables per (mechanism, refusal), so a later
+sweep with the same key walks only the pairs not yet decided.  Equal
+treatment counts every profile in closed form and visits only the
+multisets of truncation classes that can violate, each violating one
+weighted by the number of profiles lifting it.  Given profiles and
+``prop3`` hand their units, each with a weight and the detail of its
+violation or None, to one counter, ``_tally``.  The dominance walk and
+equal treatment read every row from one source, the market's class tables
+(``strategy._class_rows``), built once per market and shared by every
+sweep on it; ``prop2`` tells essentially equal orders apart by the tables'
+class keys.  Every sweep over the whole market reads the market's orders
+from those tables, which check the budget before they list the orders.
+``SWEEPS`` maps each ``rankmech sweep`` token to its sweep and arguments;
+each entry looks its sweep up by name when called.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,9 +52,9 @@ from .mechanisms import (
 from .strategy import (
     _ClassRows,
     _class_rows,
-    _first_witnesses,
-    ods_promoting,
-    ods_set,
+    _decided,
+    _demotions,
+    _promoting,
     refusal_transform,
     strict_gain_pairs,
 )
@@ -98,10 +99,12 @@ def _profile_label(market: Market, profile: Profile) -> str:
 
 def _promotion_units(
     market: Market, budget: Budget
-) -> list[tuple[PreferenceOrder, TypeIndex, PreferenceOrder]]:
-    """Every truth with each type a scarce pair promotes, ascending, and its promoting demotion."""
+) -> list[tuple[PreferenceOrder, TypeIndex, tuple[TypeIndex, ...]]]:
+    """Every truth with each type a scarce pair promotes, ascending, and the
+    ranking of its promoting demotion."""
+    null = market.null_type
     return [
-        (truth, o_prime, ods_promoting(market, truth, o_prime))
+        (truth, o_prime, _promoting(truth.ranking, truth.rank(null), o_prime, null))
         for truth in _class_rows(market, budget).orders
         for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
     ]
@@ -189,7 +192,7 @@ def sweep_ete(
         if mechanism_name == "modified" and detect_modified_pattern(market, profile) is not None:
             return 1, None
         source = _class_rows(market, budget)
-        reveals = tuple(source.class_of[order] for order in profile.orders)
+        reveals = tuple(source.class_of[order.ranking] for order in profile.orders)
         return 1, _profile_label(market, profile) if _violates(source, reveals, ends) else None
 
     if profiles is not None:
@@ -205,7 +208,7 @@ def sweep_ete(
     multisets = itertools.combinations_with_replacement(range(len(classes)), n)
     candidates = filter(shares_a_key, multisets) if len(set(key)) < len(classes) else ()
     violating = [profile for profile in candidates if _violates(source, profile, ends)]
-    size = collections.Counter(source.class_of.values())
+    size = source.size
 
     def weight(profile: tuple[int, ...]) -> int:
         lifts = math.factorial(n)
@@ -224,18 +227,29 @@ def sweep_demotion_weak_dominance(
     market: Market,
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
-    """Under refusal, every demotion weakly dominates its truth (uniform)."""
-    orders = _class_rows(market, budget).orders
-    pairs = [(truth, demoted) for truth in orders for demoted in ods_set(market, truth)]
-    found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
+    """Under refusal, every demotion weakly dominates its truth (uniform).
 
-    def detail(truth, demoted) -> str | None:
-        failure, _ = found[truth, demoted]
-        if failure is None:
-            return None
-        return f"{_truth_label(market, truth)} demotion=({order_to_names(market, demoted)})"
-
-    return _tally("thm1", ((market.n_agents, detail(*pair)) for pair in pairs))
+    A truth's demotions depend only on its class, so each demotion of a
+    class's representative stands for one unit per order of the class, and
+    the first violation is the representative's in the first failing class.
+    """
+    source = _class_rows(market, budget)
+    classes, class_of, null_rank = source.classes, source.class_of, source.tables.null_rank
+    units = [
+        (t, demoted, class_of[demoted])
+        for t, truth in enumerate(classes)
+        for demoted in _demotions(truth.ranking, null_rank[t], market.null_type)
+    ]
+    verdicts = _decided(source, "uniform", True, [(t, d) for t, _, d in units])
+    failing = [(t, demoted) for t, demoted, d in units if not verdicts[t, d][0]]
+    first = None
+    if failing:
+        t, demoted = failing[0]
+        demotion = order_to_names(market, PreferenceOrder(demoted))
+        first = f"{_truth_label(market, classes[t])} demotion=({demotion})"
+    n, size = market.n_agents, source.size
+    checked = n * sum(size[t] for t, _, _ in units)
+    return SweepOutcome("thm1", checked, n * sum(size[t] for t, _ in failing), first)
 
 
 def sweep_demotion_strict_gain(
@@ -243,17 +257,20 @@ def sweep_demotion_strict_gain(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
-    units = _promotion_units(market, budget)
-    pairs = [(truth, demoted) for truth, _, demoted in units]
-    found = _first_witnesses(market, "uniform", True, pairs, budget, decide=True)
-
-    def detail(truth, o_prime, demoted) -> str | None:
-        failure, strict = found[truth, demoted]
-        if failure is None and strict is not None:
-            return None
-        return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
-
-    return _tally("thm2", ((market.n_agents, detail(*unit)) for unit in units))
+    source = _class_rows(market, budget)
+    class_of = source.class_of
+    units = [
+        (truth, o_prime, class_of[truth.ranking], class_of[demoted])
+        for truth, o_prime, demoted in _promotion_units(market, budget)
+    ]
+    verdicts = _decided(source, "uniform", True, [(t, d) for _, _, t, d in units])
+    failing = [(truth, o) for truth, o, t, d in units if verdicts[t, d] != (True, True)]
+    first = None
+    if failing:
+        truth, o_prime = failing[0]
+        first = f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
+    n = market.n_agents
+    return SweepOutcome("thm2", n * len(units), n * len(failing), first)
 
 
 def sweep_demotion_waste(
@@ -268,7 +285,7 @@ def sweep_demotion_waste(
     n = market.n_agents
 
     def detail(truth, o_prime, demoted) -> str | None:
-        revealed = Profile((demoted,) * n)
+        revealed = Profile((PreferenceOrder(demoted),) * n)
         truths = revealed.replace(0, truth)
         outcome = refusal_transform(
             market, uniform_mechanism(market, revealed, budget), truths
@@ -292,36 +309,40 @@ def sweep_no_strict_dominance(
     With ``dichotomy`` on (the no-refusal uniform sweep), additionally demand
     that essentially equal candidates tie the truth's row at every opponent
     profile while every other candidate has a profile where it is not weakly
-    preferred.
+    preferred.  Every (truth class, candidate class) stands for the product
+    of the class sizes in (truth, candidate) pairs of distinct orders, one
+    fewer per truth within one class; the first violating pair is that of
+    the least violating class pair's representatives.
     """
     source = _class_rows(market, budget)  # the walk's tables; their keys decide essential equality
-    orders, key, class_of = source.orders, source.key, source.class_of
-    pairs = [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
-    found = _first_witnesses(market, mechanism_name, refusal, pairs, budget, decide=True)
-
-    def detail(truth, candidate) -> str | None:
-        failure, strict = found[truth, candidate]
-        if failure is None and strict is not None:
-            problem = "strictly dominates"
-        elif not dichotomy:
-            return None
-        elif key[class_of[truth]] == key[class_of[candidate]]:
-            if failure is None and strict is None:
-                return None
-            problem = "essentially equal but rows differ somewhere"
-        elif failure is None:
-            problem = "expected a failure witness"
-        else:
-            return None
-        return (
-            f"{_truth_label(market, truth)} "
-            f"candidate=({order_to_names(market, candidate)}): {problem}"
-        )
-
+    classes, key, size = source.classes, source.key, source.size
+    pairs = list(itertools.product(range(len(classes)), repeat=2))
+    verdicts = _decided(source, mechanism_name, refusal, pairs)
+    # strict dominance, or, under the dichotomy, weak dominance exactly when
+    # the keys differ; a pair inside one class weakly but not strictly dominates
+    failing = [
+        (t, c) for t, c in pairs
+        if verdicts[t, c][1] or dichotomy and verdicts[t, c][0] != (key[t] == key[c])
+    ]
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:
         name = "prop5"
-    return _tally(name, ((market.n_agents, detail(*pair)) for pair in pairs))
+    first = None
+    if failing:
+        t, c = failing[0]
+        if verdicts[t, c][1]:
+            problem = "strictly dominates"
+        elif key[t] == key[c]:
+            problem = "essentially equal but rows differ somewhere"
+        else:
+            problem = "expected a failure witness"
+        first = (
+            f"{_truth_label(market, classes[t])} "
+            f"candidate=({order_to_names(market, classes[c])}): {problem}"
+        )
+    n, orders = market.n_agents, len(source.orders)
+    violations = n * sum(size[t] * size[c] for t, c in failing)
+    return SweepOutcome(name, n * orders * (orders - 1), violations, first)
 
 
 SWEEPS: dict[str, Callable[[Market, Budget], SweepOutcome]] = {

@@ -22,14 +22,16 @@ from rankmech import (
     get_mechanism,
     is_wasteful,
     ods_promoting,
+    ods_set,
     order_from_names,
+    order_to_names,
     refusal_transform,
     strict_gain_pairs,
     uniform_mechanism,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
 from rankmech.mechanisms import _rank_table
-from rankmech import sweeps
+from rankmech import strategy, sweeps
 from rankmech.sweeps import SweepOutcome
 
 ZERO = Fraction(0)
@@ -510,6 +512,81 @@ def all_agents_sweep_demotion_waste(market, budget=DEFAULT_BUDGET):
                             f"promoted={market.type_names[o_prime]}"
                         )
     return SweepOutcome("prop3", checked, violations, first)
+
+
+
+# The dominance sweeps over (truth, candidate) pairs of full orders.  Each
+# pair is one unit, counted once per agent, and its verdict is read from
+# the full witness walk over all the sweep's pairs.  The class tables are
+# looked up through ``sweeps._class_rows`` and the walk's through
+# ``strategy._class_rows``, so a test that patches both patches the oracles.
+
+
+def order_pair_sweep_no_strict_dominance(
+    market, mechanism_name, refusal, budget=DEFAULT_BUDGET, dichotomy=False
+):
+    """``sweep_no_strict_dominance`` over every pair of distinct orders."""
+    orders = sweeps._class_rows(market, budget).orders
+    pairs = [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
+    found = strategy._first_witnesses(market, mechanism_name, refusal, pairs, budget)
+
+    def detail(truth, candidate):
+        failure, strict = found[truth, candidate]
+        if failure is None and strict is not None:
+            problem = "strictly dominates"
+        elif not dichotomy:
+            return None
+        elif market.essentially_equal(truth, candidate):
+            if failure is None and strict is None:
+                return None
+            problem = "essentially equal but rows differ somewhere"
+        elif failure is None:
+            problem = "expected a failure witness"
+        else:
+            return None
+        return (
+            f"{sweeps._truth_label(market, truth)} "
+            f"candidate=({order_to_names(market, candidate)}): {problem}"
+        )
+
+    name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
+    if mechanism_name == "modified" and refusal:
+        name = "prop5"
+    return sweeps._tally(name, ((market.n_agents, detail(*pair)) for pair in pairs))
+
+
+def order_pair_sweep_demotion_weak_dominance(market, budget=DEFAULT_BUDGET):
+    """``sweep_demotion_weak_dominance`` over every truth and each of its demotions."""
+    orders = sweeps._class_rows(market, budget).orders
+    pairs = [(truth, demoted) for truth in orders for demoted in ods_set(market, truth)]
+    found = strategy._first_witnesses(market, "uniform", True, pairs, budget)
+
+    def detail(truth, demoted):
+        failure, _ = found[truth, demoted]
+        if failure is None:
+            return None
+        return f"{sweeps._truth_label(market, truth)} demotion=({order_to_names(market, demoted)})"
+
+    return sweeps._tally("thm1", ((market.n_agents, detail(*pair)) for pair in pairs))
+
+
+def order_pair_sweep_demotion_strict_gain(market, budget=DEFAULT_BUDGET):
+    """``sweep_demotion_strict_gain`` over every truth and each type it promotes."""
+    units = [
+        (truth, o_prime, ods_promoting(market, truth, o_prime))
+        for truth in sweeps._class_rows(market, budget).orders
+        for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
+    ]
+    pairs = [(truth, demoted) for truth, _, demoted in units]
+    found = strategy._first_witnesses(market, "uniform", True, pairs, budget)
+
+    def detail(truth, o_prime, demoted):
+        failure, strict = found[truth, demoted]
+        if failure is None and strict is not None:
+            return None
+        return f"{sweeps._truth_label(market, truth)} promoted={market.type_names[o_prime]}"
+
+    return sweeps._tally("thm2", ((market.n_agents, detail(*unit)) for unit in units))
 
 
 def check_weak_ete(mechanism, market, profile):

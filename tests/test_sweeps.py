@@ -33,6 +33,7 @@ from rankmech import (
     strategy,
     sweeps,
 )
+from rankmech.strategy import ods_set
 from rankmech.sweeps import (
     SWEEPS,
     SweepOutcome,
@@ -260,61 +261,77 @@ def _unit_detail(prop, market, query, verdict):
     return None
 
 
+def _units(prop, market):
+    """Agent 0's (truth, candidate) units of the dominance sweep ``prop``, in
+    the order the order-pair oracles count them."""
+    orders = market.all_orders()
+    if prop == "thm1":
+        return [(truth, demoted) for truth in orders for demoted in ods_set(market, truth)]
+    if prop == "thm2":
+        return [
+            (truth, strategy.ods_promoting(market, truth, o_prime))
+            for truth in orders
+            for o_prime in sorted({o for _, o in strategy.strict_gain_pairs(market, truth)})
+        ]
+    return [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
+
+
+def _class_pair(source, pair):
+    """The (truth class, candidate class) of a (truth, candidate) pair of orders."""
+    truth, candidate = pair
+    return source.class_of[truth.ranking], source.class_of[candidate.ranking]
+
+
+def _lifted(source, combo):
+    """A multiset of opponent classes as its representatives, or None."""
+    return None if combo is None else tuple(source.classes[c] for c in combo)
+
+
 @pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
-    """A sweep decides all its pairs from one shared walk over opponent
-    multisets and checks agent 0's units only, each counted once per agent.
-    For every agent and every unit, the booleans the sweep reads from the
-    walk's witnesses equal those of the same query run alone through the
-    product oracle, agent 0's details are the ones the sweep counted, and
-    the outcome built from the oracle's verdicts over all agents equals the
-    sweep's."""
+    """A sweep decides all its class pairs in one call of the deciding walk
+    and checks agent 0's units only, each counted once per agent.  The class
+    pairs it hands the walk are those of its units, plus ties inside one
+    class.  For every agent and every unit, the booleans the sweep reads for
+    the unit's class pair equal those of the same query run alone through
+    the product oracle, agent 0's first violation is the one the sweep
+    reports, and the outcome built from the oracle's verdicts over all
+    agents equals the sweep's."""
     market = make_market()
-    walks = []
-    reads = []
-    items = []
+    calls = []
+    decided = sweeps._decided
 
-    class Recorded(dict):
-        def __getitem__(self, pair):
-            reads.append(pair)
-            return super().__getitem__(pair)
+    def recording(source, mechanism, refusal, pairs):
+        pairs = list(pairs)
+        verdicts = decided(source, mechanism, refusal, pairs)
+        calls.append((source, mechanism, refusal, pairs, dict(verdicts)))
+        return verdicts
 
-    def recording_walk(market, mechanism, refusal, pairs, budget, **kwargs):
-        found = strategy._first_witnesses(market, mechanism, refusal, pairs, budget, **kwargs)
-        walks.append((mechanism, refusal, budget, found))
-        return Recorded(found)
-
-    shared_tally = sweeps._tally
-
-    def recording_tally(name, item_list):
-        item_list = list(item_list)
-        items.extend(item_list)
-        return shared_tally(name, item_list)
-
-    monkeypatch.setattr(sweeps, "_first_witnesses", recording_walk)
-    monkeypatch.setattr(sweeps, "_tally", recording_tally)
+    monkeypatch.setattr(sweeps, "_decided", recording)
     outcome = DOMINANCE_SWEEPS[prop](market)
-    [(mechanism, refusal, budget, found)] = walks
-    assert all(weight == market.n_agents for weight, _ in items)
-    assert market.n_agents * len(items) == outcome.checked
-    assert len(reads) == len(items)
+    [(source, mechanism, refusal, pairs, verdicts)] = calls
+    units = _units(prop, market)
+    assert market.n_agents * len(units) == outcome.checked
+    read = {_class_pair(source, unit) for unit in units}
+    assert {(t, c) for t, c in pairs if t != c} <= read <= set(pairs)
 
     details = []
     table = {}
     for agent in range(market.n_agents):
-        for pair in reads:
-            failure, strict = found[pair]
-            query = strategy.DominanceQuery(market, agent, *pair, mechanism, refusal)
-            alone = product_check_dominance(query, budget, table=table)
-            assert alone.weakly_dominates == (failure is None)
-            assert alone.strictly_dominates == (failure is None and strict is not None)
+        for unit in units:
+            weak, strictly = verdicts[_class_pair(source, unit)]
+            query = strategy.DominanceQuery(market, agent, *unit, mechanism, refusal)
+            alone = product_check_dominance(query, DEFAULT_BUDGET, table=table)
+            assert alone.weakly_dominates == weak
+            assert alone.strictly_dominates == strictly
             if prop == "prop2":
-                assert (alone.failure_witness is None) == (failure is None)
+                assert (alone.failure_witness is None) == weak
                 if alone.weakly_dominates:
-                    assert (alone.strict_witness is None) == (strict is None)
+                    assert (alone.strict_witness is None) == (not strictly)
             details.append(_unit_detail(prop, market, query, alone))
-    assert details[: len(items)] == [detail for _, detail in items]
+    first = next((detail for detail in details[: len(units)] if detail is not None), None)
+    assert outcome.first_violation == first
     failures = [d for d in details if d is not None]
     assert outcome == SweepOutcome(
         prop, len(details), len(failures), failures[0] if failures else None
@@ -325,37 +342,51 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, make_market, prop):
     """The full walk, which ``check_dominance`` and ``rankmech dominance``
-    run, finds the product oracle's witnesses on every pair a dominance sweep
-    hands its walk.  The deciding walk the sweep ran finds the same failure
-    witness on every pair, and the same strict witness wherever the pair
-    weakly dominates."""
+    run, finds the product oracle's witnesses on every unit of a dominance
+    sweep.  The deciding walk the sweep ran over its class pairs finds the
+    full walk's failure witness on every class pair, and its strict witness
+    wherever the pair weakly dominates."""
     market = make_market()
     walks = []
+    walk = strategy._walk_pairs
 
-    def recording(market, mechanism, refusal, pairs, budget, **kwargs):
+    def recording(source, mechanism, refusal, pairs, **kwargs):
         pairs = list(pairs)
-        found = strategy._first_witnesses(market, mechanism, refusal, pairs, budget, **kwargs)
-        walks.append((mechanism, refusal, pairs, budget, kwargs, found))
+        found = walk(source, mechanism, refusal, pairs, **kwargs)
+        walks.append((source, mechanism, refusal, pairs, kwargs, found))
         return found
 
-    monkeypatch.setattr(sweeps, "_first_witnesses", recording)
+    monkeypatch.setattr(strategy, "_walk_pairs", recording)
     DOMINANCE_SWEEPS[prop](market)
-    [(mechanism, refusal, pairs, budget, kwargs, decided)] = walks
+    units = _units(prop, market)
+    if not units:  # two agents promote nothing, so thm2 has no pair to walk
+        assert walks == []
+        return
+    [(source, mechanism, refusal, pairs, kwargs, decided)] = walks
     assert kwargs == {"decide": True}
-    full = strategy._first_witnesses(market, mechanism, refusal, pairs, budget, decide=False)
+    full = walk(source, mechanism, refusal, pairs)
     assert full.keys() == decided.keys() == set(pairs)
-    others = range(1, market.n_agents)
-    table = {}
-    for truth, candidate in pairs:
-        query = strategy.DominanceQuery(market, 0, truth, candidate, mechanism, refusal)
-        oracle = product_check_dominance(query, budget, table=table)
-        failure, strict = full[truth, candidate]
-        assert oracle.failure_witness == (None if failure is None else tuple(zip(others, failure)))
-        assert oracle.strict_witness == (None if strict is None else tuple(zip(others, strict)))
-        decided_failure, decided_strict = decided[truth, candidate]
+    for pair in pairs:
+        failure, strict = full[pair]
+        decided_failure, decided_strict = decided[pair]
         assert decided_failure == failure
         if failure is None:
             assert decided_strict == strict
+    witnessed = strategy._first_witnesses(market, mechanism, refusal, units, DEFAULT_BUDGET)
+    assert witnessed.keys() == set(units)
+    others = range(1, market.n_agents)
+    table = {}
+    for unit in units:
+        query = strategy.DominanceQuery(market, 0, *unit, mechanism, refusal)
+        oracle = product_check_dominance(query, DEFAULT_BUDGET, table=table)
+        failure, strict = witnessed[unit]
+        assert oracle.failure_witness == (None if failure is None else tuple(zip(others, failure)))
+        assert oracle.strict_witness == (None if strict is None else tuple(zip(others, strict)))
+        key = _class_pair(source, unit)
+        if key in full:
+            assert [_lifted(source, combo) for combo in full[key]] == [failure, strict]
+        else:
+            assert key[0] == key[1] and (failure, strict) == (None, None)
 
 
 def denial_rows(denial):
@@ -431,7 +462,8 @@ def test_demotion_sweep_details_are_pinned(monkeypatch):
     """Under the denial fixture the lone reveal of o1>o2>null among two of
     o1>null>o2 is kept off o1.  For the truth o1>null>o2 that demotion, the
     one promoting o2, is then not weakly preferred, so both ``thm1`` and
-    ``thm2`` report violations, and their detail strings are pinned."""
+    ``thm2`` report violations, and their detail strings are pinned, as the
+    order-pair oracles give them."""
     market = Market(
         agent_names=("a1", "a2", "a3"),
         type_names=("o1", "o2", "null"),
@@ -439,13 +471,14 @@ def test_demotion_sweep_details_are_pinned(monkeypatch):
         null_type=2,
     )
     denial = make_denial_mechanism(market, "o1>o2>null", "o1>null>o2", "o1")
+    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
     monkeypatch.setattr(strategy, "_class_rows", denial_rows(denial))
-    assert sweep_demotion_weak_dominance(market) == SweepOutcome(
-        "thm1", 24, 3, "agent=a1 truth=(o1>null>o2) demotion=(o1>o2>null)"
-    )
-    assert sweep_demotion_strict_gain(market) == SweepOutcome(
-        "thm2", 6, 3, "agent=a1 truth=(o1>null>o2) promoted=o2"
-    )
+    thm1 = sweep_demotion_weak_dominance(market)
+    thm2 = sweep_demotion_strict_gain(market)
+    assert thm1 == SweepOutcome("thm1", 24, 3, "agent=a1 truth=(o1>null>o2) demotion=(o1>o2>null)")
+    assert thm2 == SweepOutcome("thm2", 6, 3, "agent=a1 truth=(o1>null>o2) promoted=o2")
+    assert oracles.order_pair_sweep_demotion_weak_dominance(market) == thm1
+    assert oracles.order_pair_sweep_demotion_strict_gain(market) == thm2
 
 
 @pytest.mark.parametrize("mechanism", ["uniform", "modified"])
@@ -644,7 +677,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
     rep = oracles.truncation_representatives(market)
     class_of = {r: c for c, r in enumerate(sorted(set(rep)))}
     source = strategy._class_rows(market, DEFAULT_BUDGET)
-    assert [source.class_of[order] for order in orders] == [class_of[r] for r in rep]
+    assert [source.class_of[order.ranking] for order in orders] == [class_of[r] for r in rep]
     oracle = oracles.PerStateLayers(market, orders)
     walked = list(source.walk(k))
     assert [combo for combo, _ in walked] == list(
@@ -682,12 +715,12 @@ def test_ends_on_tight_fields_match_the_per_state_rows(n, caps):
     rng = random.Random(n)
     for _ in range(80):
         combo = [rng.randrange(len(orders)) for _ in range(n - 1)]
-        opponents = [source.class_of[orders[i]] for i in combo]
+        opponents = [source.class_of[orders[i].ranking] for i in combo]
         ends = source.ends(opponents)
         per_state = oracle.ends(combo)
         for reveal, order in enumerate(orders):
             expected = oracle.row(per_state, reveal)
-            assert source.row(ends, opponents, source.class_of[order], False) == expected
+            assert source.row(ends, opponents, source.class_of[order.ranking], False) == expected
 
 
 @pytest.mark.parametrize("mechanism", ["uniform", "modified"])
@@ -758,24 +791,24 @@ SHARING_MARKETS = {
 
 
 class _Listed(Exception):
-    """Raised by the recording walk once a sweep has handed over its pairs."""
+    """Raised by the recording walk once a sweep has handed over its class pairs."""
 
 
 def _sweep_pairs(monkeypatch, prop, market):
-    """The mechanism, refusal and (truth, candidate) list the dominance sweep
-    ``prop`` hands its walk; the sweep stops there."""
+    """The mechanism, refusal and class pairs the dominance sweep ``prop``
+    hands its deciding walk, where the sweep stops, and the sweep's units."""
     listed = []
 
-    def record(market, mechanism, refusal, pairs, budget, **kwargs):
+    def record(source, mechanism, refusal, pairs):
         listed.append((mechanism, refusal, list(pairs)))
         raise _Listed
 
     with monkeypatch.context() as patch:
-        patch.setattr(sweeps, "_first_witnesses", record)
+        patch.setattr(sweeps, "_decided", record)
         with pytest.raises(_Listed):
             DOMINANCE_SWEEPS[prop](market)
-    [listing] = listed
-    return listing
+    [(mechanism, refusal, class_pairs)] = listed
+    return mechanism, refusal, class_pairs, _units(prop, market)
 
 
 def _comparisons(market, refusal, pairs):
@@ -796,34 +829,37 @@ def _comparisons(market, refusal, pairs):
 @pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
 @pytest.mark.parametrize("name", sorted(SHARING_MARKETS))
 def test_pairs_sharing_a_comparison_get_their_own_witnesses(monkeypatch, name, prop):
-    """Pairs making the same comparison share one found slot in the walk.
-    Every market here has such pairs in every sweep's list.  From two seeded
-    groups of them, the first and last pair each get, with ``decide`` off
-    and on, the witnesses of a walk over that pair alone: with ``decide``
-    on amid the sweep's whole list, with it off amid the pairs of the two
-    groups (the whole list walks for seconds there on the 3 x 5 market)."""
+    """Units making the same comparison share one class pair, and so one
+    entry of the class-pair walk.  Every market here has such units in
+    every sweep.  From two seeded groups of them, the first and last unit
+    each get the witnesses of a walk over that pair alone: deciding, as
+    class pairs amid every class pair the sweep hands its walk, and in
+    full, as order pairs amid the units of the two groups (the whole list
+    walks for seconds there on the 3 x 5 market)."""
     market = SHARING_MARKETS[name]
-    mechanism, refusal, pairs = _sweep_pairs(monkeypatch, prop, market)
+    mechanism, refusal, class_pairs, pairs = _sweep_pairs(monkeypatch, prop, market)
     shared = [group for group in _comparisons(market, refusal, pairs).values() if len(group) > 1]
     assert shared
     groups = random.Random(f"{name} {prop}").sample(shared, min(2, len(shared)))
-    for decide, walked in [(True, pairs), (False, [pair for group in groups for pair in group])]:
-        found = strategy._first_witnesses(
-            market, mechanism, refusal, walked, DEFAULT_BUDGET, decide=decide
-        )
-        for pair in (pair for group in groups for pair in (group[0], group[-1])):
-            alone = strategy._first_witnesses(
-                market, mechanism, refusal, [pair], DEFAULT_BUDGET, decide=decide
-            )
-            assert found[pair] == alone[pair]
+    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    distinct = [(t, c) for t, c in class_pairs if t != c]
+    decided = strategy._walk_pairs(source, mechanism, refusal, distinct, decide=True)
+    walked = [pair for group in groups for pair in group]
+    full = strategy._first_witnesses(market, mechanism, refusal, walked, DEFAULT_BUDGET)
+    for pair in (pair for group in groups for pair in (group[0], group[-1])):
+        key = _class_pair(source, pair)
+        alone = strategy._walk_pairs(source, mechanism, refusal, [key], decide=True)
+        assert decided[key] == alone[key]
+        alone = strategy._first_witnesses(market, mechanism, refusal, [pair], DEFAULT_BUDGET)
+        assert full[pair] == alone[pair]
 
 
 def test_pairs_sharing_a_comparison_match_the_product_oracle(monkeypatch):
-    """On four agents, two ``prop5`` pairs with one candidate and truths of
-    one class make the same comparison; the walk over the sweep's whole
-    list gives each of them the product oracle's witnesses."""
+    """On four agents, two ``prop5`` units with one candidate and truths of
+    one class make the same comparison; the full walk over the sweep's
+    units gives each of them the product oracle's witnesses."""
     market = FOUR_AGENTS
-    mechanism, refusal, pairs = _sweep_pairs(monkeypatch, "prop5", market)
+    mechanism, refusal, _, pairs = _sweep_pairs(monkeypatch, "prop5", market)
     first, second = next(
         (a, b)
         for group in _comparisons(market, refusal, pairs).values()
@@ -856,14 +892,179 @@ MODIFIED_SWEEPS = ["ete-modified", "prop5", "no-strict-dominance-modified"]
 def test_sweeps_sharing_class_tables_match_sweeps_on_fresh_markets(name):
     """All nine sweeps run on one market object, uniform ones first and then
     modified ones first, give what each gives on a fresh equal market, so no
-    mechanism leaves state in the tables it shares."""
+    mechanism leaves state in the tables it shares, and no verdict one sweep
+    keeps there changes another's outcome.  On the four-agent market they
+    also run in reverse and in two seeded shuffles."""
     market = SHARING_MARKETS[name]
     fresh = {prop: sweep(dataclasses.replace(market)) for prop, sweep in ALL_SWEEPS.items()}
     uniform = [prop for prop in ALL_SWEEPS if prop not in MODIFIED_SWEEPS]
     assert len(fresh) == 9 and len(uniform) == 6
-    for order in (uniform + MODIFIED_SWEEPS, MODIFIED_SWEEPS + uniform):
+    orders = [uniform + MODIFIED_SWEEPS, MODIFIED_SWEEPS + uniform]
+    if name == "four":
+        orders.append(list(reversed(ALL_SWEEPS)))
+        for seed in (1, 2):
+            shuffled = list(ALL_SWEEPS)
+            random.Random(seed).shuffle(shuffled)
+            orders.append(shuffled)
+    for order in orders:
         shared = dataclasses.replace(market)
         assert {prop: ALL_SWEEPS[prop](shared) for prop in order} == fresh
+
+
+# Every variant of the three class-pair dominance sweeps, keyed by its
+# arguments, with its order-pair oracle.
+DOMINANCE_VARIANTS = {
+    "thm1": (sweep_demotion_weak_dominance, oracles.order_pair_sweep_demotion_weak_dominance),
+    "thm2": (sweep_demotion_strict_gain, oracles.order_pair_sweep_demotion_strict_gain),
+    **{
+        f"{mechanism} refusal={refusal} dichotomy={dichotomy}": tuple(
+            functools.partial(
+                sweep, mechanism_name=mechanism, refusal=refusal, dichotomy=dichotomy
+            )
+            for sweep in (sweep_no_strict_dominance, oracles.order_pair_sweep_no_strict_dominance)
+        )
+        for mechanism, refusal, dichotomy in [
+            ("uniform", False, True),
+            ("uniform", False, False),
+            ("uniform", True, False),
+            ("modified", False, False),
+            ("modified", True, False),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(DOMINANCE_VARIANTS))
+def test_class_pair_sweeps_match_the_order_pair_oracles(variant):
+    """On every walk market, counting class pairs gives the outcome of
+    counting every (truth, candidate) pair of full orders one by one, each
+    read from the full witness walk: checked, violations and the first
+    violation."""
+    sweep, oracle = DOMINANCE_VARIANTS[variant]
+    for market in WALK_MARKETS.values():
+        assert sweep(dataclasses.replace(market)) == oracle(dataclasses.replace(market))
+
+
+DENIAL_MARKETS = {
+    "thm": (
+        Market(("a1", "a2", "a3"), ("o1", "o2", "null"), (1, 1, 3), 2),
+        ("o1>o2>null", "o1>null>o2", "o1"),
+    ),
+    "ete": (example1_market(second_capacity=2), ("o1>o2>o3>null", "o1>o2>null>o3", "o1")),
+}
+
+
+@pytest.mark.parametrize("fixture", [make_denial_mechanism, oracles.listing_denial_mechanism])
+@pytest.mark.parametrize("name", sorted(DENIAL_MARKETS))
+def test_class_pair_sweeps_match_the_order_pair_oracles_under_the_denial_fixtures(
+    monkeypatch, name, fixture
+):
+    """With either denial fixture as every row, the class-pair sweeps still
+    give the order-pair oracles' outcomes, and some of them have
+    violations: ``thm1`` and ``thm2`` on the three-type market."""
+    market, args = DENIAL_MARKETS[name]
+    rows = denial_rows(fixture(market, *args))
+    monkeypatch.setattr(sweeps, "_class_rows", rows)
+    monkeypatch.setattr(strategy, "_class_rows", rows)
+    outcomes = {}
+    for variant, (sweep, oracle) in DOMINANCE_VARIANTS.items():
+        outcomes[variant] = sweep(market)
+        assert outcomes[variant] == oracle(market)
+    assert any(not outcome.passed for outcome in outcomes.values())
+    if name == "thm":
+        assert not outcomes["thm1"].passed and not outcomes["thm2"].passed
+
+
+class ScrambledRows(strategy._ClassRows):
+    """Class tables whose row of each reveal class against each opponent
+    multiset is drawn from a hash of the two, so that the demotion sweeps and
+    ``prop2`` fail on many units.  Like ``denial_rows``, they check the
+    budget, are built afresh on every call and are never kept on the
+    market."""
+
+    def __init__(self, market, budget):
+        mechanisms._check_budget(market, budget)
+        super().__init__(market)
+
+    def row(self, ends, opponents, reveal, parse):
+        drawn = hash((reveal, *sorted(opponents)))
+        row = [drawn >> 2 * o & 3 for o in range(self.n_types)]
+        row[0] += 1
+        return row, sum(row)
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex4", "four", "tight31"])
+def test_class_pair_sweeps_match_the_order_pair_oracles_on_scrambled_rows(monkeypatch, name):
+    """With rows that make many units fail, every class-pair sweep still
+    gives its order-pair oracle's checked count, violations and first
+    violation.  ``thm1`` and ``thm2`` (where the market has units) fail on
+    more than one unit, so their first violation is picked out."""
+    market = WALK_MARKETS[name]
+    monkeypatch.setattr(sweeps, "_class_rows", ScrambledRows)
+    monkeypatch.setattr(strategy, "_class_rows", ScrambledRows)
+    for variant, (sweep, oracle) in DOMINANCE_VARIANTS.items():
+        outcome = sweep(market)
+        assert outcome == oracle(market), variant
+        if variant in ("thm1", "thm2") and outcome.checked:
+            assert outcome.violations > market.n_agents, variant
+
+
+def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
+    """A row that raises in the middle of a deciding walk leaves the
+    market's verdict table for that walk's key as it was before the walk,
+    whether it was new or held an earlier sweep's verdicts, and later
+    sweeps on the market give what they give on a fresh one."""
+    market = dataclasses.replace(FOUR_AGENTS)
+    thm1 = sweep_demotion_weak_dominance(market)
+    verdicts = market._class_rows.verdicts
+    before = dict(verdicts[("uniform", True)])
+    real = strategy._ClassRows.row
+    reads = []
+
+    def failing(self, *args):
+        reads.append(args)
+        if len(reads) == 60:
+            raise RuntimeError("a row failed")
+        return real(self, *args)
+
+    monkeypatch.setattr(strategy._ClassRows, "row", failing)
+    ties = {(c, c): (True, False) for c in range(len(market._class_rows.classes))}
+    for key, table in [(("uniform", True), before), (("modified", False), ties)]:
+        reads.clear()
+        with pytest.raises(RuntimeError, match="a row failed"):
+            sweep_no_strict_dominance(market, *key)
+        assert len(reads) == 60
+        assert verdicts[key] == table
+    monkeypatch.undo()
+    assert sweep_demotion_weak_dominance(market) == thm1
+    for mechanism, refusal in [("uniform", True), ("modified", False)]:
+        expected = sweep_no_strict_dominance(dataclasses.replace(FOUR_AGENTS), mechanism, refusal)
+        assert sweep_no_strict_dominance(market, mechanism, refusal) == expected
+
+
+def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
+    """``thm2``'s class pairs are among ``thm1``'s, under the same key
+    (uniform, refusal on): run after ``thm1`` on one market it walks
+    nothing, and alone it runs its own deciding walk, with the same
+    outcome."""
+    walks = []
+    walk = strategy._walk_pairs
+
+    def recording(source, mechanism, refusal, pairs, **kwargs):
+        walks.append((mechanism, refusal, kwargs))
+        return walk(source, mechanism, refusal, pairs, **kwargs)
+
+    monkeypatch.setattr(strategy, "_walk_pairs", recording)
+    for market in (example2_market(), FOUR_AGENTS, DOUBLE_SEAT):
+        shared = dataclasses.replace(market)
+        walks.clear()
+        sweep_demotion_weak_dominance(shared)
+        after = sweep_demotion_strict_gain(shared)
+        assert walks == [("uniform", True, {"decide": True})]
+        walks.clear()
+        assert sweep_demotion_strict_gain(dataclasses.replace(market)) == after
+        assert walks == [("uniform", True, {"decide": True})]
+        assert after.checked > 0
 
 
 def _spy(monkeypatch, method, seen):
@@ -955,7 +1156,8 @@ def test_class_keys_decide_essential_equality(name):
     source = strategy._class_rows(market, DEFAULT_BUDGET)
     orders = market.all_orders()
     for first, second in itertools.product(orders, repeat=2):
-        same_key = source.key[source.class_of[first]] == source.key[source.class_of[second]]
+        classes = source.class_of[first.ranking], source.class_of[second.ranking]
+        same_key = source.key[classes[0]] == source.key[classes[1]]
         assert same_key == market.essentially_equal(first, second)
 
 
