@@ -141,7 +141,7 @@ def _load(path: str) -> tuple[Market, Profile]:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise MarketSpecError("E_IO", 0, f"cannot read {path}: {err}") from err
     return parse_market_spec(text)
 
@@ -149,8 +149,11 @@ def _load(path: str) -> tuple[Market, Profile]:
 def _write_csv(path: str, market: Market, x) -> None:
     lines = ["agent,type,probability"]
     lines += [",".join(row) for row in csv_rows(market, x)]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as err:
+        raise DomainError(f"cannot write {path}: {err}") from err
 
 
 def _cmd_assign(args: argparse.Namespace) -> int:
@@ -182,7 +185,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
         witness = wastefulness_witness(market, refused, truths)
         print(_waste_line(market, witness))
         final = refused
-    if args.csv:
+    if args.csv is not None:
         _write_csv(args.csv, market, final)
     return 0
 
@@ -209,7 +212,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
     budget = _budget(args)
     agent = market.agent_index(args.agent)
     truth = order_from_names(market, args.truth_order)
-    if args.candidate:
+    if args.candidate is not None:
         candidates = [(order_from_names(market, args.candidate), "")]
     else:
         extension = full_extension(market, truth)
@@ -277,7 +280,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(f"weight {weight}: {placing}")
     exact = decomposition.recombine(market) == x
     print(f"recombines exactly: {'yes' if exact else 'no'}")
-    if args.csv:
+    if args.csv is not None:
         _write_csv(args.csv, market, x)
     return 0 if exact else 1
 

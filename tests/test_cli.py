@@ -48,6 +48,15 @@ agent a2 prefers o1 > o2 > null
 agent a3 prefers o1 > o2 > null
 """
 
+ROOT = Path(__file__).parent.parent
+# Each pin is a command line, one argument per line in <name>.args with
+# paths relative to ROOT, and its exact stdout in <name>.out.
+PINS = ROOT / "tests" / "data" / "pins"
+
+
+def _pin_argv(name):
+    return (PINS / f"{name}.args").read_text(encoding="utf-8").splitlines()
+
 
 @pytest.fixture
 def spec_path(tmp_path):
@@ -137,6 +146,16 @@ def test_dominance_rejects_unknown_agent(spec_path, capsys):
     assert "unknown agent" in capsys.readouterr().err
 
 
+def test_dominance_rejects_an_empty_candidate(spec_path, capsys):
+    assert main([
+        "dominance", "--spec", spec_path, "--agent", "a1",
+        "--truth-order", "o1>null>o2", "--candidate", "",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "names 1 types" in captured.err
+
+
 @pytest.mark.parametrize("spec, argv, expected", [
     (EXAMPLE2_SPEC,
      ["--agent", "a1", "--truth-order", "o1>null>o2", "--ods", "--refusal"],
@@ -154,18 +173,9 @@ def test_dominance_rejects_unknown_agent(spec_path, capsys):
      "candidate o1>o2>o3>null [full extension]: weak=yes strict=no\n"
      "candidate o1>o3>o2>null [demotion]: weak=yes strict=yes\n"
      "  strictly preferred at a1=(o1>o2>o3>null) a3=(o1>o3>o2>null)\n"),
-    ((Path(__file__).parent / "data" / "market_3x5.txt").read_text(),
-     ["--agent", "a1", "--truth-order", "o1>null>o2>o3>o4", "--candidate", "o1>o2>o3>o4>null"],
-     "agent: a1  truth: o1>null>o2>o3>o4  mechanism: uniform  refusal: off\n"
-     "candidate o1>o2>o3>o4>null: weak=no strict=no\n"
-     "  not weakly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o2>o3>o4>null)\n"
-     "  strictly preferred at a2=(o1>o3>o2>o4>null) a3=(o2>o1>o3>o4>null)\n"),
-], ids=["ods-refusal", "candidate-failure", "wide-ods-refusal", "3x5-candidate-both-witnesses"])
+], ids=["ods-refusal", "candidate-failure", "wide-ods-refusal"])
 def test_dominance_output_is_pinned(tmp_path, capsys, spec, argv, expected):
-    """The whole report, witnesses included, byte for byte.  The 3 x 5
-    query runs without refusal, so its comparison stops at the truth's
-    outside option, where the candidate already falls short; the CI
-    workflow runs the installed script on the same query."""
+    """The whole report, witnesses included, byte for byte."""
     path = tmp_path / "market.txt"
     path.write_text(spec)
     assert main(["dominance", "--spec", str(path), *argv]) == 0
@@ -187,76 +197,35 @@ def test_sweep_prop2_and_prop5(spec_path, capsys):
     assert "checked: 90" in capsys.readouterr().out
 
 
-# The units each token checks on tests/data/market_3x5.txt.
-CHECKED_3X5 = {
-    "ete-fU": 1728000,
-    "ete-fM": 1728000,
-    "prop2": 42840,
-    "prop5": 42840,
-    "thm1": 2448,
-    "thm2": 216,
-    "prop3": 216,
-}
+@pytest.mark.parametrize("name", sorted(path.stem for path in PINS.glob("*.args")))
+def test_pinned_output(monkeypatch, capsys, name):
+    """Every pin exits 0 and prints its ``.out`` file byte for byte; the CI
+    workflow runs the installed script on every pin too.  The 3 x 5
+    market's one-seat types and mid-order outside options keep the sweeps
+    on cut moves and ``prop5`` and ``ete-fM`` on the modified mechanism's
+    override rows, and its dominance query without refusal stops at the
+    truth's outside option.  The 16 tied agents have 126,126,000
+    rank-minimizing assignments to count and a matrix of 15 parts."""
+    monkeypatch.chdir(ROOT)
+    assert main(_pin_argv(name)) == 0
+    assert capsys.readouterr().out == (PINS / f"{name}.out").read_bytes().decode("utf-8")
 
 
 def test_the_3x5_pins_cover_every_sweep_token():
-    assert list(CHECKED_3X5) == list(SWEEPS)
-
-
-@pytest.mark.parametrize("prop, checked", CHECKED_3X5.items())
-def test_sweep_prop2_on_the_committed_3x5_market(capsys, prop, checked):
-    """Four one-seat types and an outside option: most reveals rank the
-    outside option mid-order, so the walk runs on cut moves throughout, and
-    ``prop5`` and ``ete-fM`` read the modified mechanism's override rows.
-    Every ``sweep`` token is pinned.  The CI workflow runs the installed
-    script on the same file."""
-    path = Path(__file__).parent / "data" / "market_3x5.txt"
-    assert main(["sweep", prop, "--spec", str(path)]) == 0
-    assert capsys.readouterr().out == (
-        f"property: {prop}\nchecked: {checked}\nviolations: 0\nresult: pass\n"
-    )
+    assert [token for token in SWEEPS
+            if not (PINS / f"sweep-3x5-{token}.args").is_file()] == []
 
 
 @pytest.mark.parametrize("prop", ["ete-fU", "ete-fM"])
-def test_equal_treatment_on_the_committed_4x5_market(capsys, prop):
+def test_equal_treatment_on_the_committed_4x5_market(monkeypatch, prop):
     """Four agents and four one-seat types: 120^4 profiles, and no two
     truncation classes share an essential-equality key, so the count comes
-    in closed form and no multiset is visited.  The CI workflow runs the
-    installed script on the same file."""
-    path = Path(__file__).parent / "data" / "market_4x5.txt"
+    in closed form, within a second, and no multiset is visited.  The
+    output is pinned as ``sweep-4x5-<prop>``."""
+    monkeypatch.chdir(ROOT)
     start = time.perf_counter()
-    assert main(["sweep", prop, "--spec", str(path)]) == 0
+    assert main(_pin_argv(f"sweep-4x5-{prop}")) == 0
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().out == (
-        f"property: {prop}\nchecked: 207360000\nviolations: 0\nresult: pass\n"
-    )
-
-
-def test_dominance_on_the_committed_3x5_market_is_pinned(capsys):
-    """Every demotion of a1's truth on the 3 x 5 market, with refusal: the
-    six candidates make six distinct comparisons, and each report, witness
-    included, is pinned byte for byte.  The CI workflow runs the installed
-    script on the same query."""
-    path = Path(__file__).parent / "data" / "market_3x5.txt"
-    assert main([
-        "dominance", "--spec", str(path), "--agent", "a1",
-        "--truth-order", "o1>null>o2>o3>o4", "--ods", "--refusal",
-    ]) == 0
-    assert capsys.readouterr().out == (
-        "agent: a1  truth: o1>null>o2>o3>o4  mechanism: uniform  refusal: on\n"
-        "candidate o1>o2>o3>o4>null [full extension]: weak=yes strict=yes\n"
-        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o2>o3>o4>null)\n"
-        "candidate o1>o2>o4>o3>null [demotion]: weak=yes strict=yes\n"
-        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o2>o3>o4>null)\n"
-        "candidate o1>o3>o2>o4>null [demotion]: weak=yes strict=yes\n"
-        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o3>o2>o4>null)\n"
-        "candidate o1>o3>o4>o2>null [demotion]: weak=yes strict=yes\n"
-        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o3>o2>o4>null)\n"
-        "candidate o1>o4>o2>o3>null [demotion]: weak=yes strict=yes\n"
-        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o4>o2>o3>null)\n"
-        "candidate o1>o4>o3>o2>null [demotion]: weak=yes strict=yes\n"
-        "  strictly preferred at a2=(o1>o2>o3>o4>null) a3=(o1>o4>o2>o3>null)\n"
-    )
 
 
 @pytest.mark.parametrize("prop", SWEEPS)
@@ -284,14 +253,6 @@ def test_sweep_parallel_flag_is_gone(spec_path):
 def test_sweep_rejects_unknown_property(spec_path):
     with pytest.raises(SystemExit):
         main(["sweep", "prop9", "--spec", spec_path])
-
-
-def test_reproduce_examples_all_ok(capsys):
-    assert main(["reproduce-examples"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "MISMATCH" not in out
-    assert out.count("ok: ") >= 30
 
 
 def test_reproduce_examples_reports_mismatches(monkeypatch, capsys):
@@ -395,9 +356,25 @@ def test_decompose_with_a_million_null_seats(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
-    assert main(["assign", "--spec", str(tmp_path / "absent.txt")]) == 2
+@pytest.mark.parametrize("content", [None, b"type o1 capacity 1\xff\n"],
+                         ids=["missing", "not-utf-8"])
+def test_unreadable_spec_file_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "market.txt"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["assign", "--spec", str(path)]) == 2
     assert "E_IO" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, csv", [
+    ("assign", "{tmp}/absent/out.csv"),
+    ("decompose", "{tmp}"),
+    ("assign", ""),
+], ids=["assign-missing-directory", "decompose-directory", "assign-empty-path"])
+def test_unwritable_csv_path_is_a_usage_error(spec_path, tmp_path, capsys, command, csv):
+    path = csv.format(tmp=tmp_path)
+    assert main([command, "--spec", spec_path, "--csv", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
 def test_bad_spec_file_reports_diagnostic(tmp_path, capsys):
@@ -442,25 +419,6 @@ def test_assign_with_raised_budget_on_twelve_tied_agents(tmp_path, capsys):
     for i in range(1, 13):
         assert f"a{i}  1/4  1/4  1/6  1/6   1/6".rjust(29) in out
     assert "rank value: 33" in out
-
-
-DATA = Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize("argv, expected", [
-    (["assign", "--refusal", "--truth", str(DATA / "ties_16_truth.txt")],
-     "ties_16_assign_refusal.out"),
-    (["decompose"], "ties_16_decompose.out"),
-], ids=["assign-refusal", "decompose"])
-def test_sixteen_tied_agents_are_pinned(capsys, argv, expected):
-    """``assign --refusal`` and ``decompose`` on ``tests/data/ties_16.txt``,
-    whose 126,126,000 rank-minimizing assignments the counting pass counts
-    and whose matrix decomposes into 15 parts, print the committed text
-    byte for byte; the CI workflow runs the installed script on the same
-    files."""
-    spec = str(DATA / "ties_16.txt")
-    assert main([*argv, "--spec", spec, "--budget-agents", "16"]) == 0
-    assert capsys.readouterr().out == (DATA / expected).read_text()
 
 
 @pytest.mark.parametrize("argv", [
