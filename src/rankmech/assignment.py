@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .errors import DomainError
-from .market import AgentIndex, Market, Profile, TypeIndex, check_profile
+from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
 
 ZERO = Fraction(0)
 
@@ -168,14 +169,19 @@ def wastefulness_witness(
     capacity times D.
     """
     check_profile(market, profile)
-    denominator, counts = _scaled(market, x)
+    return _first_waste(market, *_scaled(market, x), profile.orders)
+
+
+def _first_waste(
+    market: Market, denominator: int, counts, orders: Sequence[PreferenceOrder]
+) -> tuple[AgentIndex, TypeIndex, TypeIndex] | None:
+    """:func:`wastefulness_witness` on the integer matrix ``counts / denominator``,
+    agent a ranking types by ``orders[a]``; nothing is validated."""
     slack = [
         sum(column) < capacity * denominator
         for capacity, column in zip(market.capacities, zip(*counts))
     ]
-    for a in range(market.n_agents):
-        order = profile[a]
-        row = counts[a]
+    for a, (order, row) in enumerate(zip(orders, counts)):
         for o in range(market.n_types):
             if not slack[o]:
                 continue

@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     assign = sub.add_parser("assign", help="run a mechanism on a market file")
     _common_flags(assign)
     assign.add_argument("--truth", metavar="PATH",
-                        help="market file whose rankings are the true orders "
-                             "(defaults to the revealed ones)")
+                        help="market file whose rankings are the true orders, "
+                             "read with --refusal (defaults to the revealed ones)")
 
     dominance = sub.add_parser("dominance", help="test a reveal against the truth")
     _common_flags(dominance, csv=False)
@@ -104,6 +104,8 @@ def _positive_int(text: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "assign" and args.truth is not None and not args.refusal:
+        parser.error("assign reads --truth only with --refusal")
     try:
         return _dispatch(args)
     except MarketSpecError as err:
@@ -170,7 +172,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     print(_waste_line(market, witness))
     final = x
     if args.refusal:
-        if args.truth:
+        if args.truth is not None:
             truth_market, truths = _load(args.truth)
             if truth_market != market:
                 raise MarketSpecError(

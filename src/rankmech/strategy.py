@@ -18,13 +18,15 @@ sweep and walk; the sweeps read the market's orders from them.  The
 dominance walk takes pairs of classes (truth class, candidate class), seats
 the queried agent last and visits each multiset of opponent classes once,
 in sorted order, and multisets sharing a sorted prefix share the layers of
-that prefix.  The first failing opponent profile in product order is a
-sorted tuple of class representatives, the least lift of its class
-multiset, so the witnesses are those of the full product.  The sweeps
-decide class pairs rather than witness them, and keep the verdicts on the
-class tables, per (mechanism, refusal), for every later sweep
-(:func:`_decided`).  The equal-treatment sweep reads its rows from the same
-source.
+that prefix.  Under refusal a truth ranking its outside option first
+compares over an empty prefix, never failing and never strict, so its
+pairs are left out of the walk and no row is read for them.  The first
+failing opponent profile in product order is a sorted tuple of class
+representatives, the least lift of its class multiset, so the witnesses
+are those of the full product.  The sweeps decide class pairs rather than
+witness them, and keep the verdicts on the class tables, per (mechanism,
+refusal), for every later sweep (:func:`_decided`).  The equal-treatment
+sweep and ``prop3`` read their rows from the same source.
 """
 
 from __future__ import annotations
@@ -72,15 +74,19 @@ def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignm
     if len(x.rows) != market.n_agents:
         raise DomainError("assignment and market disagree on the number of agents")
     denominator, counts = _scaled(market, x)
-    null = market.null_type
-    rows = []
-    for row, truth in zip(counts, truths):
-        row = list(row)
-        for o in _acceptable_block(market, truth)[1]:
-            row[null] += row[o]
-            row[o] = 0
-        rows.append(row)
+    rows = [_refused(market, row, truth) for row, truth in zip(counts, truths)]
     return _checked(market, denominator, rows)
+
+
+def _refused(market: Market, row: Sequence[int], truth: PreferenceOrder) -> list[int]:
+    """The integer ``row`` with every count ``truth`` ranks below the outside
+    option moved onto it."""
+    row = list(row)
+    null = market.null_type
+    for o in _acceptable_block(market, truth)[1]:
+        row[null] += row[o]
+        row[o] = 0
+    return row
 
 
 def _acceptable_block(
@@ -371,10 +377,15 @@ def _walk_pairs(
     at the outside option the comparison has already failed there, and if
     it is zero it stays zero: no later rank changes either verdict.
 
-    Each pair is an open entry of the walk.  An entry closes once both of
-    its witnesses are found, and the walk ends once no entry is open.  With
-    ``decide`` on, an entry closes at its first failure instead, since
-    nothing after it changes the pair's verdict.  An entry that weakly
+    With refusal on, a truth class ranking its outside option first
+    compares over an empty prefix, so its pairs neither fail nor are
+    strict anywhere: they never enter the walk, their witnesses stay None,
+    as a full walk would leave them, and their classes' rows are read only
+    where an open pair needs them.  Every other pair is an open entry of
+    the walk.  An entry closes once both of its witnesses are found, and
+    the walk ends once no entry is open.  With ``decide`` on, an entry
+    closes at its first failure instead, since nothing after it changes
+    the pair's verdict.  An entry that weakly
     dominates still walks to the end, so the failure witness of every pair,
     and the strict witness of every pair that weakly dominates, are those of
     the full walk, whatever pairs are walked with it; a failing pair keeps
@@ -384,10 +395,11 @@ def _walk_pairs(
     m = source.n_types
     null_rank = source.tables.null_rank
     found = {pair: [None, None] for pair in pairs}
-    open_pairs = [
-        (t, c, source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]], slot)
-        for (t, c), slot in found.items()
-    ]
+    open_pairs = []
+    for (t, c), slot in found.items():
+        prefix = source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]]
+        if prefix:  # an empty comparison neither fails nor is strict anywhere
+            open_pairs.append((t, c, prefix, slot))
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     for combo, ends in source.walk(source.tables.n_agents - 1) if open_pairs else ():
         # every outside-option rank lies in 1..m, so no reveal parses under uniform

@@ -15,11 +15,15 @@ treatment counts every profile in closed form and visits only the
 multisets of truncation classes that can violate, each violating one
 weighted by the number of profiles lifting it.  Given profiles and
 ``prop3`` hand their units, each with a weight and the detail of its
-violation or None, to one counter, ``_tally``.  The dominance walk and
-equal treatment read every row from one source, the market's class tables
-(``strategy._class_rows``), built once per market and shared by every
-sweep on it; ``prop2`` tells essentially equal orders apart by the tables'
-class keys.  Every sweep over the whole market reads the market's orders
+violation or None, to one counter, ``_tally``.  The dominance walk, equal
+treatment and ``prop3`` read every row from one source, the market's class
+tables (``strategy._class_rows``), built once per market and shared by
+every sweep on it; ``prop2`` tells essentially equal orders apart by the
+tables' class keys.  Under refusal a truth ranking its outside option
+first compares nothing, so the walk leaves its pairs out and they weakly
+but not strictly dominate.  ``prop3`` reads one row per unit, that of the
+demotion against n - 1 copies of it, and refuses and scans it for waste
+in integers.  Every sweep over the whole market reads the market's orders
 from those tables, which check the budget before they list the orders.
 ``SWEEPS`` maps each ``rankmech sweep`` token to its sweep and arguments;
 each entry looks its sweep up by name when called.
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .assignment import is_wasteful
+from .assignment import _first_waste
 from .market import (
     AgentIndex,
     Market,
@@ -47,7 +51,6 @@ from .mechanisms import (
     DEFAULT_BUDGET,
     detect_modified_pattern,
     get_mechanism,
-    uniform_mechanism,
 )
 from .strategy import (
     _ClassRows,
@@ -55,7 +58,7 @@ from .strategy import (
     _decided,
     _demotions,
     _promoting,
-    refusal_transform,
+    _refused,
     strict_gain_pairs,
 )
 
@@ -280,17 +283,26 @@ def sweep_demotion_waste(
     """When everyone else reveals the same demotion, refusal strands capacity.
 
     The others reveal one order, so seating the truth at another agent only
-    permutes the matrix: agent 0's verdict is every agent's.
+    permutes the matrix: agent 0's verdict is every agent's.  Every agent
+    reveals the promoting demotion, so the uniform mechanism, anonymous,
+    gives each the same row: that of the demotion's class against n - 1
+    opponents of that class, read in integers from the market's class
+    tables.  The demotion ranks the outside option last, so its class holds
+    it alone.  Agent 0 refuses its row through its truth; the others' truths
+    are their reveals, which refuse nothing, and the waste scan
+    (:func:`~rankmech.assignment.wastefulness_witness`) runs on these
+    integer rows.
     """
+    source = _class_rows(market, budget)
     n = market.n_agents
 
     def detail(truth, o_prime, demoted) -> str | None:
-        revealed = Profile((PreferenceOrder(demoted),) * n)
-        truths = revealed.replace(0, truth)
-        outcome = refusal_transform(
-            market, uniform_mechanism(market, revealed, budget), truths
-        )
-        if is_wasteful(market, outcome, truths):
+        c = source.class_of[demoted]
+        opponents = (c,) * (n - 1)
+        row, total = source.row(source.ends(opponents), opponents, c, False)
+        rows = (_refused(market, row, truth), *(row,) * (n - 1))
+        orders = (truth, *(source.classes[c],) * (n - 1))
+        if _first_waste(market, total, rows, orders) is not None:
             return None
         return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
 

@@ -28,6 +28,7 @@ from rankmech import (
     refusal_transform,
     strict_gain_pairs,
     uniform_mechanism,
+    wastefulness_witness,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
 from rankmech.mechanisms import _rank_table
@@ -512,6 +513,40 @@ def all_agents_sweep_demotion_waste(market, budget=DEFAULT_BUDGET):
                             f"promoted={market.type_names[o_prime]}"
                         )
     return SweepOutcome("prop3", checked, violations, first)
+
+
+def fraction_demotion_waste_units(market, budget=DEFAULT_BUDGET):
+    """Agent 0's ``prop3`` units through the public ``Fraction`` pipeline.
+
+    Each unit runs the uniform mechanism, looked up by name so that a test
+    can patch a fixture in, on the profile where everyone reveals the
+    demotion, and refuses the matrix through the truths.  A unit is
+    (truth, promoted type, refused matrix, truths, waste witness)."""
+    n = market.n_agents
+    mechanism = get_mechanism("uniform")
+    units = []
+    for truth, o_prime, demoted in sweeps._promotion_units(market, budget):
+        revealed = Profile((PreferenceOrder(demoted),) * n)
+        truths = revealed.replace(0, truth)
+        refused = refusal_transform(market, mechanism(market, revealed, budget), truths)
+        witness = wastefulness_witness(market, refused, truths)
+        units.append((truth, o_prime, refused, truths, witness))
+    return units
+
+
+def fraction_sweep_demotion_waste(market, budget=DEFAULT_BUDGET):
+    """``sweep_demotion_waste`` from :func:`fraction_demotion_waste_units`: a
+    unit violates when its refused matrix is not wasteful, and counts once
+    per agent."""
+    n = market.n_agents
+
+    def detail(truth, o_prime, refused, truths, witness):
+        if witness is not None:
+            return None
+        return f"{sweeps._truth_label(market, truth)} promoted={market.type_names[o_prime]}"
+
+    units = fraction_demotion_waste_units(market, budget)
+    return sweeps._tally("prop3", ((n, detail(*unit)) for unit in units))
 
 
 

@@ -108,6 +108,30 @@ def test_assign_truth_market_must_match(tmp_path, capsys):
     assert "E_MARKET_MISMATCH" in err
 
 
+@pytest.mark.parametrize("truth", ["{tmp}/missing.txt", ""], ids=["missing", "empty-path"])
+def test_assign_unreadable_truth_file_is_a_usage_error(spec_path, tmp_path, capsys, truth):
+    """An empty ``--truth`` path is read like any other and fails to open;
+    it does not fall back to the reveals."""
+    path = truth.format(tmp=tmp_path)
+    assert main(["assign", "--spec", spec_path, "--refusal", "--truth", path]) == 2
+    captured = capsys.readouterr()
+    assert "after refusal:" not in captured.out
+    assert captured.err.startswith(f"error: E_IO (line 0): cannot read {path}: ")
+
+
+@pytest.mark.parametrize("truth", ["{tmp}/missing.txt", "{spec}"], ids=["missing", "readable"])
+def test_assign_rejects_truth_without_refusal(spec_path, tmp_path, capsys, truth):
+    """Without ``--refusal`` nothing reads ``--truth``, so the flag is a usage error."""
+    path = truth.format(tmp=tmp_path, spec=spec_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["assign", "--spec", spec_path, "--truth", path])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rankmech")
+    assert "assign reads --truth only with --refusal" in captured.err
+
+
 def test_assign_writes_csv(spec_path, tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     assert main(["assign", "--spec", spec_path, "--csv", str(csv_path)]) == 0

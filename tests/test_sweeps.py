@@ -17,6 +17,7 @@ import math
 import pickle
 import random
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -975,6 +976,67 @@ def test_class_pair_sweeps_match_the_order_pair_oracles_under_the_denial_fixture
         assert not outcomes["thm1"].passed and not outcomes["thm2"].passed
 
 
+def _demotion_waste_and_its_oracle(monkeypatch, market):
+    """``prop3`` on ``market``, checked against the ``Fraction`` oracle: the
+    same outcome, and every unit's waste scan run on the oracle's refused
+    matrix, scaled to integers, with the oracle's truths and witness.  The
+    outcome alone would miss a scan of the unrefused matrix, which is
+    wasteful too: agent 0 holds the promoted type, unacceptable to it,
+    while the outside option has room."""
+    scans = []
+    scan = sweeps._first_waste
+
+    def recording(market, denominator, counts, orders):
+        witness = scan(market, denominator, counts, orders)
+        matrix = [[Fraction(c, denominator) for c in row] for row in counts]
+        scans.append((matrix, list(orders), witness))
+        return witness
+
+    monkeypatch.setattr(sweeps, "_first_waste", recording)
+    outcome = sweep_demotion_waste(dataclasses.replace(market))
+    units = oracles.fraction_demotion_waste_units(dataclasses.replace(market))
+    assert scans == [
+        ([list(row) for row in refused.rows], list(truths.orders), witness)
+        for _, _, refused, truths, witness in units
+    ]
+    assert outcome == oracles.fraction_sweep_demotion_waste(dataclasses.replace(market))
+    return outcome
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MARKETS))
+def test_demotion_waste_matches_the_fraction_oracle(monkeypatch, name):
+    """Rows read from the class tables, refused and scanned in integers,
+    give what the ``Fraction`` pipeline gives unit by unit."""
+    _demotion_waste_and_its_oracle(monkeypatch, WALK_MARKETS[name])
+
+
+def test_demotion_waste_matches_the_fraction_oracle_on_seeded_markets(monkeypatch):
+    """Seeded markets of 2 to 5 agents and 2 or 3 scarce types, drawn until
+    25 of them have promotion units."""
+    rng = random.Random(1021)
+    drawn = with_units = 0
+    while with_units < 25:
+        n = rng.randint(2, 5)
+        market = _market(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, 3))))
+        with_units += _demotion_waste_and_its_oracle(monkeypatch, market).checked > 0
+        drawn += 1
+    assert drawn < 100
+
+
+@pytest.mark.parametrize("fixture", [make_denial_mechanism, oracles.listing_denial_mechanism])
+@pytest.mark.parametrize("name", sorted(DENIAL_MARKETS))
+def test_demotion_waste_matches_the_fraction_oracle_under_the_denial_fixtures(
+    monkeypatch, name, fixture
+):
+    """With either denial fixture as every row, and as the oracle's
+    mechanism, ``prop3`` still gives the oracle's outcome."""
+    market, args = DENIAL_MARKETS[name]
+    denial = fixture(market, *args)
+    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
+    monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
+    assert _demotion_waste_and_its_oracle(monkeypatch, market).checked > 0
+
+
 class ScrambledRows(strategy._ClassRows):
     """Class tables whose row of each reveal class against each opponent
     multiset is drawn from a hash of the two, so that the demotion sweeps and
@@ -1076,6 +1138,73 @@ def _spy(monkeypatch, method, seen):
         return real(self, *args)
 
     monkeypatch.setattr(strategy._ClassRows, method, spied)
+
+
+def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
+    """Under refusal a truth class ranking its outside option first
+    compares over an empty prefix.  Given only such pairs, deciding or not,
+    the walk visits no multiset and reads no row, and every pair keeps no
+    witness.  On the 3 x 5 market every row ``prop5``'s walk reads is of a
+    class in a pair with a nonempty prefix still open at that multiset,
+    and the walk ends at the multiset where the last such pair closes."""
+    market = dataclasses.replace(MARKET_3X5)
+    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    null_rank = source.tables.null_rank
+    classes = range(len(source.classes))
+    empty = [(t, c) for t in classes for c in classes if null_rank[t] == 1 and c != t]
+    assert empty
+    seen = []
+    _spy(monkeypatch, "walk", seen)
+    _spy(monkeypatch, "row", seen)
+    for mechanism in ("uniform", "modified"):
+        for decide in (False, True):
+            found = strategy._walk_pairs(source, mechanism, True, empty, decide=decide)
+            assert found == {pair: [None, None] for pair in empty}
+    assert seen == []
+    monkeypatch.undo()
+
+    visited, read, calls = [], [], []
+    walk, row, walk_pairs = strategy._ClassRows.walk, strategy._ClassRows.row, strategy._walk_pairs
+
+    def visiting(self, k):
+        for combo, ends in walk(self, k):
+            visited.append(combo)
+            yield combo, ends
+
+    def reading(self, ends, opponents, reveal, parse):
+        read.append((tuple(opponents), reveal))
+        return row(self, ends, opponents, reveal, parse)
+
+    def recording(source, mechanism, refusal, pairs, **kwargs):
+        pairs = list(pairs)
+        found = walk_pairs(source, mechanism, refusal, pairs, **kwargs)
+        calls.append((pairs, kwargs, found))
+        return found
+
+    monkeypatch.setattr(strategy._ClassRows, "walk", visiting)
+    monkeypatch.setattr(strategy._ClassRows, "row", reading)
+    monkeypatch.setattr(strategy, "_walk_pairs", recording)
+    market = dataclasses.replace(MARKET_3X5)
+    assert sweep_no_strict_dominance(market, "modified", True).passed
+    [(pairs, kwargs, found)] = calls
+    assert kwargs == {"decide": True}
+    compared = [(t, c) for t, c in pairs if null_rank[t] > 1]
+    assert 0 < len(compared) < len(pairs)
+
+    # a deciding walk closes a pair at its first failure, after reading its rows there
+    multisets = list(itertools.combinations_with_replacement(classes, market.n_agents - 1))
+    position = {combo: i for i, combo in enumerate(multisets)}
+    closes = {
+        pair: len(multisets) if found[pair][0] is None else position[found[pair][0]]
+        for pair in compared
+    }
+    last_open = [
+        max((closes[pair] for pair in compared if r in pair), default=-1) for r in classes
+    ]
+    assert read
+    for combo, reveal in read:
+        assert position[combo] <= last_open[reveal], (combo, reveal)
+    assert visited == multisets[: max(closes.values()) + 1]
 
 
 def test_sweeps_share_the_class_tables_kept_on_the_market(monkeypatch):
