@@ -16,6 +16,8 @@ from .assignment import Assignment, build_assignment, rank_value, wastefulness_w
 from .errors import DomainError
 from .market import Market, Profile, order_from_names
 from .mechanisms import (
+    Budget,
+    DEFAULT_BUDGET,
     MechanismFn,
     _count_rows,
     _rank_table,
@@ -109,12 +111,12 @@ def make_denial_mechanism(
     if denied_type == market.null_type:
         raise DomainError("the denial fixture cannot deny the null type")
 
-    def mechanism(mkt: Market, profile: Profile, *args) -> Assignment:
+    def mechanism(mkt: Market, profile: Profile, budget: Budget = DEFAULT_BUDGET) -> Assignment:
         triggered = [a for a in range(mkt.n_agents) if profile[a] == trigger_order]
         rest_fill = all(
             profile[a] == filler_order for a in range(mkt.n_agents) if profile[a] != trigger_order
         )
-        fair = uniform_mechanism(mkt, profile)
+        fair = uniform_mechanism(mkt, profile, budget)
         if len(triggered) != 1 or not rest_fill:
             return fair
         ranks = [_rank_table(order) for order in profile.orders]

@@ -70,23 +70,19 @@ class Market:
       - the outside option's capacity is at least the number of agents;
       - every other capacity q satisfies 1 <= q < number of agents.
 
-    A market keeps, privately, the tuple :meth:`all_orders` built on its
-    first call and the class tables ``strategy._class_rows`` builds on first
-    use, which every sweep and dominance walk on the market then shares.
-    The class tables also keep every class-pair verdict a sweep's walk has
-    decided, one table per (mechanism, refusal), so a later sweep on the
-    market walks only the pairs not yet decided.  Neither takes part in
-    ``==``, ``hash`` or ``repr``, and the class tables hold no reference back
-    to the market.
+    A market keeps, privately, the class tables ``mechanisms._class_rows``
+    builds on first use, which every sweep and dominance walk on the market
+    then shares.  They list the market's orders once, and keep every
+    class-pair verdict a sweep's walk has decided, one table per (mechanism,
+    refusal), so a later sweep on the market walks only the pairs not yet
+    decided.  They take no part in ``==``, ``hash`` or ``repr``, and hold no
+    reference back to the market.
     """
 
     agent_names: tuple[str, ...]
     type_names: tuple[str, ...]
     capacities: tuple[int, ...]
     null_type: TypeIndex
-    _orders: tuple[PreferenceOrder, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _class_rows: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,15 +157,10 @@ class Market:
     def all_orders(self) -> tuple[PreferenceOrder, ...]:
         """Every strict order over this market's types, lexicographic by index.
 
-        The tuple is built on the first call and kept on the market, so every
-        later call returns the same object.
+        Each call builds a new tuple; the class tables keep the one they list
+        as their ``orders``.
         """
-        if self._orders is None:
-            orders = tuple(
-                PreferenceOrder(perm) for perm in itertools.permutations(range(self.n_types))
-            )
-            object.__setattr__(self, "_orders", orders)
-        return self._orders
+        return tuple(PreferenceOrder(perm) for perm in itertools.permutations(range(self.n_types)))
 
     def null_first_order(self) -> PreferenceOrder:
         """The canonical order placing the outside option first."""

@@ -23,12 +23,15 @@ public functions validate them once and wrap them as an ``Assignment``.
 ``enumerate_rank_minimizers`` lists the set itself.  Nothing in the package
 calls it: it stays defined and exported because the bench tracer binds it
 for its ``mechanisms.solve_*`` metrics and the tests check the count
-against it.  The dominance checker and the equal-treatment sweep read rows
-from one source in ``strategy``, which runs the forward pass over an
-agent's opponents only and works in truncation classes of orders
-(``_truncation_classes``).  The crowd-out parse has one implementation,
-``_PatternTables``: the mechanisms build its tables from a profile's own
-orders, the row source from the class representatives.
+against it.  The dominance walk and every sweep read their rows from one
+source here, a market's class tables (``_ClassRows``, built once per market
+by ``_class_rows``), which run the forward pass over an agent's opponents
+only and work in truncation classes of orders: two orders share a class
+when they rank the same types down to and including the outside option.
+The class tables are the one place that lists a market's orders.  The
+crowd-out parse has one implementation, ``_PatternTables``: the mechanisms
+build its tables from a profile's own orders, the class tables from the
+class representatives.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .assignment import Assignment, DeterministicAssignment, _checked
 from .errors import BudgetError, DomainError
@@ -512,36 +515,13 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
     return _PatternTables(market, profile.orders).parse(range(market.n_agents))
 
 
-def _truncation_classes(market: Market) -> tuple[list[int], list[int]]:
-    """The class of each of ``market.all_orders()`` and each class's representative.
-
-    Two orders share a class when they rank the same types down to and
-    including the outside option.  Neither mechanism reads a rank below it:
-    the null type always has room, so no rank-minimizing assignment seats an
-    agent below it, and the crowd-out parse stops there too.  A class's
-    representative is its least order index, and classes are numbered in the
-    order of their representatives.
-    """
-    first: dict[tuple[TypeIndex, ...], int] = {}
-    class_of = []
-    representatives = []
-    for i, order in enumerate(market.all_orders()):
-        cut = order.top(order.rank(market.null_type))
-        c = first.setdefault(cut, len(representatives))
-        if c == len(representatives):
-            representatives.append(i)
-        class_of.append(c)
-    return class_of, representatives
-
-
 class _PatternTables:
     """The crowd-out parse, as table lookups over a list of orders.
 
     A profile is given as an index into ``classes`` for each agent's reveal.
-    The row source of the dominance walk and the equal-treatment sweep
-    passes the class representatives of :func:`_truncation_classes` and
-    class profiles; the parse reads no rank below the outside option, so it
-    is the same for every lift of a class profile to full orders.  Both
+    The class tables (:class:`_ClassRows`) pass their class representatives
+    and class profiles; the parse reads no rank below the outside option, so
+    it is the same for every lift of a class profile to full orders.  Both
     mechanisms pass a profile's own orders and ``range(n)``.  The tables
     hold each class's outside-option rank and, once a class is first tried
     as the special agent, the :meth:`_role` of every class against it; no
@@ -578,21 +558,45 @@ class _PatternTables:
             return level
         return None
 
-    def parse(self, profile: Sequence[int]) -> ModifiedPattern | None:
-        """The crowd-out parse of the class profile ``profile``, or None.
+    def _lone_deepest(self, profile: Sequence[int]) -> tuple[int | None, int]:
+        """The deepest outside-option rank in the class profile ``profile``,
+        and the one agent ranking its outside option there, or None unless
+        that rank is 3 or deeper and no other agent shares it.
 
-        Only the one agent whose outside-option rank is at least 3 and
-        strictly deeper than every other agent's can be the special agent,
-        so it is the only one tried.  The parse fails when an agent voids
-        it, when there is no competitor, when competitors disagree on their
-        level, or when there are fewer of them than the focal type has
-        seats.
+        Competitors rank the outside option strictly earlier than the
+        special agent and bystanders rank it first, so that agent is the
+        only one that can be the special agent.
         """
         deep = [self.null_rank[c] for c in profile]
         deepest = max(deep)
         if deepest < 3 or deep.count(deepest) > 1:
+            return None, deepest
+        return deep.index(deepest), deepest
+
+    def unparsed(self, opponents: Sequence[int]) -> tuple[int, int]:
+        """The outside-option ranks of the reveals that never parse against ``opponents``.
+
+        With the opponents' deepest rank D, a reveal ranking its outside
+        option at ``low`` to ``high`` inclusive leaves no special agent
+        (:meth:`_lone_deepest`): from 1 to max(D, 2), or D alone when one
+        opponent alone ranks its outside option at D, 3 or deeper.  Any
+        other reveal may still parse.
+        """
+        special, deepest = self._lone_deepest(opponents)
+        return (1 if special is None else deepest), max(deepest, 2)
+
+    def parse(self, profile: Sequence[int]) -> ModifiedPattern | None:
+        """The crowd-out parse of the class profile ``profile``, or None.
+
+        Only the agent of :meth:`_lone_deepest` can be the special agent, so
+        it is the only one tried.  The parse fails when there is none, when
+        an agent voids it, when there is no competitor, when competitors
+        disagree on their level, or when there are fewer of them than the
+        focal type has seats.
+        """
+        special, _ = self._lone_deepest(profile)
+        if special is None:
             return None
-        special = deep.index(deepest)
         special_class = profile[special]
         order = self.classes[special_class]
         role = self.role[special_class]
@@ -640,6 +644,201 @@ class _PatternTables:
             return row, len(pattern.competitors)
         row[self.null_type] = 1
         return row, 1
+
+
+class _ClassRows:
+    """A market's class tables: the row of an agent against opponents, in
+    truncation class indices.
+
+    Two orders share a truncation class when they rank the same types down
+    to and including the outside option.  Neither mechanism reads a rank
+    below it: the null type always has room, so no rank-minimizing
+    assignment seats an agent below it, and the crowd-out parse stops there
+    too.  Both mechanisms are anonymous as well, so an agent's row depends
+    only on its reveal's class and the multiset of its opponents' classes.
+    Nothing here depends on the mechanism, so one object serves every sweep
+    and dominance walk on a market (:func:`_class_rows`); whether the
+    crowd-out parse is consulted is the caller's choice, per call of
+    :meth:`row`.  ``orders`` is ``market.all_orders()``, ``class_of`` maps
+    every order's ranking to its class, ``classes`` lists each class's
+    representative, its least order, numbered in the order of their
+    representatives, ``size`` the number of orders in each class, and
+    ``key`` each class's top ranks down to its capacity threshold, which is
+    never below the outside option: two orders are essentially equal
+    exactly when their classes' keys are equal.  ``verdicts`` keeps the
+    verdicts of every class pair decided so far, per (mechanism, refusal)
+    (:func:`~rankmech.strategy._decided`): at most four tables of classes
+    squared entries.
+
+    A multiset's ``ends`` is the forward layer of the counting pass over it,
+    each opponent moving only down to its outside option
+    (:func:`_cut_moves`), folded per room mask: in each state the agent's
+    best move, and so its rank, depend only on which types have room there,
+    so within one room mask only the least prefix rank can be optimal.  The
+    last opponent's moves go straight into the room masks (:meth:`_fold`),
+    so the layer after it is never built; ``masks`` keeps, per state before
+    that move, the room mask after each move.  ``tables`` holds the
+    crowd-out parse over the classes (:class:`_PatternTables`).  No table
+    refers to the market, so a market keeping them is still freed by
+    reference counting.
+    """
+
+    def __init__(self, market: Market):
+        self.n_types = market.n_types
+        self.orders = market.all_orders()
+        self.class_of: dict[tuple[TypeIndex, ...], int] = {}
+        self.classes: list[PreferenceOrder] = []
+        self.size: list[int] = []
+        first: dict[tuple[TypeIndex, ...], int] = {}
+        for order in self.orders:
+            c = first.setdefault(order.top(order.rank(market.null_type)), len(self.classes))
+            if c == len(self.classes):
+                self.classes.append(order)
+                self.size.append(0)
+            self.size[c] += 1
+            self.class_of[order.ranking] = c
+        self.key = [order.top(market.capacity_threshold_rank(order)) for order in self.classes]
+        self.ranks = [_rank_table(order) for order in self.classes]
+        # first_with_room[c][mask]: class c's best type among those whose bit
+        # is set; each type, worst first, overwrites the masks holding it
+        self.first_with_room = []
+        for order in self.classes:
+            table = [None] * (1 << market.n_types)
+            for o in reversed(order.ranking):
+                table = [o if mask >> o & 1 else t for mask, t in enumerate(table)]
+            self.first_with_room.append(table)
+        self.start, _, self.moves = _moves(market)
+        self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
+        # each state met so far before a last move, with the room mask after
+        # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
+        self.masks: dict[int, list[int | None]] = {}
+        self.tables = _PatternTables(market, self.classes)
+        self.verdicts: dict[tuple[str, bool], dict[tuple[int, int], tuple[bool, bool]]] = {}
+
+    def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """Every multiset of ``k`` opponent classes, ``k`` at least 1, with its ``ends``.
+
+        The multisets come as sorted tuples in ``combinations_with_replacement``
+        order.  They are the leaves of a trie over their sorted prefixes, and
+        the walk keeps one forward layer per proper prefix on a stack, so each
+        inner trie node costs one step of the counting pass; nothing recurses.
+        A leaf's last opponent is not stepped into a layer: :meth:`_fold`
+        takes its moves straight into the room masks.
+        """
+        top = len(self.classes) - 1
+        combo = [0] * k
+        stack = [{self.start: (0, 1)}]
+        while True:
+            for c in combo[len(stack) - 1 : -1]:
+                stack.append(_forward_step(stack[-1], self.cuts[c]))
+            yield tuple(combo), self._fold(stack[-1], self.cuts[combo[-1]])
+            i = k - 1
+            while i >= 0 and combo[i] == top:
+                i -= 1
+            if i < 0:
+                return
+            combo[i:] = [combo[i] + 1] * (k - i)
+            del stack[i + 1 :]
+
+    def ends(self, opponents: Sequence[int]) -> list[tuple[int, int, int]]:
+        """The ``ends`` of one multiset of opponent classes, at least one,
+        given in any order."""
+        *first, last = opponents
+        layer = {self.start: (0, 1)}
+        for c in first:
+            layer = _forward_step(layer, self.cuts[c])
+        return self._fold(layer, self.cuts[last])
+
+    def _fold(self, layer: dict[int, tuple[int, int]], cut: Cut) -> list[tuple[int, int, int]]:
+        """The last opponent's step from ``layer`` with the moves ``cut``,
+        folded per room mask: one (least prefix rank, summed prefix count,
+        room mask) per room mask of the states it can leave.
+
+        Each (state, move) pair updates its after-state's room mask directly,
+        and no layer of after-states is built.  The counts are those of a
+        full forward step folded afterwards: a pair whose rank equals its
+        mask's least rank also equals its after-state's least rank, which is
+        no less than the mask's, so the pairs counted are exactly those that
+        the after-states of least rank in the mask sum.
+        """
+        masks = self.masks
+        folded: dict[int, tuple[int, int]] = {}
+        for state, (cost, count) in layer.items():
+            after = masks.get(state)
+            if after is None:
+                after = masks[state] = self._masks_after(state)
+            for o, _, _, rank in cut:
+                mask = after[o]
+                if mask is None:
+                    continue
+                reach = cost + rank
+                held = folded.get(mask)
+                if held is None or reach < held[0]:
+                    folded[mask] = (reach, count)
+                elif reach == held[0]:
+                    folded[mask] = (reach, held[1] + count)
+        return [(cost, count, mask) for mask, (cost, count) in folded.items()]
+
+    def _masks_after(self, state: int) -> list[int | None]:
+        """The room mask after each type's move from ``state``, by type; None
+        where the type has no room."""
+        moves = self.moves
+        after = []
+        for _, need, field in moves:
+            if field and not state & field:
+                after.append(None)
+            else:
+                left = state - need
+                after.append(sum(1 << o for o, _, f in moves if not f or left & f))
+        return after
+
+    def row(
+        self,
+        ends: list[tuple[int, int, int]],
+        opponents: Sequence[int],
+        reveal: int,
+        parse: bool,
+    ) -> tuple[list[int], int]:
+        """The row of the agent revealing class ``reveal`` against ``opponents``.
+
+        ``ends`` must be the ``ends`` of ``opponents``.  The row is integer
+        counts over a total.  With ``parse`` on (the modified mechanism),
+        when ``(reveal, *opponents)`` parses as the crowd-out pattern it is
+        the override row.  Otherwise it is counted over the number of
+        optimal assignments: in each room mask the agent's best move is its
+        best type with room.
+        """
+        if parse:
+            profile = (reveal, *opponents)
+            pattern = self.tables.parse(profile)
+            if pattern is not None:
+                return self.tables.override_row(profile, pattern, 0)
+        m = self.n_types
+        rank = self.ranks[reveal]
+        first_with_room = self.first_with_room[reveal]
+        row = [0] * m
+        best = None
+        for cost, count, mask in ends:
+            o = first_with_room[mask]
+            reach = cost + rank[o]
+            if best is None or reach < best:
+                row = [0] * m
+                best = reach
+            if reach == best:
+                row[o] += count
+        return row, sum(row)
+
+
+def _class_rows(market: Market, budget: Budget) -> _ClassRows:
+    """The class tables of ``market``, built on first use and kept on it.
+
+    The budget is checked on every call, before the tables are built or
+    returned: building them lists every order.
+    """
+    _check_budget(market, budget)
+    if market._class_rows is None:
+        object.__setattr__(market, "_class_rows", _ClassRows(market))
+    return market._class_rows
 
 
 def modified_mechanism(

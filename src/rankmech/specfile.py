@@ -19,7 +19,7 @@ from .market import Market, PreferenceOrder, Profile, check_profile
 #   E_SYNTAX             malformed declaration
 #   E_DUP_TYPE           type name declared twice
 #   E_DUP_AGENT          agent name declared twice
-#   E_BAD_CAPACITY       capacity is not a positive integer
+#   E_BAD_CAPACITY       capacity is not a positive integer in ASCII digits
 #   E_MULTI_NULL         more than one null marker
 #   E_NO_NULL            no null marker
 #   E_UNKNOWN_TYPE       ranking mentions an undeclared type
@@ -146,10 +146,11 @@ def _parse_type_line(lineno, tokens, type_names, capacities, type_lines):
     name = tokens[1]
     if name in type_names:
         raise MarketSpecError("E_DUP_TYPE", lineno, f"type {name!r} declared twice")
+    digits = tokens[3]
     try:
-        capacity = int(tokens[3])
-    except ValueError:
-        capacity = -1
+        capacity = int(digits) if digits.isascii() and digits.isdigit() else 0
+    except ValueError:  # more digits than ``int`` converts
+        capacity = 0
     if capacity < 1:
         raise MarketSpecError(
             "E_BAD_CAPACITY", lineno, f"capacity must be a positive integer, got {tokens[3]!r}"

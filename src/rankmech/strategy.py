@@ -6,15 +6,10 @@ escape hatch: they reveal the outside option last while keeping the
 acceptable block intact.  The dominance checker compares a candidate reveal
 against the truth across every combination of opponent reveals, so its
 verdicts are exhaustive rather than sampled.  Both mechanisms are anonymous
-and read no reveal below its outside option, so one row source, the market's
-class tables (``_ClassRows``), gives an agent's row in integers from its
-reveal's truncation class and the multiset of its opponents' classes: the
-uniform mechanism's counting pass over the opponents, its last step folded
-straight into one entry per room mask, or under the modified mechanism the
-override row where the profile parses as the crowd-out pattern.  The tables
-do not depend on the mechanism, so :func:`_class_rows` builds them once per
-market, after its budget check, and keeps them on the market for every later
-sweep and walk; the sweeps read the market's orders from them.  The
+and read no reveal below its outside option, so the walk reads an agent's
+row, in integers, from the market's class tables in ``mechanisms``
+(``_ClassRows``, built once per market by ``_class_rows``), given its
+reveal's truncation class and the multiset of its opponents' classes.  The
 dominance walk takes pairs of classes (truth class, candidate class), seats
 the queried agent last and visits each multiset of opponent classes once,
 in sorted order, and multisets sharing a sorted prefix share the layers of
@@ -33,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .assignment import Assignment, _checked, _scaled
 from .errors import BudgetError, DomainError
@@ -45,19 +40,7 @@ from .market import (
     TypeIndex,
     check_profile,
 )
-from .mechanisms import (
-    Budget,
-    DEFAULT_BUDGET,
-    Cut,
-    _PatternTables,
-    _check_budget,
-    _cut_moves,
-    _forward_step,
-    _moves,
-    _rank_table,
-    _truncation_classes,
-    get_mechanism,
-)
+from .mechanisms import Budget, DEFAULT_BUDGET, _ClassRows, _class_rows, get_mechanism
 
 OpponentProfile = tuple[tuple[AgentIndex, PreferenceOrder], ...]
 
@@ -294,7 +277,7 @@ def _first_witnesses(
 
     The queried agent's row does not depend on which agent it is, nor on the
     order of its opponents, nor on any reveal below its outside option
-    (:func:`~rankmech.mechanisms._truncation_classes`).  So pairs with one
+    (:class:`~rankmech.mechanisms._ClassRows`).  So pairs with one
     (truth class, candidate class) share one entry of the class-pair walk
     (:func:`_walk_pairs`), which runs until both witnesses of every entry
     are found.  A truth and candidate in one class get the same row
@@ -358,12 +341,12 @@ def _walk_pairs(
     of distinct classes (truth class, candidate class).
 
     The queried agent is seated last and the opponents are walked as sorted
-    tuples of truncation classes (:meth:`_ClassRows.walk`).  For each
-    multiset the last agent's row under each needed class is read once, in
-    integers, from :class:`_ClassRows`, which also gives the modified
+    tuples of truncation classes (:meth:`~rankmech.mechanisms._ClassRows.walk`).
+    For each multiset the last agent's row under each needed class is read
+    once, in integers, from the class tables, which also give the modified
     mechanism's override row where the profile parses as the crowd-out
-    pattern; the parse is tried only for the reveals that
-    :meth:`_ClassRows.unparsed` does not rule out for the multiset.  Rows
+    pattern; the parse is tried only for the reveals that the tables' parse
+    (``tables.unparsed``) does not rule out for the multiset.  Rows
     are compared by cross-multiplying cumulative sums along the truth's
     ranking down to its outside option, which depends on the truth's class
     only, so the ranks compared are read from the class representative.
@@ -403,7 +386,7 @@ def _walk_pairs(
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     for combo, ends in source.walk(source.tables.n_agents - 1) if open_pairs else ():
         # every outside-option rank lies in 1..m, so no reveal parses under uniform
-        low, high = source.unparsed(combo) if parse else (1, m)
+        low, high = source.tables.unparsed(combo) if parse else (1, m)
         rows = {r: source.row(ends, combo, r, not low <= null_rank[r] <= high) for r in needed}
         closed = False
         for t, c, prefix, slot in open_pairs:
@@ -437,207 +420,6 @@ def _walk_pairs(
                 break
             needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     return found
-
-
-class _ClassRows:
-    """A market's class tables: the row of an agent against opponents, in
-    truncation class indices.
-
-    Both mechanisms are anonymous and read no reveal below its outside
-    option (:func:`~rankmech.mechanisms._truncation_classes`), so an agent's
-    row depends only on its reveal's class and the multiset of its
-    opponents' classes.  Nothing here depends on the mechanism, so one
-    object serves every sweep and dominance walk on a market
-    (:func:`_class_rows`); whether the crowd-out parse is consulted is the
-    caller's choice, per call of :meth:`row`.  ``orders`` is
-    ``market.all_orders()``, ``class_of`` maps every order's ranking to its
-    class, ``classes`` lists each class's representative, its least order,
-    ``size`` the number of orders in each class, and ``key`` each class's
-    top ranks down to its capacity threshold, which is never below the
-    outside option: two orders are essentially equal exactly when their
-    classes' keys are equal.  ``verdicts`` keeps the verdicts of every class
-    pair decided so far, per (mechanism, refusal) (:func:`_decided`): at
-    most four tables of classes squared entries.
-
-    A multiset's ``ends`` is the forward layer of the counting pass over it,
-    each opponent moving only down to its outside option
-    (:func:`_cut_moves`), folded per room mask: in each state the agent's
-    best move, and so its rank, depend only on which types have room there,
-    so within one room mask only the least prefix rank can be optimal.  The
-    last opponent's moves go straight into the room masks (:meth:`_fold`),
-    so the layer after it is never built; ``masks`` keeps, per state before
-    that move, the room mask after each move.  ``tables`` holds the
-    crowd-out parse over the classes
-    (:class:`~rankmech.mechanisms._PatternTables`).  No table refers to the
-    market, so a market keeping them is still freed by reference counting.
-    """
-
-    def __init__(self, market: Market):
-        self.n_types = market.n_types
-        self.orders = orders = market.all_orders()
-        class_of, representatives = _truncation_classes(market)
-        self.class_of = {order.ranking: c for order, c in zip(orders, class_of)}
-        self.classes = [orders[i] for i in representatives]
-        self.size = [class_of.count(c) for c in range(len(representatives))]
-        self.key = [order.top(market.capacity_threshold_rank(order)) for order in self.classes]
-        self.ranks = [_rank_table(order) for order in self.classes]
-        # first_with_room[c][mask]: class c's best type among those whose bit
-        # is set; each type, worst first, overwrites the masks holding it
-        self.first_with_room = []
-        for order in self.classes:
-            table = [None] * (1 << market.n_types)
-            for o in reversed(order.ranking):
-                table = [o if mask >> o & 1 else t for mask, t in enumerate(table)]
-            self.first_with_room.append(table)
-        self.start, _, self.moves = _moves(market)
-        self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
-        # each state met so far before a last move, with the room mask after
-        # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
-        self.masks: dict[int, list[int | None]] = {}
-        self.tables = _PatternTables(market, self.classes)
-        self.verdicts: dict[tuple[str, bool], Verdicts] = {}
-
-    def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """Every multiset of ``k`` opponent classes, ``k`` at least 1, with its ``ends``.
-
-        The multisets come as sorted tuples in ``combinations_with_replacement``
-        order.  They are the leaves of a trie over their sorted prefixes, and
-        the walk keeps one forward layer per proper prefix on a stack, so each
-        inner trie node costs one step of the counting pass; nothing recurses.
-        A leaf's last opponent is not stepped into a layer: :meth:`_fold`
-        takes its moves straight into the room masks.
-        """
-        top = len(self.classes) - 1
-        combo = [0] * k
-        stack = [{self.start: (0, 1)}]
-        while True:
-            for c in combo[len(stack) - 1 : -1]:
-                stack.append(_forward_step(stack[-1], self.cuts[c]))
-            yield tuple(combo), self._fold(stack[-1], self.cuts[combo[-1]])
-            i = k - 1
-            while i >= 0 and combo[i] == top:
-                i -= 1
-            if i < 0:
-                return
-            combo[i:] = [combo[i] + 1] * (k - i)
-            del stack[i + 1 :]
-
-    def ends(self, opponents: Sequence[int]) -> list[tuple[int, int, int]]:
-        """The ``ends`` of one multiset of opponent classes, at least one,
-        given in any order."""
-        *first, last = opponents
-        layer = {self.start: (0, 1)}
-        for c in first:
-            layer = _forward_step(layer, self.cuts[c])
-        return self._fold(layer, self.cuts[last])
-
-    def _fold(self, layer: dict[int, tuple[int, int]], cut: Cut) -> list[tuple[int, int, int]]:
-        """The last opponent's step from ``layer`` with the moves ``cut``,
-        folded per room mask: one (least prefix rank, summed prefix count,
-        room mask) per room mask of the states it can leave.
-
-        Each (state, move) pair updates its after-state's room mask directly,
-        and no layer of after-states is built.  The counts are those of a
-        full forward step folded afterwards: a pair whose rank equals its
-        mask's least rank also equals its after-state's least rank, which is
-        no less than the mask's, so the pairs counted are exactly those that
-        the after-states of least rank in the mask sum.
-        """
-        masks = self.masks
-        folded: dict[int, tuple[int, int]] = {}
-        for state, (cost, count) in layer.items():
-            after = masks.get(state)
-            if after is None:
-                after = masks[state] = self._masks_after(state)
-            for o, _, _, rank in cut:
-                mask = after[o]
-                if mask is None:
-                    continue
-                reach = cost + rank
-                held = folded.get(mask)
-                if held is None or reach < held[0]:
-                    folded[mask] = (reach, count)
-                elif reach == held[0]:
-                    folded[mask] = (reach, held[1] + count)
-        return [(cost, count, mask) for mask, (cost, count) in folded.items()]
-
-    def _masks_after(self, state: int) -> list[int | None]:
-        """The room mask after each type's move from ``state``, by type; None
-        where the type has no room."""
-        moves = self.moves
-        after = []
-        for _, need, field in moves:
-            if field and not state & field:
-                after.append(None)
-            else:
-                left = state - need
-                after.append(sum(1 << o for o, _, f in moves if not f or left & f))
-        return after
-
-    def unparsed(self, opponents: Sequence[int]) -> tuple[int, int]:
-        """The outside-option ranks of the reveals that never parse against ``opponents``.
-
-        The crowd-out parse's special agent is the one agent whose outside
-        option is ranked 3rd or deeper and strictly deeper than everyone
-        else's.  With the opponents' deepest rank D, a reveal ranking its
-        outside option at ``low`` to ``high`` inclusive leaves no such agent:
-        from 1 to max(D, 2), or D alone when D is at least 3 and no other
-        opponent shares it.  Any other reveal may still parse.
-        """
-        deep = [self.tables.null_rank[c] for c in opponents]
-        deepest = max(deep)
-        high = max(deepest, 2)
-        if deepest >= 3 and deep.count(deepest) == 1:
-            return deepest, high
-        return 1, high
-
-    def row(
-        self,
-        ends: list[tuple[int, int, int]],
-        opponents: Sequence[int],
-        reveal: int,
-        parse: bool,
-    ) -> tuple[list[int], int]:
-        """The row of the agent revealing class ``reveal`` against ``opponents``.
-
-        ``ends`` must be the ``ends`` of ``opponents``.  The row is integer
-        counts over a total.  With ``parse`` on (the modified mechanism),
-        when ``(reveal, *opponents)`` parses as the crowd-out pattern it is
-        the override row.  Otherwise it is counted over the number of
-        optimal assignments: in each room mask the agent's best move is its
-        best type with room.
-        """
-        if parse:
-            profile = (reveal, *opponents)
-            pattern = self.tables.parse(profile)
-            if pattern is not None:
-                return self.tables.override_row(profile, pattern, 0)
-        m = self.n_types
-        rank = self.ranks[reveal]
-        first_with_room = self.first_with_room[reveal]
-        row = [0] * m
-        best = None
-        for cost, count, mask in ends:
-            o = first_with_room[mask]
-            reach = cost + rank[o]
-            if best is None or reach < best:
-                row = [0] * m
-                best = reach
-            if reach == best:
-                row[o] += count
-        return row, sum(row)
-
-
-def _class_rows(market: Market, budget: Budget) -> _ClassRows:
-    """The class tables of ``market``, built on first use and kept on it.
-
-    The budget is checked on every call, before the tables are built or
-    returned: building them lists every order.
-    """
-    _check_budget(market, budget)
-    if market._class_rows is None:
-        object.__setattr__(market, "_class_rows", _ClassRows(market))
-    return market._class_rows
 
 
 def _verdict(market: Market, agent: AgentIndex, failure, strict) -> DominanceVerdict:

@@ -17,7 +17,7 @@ weighted by the number of profiles lifting it.  Given profiles and
 ``prop3`` hand their units, each with a weight and the detail of its
 violation or None, to one counter, ``_tally``.  The dominance walk, equal
 treatment and ``prop3`` read every row from one source, the market's class
-tables (``strategy._class_rows``), built once per market and shared by
+tables (``mechanisms._class_rows``), built once per market and shared by
 every sweep on it; ``prop2`` tells essentially equal orders apart by the
 tables' class keys.  Under refusal a truth ranking its outside option
 first compares nothing, so the walk leaves its pairs out and they weakly
@@ -49,12 +49,12 @@ from .market import (
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
+    _ClassRows,
+    _class_rows,
     detect_modified_pattern,
     get_mechanism,
 )
 from .strategy import (
-    _ClassRows,
-    _class_rows,
     _decided,
     _demotions,
     _promoting,
@@ -162,7 +162,7 @@ def sweep_ete(
     Two orders are essentially equal exactly when they share their top ranks
     up to the threshold, which is never below the outside option, so each
     class has one key, read from the market's class tables
-    (:func:`~rankmech.strategy._class_rows`).  Agents in one class get
+    (:func:`~rankmech.mechanisms._class_rows`).  Agents in one class get
     identical rows, so only distinct classes sharing a key are compared: a
     multiset can violate only when it holds two distinct classes of one
     key.  With no key shared by two classes nothing is visited.  Otherwise

@@ -147,17 +147,17 @@ def listing_denial_mechanism(market: Market, trigger: str, filler: str, denied: 
     filler_order = order_from_names(market, filler)
     denied_type = market.type_index(denied)
 
-    def mechanism(mkt: Market, profile: Profile, *args) -> Assignment:
+    def mechanism(mkt: Market, profile: Profile, budget=DEFAULT_BUDGET) -> Assignment:
         triggered = [a for a in range(mkt.n_agents) if profile[a] == trigger_order]
         rest_fill = all(
             profile[a] == filler_order for a in range(mkt.n_agents) if profile[a] != trigger_order
         )
         if len(triggered) != 1 or not rest_fill:
-            return uniform_mechanism(mkt, profile)
+            return uniform_mechanism(mkt, profile, budget)
         special = triggered[0]
         members = [
             det
-            for det in enumerate_rank_minimizers(mkt, profile).members
+            for det in enumerate_rank_minimizers(mkt, profile, budget).members
             if det.choices[special] != denied_type
         ]
         rows = [[ZERO] * mkt.n_types for _ in range(mkt.n_agents)]
@@ -891,7 +891,7 @@ def per_agent_count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[l
 
 
 class PerStateLayers:
-    """The counted rows of ``strategy._ClassRows`` without the shared walk,
+    """The counted rows of ``mechanisms._ClassRows`` without the shared walk,
     the truncation classes or the room-mask fold.
 
     Reveals and opponents are indices into ``orders``.  Each multiset runs a

@@ -6,6 +6,8 @@ import dataclasses
 import pytest
 
 from rankmech import (
+    Budget,
+    BudgetError,
     DomainError,
     Market,
     PreferenceOrder,
@@ -131,3 +133,24 @@ def test_denial_fixture_cannot_deny_the_null_type():
     market = example2_market()
     with pytest.raises(DomainError, match="null type"):
         make_denial_mechanism(market, "o1>o2>null", "null>o1>o2", "null")
+
+
+@pytest.mark.parametrize("fixture", [make_denial_mechanism, listing_denial_mechanism])
+def test_denial_fixtures_honour_the_budget_they_are_given(fixture):
+    """Nine agents exceed the default budget of eight.  Given a budget that
+    admits them, either fixture runs: off its trigger it gives the uniform
+    mechanism's rows under that budget, and on it, where the trigger agent
+    on o1 ties with another agent on o1, it keeps the trigger agent off o1.
+    Under the default budget it raises ``BudgetError``."""
+    market = _market(9, (1, 1, 9))
+    trigger, filler = "o1>o2>null", "o1>null>o2"
+    denial = fixture(market, trigger, filler, "o1")
+    wide = Budget(max_agents=9)
+    fair = Profile((order_from_names(market, filler),) * 9)
+    assert denial(market, fair, wide).rows == uniform_mechanism(market, fair, wide).rows
+    triggered = fair.replace(0, order_from_names(market, trigger))
+    kept_off = denial(market, triggered, wide)
+    assert kept_off.row(0)[market.type_index("o1")] == 0
+    assert kept_off.rows != uniform_mechanism(market, triggered, wide).rows
+    with pytest.raises(BudgetError):
+        denial(market, fair)

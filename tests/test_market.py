@@ -133,15 +133,15 @@ def test_all_orders_enumeration():
     assert len(set(rankings)) == 6
 
 
-def test_all_orders_is_built_once_and_leaves_identity_unchanged():
-    """The market keeps the tuple of its first ``all_orders`` call and hands
-    out that same object; keeping it changes neither ``==``, ``hash`` nor
-    ``repr``, and a copied or unpickled market equals the original."""
+def test_all_orders_leaves_identity_unchanged():
+    """Every ``all_orders`` call lists the same orders; listing them changes
+    neither ``==``, ``hash`` nor ``repr``, and a copied or unpickled market
+    equals the original."""
     market = example2_market()
     fresh = example2_market()
     before = (hash(market), repr(market))
     orders = market.all_orders()
-    assert market.all_orders() is orders
+    assert market.all_orders() == orders
     assert (hash(market), repr(market)) == before
     assert market == fresh and hash(market) == hash(fresh)
     assert "PreferenceOrder" not in repr(market)

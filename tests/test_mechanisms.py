@@ -42,11 +42,11 @@ from rankmech.examples import (
 from rankmech import mechanisms
 from rankmech.mechanisms import (
     DEFAULT_BUDGET,
+    _ClassRows,
     _PatternTables,
     _count_rows,
     _integer_rows,
     _rank_table,
-    _truncation_classes,
 )
 from oracles import (
     all_agents_pattern,
@@ -828,11 +828,14 @@ def test_truncation_classes_are_numbered_by_representative(name):
     """Each order's class representative is the least order by index that
     agrees with it down to the outside option, and classes are numbered in
     ascending order of their representatives."""
-    market, _, _ = _class_market(name)
-    class_of, representatives = _truncation_classes(market)
+    market, orders, _ = _class_market(name)
+    source = _ClassRows(market)
+    class_of = [source.class_of[order.ranking] for order in orders]
+    representatives = [orders.index(order) for order in source.classes]
     assert [representatives[c] for c in class_of] == truncation_representatives(market)
     assert representatives == sorted(set(representatives))
     assert [class_of[i] for i in representatives] == list(range(len(representatives)))
+    assert source.size == [class_of.count(c) for c in range(len(representatives))]
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_MARKETS))
@@ -842,12 +845,12 @@ def test_table_parse_matches_the_profile_parse(name):
     patterned profile the tables' override rows are the modified
     mechanism's rows."""
     market, orders, _ = _class_market(name)
-    class_of, representatives = _truncation_classes(market)
-    tables = _PatternTables(market, [orders[i] for i in representatives])
+    source = _ClassRows(market)
+    tables = _PatternTables(market, source.classes)
     matched = 0
     for reveals in itertools.combinations_with_replacement(range(len(orders)), market.n_agents):
         profile = Profile(tuple(orders[i] for i in reveals))
-        classes = [class_of[i] for i in reveals]
+        classes = [source.class_of[orders[i].ranking] for i in reveals]
         pattern = tables.parse(classes)
         assert pattern == all_agents_pattern(market, profile)
         if pattern is not None:

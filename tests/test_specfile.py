@@ -157,6 +157,9 @@ def test_capacity_diagnostics():
     expect_error("type o1 capacity zero\n", "E_BAD_CAPACITY", 1)
     expect_error("type o1 capacity 0\n", "E_BAD_CAPACITY", 1)
     expect_error("type o1 capacity -2\n", "E_BAD_CAPACITY", 1)
+    expect_error("type o1 capacity 1_0\n", "E_BAD_CAPACITY", 1)
+    expect_error("type o1 capacity \u0663\n", "E_BAD_CAPACITY", 1)
+    expect_error("type o1 capacity +1\n", "E_BAD_CAPACITY", 1)
 
 
 def test_null_marker_diagnostics():

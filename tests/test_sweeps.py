@@ -400,7 +400,7 @@ def denial_rows(denial):
     built afresh on every call, keep the market they run the fixture on,
     and are never kept on the market."""
 
-    class DenialRows(strategy._ClassRows):
+    class DenialRows(mechanisms._ClassRows):
         def __init__(self, market, budget):
             mechanisms._check_budget(market, budget)
             super().__init__(market)
@@ -512,7 +512,7 @@ def test_ete_matches_the_per_multiset_oracle(mechanism):
     seeded = [_market(3, tuple(rng.randint(1, 2) for _ in range(t))) for t in (2, 2, 3, 3, 3)]
     shared = 0
     for market in [*seeded, _market(4, (3, 3, 3)), _market(5, (4, 4, 4))]:
-        source = strategy._class_rows(market, DEFAULT_BUDGET)
+        source = mechanisms._class_rows(market, DEFAULT_BUDGET)
         shared += len(set(source.key)) < len(source.classes)
         assert sweep_ete(market, mechanism) == oracles.per_multiset_sweep_ete(market, mechanism)
     assert shared >= 4
@@ -541,7 +541,7 @@ def test_ete_visits_exactly_the_multisets_that_can_violate(monkeypatch):
     monkeypatch.setattr(sweeps, "_violates", violates)
     for market in (example1_market(2), example3_market(), _market(4, (3, 3, 3))):
         visited.clear()
-        classes = strategy._class_rows(market, DEFAULT_BUDGET).classes
+        classes = mechanisms._class_rows(market, DEFAULT_BUDGET).classes
         candidates = [
             profile
             for profile in itertools.combinations_with_replacement(range(len(classes)), market.n_agents)
@@ -677,7 +677,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
     k = market.n_agents - 1
     rep = oracles.truncation_representatives(market)
     class_of = {r: c for c, r in enumerate(sorted(set(rep)))}
-    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     assert [source.class_of[order.ranking] for order in orders] == [class_of[r] for r in rep]
     oracle = oracles.PerStateLayers(market, orders)
     walked = list(source.walk(k))
@@ -711,7 +711,7 @@ def test_ends_on_tight_fields_match_the_per_state_rows(n, caps):
     types = tuple(f"o{j}" for j in range(len(caps))) + ("null",)
     market = Market(tuple(f"a{j}" for j in range(n)), types, (*caps, n), len(caps))
     orders = market.all_orders()
-    source = strategy._ClassRows(market)
+    source = mechanisms._ClassRows(market)
     oracle = oracles.PerStateLayers(market, orders)
     rng = random.Random(n)
     for _ in range(80):
@@ -733,7 +733,7 @@ def test_class_rows_match_the_mechanism_rows(name, mechanism):
     the crowd-out pattern matches, which it does somewhere on every market
     here, and the counted row everywhere else."""
     market = WALK_MARKETS[name]
-    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     patterned = 0
     for opponents, ends in source.walk(market.n_agents - 1):
         for reveal in range(len(source.classes)):
@@ -750,11 +750,11 @@ def test_unparsed_reveals_are_those_with_no_lone_deepest_outside_option(name):
     they make has no agent ranking its outside option 3rd or deeper and
     strictly deeper than every other agent, which no parse gets past."""
     market = WALK_MARKETS[name]
-    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
     ruled_out = patterned = 0
     for opponents, _ in source.walk(market.n_agents - 1):
-        low, high = source.unparsed(opponents)
+        low, high = source.tables.unparsed(opponents)
         for reveal in range(len(source.classes)):
             deep = [null_rank[c] for c in (reveal, *opponents)]
             lone = max(deep) >= 3 and deep.count(max(deep)) == 1
@@ -842,7 +842,7 @@ def test_pairs_sharing_a_comparison_get_their_own_witnesses(monkeypatch, name, p
     shared = [group for group in _comparisons(market, refusal, pairs).values() if len(group) > 1]
     assert shared
     groups = random.Random(f"{name} {prop}").sample(shared, min(2, len(shared)))
-    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     distinct = [(t, c) for t, c in class_pairs if t != c]
     decided = strategy._walk_pairs(source, mechanism, refusal, distinct, decide=True)
     walked = [pair for group in groups for pair in group]
@@ -982,7 +982,9 @@ def _demotion_waste_and_its_oracle(monkeypatch, market):
     matrix, scaled to integers, with the oracle's truths and witness.  The
     outcome alone would miss a scan of the unrefused matrix, which is
     wasteful too: agent 0 holds the promoted type, unacceptable to it,
-    while the outside option has room."""
+    while the outside option has room.  So every witness must show the
+    capacity the refusal strands: an agent other than 0 that prefers a
+    scarce type with room to what it holds."""
     scans = []
     scan = sweeps._first_waste
 
@@ -1000,6 +1002,10 @@ def _demotion_waste_and_its_oracle(monkeypatch, market):
         for _, _, refused, truths, witness in units
     ]
     assert outcome == oracles.fraction_sweep_demotion_waste(dataclasses.replace(market))
+    for _, _, witness in scans:
+        assert witness is not None
+        agent, preferred, _ = witness
+        assert agent != 0 and preferred != market.null_type, witness
     return outcome
 
 
@@ -1037,7 +1043,7 @@ def test_demotion_waste_matches_the_fraction_oracle_under_the_denial_fixtures(
     assert _demotion_waste_and_its_oracle(monkeypatch, market).checked > 0
 
 
-class ScrambledRows(strategy._ClassRows):
+class ScrambledRows(mechanisms._ClassRows):
     """Class tables whose row of each reveal class against each opponent
     multiset is drawn from a hash of the two, so that the demotion sweeps and
     ``prop2`` fail on many units.  Like ``denial_rows``, they check the
@@ -1080,7 +1086,7 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
     thm1 = sweep_demotion_weak_dominance(market)
     verdicts = market._class_rows.verdicts
     before = dict(verdicts[("uniform", True)])
-    real = strategy._ClassRows.row
+    real = mechanisms._ClassRows.row
     reads = []
 
     def failing(self, *args):
@@ -1089,7 +1095,7 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
             raise RuntimeError("a row failed")
         return real(self, *args)
 
-    monkeypatch.setattr(strategy._ClassRows, "row", failing)
+    monkeypatch.setattr(mechanisms._ClassRows, "row", failing)
     ties = {(c, c): (True, False) for c in range(len(market._class_rows.classes))}
     for key, table in [(("uniform", True), before), (("modified", False), ties)]:
         reads.clear()
@@ -1130,14 +1136,14 @@ def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
 
 
 def _spy(monkeypatch, method, seen):
-    """Patch ``strategy._ClassRows.<method>`` to record the tables it is called on."""
-    real = getattr(strategy._ClassRows, method)
+    """Patch ``mechanisms._ClassRows.<method>`` to record the tables it is called on."""
+    real = getattr(mechanisms._ClassRows, method)
 
     def spied(self, *args):
         seen.append(self)
         return real(self, *args)
 
-    monkeypatch.setattr(strategy._ClassRows, method, spied)
+    monkeypatch.setattr(mechanisms._ClassRows, method, spied)
 
 
 def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
@@ -1148,7 +1154,7 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     class in a pair with a nonempty prefix still open at that multiset,
     and the walk ends at the multiset where the last such pair closes."""
     market = dataclasses.replace(MARKET_3X5)
-    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
     classes = range(len(source.classes))
     empty = [(t, c) for t in classes for c in classes if null_rank[t] == 1 and c != t]
@@ -1164,7 +1170,7 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     monkeypatch.undo()
 
     visited, read, calls = [], [], []
-    walk, row, walk_pairs = strategy._ClassRows.walk, strategy._ClassRows.row, strategy._walk_pairs
+    walk, row, walk_pairs = mechanisms._ClassRows.walk, mechanisms._ClassRows.row, strategy._walk_pairs
 
     def visiting(self, k):
         for combo, ends in walk(self, k):
@@ -1181,8 +1187,8 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
         calls.append((pairs, kwargs, found))
         return found
 
-    monkeypatch.setattr(strategy._ClassRows, "walk", visiting)
-    monkeypatch.setattr(strategy._ClassRows, "row", reading)
+    monkeypatch.setattr(mechanisms._ClassRows, "walk", visiting)
+    monkeypatch.setattr(mechanisms._ClassRows, "row", reading)
     monkeypatch.setattr(strategy, "_walk_pairs", recording)
     market = dataclasses.replace(MARKET_3X5)
     assert sweep_no_strict_dominance(market, "modified", True).passed
@@ -1247,7 +1253,7 @@ def test_a_swept_market_is_freed_by_reference_counting():
             gc.enable()
 
 
-def test_an_over_budget_market_builds_no_class_tables():
+def test_an_over_budget_market_builds_no_class_tables(monkeypatch):
     """Every sweep and ``check_dominance`` fail the budget before the
     market's orders are listed or its class tables built, and so does the
     equal-treatment sweep on a given profile.  A given profile that parses
@@ -1259,9 +1265,11 @@ def test_an_over_budget_market_builds_no_class_tables():
     patterned = Profile(tuple(order_from_names(market, order) for order in (
         "o1>o2>o3>null", "o1>null>o2>o3", "null>o1>o2>o3", "null>o1>o2>o3")))
     assert all_agents_pattern(market, patterned) is not None
-    object.__setattr__(market, "_orders", None)
+    listed = []
+    all_orders = Market.all_orders
+    monkeypatch.setattr(Market, "all_orders", lambda self: listed.append(self) or all_orders(self))
     assert sweep_ete(market, "modified", [patterned], tight).passed
-    assert market._orders is None and market._class_rows is None
+    assert not listed and market._class_rows is None
     calls = [
         lambda: sweep_ete(market, "uniform", [patterned], tight),
         lambda: sweep_ete(market, "modified", [patterned, Profile((truth,) * 4)], tight),
@@ -1274,7 +1282,9 @@ def test_an_over_budget_market_builds_no_class_tables():
     for call in calls:
         with pytest.raises(BudgetError):
             call()
-        assert market._orders is None and market._class_rows is None
+        assert not listed and market._class_rows is None
+    SWEEPS["thm1"](market, DEFAULT_BUDGET)
+    assert listed == [market]
 
 
 @pytest.mark.parametrize("name", sorted(WALK_MARKETS))
@@ -1282,7 +1292,7 @@ def test_class_keys_decide_essential_equality(name):
     """Two orders' classes have equal keys exactly when the orders are
     essentially equal, for every ordered pair of orders."""
     market = WALK_MARKETS[name]
-    source = strategy._class_rows(market, DEFAULT_BUDGET)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     orders = market.all_orders()
     for first, second in itertools.product(orders, repeat=2):
         classes = source.class_of[first.ranking], source.class_of[second.ranking]
