@@ -148,7 +148,7 @@ def rank_value(x: Assignment, profile: Profile) -> Fraction:
             raise DomainError("assignment and profile disagree on the number of types")
         for o, v in enumerate(row):
             if v:
-                total += order.rank(o) * v
+                total += order.ranks[o] * v
     return total
 
 
@@ -186,7 +186,7 @@ def _first_waste(
             if not slack[o]:
                 continue
             for held in range(market.n_types):
-                if row[held] > 0 and order.rank(o) < order.rank(held):
+                if row[held] > 0 and order.ranks[o] < order.ranks[held]:
                     return (a, o, held)
     return None
 

@@ -4,12 +4,14 @@
 chosen one's sweep from that table.
 
 Exit codes: 0 success, 1 a checked property or reproduction failed,
-2 usage or spec-file errors, 3 enumeration budget exceeded.
+2 usage or spec-file errors, 3 enumeration budget exceeded, 141 (128 +
+SIGPIPE) stdout's reader closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .assignment import (
@@ -96,7 +98,7 @@ def _common_flags(
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -107,7 +109,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "assign" and args.truth is not None and not args.refusal:
         parser.error("assign reads --truth only with --refusal")
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so the exit flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except MarketSpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

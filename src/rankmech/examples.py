@@ -20,7 +20,6 @@ from .mechanisms import (
     DEFAULT_BUDGET,
     MechanismFn,
     _count_rows,
-    _rank_table,
     _to_assignment,
     check_ete,
     detect_modified_pattern,
@@ -119,7 +118,7 @@ def make_denial_mechanism(
         fair = uniform_mechanism(mkt, profile, budget)
         if len(triggered) != 1 or not rest_fill:
             return fair
-        ranks = [_rank_table(order) for order in profile.orders]
+        ranks = [list(order.ranks) for order in profile.orders]
         ranks[triggered[0]][denied_type] = mkt.n_types + 1
         kept_off = _to_assignment(mkt, _count_rows(mkt, ranks))
         if rank_value(kept_off, profile) > rank_value(fair, profile):

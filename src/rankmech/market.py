@@ -24,13 +24,13 @@ class PreferenceOrder:
 
     ``ranking[k]`` is the type index holding rank ``k + 1``.  Ranks are
     1-based throughout so that "rank 1" means first best.  An order also
-    stores its rank table and its hash, ``hash((ranking,))``, the hash the
-    dataclass would compute on every call; neither takes part in ``==`` or
-    ``repr``.
+    stores its rank table, ``ranks[o]`` being the rank of type ``o``, and
+    its hash, ``hash((ranking,))``, the hash the dataclass would compute on
+    every call; neither takes part in ``==`` or ``repr``.
     """
 
     ranking: tuple[TypeIndex, ...]
-    _ranks: dict[TypeIndex, int] = field(init=False, repr=False, compare=False)
+    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -39,8 +39,10 @@ class PreferenceOrder:
                 f"ranking must be a permutation of 0..{len(self.ranking) - 1}, "
                 f"got {self.ranking!r}"
             )
-        ranks = {o: k + 1 for k, o in enumerate(self.ranking)}
-        object.__setattr__(self, "_ranks", ranks)
+        ranks = [0] * len(self.ranking)
+        for k, o in enumerate(self.ranking, start=1):
+            ranks[o] = k
+        object.__setattr__(self, "ranks", tuple(ranks))
         object.__setattr__(self, "_hash", hash((self.ranking,)))
 
     def __hash__(self) -> int:
@@ -48,10 +50,9 @@ class PreferenceOrder:
 
     def rank(self, o: TypeIndex) -> int:
         """1-based rank of type ``o`` under this order."""
-        try:
-            return self._ranks[o]
-        except (KeyError, TypeError):  # TypeError: an unhashable index
-            raise DomainError(f"type index {o} not ranked by {self.ranking!r}") from None
+        if isinstance(o, int) and 0 <= o < len(self.ranks):
+            return self.ranks[o]
+        raise DomainError(f"type index {o} not ranked by {self.ranking!r}")
 
     def top(self, k: int) -> tuple[TypeIndex, ...]:
         """The ``k`` best types, best first."""

@@ -95,7 +95,7 @@ def enumerate_rank_minimizers(
     _check_budget(market, budget)
     n = market.n_agents
     m = market.n_types
-    ranks = [[profile[a].rank(o) for o in range(m)] for a in range(n)]
+    ranks = [order.ranks for order in profile.orders]
     remaining = list(market.capacities)
     choices = [0] * n
     best: list[int | None] = [None]
@@ -132,14 +132,6 @@ def enumerate_rank_minimizers(
     )
 
 
-def _rank_table(order: PreferenceOrder) -> list[int]:
-    """``table[o]`` is the 1-based rank of type ``o`` under ``order``."""
-    table = [0] * len(order)
-    for k, o in enumerate(order.ranking, start=1):
-        table[o] = k
-    return table
-
-
 Cut = tuple[tuple[TypeIndex, int, int, int], ...]
 
 # No prefix rank reaches this: the limit of a forward step with no bound.
@@ -170,7 +162,7 @@ def _moves(market: Market) -> tuple[int, int, list[tuple[TypeIndex, int, int]]]:
     return start, guards, moves
 
 
-def _cut_moves(moves: list[tuple[TypeIndex, int, int]], rank: list[int], null: TypeIndex) -> Cut:
+def _cut_moves(moves: list[tuple[int, int, int]], rank: Sequence[int], null: TypeIndex) -> Cut:
     """The ``moves`` of an agent with rank table ``rank`` as (type, need,
     field, rank), down to its outside option; none below it is ever optimal."""
     limit = rank[null]
@@ -236,12 +228,12 @@ def _integer_rows(
         if pattern is not None:
             return [tables.override_row(agents, pattern, a) for a in agents]
     _check_budget(market, budget)
-    return _count_rows(market, [_rank_table(order) for order in profile.orders])
+    return _count_rows(market, [order.ranks for order in profile.orders])
 
 
-def _count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int], int]]:
+def _count_rows(market: Market, ranks: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
     """Every agent's uniform row as integer counts over a total, from the
-    agents' rank tables (:func:`_rank_table`).
+    agents' rank tables (:attr:`PreferenceOrder.ranks`).
 
     A counting forward-backward pass.  A state is the remaining capacity of
     every non-null type, packed into one int in a bit field per type
@@ -698,7 +690,6 @@ class _ClassRows:
             self.size[c] += 1
             self.class_of[order.ranking] = c
         self.key = [order.top(market.capacity_threshold_rank(order)) for order in self.classes]
-        self.ranks = [_rank_table(order) for order in self.classes]
         # first_with_room[c][mask]: class c's best type among those whose bit
         # is set; each type, worst first, overwrites the masks holding it
         self.first_with_room = []
@@ -708,7 +699,7 @@ class _ClassRows:
                 table = [o if mask >> o & 1 else t for mask, t in enumerate(table)]
             self.first_with_room.append(table)
         self.start, _, self.moves = _moves(market)
-        self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in self.ranks]
+        self.cuts = [_cut_moves(self.moves, rep.ranks, market.null_type) for rep in self.classes]
         # each state met so far before a last move, with the room mask after
         # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
         self.masks: dict[int, list[int | None]] = {}
@@ -814,7 +805,7 @@ class _ClassRows:
             if pattern is not None:
                 return self.tables.override_row(profile, pattern, 0)
         m = self.n_types
-        rank = self.ranks[reveal]
+        rank = self.classes[reveal].ranks
         first_with_room = self.first_with_room[reveal]
         row = [0] * m
         best = None

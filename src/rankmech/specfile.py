@@ -5,9 +5,10 @@ Format, one declaration per line (blank lines and ``#`` comments allowed):
     type <name> capacity <int> [null]
     agent <name> prefers <type> > <type> > ... > <type>
 
-Exactly one type carries the ``null`` marker (the outside option).  Agent
-rankings must mention every declared type exactly once.  Declarations may
-appear in any order; types are resolved in a first pass.
+Exactly one type carries the ``null`` marker (the outside option).  A type
+name cannot contain ``>``, the ranking separator.  Agent rankings must
+mention every declared type exactly once.  Declarations may appear in any
+order; types are resolved in a first pass.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import DomainError, MarketSpecError
 from .market import Market, PreferenceOrder, Profile, check_profile
 
 # Diagnostic codes, stable across releases:
-#   E_SYNTAX             malformed declaration
+#   E_SYNTAX             malformed declaration, or a type name containing '>'
 #   E_DUP_TYPE           type name declared twice
 #   E_DUP_AGENT          agent name declared twice
 #   E_BAD_CAPACITY       capacity is not a positive integer in ASCII digits
@@ -144,6 +145,8 @@ def _parse_type_line(lineno, tokens, type_names, capacities, type_lines):
             "E_SYNTAX", lineno, f"trailing token must be 'null', got {tokens[4]!r}"
         )
     name = tokens[1]
+    if ">" in name:
+        raise MarketSpecError("E_SYNTAX", lineno, f"type name {name!r} contains '>'")
     if name in type_names:
         raise MarketSpecError("E_DUP_TYPE", lineno, f"type {name!r} declared twice")
     digits = tokens[3]

@@ -183,7 +183,7 @@ def adversarial_profile(
         orders.extend([truth] * market.capacities[truth.ranking[0]])
         for j in range(2, k):
             orders.extend(
-                [_rotated_prefix_order(market, truth, j, k)]
+                [_rotated_prefix_order(truth, j, k)]
                 * market.capacities[truth.ranking[j - 1]]
             )
     if len(orders) > len(others):
@@ -202,14 +202,10 @@ def _first_disagreement(truth: PreferenceOrder, candidate: PreferenceOrder) -> i
     return None
 
 
-def _rotated_prefix_order(
-    market: Market, truth: PreferenceOrder, j: int, k: int
-) -> PreferenceOrder:
+def _rotated_prefix_order(truth: PreferenceOrder, j: int, k: int) -> PreferenceOrder:
     """Truth's first k-1 ranks rotated to start at rank j, then rank k, then the rest."""
-    prefix = list(truth.ranking[: k - 1])
-    rotated = prefix[j - 1 :] + prefix[: j - 1]
-    tail = [o for o in truth.ranking[k - 1 :]]
-    return PreferenceOrder((*rotated, *tail))
+    ranking = truth.ranking
+    return PreferenceOrder((*ranking[j - 1 : k - 1], *ranking[: j - 1], *ranking[k - 1 :]))
 
 
 @dataclass(frozen=True)

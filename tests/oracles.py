@@ -31,12 +31,18 @@ from rankmech import (
     wastefulness_witness,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
-from rankmech.mechanisms import _rank_table
 from rankmech import strategy, sweeps
 from rankmech.sweeps import SweepOutcome
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rank_table(order: PreferenceOrder) -> list[int]:
+    """``table[o]`` is the 1-based rank of type ``o`` under ``order``, read
+    from ``order.ranking`` alone, so the counting-pass oracles do not share
+    the library's ``PreferenceOrder.ranks``."""
+    return [order.ranking.index(o) + 1 for o in range(len(order))]
 
 
 class PatternAmbiguityError(DomainError):
@@ -771,7 +777,7 @@ def forward_layers(market, ranks):
 
 def uncut_integer_rows(market, profile):
     """:func:`uncut_count_rows` from ``profile``'s rank tables."""
-    return uncut_count_rows(market, [_rank_table(order) for order in profile.orders])
+    return uncut_count_rows(market, [rank_table(order) for order in profile.orders])
 
 
 def uncut_count_rows(market, ranks):
@@ -857,7 +863,7 @@ def optimal_path_states(market, ranks):
 
 def per_agent_count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[list[int], int]]:
     """Every agent's uniform row as integer counts over a total, from the
-    agents' rank tables (:func:`_rank_table`), one agent at a time.
+    agents' rank tables (:func:`rank_table`), one agent at a time.
 
     A counting forward-backward pass over agents in index order, on the
     mixed-radix layers of :func:`forward_layers`, where every agent may
@@ -901,7 +907,7 @@ class PerStateLayers:
 
     def __init__(self, market, orders):
         self.market = market
-        self.ranks = [_rank_table(order) for order in orders]
+        self.ranks = [rank_table(order) for order in orders]
         self.first_with_room = [
             [
                 next((o for o in order.ranking if mask >> o & 1), None)

@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface via main()."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -462,8 +465,10 @@ def test_flags_a_subcommand_ignores_are_rejected(spec_path, tmp_path, argv, caps
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "\uff13", "\u0663", "+3", " 3", ""])
 def test_budget_agents_must_be_positive(spec_path, value, capsys):
+    """``--budget-agents`` takes ASCII digits only, as spec capacities do:
+    a fullwidth or Arabic-Indic digit three is rejected, not read as 3."""
     with pytest.raises(SystemExit) as exit_info:
         main(["assign", "--spec", spec_path, "--budget-agents", value])
     assert exit_info.value.code == 2
@@ -481,3 +486,25 @@ def test_wide_market_assign_with_refusal_defaults_truth_to_revealed(tmp_path, ca
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-examples"],
+    ["dominance", "--spec", "tests/data/market_3x5.txt", "--agent", "a1",
+     "--truth-order", "o1>null>o2>o3>o4", "--ods", "--refusal"],
+], ids=["reproduce-examples", "dominance"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    """A reader that closed stdout before the run is not a failed check
+    (exit 1): the run exits 141, as a shell reports a process that SIGPIPE
+    ended, and writes no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "rankmech.cli", *argv],
+            cwd=ROOT, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -1,6 +1,7 @@
 """Tests for markets, preference orders and profiles."""
 
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -39,18 +40,42 @@ def test_order_rank_of_unranked_type():
 
 
 def test_order_rank_table_leaves_identity_unchanged():
-    """The stored rank table takes no part in equality, hashing or repr, and
-    every index outside the ranking is still a DomainError."""
+    """The stored rank table ``ranks`` is a tuple indexed by type and takes
+    no part in equality, hashing or repr, and every index outside the
+    ranking is still a DomainError.  A bool indexes like the int it
+    equals."""
     order = PreferenceOrder((2, 0, 1))
+    assert order.ranks == (2, 3, 1)
+    assert type(order.ranks) is tuple
     assert order == PreferenceOrder((2, 0, 1))
     assert order != PreferenceOrder((0, 1, 2))
     assert hash(order) == hash(((2, 0, 1),))
     assert len({order, PreferenceOrder((2, 0, 1))}) == 1
     assert repr(order) == "PreferenceOrder(ranking=(2, 0, 1))"
     assert [order.rank(o) for o in range(3)] == [2, 3, 1]
-    for unranked in (-1, 3, "o1"):
+    assert order.rank(True) == 3
+    for unranked in (-1, 3, "o1", None, [0]):
         with pytest.raises(DomainError):
             order.rank(unranked)
+    with pytest.raises(TypeError):
+        PreferenceOrder((2, 0, 1), ranks=(2, 3, 1))
+
+
+def test_order_rank_of_a_float_is_a_domain_error():
+    """A float is not a type index, even an integral one that hashes like
+    the int it equals."""
+    with pytest.raises(DomainError):
+        PreferenceOrder((2, 0, 1)).rank(1.0)
+
+
+@pytest.mark.parametrize("n_types", [3, 4, 5, 6])
+def test_every_order_ranks_each_type_at_its_position(n_types):
+    """``ranks[o]`` is one more than ``o``'s position in the ranking, for
+    every order of 3 to 6 types."""
+    for ranking in itertools.permutations(range(n_types)):
+        order = PreferenceOrder(ranking)
+        assert order.ranks == tuple(ranking.index(o) + 1 for o in range(n_types))
+        assert [order.rank(o) for o in range(n_types)] == list(order.ranks)
 
 
 def test_market_validation():

@@ -46,7 +46,6 @@ from rankmech.mechanisms import (
     _PatternTables,
     _count_rows,
     _integer_rows,
-    _rank_table,
 )
 from oracles import (
     all_agents_pattern,
@@ -248,13 +247,13 @@ def tie_heavy_ranks():
         odd = PreferenceOrder((1, 0, *shared.ranking[2:]))
         for position in range(n):
             orders = [odd if a == position else shared for a in range(n)]
-            yield market, [_rank_table(order) for order in orders]
+            yield market, [order.ranks for order in orders]
 
 
 def denied_ranks(market, profile, agents, o):
     """``profile``'s rank tables with type ``o`` ranked ``n_types + 1`` by
     each of ``agents``, as the denial fixture ranks its denied type."""
-    ranks = [_rank_table(order) for order in profile.orders]
+    ranks = [list(order.ranks) for order in profile.orders]
     for a in agents:
         ranks[a][o] = market.n_types + 1
     return ranks
@@ -262,14 +261,14 @@ def denied_ranks(market, profile, agents, o):
 
 def grouped_pass_cases():
     for market, profile in [*every_small_profile(), *random_markets()]:
-        yield market, [_rank_table(order) for order in profile.orders]
+        yield market, [order.ranks for order in profile.orders]
     # Stepping back from an optimal state here, a split of the two agents
     # ranking t1 first would hand back a seat of t1 that was never taken:
     # the packed state would carry into t2's digit and land on a state
     # whose prefix rank looks tight.
     carry = Market(("a1", "a2", "a3", "a4"), ("t0", "t1", "t2"), (4, 1, 3), 0)
     rankings = ((2, 1, 0), (1, 0, 2), (1, 2, 0), (1, 0, 2))
-    yield carry, [_rank_table(PreferenceOrder(ranking)) for ranking in rankings]
+    yield carry, [PreferenceOrder(ranking).ranks for ranking in rankings]
     yield from tie_heavy_ranks()
     rng = random.Random(5151)
     for i, (market, profile) in enumerate(random_markets()):
@@ -382,7 +381,7 @@ def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
         tuple(f"a{j}" for j in range(16)), ("o1", "o2", "o3", "o4", "null"), (4, 4, 3, 3, 16), 4
     )
     order = order_from_names(market, "o1>o2>o3>o4>null")
-    count(market, [_rank_table(order)] * 16)
+    count(market, [order.ranks] * 16)
     assert steps == [16]
 
     distinct = [
@@ -391,7 +390,7 @@ def test_count_pass_takes_one_step_per_distinct_cut(monkeypatch):
     ]
     six = Market(tuple(f"a{j}" for j in range(6)), market.type_names, (1, 1, 1, 1, 6), 4)
     steps.clear()
-    count(six, [_rank_table(order_from_names(six, text)) for text in distinct])
+    count(six, [order_from_names(six, text).ranks for text in distinct])
     assert steps == [1] * 6
 
     for market, ranks in grouped_pass_cases():
@@ -436,7 +435,7 @@ def test_tight_fields_never_carry():
     order their rows seat the first type's full capacity."""
     cases = 0
     for market, profile, filled in tight_width_cases():
-        ranks = [_rank_table(order) for order in profile.orders]
+        ranks = [order.ranks for order in profile.orders]
         got = _count_rows(market, ranks)
         assert got == per_agent_count_rows(market, ranks) == uncut_integer_rows(market, profile)
         if filled is not None:
@@ -458,7 +457,7 @@ def large_bound_cases():
         shared = rng.choice(orders)
         for tie_heavy in (True, False):
             yield market, [
-                _rank_table(shared if tie_heavy and rng.random() < 0.8 else rng.choice(orders))
+                (shared if tie_heavy and rng.random() < 0.8 else rng.choice(orders)).ranks
                 for _ in range(n)
             ]
 
@@ -477,7 +476,7 @@ def test_the_bound_keeps_every_state_on_an_optimal_path(monkeypatch):
     tight-width tests compare the rest."""
     _, layers, count = _spy_steps(monkeypatch)
     tight = [
-        (market, [_rank_table(order) for order in profile.orders])
+        (market, [order.ranks for order in profile.orders])
         for market, profile, _ in tight_width_cases()
     ]
     cases = 0

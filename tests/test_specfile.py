@@ -138,6 +138,18 @@ def test_syntax_errors():
     )
 
 
+@pytest.mark.parametrize("name", ["a>b", ">", "o1>"])
+def test_type_names_containing_the_ranking_separator_are_syntax_errors(name):
+    """A type name with ``>`` fails at its type line, not at the first
+    ranking that would split it apart."""
+    err = expect_error(
+        f"type o1 capacity 1\ntype {name} capacity 1\ntype null capacity 2 null\n"
+        f"agent a1 prefers o1 > {name} > null\nagent a2 prefers o1 > {name} > null\n",
+        "E_SYNTAX", 2,
+    )
+    assert repr(name) in str(err)
+
+
 def test_duplicate_declarations():
     expect_error(
         "type o1 capacity 1\ntype o1 capacity 1\n", "E_DUP_TYPE", 2
