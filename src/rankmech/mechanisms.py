@@ -657,10 +657,12 @@ class _ClassRows:
     representatives, ``size`` the number of orders in each class, and
     ``key`` each class's top ranks down to its capacity threshold, which is
     never below the outside option: two orders are essentially equal
-    exactly when their classes' keys are equal.  ``verdicts`` keeps the
-    verdicts of every class pair decided so far, per (mechanism, refusal)
-    (:func:`~rankmech.strategy._decided`): at most four tables of classes
-    squared entries.
+    exactly when their classes' keys are equal.  ``clones`` keeps, per
+    class, the multiset of n - 1 opponents all revealing it, its ``ends``
+    and the unparsed rows read against it (:meth:`clone`), and ``verdicts``
+    the verdicts of every class pair decided so far, per (mechanism,
+    refusal) (:func:`~rankmech.strategy._decided`): each at most classes
+    squared entries, in at most four verdict tables.
 
     A multiset's ``ends`` is the forward layer of the counting pass over it,
     each opponent moving only down to its outside option
@@ -704,6 +706,7 @@ class _ClassRows:
         # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
         self.masks: dict[int, list[int | None]] = {}
         self.tables = _PatternTables(market, self.classes)
+        self.clones: list[tuple[tuple[int, ...], list, dict] | None] = [None] * len(self.classes)
         self.verdicts: dict[tuple[str, bool], dict[tuple[int, int], tuple[bool, bool]]] = {}
 
     def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
@@ -739,6 +742,26 @@ class _ClassRows:
         for c in first:
             layer = _forward_step(layer, self.cuts[c])
         return self._fold(layer, self.cuts[last])
+
+    def clone(self, c: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]], dict]:
+        """The multiset of n - 1 opponents all revealing class ``c``, with
+        its ``ends``, and the rows :meth:`clone_row` has read against it,
+        built on first use."""
+        held = self.clones[c]
+        if held is None:
+            combo = (c,) * (self.tables.n_agents - 1)
+            held = self.clones[c] = combo, self.ends(combo), {}
+        return held
+
+    def clone_row(self, c: int, reveal: int) -> tuple[list[int], int]:
+        """The row of the agent revealing class ``reveal`` against class
+        ``c``'s clones, the crowd-out parse not consulted, kept once read:
+        every caller reads the one row, and none changes it."""
+        combo, ends, rows = self.clone(c)
+        row = rows.get(reveal)
+        if row is None:
+            row = rows[reveal] = self.row(ends, combo, reveal, False)
+        return row
 
     def _fold(self, layer: dict[int, tuple[int, int]], cut: Cut) -> list[tuple[int, int, int]]:
         """The last opponent's step from ``layer`` with the moves ``cut``,

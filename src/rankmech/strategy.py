@@ -20,8 +20,11 @@ failing opponent profile in product order is a sorted tuple of class
 representatives, the least lift of its class multiset, so the witnesses
 are those of the full product.  The sweeps decide class pairs rather than
 witness them, and keep the verdicts on the class tables, per (mechanism,
-refusal), for every later sweep (:func:`_decided`).  The equal-treatment
-sweep and ``prop3`` read their rows from the same source.
+refusal), for every later sweep (:func:`_decided`).  Before their walk
+they compare each pair on its truth class's clones, the first group of
+the paper's separating profile (:func:`adversarial_profile`), and walk
+only the pairs that do not fail there.  The equal-treatment sweep and
+``prop3`` read their rows from the same source.
 """
 
 from __future__ import annotations
@@ -165,6 +168,11 @@ def adversarial_profile(
     truth's prefix to start at j, and finally agents who take the outside
     option first.  Group sizes match the prefix capacities, which the
     threshold precondition guarantees fit among the opponents.
+
+    The sweeps compare every class pair first on the truth class's clones
+    alone, n - 1 of them (:func:`_clone_failures`), this profile's first
+    group grown to every opponent; this function stays the construction's
+    public, validated form and the tests' oracle for it.
     """
     market.check_order(truth)
     market.check_order(candidate)
@@ -306,10 +314,14 @@ def _decided(
 
     The verdicts are kept on the class tables, one table per (mechanism,
     refusal), which the call returns; a pair inside one class ties
-    everywhere, weakly but not strictly dominating.  The pairs not yet
-    decided are walked together, deciding rather than witnessing
+    everywhere, weakly but not strictly dominating.  Each pair not yet
+    decided is first compared on its truth class's clones
+    (:func:`_clone_failures`); a pair failing there fails, neither weakly
+    nor strictly dominating, as the walk would find.  Only the other pairs
+    are walked together, deciding rather than witnessing
     (:func:`_walk_pairs`), and the table is written only once that walk has
-    finished, so a walk that raises leaves none of its verdicts behind.
+    finished, so a comparison that raises, on the clones or in the walk,
+    leaves none of the verdicts behind.
     """
     get_mechanism(mechanism)
     table = source.verdicts.setdefault(
@@ -317,12 +329,64 @@ def _decided(
     )
     undecided = {pair for pair in pairs if pair not in table}
     if undecided:
-        found = _walk_pairs(source, mechanism, refusal, undecided, decide=True)
+        failing = _clone_failures(source, mechanism, refusal, undecided)
+        found = _walk_pairs(source, mechanism, refusal, undecided - failing, decide=True)
+        table.update(dict.fromkeys(failing, (False, False)))
         table.update(
             (pair, (failure is None, failure is None and strict is not None))
             for pair, (failure, strict) in found.items()
         )
     return table
+
+
+def _clone_failures(
+    source: _ClassRows, mechanism: str, refusal: bool, pairs: Iterable[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """The pairs of distinct classes (truth class, candidate class) whose
+    comparison fails on the truth class's clones, the multiset of n - 1
+    opponents all revealing it (:meth:`~rankmech.mechanisms._ClassRows.clone`).
+
+    The clones open the paper's separating profile
+    (:func:`adversarial_profile`).  On every market of three or more agents
+    measured, every pair that fails anywhere fails there, and a pair that
+    fails there need not be walked; the pairs left, failing or not, are
+    decided by the walk, so this stage changes no verdict, only the work.  The rows are those the walk reads on that multiset, one ``ends``
+    and one truth row per truth class and one row per candidate, and they
+    are compared by the walk's cumulative cross-multiplication along the
+    truth's compared prefix (:func:`_walk_pairs`), so a failure found here
+    is one the walk finds; only whether the pair fails is read.  The rows
+    that no crowd-out parse can override are read through
+    :meth:`~rankmech.mechanisms._ClassRows.clone_row`, which keeps them for
+    every key.  A pair with an empty comparison never fails, so it is not
+    compared.
+    """
+    parse = mechanism == "modified"
+    null_rank = source.tables.null_rank
+    by_truth: dict[int, list[int]] = {}
+    for t, c in pairs:
+        by_truth.setdefault(t, []).append(c)
+    failing = set()
+    for t, candidates in by_truth.items():
+        prefix = source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]]
+        if not prefix:  # an empty comparison never fails
+            continue
+        combo, ends, _ = source.clone(t)
+        low, high = source.tables.unparsed(combo) if parse else (1, source.n_types)
+        # n agents revealing t have no lone deepest outside option, so no parse
+        truth_row, truth_total = source.clone_row(t, t)
+        for c in candidates:
+            if low <= null_rank[c] <= high:
+                candidate_row, candidate_total = source.clone_row(t, c)
+            else:
+                candidate_row, candidate_total = source.row(ends, combo, c, True)
+            cum_truth = cum_candidate = 0
+            for o in prefix:
+                cum_truth += truth_row[o]
+                cum_candidate += candidate_row[o]
+                if cum_candidate * truth_total < cum_truth * candidate_total:
+                    failing.add((t, c))
+                    break
+    return failing
 
 
 def _walk_pairs(

@@ -7,13 +7,15 @@ a reveal below its outside option, so a dominance sweep counts pairs of
 truncation classes (truth class, candidate class), each standing for a
 known number of order pairs, adds their weights in closed form and names
 its first violation from class representatives.  Its class pairs are
-decided by one walk (``strategy._decided``), which reads only whether a
-pair fails and whether it is strictly preferred somewhere and keeps the
-verdicts on the market's class tables per (mechanism, refusal), so a later
-sweep with the same key walks only the pairs not yet decided.  Equal
-treatment counts every profile in closed form and visits only the
-multisets of truncation classes that can violate, each violating one
-weighted by the number of profiles lifting it.  Given profiles and
+decided by ``strategy._decided``, which reads only whether a pair fails
+and whether it is strictly preferred somewhere and keeps the verdicts on
+the market's class tables per (mechanism, refusal), so a later sweep with
+the same key decides only the pairs not yet decided.  A pair failing on
+its truth class's clones, n - 1 opponents all revealing that class, fails
+without a walk; one walk decides the rest.  Equal treatment counts every
+profile in closed form and visits only the multisets of truncation classes
+that can violate, each violating one weighted by the number of profiles
+lifting it.  Given profiles and
 ``prop3`` hand their units, each with a weight and the detail of its
 violation or None, to one counter, ``_tally``.  The dominance walk, equal
 treatment and ``prop3`` read every row from one source, the market's class
@@ -22,9 +24,10 @@ every sweep on it; ``prop2`` tells essentially equal orders apart by the
 tables' class keys.  Under refusal a truth ranking its outside option
 first compares nothing, so the walk leaves its pairs out and they weakly
 but not strictly dominate.  ``prop3`` reads one row per unit, that of the
-demotion against n - 1 copies of it, and refuses and scans it for waste
-in integers.  Every sweep over the whole market reads the market's orders
-from those tables, which check the budget before they list the orders.
+demotion against its clones, n - 1 copies of it, kept on the class
+tables, and refuses and scans it for waste in integers.  Every sweep over
+the whole market reads the market's orders from those tables, which check
+the budget before they list the orders.
 ``SWEEPS`` maps each ``rankmech sweep`` token to its sweep and arguments;
 each entry looks its sweep up by name when called.
 """
@@ -298,8 +301,7 @@ def sweep_demotion_waste(
 
     def detail(truth, o_prime, demoted) -> str | None:
         c = source.class_of[demoted]
-        opponents = (c,) * (n - 1)
-        row, total = source.row(source.ends(opponents), opponents, c, False)
+        row, total = source.clone_row(c, c)
         rows = (_refused(market, row, truth), *(row,) * (n - 1))
         orders = (truth, *(source.classes[c],) * (n - 1))
         if _first_waste(market, total, rows, orders) is not None:

@@ -344,12 +344,20 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
 def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, make_market, prop):
     """The full walk, which ``check_dominance`` and ``rankmech dominance``
     run, finds the product oracle's witnesses on every unit of a dominance
-    sweep.  The deciding walk the sweep ran over its class pairs finds the
-    full walk's failure witness on every class pair, and its strict witness
-    wherever the pair weakly dominates."""
+    sweep.  The sweep's undecided class pairs are split between those its
+    truth-clone certificates fail and those its deciding walk takes: every
+    certified pair has a failure witness in the full walk, and the deciding
+    walk finds the full walk's failure witness on every pair it takes, and
+    its strict witness wherever the pair weakly dominates."""
     market = make_market()
-    walks = []
-    walk = strategy._walk_pairs
+    certified, walks = [], []
+    certify, walk = strategy._clone_failures, strategy._walk_pairs
+
+    def certifying(source, mechanism, refusal, pairs):
+        pairs = set(pairs)
+        failing = certify(source, mechanism, refusal, pairs)
+        certified.append((pairs, failing))
+        return failing
 
     def recording(source, mechanism, refusal, pairs, **kwargs):
         pairs = list(pairs)
@@ -357,16 +365,20 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
         walks.append((source, mechanism, refusal, pairs, kwargs, found))
         return found
 
+    monkeypatch.setattr(strategy, "_clone_failures", certifying)
     monkeypatch.setattr(strategy, "_walk_pairs", recording)
     DOMINANCE_SWEEPS[prop](market)
     units = _units(prop, market)
     if not units:  # two agents promote nothing, so thm2 has no pair to walk
-        assert walks == []
+        assert certified == walks == []
         return
+    [(undecided, failing)] = certified
     [(source, mechanism, refusal, pairs, kwargs, decided)] = walks
     assert kwargs == {"decide": True}
-    full = walk(source, mechanism, refusal, pairs)
-    assert full.keys() == decided.keys() == set(pairs)
+    assert failing.isdisjoint(pairs) and failing | set(pairs) == undecided
+    full = walk(source, mechanism, refusal, undecided)
+    assert full.keys() == undecided and decided.keys() == set(pairs)
+    assert all(full[pair][0] is not None for pair in failing)
     for pair in pairs:
         failure, strict = full[pair]
         decided_failure, decided_strict = decided[pair]
@@ -1077,37 +1089,100 @@ def test_class_pair_sweeps_match_the_order_pair_oracles_on_scrambled_rows(monkey
             assert outcome.violations > market.n_agents, variant
 
 
+VERDICT_KEYS = [("uniform", False), ("uniform", True), ("modified", False), ("modified", True)]
+
+
+def _seeded_markets(count):
+    """``count`` seeded markets of 2 to 4 agents and 2 or 3 scarce types."""
+    rng = random.Random(1041)
+    markets = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        markets.append(_market(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, 3)))))
+    return markets
+
+
+# Each market with the class tables its verdicts are decided on: the real
+# ones, each denial fixture's and scrambled rows.
+CERTIFIED_MARKETS = {
+    **{name: (market, mechanisms._ClassRows) for name, market in WALK_MARKETS.items()},
+    **{
+        f"seeded{i}": (market, mechanisms._ClassRows)
+        for i, market in enumerate(_seeded_markets(12))
+    },
+    **{
+        f"{name}-{fixture.__name__}": (
+            market,
+            lambda market, fixture=fixture, args=args: denial_rows(fixture(market, *args))(
+                market, DEFAULT_BUDGET),
+        )
+        for name, (market, args) in DENIAL_MARKETS.items()
+        for fixture in (make_denial_mechanism, oracles.listing_denial_mechanism)
+    },
+    **{
+        f"{name}-scrambled": (
+            WALK_MARKETS[name], lambda market: ScrambledRows(market, DEFAULT_BUDGET)
+        )
+        for name in ("ex2", "ex4", "four", "tight31")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_MARKETS))
+def test_truth_clone_certificates_leave_the_verdict_tables_unchanged(monkeypatch, name):
+    """Every key's verdict table over every class pair is the same whether
+    the pairs that fail on their truths' clones skip the deciding walk or
+    not, on the walk markets, on seeded markets, under both denial fixtures
+    and on scrambled rows.  Each table is decided on fresh class tables."""
+    market, make = CERTIFIED_MARKETS[name]
+    tables = []
+    for certify in (strategy._clone_failures, lambda *args: set()):
+        monkeypatch.setattr(strategy, "_clone_failures", certify)
+        source = make(market)
+        pairs = list(itertools.product(range(len(source.classes)), repeat=2))
+        tables.append({key: dict(strategy._decided(source, *key, pairs)) for key in VERDICT_KEYS})
+    assert tables[0] == tables[1]
+
+
 def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
-    """A row that raises in the middle of a deciding walk leaves the
-    market's verdict table for that walk's key as it was before the walk,
-    whether it was new or held an earlier sweep's verdicts, and later
-    sweeps on the market give what they give on a fresh one."""
-    market = dataclasses.replace(FOUR_AGENTS)
-    thm1 = sweep_demotion_weak_dominance(market)
-    verdicts = market._class_rows.verdicts
-    before = dict(verdicts[("uniform", True)])
-    real = mechanisms._ClassRows.row
-    reads = []
+    """A row that raises while a sweep compares its undecided pairs, on
+    their truths' clones or in the middle of the deciding walk, leaves the
+    market's verdict table for that key as it was before, whether it was
+    new or held an earlier sweep's verdicts, and later sweeps on the market
+    give what they give on a fresh one."""
+    key = ("uniform", True)
+    real, walk = mechanisms._ClassRows.row, strategy._walk_pairs
+    for stage in ("certificates", "walk"):
+        shared, new = dataclasses.replace(FOUR_AGENTS), dataclasses.replace(FOUR_AGENTS)
+        thm1 = sweep_demotion_weak_dominance(shared)
+        ties = {(c, c): (True, False) for c in range(len(shared._class_rows.classes))}
+        reads, walking = [], []
 
-    def failing(self, *args):
-        reads.append(args)
-        if len(reads) == 60:
-            raise RuntimeError("a row failed")
-        return real(self, *args)
+        def entering(*args, **kwargs):
+            walking.append(True)
+            return walk(*args, **kwargs)
 
-    monkeypatch.setattr(mechanisms._ClassRows, "row", failing)
-    ties = {(c, c): (True, False) for c in range(len(market._class_rows.classes))}
-    for key, table in [(("uniform", True), before), (("modified", False), ties)]:
-        reads.clear()
-        with pytest.raises(RuntimeError, match="a row failed"):
-            sweep_no_strict_dominance(market, *key)
-        assert len(reads) == 60
-        assert verdicts[key] == table
-    monkeypatch.undo()
-    assert sweep_demotion_weak_dominance(market) == thm1
-    for mechanism, refusal in [("uniform", True), ("modified", False)]:
-        expected = sweep_no_strict_dominance(dataclasses.replace(FOUR_AGENTS), mechanism, refusal)
-        assert sweep_no_strict_dominance(market, mechanism, refusal) == expected
+        def failing(self, *args):
+            if bool(walking) == (stage == "walk"):
+                reads.append(args)
+                if len(reads) == 20:
+                    raise RuntimeError("a row failed")
+            return real(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(strategy, "_walk_pairs", entering)
+            patch.setattr(mechanisms._ClassRows, "row", failing)
+            for market, table in [(shared, dict(shared._class_rows.verdicts[key])), (new, ties)]:
+                reads.clear()
+                walking.clear()
+                with pytest.raises(RuntimeError, match="a row failed"):
+                    sweep_no_strict_dominance(market, *key)
+                assert len(reads) == 20 and bool(walking) == (stage == "walk")
+                assert market._class_rows.verdicts[key] == table
+        assert sweep_demotion_weak_dominance(shared) == thm1
+        expected = sweep_no_strict_dominance(dataclasses.replace(FOUR_AGENTS), *key)
+        for market in (shared, new):
+            assert sweep_no_strict_dominance(market, *key) == expected
 
 
 def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
@@ -1150,9 +1225,10 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     """Under refusal a truth class ranking its outside option first
     compares over an empty prefix.  Given only such pairs, deciding or not,
     the walk visits no multiset and reads no row, and every pair keeps no
-    witness.  On the 3 x 5 market every row ``prop5``'s walk reads is of a
-    class in a pair with a nonempty prefix still open at that multiset,
-    and the walk ends at the multiset where the last such pair closes."""
+    witness.  On the 3 x 5 market every row a deciding walk over all of
+    ``prop5``'s pairs of distinct classes reads is of a class in a pair
+    with a nonempty prefix still open at that multiset, and the walk ends
+    at the multiset where the last such pair closes."""
     market = dataclasses.replace(MARKET_3X5)
     source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
@@ -1169,8 +1245,8 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     assert seen == []
     monkeypatch.undo()
 
-    visited, read, calls = [], [], []
-    walk, row, walk_pairs = mechanisms._ClassRows.walk, mechanisms._ClassRows.row, strategy._walk_pairs
+    visited, read = [], []
+    walk, row = mechanisms._ClassRows.walk, mechanisms._ClassRows.row
 
     def visiting(self, k):
         for combo, ends in walk(self, k):
@@ -1181,19 +1257,10 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
         read.append((tuple(opponents), reveal))
         return row(self, ends, opponents, reveal, parse)
 
-    def recording(source, mechanism, refusal, pairs, **kwargs):
-        pairs = list(pairs)
-        found = walk_pairs(source, mechanism, refusal, pairs, **kwargs)
-        calls.append((pairs, kwargs, found))
-        return found
-
     monkeypatch.setattr(mechanisms._ClassRows, "walk", visiting)
     monkeypatch.setattr(mechanisms._ClassRows, "row", reading)
-    monkeypatch.setattr(strategy, "_walk_pairs", recording)
-    market = dataclasses.replace(MARKET_3X5)
-    assert sweep_no_strict_dominance(market, "modified", True).passed
-    [(pairs, kwargs, found)] = calls
-    assert kwargs == {"decide": True}
+    pairs = [(t, c) for t in classes for c in classes if t != c]
+    found = strategy._walk_pairs(source, "modified", True, pairs, decide=True)
     compared = [(t, c) for t, c in pairs if null_rank[t] > 1]
     assert 0 < len(compared) < len(pairs)
 
@@ -1211,6 +1278,62 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     for combo, reveal in read:
         assert position[combo] <= last_open[reveal], (combo, reveal)
     assert visited == multisets[: max(closes.values()) + 1]
+
+
+MARKET_4X5 = parse_market_spec((Path(__file__).parent / "data" / "market_4x5.txt").read_text())[0]
+
+
+def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monkeypatch):
+    """On the 4 x 5 market every pair of distinct classes that fails
+    anywhere fails on its truth's clones, so a sweep's deciding walk
+    compares exactly its pairs that weakly dominate: none for ``prop2`` and
+    ``prop5``, 132 for no strict dominance under the uniform mechanism with
+    refusal, and 72 for ``thm1``.  The pairs with an empty comparison go to
+    the walk too, which drops them unread: 64 for ``prop5`` and the uniform
+    sweep with refusal, 24 for ``thm1``.  ``thm1`` runs on a fresh market
+    and stops once it has handed its walk the pairs; whether they weakly
+    dominate is read from the uniform sweep's verdicts, which share its key."""
+    listed = []
+    walk = strategy._walk_pairs
+
+    def recording(source, mechanism, refusal, pairs, **kwargs):
+        listed.append((source, list(pairs)))
+        return walk(source, mechanism, refusal, pairs, **kwargs)
+
+    monkeypatch.setattr(strategy, "_walk_pairs", recording)
+    market = dataclasses.replace(MARKET_4X5)
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    null_rank = source.tables.null_rank
+
+    def compares(refusal, pairs):
+        return {(t, c) for t, c in pairs if t != c and (not refusal or null_rank[t] > 1)}
+
+    for key, dichotomy, weakly, dropped in [
+        (("uniform", False), True, 0, 0),
+        (("modified", True), False, 0, 64),
+        (("uniform", True), False, 132, 64),
+    ]:
+        listed.clear()
+        sweep_no_strict_dominance(market, *key, dichotomy=dichotomy)
+        [(walked_on, pairs)] = listed
+        verdicts = source.verdicts[key]
+        weak = {pair for pair in compares(key[1], verdicts) if verdicts[pair][0]}
+        assert walked_on is source and compares(key[1], pairs) == weak
+        assert len(weak) == weakly and len(pairs) - len(weak) == dropped
+
+    def listing(source, mechanism, refusal, pairs, **kwargs):
+        listed.append((source, list(pairs)))
+        raise _Listed
+
+    monkeypatch.setattr(strategy, "_walk_pairs", listing)
+    listed.clear()
+    _, _, class_pairs, _ = _sweep_pairs(monkeypatch, "thm1", dataclasses.replace(MARKET_4X5))
+    with pytest.raises(_Listed):
+        sweep_demotion_weak_dominance(dataclasses.replace(MARKET_4X5))
+    [(_, pairs)] = listed
+    weak = {pair for pair in compares(True, class_pairs) if verdicts[pair][0]}
+    assert compares(True, pairs) == weak
+    assert len(weak) == 72 and len(pairs) - len(weak) == 24
 
 
 def test_sweeps_share_the_class_tables_kept_on_the_market(monkeypatch):
