@@ -23,10 +23,13 @@ class PreferenceOrder:
     """A strict ranking of every object type, best first.
 
     ``ranking[k]`` is the type index holding rank ``k + 1``.  Ranks are
-    1-based throughout so that "rank 1" means first best.  An order also
-    stores its rank table, ``ranks[o]`` being the rank of type ``o``, and
-    its hash, ``hash((ranking,))``, the hash the dataclass would compute on
-    every call; neither takes part in ``==`` or ``repr``.
+    1-based throughout so that "rank 1" means first best.  An order is
+    validated once, when it is built, in the same pass that fills its rank
+    table, ``ranks[o]`` being the rank of type ``o``: an entry that is not
+    an int, is out of range or repeats raises ``DomainError`` (a bool counts
+    as the int it equals).  It also stores its hash, ``hash((ranking,))``,
+    the hash the dataclass would compute on every call; neither takes part
+    in ``==`` or ``repr``.
     """
 
     ranking: tuple[TypeIndex, ...]
@@ -34,13 +37,13 @@ class PreferenceOrder:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sorted(self.ranking) != list(range(len(self.ranking))):
-            raise DomainError(
-                f"ranking must be a permutation of 0..{len(self.ranking) - 1}, "
-                f"got {self.ranking!r}"
-            )
-        ranks = [0] * len(self.ranking)
+        n = len(self.ranking)
+        ranks = [0] * n
         for k, o in enumerate(self.ranking, start=1):
+            if not isinstance(o, int) or not 0 <= o < n or ranks[o]:
+                raise DomainError(
+                    f"ranking must be a permutation of 0..{n - 1}, got {self.ranking!r}"
+                )
             ranks[o] = k
         object.__setattr__(self, "ranks", tuple(ranks))
         object.__setattr__(self, "_hash", hash((self.ranking,)))
@@ -208,8 +211,10 @@ def check_profile(market: Market, profile: Profile) -> None:
         raise DomainError(
             f"profile has {len(profile)} orders but the market has {market.n_agents} agents"
         )
+    n_types = len(market.type_names)
     for order in profile.orders:
-        market.check_order(order)
+        if len(order.ranking) != n_types:
+            market.check_order(order)
 
 
 def order_from_names(market: Market, text: str) -> PreferenceOrder:

@@ -30,13 +30,22 @@ from .market import Market, PreferenceOrder, Profile, check_profile
 
 
 def parse_market_spec(text: str) -> tuple[Market, Profile]:
-    """Parse a market file into a market plus the declared revealed profile."""
+    """Parse a market file into a market plus the declared revealed profile.
+
+    Identical ranking texts share one order: each distinct ranking is split,
+    resolved against the declared types and checked once, at its first line,
+    and every agent declaring it gets the same ``PreferenceOrder``.  So a
+    file whose agents all reveal one of two lines builds two orders.  The
+    memo lives inside this call; a diagnostic names the first line at fault,
+    as a line-by-line check would.
+    """
     lines = text.splitlines()
     type_names: list[str] = []
     capacities: list[int] = []
     type_lines: list[int] = []
     null_type: int | None = None
-    agent_decls: list[tuple[int, str, list[str]]] = []
+    agents: dict[str, str] = {}  # agent name -> ranking text
+    rankings: dict[str, tuple[int, list[str]]] = {}  # ranking text -> (first line, entries)
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -58,17 +67,19 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
                     "expected: agent <name> prefers <type> > <type> > ...",
                 )
             name = tokens[1]
-            if any(name == existing for _, existing, _ in agent_decls):
+            if name in agents:
                 raise MarketSpecError(
                     "E_DUP_AGENT", lineno, f"agent {name!r} declared twice"
                 )
             ranking_text = line.split(None, 3)[3]
-            ranked = [part.strip() for part in ranking_text.split(">")]
-            if any(not part for part in ranked):
-                raise MarketSpecError(
-                    "E_SYNTAX", lineno, "empty entry in the ranking list"
-                )
-            agent_decls.append((lineno, name, ranked))
+            if ranking_text not in rankings:
+                ranked = [part.strip() for part in ranking_text.split(">")]
+                if any(not part for part in ranked):
+                    raise MarketSpecError(
+                        "E_SYNTAX", lineno, "empty entry in the ranking list"
+                    )
+                rankings[ranking_text] = (lineno, ranked)
+            agents[name] = ranking_text
         else:
             raise MarketSpecError(
                 "E_SYNTAX", lineno, f"unknown declaration {tokens[0]!r}"
@@ -80,12 +91,12 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
         raise MarketSpecError(
             "E_MARKET_SIZE", 0, "a market needs at least three types"
         )
-    if len(agent_decls) < 2:
+    if len(agents) < 2:
         raise MarketSpecError(
             "E_MARKET_SIZE", 0, "a market needs at least two agents"
         )
 
-    n_agents = len(agent_decls)
+    n_agents = len(agents)
     for o, (lineno, q) in enumerate(zip(type_lines, capacities)):
         if o == null_type:
             if q < n_agents:
@@ -101,10 +112,8 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
             )
 
     index = {name: o for o, name in enumerate(type_names)}
-    agent_names = []
-    orders = []
-    for lineno, name, ranked in agent_decls:
-        agent_names.append(name)
+    orders = {}
+    for ranking_text, (lineno, ranked) in rankings.items():
         seen = set()
         ranking = []
         for part in ranked:
@@ -124,15 +133,15 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
                 "E_RANKING_INCOMPLETE", lineno,
                 f"ranking omits {', '.join(repr(m) for m in missing)}",
             )
-        orders.append(PreferenceOrder(tuple(ranking)))
+        orders[ranking_text] = PreferenceOrder(tuple(ranking))
 
     market = Market(
-        agent_names=tuple(agent_names),
+        agent_names=tuple(agents),
         type_names=tuple(type_names),
         capacities=tuple(capacities),
         null_type=null_type,
     )
-    return market, Profile(tuple(orders))
+    return market, Profile(tuple(orders[text] for text in agents.values()))
 
 
 def _parse_type_line(lineno, tokens, type_names, capacities, type_lines):

@@ -66,10 +66,12 @@ def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignm
 
 def _refused(market: Market, row: Sequence[int], truth: PreferenceOrder) -> list[int]:
     """The integer ``row`` with every count ``truth`` ranks below the outside
-    option moved onto it."""
+    option moved onto it.  ``truth`` is not checked again: ``refusal_transform``
+    passes truths ``check_profile`` accepted, and ``prop3`` the orders of the
+    market's class tables."""
     row = list(row)
     null = market.null_type
-    for o in _acceptable_block(market, truth)[1]:
+    for o in truth.ranking[truth.ranks[null]:]:
         row[null] += row[o]
         row[o] = 0
     return row

@@ -1,0 +1,116 @@
+"""Mutation check: every seeded mutant of ``src/`` must be killed by its tests.
+
+Each mutant replaces one exact text in one file of ``src/`` with another.
+The script copies ``src/`` to a temporary directory, applies the mutant
+there and runs each of the mutant's test ids in its own pytest process, with
+``PYTHONPATH`` on the copy (and the ini's ``pythonpath`` cleared, so the
+tests import the copy, not ``src/``).  A mutant is killed when every one of
+its test ids fails.  The script exits 1 if a mutant survives, if a test id
+errors instead of failing, or if a mutant's old text no longer occurs
+exactly once in its file, so the list cannot go stale unnoticed.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "parse-memo-hands-every-agent-the-first-order",
+        "rankmech/specfile.py",
+        "Profile(tuple(orders[text] for text in agents.values()))",
+        "Profile(tuple(orders[next(iter(agents.values()))] for text in agents.values()))",
+        (
+            "tests/test_specfile.py::test_parsing_ties_16_builds_one_order_per_distinct_ranking",
+            "tests/test_specfile.py::test_parse_matches_the_line_by_line_parser_on_valid_files",
+        ),
+    ),
+    Mutant(
+        "order-check-without-negative-index-test",
+        "rankmech/market.py",
+        "if not isinstance(o, int) or not 0 <= o < n or ranks[o]:",
+        "if not isinstance(o, int) or not o < n or ranks[o]:",
+        ("tests/test_market.py::test_order_accepts_exactly_the_permutations_of_its_length",),
+    ),
+    Mutant(
+        "check-profile-without-length-test",
+        "rankmech/market.py",
+        "        if len(order.ranking) != n_types:\n            market.check_order(order)\n",
+        "        pass\n",
+        (
+            "tests/test_market.py::test_check_profile_checks_lengths_without_calling_check_order",
+            "tests/test_market.py::test_profile_replace_and_checks",
+        ),
+    ),
+    Mutant(
+        "clone-certificate-fails-every-pair",
+        "rankmech/strategy.py",
+        "                if cum_candidate * truth_total < cum_truth * candidate_total:\n"
+        "                    failing.add((t, c))\n",
+        "                if True:\n"
+        "                    failing.add((t, c))\n",
+        ("tests/test_sweeps.py::test_truth_clone_certificates_leave_the_verdict_tables_unchanged",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> list[str]:
+    """The problems with one mutant: empty when every test id kills it."""
+    with tempfile.TemporaryDirectory(prefix="rankmech-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return [f"old text occurs {text.count(mutant.old)} times in src/{mutant.file}, not once"]
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        problems = []
+        for test in mutant.tests:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "-o", "pythonpath=", test],
+                cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            if result.returncode == 0:
+                problems.append(f"survives {test}")
+            elif result.returncode != 1:  # not a test failure: a usage or collection error
+                tail = "\n".join(result.stdout.splitlines()[-5:])
+                problems.append(f"{test} exited {result.returncode}, not 1:\n{tail}")
+        return problems
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        problems = run(mutant)
+        print(f"{'killed' if not problems else 'NOT KILLED'}: {mutant.name}", flush=True)
+        for problem in problems:
+            print(f"  {problem}", flush=True)
+        failed += bool(problems)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

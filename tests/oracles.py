@@ -13,6 +13,7 @@ from rankmech import (
     DomainError,
     DominanceVerdict,
     Market,
+    MarketSpecError,
     ModifiedPattern,
     PreferenceOrder,
     Profile,
@@ -31,6 +32,7 @@ from rankmech import (
     wastefulness_witness,
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
+from rankmech.specfile import _parse_type_line
 from rankmech import strategy, sweeps
 from rankmech.sweeps import SweepOutcome
 
@@ -941,3 +943,116 @@ class PerStateLayers:
             if reach == best:
                 row[o] += count
         return row, sum(row)
+
+
+def line_by_line_parse_market_spec(text: str) -> tuple[Market, Profile]:
+    """Parse a market file into a market plus the declared revealed profile.
+
+    The parser as it was before identical ranking lines shared one order:
+    every agent line splits, resolves and checks its own ranking, and a
+    duplicate agent is found by scanning the agents declared so far.
+    ``parse_market_spec`` must return an equal market and profile, and raise
+    the same ``(code, line, message)``.
+    """
+    lines = text.splitlines()
+    type_names: list[str] = []
+    capacities: list[int] = []
+    type_lines: list[int] = []
+    null_type: int | None = None
+    agent_decls: list[tuple[int, str, list[str]]] = []
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "type":
+            _parse_type_line(lineno, tokens, type_names, capacities, type_lines)
+            if len(tokens) == 5:
+                if null_type is not None:
+                    raise MarketSpecError(
+                        "E_MULTI_NULL", lineno, "a second type carries the null marker"
+                    )
+                null_type = len(type_names) - 1
+        elif tokens[0] == "agent":
+            if len(tokens) < 4 or tokens[2] != "prefers":
+                raise MarketSpecError(
+                    "E_SYNTAX", lineno,
+                    "expected: agent <name> prefers <type> > <type> > ...",
+                )
+            name = tokens[1]
+            if any(name == existing for _, existing, _ in agent_decls):
+                raise MarketSpecError(
+                    "E_DUP_AGENT", lineno, f"agent {name!r} declared twice"
+                )
+            ranking_text = line.split(None, 3)[3]
+            ranked = [part.strip() for part in ranking_text.split(">")]
+            if any(not part for part in ranked):
+                raise MarketSpecError(
+                    "E_SYNTAX", lineno, "empty entry in the ranking list"
+                )
+            agent_decls.append((lineno, name, ranked))
+        else:
+            raise MarketSpecError(
+                "E_SYNTAX", lineno, f"unknown declaration {tokens[0]!r}"
+            )
+
+    if null_type is None:
+        raise MarketSpecError("E_NO_NULL", 0, "no type carries the null marker")
+    if len(type_names) < 3:
+        raise MarketSpecError(
+            "E_MARKET_SIZE", 0, "a market needs at least three types"
+        )
+    if len(agent_decls) < 2:
+        raise MarketSpecError(
+            "E_MARKET_SIZE", 0, "a market needs at least two agents"
+        )
+
+    n_agents = len(agent_decls)
+    for o, (lineno, q) in enumerate(zip(type_lines, capacities)):
+        if o == null_type:
+            if q < n_agents:
+                raise MarketSpecError(
+                    "E_CAPACITY_BOUNDS", lineno,
+                    f"null capacity {q} must cover all {n_agents} agents",
+                )
+        elif q >= n_agents:
+            raise MarketSpecError(
+                "E_CAPACITY_BOUNDS", lineno,
+                f"capacity {q} of {type_names[o]!r} must stay below the "
+                f"agent count {n_agents}",
+            )
+
+    index = {name: o for o, name in enumerate(type_names)}
+    agent_names = []
+    orders = []
+    for lineno, name, ranked in agent_decls:
+        agent_names.append(name)
+        seen = set()
+        ranking = []
+        for part in ranked:
+            if part not in index:
+                raise MarketSpecError(
+                    "E_UNKNOWN_TYPE", lineno, f"ranking mentions undeclared type {part!r}"
+                )
+            if part in seen:
+                raise MarketSpecError(
+                    "E_RANKING_INCOMPLETE", lineno, f"type {part!r} ranked twice"
+                )
+            seen.add(part)
+            ranking.append(index[part])
+        if len(ranking) != len(type_names):
+            missing = [t for t in type_names if t not in seen]
+            raise MarketSpecError(
+                "E_RANKING_INCOMPLETE", lineno,
+                f"ranking omits {', '.join(repr(m) for m in missing)}",
+            )
+        orders.append(PreferenceOrder(tuple(ranking)))
+
+    market = Market(
+        agent_names=tuple(agent_names),
+        type_names=tuple(type_names),
+        capacities=tuple(capacities),
+        null_type=null_type,
+    )
+    return market, Profile(tuple(orders))

@@ -32,6 +32,33 @@ def test_order_rejects_non_permutations():
         PreferenceOrder((0, 0, 1))
     with pytest.raises(DomainError):
         PreferenceOrder((0, 1, 3))
+    for ranking in ((0, 1.0, 2), (0, "a", 2), (0, None, 2)):
+        with pytest.raises(DomainError) as info:
+            PreferenceOrder(ranking)
+        assert str(info.value) == f"ranking must be a permutation of 0..2, got {ranking!r}"
+
+
+def test_order_accepts_exactly_the_permutations_of_its_length():
+    """Over every tuple of length 0-4 drawn from -1..4 and both bools, an
+    order is built exactly when the tuple sorts to ``0..len - 1`` (a bool
+    counting as the int it equals), with each type's rank read off its
+    position; every other tuple is a DomainError naming it."""
+    values = (*range(-1, 5), True, False)
+    accepted = 0
+    for length in range(5):
+        for ranking in itertools.product(values, repeat=length):
+            if sorted(ranking) == list(range(length)):
+                order = PreferenceOrder(ranking)
+                assert order.ranks == tuple(ranking.index(o) + 1 for o in range(length))
+                accepted += 1
+            else:
+                with pytest.raises(DomainError) as info:
+                    PreferenceOrder(ranking)
+                assert str(info.value) == (
+                    f"ranking must be a permutation of 0..{length - 1}, got {ranking!r}"
+                )
+    # Each permutation, with False or 0 for 0 and True or 1 for 1.
+    assert accepted == 1 + 2 + 2 * 4 + 6 * 4 + 24 * 4
 
 
 def test_order_rank_of_unranked_type():
@@ -223,3 +250,26 @@ def test_profile_replace_and_checks():
     short = PreferenceOrder((0, 1))
     with pytest.raises(DomainError):
         check_profile(market, Profile((truth, truth, short)))
+
+
+def test_check_profile_checks_lengths_without_calling_check_order(monkeypatch):
+    """``check_profile`` compares each order's length with the market's type
+    count itself, and calls ``Market.check_order`` only for an order of the
+    wrong length, to raise its message."""
+    market = example2_market()
+    truth = order_from_names(market, "o1>null>o2")
+    calls = []
+    real = Market.check_order
+
+    def counting(self, order):
+        calls.append(order)
+        return real(self, order)
+
+    monkeypatch.setattr(Market, "check_order", counting)
+    check_profile(market, Profile((truth, truth, truth)))
+    assert calls == []
+    for short in (PreferenceOrder((0, 1)), PreferenceOrder((0, 1, 2, 3))):
+        with pytest.raises(DomainError) as info:
+            check_profile(market, Profile((truth, short, truth)))
+        assert str(info.value) == f"order ranks {len(short)} types but the market has 3"
+    assert len(calls) == 2

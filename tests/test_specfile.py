@@ -1,5 +1,8 @@
 """Tests for the market file parser and renderer."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from rankmech import (
@@ -12,6 +15,10 @@ from rankmech import (
     render_market_spec,
 )
 from rankmech.examples import EXAMPLE2_SPEC
+
+import oracles
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_bundled_spec():
@@ -257,3 +264,224 @@ def test_capacity_bound_diagnostics():
 def test_error_string_carries_code_and_line():
     err = expect_error("type o1 capacity 0\n", "E_BAD_CAPACITY", 1)
     assert str(err) == "E_BAD_CAPACITY (line 1): capacity must be a positive integer, got '0'"
+
+
+def test_parsing_ties_16_builds_one_order_per_distinct_ranking(monkeypatch):
+    """Sixteen agents on two distinct ranking lines build two orders, and the
+    profile equals the line-by-line parser's."""
+    text = (DATA / "ties_16.txt").read_text()
+    expected = oracles.line_by_line_parse_market_spec(text)
+    built = []
+    real = PreferenceOrder.__post_init__
+
+    def counting(self):
+        built.append(self.ranking)
+        real(self)
+
+    monkeypatch.setattr(PreferenceOrder, "__post_init__", counting)
+    market, profile = parse_market_spec(text)
+    assert built == [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4)]
+    assert (market, profile) == expected
+    assert len(profile) == 16 and len({id(order) for order in profile.orders}) == 2
+
+
+# A seeded market file is kept as declarations, so that a broken file can
+# alter one before the lines are laid out: each type as [name, capacity
+# text, marker] and each agent as [name, ranking text].
+SPEC_TYPE_NAMES = ("o1", "o2", "o3", "o4", "x", "null", "out")
+
+
+def _ranking_text(rng, names):
+    return rng.choice((" > ", ">", "  >  ", " >")).join(names)
+
+
+def _declarations(rng):
+    m, n = rng.randint(3, 5), rng.randint(2, 7)
+    names = rng.sample(SPEC_TYPE_NAMES, m)
+    null = rng.randrange(m)
+    types = [
+        [name, str(rng.randint(n, n + 2) if o == null else rng.randint(1, n - 1)),
+         " null" if o == null else ""]
+        for o, name in enumerate(names)
+    ]
+    # A few shared ranking lines, some reusing a shared ranking with other spacing.
+    pool = [_ranking_text(rng, rng.sample(names, m)) for _ in range(rng.randint(1, 3))]
+    agents = []
+    for j in rng.sample(range(1, 10), n):
+        if rng.random() < 0.8:
+            text = rng.choice(pool)
+        else:
+            text = _ranking_text(rng, [part.strip() for part in rng.choice(pool).split(">")])
+        agents.append([f"a{j}", text])
+    return types, agents
+
+
+def _layout(rng, types, agents, extra=()):
+    """The file text: declarations in a seeded order (types may follow the
+    agents that rank them), with blank lines and comments between them."""
+    decls = [f"type {name} capacity {q}{marker}" for name, q, marker in types]
+    decls += [f"agent {name} prefers {text}" for name, text in agents]
+    decls += extra
+    if rng.random() < 0.5:
+        rng.shuffle(decls)
+    lines = []
+    for decl in decls:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "   ", "# agent z prefers > >")))
+        lines.append(decl + rng.choice(("", "", "  # o1 > o2")))
+    return "\n".join(lines) + "\n"
+
+
+def _break_ranking(rng, types, agents, ranked):
+    """Give one ranking text, altered to ``ranked``, to the first agent
+    holding it and to a later agent, so the broken text repeats."""
+    text = _ranking_text(rng, ranked)
+    first = rng.randrange(len(agents))
+    agents[first][1] = text
+    if first + 1 < len(agents):
+        agents[rng.randrange(first + 1, len(agents))][1] = text
+
+
+def _syntax(rng, types, agents):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ["bogus declaration"]
+    if kind == 1:
+        agents[rng.randrange(len(agents))][1] += " >"
+        return []
+    if kind == 2:
+        types[rng.randrange(len(types))][2] = " extra"
+        return []
+    return ["type a>b capacity 1"]
+
+
+def _dup_type(rng, types, agents):
+    name, q, _ = rng.choice(types)
+    return [f"type {name} capacity {q}"]
+
+
+def _dup_agent(rng, types, agents):
+    """A second declaration of an agent, on that agent's (shared) ranking."""
+    name, text = rng.choice(agents)
+    agents.append([name, text])
+    return []
+
+
+def _bad_capacity(rng, types, agents):
+    types[rng.randrange(len(types))][1] = rng.choice(("0", "-1", "x", "1.5", "\u0663"))
+    return []
+
+
+def _multi_null(rng, types, agents):
+    scarce = [t for t in types if not t[2]]
+    if not scarce:
+        return ["type spare capacity 9 null"]
+    rng.choice(scarce)[2] = " null"
+    return []
+
+
+def _no_null(rng, types, agents):
+    for t in types:
+        t[2] = ""
+    return []
+
+
+def _unknown_type(rng, types, agents):
+    ranked = [t[0] for t in types]
+    rng.shuffle(ranked)
+    ranked[rng.randrange(len(ranked))] = "zz"
+    _break_ranking(rng, types, agents, ranked)
+    return []
+
+
+def _ranking_incomplete(rng, types, agents):
+    ranked = [t[0] for t in types]
+    rng.shuffle(ranked)
+    if rng.random() < 0.5:
+        ranked.pop(rng.randrange(len(ranked)))
+    else:
+        ranked[rng.randrange(len(ranked))] = rng.choice(ranked)
+        if len(set(ranked)) == len(ranked):  # the choice landed on itself
+            ranked.pop()
+    _break_ranking(rng, types, agents, ranked)
+    return []
+
+
+def _market_size(rng, types, agents):
+    """One agent left, or two types: the null one and a scarce one."""
+    if rng.random() < 0.5:
+        del agents[1:]
+    else:
+        types.sort(key=lambda t: not t[2])
+        del types[2:]
+    return []
+
+
+def _capacity_bounds(rng, types, agents):
+    n = len(agents)
+    scarce = [t for t in types if not t[2]]
+    nulls = [t for t in types if t[2]]
+    if scarce and (not nulls or rng.random() < 0.5):
+        rng.choice(scarce)[1] = str(n + rng.randint(0, 2))
+    else:
+        nulls[0][1] = str(n - 1)
+    return []
+
+
+BREAKS = {
+    "E_SYNTAX": _syntax,
+    "E_DUP_TYPE": _dup_type,
+    "E_DUP_AGENT": _dup_agent,
+    "E_BAD_CAPACITY": _bad_capacity,
+    "E_MULTI_NULL": _multi_null,
+    "E_NO_NULL": _no_null,
+    "E_UNKNOWN_TYPE": _unknown_type,
+    "E_RANKING_INCOMPLETE": _ranking_incomplete,
+    "E_MARKET_SIZE": _market_size,
+    "E_CAPACITY_BOUNDS": _capacity_bounds,
+}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MarketSpecError as err:
+        return err.code, err.line, err.message
+
+
+def test_parse_matches_the_line_by_line_parser_on_valid_files():
+    """Seeded valid files, with shared and distinct ranking lines, comments,
+    blank lines and types declared after agents, parse to the market and
+    profile the line-by-line parser gives."""
+    rng = random.Random(4201)
+    shared = 0
+    for _ in range(400):
+        types, agents = _declarations(rng)
+        text = _layout(rng, types, agents)
+        market, profile = parse_market_spec(text)
+        assert (market, profile) == oracles.line_by_line_parse_market_spec(text), text
+        shared += len({text for _, text in agents}) < len(agents)
+    assert shared > 200
+
+
+@pytest.mark.parametrize("code", sorted(BREAKS))
+def test_parse_raises_what_the_line_by_line_parser_raises(code):
+    """Seeded files broken in one way raise that code, at the line and with
+    the message the line-by-line parser reports; files broken in two or
+    three ways at once report the same first fault as it does."""
+    rng = random.Random(f"4202-{code}")
+    for _ in range(40):
+        types, agents = _declarations(rng)
+        extra = BREAKS[code](rng, types, agents)
+        text = _layout(rng, types, agents, extra)
+        got = _outcome(parse_market_spec, text)
+        assert got == _outcome(oracles.line_by_line_parse_market_spec, text), text
+        assert got[0] == code, text
+    for _ in range(40):
+        types, agents = _declarations(rng)
+        extra = BREAKS[code](rng, types, agents)
+        for other in rng.sample(sorted(BREAKS), rng.randint(1, 2)):
+            extra += BREAKS[other](rng, types, agents)
+        text = _layout(rng, types, agents, extra)
+        got = _outcome(parse_market_spec, text)
+        assert got == _outcome(oracles.line_by_line_parse_market_spec, text), text
