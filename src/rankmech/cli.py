@@ -149,7 +149,7 @@ def _budget(args: argparse.Namespace) -> Budget:
 
 def _load(path: str) -> tuple[Market, Profile]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise MarketSpecError("E_IO", 0, f"cannot read {path}: {err}") from err

@@ -18,12 +18,12 @@ compares over an empty prefix, never failing and never strict, so its
 pairs are left out of the walk and no row is read for them.  The first
 failing opponent profile in product order is a sorted tuple of class
 representatives, the least lift of its class multiset, so the witnesses
-are those of the full product.  The sweeps decide class pairs rather than
-witness them, and keep the verdicts on the class tables, per (mechanism,
-refusal), for every later sweep (:func:`_decided`).  Before their walk
-they compare each pair on its truth class's clones, the first group of
-the paper's separating profile (:func:`adversarial_profile`), and walk
-only the pairs that do not fail there.  The equal-treatment sweep and
+are those of the full product.  The sweeps read only whether each class
+pair's witnesses exist, and keep those verdicts on the class tables, per
+(mechanism, refusal), for every later sweep (:func:`_decided`).  Before
+their walk they compare each pair on its truth class's clones, the first
+group of the paper's separating profile (:func:`adversarial_profile`), and
+walk only the pairs that do not fail there.  The equal-treatment sweep and
 ``prop3`` read their rows from the same source.
 """
 
@@ -320,10 +320,9 @@ def _decided(
     decided is first compared on its truth class's clones
     (:func:`_clone_failures`); a pair failing there fails, neither weakly
     nor strictly dominating, as the walk would find.  Only the other pairs
-    are walked together, deciding rather than witnessing
-    (:func:`_walk_pairs`), and the table is written only once that walk has
-    finished, so a comparison that raises, on the clones or in the walk,
-    leaves none of the verdicts behind.
+    are walked together (:func:`_walk_pairs`), and the table is written
+    only once that walk has finished, so a comparison that raises, on the
+    clones or in the walk, leaves none of the verdicts behind.
     """
     get_mechanism(mechanism)
     table = source.verdicts.setdefault(
@@ -332,7 +331,7 @@ def _decided(
     undecided = {pair for pair in pairs if pair not in table}
     if undecided:
         failing = _clone_failures(source, mechanism, refusal, undecided)
-        found = _walk_pairs(source, mechanism, refusal, undecided - failing, decide=True)
+        found = _walk_pairs(source, mechanism, refusal, undecided - failing)
         table.update(dict.fromkeys(failing, (False, False)))
         table.update(
             (pair, (failure is None, failure is None and strict is not None))
@@ -352,9 +351,10 @@ def _clone_failures(
     (:func:`adversarial_profile`).  On every market of three or more agents
     measured, every pair that fails anywhere fails there, and a pair that
     fails there need not be walked; the pairs left, failing or not, are
-    decided by the walk, so this stage changes no verdict, only the work.  The rows are those the walk reads on that multiset, one ``ends``
-    and one truth row per truth class and one row per candidate, and they
-    are compared by the walk's cumulative cross-multiplication along the
+    decided by the walk, so this stage changes no verdict, only the work.
+    The rows are those the walk reads on that multiset, one ``ends`` and
+    one truth row per truth class and one row per candidate, and they are
+    compared by the walk's cumulative cross-multiplication along the
     truth's compared prefix (:func:`_walk_pairs`), so a failure found here
     is one the walk finds; only whether the pair fails is read.  The rows
     that no crowd-out parse can override are read through
@@ -396,8 +396,6 @@ def _walk_pairs(
     mechanism: str,
     refusal: bool,
     pairs: Iterable[tuple[int, int]],
-    *,
-    decide: bool = False,
 ) -> dict[tuple[int, int], list[tuple[int, ...] | None]]:
     """First failing and first strict opponent class multiset of every pair
     of distinct classes (truth class, candidate class).
@@ -428,13 +426,9 @@ def _walk_pairs(
     as a full walk would leave them, and their classes' rows are read only
     where an open pair needs them.  Every other pair is an open entry of
     the walk.  An entry closes once both of its witnesses are found, and
-    the walk ends once no entry is open.  With ``decide`` on, an entry
-    closes at its first failure instead, since nothing after it changes
-    the pair's verdict.  An entry that weakly
-    dominates still walks to the end, so the failure witness of every pair,
-    and the strict witness of every pair that weakly dominates, are those of
-    the full walk, whatever pairs are walked with it; a failing pair keeps
-    only a strict witness found before its failure.
+    the walk ends once no entry is open, so both witnesses of every pair
+    are those of a walk over that pair alone, whatever pairs are walked
+    with it.
     """
     parse = mechanism == "modified"
     m = source.n_types
@@ -469,15 +463,12 @@ def _walk_pairs(
             if not weak:
                 if slot[0] is None:
                     slot[0] = combo
-                    closed = closed or decide or slot[1] is not None
+                    closed = closed or slot[1] is not None
             elif strict and slot[1] is None:
                 slot[1] = combo
                 closed = closed or slot[0] is not None
         if closed:
-            open_pairs = [
-                entry for entry in open_pairs
-                if entry[3][0] is None or (not decide and entry[3][1] is None)
-            ]
+            open_pairs = [entry for entry in open_pairs if None in entry[3]]
             if not open_pairs:
                 break
             needed = {r for t, c, _, _ in open_pairs for r in (t, c)}

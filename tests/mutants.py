@@ -72,6 +72,112 @@ MUTANTS = (
         "                    failing.add((t, c))\n",
         ("tests/test_sweeps.py::test_truth_clone_certificates_leave_the_verdict_tables_unchanged",),
     ),
+    Mutant(
+        "member-rows-not-divided-by-k",
+        "rankmech/mechanisms.py",
+        "        return here, [c // self.k for c in mass]\n",
+        "        return here, mass\n",
+        (
+            "tests/test_mechanisms.py::test_uniform_rows_match_enumeration_on_every_small_profile",
+            "tests/test_cli.py::test_pinned_output[reproduce-examples]",
+        ),
+    ),
+    Mutant(
+        "splits-step-without-guard-test",
+        "rankmech/mechanisms.py",
+        "                if (room - need) & guards != guards:\n"
+        "                    continue\n",
+        "",
+        (
+            "tests/test_mechanisms.py::test_grouped_count_pass_matches_the_per_agent_pass",
+            "tests/test_mechanisms.py::test_uniform_rows_match_enumeration_on_random_markets",
+        ),
+    ),
+    Mutant(
+        "no-refusal-comparison-stops-one-rank-early",
+        "rankmech/strategy.py",
+        "    for (t, c), slot in found.items():\n"
+        "        prefix = source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]]\n",
+        "    for (t, c), slot in found.items():\n"
+        "        prefix = source.classes[t].ranking[: null_rank[t] - 1]\n",
+        (
+            "tests/test_cli.py::test_pinned_output[dominance-3x5-candidate]",
+            "tests/test_strategy.py::test_dominance_matches_product_oracle_on_every_small_query[example2_market-uniform-False]",
+        ),
+    ),
+    Mutant(
+        "thm1-count-without-truth-class-size",
+        "rankmech/sweeps.py",
+        "    checked = n * sum(size[t] for t, _, _ in units)\n",
+        "    checked = n * len(units)\n",
+        (
+            "tests/test_cli.py::test_pinned_output[sweep-3x5-thm1]",
+            "tests/test_sweeps.py::test_class_pair_sweeps_match_the_order_pair_oracles[thm1]",
+        ),
+    ),
+    Mutant(
+        "placeholder-verdicts-before-the-walk",
+        "rankmech/strategy.py",
+        "        failing = _clone_failures(source, mechanism, refusal, undecided)\n",
+        "        table.update(dict.fromkeys(undecided, (True, False)))\n"
+        "        failing = _clone_failures(source, mechanism, refusal, undecided)\n",
+        (
+            "tests/test_sweeps.py::test_a_walk_that_raises_keeps_none_of_its_verdicts",
+        ),
+    ),
+    Mutant(
+        "empty-prefix-pairs-walked",
+        "rankmech/strategy.py",
+        "        if prefix:  # an empty comparison neither fails nor is strict anywhere\n",
+        "        if True:\n",
+        (
+            "tests/test_sweeps.py::test_the_walk_reads_rows_only_for_open_pairs_that_compare",
+            "tests/test_sweeps.py::test_the_sweeps_walk_reads_the_pinned_rows[3x(1,1)]",
+        ),
+    ),
+    Mutant(
+        "class-tables-built-before-the-budget-check",
+        "rankmech/mechanisms.py",
+        "    _check_budget(market, budget)\n"
+        "    if market._class_rows is None:\n"
+        "        object.__setattr__(market, \"_class_rows\", _ClassRows(market))\n",
+        "    if market._class_rows is None:\n"
+        "        object.__setattr__(market, \"_class_rows\", _ClassRows(market))\n"
+        "    _check_budget(market, budget)\n",
+        (
+            "tests/test_sweeps.py::test_an_over_budget_market_builds_no_class_tables",
+        ),
+    ),
+    Mutant(
+        "prop3-without-agent-0s-refusal",
+        "rankmech/sweeps.py",
+        "        rows = (_refused(market, row, truth), *(row,) * (n - 1))\n",
+        "        rows = (row, *(row,) * (n - 1))\n",
+        (
+            "tests/test_sweeps.py::test_demotion_waste_matches_the_fraction_oracle[ex2]",
+            "tests/test_sweeps.py::test_demotion_waste_matches_the_fraction_oracle[four]",
+        ),
+    ),
+    Mutant(
+        "walk-closes-an-entry-at-its-first-failure",
+        "rankmech/strategy.py",
+        "                    closed = closed or slot[1] is not None\n"
+        "            elif strict and slot[1] is None:\n"
+        "                slot[1] = combo\n"
+        "                closed = closed or slot[0] is not None\n"
+        "        if closed:\n"
+        "            open_pairs = [entry for entry in open_pairs if None in entry[3]]\n",
+        "                    closed = True\n"
+        "            elif strict and slot[1] is None:\n"
+        "                slot[1] = combo\n"
+        "                closed = closed or slot[0] is not None\n"
+        "        if closed:\n"
+        "            open_pairs = [entry for entry in open_pairs if entry[3][0] is None]\n",
+        (
+            "tests/test_cli.py::test_pinned_output[dominance-3x5-candidate]",
+            "tests/test_strategy.py::test_dominance_matches_product_oracle_on_every_small_query[example2_market-modified-True]",
+        ),
+    ),
 )
 
 

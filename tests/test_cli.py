@@ -383,14 +383,34 @@ def test_decompose_with_a_million_null_seats(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("content", [None, b"type o1 capacity 1\xff\n"],
-                         ids=["missing", "not-utf-8"])
+@pytest.mark.parametrize("content", [None, b"type o1 capacity 1\xff\n",
+                                     b"\xef\xbb\xbftype o1 capacity 1\xff\n"],
+                         ids=["missing", "not-utf-8", "byte-order-mark-then-not-utf-8"])
 def test_unreadable_spec_file_is_a_usage_error(tmp_path, capsys, content):
     path = tmp_path / "market.txt"
     if content is not None:
         path.write_bytes(content)
     assert main(["assign", "--spec", str(path)]) == 2
     assert "E_IO" in capsys.readouterr().err
+
+
+def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path, capsys):
+    """A spec or truth file saved with a UTF-8 byte-order mark prints what
+    the same file without it prints; a truth file that is not UTF-8 after
+    the mark is an unreadable file, as a spec file is."""
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        spec, truth = tmp_path / f"{name}-spec.txt", tmp_path / f"{name}-truth.txt"
+        spec.write_bytes(bom + WIDE_SPEC.encode())
+        truth.write_bytes(bom + WIDE_SPEC.replace("o1 > null > o2", "o1 > o2 > null").encode())
+        argv = ["assign", "--spec", str(spec), "--refusal", "--truth", str(truth)]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    broken = tmp_path / "broken.txt"
+    broken.write_bytes(b"\xef\xbb\xbftype o1 capacity 1\xff\n")
+    assert main(["assign", "--spec", str(spec), "--refusal", "--truth", str(broken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: E_IO (line 0): cannot read {broken}: ")
 
 
 @pytest.mark.parametrize("command, csv", [

@@ -291,7 +291,7 @@ def _lifted(source, combo):
 @pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
-    """A sweep decides all its class pairs in one call of the deciding walk
+    """A sweep decides all its class pairs in one call of ``_decided``
     and checks agent 0's units only, each counted once per agent.  The class
     pairs it hands the walk are those of its units, plus ties inside one
     class.  For every agent and every unit, the booleans the sweep reads for
@@ -345,10 +345,9 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
     """The full walk, which ``check_dominance`` and ``rankmech dominance``
     run, finds the product oracle's witnesses on every unit of a dominance
     sweep.  The sweep's undecided class pairs are split between those its
-    truth-clone certificates fail and those its deciding walk takes: every
-    certified pair has a failure witness in the full walk, and the deciding
-    walk finds the full walk's failure witness on every pair it takes, and
-    its strict witness wherever the pair weakly dominates."""
+    truth-clone certificates fail and those its walk takes: every certified
+    pair has a failure witness in the walk over all undecided pairs, and the
+    sweep's walk finds both witnesses of that walk on every pair it takes."""
     market = make_market()
     certified, walks = [], []
     certify, walk = strategy._clone_failures, strategy._walk_pairs
@@ -359,10 +358,10 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
         certified.append((pairs, failing))
         return failing
 
-    def recording(source, mechanism, refusal, pairs, **kwargs):
+    def recording(source, mechanism, refusal, pairs):
         pairs = list(pairs)
-        found = walk(source, mechanism, refusal, pairs, **kwargs)
-        walks.append((source, mechanism, refusal, pairs, kwargs, found))
+        found = walk(source, mechanism, refusal, pairs)
+        walks.append((source, mechanism, refusal, pairs, found))
         return found
 
     monkeypatch.setattr(strategy, "_clone_failures", certifying)
@@ -373,18 +372,13 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
         assert certified == walks == []
         return
     [(undecided, failing)] = certified
-    [(source, mechanism, refusal, pairs, kwargs, decided)] = walks
-    assert kwargs == {"decide": True}
+    [(source, mechanism, refusal, pairs, walked)] = walks
     assert failing.isdisjoint(pairs) and failing | set(pairs) == undecided
     full = walk(source, mechanism, refusal, undecided)
-    assert full.keys() == undecided and decided.keys() == set(pairs)
+    assert full.keys() == undecided and walked.keys() == set(pairs)
     assert all(full[pair][0] is not None for pair in failing)
     for pair in pairs:
-        failure, strict = full[pair]
-        decided_failure, decided_strict = decided[pair]
-        assert decided_failure == failure
-        if failure is None:
-            assert decided_strict == strict
+        assert walked[pair] == full[pair]
     witnessed = strategy._first_witnesses(market, mechanism, refusal, units, DEFAULT_BUDGET)
     assert witnessed.keys() == set(units)
     others = range(1, market.n_agents)
@@ -809,7 +803,7 @@ class _Listed(Exception):
 
 def _sweep_pairs(monkeypatch, prop, market):
     """The mechanism, refusal and class pairs the dominance sweep ``prop``
-    hands its deciding walk, where the sweep stops, and the sweep's units."""
+    hands ``_decided``, where the sweep stops, and the sweep's units."""
     listed = []
 
     def record(source, mechanism, refusal, pairs):
@@ -845,10 +839,10 @@ def test_pairs_sharing_a_comparison_get_their_own_witnesses(monkeypatch, name, p
     """Units making the same comparison share one class pair, and so one
     entry of the class-pair walk.  Every market here has such units in
     every sweep.  From two seeded groups of them, the first and last unit
-    each get the witnesses of a walk over that pair alone: deciding, as
-    class pairs amid every class pair the sweep hands its walk, and in
-    full, as order pairs amid the units of the two groups (the whole list
-    walks for seconds there on the 3 x 5 market)."""
+    each get the witnesses of a walk over that pair alone: as class pairs
+    amid every class pair the sweep hands its walk, and as order pairs amid
+    the units of the two groups (the whole list walks for seconds there on
+    the 3 x 5 market)."""
     market = SHARING_MARKETS[name]
     mechanism, refusal, class_pairs, pairs = _sweep_pairs(monkeypatch, prop, market)
     shared = [group for group in _comparisons(market, refusal, pairs).values() if len(group) > 1]
@@ -856,13 +850,13 @@ def test_pairs_sharing_a_comparison_get_their_own_witnesses(monkeypatch, name, p
     groups = random.Random(f"{name} {prop}").sample(shared, min(2, len(shared)))
     source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     distinct = [(t, c) for t, c in class_pairs if t != c]
-    decided = strategy._walk_pairs(source, mechanism, refusal, distinct, decide=True)
+    amid = strategy._walk_pairs(source, mechanism, refusal, distinct)
     walked = [pair for group in groups for pair in group]
     full = strategy._first_witnesses(market, mechanism, refusal, walked, DEFAULT_BUDGET)
     for pair in (pair for group in groups for pair in (group[0], group[-1])):
         key = _class_pair(source, pair)
-        alone = strategy._walk_pairs(source, mechanism, refusal, [key], decide=True)
-        assert decided[key] == alone[key]
+        alone = strategy._walk_pairs(source, mechanism, refusal, [key])
+        assert amid[key] == alone[key]
         alone = strategy._first_witnesses(market, mechanism, refusal, [pair], DEFAULT_BUDGET)
         assert full[pair] == alone[pair]
 
@@ -1131,9 +1125,9 @@ CERTIFIED_MARKETS = {
 @pytest.mark.parametrize("name", sorted(CERTIFIED_MARKETS))
 def test_truth_clone_certificates_leave_the_verdict_tables_unchanged(monkeypatch, name):
     """Every key's verdict table over every class pair is the same whether
-    the pairs that fail on their truths' clones skip the deciding walk or
-    not, on the walk markets, on seeded markets, under both denial fixtures
-    and on scrambled rows.  Each table is decided on fresh class tables."""
+    the pairs that fail on their truths' clones skip the walk or not, on
+    the walk markets, on seeded markets, under both denial fixtures and on
+    scrambled rows.  Each table is decided on fresh class tables."""
     market, make = CERTIFIED_MARKETS[name]
     tables = []
     for certify in (strategy._clone_failures, lambda *args: set()):
@@ -1146,10 +1140,10 @@ def test_truth_clone_certificates_leave_the_verdict_tables_unchanged(monkeypatch
 
 def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
     """A row that raises while a sweep compares its undecided pairs, on
-    their truths' clones or in the middle of the deciding walk, leaves the
-    market's verdict table for that key as it was before, whether it was
-    new or held an earlier sweep's verdicts, and later sweeps on the market
-    give what they give on a fresh one."""
+    their truths' clones or in the middle of the walk, leaves the market's
+    verdict table for that key as it was before, whether it was new or held
+    an earlier sweep's verdicts, and later sweeps on the market give what
+    they give on a fresh one."""
     key = ("uniform", True)
     real, walk = mechanisms._ClassRows.row, strategy._walk_pairs
     for stage in ("certificates", "walk"):
@@ -1188,14 +1182,13 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
 def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
     """``thm2``'s class pairs are among ``thm1``'s, under the same key
     (uniform, refusal on): run after ``thm1`` on one market it walks
-    nothing, and alone it runs its own deciding walk, with the same
-    outcome."""
+    nothing, and alone it runs its own walk, with the same outcome."""
     walks = []
     walk = strategy._walk_pairs
 
-    def recording(source, mechanism, refusal, pairs, **kwargs):
-        walks.append((mechanism, refusal, kwargs))
-        return walk(source, mechanism, refusal, pairs, **kwargs)
+    def recording(source, mechanism, refusal, pairs):
+        walks.append((mechanism, refusal))
+        return walk(source, mechanism, refusal, pairs)
 
     monkeypatch.setattr(strategy, "_walk_pairs", recording)
     for market in (example2_market(), FOUR_AGENTS, DOUBLE_SEAT):
@@ -1203,10 +1196,10 @@ def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
         walks.clear()
         sweep_demotion_weak_dominance(shared)
         after = sweep_demotion_strict_gain(shared)
-        assert walks == [("uniform", True, {"decide": True})]
+        assert walks == [("uniform", True)]
         walks.clear()
         assert sweep_demotion_strict_gain(dataclasses.replace(market)) == after
-        assert walks == [("uniform", True, {"decide": True})]
+        assert walks == [("uniform", True)]
         assert after.checked > 0
 
 
@@ -1223,12 +1216,12 @@ def _spy(monkeypatch, method, seen):
 
 def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     """Under refusal a truth class ranking its outside option first
-    compares over an empty prefix.  Given only such pairs, deciding or not,
-    the walk visits no multiset and reads no row, and every pair keeps no
-    witness.  On the 3 x 5 market every row a deciding walk over all of
-    ``prop5``'s pairs of distinct classes reads is of a class in a pair
-    with a nonempty prefix still open at that multiset, and the walk ends
-    at the multiset where the last such pair closes."""
+    compares over an empty prefix.  Given only such pairs, the walk visits
+    no multiset and reads no row, and every pair keeps no witness.  On the
+    3 x 5 market every row a walk over all of ``prop5``'s pairs of distinct
+    classes reads is of a class in a pair with a nonempty prefix still open
+    at that multiset, and the walk ends at the multiset where the last such
+    pair closes."""
     market = dataclasses.replace(MARKET_3X5)
     source = mechanisms._class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
@@ -1239,9 +1232,8 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     _spy(monkeypatch, "walk", seen)
     _spy(monkeypatch, "row", seen)
     for mechanism in ("uniform", "modified"):
-        for decide in (False, True):
-            found = strategy._walk_pairs(source, mechanism, True, empty, decide=decide)
-            assert found == {pair: [None, None] for pair in empty}
+        found = strategy._walk_pairs(source, mechanism, True, empty)
+        assert found == {pair: [None, None] for pair in empty}
     assert seen == []
     monkeypatch.undo()
 
@@ -1260,15 +1252,15 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     monkeypatch.setattr(mechanisms._ClassRows, "walk", visiting)
     monkeypatch.setattr(mechanisms._ClassRows, "row", reading)
     pairs = [(t, c) for t in classes for c in classes if t != c]
-    found = strategy._walk_pairs(source, "modified", True, pairs, decide=True)
+    found = strategy._walk_pairs(source, "modified", True, pairs)
     compared = [(t, c) for t, c in pairs if null_rank[t] > 1]
     assert 0 < len(compared) < len(pairs)
 
-    # a deciding walk closes a pair at its first failure, after reading its rows there
+    # a pair closes where the later of its witnesses is found, after reading its rows there
     multisets = list(itertools.combinations_with_replacement(classes, market.n_agents - 1))
     position = {combo: i for i, combo in enumerate(multisets)}
     closes = {
-        pair: len(multisets) if found[pair][0] is None else position[found[pair][0]]
+        pair: len(multisets) if None in found[pair] else max(map(position.get, found[pair]))
         for pair in compared
     }
     last_open = [
@@ -1285,7 +1277,7 @@ MARKET_4X5 = parse_market_spec((Path(__file__).parent / "data" / "market_4x5.txt
 
 def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monkeypatch):
     """On the 4 x 5 market every pair of distinct classes that fails
-    anywhere fails on its truth's clones, so a sweep's deciding walk
+    anywhere fails on its truth's clones, so a sweep's walk
     compares exactly its pairs that weakly dominate: none for ``prop2`` and
     ``prop5``, 132 for no strict dominance under the uniform mechanism with
     refusal, and 72 for ``thm1``.  The pairs with an empty comparison go to
@@ -1296,9 +1288,9 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
     listed = []
     walk = strategy._walk_pairs
 
-    def recording(source, mechanism, refusal, pairs, **kwargs):
+    def recording(source, mechanism, refusal, pairs):
         listed.append((source, list(pairs)))
-        return walk(source, mechanism, refusal, pairs, **kwargs)
+        return walk(source, mechanism, refusal, pairs)
 
     monkeypatch.setattr(strategy, "_walk_pairs", recording)
     market = dataclasses.replace(MARKET_4X5)
@@ -1321,7 +1313,7 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
         assert walked_on is source and compares(key[1], pairs) == weak
         assert len(weak) == weakly and len(pairs) - len(weak) == dropped
 
-    def listing(source, mechanism, refusal, pairs, **kwargs):
+    def listing(source, mechanism, refusal, pairs):
         listed.append((source, list(pairs)))
         raise _Listed
 
@@ -1334,6 +1326,49 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
     weak = {pair for pair in compares(True, class_pairs) if verdicts[pair][0]}
     assert compares(True, pairs) == weak
     assert len(weak) == 72 and len(pairs) - len(weak) == 24
+
+
+# Rows the walk reads for each dominance token, the sweeps run in ``SWEEPS``
+# order on one market; the other tokens walk nothing.  The two-agent market's
+# walked pairs fail, and its rows are read until both witnesses are found.
+WALK_ROWS = {
+    (2, (1, 1, 1, 1)): {"prop2": 3900, "prop5": 4060, "thm1": 4160},
+    (3, (2, 2, 1)): {"prop2": 1632, "prop5": 1632, "thm1": 2040},
+    (4, (1, 2, 3)): {"prop2": 6528, "prop5": 6528, "thm1": 12240},
+    (3, (1, 1)): {"prop2": 0, "prop5": 0, "thm1": 60},
+}
+
+
+@pytest.mark.parametrize(
+    "shape", sorted(WALK_ROWS), ids=lambda shape: f"{shape[0]}x{shape[1]}".replace(" ", "")
+)
+def test_the_sweeps_walk_reads_the_pinned_rows(monkeypatch, shape):
+    """A work pin: the rows ``_walk_pairs`` reads while every ``SWEEPS``
+    token runs in order on one market; rows read outside the walk, by the
+    truth-clone certificates, are not counted."""
+    rows, walking = [], []
+    walk, row = strategy._walk_pairs, mechanisms._ClassRows.row
+
+    def counting(self, *args):
+        rows[-1] += bool(walking)
+        return row(self, *args)
+
+    def entering(*args):
+        walking.append(True)
+        try:
+            return walk(*args)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(strategy, "_walk_pairs", entering)
+    monkeypatch.setattr(mechanisms._ClassRows, "row", counting)
+    market = _market(*shape)
+    read = {}
+    for token, sweep in SWEEPS.items():
+        rows.append(0)
+        sweep(market, DEFAULT_BUDGET)
+        read[token] = rows[-1]
+    assert read == {token: WALK_ROWS[shape].get(token, 0) for token in SWEEPS}
 
 
 def test_sweeps_share_the_class_tables_kept_on_the_market(monkeypatch):
