@@ -11,6 +11,7 @@ SIGPIPE) stdout's reader closed before the output was written.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -21,7 +22,7 @@ from .assignment import (
     render_matrix,
     wastefulness_witness,
 )
-from .errors import BudgetError, DomainError, MarketSpecError
+from .errors import BudgetError, DomainError, MarketSpecError, RankMechError
 from .examples import run_example_checks
 from .market import Market, Profile, order_from_names, order_to_names
 from .mechanisms import Budget, DEFAULT_BUDGET, get_mechanism
@@ -44,12 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     assign = sub.add_parser("assign", help="run a mechanism on a market file")
+    assign.set_defaults(run=_cmd_assign)
     _common_flags(assign)
     assign.add_argument("--truth", metavar="PATH",
                         help="market file whose rankings are the true orders, "
                              "read with --refusal (defaults to the revealed ones)")
 
     dominance = sub.add_parser("dominance", help="test a reveal against the truth")
+    dominance.set_defaults(run=_cmd_dominance)
     _common_flags(dominance, csv=False)
     dominance.add_argument("--agent", required=True, help="agent name from the spec")
     dominance.add_argument("--truth-order", required=True, metavar="ORDER",
@@ -60,16 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="test every outside-option demotion of the truth")
 
     sweep = sub.add_parser("sweep", help="exhaustively check a named property")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("property", choices=list(SWEEPS),
                        help="property to check over the market")
     _common_flags(sweep, mechanism=False, refusal=False, csv=False)
 
-    sub.add_parser("reproduce-examples",
-                   help="replay the bundled example markets bit-exactly")
+    sub.add_parser(
+        "reproduce-examples", help="replay the bundled example markets bit-exactly"
+    ).set_defaults(run=_cmd_reproduce)
 
     decompose_cmd = sub.add_parser(
         "decompose", help="decompose a mechanism output into deterministic parts"
     )
+    decompose_cmd.set_defaults(run=_cmd_decompose)
     _common_flags(decompose_cmd, refusal=False)
 
     return parser
@@ -109,36 +115,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "assign" and args.truth is not None and not args.refusal:
         parser.error("assign reads --truth only with --refusal")
     try:
-        code = _dispatch(args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # What is still buffered goes to devnull, so the exit flush succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except MarketSpecError as err:
+    except RankMechError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BudgetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "assign":
-        return _cmd_assign(args)
-    if args.command == "dominance":
-        return _cmd_dominance(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "reproduce-examples":
-        return _cmd_reproduce()
-    if args.command == "decompose":
-        return _cmd_decompose(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return 3 if isinstance(err, BudgetError) else 2
 
 
 def _budget(args: argparse.Namespace) -> Budget:
@@ -157,11 +143,11 @@ def _load(path: str) -> tuple[Market, Profile]:
 
 
 def _write_csv(path: str, market: Market, x) -> None:
-    lines = ["agent,type,probability"]
-    lines += [",".join(row) for row in csv_rows(market, x)]
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("agent", "type", "probability"))
+            writer.writerows(csv_rows(market, x))
     except OSError as err:
         raise DomainError(f"cannot write {path}: {err}") from err
 
@@ -260,7 +246,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if outcome.passed else 1
 
 
-def _cmd_reproduce() -> int:
+def _cmd_reproduce(args: argparse.Namespace) -> int:
     failures = 0
     for label, ok, detail in run_example_checks():
         if ok:

@@ -27,14 +27,12 @@ class PreferenceOrder:
     validated once, when it is built, in the same pass that fills its rank
     table, ``ranks[o]`` being the rank of type ``o``: an entry that is not
     an int, is out of range or repeats raises ``DomainError`` (a bool counts
-    as the int it equals).  It also stores its hash, ``hash((ranking,))``,
-    the hash the dataclass would compute on every call; neither takes part
-    in ``==`` or ``repr``.
+    as the int it equals).  The table takes no part in ``==``, ``hash`` or
+    ``repr``, which the dataclass derives from ``ranking`` alone.
     """
 
     ranking: tuple[TypeIndex, ...]
     ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.ranking)
@@ -46,10 +44,6 @@ class PreferenceOrder:
                 )
             ranks[o] = k
         object.__setattr__(self, "ranks", tuple(ranks))
-        object.__setattr__(self, "_hash", hash((self.ranking,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def rank(self, o: TypeIndex) -> int:
         """1-based rank of type ``o`` under this order."""

@@ -178,6 +178,47 @@ MUTANTS = (
             "tests/test_strategy.py::test_dominance_matches_product_oracle_on_every_small_query[example2_market-modified-True]",
         ),
     ),
+    Mutant(
+        "budget-error-exits-2",
+        "rankmech/cli.py",
+        "        return 3 if isinstance(err, BudgetError) else 2\n",
+        "        return 2\n",
+        (
+            "tests/test_cli.py::test_budget_exceeded_exit_code",
+            "tests/test_cli.py::test_sweep_checks_the_budget_before_listing_orders[prop2]",
+        ),
+    ),
+    Mutant(
+        "csv-fields-joined-unquoted",
+        "rankmech/cli.py",
+        "            writer = csv.writer(handle, lineterminator=\"\\n\")\n"
+        "            writer.writerow((\"agent\", \"type\", \"probability\"))\n"
+        "            writer.writerows(csv_rows(market, x))\n",
+        "            handle.write(\"agent,type,probability\\n\")\n"
+        "            handle.writelines(\",\".join(row) + \"\\n\" for row in csv_rows(market, x))\n",
+        ("tests/test_cli.py::test_csv_quotes_names_holding_a_comma_or_a_double_quote",),
+    ),
+    Mutant(
+        "order-hash-of-the-bare-ranking",
+        "rankmech/market.py",
+        "        object.__setattr__(self, \"ranks\", tuple(ranks))\n",
+        "        object.__setattr__(self, \"ranks\", tuple(ranks))\n"
+        "\n"
+        "    def __hash__(self) -> int:\n"
+        "        return hash(self.ranking)\n",
+        ("tests/test_market.py::test_order_rank_table_leaves_identity_unchanged",),
+    ),
+    Mutant(
+        "first-with-room-by-type-index",
+        "rankmech/mechanisms.py",
+        "            for o in reversed(order.ranking):\n",
+        "            for o in reversed(range(market.n_types)):\n",
+        (
+            "tests/test_symmetry.py::test_swapping_types_of_equal_capacity_commutes_with_everything[4x(2,2,1,4)]",
+            "tests/test_symmetry.py::test_swapping_types_of_equal_capacity_commutes_with_everything[3x(1,1,1,1,3)]",
+            "tests/test_sweeps.py::test_class_rows_match_the_mechanism_rows[ex2-uniform]",
+        ),
+    ),
 )
 
 

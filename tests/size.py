@@ -5,7 +5,9 @@ part of a token other than a comment, a docstring or layout: blank lines,
 comment lines and docstrings (the leading string of a module, class or
 function, found with ``ast``) are left out, while every line of any other
 multi-line string or bracketed expression counts.  The report is one line
-per module, then a total per directory.
+per module, then a total per directory.  It ends with the private names
+(those starting with ``_``) that each module of ``src/`` imports from
+another through a relative ``from`` import, and their total.
 
 Run from anywhere, standard library only:
 
@@ -47,6 +49,13 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code)
 
 
+def private_imports(text: str) -> list[str]:
+    """The private names one module imports through relative ``from`` imports."""
+    return [alias.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def main() -> int:
     width = max(len(str(path.relative_to(ROOT)))
                 for directory in DIRECTORIES for path in (ROOT / directory).rglob("*.py"))
@@ -62,6 +71,14 @@ def main() -> int:
         totals.append((f"{directory}/ total", lines, code))
     for name, lines, code in totals:
         print(f"{name:<{width}} {lines:>6} {code:>6}")
+    print(f"\n{'private imports in src/':<{width}} {'names':>6}")
+    total = 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        names = private_imports(path.read_text(encoding="utf-8"))
+        if names:
+            print(f"{str(path.relative_to(ROOT)):<{width}} {len(names):>6}  {' '.join(names)}")
+            total += len(names)
+    print(f"{'total':<{width}} {total:>6}")
     return 0
 
 

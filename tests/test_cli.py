@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface via main()."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -143,6 +144,31 @@ def test_assign_writes_csv(spec_path, tmp_path, capsys):
     assert lines[0] == "agent,type,probability"
     assert lines[1] == "a1,o1,0"
     assert len(lines) == 10
+
+
+def test_csv_quotes_names_holding_a_comma_or_a_double_quote(tmp_path, capsys):
+    """A name may hold ``,`` or ``"``; such fields are quoted, so every row
+    reads back as three fields and every name round-trips."""
+    spec = tmp_path / "market.txt"
+    spec.write_text(
+        "type o1 capacity 1\n"
+        "type o,2 capacity 1\n"
+        "type null capacity 2 null\n"
+        'agent a"1 prefers o1 > o,2 > null\n'
+        'agent a,2 prefers o,2 > o1 > null\n',
+        encoding="utf-8",
+    )
+    csv_path = tmp_path / "out.csv"
+    assert main(["assign", "--spec", str(spec), "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    with open(csv_path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [len(row) for row in rows] == [3] * 7
+    assert rows[0] == ["agent", "type", "probability"]
+    assert [(agent, type_) for agent, type_, _ in rows[1:]] == [
+        (agent, type_) for agent in ('a"1', "a,2") for type_ in ("o1", "o,2", "null")
+    ]
+    assert rows[1] == ['a"1', "o1", "1"]
 
 
 def test_dominance_single_candidate(spec_path, capsys):
