@@ -4,7 +4,8 @@
 chosen one's sweep from that table.
 
 Exit codes: 0 success, 1 a checked property or reproduction failed,
-2 usage or spec-file errors, 3 enumeration budget exceeded, 141 (128 +
+2 usage or spec-file errors, 3 budget exceeded (``--budget-agents`` raises
+the agent limit; no flag raises the six-type limit), 141 (128 +
 SIGPIPE) stdout's reader closed before the output was written.
 """
 
@@ -97,7 +98,7 @@ def _common_flags(
         cmd.add_argument("--refusal", action="store_true",
                          help="filter outcomes through true acceptability")
     cmd.add_argument("--budget-agents", type=_positive_int, metavar="N",
-                     help="raise the enumeration budget's agent limit")
+                     help="raise the budget's agent limit (the six-type limit is fixed)")
     if csv:
         cmd.add_argument("--csv", metavar="PATH",
                          help="also write the final matrix as agent,type,probability")

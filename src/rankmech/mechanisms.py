@@ -48,12 +48,17 @@ from .errors import BudgetError, DomainError
 from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
 
 
+# The most types a market may have.  The class tables list all m! orders,
+# so this limit is fixed: no budget or flag raises it.
+TYPE_LIMIT = 6
+
+
 @dataclass(frozen=True)
 class Budget:
-    """Market size limits for the counting pass, enumeration and dominance walks."""
+    """The agent limit of the counting pass, enumeration and dominance walks,
+    which ``--budget-agents`` raises.  The type limit, ``TYPE_LIMIT``, is fixed."""
 
     max_agents: int = 8
-    max_types: int = 6
 
 
 DEFAULT_BUDGET = Budget()
@@ -70,11 +75,11 @@ class RankMinimizingSet:
 
 
 def _check_budget(market: Market, budget: Budget) -> None:
-    if market.n_agents > budget.max_agents or market.n_types > budget.max_types:
+    if market.n_agents > budget.max_agents or market.n_types > TYPE_LIMIT:
         raise BudgetError(
             f"market size {market.n_agents} agents x {market.n_types} types exceeds "
-            f"the enumeration budget of {budget.max_agents} x {budget.max_types}; "
-            f"raise the budget explicitly if the blow-up is intended"
+            f"the budget of {budget.max_agents} agents and {TYPE_LIMIT} types; "
+            f"--budget-agents raises the agent limit, and no flag raises the type limit"
         )
 
 

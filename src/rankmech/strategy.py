@@ -57,8 +57,6 @@ def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignm
     refused matrix is validated once over the same denominator.
     """
     check_profile(market, truths)
-    if len(x.rows) != market.n_agents:
-        raise DomainError("assignment and market disagree on the number of agents")
     denominator, counts = _scaled(market, x)
     rows = [_refused(market, row, truth) for row, truth in zip(counts, truths)]
     return _checked(market, denominator, rows)

@@ -219,6 +219,37 @@ MUTANTS = (
             "tests/test_sweeps.py::test_class_rows_match_the_mechanism_rows[ex2-uniform]",
         ),
     ),
+    Mutant(
+        "six-types-over-the-type-limit",
+        "rankmech/mechanisms.py",
+        "market.n_types > TYPE_LIMIT",
+        "market.n_types >= TYPE_LIMIT",
+        ("tests/test_cli.py::test_no_flag_raises_the_six_type_limit",),
+    ),
+    Mutant(
+        "sweep-without-its-first-violation-line",
+        "rankmech/cli.py",
+        "    if outcome.first_violation is not None:\n"
+        "        print(f\"first violation: {outcome.first_violation}\")\n",
+        "",
+        ("tests/test_cli.py::test_sweep_prints_its_first_violation_and_exits_1",),
+    ),
+    Mutant(
+        "prop2-problem-texts-swapped",
+        "rankmech/sweeps.py",
+        "            problem = \"essentially equal but rows differ somewhere\"\n"
+        "        else:\n"
+        "            problem = \"expected a failure witness\"\n",
+        "            problem = \"expected a failure witness\"\n"
+        "        else:\n"
+        "            problem = \"essentially equal but rows differ somewhere\"\n",
+        (
+            "tests/test_sweeps.py::test_dominance_sweeps_name_the_problem_of_their_first_violation"
+            "[prop2-essentially-equal]",
+            "tests/test_sweeps.py::test_dominance_sweeps_name_the_problem_of_their_first_violation"
+            "[prop2-expected-a-failure]",
+        ),
+    ),
 )
 
 

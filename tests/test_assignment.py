@@ -99,8 +99,12 @@ def test_rank_value_shape_checks():
     market = example2_market()
     x = build_assignment(market, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     short = Profile((order_from_names(market, "o1>o2>null"),))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="number of agents"):
         rank_value(x, short)
+    # Orders over four types against rows over three.
+    wide = Profile((PreferenceOrder((0, 1, 2, 3)),) * 3)
+    with pytest.raises(DomainError, match="number of types"):
+        rank_value(x, wide)
 
 
 def test_wastefulness_witness_golden():

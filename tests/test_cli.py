@@ -11,7 +11,7 @@ import pytest
 
 from rankmech.cli import main
 from rankmech.examples import EXAMPLE2_SPEC
-from rankmech.sweeps import SWEEPS
+from rankmech.sweeps import SWEEPS, SweepOutcome
 
 WIDE_SPEC = """\
 type o1 capacity 1
@@ -297,6 +297,16 @@ def test_sweep_checks_the_budget_before_listing_orders(tmp_path, capsys, prop):
     assert "budget" in capsys.readouterr().err
 
 
+def test_sweep_prints_its_first_violation_and_exits_1(monkeypatch, spec_path, capsys):
+    """A failing sweep names its first violation between the counts and the result."""
+    detail = "agent=a1 truth=(o1>null>o2) candidate=(o1>o2>null): strictly dominates"
+    monkeypatch.setitem(SWEEPS, "prop2", lambda market, budget: SweepOutcome("prop2", 12, 3, detail))
+    assert main(["sweep", "prop2", "--spec", spec_path]) == 1
+    assert capsys.readouterr().out == (
+        f"property: prop2\nchecked: 12\nviolations: 3\nfirst violation: {detail}\nresult: fail\n"
+    )
+
+
 def test_sweep_parallel_flag_is_gone(spec_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "prop2", "--spec", spec_path, "--parallel"])
@@ -469,9 +479,27 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text("\n".join(lines) + "\n")
     assert main(["assign", "--spec", str(path)]) == 3
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert "--budget-agents raises the agent limit" in err
     assert main(["assign", "--spec", str(path), "--budget-agents", "9"]) == 0
     assert "rank value: 24" in capsys.readouterr().out
+
+
+def test_no_flag_raises_the_six_type_limit(tmp_path, capsys):
+    """Six types are within the fixed type limit; seven exceed it whatever
+    ``--budget-agents`` says, and the error says that no flag raises it."""
+    for m, budget_agents, code in ((6, "2", 0), (7, "50", 3)):
+        scarce = [f"o{i}" for i in range(1, m)]
+        lines = [f"type {o} capacity 1" for o in scarce] + ["type null capacity 2 null"]
+        lines += [f"agent a{a} prefers {' > '.join(scarce)} > null" for a in (1, 2)]
+        path = tmp_path / f"types-{m}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["assign", "--spec", str(path), "--budget-agents", budget_agents]) == code
+    err = capsys.readouterr().err
+    assert err == ("error: market size 2 agents x 7 types exceeds the budget of 50 agents "
+                   "and 6 types; --budget-agents raises the agent limit, and no flag raises "
+                   "the type limit\n")
 
 
 def test_assign_with_raised_budget_on_twelve_tied_agents(tmp_path, capsys):

@@ -126,8 +126,12 @@ def test_budget_guard():
         enumerate_rank_minimizers(market, profile)
     rmset = enumerate_rank_minimizers(market, profile, Budget(max_agents=9))
     assert rmset.optimum == 1 + 2 + 3 * 7
-    with pytest.raises(BudgetError):
-        enumerate_rank_minimizers(market, profile, Budget(max_agents=9, max_types=2))
+    # Seven types exceed the fixed type limit, whatever the agent limit.
+    scarce = tuple(f"o{i}" for i in range(1, 7))
+    wide = Market(names[:2], (*scarce, "null"), (1,) * 6 + (2,), 6)
+    wide_profile = Profile((order_from_names(wide, ">".join((*scarce, "null"))),) * 2)
+    with pytest.raises(BudgetError, match="no flag raises the type limit"):
+        enumerate_rank_minimizers(wide, wide_profile, Budget(max_agents=50))
 
 
 def enumeration_average(market, profile, budget=Budget()):

@@ -71,6 +71,9 @@ def test_refusal_transform_applies_rows_and_checks_shapes():
     assert refused.row(1) == (F(1, 3), F(1, 3), F(1, 3))
     with pytest.raises(DomainError):
         refusal_transform(market, x, Profile((truth, keen)))
+    # A bare assignment with a row too few is rejected when it is validated.
+    with pytest.raises(DomainError, match="expected 3 rows, got 2"):
+        refusal_transform(market, Assignment(x.rows[:2]), truths)
 
 
 @pytest.mark.parametrize("market", [example2_market(), example4_market()], ids=["ex2", "ex4"])

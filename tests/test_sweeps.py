@@ -143,6 +143,41 @@ def test_promoted_types_are_counted_once():
     assert outcome.passed
 
 
+def test_prop3_names_its_first_violation(monkeypatch):
+    """Where no waste is found, every promotion unit violates, and ``prop3``
+    names the first: agent 0's truth and the type its demotion promotes."""
+    monkeypatch.setattr(sweeps, "_first_waste", lambda *args: None)
+    outcome = sweep_demotion_waste(FOUR_AGENTS)
+    assert (outcome.checked, outcome.violations) == (4 * 18, 4 * 18)
+    assert outcome.first_violation == "agent=a1 truth=(o1>o2>null>o3) promoted=o3"
+
+
+@pytest.mark.parametrize("token, verdict, problem", [
+    ("prop2", (False, False), "essentially equal but rows differ somewhere"),
+    ("prop2", (True, False), "expected a failure witness"),
+    ("prop5", (True, True), "strictly dominates"),
+], ids=["prop2-essentially-equal", "prop2-expected-a-failure", "prop5-strict"])
+def test_dominance_sweeps_name_the_problem_of_their_first_violation(
+    monkeypatch, token, verdict, problem
+):
+    """``prop2`` and ``prop5`` pass on example 3, whose classes 0 and 1 are
+    essentially equal.  Given one class pair's verdict in place of the
+    decided one, each names that pair and what is wrong with it, and counts
+    its order pairs as the violations."""
+    market = dataclasses.replace(example3_market())
+    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    key = source.key
+    equal = problem.startswith("essentially")
+    t, c = next((t, c) for t, c in itertools.product(range(len(key)), repeat=2)
+                if t != c and (key[t] == key[c]) == equal)
+    decided = sweeps._decided
+    monkeypatch.setattr(sweeps, "_decided", lambda *args: {**decided(*args), (t, c): verdict})
+    outcome = SWEEPS[token](market, DEFAULT_BUDGET)
+    truth, candidate = (order_to_names(market, source.classes[r]) for r in (t, c))
+    assert outcome.first_violation == f"agent=a1 truth=({truth}) candidate=({candidate}): {problem}"
+    assert outcome.violations == market.n_agents * source.size[t] * source.size[c]
+
+
 WASTE_MARKETS = {
     "ex1": example1_market(),
     "ex1-double": example1_market(second_capacity=2),
@@ -586,18 +621,18 @@ def test_ete_budget_applies_to_unpatterned_profiles_only():
 @pytest.mark.parametrize("mechanism", ["uniform", "modified"])
 def test_ete_budget_applies_with_nothing_to_compare(mechanism):
     """A one-agent market has no pair of reveals, yet more types than the
-    budget allows still fail.  ``Market`` refuses a single agent, so this one
-    is built without its checks."""
+    type limit allows still fail.  ``Market`` refuses a single agent, so this
+    one is built without its checks."""
     market = object.__new__(Market)
     for field, value in {
         "agent_names": ("a1",),
-        "type_names": ("o1", "o2", "null"),
-        "capacities": (1, 1, 1),
-        "null_type": 2,
+        "type_names": (*(f"o{i}" for i in range(1, 7)), "null"),
+        "capacities": (1,) * 7,
+        "null_type": 6,
     }.items():
         object.__setattr__(market, field, value)
     with pytest.raises(BudgetError):
-        sweep_ete(market, mechanism, budget=Budget(max_types=2))
+        sweep_ete(market, mechanism, budget=Budget(max_agents=50))
 
 
 FOUR_AGENT_SWEEPS = {
@@ -1418,7 +1453,7 @@ def test_an_over_budget_market_builds_no_class_tables(monkeypatch):
     as the crowd-out pattern passes under the modified mechanism without
     them."""
     market = dataclasses.replace(FOUR_AGENTS)
-    tight = Budget(max_types=3)
+    tight = Budget(max_agents=3)
     truth, candidate = market.all_orders()[:2]
     patterned = Profile(tuple(order_from_names(market, order) for order in (
         "o1>o2>o3>null", "o1>null>o2>o3", "null>o1>o2>o3", "null>o1>o2>o3")))
