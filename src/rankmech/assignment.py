@@ -1,18 +1,20 @@
 """Random assignments as exact rational matrices, plus the operations on them.
 
-Everything here is exact: probabilities are `fractions.Fraction`, equality is
-bit-for-bit, and no tolerance appears anywhere.  Matrices are indexed
-``rows[agent][type]`` in the market's declaration order.  A matrix is
-validated once, when it is made, in integers over one common denominator
-``D``; the validated ``Assignment`` carries that integer form, and refusal,
-the waste scan and ``decompose`` read it instead of the ``Fraction`` rows.
+Everything here is exact: no tolerance appears anywhere.  Matrices are
+indexed ``[agent][type]`` in the market's declaration order.  An
+``Assignment`` is one integer matrix over one common denominator ``D``,
+every entry being ``counts[a][o] / D``.  It is validated against its market
+once, when it is made, and kept in lowest terms.  Refusal, rank values, the
+waste scan and ``decompose`` read the integers; the ``Fraction`` rows are
+derived on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -23,91 +25,90 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Assignment:
-    """A random assignment: one probability row per agent over all types.
+    """A random assignment: the matrix ``counts / denominator``, one row per
+    agent over all types, validated against ``market``.
 
-    A validated assignment also carries, privately, the market it was checked
-    against and its integer form ``(D, counts)``, every entry being
-    ``counts[a][o] / D``.  That field takes no part in ``==``, ``hash`` or
-    ``repr``, and a bare ``Assignment(rows)`` has none.
+    Making one checks, D being ``denominator``, that D is a positive int,
+    every entry lies in [0, D], every row sums to D and every column to at
+    most its capacity times D, and raises DomainError otherwise.  It then
+    divides D and every count by their gcd.  In lowest terms D is the lcm of
+    the entries' denominators, so two assignments are equal, and hash alike,
+    exactly when their ``Fraction`` rows are.  ``market`` takes no part in
+    ``==``, ``hash`` or ``repr``.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    _form: tuple[Market, int, tuple[tuple[int, ...], ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    market: Market = field(repr=False, compare=False)
+    denominator: int
+    counts: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        market, denominator, counts = self.market, self.denominator, self.counts
+        if not isinstance(denominator, int) or denominator < 1:
+            raise DomainError(f"denominator must be a positive int, got {denominator!r}")
+        if len(counts) != market.n_agents:
+            raise DomainError(f"expected {market.n_agents} rows, got {len(counts)}")
+        for a, row in enumerate(counts):
+            if len(row) != market.n_types:
+                raise DomainError(
+                    f"row {market.agent_names[a]} has {len(row)} entries, "
+                    f"expected {market.n_types}"
+                )
+            if min(row) < 0 or max(row) > denominator:
+                o, c = next((o, c) for o, c in enumerate(row) if not 0 <= c <= denominator)
+                raise DomainError(
+                    f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
+                    f"{market.type_names[o]}) is outside [0, 1]"
+                )
+            if sum(row) != denominator:
+                raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
+        for o, (capacity, column) in enumerate(zip(market.capacities, zip(*counts))):
+            total = sum(column)
+            if total > capacity * denominator:
+                raise DomainError(
+                    f"column {market.type_names[o]} sums to {Fraction(total, denominator)}, "
+                    f"exceeding capacity {capacity}"
+                )
+        common = gcd(denominator, *chain.from_iterable(counts))
+        object.__setattr__(self, "denominator", denominator // common)
+        object.__setattr__(self, "counts", tuple(tuple(c // common for c in row) for row in counts))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(self.row, range(len(self.counts))))
 
     def row(self, agent: AgentIndex) -> tuple[Fraction, ...]:
-        return self.rows[agent]
+        return tuple(Fraction(c, self.denominator) for c in self.counts[agent])
 
     def entry(self, agent: AgentIndex, o: TypeIndex) -> Fraction:
-        return self.rows[agent][o]
+        return Fraction(self.counts[agent][o], self.denominator)
 
     def column_sum(self, o: TypeIndex) -> Fraction:
-        return sum((row[o] for row in self.rows), start=ZERO)
+        return Fraction(sum(row[o] for row in self.counts), self.denominator)
 
 
 def build_assignment(market: Market, rows) -> Assignment:
     """Validate ``rows`` against ``market`` and wrap them as an Assignment.
 
-    This is the entry point for untrusted rows.  Raises DomainError when the
-    shape is off, an entry leaves [0, 1], a row does not sum to one or a
-    column exceeds its capacity.  The checks are :func:`_checked`'s, over
-    ``D``, the lcm of every entry's denominator.
+    This is the entry point for untrusted rows: each entry is read as a
+    ``Fraction``, and the rows become counts over ``D``, the lcm of every
+    entry's denominator.  Raises DomainError when the shape is off, an entry
+    leaves [0, 1], a row does not sum to one or a column exceeds its
+    capacity.
     """
     rows = tuple(
         tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
     )
     denominator = lcm(*(v.denominator for row in rows for v in row))
-    counts = tuple(
-        tuple(v.numerator * (denominator // v.denominator) for v in row) for row in rows
-    )
-    return _checked(market, denominator, counts)
-
-
-def _checked(market: Market, denominator: int, counts) -> Assignment:
-    """Validate the matrix ``counts / denominator`` and wrap it with its integer form.
-
-    Every entry must lie in [0, D], every row sum to D and every column sum
-    to at most its capacity times D, D being ``denominator``.  Each distinct
-    count becomes one ``Fraction``, shared by its entries, and 0 is ``ZERO``.
-    """
-    if len(counts) != market.n_agents:
-        raise DomainError(f"expected {market.n_agents} rows, got {len(counts)}")
-    for a, row in enumerate(counts):
-        if len(row) != market.n_types:
-            raise DomainError(
-                f"row {market.agent_names[a]} has {len(row)} entries, "
-                f"expected {market.n_types}"
-            )
-        if min(row) < 0 or max(row) > denominator:
-            o, c = next((o, c) for o, c in enumerate(row) if not 0 <= c <= denominator)
-            raise DomainError(
-                f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
-                f"{market.type_names[o]}) is outside [0, 1]"
-            )
-        if sum(row) != denominator:
-            raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
-    for o, (capacity, column) in enumerate(zip(market.capacities, zip(*counts))):
-        total = sum(column)
-        if total > capacity * denominator:
-            raise DomainError(
-                f"column {market.type_names[o]} sums to {Fraction(total, denominator)}, "
-                f"exceeding capacity {capacity}"
-            )
-    counts = tuple(map(tuple, counts))
-    value = {c: Fraction(c, denominator) if c else ZERO for c in set().union(*counts)}
-    x = Assignment(tuple(tuple(map(value.__getitem__, row)) for row in counts))
-    object.__setattr__(x, "_form", (market, denominator, counts))
-    return x
+    counts = [[v.numerator * (denominator // v.denominator) for v in row] for row in rows]
+    return Assignment(market, denominator, counts)
 
 
 def _scaled(market: Market, x: Assignment) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``x``'s integer form ``(D, counts)``, validating ``x`` first when it
-    carries none for ``market`` (a bare ``Assignment(rows)``)."""
-    form = x._form
-    if form is None or (form[0] is not market and form[0] != market):
-        form = build_assignment(market, x.rows)._form
-    return form[1], form[2]
+    """``x``'s ``(D, counts)``, validated again when ``x`` was made for
+    another market."""
+    if not (x.market is market or x.market == market):
+        x = Assignment(market, x.denominator, x.counts)
+    return x.denominator, x.counts
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,16 @@ class Decomposition:
 
 
 def rank_value(x: Assignment, profile: Profile) -> Fraction:
-    """Expected total rank of ``x`` under the revealed ``profile``."""
-    if len(x.rows) != len(profile):
+    """Expected total rank of ``x`` under the revealed ``profile``: the sum of
+    rank times count over the matrix, over D."""
+    if len(x.counts) != len(profile):
         raise DomainError("assignment and profile disagree on the number of agents")
-    total = ZERO
-    for a, row in enumerate(x.rows):
-        order = profile[a]
+    total = 0
+    for row, order in zip(x.counts, profile.orders):
         if len(row) != len(order):
             raise DomainError("assignment and profile disagree on the number of types")
-        for o, v in enumerate(row):
-            if v:
-                total += order.ranks[o] * v
-    return total
+        total += sum(rank * c for rank, c in zip(order.ranks, row))
+    return Fraction(total, x.denominator)
 
 
 def deterministic_rank_value(det: DeterministicAssignment, profile: Profile) -> int:
@@ -165,8 +164,8 @@ def wastefulness_witness(
     strictly higher still has slack capacity.  The scan runs in agent order,
     then preferred-type order, then held-type order, so the witness is the
     lexicographically first one.  Slack and holdings are read from ``x``'s
-    integer form over D: a column has slack when it sums to less than its
-    capacity times D.
+    counts over D: a column has slack when it sums to less than its capacity
+    times D.
     """
     check_profile(market, profile)
     return _first_waste(market, *_scaled(market, x), profile.orders)
@@ -216,9 +215,9 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     deterministic assignments that respect every capacity, and the weights
     recombine to ``x`` exactly.
 
-    The work is done in integers over ``D``, the denominator of ``x``'s
-    integer form (a bare ``Assignment`` is validated first); a copy count is
-    read from that form as the column sum over ``D``, rounded up.  Each row
+    The work is done in integers over ``x``'s denominator ``D`` (``x`` is
+    validated again when it was made for another market); a copy count is
+    read from the counts as the column sum over ``D``, rounded up.  Each row
     of the unit-copy matrix holds only its positive entries, as a map from
     copy to count: a real agent's row is filled as above, and the dummy
     agents, one unit each, then fill the room the copies have left over all

@@ -130,12 +130,6 @@ def make_denial_mechanism(
     return mechanism
 
 
-def _expect_matrix(market: Market, literal: list[list[str]]) -> Assignment:
-    return build_assignment(
-        market, [[Fraction(v) for v in row] for row in literal]
-    )
-
-
 CheckResult = tuple[str, bool, str]
 
 
@@ -181,7 +175,7 @@ def _example2_checks(check, check_equal) -> None:
          [["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]]),
     ]
     for label, p, literal in cases:
-        check_equal(label, uniform_mechanism(market, p), _expect_matrix(market, literal))
+        check_equal(label, uniform_mechanism(market, p), build_assignment(market, literal))
 
     truths = Profile((truth, keen, keen))
     refused = refusal_transform(
@@ -190,7 +184,7 @@ def _example2_checks(check, check_equal) -> None:
     check_equal(
         "ex2 refusal of (demoted, keen, keen) outcome",
         refused,
-        _expect_matrix(
+        build_assignment(
             market,
             [["1/3", "0", "2/3"], ["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]],
         ),
@@ -205,7 +199,7 @@ def _example2_checks(check, check_equal) -> None:
     check_equal(
         "ex2 modified (demoted, truth, truth)",
         modified_mechanism(market, Profile((keen, truth, truth))),
-        _expect_matrix(
+        build_assignment(
             market, [["0", "1", "0"], ["1/2", "0", "1/2"], ["1/2", "0", "1/2"]]
         ),
     )
@@ -216,7 +210,7 @@ def _example2_checks(check, check_equal) -> None:
             modified_mechanism(market, Profile((keen, truth, truth))),
             Profile((truth, truth, truth)),
         ),
-        _expect_matrix(
+        build_assignment(
             market, [["0", "0", "1"], ["1/2", "0", "1/2"], ["1/2", "0", "1/2"]]
         ),
     )
@@ -237,7 +231,7 @@ def _example3_checks(check, check_equal) -> None:
     check_equal(
         "ex3 uniform (truth, swap, fan)",
         uniform_mechanism(market, Profile((truth, swap, fan))),
-        _expect_matrix(
+        build_assignment(
             market,
             [["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "0", "1", "0"]],
         ),
@@ -249,7 +243,7 @@ def _example3_checks(check, check_equal) -> None:
             uniform_mechanism(market, Profile((swap, swap, fan))),
             Profile((truth, swap, fan)),
         ),
-        _expect_matrix(
+        build_assignment(
             market,
             [["1/2", "0", "0", "1/2"], ["1/2", "1/2", "0", "0"], ["0", "0", "1", "0"]],
         ),

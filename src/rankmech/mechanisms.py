@@ -43,7 +43,7 @@ from math import comb, lcm
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .assignment import Assignment, DeterministicAssignment, _checked
+from .assignment import Assignment, DeterministicAssignment
 from .errors import BudgetError, DomainError
 from .market import AgentIndex, Market, PreferenceOrder, Profile, TypeIndex, check_profile
 
@@ -470,7 +470,7 @@ def _to_assignment(market: Market, rows: list[tuple[list[int], int]]) -> Assignm
         counts if total == denominator else [c * (denominator // total) for c in counts]
         for counts, total in rows
     ]
-    return _checked(market, denominator, scaled)
+    return Assignment(market, denominator, scaled)
 
 
 @dataclass(frozen=True)
@@ -886,6 +886,6 @@ def check_ete(mechanism: MechanismFn, market: Market, profile: Profile) -> bool:
     """Agents revealing essentially equal orders receive identical rows."""
     x = mechanism(market, profile)
     for a, b in itertools.combinations(range(market.n_agents), 2):
-        if market.essentially_equal(profile[a], profile[b]) and x.row(a) != x.row(b):
+        if market.essentially_equal(profile[a], profile[b]) and x.counts[a] != x.counts[b]:
             return False
     return True

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .assignment import Assignment, _checked, _scaled
+from .assignment import Assignment, _scaled
 from .errors import BudgetError, DomainError
 from .market import (
     AgentIndex,
@@ -53,13 +53,13 @@ def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignm
 
     Each refused type's count moves onto the outside option; acceptable
     entries are untouched.  The refusal moves counts within each row of
-    ``x``'s integer form (a bare ``Assignment`` is validated first), and the
+    ``x`` (validated again when ``x`` was made for another market), and the
     refused matrix is validated once over the same denominator.
     """
     check_profile(market, truths)
     denominator, counts = _scaled(market, x)
     rows = [_refused(market, row, truth) for row, truth in zip(counts, truths)]
-    return _checked(market, denominator, rows)
+    return Assignment(market, denominator, rows)
 
 
 def _refused(market: Market, row: Sequence[int], truth: PreferenceOrder) -> list[int]:

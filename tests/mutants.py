@@ -250,6 +250,27 @@ MUTANTS = (
             "[prop2-expected-a-failure]",
         ),
     ),
+    Mutant(
+        "assignment-kept-unreduced",
+        "rankmech/assignment.py",
+        "common = gcd(denominator, *chain.from_iterable(counts))",
+        "common = 1",
+        ("tests/test_assignment.py::test_equality_and_hash_agree_with_the_fraction_rows",),
+    ),
+    Mutant(
+        "counts-reused-for-any-market",
+        "rankmech/assignment.py",
+        "x.market is market or x.market == market",
+        "True",
+        ("tests/test_assignment.py::test_integer_form_is_tied_to_its_market",),
+    ),
+    Mutant(
+        "zero-denominator-accepted",
+        "rankmech/assignment.py",
+        "denominator < 1:",
+        "denominator < 0:",
+        ("tests/test_assignment.py::test_constructor_checks_the_denominator",),
+    ),
 )
 
 

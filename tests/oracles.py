@@ -225,10 +225,11 @@ def product_check_dominance(query, budget=DEFAULT_BUDGET, *, table=None):
     )
 
 
-def fraction_build_assignment(market: Market, rows) -> Assignment:
+def fraction_build_assignment(market: Market, rows) -> tuple[tuple[Fraction, ...], ...]:
     """``build_assignment`` with every check made by comparing ``Fraction`` sums.
 
-    Validate ``rows`` against ``market`` and wrap them as an Assignment.
+    Validate ``rows`` against ``market`` and return them as ``Fraction`` rows,
+    to be compared with an Assignment's ``rows``.
 
     Raises DomainError when a row does not sum to one, an entry leaves [0, 1],
     a column exceeds its capacity, or the shape is off.
@@ -257,7 +258,7 @@ def fraction_build_assignment(market: Market, rows) -> Assignment:
                 f"column {market.type_names[o]} sums to {total}, "
                 f"exceeding capacity {market.capacities[o]}"
             )
-    return Assignment(rows)
+    return rows
 
 
 def fraction_wastefulness_witness(
@@ -269,8 +270,10 @@ def fraction_wastefulness_witness(
     agent, then preferred-type, then held-type order.
     """
     check_profile(market, profile)
+    rows = x.rows
     slack = [
-        market.capacities[o] - x.column_sum(o) > 0 for o in range(market.n_types)
+        market.capacities[o] - sum((row[o] for row in rows), start=ZERO) > 0
+        for o in range(market.n_types)
     ]
     for a in range(market.n_agents):
         order = profile[a]
@@ -278,7 +281,7 @@ def fraction_wastefulness_witness(
             if not slack[o]:
                 continue
             for held in range(market.n_types):
-                if x.entry(a, held) > 0 and order.rank(o) < order.rank(held):
+                if rows[a][held] > 0 and order.rank(o) < order.rank(held):
                     return (a, o, held)
     return None
 
@@ -305,8 +308,8 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
     kept across steps: only the rows whose matched entry reached zero are
     unmatched and re-augmented, in ascending order.
     """
-    build_assignment(market, x.rows)  # re-validate; malformed input is a domain error
-    copies = [math.ceil(x.column_sum(o)) for o in range(market.n_types)]
+    rows = fraction_build_assignment(market, x.rows)  # malformed input is a domain error
+    copies = [math.ceil(sum((row[o] for row in rows), start=ZERO)) for o in range(market.n_types)]
     copy_type: list[TypeIndex] = []
     for o in range(market.n_types):
         copy_type.extend([o] * copies[o])
@@ -319,8 +322,8 @@ def fraction_decompose(market: Market, x: Assignment) -> Decomposition:
     for a in range(n_real):
         row = []
         for o, k in zip(copy_type, copy_index):
-            low = sum((x.entry(b, o) for b in range(a)), start=ZERO)
-            high = low + x.entry(a, o)
+            low = sum((rows[b][o] for b in range(a)), start=ZERO)
+            high = low + rows[a][o]
             row.append(max(ZERO, min(high, k + ONE) - max(low, Fraction(k))))
         matrix.append(row)
 

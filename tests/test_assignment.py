@@ -30,7 +30,7 @@ from rankmech import (
     uniform_mechanism,
     wastefulness_witness,
 )
-from rankmech import assignment, mechanisms, strategy
+from rankmech import assignment, mechanisms
 from rankmech.assignment import _complete_matching
 from rankmech.examples import (
     example1_market,
@@ -258,38 +258,58 @@ def test_decompose_gives_an_unheld_type_no_copies(monkeypatch):
 
 
 def test_decompose_validates_input():
+    """A malformed matrix is refused when it is made; a matrix made for
+    another market is validated again against the one ``decompose`` gets."""
     market = example2_market()
-    with pytest.raises(DomainError):
-        decompose(market, Assignment(((F(1, 2), F(1, 2)),)))
+    with pytest.raises(DomainError, match="expected 3 rows, got 1"):
+        Assignment(market, 2, ((1, 1, 0),))
+    wide = example3_market()
+    x = build_assignment(wide, [[0, F(1, 2), 0, F(1, 2)]] * 3)
+    with pytest.raises(DomainError, match="row a1 has 4 entries, expected 3"):
+        decompose(market, x)
 
 
-def _crowded_bare_input():
+def _crowded_input():
     """Every agent holds o1 with 1/2 against its one seat, and every truth
-    refuses o1, so the refused matrix alone would pass validation."""
+    refuses o1, so the refused matrix alone would pass validation.  The
+    matrix is made for a copy of the market with two seats of o1."""
     market = example2_market()
-    crowded = Assignment(((F(1, 2), F(0), F(1, 2)),) * 3)
+    counts = ((1, 0, 1),) * 3
+    with pytest.raises(DomainError, match="column o1 sums to 3/2, exceeding capacity 1"):
+        Assignment(market, 2, counts)
+    roomy = dataclasses.replace(market, capacities=(2, *market.capacities[1:]))
     truths = Profile((order_from_names(market, "o2>null>o1"),) * 3)
-    return market, crowded, truths
+    return market, Assignment(roomy, 2, counts), truths
 
 
 def test_refusal_transform_validates_input():
-    market, crowded, truths = _crowded_bare_input()
+    market, crowded, truths = _crowded_input()
     with pytest.raises(DomainError, match="column o1 sums to 3/2, exceeding capacity 1"):
         refusal_transform(market, crowded, truths)
 
 
 def test_wastefulness_witness_validates_input():
-    market, crowded, truths = _crowded_bare_input()
+    market, crowded, truths = _crowded_input()
     with pytest.raises(DomainError, match="column o1 sums to 3/2, exceeding capacity 1"):
         wastefulness_witness(market, crowded, truths)
     with pytest.raises(DomainError, match="row a1 has 2 entries, expected 3"):
-        wastefulness_witness(market, Assignment(((F(1), F(0)),) * 3), truths)
+        build_assignment(market, ((F(1), F(0)),) * 3)
+    with pytest.raises(DomainError, match="row a1 has 4 entries, expected 3"):
+        wastefulness_witness(market, build_assignment(example3_market(), [[0, 0, 0, 1]] * 3), truths)
+
+
+def test_constructor_checks_the_denominator():
+    market = example2_market()
+    for denominator in (0, -2, 2.0, F(2)):
+        with pytest.raises(DomainError, match="denominator must be a positive int"):
+            Assignment(market, denominator, ((0, 0, 0),) * 3)
 
 
 def test_assign_path_validates_each_matrix_once(monkeypatch):
     """Mechanism, waste scan, refusal, waste scan and ``decompose`` validate
-    two matrices, the mechanism's output and the refused one, once each;
-    only a bare ``Assignment`` goes through ``build_assignment``."""
+    two matrices, the mechanism's output and the refused one, once each, and
+    call ``build_assignment`` never.  A matrix passed with an equal market
+    is not validated again, and one passed with another market is."""
     calls = []
 
     def counted(name, fn):
@@ -298,8 +318,7 @@ def test_assign_path_validates_each_matrix_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (assignment, mechanisms, strategy):
-        monkeypatch.setattr(module, "_checked", counted("checked", module._checked))
+    monkeypatch.setattr(Assignment, "__post_init__", counted("checked", Assignment.__post_init__))
     monkeypatch.setattr(assignment, "build_assignment", counted("build", build_assignment))
     market = example3_market()
     revealed = Profile(tuple(
@@ -314,31 +333,46 @@ def test_assign_path_validates_each_matrix_once(monkeypatch):
     d = decompose(market, refused)
     assert refused != x
     assert calls == ["checked", "checked"]
-    assert decompose(market, Assignment(refused.rows)) == d
-    assert calls == ["checked", "checked", "build", "checked"]
+    assert decompose(dataclasses.replace(market), refused) == d
+    assert calls == ["checked", "checked"]
+    assert decompose(dataclasses.replace(market, capacities=(1, 2, 1, 4)), refused) == d
+    assert calls == ["checked", "checked", "checked"]
 
 
-def test_integer_form_leaves_identity_unchanged():
-    market = example3_market()
-    x = uniform_mechanism(market, Profile((order_from_names(market, "o1>o2>o3>null"),) * 3))
-    bare = Assignment(x.rows)
-    assert x == bare and hash(x) == hash(bare) and repr(x) == repr(bare)
-    assert x._form is not None and bare._form is None
-    assert dataclasses.replace(x, rows=x.rows)._form is None
+def _copies(rng, market, x):
+    """``x`` made again through ``build_assignment``, and over a seeded
+    multiple of its denominator."""
+    k = rng.choice((2, 3, 6))
+    scaled = [[k * c for c in row] for row in x.counts]
+    return build_assignment(market, x.rows), Assignment(market, k * x.denominator, scaled)
 
 
-def test_validation_builds_one_fraction_per_distinct_count():
-    """Entries with equal counts share one ``Fraction`` and zeros are
-    ``ZERO``; the matrix equals, hashes and prints as the one built entry
-    by entry."""
-    market = example3_market()
-    order = order_from_names(market, "o1>o2>o3>null")
-    x = uniform_mechanism(market, Profile((order,) * 3))
-    entries = [v for row in x.rows for v in row]
-    assert len({id(v) for v in entries}) == len(set(entries))
-    assert all(v is assignment.ZERO for v in entries if not v)
-    fresh = Assignment(tuple(tuple(Fraction(str(v)) for v in row) for row in x.rows))
-    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+def test_equality_and_hash_agree_with_the_fraction_rows():
+    """``x == y``, and then ``hash(x) == hash(y)``, exactly when
+    ``x.rows == y.rows``.  On every profile of example 2 with seeded truths,
+    and on seeded 6-8 agent markets: a mechanism output and its refused
+    matrix, whose gcd can grow, each equal their copies made through
+    ``build_assignment`` and over a multiple of their denominator.  Seeded
+    pairs of those matrices compare as their rows do."""
+    rng = random.Random(4607)
+    market = example2_market()
+    orders = market.all_orders()
+    inputs = []
+    for profile in all_profiles(market):
+        truths = Profile(tuple(rng.choice(orders) for _ in range(market.n_agents)))
+        x = uniform_mechanism(market, profile)
+        inputs += [(market, x), (market, refusal_transform(market, x, truths))]
+    inputs += [_seeded_assign_input(rng, tie_heavy) for tie_heavy in (True, False) * 10]
+    for market, x in inputs:
+        assert x.denominator == math.lcm(*(v.denominator for row in x.rows for v in row))
+        for y in _copies(rng, market, x):
+            assert y.rows == x.rows and y == x and hash(y) == hash(x)
+    matrices = [x for _, x in inputs]
+    for x, y in (rng.sample(matrices, 2) for _ in range(2000)):
+        assert (x == y) == (x.rows == y.rows)
+        if x == y:
+            assert hash(x) == hash(y)
+    assert 1 < len(set(matrices)) == len({x.rows for x in matrices})
 
 
 def test_integer_form_is_tied_to_its_market():
@@ -494,16 +528,17 @@ def test_decompose_steps_are_few_and_each_gives_a_new_part(tie_heavy, monkeypatc
 @pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
 def test_decompose_parts_do_not_depend_on_the_denominator(tie_heavy):
     """The same markets as the oracle test: ``decompose`` on the refused
-    matrix, which carries the mechanism's denominator, equals ``decompose``
-    on a bare copy, validated over the lcm of its entries' denominators."""
+    matrix, in lowest terms, equals ``decompose`` on the same matrix over a
+    seeded multiple of its denominator."""
     rng = random.Random(3301 + tie_heavy)
-    differ = 0
     for _ in range(100):
         market, x = _seeded_assign_input(rng, tie_heavy)
-        bare = Assignment(x.rows)
-        assert decompose(market, x) == decompose(market, bare)
-        differ += x._form[1] != build_assignment(market, bare.rows)._form[1]
-    assert differ > 0
+        expected = decompose(market, x)
+        k = rng.randint(2, 12)
+        scaled = (k * x.denominator, tuple(tuple(k * c for c in row) for row in x.counts))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "_scaled", lambda market, x: scaled)
+            assert decompose(market, x) == expected
 
 
 def test_decompose_cost_is_bounded_in_the_capacities():
@@ -557,7 +592,7 @@ def test_decompose_matches_the_oracle_where_it_takes_many_steps(monkeypatch):
 
 
 def _build_outcome(build, market, rows):
-    """The Assignment ``build`` returns, or the text of the DomainError it raises."""
+    """What ``build`` returns, or the text of the DomainError it raises."""
     try:
         return build(market, rows)
     except DomainError as exc:
@@ -639,7 +674,8 @@ def test_build_assignment_matches_fraction_oracle(tie_heavy):
         market, x = _seeded_assign_input(rng, tie_heavy)
         spelled = _spelled(rng, x.rows)
         built = build_assignment(market, spelled)
-        assert built == fraction_build_assignment(market, spelled) == x
+        assert built.rows == fraction_build_assignment(market, spelled) == x.rows
+        assert built == x
         assert all(type(v) is Fraction for row in built.rows for v in row)
         for rows, fragment in _malformed(rng, market, x.rows):
             spelled = _spelled(rng, rows)

@@ -71,16 +71,17 @@ def test_refusal_transform_applies_rows_and_checks_shapes():
     assert refused.row(1) == (F(1, 3), F(1, 3), F(1, 3))
     with pytest.raises(DomainError):
         refusal_transform(market, x, Profile((truth, keen)))
-    # A bare assignment with a row too few is rejected when it is validated.
+    # A matrix with a row too few is rejected when it is made.
     with pytest.raises(DomainError, match="expected 3 rows, got 2"):
-        refusal_transform(market, Assignment(x.rows[:2]), truths)
+        Assignment(market, x.denominator, x.counts[:2])
 
 
 @pytest.mark.parametrize("market", [example2_market(), example4_market()], ids=["ex2", "ex4"])
 def test_refusal_transform_matches_refused_fraction_rows(market):
     """Refusal moves integer counts; it must equal ``refuse_row`` on every
     ``Fraction`` row, validated by the ``Fraction`` oracle, on every profile
-    under both mechanisms, and refusing a bare copy must give the same."""
+    under both mechanisms, and refusing a copy made through
+    ``build_assignment`` must give the same."""
     rng = random.Random(2719)
     orders = market.all_orders()
     for profile in all_profiles(market):
@@ -91,8 +92,8 @@ def test_refusal_transform_matches_refused_fraction_rows(market):
             expected = fraction_build_assignment(
                 market, [refuse_row(market, row, truth) for row, truth in zip(x.rows, truths)]
             )
-            assert refused == expected
-            assert refusal_transform(market, Assignment(x.rows), truths) == refused
+            assert refused.rows == expected
+            assert refusal_transform(market, build_assignment(market, x.rows), truths) == refused
 
 
 def test_ods_set_permutes_only_unacceptable_types():
