@@ -4,16 +4,18 @@ Everything here is exact: no tolerance appears anywhere.  Matrices are
 indexed ``[agent][type]`` in the market's declaration order.  An
 ``Assignment`` is one integer matrix over one common denominator ``D``,
 every entry being ``counts[a][o] / D``.  It is validated against its market
-once, when it is made, and kept in lowest terms.  Refusal, rank values, the
-waste scan and ``decompose`` read the integers; the ``Fraction`` rows are
-derived on demand.
+once, when it is made, and kept in lowest terms, its counts as tuples of
+plain ints; the checks and the reduction run as whole-row passes of
+built-ins.  Refusal, rank values, the waste scan (linear in the matrix) and
+``decompose`` read the integers; the ``Fraction`` rows are derived on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Sequence
 
@@ -29,12 +31,16 @@ class Assignment:
     agent over all types, validated against ``market``.
 
     Making one checks, D being ``denominator``, that D is a positive int,
-    every entry lies in [0, D], every row sums to D and every column to at
-    most its capacity times D, and raises DomainError otherwise.  It then
-    divides D and every count by their gcd.  In lowest terms D is the lcm of
-    the entries' denominators, so two assignments are equal, and hash alike,
-    exactly when their ``Fraction`` rows are.  ``market`` takes no part in
-    ``==``, ``hash`` or ``repr``.
+    there is one row per agent, every row holds one int per type, every
+    entry lies in [0, D], every row sums to D and every column to at most
+    its capacity times D, and raises DomainError otherwise.  Past the row
+    count, a row that is not a sequence or a count that is not an int is
+    named in place of any other check's text, the first one in row order.
+    It then divides D and every count by their gcd, and stores the counts
+    as tuples of plain ints, so a bool count becomes the int it equals.  In
+    lowest terms D is the lcm of the entries' denominators, so two
+    assignments are equal, and hash alike, exactly when their ``Fraction``
+    rows are.  ``market`` takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     market: Market = field(repr=False, compare=False)
@@ -47,30 +53,42 @@ class Assignment:
             raise DomainError(f"denominator must be a positive int, got {denominator!r}")
         if len(counts) != market.n_agents:
             raise DomainError(f"expected {market.n_agents} rows, got {len(counts)}")
-        for a, row in enumerate(counts):
-            if len(row) != market.n_types:
-                raise DomainError(
-                    f"row {market.agent_names[a]} has {len(row)} entries, "
-                    f"expected {market.n_types}"
-                )
-            if min(row) < 0 or max(row) > denominator:
-                o, c = next((o, c) for o, c in enumerate(row) if not 0 <= c <= denominator)
-                raise DomainError(
-                    f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
-                    f"{market.type_names[o]}) is outside [0, 1]"
-                )
-            if sum(row) != denominator:
-                raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
-        for o, (capacity, column) in enumerate(zip(market.capacities, zip(*counts))):
-            total = sum(column)
-            if total > capacity * denominator:
-                raise DomainError(
-                    f"column {market.type_names[o]} sums to {Fraction(total, denominator)}, "
-                    f"exceeding capacity {capacity}"
-                )
-        common = gcd(denominator, *chain.from_iterable(counts))
-        object.__setattr__(self, "denominator", denominator // common)
-        object.__setattr__(self, "counts", tuple(tuple(c // common for c in row) for row in counts))
+        n_types = len(market.type_names)
+        try:
+            for a, row in enumerate(counts):
+                if len(row) != n_types:
+                    raise DomainError(
+                        f"row {market.agent_names[a]} has {len(row)} entries, "
+                        f"expected {n_types}"
+                    )
+                if min(row) < 0 or max(row) > denominator:
+                    o, c = next((o, c) for o, c in enumerate(row) if not 0 <= c <= denominator)
+                    raise DomainError(
+                        f"probability {Fraction(c, denominator)} for ({market.agent_names[a]}, "
+                        f"{market.type_names[o]}) is outside [0, 1]"
+                    )
+                if sum(row) != denominator:
+                    raise DomainError(f"row {market.agent_names[a]} does not sum to 1")
+            for o, (capacity, total) in enumerate(zip(market.capacities, map(sum, zip(*counts)))):
+                if total > capacity * denominator:
+                    raise DomainError(
+                        f"column {market.type_names[o]} sums to {Fraction(total, denominator)}, "
+                        f"exceeding capacity {capacity}"
+                    )
+            common = gcd(denominator, *chain.from_iterable(counts))  # TypeError on a count that is not an int
+        except (TypeError, DomainError):
+            problem = _not_an_int(market, counts)
+            if problem is None:
+                raise
+            raise DomainError(problem) from None
+        if common == 1:
+            counts = tuple(map(tuple, counts))
+            if bool in set(map(type, chain.from_iterable(counts))):
+                counts = tuple(tuple(map(int, row)) for row in counts)
+        else:
+            object.__setattr__(self, "denominator", denominator // common)
+            counts = tuple([tuple([c // common for c in row]) for row in counts])
+        object.__setattr__(self, "counts", counts)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -84,6 +102,18 @@ class Assignment:
 
     def column_sum(self, o: TypeIndex) -> Fraction:
         return Fraction(sum(row[o] for row in self.counts), self.denominator)
+
+
+def _not_an_int(market: Market, counts) -> str | None:
+    """The text naming the first row of ``counts`` that is not a sequence,
+    or else the first count that is not an int; None when there is neither."""
+    for name, row in zip(market.agent_names, counts):
+        if not (hasattr(row, "__len__") and hasattr(row, "__iter__")):
+            return f"row {name} is not a sequence of counts, got {row!r}"
+        for type_name, c in zip(market.type_names, row):
+            if not isinstance(c, int):
+                return f"count {c!r} for ({name}, {type_name}) is not an int"
+    return None
 
 
 def build_assignment(market: Market, rows) -> Assignment:
@@ -161,9 +191,9 @@ def wastefulness_witness(
     """First (agent, preferred, held) triple proving waste, or None.
 
     Waste means some agent holds probability on a type while a type they rank
-    strictly higher still has slack capacity.  The scan runs in agent order,
-    then preferred-type order, then held-type order, so the witness is the
-    lexicographically first one.  Slack and holdings are read from ``x``'s
+    strictly higher still has slack capacity.  The witness is the
+    lexicographically first such triple: least agent, then least preferred
+    type, then least held type.  Slack and holdings are read from ``x``'s
     counts over D: a column has slack when it sums to less than its capacity
     times D.
     """
@@ -175,18 +205,30 @@ def _first_waste(
     market: Market, denominator: int, counts, orders: Sequence[PreferenceOrder]
 ) -> tuple[AgentIndex, TypeIndex, TypeIndex] | None:
     """:func:`wastefulness_witness` on the integer matrix ``counts / denominator``,
-    agent a ranking types by ``orders[a]``; nothing is validated."""
+    agent a ranking types by ``orders[a]``; nothing is validated, but every
+    row must hold a positive count, as every row summing to D does.
+
+    The scan is O(n·m) for n agents and m types.  An agent is wasteful
+    exactly when some slack type ranks above the worst type it holds, so
+    the first wasteful agent's preferred type is its first slack type, by
+    index, ranked above that worst type, and the held type is the first
+    type, by index, that it holds and ranks below the preferred one.
+    """
     slack = [
-        sum(column) < capacity * denominator
-        for capacity, column in zip(market.capacities, zip(*counts))
+        o
+        for o, (capacity, total) in enumerate(zip(market.capacities, map(sum, zip(*counts))))
+        if total < capacity * denominator
     ]
     for a, (order, row) in enumerate(zip(orders, counts)):
-        for o in range(market.n_types):
-            if not slack[o]:
-                continue
-            for held in range(market.n_types):
-                if row[held] > 0 and order.ranks[o] < order.ranks[held]:
-                    return (a, o, held)
+        ranks = order.ranks
+        worst = max(compress(ranks, row))
+        for o in slack:
+            if ranks[o] < worst:
+                preferred = ranks[o]
+                for held, c in enumerate(row):
+                    if c and ranks[held] > preferred:  # the worst held type is one
+                        break
+                return (a, o, held)
     return None
 
 

@@ -245,8 +245,11 @@ def _count_rows(market: Market, ranks: Sequence[Sequence[int]]) -> list[tuple[li
     (:func:`_moves`; the null type always has room, so it has no field),
     and each agent moves only down to its outside option
     (:func:`_cut_moves`).  Agents with equal cut moves are interchangeable
-    and form a group, taken in the order of their first members, and the
-    pass takes one step per group: a lone agent's moves
+    and form a group, taken in the order of their first members.  The cut
+    moves are made once per rank table object, since the parser hands every
+    agent of one ranking the same order; equal tables held as distinct
+    objects, lists included, still meet in one group through their equal
+    cuts.  The pass takes one step per group: a lone agent's moves
     (:func:`_forward_step`), or a group's splits of its seats
     (:class:`_Splits`), each counted once per way to hand them to the
     members.  The forward pass gives each state its least prefix rank and
@@ -290,8 +293,13 @@ def _count_rows(market: Market, ranks: Sequence[Sequence[int]]) -> list[tuple[li
     """
     start, guards, moves = _moves(market)
     groups: dict[Cut, list[AgentIndex]] = {}
+    shared: dict[int, list[AgentIndex]] = {}  # id of a rank table -> its group
     for a, rank in enumerate(ranks):
-        groups.setdefault(_cut_moves(moves, rank, market.null_type), []).append(a)
+        members = shared.get(id(rank))
+        if members is None:
+            cut = _cut_moves(moves, rank, market.null_type)
+            members = shared[id(rank)] = groups.setdefault(cut, [])
+        members.append(a)
     state = start
     upper = 0
     least = []

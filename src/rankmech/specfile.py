@@ -32,12 +32,16 @@ from .market import Market, PreferenceOrder, Profile, check_profile
 def parse_market_spec(text: str) -> tuple[Market, Profile]:
     """Parse a market file into a market plus the declared revealed profile.
 
-    Identical ranking texts share one order: each distinct ranking is split,
-    resolved against the declared types and checked once, at its first line,
-    and every agent declaring it gets the same ``PreferenceOrder``.  So a
-    file whose agents all reveal one of two lines builds two orders.  The
-    memo lives inside this call; a diagnostic names the first line at fault,
-    as a line-by-line check would.
+    Each line is split once: its comment is cut off only when it holds a
+    ``#``, and an agent line splits into its keyword, name, ``prefers`` and
+    ranking text.  Identical ranking texts share one order: each distinct
+    ranking is split, resolved against the declared types in one pass of
+    dict lookups and checked once, at its first line, and every agent
+    declaring it gets the same ``PreferenceOrder``.  So a file whose agents
+    all reveal one of two lines builds two orders.  Only a ranking that is
+    not a permutation of the types is walked entry by entry, to word its
+    diagnostic.  The memo lives inside this call; a diagnostic names the
+    first line at fault, as a line-by-line check would.
     """
     lines = text.splitlines()
     type_names: list[str] = []
@@ -48,11 +52,12 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
     rankings: dict[str, tuple[int, list[str]]] = {}  # ranking text -> (first line, entries)
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        tokens = line.split()
+        tokens = line.split(None, 3)
         if tokens[0] == "type":
+            tokens = line.split()
             _parse_type_line(lineno, tokens, type_names, capacities, type_lines)
             if len(tokens) == 5:
                 if null_type is not None:
@@ -71,10 +76,10 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
                 raise MarketSpecError(
                     "E_DUP_AGENT", lineno, f"agent {name!r} declared twice"
                 )
-            ranking_text = line.split(None, 3)[3]
+            ranking_text = tokens[3]
             if ranking_text not in rankings:
-                ranked = [part.strip() for part in ranking_text.split(">")]
-                if any(not part for part in ranked):
+                ranked = list(map(str.strip, ranking_text.split(">")))
+                if "" in ranked:
                     raise MarketSpecError(
                         "E_SYNTAX", lineno, "empty entry in the ranking list"
                     )
@@ -112,28 +117,13 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
             )
 
     index = {name: o for o, name in enumerate(type_names)}
+    every_type = set(index.values())
     orders = {}
     for ranking_text, (lineno, ranked) in rankings.items():
-        seen = set()
-        ranking = []
-        for part in ranked:
-            if part not in index:
-                raise MarketSpecError(
-                    "E_UNKNOWN_TYPE", lineno, f"ranking mentions undeclared type {part!r}"
-                )
-            if part in seen:
-                raise MarketSpecError(
-                    "E_RANKING_INCOMPLETE", lineno, f"type {part!r} ranked twice"
-                )
-            seen.add(part)
-            ranking.append(index[part])
-        if len(ranking) != len(type_names):
-            missing = [t for t in type_names if t not in seen]
-            raise MarketSpecError(
-                "E_RANKING_INCOMPLETE", lineno,
-                f"ranking omits {', '.join(repr(m) for m in missing)}",
-            )
-        orders[ranking_text] = PreferenceOrder(tuple(ranking))
+        ranking = tuple(map(index.get, ranked))
+        if len(ranking) != len(index) or set(ranking) != every_type:
+            raise _ranking_error(lineno, ranked, type_names)
+        orders[ranking_text] = PreferenceOrder(ranking)
 
     market = Market(
         agent_names=tuple(agents),
@@ -142,6 +132,27 @@ def parse_market_spec(text: str) -> tuple[Market, Profile]:
         null_type=null_type,
     )
     return market, Profile(tuple(orders[text] for text in agents.values()))
+
+
+def _ranking_error(lineno: int, ranked: list[str], type_names: list[str]) -> MarketSpecError:
+    """The diagnostic for a ranking that is not a permutation of the types:
+    its first undeclared or repeated entry, walking the entries in order,
+    or else the types it omits."""
+    seen = set()
+    for part in ranked:
+        if part not in type_names:
+            return MarketSpecError(
+                "E_UNKNOWN_TYPE", lineno, f"ranking mentions undeclared type {part!r}"
+            )
+        if part in seen:
+            return MarketSpecError(
+                "E_RANKING_INCOMPLETE", lineno, f"type {part!r} ranked twice"
+            )
+        seen.add(part)
+    missing = [t for t in type_names if t not in seen]
+    return MarketSpecError(
+        "E_RANKING_INCOMPLETE", lineno, f"ranking omits {', '.join(repr(m) for m in missing)}"
+    )
 
 
 def _parse_type_line(lineno, tokens, type_names, capacities, type_lines):

@@ -271,6 +271,34 @@ MUTANTS = (
         "denominator < 0:",
         ("tests/test_assignment.py::test_constructor_checks_the_denominator",),
     ),
+    Mutant(
+        "non-int-count-raises-type-error",
+        "rankmech/assignment.py",
+        "        except (TypeError, DomainError):\n",
+        "        except DomainError:\n",
+        ("tests/test_assignment.py::test_constructor_names_a_count_that_is_not_an_int",),
+    ),
+    Mutant(
+        "waste-scan-prefers-the-worst-held-type",
+        "rankmech/assignment.py",
+        "            if ranks[o] < worst:\n",
+        "            if ranks[o] <= worst:\n",
+        (
+            "tests/test_assignment.py::test_waste_scan_matches_fraction_oracle_on_seeded_wide_markets",
+            "tests/test_assignment.py::test_waste_scan_matches_fraction_oracle_on_every_small_profile[ex2]",
+        ),
+    ),
+    Mutant(
+        "cut-memo-hands-every-agent-the-first-cut",
+        "rankmech/mechanisms.py",
+        "        members = shared.get(id(rank))\n",
+        "        members = shared.get(id(ranks[0]))\n",
+        (
+            "tests/test_mechanisms.py::"
+            "test_count_pass_groups_equal_rank_tables_whatever_objects_hold_them",
+            "tests/test_mechanisms.py::test_grouped_count_pass_matches_the_per_agent_pass",
+        ),
+    ),
 )
 
 

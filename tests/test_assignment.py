@@ -305,6 +305,36 @@ def test_constructor_checks_the_denominator():
             Assignment(market, denominator, ((0, 0, 0),) * 3)
 
 
+def test_constructor_names_a_count_that_is_not_an_int():
+    """A count that is not an int, or a row that is not a sequence, is a
+    DomainError naming the first one, whether or not an integer check
+    would pass it.  A bool is the int it equals, and is stored as that int."""
+    market = example2_market()
+    valid = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for bad, text in (
+        (1.0, "count 1.0 for (a2, o2) is not an int"),
+        (F(1), "count Fraction(1, 1) for (a2, o2) is not an int"),
+        ("1", "count '1' for (a2, o2) is not an int"),
+        (F(3, 2), "count Fraction(3, 2) for (a2, o2) is not an int"),
+    ):
+        counts = (valid[0], (0, bad, 0), valid[2])
+        with pytest.raises(DomainError) as exc:
+            Assignment(market, 1, counts)
+        assert str(exc.value) == text
+    for row in (5, None, (c for c in valid[1])):
+        with pytest.raises(DomainError, match="row a2 is not a sequence of counts, got "):
+            Assignment(market, 1, (valid[0], row, valid[2]))
+    with pytest.raises(DomainError, match=r"count 0\.5 for \(a1, o1\) is not an int"):
+        Assignment(market, 1, ((0.5, 0.5, 0), (0, 1, 0), (0, 0, 1)))
+    for denominator, counts in (
+        (1, ((True, False, False), (False, True, False), (0, 0, True))),
+        (2, ((2, False, False), (0, 2, False), (0, 0, 2))),
+    ):
+        x = Assignment(market, denominator, counts)
+        assert x == Assignment(market, 1, valid)
+        assert x.counts == valid and all(type(c) is int for row in x.counts for c in row)
+
+
 def test_assign_path_validates_each_matrix_once(monkeypatch):
     """Mechanism, waste scan, refusal, waste scan and ``decompose`` validate
     two matrices, the mechanism's output and the refused one, once each, and
@@ -700,6 +730,55 @@ def test_waste_scan_matches_fraction_oracle_on_every_small_profile(market):
                 assert witness == fraction_wastefulness_witness(market, matrix, judged)
                 found.add(witness is None)
     assert found == {True, False}
+
+
+def _seeded_waste_markets(rng):
+    """60 seeded markets of 4-6 types, the null type at a seeded index, and
+    6-10 agents, each with a revealed profile (every other one has most
+    agents sharing one order) and seeded truths."""
+    for i in range(60):
+        n = rng.randint(6, 10)
+        m = rng.randint(4, 6)
+        null = rng.randrange(m)
+        market = Market(
+            agent_names=tuple(f"a{j + 1}" for j in range(n)),
+            type_names=tuple(f"o{o + 1}" for o in range(m)),
+            capacities=tuple(
+                rng.choice((n, 2 * n)) if o == null else rng.randint(1, 3) for o in range(m)
+            ),
+            null_type=null,
+        )
+        orders = market.all_orders()
+        shared = rng.choice(orders)
+        profile = Profile(tuple(
+            shared if i % 2 and rng.random() < 0.7 else rng.choice(orders) for _ in range(n)
+        ))
+        yield market, profile, _random_profile(rng, market)
+
+
+def test_waste_scan_matches_fraction_oracle_on_seeded_wide_markets():
+    """Both mechanisms on seeded 4-6 type, 6-10 agent markets, judged against
+    the reveals and, refused, against seeded truths.  Both outcomes occur,
+    and some witness's preferred type comes after a slack type of lower
+    index that its agent does not rank above everything it holds."""
+    rng = random.Random(4711)
+    budget = mechanisms.Budget(max_agents=10)
+    found = set()
+    skips = 0
+    for market, profile, truths in _seeded_waste_markets(rng):
+        for mechanism in (uniform_mechanism, modified_mechanism):
+            x = mechanism(market, profile, budget)
+            refused = refusal_transform(market, x, truths)
+            for matrix, judged in ((x, profile), (refused, truths)):
+                witness = wastefulness_witness(market, matrix, judged)
+                assert witness == fraction_wastefulness_witness(market, matrix, judged)
+                found.add(witness is None)
+                if witness is not None:
+                    skips += any(
+                        matrix.column_sum(o) < market.capacities[o] for o in range(witness[1])
+                    )
+    assert found == {True, False}
+    assert skips > 0
 
 
 def _cold_matching(positive):
