@@ -28,13 +28,7 @@ from .examples import run_example_checks
 from .market import Market, Profile, order_from_names, order_to_names
 from .mechanisms import Budget, DEFAULT_BUDGET, get_mechanism
 from .specfile import parse_market_spec
-from .strategy import (
-    _first_witnesses,
-    _verdict,
-    full_extension,
-    ods_set,
-    refusal_transform,
-)
+from .strategy import dominance_verdicts, full_extension, ods_set, refusal_transform
 from .sweeps import SWEEPS
 
 
@@ -158,6 +152,12 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     budget = _budget(args)
     mech = get_mechanism(args.mechanism)
     x = mech(market, revealed, budget)
+    truths = revealed
+    if args.truth is not None:  # read only with --refusal
+        truth_market, truths = _load(args.truth)
+        if truth_market != market:
+            raise MarketSpecError("E_MARKET_MISMATCH", 0,
+                                  "the truth file declares a different market")
     print(f"mechanism: {args.mechanism}")
     for a in range(market.n_agents):
         print(f"revealed {market.agent_names[a]}: {order_to_names(market, revealed[a])}")
@@ -167,15 +167,6 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     print(_waste_line(market, witness))
     final = x
     if args.refusal:
-        if args.truth is not None:
-            truth_market, truths = _load(args.truth)
-            if truth_market != market:
-                raise MarketSpecError(
-                    "E_MARKET_MISMATCH", 0,
-                    "the truth file declares a different market",
-                )
-        else:
-            truths = revealed
         refused = refusal_transform(market, x, truths)
         print("after refusal:")
         print(render_matrix(market, refused))
@@ -206,7 +197,6 @@ def _render_opponents(market: Market, witness) -> str:
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
     market, _ = _load(args.spec)
-    budget = _budget(args)
     agent = market.agent_index(args.agent)
     truth = order_from_names(market, args.truth_order)
     if args.candidate is not None:
@@ -217,12 +207,11 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
             (order, " [full extension]" if order == extension else " [demotion]")
             for order in ods_set(market, truth)
         ]
+    verdicts = dominance_verdicts(market, agent, truth, [order for order, _ in candidates],
+                                  args.mechanism, args.refusal, _budget(args))
     print(f"agent: {args.agent}  truth: {args.truth_order}  "
           f"mechanism: {args.mechanism}  refusal: {'on' if args.refusal else 'off'}")
-    found = _first_witnesses(market, args.mechanism, args.refusal,
-                             [(truth, candidate) for candidate, _ in candidates], budget)
-    for candidate, tag in candidates:
-        verdict = _verdict(market, agent, *found[truth, candidate])
+    for (candidate, tag), verdict in zip(candidates, verdicts):
         print(f"candidate {order_to_names(market, candidate)}{tag}: "
               f"weak={'yes' if verdict.weakly_dominates else 'no'} "
               f"strict={'yes' if verdict.strictly_dominates else 'no'}")

@@ -68,7 +68,7 @@ class Market:
       - the outside option's capacity is at least the number of agents;
       - every other capacity q satisfies 1 <= q < number of agents.
 
-    A market keeps, privately, the class tables ``mechanisms._class_rows``
+    A market keeps, privately, the class tables ``classpairs.class_rows``
     builds on first use, which every sweep and dominance walk on the market
     then shares.  They list the market's orders once, and keep every
     class-pair verdict a sweep's walk has decided, one table per (mechanism,

@@ -23,15 +23,10 @@ public functions validate them once and wrap them as an ``Assignment``.
 ``enumerate_rank_minimizers`` lists the set itself.  Nothing in the package
 calls it: it stays defined and exported because the bench tracer binds it
 for its ``mechanisms.solve_*`` metrics and the tests check the count
-against it.  The dominance walk and every sweep read their rows from one
-source here, a market's class tables (``_ClassRows``, built once per market
-by ``_class_rows``), which run the forward pass over an agent's opponents
-only and work in truncation classes of orders: two orders share a class
-when they rank the same types down to and including the outside option.
-The class tables are the one place that lists a market's orders.  The
-crowd-out parse has one implementation, ``_PatternTables``: the mechanisms
-build its tables from a profile's own orders, the class tables from the
-class representatives.
+against it.  This is the only module that reads the counting pass's packed
+states; the class tables of :mod:`~rankmech.classpairs` step their
+opponents through :class:`OpponentPass` and parse with the one crowd-out
+parse, :class:`PatternTables`.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .assignment import Assignment, DeterministicAssignment
 from .errors import BudgetError, DomainError
@@ -74,7 +69,9 @@ class RankMinimizingSet:
     members: tuple[DeterministicAssignment, ...]
 
 
-def _check_budget(market: Market, budget: Budget) -> None:
+def check_budget(market: Market, budget: Budget) -> None:
+    """Raise ``BudgetError`` past the agent limit or ``TYPE_LIMIT``: the
+    counting pass and enumeration here, and ``classpairs.class_rows``."""
     if market.n_agents > budget.max_agents or market.n_types > TYPE_LIMIT:
         raise BudgetError(
             f"market size {market.n_agents} agents x {market.n_types} types exceeds "
@@ -97,7 +94,7 @@ def enumerate_rank_minimizers(
     ties are kept.
     """
     check_profile(market, profile)
-    _check_budget(market, budget)
+    check_budget(market, budget)
     n = market.n_agents
     m = market.n_types
     ranks = [order.ranks for order in profile.orders]
@@ -204,6 +201,79 @@ def _forward_step(
     return after_layer
 
 
+class OpponentPass:
+    """The forward half of the counting pass over an agent's opponents, each
+    revealing one of the orders whose rank tables are ``ranks``, by index.
+
+    The class tables of :mod:`~rankmech.classpairs` walk their multisets of
+    opponent classes with it, and it keeps the packed states to itself.
+    ``start`` is the layer before any opponent, :meth:`step` adds one
+    opponent (:func:`_forward_step`), each moving only down to its outside
+    option (:func:`_cut_moves`), and :meth:`fold` adds the last one and
+    gives the multiset's ``ends``: its layer folded per room mask.  In each
+    state the agent's best move, and so its rank, depend only on which
+    types have room there, so within one room mask only the least prefix
+    rank can be optimal.  The last opponent's moves go straight into the
+    room masks, so the layer after it is never built; ``masks`` keeps, per
+    state met before such a move, the room mask after each move, at most
+    prod(q + 1) of them.
+    """
+
+    def __init__(self, market: Market, ranks: Sequence[Sequence[int]]):
+        start, _, self.moves = _moves(market)
+        self.start = {start: (0, 1)}
+        self.cuts = [_cut_moves(self.moves, rank, market.null_type) for rank in ranks]
+        self.masks: dict[int, list[int | None]] = {}
+
+    def step(self, layer: dict[int, tuple[int, int]], c: int) -> dict[int, tuple[int, int]]:
+        """``layer`` after one more opponent, revealing order ``c``."""
+        return _forward_step(layer, self.cuts[c])
+
+    def fold(self, layer: dict[int, tuple[int, int]], c: int) -> list[tuple[int, int, int]]:
+        """The last opponent's step from ``layer``, revealing order ``c``,
+        folded per room mask: one (least prefix rank, summed prefix count,
+        room mask) per room mask of the states it can leave.
+
+        Each (state, move) pair updates its after-state's room mask directly,
+        and no layer of after-states is built.  The counts are those of a
+        full forward step folded afterwards: a pair whose rank equals its
+        mask's least rank also equals its after-state's least rank, which is
+        no less than the mask's, so the pairs counted are exactly those that
+        the after-states of least rank in the mask sum.
+        """
+        masks = self.masks
+        cut = self.cuts[c]
+        folded: dict[int, tuple[int, int]] = {}
+        for state, (cost, count) in layer.items():
+            after = masks.get(state)
+            if after is None:
+                after = masks[state] = self._masks_after(state)
+            for o, _, _, rank in cut:
+                mask = after[o]
+                if mask is None:
+                    continue
+                reach = cost + rank
+                held = folded.get(mask)
+                if held is None or reach < held[0]:
+                    folded[mask] = (reach, count)
+                elif reach == held[0]:
+                    folded[mask] = (reach, held[1] + count)
+        return [(cost, count, mask) for mask, (cost, count) in folded.items()]
+
+    def _masks_after(self, state: int) -> list[int | None]:
+        """The room mask after each type's move from ``state``, by type; None
+        where the type has no room."""
+        moves = self.moves
+        after = []
+        for _, need, field in moves:
+            if field and not state & field:
+                after.append(None)
+            else:
+                left = state - need
+                after.append(sum(1 << o for o, _, f in moves if not f or left & f))
+        return after
+
+
 def uniform_mechanism(
     market: Market, profile: Profile, budget: Budget = DEFAULT_BUDGET
 ) -> Assignment:
@@ -227,12 +297,12 @@ def _integer_rows(
     gets the uniform rows of :func:`_count_rows`.
     """
     if mechanism == "modified":
-        tables = _PatternTables(market, profile.orders)
+        tables = PatternTables(market, profile.orders)
         agents = range(market.n_agents)
         pattern = tables.parse(agents)
         if pattern is not None:
             return [tables.override_row(agents, pattern, a) for a in agents]
-    _check_budget(market, budget)
+    check_budget(market, budget)
     return _count_rows(market, [order.ranks for order in profile.orders])
 
 
@@ -517,17 +587,18 @@ def detect_modified_pattern(market: Market, profile: Profile) -> ModifiedPattern
     coexist.
     """
     check_profile(market, profile)
-    return _PatternTables(market, profile.orders).parse(range(market.n_agents))
+    return PatternTables(market, profile.orders).parse(range(market.n_agents))
 
 
-class _PatternTables:
+class PatternTables:
     """The crowd-out parse, as table lookups over a list of orders.
 
     A profile is given as an index into ``classes`` for each agent's reveal.
-    The class tables (:class:`_ClassRows`) pass their class representatives
-    and class profiles; the parse reads no rank below the outside option, so
-    it is the same for every lift of a class profile to full orders.  Both
-    mechanisms pass a profile's own orders and ``range(n)``.  The tables
+    The class tables of :mod:`~rankmech.classpairs` pass their class
+    representatives and class profiles; the parse reads no rank below the
+    outside option, so it is the same for every lift of a class profile to
+    full orders.  Both mechanisms, here, pass a profile's own orders and
+    ``range(n)``.  The tables
     hold each class's outside-option rank and, once a class is first tried
     as the special agent, the :meth:`_role` of every class against it; no
     ``Profile`` is built.  They keep the market's sizes, not the market, so
@@ -649,223 +720,6 @@ class _PatternTables:
             return row, len(pattern.competitors)
         row[self.null_type] = 1
         return row, 1
-
-
-class _ClassRows:
-    """A market's class tables: the row of an agent against opponents, in
-    truncation class indices.
-
-    Two orders share a truncation class when they rank the same types down
-    to and including the outside option.  Neither mechanism reads a rank
-    below it: the null type always has room, so no rank-minimizing
-    assignment seats an agent below it, and the crowd-out parse stops there
-    too.  Both mechanisms are anonymous as well, so an agent's row depends
-    only on its reveal's class and the multiset of its opponents' classes.
-    Nothing here depends on the mechanism, so one object serves every sweep
-    and dominance walk on a market (:func:`_class_rows`); whether the
-    crowd-out parse is consulted is the caller's choice, per call of
-    :meth:`row`.  ``orders`` is ``market.all_orders()``, ``class_of`` maps
-    every order's ranking to its class, ``classes`` lists each class's
-    representative, its least order, numbered in the order of their
-    representatives, ``size`` the number of orders in each class, and
-    ``key`` each class's top ranks down to its capacity threshold, which is
-    never below the outside option: two orders are essentially equal
-    exactly when their classes' keys are equal.  ``clones`` keeps, per
-    class, the multiset of n - 1 opponents all revealing it, its ``ends``
-    and the unparsed rows read against it (:meth:`clone`), and ``verdicts``
-    the verdicts of every class pair decided so far, per (mechanism,
-    refusal) (:func:`~rankmech.strategy._decided`): each at most classes
-    squared entries, in at most four verdict tables.
-
-    A multiset's ``ends`` is the forward layer of the counting pass over it,
-    each opponent moving only down to its outside option
-    (:func:`_cut_moves`), folded per room mask: in each state the agent's
-    best move, and so its rank, depend only on which types have room there,
-    so within one room mask only the least prefix rank can be optimal.  The
-    last opponent's moves go straight into the room masks (:meth:`_fold`),
-    so the layer after it is never built; ``masks`` keeps, per state before
-    that move, the room mask after each move.  ``tables`` holds the
-    crowd-out parse over the classes (:class:`_PatternTables`).  No table
-    refers to the market, so a market keeping them is still freed by
-    reference counting.
-    """
-
-    def __init__(self, market: Market):
-        self.n_types = market.n_types
-        self.orders = market.all_orders()
-        self.class_of: dict[tuple[TypeIndex, ...], int] = {}
-        self.classes: list[PreferenceOrder] = []
-        self.size: list[int] = []
-        first: dict[tuple[TypeIndex, ...], int] = {}
-        for order in self.orders:
-            c = first.setdefault(order.top(order.rank(market.null_type)), len(self.classes))
-            if c == len(self.classes):
-                self.classes.append(order)
-                self.size.append(0)
-            self.size[c] += 1
-            self.class_of[order.ranking] = c
-        self.key = [order.top(market.capacity_threshold_rank(order)) for order in self.classes]
-        # first_with_room[c][mask]: class c's best type among those whose bit
-        # is set; each type, worst first, overwrites the masks holding it
-        self.first_with_room = []
-        for order in self.classes:
-            table = [None] * (1 << market.n_types)
-            for o in reversed(order.ranking):
-                table = [o if mask >> o & 1 else t for mask, t in enumerate(table)]
-            self.first_with_room.append(table)
-        self.start, _, self.moves = _moves(market)
-        self.cuts = [_cut_moves(self.moves, rep.ranks, market.null_type) for rep in self.classes]
-        # each state met so far before a last move, with the room mask after
-        # each type's move from it (:meth:`_masks_after`); at most prod(q + 1)
-        self.masks: dict[int, list[int | None]] = {}
-        self.tables = _PatternTables(market, self.classes)
-        self.clones: list[tuple[tuple[int, ...], list, dict] | None] = [None] * len(self.classes)
-        self.verdicts: dict[tuple[str, bool], dict[tuple[int, int], tuple[bool, bool]]] = {}
-
-    def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """Every multiset of ``k`` opponent classes, ``k`` at least 1, with its ``ends``.
-
-        The multisets come as sorted tuples in ``combinations_with_replacement``
-        order.  They are the leaves of a trie over their sorted prefixes, and
-        the walk keeps one forward layer per proper prefix on a stack, so each
-        inner trie node costs one step of the counting pass; nothing recurses.
-        A leaf's last opponent is not stepped into a layer: :meth:`_fold`
-        takes its moves straight into the room masks.
-        """
-        top = len(self.classes) - 1
-        combo = [0] * k
-        stack = [{self.start: (0, 1)}]
-        while True:
-            for c in combo[len(stack) - 1 : -1]:
-                stack.append(_forward_step(stack[-1], self.cuts[c]))
-            yield tuple(combo), self._fold(stack[-1], self.cuts[combo[-1]])
-            i = k - 1
-            while i >= 0 and combo[i] == top:
-                i -= 1
-            if i < 0:
-                return
-            combo[i:] = [combo[i] + 1] * (k - i)
-            del stack[i + 1 :]
-
-    def ends(self, opponents: Sequence[int]) -> list[tuple[int, int, int]]:
-        """The ``ends`` of one multiset of opponent classes, at least one,
-        given in any order."""
-        *first, last = opponents
-        layer = {self.start: (0, 1)}
-        for c in first:
-            layer = _forward_step(layer, self.cuts[c])
-        return self._fold(layer, self.cuts[last])
-
-    def clone(self, c: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]], dict]:
-        """The multiset of n - 1 opponents all revealing class ``c``, with
-        its ``ends``, and the rows :meth:`clone_row` has read against it,
-        built on first use."""
-        held = self.clones[c]
-        if held is None:
-            combo = (c,) * (self.tables.n_agents - 1)
-            held = self.clones[c] = combo, self.ends(combo), {}
-        return held
-
-    def clone_row(self, c: int, reveal: int) -> tuple[list[int], int]:
-        """The row of the agent revealing class ``reveal`` against class
-        ``c``'s clones, the crowd-out parse not consulted, kept once read:
-        every caller reads the one row, and none changes it."""
-        combo, ends, rows = self.clone(c)
-        row = rows.get(reveal)
-        if row is None:
-            row = rows[reveal] = self.row(ends, combo, reveal, False)
-        return row
-
-    def _fold(self, layer: dict[int, tuple[int, int]], cut: Cut) -> list[tuple[int, int, int]]:
-        """The last opponent's step from ``layer`` with the moves ``cut``,
-        folded per room mask: one (least prefix rank, summed prefix count,
-        room mask) per room mask of the states it can leave.
-
-        Each (state, move) pair updates its after-state's room mask directly,
-        and no layer of after-states is built.  The counts are those of a
-        full forward step folded afterwards: a pair whose rank equals its
-        mask's least rank also equals its after-state's least rank, which is
-        no less than the mask's, so the pairs counted are exactly those that
-        the after-states of least rank in the mask sum.
-        """
-        masks = self.masks
-        folded: dict[int, tuple[int, int]] = {}
-        for state, (cost, count) in layer.items():
-            after = masks.get(state)
-            if after is None:
-                after = masks[state] = self._masks_after(state)
-            for o, _, _, rank in cut:
-                mask = after[o]
-                if mask is None:
-                    continue
-                reach = cost + rank
-                held = folded.get(mask)
-                if held is None or reach < held[0]:
-                    folded[mask] = (reach, count)
-                elif reach == held[0]:
-                    folded[mask] = (reach, held[1] + count)
-        return [(cost, count, mask) for mask, (cost, count) in folded.items()]
-
-    def _masks_after(self, state: int) -> list[int | None]:
-        """The room mask after each type's move from ``state``, by type; None
-        where the type has no room."""
-        moves = self.moves
-        after = []
-        for _, need, field in moves:
-            if field and not state & field:
-                after.append(None)
-            else:
-                left = state - need
-                after.append(sum(1 << o for o, _, f in moves if not f or left & f))
-        return after
-
-    def row(
-        self,
-        ends: list[tuple[int, int, int]],
-        opponents: Sequence[int],
-        reveal: int,
-        parse: bool,
-    ) -> tuple[list[int], int]:
-        """The row of the agent revealing class ``reveal`` against ``opponents``.
-
-        ``ends`` must be the ``ends`` of ``opponents``.  The row is integer
-        counts over a total.  With ``parse`` on (the modified mechanism),
-        when ``(reveal, *opponents)`` parses as the crowd-out pattern it is
-        the override row.  Otherwise it is counted over the number of
-        optimal assignments: in each room mask the agent's best move is its
-        best type with room.
-        """
-        if parse:
-            profile = (reveal, *opponents)
-            pattern = self.tables.parse(profile)
-            if pattern is not None:
-                return self.tables.override_row(profile, pattern, 0)
-        m = self.n_types
-        rank = self.classes[reveal].ranks
-        first_with_room = self.first_with_room[reveal]
-        row = [0] * m
-        best = None
-        for cost, count, mask in ends:
-            o = first_with_room[mask]
-            reach = cost + rank[o]
-            if best is None or reach < best:
-                row = [0] * m
-                best = reach
-            if reach == best:
-                row[o] += count
-        return row, sum(row)
-
-
-def _class_rows(market: Market, budget: Budget) -> _ClassRows:
-    """The class tables of ``market``, built on first use and kept on it.
-
-    The budget is checked on every call, before the tables are built or
-    returned: building them lists every order.
-    """
-    _check_budget(market, budget)
-    if market._class_rows is None:
-        object.__setattr__(market, "_class_rows", _ClassRows(market))
-    return market._class_rows
 
 
 def modified_mechanism(

@@ -5,33 +5,16 @@ option and walks away from the rest.  Demotion strategies exploit that
 escape hatch: they reveal the outside option last while keeping the
 acceptable block intact.  The dominance checker compares a candidate reveal
 against the truth across every combination of opponent reveals, so its
-verdicts are exhaustive rather than sampled.  Both mechanisms are anonymous
-and read no reveal below its outside option, so the walk reads an agent's
-row, in integers, from the market's class tables in ``mechanisms``
-(``_ClassRows``, built once per market by ``_class_rows``), given its
-reveal's truncation class and the multiset of its opponents' classes.  The
-dominance walk takes pairs of classes (truth class, candidate class), seats
-the queried agent last and visits each multiset of opponent classes once,
-in sorted order, and multisets sharing a sorted prefix share the layers of
-that prefix.  Under refusal a truth ranking its outside option first
-compares over an empty prefix, never failing and never strict, so its
-pairs are left out of the walk and no row is read for them.  The first
-failing opponent profile in product order is a sorted tuple of class
-representatives, the least lift of its class multiset, so the witnesses
-are those of the full product.  The sweeps read only whether each class
-pair's witnesses exist, and keep those verdicts on the class tables, per
-(mechanism, refusal), for every later sweep (:func:`_decided`).  Before
-their walk they compare each pair on its truth class's clones, the first
-group of the paper's separating profile (:func:`adversarial_profile`), and
-walk only the pairs that do not fail there.  The equal-treatment sweep and
-``prop3`` read their rows from the same source.
+verdicts are exhaustive rather than sampled; it reads the first witnesses
+of all its candidates from one walk of the class-pair engine
+(:func:`~rankmech.classpairs.first_witnesses`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .assignment import Assignment, _scaled
 from .errors import BudgetError, DomainError
@@ -43,7 +26,8 @@ from .market import (
     TypeIndex,
     check_profile,
 )
-from .mechanisms import Budget, DEFAULT_BUDGET, _ClassRows, _class_rows, get_mechanism
+from .classpairs import first_witnesses
+from .mechanisms import Budget, DEFAULT_BUDGET
 
 OpponentProfile = tuple[tuple[AgentIndex, PreferenceOrder], ...]
 
@@ -170,9 +154,9 @@ def adversarial_profile(
     threshold precondition guarantees fit among the opponents.
 
     The sweeps compare every class pair first on the truth class's clones
-    alone, n - 1 of them (:func:`_clone_failures`), this profile's first
-    group grown to every opponent; this function stays the construction's
-    public, validated form and the tests' oracle for it.
+    alone, n - 1 of them (``classpairs._clone_failures``), this profile's
+    first group grown to every opponent; this function stays the
+    construction's public, validated form and the tests' oracle for it.
     """
     market.check_order(truth)
     market.check_order(candidate)
@@ -252,229 +236,38 @@ def check_dominance(query: DominanceQuery, budget: Budget = DEFAULT_BUDGET) -> D
     face value; with refusal on, both rows are filtered through the agent's
     true order first.  Opponent profiles enumerate lexicographically, agents
     in index order and orders by type index, which pins the witnesses.  The
-    walk visits each multiset of opponent reveals once, as its sorted tuple,
-    and still finds the first witnesses of that order (see
-    :func:`_first_witnesses`).
+    verdict is that of :func:`dominance_verdicts` for the one candidate.
     """
-    market = query.market
-    market.check_order(query.truth)
-    market.check_order(query.candidate)
-    if not 0 <= query.agent < market.n_agents:
-        raise DomainError(f"agent index {query.agent} out of range")
-    pair = (query.truth, query.candidate)
-    found = _first_witnesses(market, query.mechanism, query.refusal, [pair], budget)
-    return _verdict(market, query.agent, *found[pair])
+    return dominance_verdicts(query.market, query.agent, query.truth, [query.candidate],
+                              query.mechanism, query.refusal, budget)[0]
 
 
-Witnesses = tuple[tuple[PreferenceOrder, ...] | None, tuple[PreferenceOrder, ...] | None]
-Verdicts = dict[tuple[int, int], tuple[bool, bool]]
+def dominance_verdicts(
+    market: Market, agent: AgentIndex, truth: PreferenceOrder,
+    candidates: Sequence[PreferenceOrder], mechanism: str, refusal: bool, budget: Budget,
+) -> list[DominanceVerdict]:
+    """The verdict of each of ``candidates`` against ``truth`` for ``agent``,
+    in order, all from one walk; :func:`check_dominance` and the CLI's
+    ``dominance`` report call it.
 
-
-def _first_witnesses(
-    market: Market,
-    mechanism: str,
-    refusal: bool,
-    pairs: Iterable[tuple[PreferenceOrder, PreferenceOrder]],
-    budget: Budget = DEFAULT_BUDGET,
-) -> dict[tuple[PreferenceOrder, PreferenceOrder], Witnesses]:
-    """First failing and first strict opponent multiset of every (truth, candidate).
-
-    The queried agent's row does not depend on which agent it is, nor on the
-    order of its opponents, nor on any reveal below its outside option
-    (:class:`~rankmech.mechanisms._ClassRows`).  So pairs with one
-    (truth class, candidate class) share one entry of the class-pair walk
-    (:func:`_walk_pairs`), which runs until both witnesses of every entry
-    are found.  A truth and candidate in one class get the same row
-    everywhere, so such a pair is never compared and has no witness.
-    Replacing each reveal of a failing opponent tuple by its class
-    representative and sorting gives a failing tuple no later in product
-    order, since a representative is the least order of its class: the
-    first failing tuple of the product is a sorted tuple of representatives,
-    and the walk meets it first.  The same holds for the first strict
-    tuple.  The orders are not checked here; the entry points
-    (:func:`check_dominance`, :func:`~rankmech.market.order_from_names`,
-    :func:`ods_set`) check them.
+    The orders and the agent are checked first.  The walk visits each
+    multiset of opponent reveals once, as its sorted tuple, and still finds
+    the first witnesses of the product order
+    (:func:`~rankmech.classpairs.first_witnesses`).
     """
-    get_mechanism(mechanism)
-    source = _class_rows(market, budget)
-    class_of, classes = source.class_of, source.classes
-    keys = {pair: (class_of[pair[0].ranking], class_of[pair[1].ranking]) for pair in pairs}
-    found = _walk_pairs(source, mechanism, refusal, {k for k in keys.values() if k[0] != k[1]})
-
-    def orders(combo: tuple[int, ...] | None) -> tuple[PreferenceOrder, ...] | None:
-        return None if combo is None else tuple(classes[c] for c in combo)
-
-    return {pair: tuple(map(orders, found.get(key, (None, None)))) for pair, key in keys.items()}
-
-
-def _decided(
-    source: _ClassRows, mechanism: str, refusal: bool, pairs: Iterable[tuple[int, int]]
-) -> Verdicts:
-    """Whether each (truth class, candidate class) weakly and strictly dominates.
-
-    The verdicts are kept on the class tables, one table per (mechanism,
-    refusal), which the call returns; a pair inside one class ties
-    everywhere, weakly but not strictly dominating.  Each pair not yet
-    decided is first compared on its truth class's clones
-    (:func:`_clone_failures`); a pair failing there fails, neither weakly
-    nor strictly dominating, as the walk would find.  Only the other pairs
-    are walked together (:func:`_walk_pairs`), and the table is written
-    only once that walk has finished, so a comparison that raises, on the
-    clones or in the walk, leaves none of the verdicts behind.
-    """
-    get_mechanism(mechanism)
-    table = source.verdicts.setdefault(
-        (mechanism, refusal), {(c, c): (True, False) for c in range(len(source.classes))}
-    )
-    undecided = {pair for pair in pairs if pair not in table}
-    if undecided:
-        failing = _clone_failures(source, mechanism, refusal, undecided)
-        found = _walk_pairs(source, mechanism, refusal, undecided - failing)
-        table.update(dict.fromkeys(failing, (False, False)))
-        table.update(
-            (pair, (failure is None, failure is None and strict is not None))
-            for pair, (failure, strict) in found.items()
-        )
-    return table
-
-
-def _clone_failures(
-    source: _ClassRows, mechanism: str, refusal: bool, pairs: Iterable[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """The pairs of distinct classes (truth class, candidate class) whose
-    comparison fails on the truth class's clones, the multiset of n - 1
-    opponents all revealing it (:meth:`~rankmech.mechanisms._ClassRows.clone`).
-
-    The clones open the paper's separating profile
-    (:func:`adversarial_profile`).  On every market of three or more agents
-    measured, every pair that fails anywhere fails there, and a pair that
-    fails there need not be walked; the pairs left, failing or not, are
-    decided by the walk, so this stage changes no verdict, only the work.
-    The rows are those the walk reads on that multiset, one ``ends`` and
-    one truth row per truth class and one row per candidate, and they are
-    compared by the walk's cumulative cross-multiplication along the
-    truth's compared prefix (:func:`_walk_pairs`), so a failure found here
-    is one the walk finds; only whether the pair fails is read.  The rows
-    that no crowd-out parse can override are read through
-    :meth:`~rankmech.mechanisms._ClassRows.clone_row`, which keeps them for
-    every key.  A pair with an empty comparison never fails, so it is not
-    compared.
-    """
-    parse = mechanism == "modified"
-    null_rank = source.tables.null_rank
-    by_truth: dict[int, list[int]] = {}
-    for t, c in pairs:
-        by_truth.setdefault(t, []).append(c)
-    failing = set()
-    for t, candidates in by_truth.items():
-        prefix = source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]]
-        if not prefix:  # an empty comparison never fails
-            continue
-        combo, ends, _ = source.clone(t)
-        low, high = source.tables.unparsed(combo) if parse else (1, source.n_types)
-        # n agents revealing t have no lone deepest outside option, so no parse
-        truth_row, truth_total = source.clone_row(t, t)
-        for c in candidates:
-            if low <= null_rank[c] <= high:
-                candidate_row, candidate_total = source.clone_row(t, c)
-            else:
-                candidate_row, candidate_total = source.row(ends, combo, c, True)
-            cum_truth = cum_candidate = 0
-            for o in prefix:
-                cum_truth += truth_row[o]
-                cum_candidate += candidate_row[o]
-                if cum_candidate * truth_total < cum_truth * candidate_total:
-                    failing.add((t, c))
-                    break
-    return failing
-
-
-def _walk_pairs(
-    source: _ClassRows,
-    mechanism: str,
-    refusal: bool,
-    pairs: Iterable[tuple[int, int]],
-) -> dict[tuple[int, int], list[tuple[int, ...] | None]]:
-    """First failing and first strict opponent class multiset of every pair
-    of distinct classes (truth class, candidate class).
-
-    The queried agent is seated last and the opponents are walked as sorted
-    tuples of truncation classes (:meth:`~rankmech.mechanisms._ClassRows.walk`).
-    For each multiset the last agent's row under each needed class is read
-    once, in integers, from the class tables, which also give the modified
-    mechanism's override row where the profile parses as the crowd-out
-    pattern; the parse is tried only for the reveals that the tables' parse
-    (``tables.unparsed``) does not rule out for the multiset.  Rows
-    are compared by cross-multiplying cumulative sums along the truth's
-    ranking down to its outside option, which depends on the truth's class
-    only, so the ranks compared are read from the class representative.
-    Refusal moves everything from the truth's outside option down onto it,
-    so every cumulative sum from there on equals the total: with refusal on
-    the comparison stops just above the outside option.  Without refusal it
-    stops at the outside option, inclusive: a row carries no mass below its
-    reveal's outside option, so there the truth's sum is its total T_t,
-    and from there on the gap is T_t times the candidate's sum less its
-    total.  That is never positive and never falls, so if it is negative
-    at the outside option the comparison has already failed there, and if
-    it is zero it stays zero: no later rank changes either verdict.
-
-    With refusal on, a truth class ranking its outside option first
-    compares over an empty prefix, so its pairs neither fail nor are
-    strict anywhere: they never enter the walk, their witnesses stay None,
-    as a full walk would leave them, and their classes' rows are read only
-    where an open pair needs them.  Every other pair is an open entry of
-    the walk.  An entry closes once both of its witnesses are found, and
-    the walk ends once no entry is open, so both witnesses of every pair
-    are those of a walk over that pair alone, whatever pairs are walked
-    with it.
-    """
-    parse = mechanism == "modified"
-    m = source.n_types
-    null_rank = source.tables.null_rank
-    found = {pair: [None, None] for pair in pairs}
-    open_pairs = []
-    for (t, c), slot in found.items():
-        prefix = source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]]
-        if prefix:  # an empty comparison neither fails nor is strict anywhere
-            open_pairs.append((t, c, prefix, slot))
-    needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    for combo, ends in source.walk(source.tables.n_agents - 1) if open_pairs else ():
-        # every outside-option rank lies in 1..m, so no reveal parses under uniform
-        low, high = source.tables.unparsed(combo) if parse else (1, m)
-        rows = {r: source.row(ends, combo, r, not low <= null_rank[r] <= high) for r in needed}
-        closed = False
-        for t, c, prefix, slot in open_pairs:
-            truth_row, truth_total = rows[t]
-            candidate_row, candidate_total = rows[c]
-            weak = True
-            strict = False
-            cum_truth = cum_candidate = 0
-            for o in prefix:
-                cum_truth += truth_row[o]
-                cum_candidate += candidate_row[o]
-                gap = cum_candidate * truth_total - cum_truth * candidate_total
-                if gap < 0:
-                    weak = False
-                    break
-                if gap > 0:
-                    strict = True
-            if not weak:
-                if slot[0] is None:
-                    slot[0] = combo
-                    closed = closed or slot[1] is not None
-            elif strict and slot[1] is None:
-                slot[1] = combo
-                closed = closed or slot[0] is not None
-        if closed:
-            open_pairs = [entry for entry in open_pairs if None in entry[3]]
-            if not open_pairs:
-                break
-            needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
-    return found
+    market.check_order(truth)
+    for candidate in candidates:
+        market.check_order(candidate)
+    if not 0 <= agent < market.n_agents:
+        raise DomainError(f"agent index {agent} out of range")
+    pairs = [(truth, candidate) for candidate in candidates]
+    found = first_witnesses(market, mechanism, refusal, pairs, budget)
+    return [_verdict(market, agent, *found[pair]) for pair in pairs]
 
 
 def _verdict(market: Market, agent: AgentIndex, failure, strict) -> DominanceVerdict:
-    """The verdict for ``agent`` from the opponent multisets :func:`_first_witnesses` found."""
+    """The verdict for ``agent`` from the opponent multisets
+    :func:`~rankmech.classpairs.first_witnesses` found."""
     others = [a for a in range(market.n_agents) if a != agent]
     weakly = failure is None
     return DominanceVerdict(

@@ -2,34 +2,25 @@
 
 Sweeps are deterministic.  Both mechanisms are anonymous, so a unit's
 answer does not depend on its agent: every sweep but equal treatment checks
-agent 0's units only, each counted once per agent.  Neither mechanism reads
-a reveal below its outside option, so a dominance sweep counts pairs of
-truncation classes (truth class, candidate class), each standing for a
-known number of order pairs, adds their weights in closed form and names
-its first violation from class representatives.  Its class pairs are
-decided by ``strategy._decided``, which reads only whether a pair fails
-and whether it is strictly preferred somewhere and keeps the verdicts on
-the market's class tables per (mechanism, refusal), so a later sweep with
-the same key decides only the pairs not yet decided.  A pair failing on
-its truth class's clones, n - 1 opponents all revealing that class, fails
-without a walk; one walk decides the rest.  Equal treatment counts every
+agent 0's units only, each counted once per agent.  Every sweep over the
+whole market works in truncation classes and reads its orders, its classes
+and its rows from the market's class tables
+(:func:`~rankmech.classpairs.class_rows`), which check the budget before
+they list the orders.  A dominance sweep counts pairs of truncation classes
+(truth class, candidate class), each standing for a known number of order
+pairs, adds their weights in closed form and names its first violation
+from class representatives; the class-pair engine decides its pairs
+(:func:`~rankmech.classpairs.decide`).  Equal treatment counts every
 profile in closed form and visits only the multisets of truncation classes
 that can violate, each violating one weighted by the number of profiles
-lifting it.  Given profiles and
-``prop3`` hand their units, each with a weight and the detail of its
-violation or None, to one counter, ``_tally``.  The dominance walk, equal
-treatment and ``prop3`` read every row from one source, the market's class
-tables (``mechanisms._class_rows``), built once per market and shared by
-every sweep on it; ``prop2`` tells essentially equal orders apart by the
-tables' class keys.  Under refusal a truth ranking its outside option
-first compares nothing, so the walk leaves its pairs out and they weakly
-but not strictly dominate.  ``prop3`` reads one row per unit, that of the
-demotion against its clones, n - 1 copies of it, kept on the class
-tables, and refuses and scans it for waste in integers.  Every sweep over
-the whole market reads the market's orders from those tables, which check
-the budget before they list the orders.
-``SWEEPS`` maps each ``rankmech sweep`` token to its sweep and arguments;
-each entry looks its sweep up by name when called.
+lifting it; ``prop2`` tells essentially equal orders apart by the tables'
+class keys.  Given profiles and ``prop3`` hand their units, each with a
+weight and the detail of its violation or None, to one counter,
+``_tally``.  ``prop3`` reads one row per unit, that of the demotion
+against its clones, n - 1 copies of it, kept on the class tables, and
+refuses and scans it for waste in integers.  ``SWEEPS`` maps each
+``rankmech sweep`` token to its sweep and arguments; each entry looks its
+sweep up by name when called.
 """
 
 from __future__ import annotations
@@ -49,21 +40,9 @@ from .market import (
     check_profile,
     order_to_names,
 )
-from .mechanisms import (
-    Budget,
-    DEFAULT_BUDGET,
-    _ClassRows,
-    _class_rows,
-    detect_modified_pattern,
-    get_mechanism,
-)
-from .strategy import (
-    _decided,
-    _demotions,
-    _promoting,
-    _refused,
-    strict_gain_pairs,
-)
+from .classpairs import class_rows, decide
+from .mechanisms import Budget, DEFAULT_BUDGET, detect_modified_pattern, get_mechanism
+from .strategy import _demotions, _promoting, _refused, strict_gain_pairs
 
 
 @dataclass(frozen=True)
@@ -111,18 +90,19 @@ def _promotion_units(
     null = market.null_type
     return [
         (truth, o_prime, _promoting(truth.ranking, truth.rank(null), o_prime, null))
-        for truth in _class_rows(market, budget).orders
+        for truth in class_rows(market, budget).orders
         for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
     ]
 
 
 def _violates(
-    source: _ClassRows,
+    source,
     profile: tuple[int, ...],
     ends: dict[tuple[int, ...], list[tuple[int, int, int]]],
 ) -> bool:
     """Whether the class profile ``profile`` treats essentially equal reveals
-    unequally; ``ends`` keeps each opponent multiset's ``ends`` across calls."""
+    unequally, read from the class tables ``source``; ``ends`` keeps each
+    opponent multiset's ``ends`` across calls."""
     # each key's distinct classes, each with the first agent revealing it
     groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
     for agent, c in enumerate(profile):
@@ -165,7 +145,7 @@ def sweep_ete(
     Two orders are essentially equal exactly when they share their top ranks
     up to the threshold, which is never below the outside option, so each
     class has one key, read from the market's class tables
-    (:func:`~rankmech.mechanisms._class_rows`).  Agents in one class get
+    (:func:`~rankmech.classpairs.class_rows`).  Agents in one class get
     identical rows, so only distinct classes sharing a key are compared: a
     multiset can violate only when it holds two distinct classes of one
     key.  With no key shared by two classes nothing is visited.  Otherwise
@@ -197,13 +177,13 @@ def sweep_ete(
         check_profile(market, profile)
         if mechanism_name == "modified" and detect_modified_pattern(market, profile) is not None:
             return 1, None
-        source = _class_rows(market, budget)
+        source = class_rows(market, budget)
         reveals = tuple(source.class_of[order.ranking] for order in profile.orders)
         return 1, _profile_label(market, profile) if _violates(source, reveals, ends) else None
 
     if profiles is not None:
         return _tally(name, map(given, profiles))
-    source = _class_rows(market, budget)
+    source = class_rows(market, budget)
     classes, key = source.classes, source.key
     n = market.n_agents
 
@@ -239,14 +219,14 @@ def sweep_demotion_weak_dominance(
     class's representative stands for one unit per order of the class, and
     the first violation is the representative's in the first failing class.
     """
-    source = _class_rows(market, budget)
+    source = class_rows(market, budget)
     classes, class_of, null_rank = source.classes, source.class_of, source.tables.null_rank
     units = [
         (t, demoted, class_of[demoted])
         for t, truth in enumerate(classes)
         for demoted in _demotions(truth.ranking, null_rank[t], market.null_type)
     ]
-    verdicts = _decided(source, "uniform", True, [(t, d) for t, _, d in units])
+    verdicts = decide(source, "uniform", True, [(t, d) for t, _, d in units])
     failing = [(t, demoted) for t, demoted, d in units if not verdicts[t, d][0]]
     first = None
     if failing:
@@ -263,13 +243,13 @@ def sweep_demotion_strict_gain(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SweepOutcome:
     """Scarce pairs make the promoting demotion strictly dominant (refusal on)."""
-    source = _class_rows(market, budget)
+    source = class_rows(market, budget)
     class_of = source.class_of
     units = [
         (truth, o_prime, class_of[truth.ranking], class_of[demoted])
         for truth, o_prime, demoted in _promotion_units(market, budget)
     ]
-    verdicts = _decided(source, "uniform", True, [(t, d) for _, _, t, d in units])
+    verdicts = decide(source, "uniform", True, [(t, d) for _, _, t, d in units])
     failing = [(truth, o) for truth, o, t, d in units if verdicts[t, d] != (True, True)]
     first = None
     if failing:
@@ -296,7 +276,7 @@ def sweep_demotion_waste(
     (:func:`~rankmech.assignment.wastefulness_witness`) runs on these
     integer rows.
     """
-    source = _class_rows(market, budget)
+    source = class_rows(market, budget)
     n = market.n_agents
 
     def detail(truth, o_prime, demoted) -> str | None:
@@ -328,10 +308,10 @@ def sweep_no_strict_dominance(
     fewer per truth within one class; the first violating pair is that of
     the least violating class pair's representatives.
     """
-    source = _class_rows(market, budget)  # the walk's tables; their keys decide essential equality
+    source = class_rows(market, budget)  # the walk's tables; their keys decide essential equality
     classes, key, size = source.classes, source.key, source.size
     pairs = list(itertools.product(range(len(classes)), repeat=2))
-    verdicts = _decided(source, mechanism_name, refusal, pairs)
+    verdicts = decide(source, mechanism_name, refusal, pairs)
     # strict dominance, or, under the dichotomy, weak dominance exactly when
     # the keys differ; a pair inside one class weakly but not strictly dominates
     failing = [

@@ -65,7 +65,7 @@ MUTANTS = (
     ),
     Mutant(
         "clone-certificate-fails-every-pair",
-        "rankmech/strategy.py",
+        "rankmech/classpairs.py",
         "                if cum_candidate * truth_total < cum_truth * candidate_total:\n"
         "                    failing.add((t, c))\n",
         "                if True:\n"
@@ -95,11 +95,9 @@ MUTANTS = (
     ),
     Mutant(
         "no-refusal-comparison-stops-one-rank-early",
-        "rankmech/strategy.py",
-        "    for (t, c), slot in found.items():\n"
-        "        prefix = source.classes[t].ranking[: null_rank[t] - 1 if refusal else null_rank[t]]\n",
-        "    for (t, c), slot in found.items():\n"
-        "        prefix = source.classes[t].ranking[: null_rank[t] - 1]\n",
+        "rankmech/classpairs.py",
+        "    return source.classes[t].ranking[: null_rank - 1 if refusal else null_rank]\n",
+        "    return source.classes[t].ranking[: null_rank - 1]\n",
         (
             "tests/test_cli.py::test_pinned_output[dominance-3x5-candidate]",
             "tests/test_strategy.py::test_dominance_matches_product_oracle_on_every_small_query[example2_market-uniform-False]",
@@ -117,7 +115,7 @@ MUTANTS = (
     ),
     Mutant(
         "placeholder-verdicts-before-the-walk",
-        "rankmech/strategy.py",
+        "rankmech/classpairs.py",
         "        failing = _clone_failures(source, mechanism, refusal, undecided)\n",
         "        table.update(dict.fromkeys(undecided, (True, False)))\n"
         "        failing = _clone_failures(source, mechanism, refusal, undecided)\n",
@@ -127,7 +125,7 @@ MUTANTS = (
     ),
     Mutant(
         "empty-prefix-pairs-walked",
-        "rankmech/strategy.py",
+        "rankmech/classpairs.py",
         "        if prefix:  # an empty comparison neither fails nor is strict anywhere\n",
         "        if True:\n",
         (
@@ -137,13 +135,13 @@ MUTANTS = (
     ),
     Mutant(
         "class-tables-built-before-the-budget-check",
-        "rankmech/mechanisms.py",
-        "    _check_budget(market, budget)\n"
+        "rankmech/classpairs.py",
+        "    check_budget(market, budget)\n"
         "    if market._class_rows is None:\n"
         "        object.__setattr__(market, \"_class_rows\", _ClassRows(market))\n",
         "    if market._class_rows is None:\n"
         "        object.__setattr__(market, \"_class_rows\", _ClassRows(market))\n"
-        "    _check_budget(market, budget)\n",
+        "    check_budget(market, budget)\n",
         (
             "tests/test_sweeps.py::test_an_over_budget_market_builds_no_class_tables",
         ),
@@ -160,7 +158,7 @@ MUTANTS = (
     ),
     Mutant(
         "walk-closes-an-entry-at-its-first-failure",
-        "rankmech/strategy.py",
+        "rankmech/classpairs.py",
         "                    closed = closed or slot[1] is not None\n"
         "            elif strict and slot[1] is None:\n"
         "                slot[1] = combo\n"
@@ -210,7 +208,7 @@ MUTANTS = (
     ),
     Mutant(
         "first-with-room-by-type-index",
-        "rankmech/mechanisms.py",
+        "rankmech/classpairs.py",
         "            for o in reversed(order.ranking):\n",
         "            for o in reversed(range(market.n_types)):\n",
         (
@@ -298,6 +296,26 @@ MUTANTS = (
             "test_count_pass_groups_equal_rank_tables_whatever_objects_hold_them",
             "tests/test_mechanisms.py::test_grouped_count_pass_matches_the_per_agent_pass",
         ),
+    ),
+    Mutant(
+        "dominance-header-before-the-verdicts",
+        "rankmech/cli.py",
+        "    verdicts = dominance_verdicts(market, agent, truth, [order for order, _ in candidates],\n"
+        "                                  args.mechanism, args.refusal, _budget(args))\n"
+        "    print(f\"agent: {args.agent}  truth: {args.truth_order}  \"\n"
+        "          f\"mechanism: {args.mechanism}  refusal: {'on' if args.refusal else 'off'}\")\n",
+        "    print(f\"agent: {args.agent}  truth: {args.truth_order}  \"\n"
+        "          f\"mechanism: {args.mechanism}  refusal: {'on' if args.refusal else 'off'}\")\n"
+        "    verdicts = dominance_verdicts(market, agent, truth, [order for order, _ in candidates],\n"
+        "                                  args.mechanism, args.refusal, _budget(args))\n",
+        ("tests/test_cli.py::test_dominance_over_budget_prints_nothing_to_stdout",),
+    ),
+    Mutant(
+        "sweeps-imports-one-more-private-name",
+        "rankmech/sweeps.py",
+        "from .assignment import _first_waste\n",
+        "from .assignment import _first_waste, _scaled\n",
+        ("tests/test_size.py::test_the_package_imports_no_more_private_names_across_modules",),
     ),
 )
 

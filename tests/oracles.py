@@ -33,7 +33,7 @@ from rankmech import (
 )
 from rankmech.market import AgentIndex, TypeIndex, check_profile
 from rankmech.specfile import _parse_type_line
-from rankmech import strategy, sweeps
+from rankmech import classpairs, sweeps
 from rankmech.sweeps import SweepOutcome
 
 ZERO = Fraction(0)
@@ -447,7 +447,7 @@ def per_multiset_sweep_ete(market, mechanism_name, budget=DEFAULT_BUDGET):
     Each class multiset is checked on the class tables and counts as
     n!/prod(k_c!) * prod(|C|^k_c) profiles, with no closed form for the
     count and no filter on which multisets can violate.  The class tables
-    are looked up through ``sweeps._class_rows``, so a test that patches
+    are looked up through ``sweeps.class_rows``, so a test that patches
     them there patches the oracle too.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
@@ -476,7 +476,7 @@ def per_multiset_sweep_ete(market, mechanism_name, budget=DEFAULT_BUDGET):
                     return True
         return False
 
-    source = sweeps._class_rows(market, budget)
+    source = sweeps.class_rows(market, budget)
     classes = source.classes
     size = collections.Counter(source.class_of.values())
     n = market.n_agents
@@ -564,17 +564,17 @@ def fraction_sweep_demotion_waste(market, budget=DEFAULT_BUDGET):
 # The dominance sweeps over (truth, candidate) pairs of full orders.  Each
 # pair is one unit, counted once per agent, and its verdict is read from
 # the full witness walk over all the sweep's pairs.  The class tables are
-# looked up through ``sweeps._class_rows`` and the walk's through
-# ``strategy._class_rows``, so a test that patches both patches the oracles.
+# looked up through ``sweeps.class_rows`` and the walk's through
+# ``classpairs.class_rows``, so a test that patches both patches the oracles.
 
 
 def order_pair_sweep_no_strict_dominance(
     market, mechanism_name, refusal, budget=DEFAULT_BUDGET, dichotomy=False
 ):
     """``sweep_no_strict_dominance`` over every pair of distinct orders."""
-    orders = sweeps._class_rows(market, budget).orders
+    orders = sweeps.class_rows(market, budget).orders
     pairs = [(truth, candidate) for truth in orders for candidate in orders if candidate != truth]
-    found = strategy._first_witnesses(market, mechanism_name, refusal, pairs, budget)
+    found = classpairs.first_witnesses(market, mechanism_name, refusal, pairs, budget)
 
     def detail(truth, candidate):
         failure, strict = found[truth, candidate]
@@ -603,9 +603,9 @@ def order_pair_sweep_no_strict_dominance(
 
 def order_pair_sweep_demotion_weak_dominance(market, budget=DEFAULT_BUDGET):
     """``sweep_demotion_weak_dominance`` over every truth and each of its demotions."""
-    orders = sweeps._class_rows(market, budget).orders
+    orders = sweeps.class_rows(market, budget).orders
     pairs = [(truth, demoted) for truth in orders for demoted in ods_set(market, truth)]
-    found = strategy._first_witnesses(market, "uniform", True, pairs, budget)
+    found = classpairs.first_witnesses(market, "uniform", True, pairs, budget)
 
     def detail(truth, demoted):
         failure, _ = found[truth, demoted]
@@ -620,11 +620,11 @@ def order_pair_sweep_demotion_strict_gain(market, budget=DEFAULT_BUDGET):
     """``sweep_demotion_strict_gain`` over every truth and each type it promotes."""
     units = [
         (truth, o_prime, ods_promoting(market, truth, o_prime))
-        for truth in sweeps._class_rows(market, budget).orders
+        for truth in sweeps.class_rows(market, budget).orders
         for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
     ]
     pairs = [(truth, demoted) for truth, _, demoted in units]
-    found = strategy._first_witnesses(market, "uniform", True, pairs, budget)
+    found = classpairs.first_witnesses(market, "uniform", True, pairs, budget)
 
     def detail(truth, o_prime, demoted):
         failure, strict = found[truth, demoted]
@@ -902,7 +902,7 @@ def per_agent_count_rows(market: Market, ranks: list[list[int]]) -> list[tuple[l
 
 
 class PerStateLayers:
-    """The counted rows of ``mechanisms._ClassRows`` without the shared walk,
+    """The counted rows of ``classpairs._ClassRows`` without the shared walk,
     the truncation classes or the room-mask fold.
 
     Reveals and opponents are indices into ``orders``.  Each multiset runs a

@@ -108,8 +108,9 @@ def test_assign_truth_market_must_match(tmp_path, capsys):
     assert main([
         "assign", "--spec", str(revealed), "--refusal", "--truth", str(truth),
     ]) == 2
-    err = capsys.readouterr().err
-    assert "E_MARKET_MISMATCH" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "E_MARKET_MISMATCH" in captured.err
 
 
 @pytest.mark.parametrize("truth", ["{tmp}/missing.txt", ""], ids=["missing", "empty-path"])
@@ -119,7 +120,7 @@ def test_assign_unreadable_truth_file_is_a_usage_error(spec_path, tmp_path, caps
     path = truth.format(tmp=tmp_path)
     assert main(["assign", "--spec", spec_path, "--refusal", "--truth", path]) == 2
     captured = capsys.readouterr()
-    assert "after refusal:" not in captured.out
+    assert captured.out == ""
     assert captured.err.startswith(f"error: E_IO (line 0): cannot read {path}: ")
 
 
@@ -484,6 +485,24 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert "--budget-agents raises the agent limit" in err
     assert main(["assign", "--spec", str(path), "--budget-agents", "9"]) == 0
     assert "rank value: 24" in capsys.readouterr().out
+
+
+def test_dominance_over_budget_prints_nothing_to_stdout(tmp_path, capsys):
+    """The verdicts are computed before the report's header is printed, so
+    a query on a market over the agent budget exits 3 with an empty stdout,
+    for one candidate and for the demotions alike."""
+    lines = ["type o1 capacity 1", "type o2 capacity 1", "type null capacity 9 null"]
+    lines += [f"agent a{i} prefers o1 > o2 > null" for i in range(1, 10)]
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(lines) + "\n")
+    query = ["dominance", "--spec", str(path), "--agent", "a1", "--truth-order", "o1>null>o2"]
+    for tail in (["--candidate", "o1>o2>null"], ["--ods", "--refusal"]):
+        assert main([*query, *tail]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget-agents raises the agent limit" in captured.err
+        assert main([*query, *tail, "--budget-agents", "9"]) == 0
+        assert capsys.readouterr().out.startswith("agent: a1  truth: o1>null>o2  ")
 
 
 def test_no_flag_raises_the_six_type_limit(tmp_path, capsys):

@@ -40,10 +40,10 @@ from rankmech.examples import (
     make_denial_mechanism,
 )
 from rankmech import mechanisms
+from rankmech.classpairs import _ClassRows
 from rankmech.mechanisms import (
     DEFAULT_BUDGET,
-    _ClassRows,
-    _PatternTables,
+    PatternTables,
     _count_rows,
     _integer_rows,
 )
@@ -888,7 +888,7 @@ def test_table_parse_matches_the_profile_parse(name):
     mechanism's rows."""
     market, orders, _ = _class_market(name)
     source = _ClassRows(market)
-    tables = _PatternTables(market, source.classes)
+    tables = PatternTables(market, source.classes)
     matched = 0
     for reveals in itertools.combinations_with_replacement(range(len(orders)), market.n_agents):
         profile = Profile(tuple(orders[i] for i in reveals))

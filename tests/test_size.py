@@ -1,5 +1,8 @@
-"""Tests for the size report's line counts."""
+"""Tests for the size report's line counts and private-import count."""
 
+from pathlib import Path
+
+import rankmech
 import size
 
 SAMPLE = '''\
@@ -42,3 +45,15 @@ def test_private_imports_are_the_underscored_names_of_relative_from_imports():
     )
     assert size.private_imports(sample) == ["_sibling", "_decided", "_refused", "_hidden"]
     assert size.private_imports(SAMPLE) == []
+
+
+def test_the_package_imports_no_more_private_names_across_modules():
+    """The modules of the imported ``rankmech`` import at most seven private
+    names from one another, the count once the class-pair engine sits behind
+    the named functions of ``classpairs``, so that coupling cannot grow back
+    unnoticed.  The files are read from the imported package, so a mutated
+    copy of it is the one counted."""
+    package = Path(rankmech.__file__).parent
+    names = [name for path in sorted(package.glob("*.py"))
+             for name in size.private_imports(path.read_text(encoding="utf-8"))]
+    assert len(names) <= 7, names

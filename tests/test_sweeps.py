@@ -28,6 +28,7 @@ from rankmech import (
     DomainError,
     Market,
     Profile,
+    classpairs,
     mechanisms,
     order_from_names,
     order_to_names,
@@ -165,13 +166,13 @@ def test_dominance_sweeps_name_the_problem_of_their_first_violation(
     decided one, each names that pair and what is wrong with it, and counts
     its order pairs as the violations."""
     market = dataclasses.replace(example3_market())
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     key = source.key
     equal = problem.startswith("essentially")
     t, c = next((t, c) for t, c in itertools.product(range(len(key)), repeat=2)
                 if t != c and (key[t] == key[c]) == equal)
-    decided = sweeps._decided
-    monkeypatch.setattr(sweeps, "_decided", lambda *args: {**decided(*args), (t, c): verdict})
+    decided = sweeps.decide
+    monkeypatch.setattr(sweeps, "decide", lambda *args: {**decided(*args), (t, c): verdict})
     outcome = SWEEPS[token](market, DEFAULT_BUDGET)
     truth, candidate = (order_to_names(market, source.classes[r]) for r in (t, c))
     assert outcome.first_violation == f"agent=a1 truth=({truth}) candidate=({candidate}): {problem}"
@@ -326,7 +327,7 @@ def _lifted(source, combo):
 @pytest.mark.parametrize("prop", sorted(DOMINANCE_SWEEPS))
 @pytest.mark.parametrize("make_market", [example2_market, example4_market])
 def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop):
-    """A sweep decides all its class pairs in one call of ``_decided``
+    """A sweep decides all its class pairs in one call of ``decide``
     and checks agent 0's units only, each counted once per agent.  The class
     pairs it hands the walk are those of its units, plus ties inside one
     class.  For every agent and every unit, the booleans the sweep reads for
@@ -336,7 +337,7 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
     agents equals the sweep's."""
     market = make_market()
     calls = []
-    decided = sweeps._decided
+    decided = sweeps.decide
 
     def recording(source, mechanism, refusal, pairs):
         pairs = list(pairs)
@@ -344,7 +345,7 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
         calls.append((source, mechanism, refusal, pairs, dict(verdicts)))
         return verdicts
 
-    monkeypatch.setattr(sweeps, "_decided", recording)
+    monkeypatch.setattr(sweeps, "decide", recording)
     outcome = DOMINANCE_SWEEPS[prop](market)
     [(source, mechanism, refusal, pairs, verdicts)] = calls
     units = _units(prop, market)
@@ -385,7 +386,7 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
     sweep's walk finds both witnesses of that walk on every pair it takes."""
     market = make_market()
     certified, walks = [], []
-    certify, walk = strategy._clone_failures, strategy._walk_pairs
+    certify, walk = classpairs._clone_failures, classpairs._walk_pairs
 
     def certifying(source, mechanism, refusal, pairs):
         pairs = set(pairs)
@@ -399,8 +400,8 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
         walks.append((source, mechanism, refusal, pairs, found))
         return found
 
-    monkeypatch.setattr(strategy, "_clone_failures", certifying)
-    monkeypatch.setattr(strategy, "_walk_pairs", recording)
+    monkeypatch.setattr(classpairs, "_clone_failures", certifying)
+    monkeypatch.setattr(classpairs, "_walk_pairs", recording)
     DOMINANCE_SWEEPS[prop](market)
     units = _units(prop, market)
     if not units:  # two agents promote nothing, so thm2 has no pair to walk
@@ -414,7 +415,7 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
     assert all(full[pair][0] is not None for pair in failing)
     for pair in pairs:
         assert walked[pair] == full[pair]
-    witnessed = strategy._first_witnesses(market, mechanism, refusal, units, DEFAULT_BUDGET)
+    witnessed = classpairs.first_witnesses(market, mechanism, refusal, units, DEFAULT_BUDGET)
     assert witnessed.keys() == set(units)
     others = range(1, market.n_agents)
     table = {}
@@ -437,13 +438,13 @@ def denial_rows(denial):
     The fixture is anonymous, so an agent's row is the row of an agent
     seated first against the other reveals, as the class tables read the
     mechanisms' rows; the profile is that of the class representatives.
-    Patched in for ``_class_rows``, the tables check the budget and are
+    Patched in for ``class_rows``, the tables check the budget and are
     built afresh on every call, keep the market they run the fixture on,
     and are never kept on the market."""
 
-    class DenialRows(mechanisms._ClassRows):
+    class DenialRows(classpairs._ClassRows):
         def __init__(self, market, budget):
-            mechanisms._check_budget(market, budget)
+            mechanisms.check_budget(market, budget)
             super().__init__(market)
             self.market = market
 
@@ -473,7 +474,7 @@ def test_ete_multisets_match_the_product_walk(monkeypatch):
         null_type=3,
     )
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
+    monkeypatch.setattr(sweeps, "class_rows", denial_rows(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == sweep_ete(market, "uniform", all_profiles(market))
     assert outcome == SweepOutcome(
@@ -490,7 +491,7 @@ def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
     Rows read against the wrong opponents would flag other profiles too."""
     market = example1_market(second_capacity=2)
     denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
-    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
+    monkeypatch.setattr(sweeps, "class_rows", denial_rows(denial))
     outcome = sweep_ete(market, "uniform")
     assert outcome == SweepOutcome(
         "ete-uniform", 24 ** 3, 3, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3) a3=(o1>o2>null>o3)"
@@ -513,8 +514,8 @@ def test_demotion_sweep_details_are_pinned(monkeypatch):
         null_type=2,
     )
     denial = make_denial_mechanism(market, "o1>o2>null", "o1>null>o2", "o1")
-    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
-    monkeypatch.setattr(strategy, "_class_rows", denial_rows(denial))
+    monkeypatch.setattr(sweeps, "class_rows", denial_rows(denial))
+    monkeypatch.setattr(classpairs, "class_rows", denial_rows(denial))
     thm1 = sweep_demotion_weak_dominance(market)
     thm2 = sweep_demotion_strict_gain(market)
     assert thm1 == SweepOutcome("thm1", 24, 3, "agent=a1 truth=(o1>null>o2) demotion=(o1>o2>null)")
@@ -553,7 +554,7 @@ def test_ete_matches_the_per_multiset_oracle(mechanism):
     seeded = [_market(3, tuple(rng.randint(1, 2) for _ in range(t))) for t in (2, 2, 3, 3, 3)]
     shared = 0
     for market in [*seeded, _market(4, (3, 3, 3)), _market(5, (4, 4, 4))]:
-        source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+        source = classpairs.class_rows(market, DEFAULT_BUDGET)
         shared += len(set(source.key)) < len(source.classes)
         assert sweep_ete(market, mechanism) == oracles.per_multiset_sweep_ete(market, mechanism)
     assert shared >= 4
@@ -582,7 +583,7 @@ def test_ete_visits_exactly_the_multisets_that_can_violate(monkeypatch):
     monkeypatch.setattr(sweeps, "_violates", violates)
     for market in (example1_market(2), example3_market(), _market(4, (3, 3, 3))):
         visited.clear()
-        classes = mechanisms._class_rows(market, DEFAULT_BUDGET).classes
+        classes = classpairs.class_rows(market, DEFAULT_BUDGET).classes
         candidates = [
             profile
             for profile in itertools.combinations_with_replacement(range(len(classes)), market.n_agents)
@@ -718,7 +719,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
     k = market.n_agents - 1
     rep = oracles.truncation_representatives(market)
     class_of = {r: c for c, r in enumerate(sorted(set(rep)))}
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     assert [source.class_of[order.ranking] for order in orders] == [class_of[r] for r in rep]
     oracle = oracles.PerStateLayers(market, orders)
     walked = list(source.walk(k))
@@ -740,7 +741,7 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
             assert source.row(ends, opponents, class_of[rep[reveal]], False) == expected
             assert source.row(direct, shuffled, class_of[rep[reveal]], False) == expected
     states = math.prod(q + 1 for o, q in enumerate(market.capacities) if o != market.null_type)
-    assert len(source.masks) <= states
+    assert len(source.layers.masks) <= states
 
 
 @pytest.mark.parametrize("n, caps", [(8, (7, 3, 1)), (16, (15, 8, 1))])
@@ -752,7 +753,7 @@ def test_ends_on_tight_fields_match_the_per_state_rows(n, caps):
     types = tuple(f"o{j}" for j in range(len(caps))) + ("null",)
     market = Market(tuple(f"a{j}" for j in range(n)), types, (*caps, n), len(caps))
     orders = market.all_orders()
-    source = mechanisms._ClassRows(market)
+    source = classpairs._ClassRows(market)
     oracle = oracles.PerStateLayers(market, orders)
     rng = random.Random(n)
     for _ in range(80):
@@ -774,7 +775,7 @@ def test_class_rows_match_the_mechanism_rows(name, mechanism):
     the crowd-out pattern matches, which it does somewhere on every market
     here, and the counted row everywhere else."""
     market = WALK_MARKETS[name]
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     patterned = 0
     for opponents, ends in source.walk(market.n_agents - 1):
         for reveal in range(len(source.classes)):
@@ -791,7 +792,7 @@ def test_unparsed_reveals_are_those_with_no_lone_deepest_outside_option(name):
     they make has no agent ranking its outside option 3rd or deeper and
     strictly deeper than every other agent, which no parse gets past."""
     market = WALK_MARKETS[name]
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
     ruled_out = patterned = 0
     for opponents, _ in source.walk(market.n_agents - 1):
@@ -838,7 +839,7 @@ class _Listed(Exception):
 
 def _sweep_pairs(monkeypatch, prop, market):
     """The mechanism, refusal and class pairs the dominance sweep ``prop``
-    hands ``_decided``, where the sweep stops, and the sweep's units."""
+    hands ``decide``, where the sweep stops, and the sweep's units."""
     listed = []
 
     def record(source, mechanism, refusal, pairs):
@@ -846,7 +847,7 @@ def _sweep_pairs(monkeypatch, prop, market):
         raise _Listed
 
     with monkeypatch.context() as patch:
-        patch.setattr(sweeps, "_decided", record)
+        patch.setattr(sweeps, "decide", record)
         with pytest.raises(_Listed):
             DOMINANCE_SWEEPS[prop](market)
     [(mechanism, refusal, class_pairs)] = listed
@@ -883,16 +884,16 @@ def test_pairs_sharing_a_comparison_get_their_own_witnesses(monkeypatch, name, p
     shared = [group for group in _comparisons(market, refusal, pairs).values() if len(group) > 1]
     assert shared
     groups = random.Random(f"{name} {prop}").sample(shared, min(2, len(shared)))
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     distinct = [(t, c) for t, c in class_pairs if t != c]
-    amid = strategy._walk_pairs(source, mechanism, refusal, distinct)
+    amid = classpairs._walk_pairs(source, mechanism, refusal, distinct)
     walked = [pair for group in groups for pair in group]
-    full = strategy._first_witnesses(market, mechanism, refusal, walked, DEFAULT_BUDGET)
+    full = classpairs.first_witnesses(market, mechanism, refusal, walked, DEFAULT_BUDGET)
     for pair in (pair for group in groups for pair in (group[0], group[-1])):
         key = _class_pair(source, pair)
-        alone = strategy._walk_pairs(source, mechanism, refusal, [key])
+        alone = classpairs._walk_pairs(source, mechanism, refusal, [key])
         assert amid[key] == alone[key]
-        alone = strategy._first_witnesses(market, mechanism, refusal, [pair], DEFAULT_BUDGET)
+        alone = classpairs.first_witnesses(market, mechanism, refusal, [pair], DEFAULT_BUDGET)
         assert full[pair] == alone[pair]
 
 
@@ -908,7 +909,7 @@ def test_pairs_sharing_a_comparison_match_the_product_oracle(monkeypatch):
         for a, b in itertools.combinations(group, 2)
         if a[1] == b[1]
     )
-    found = strategy._first_witnesses(market, mechanism, refusal, pairs, DEFAULT_BUDGET)
+    found = classpairs.first_witnesses(market, mechanism, refusal, pairs, DEFAULT_BUDGET)
     others = range(1, market.n_agents)
     table = {}
     for truth, candidate in (first, second):
@@ -1006,8 +1007,8 @@ def test_class_pair_sweeps_match_the_order_pair_oracles_under_the_denial_fixture
     violations: ``thm1`` and ``thm2`` on the three-type market."""
     market, args = DENIAL_MARKETS[name]
     rows = denial_rows(fixture(market, *args))
-    monkeypatch.setattr(sweeps, "_class_rows", rows)
-    monkeypatch.setattr(strategy, "_class_rows", rows)
+    monkeypatch.setattr(sweeps, "class_rows", rows)
+    monkeypatch.setattr(classpairs, "class_rows", rows)
     outcomes = {}
     for variant, (sweep, oracle) in DOMINANCE_VARIANTS.items():
         outcomes[variant] = sweep(market)
@@ -1079,12 +1080,12 @@ def test_demotion_waste_matches_the_fraction_oracle_under_the_denial_fixtures(
     mechanism, ``prop3`` still gives the oracle's outcome."""
     market, args = DENIAL_MARKETS[name]
     denial = fixture(market, *args)
-    monkeypatch.setattr(sweeps, "_class_rows", denial_rows(denial))
+    monkeypatch.setattr(sweeps, "class_rows", denial_rows(denial))
     monkeypatch.setattr(oracles, "get_mechanism", lambda name: denial)
     assert _demotion_waste_and_its_oracle(monkeypatch, market).checked > 0
 
 
-class ScrambledRows(mechanisms._ClassRows):
+class ScrambledRows(classpairs._ClassRows):
     """Class tables whose row of each reveal class against each opponent
     multiset is drawn from a hash of the two, so that the demotion sweeps and
     ``prop2`` fail on many units.  Like ``denial_rows``, they check the
@@ -1092,7 +1093,7 @@ class ScrambledRows(mechanisms._ClassRows):
     market."""
 
     def __init__(self, market, budget):
-        mechanisms._check_budget(market, budget)
+        mechanisms.check_budget(market, budget)
         super().__init__(market)
 
     def row(self, ends, opponents, reveal, parse):
@@ -1109,8 +1110,8 @@ def test_class_pair_sweeps_match_the_order_pair_oracles_on_scrambled_rows(monkey
     violation.  ``thm1`` and ``thm2`` (where the market has units) fail on
     more than one unit, so their first violation is picked out."""
     market = WALK_MARKETS[name]
-    monkeypatch.setattr(sweeps, "_class_rows", ScrambledRows)
-    monkeypatch.setattr(strategy, "_class_rows", ScrambledRows)
+    monkeypatch.setattr(sweeps, "class_rows", ScrambledRows)
+    monkeypatch.setattr(classpairs, "class_rows", ScrambledRows)
     for variant, (sweep, oracle) in DOMINANCE_VARIANTS.items():
         outcome = sweep(market)
         assert outcome == oracle(market), variant
@@ -1134,9 +1135,9 @@ def _seeded_markets(count):
 # Each market with the class tables its verdicts are decided on: the real
 # ones, each denial fixture's and scrambled rows.
 CERTIFIED_MARKETS = {
-    **{name: (market, mechanisms._ClassRows) for name, market in WALK_MARKETS.items()},
+    **{name: (market, classpairs._ClassRows) for name, market in WALK_MARKETS.items()},
     **{
-        f"seeded{i}": (market, mechanisms._ClassRows)
+        f"seeded{i}": (market, classpairs._ClassRows)
         for i, market in enumerate(_seeded_markets(12))
     },
     **{
@@ -1165,11 +1166,11 @@ def test_truth_clone_certificates_leave_the_verdict_tables_unchanged(monkeypatch
     scrambled rows.  Each table is decided on fresh class tables."""
     market, make = CERTIFIED_MARKETS[name]
     tables = []
-    for certify in (strategy._clone_failures, lambda *args: set()):
-        monkeypatch.setattr(strategy, "_clone_failures", certify)
+    for certify in (classpairs._clone_failures, lambda *args: set()):
+        monkeypatch.setattr(classpairs, "_clone_failures", certify)
         source = make(market)
         pairs = list(itertools.product(range(len(source.classes)), repeat=2))
-        tables.append({key: dict(strategy._decided(source, *key, pairs)) for key in VERDICT_KEYS})
+        tables.append({key: dict(classpairs.decide(source, *key, pairs)) for key in VERDICT_KEYS})
     assert tables[0] == tables[1]
 
 
@@ -1180,7 +1181,7 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
     an earlier sweep's verdicts, and later sweeps on the market give what
     they give on a fresh one."""
     key = ("uniform", True)
-    real, walk = mechanisms._ClassRows.row, strategy._walk_pairs
+    real, walk = classpairs._ClassRows.row, classpairs._walk_pairs
     for stage in ("certificates", "walk"):
         shared, new = dataclasses.replace(FOUR_AGENTS), dataclasses.replace(FOUR_AGENTS)
         thm1 = sweep_demotion_weak_dominance(shared)
@@ -1199,8 +1200,8 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
             return real(self, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(strategy, "_walk_pairs", entering)
-            patch.setattr(mechanisms._ClassRows, "row", failing)
+            patch.setattr(classpairs, "_walk_pairs", entering)
+            patch.setattr(classpairs._ClassRows, "row", failing)
             for market, table in [(shared, dict(shared._class_rows.verdicts[key])), (new, ties)]:
                 reads.clear()
                 walking.clear()
@@ -1219,13 +1220,13 @@ def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
     (uniform, refusal on): run after ``thm1`` on one market it walks
     nothing, and alone it runs its own walk, with the same outcome."""
     walks = []
-    walk = strategy._walk_pairs
+    walk = classpairs._walk_pairs
 
     def recording(source, mechanism, refusal, pairs):
         walks.append((mechanism, refusal))
         return walk(source, mechanism, refusal, pairs)
 
-    monkeypatch.setattr(strategy, "_walk_pairs", recording)
+    monkeypatch.setattr(classpairs, "_walk_pairs", recording)
     for market in (example2_market(), FOUR_AGENTS, DOUBLE_SEAT):
         shared = dataclasses.replace(market)
         walks.clear()
@@ -1239,14 +1240,14 @@ def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
 
 
 def _spy(monkeypatch, method, seen):
-    """Patch ``mechanisms._ClassRows.<method>`` to record the tables it is called on."""
-    real = getattr(mechanisms._ClassRows, method)
+    """Patch ``classpairs._ClassRows.<method>`` to record the tables it is called on."""
+    real = getattr(classpairs._ClassRows, method)
 
     def spied(self, *args):
         seen.append(self)
         return real(self, *args)
 
-    monkeypatch.setattr(mechanisms._ClassRows, method, spied)
+    monkeypatch.setattr(classpairs._ClassRows, method, spied)
 
 
 def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
@@ -1258,7 +1259,7 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     at that multiset, and the walk ends at the multiset where the last such
     pair closes."""
     market = dataclasses.replace(MARKET_3X5)
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
     classes = range(len(source.classes))
     empty = [(t, c) for t in classes for c in classes if null_rank[t] == 1 and c != t]
@@ -1267,13 +1268,13 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     _spy(monkeypatch, "walk", seen)
     _spy(monkeypatch, "row", seen)
     for mechanism in ("uniform", "modified"):
-        found = strategy._walk_pairs(source, mechanism, True, empty)
+        found = classpairs._walk_pairs(source, mechanism, True, empty)
         assert found == {pair: [None, None] for pair in empty}
     assert seen == []
     monkeypatch.undo()
 
     visited, read = [], []
-    walk, row = mechanisms._ClassRows.walk, mechanisms._ClassRows.row
+    walk, row = classpairs._ClassRows.walk, classpairs._ClassRows.row
 
     def visiting(self, k):
         for combo, ends in walk(self, k):
@@ -1284,10 +1285,10 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
         read.append((tuple(opponents), reveal))
         return row(self, ends, opponents, reveal, parse)
 
-    monkeypatch.setattr(mechanisms._ClassRows, "walk", visiting)
-    monkeypatch.setattr(mechanisms._ClassRows, "row", reading)
+    monkeypatch.setattr(classpairs._ClassRows, "walk", visiting)
+    monkeypatch.setattr(classpairs._ClassRows, "row", reading)
     pairs = [(t, c) for t in classes for c in classes if t != c]
-    found = strategy._walk_pairs(source, "modified", True, pairs)
+    found = classpairs._walk_pairs(source, "modified", True, pairs)
     compared = [(t, c) for t, c in pairs if null_rank[t] > 1]
     assert 0 < len(compared) < len(pairs)
 
@@ -1321,15 +1322,15 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
     and stops once it has handed its walk the pairs; whether they weakly
     dominate is read from the uniform sweep's verdicts, which share its key."""
     listed = []
-    walk = strategy._walk_pairs
+    walk = classpairs._walk_pairs
 
     def recording(source, mechanism, refusal, pairs):
         listed.append((source, list(pairs)))
         return walk(source, mechanism, refusal, pairs)
 
-    monkeypatch.setattr(strategy, "_walk_pairs", recording)
+    monkeypatch.setattr(classpairs, "_walk_pairs", recording)
     market = dataclasses.replace(MARKET_4X5)
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     null_rank = source.tables.null_rank
 
     def compares(refusal, pairs):
@@ -1352,7 +1353,7 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
         listed.append((source, list(pairs)))
         raise _Listed
 
-    monkeypatch.setattr(strategy, "_walk_pairs", listing)
+    monkeypatch.setattr(classpairs, "_walk_pairs", listing)
     listed.clear()
     _, _, class_pairs, _ = _sweep_pairs(monkeypatch, "thm1", dataclasses.replace(MARKET_4X5))
     with pytest.raises(_Listed):
@@ -1382,7 +1383,7 @@ def test_the_sweeps_walk_reads_the_pinned_rows(monkeypatch, shape):
     token runs in order on one market; rows read outside the walk, by the
     truth-clone certificates, are not counted."""
     rows, walking = [], []
-    walk, row = strategy._walk_pairs, mechanisms._ClassRows.row
+    walk, row = classpairs._walk_pairs, classpairs._ClassRows.row
 
     def counting(self, *args):
         rows[-1] += bool(walking)
@@ -1395,8 +1396,8 @@ def test_the_sweeps_walk_reads_the_pinned_rows(monkeypatch, shape):
         finally:
             walking.pop()
 
-    monkeypatch.setattr(strategy, "_walk_pairs", entering)
-    monkeypatch.setattr(mechanisms._ClassRows, "row", counting)
+    monkeypatch.setattr(classpairs, "_walk_pairs", entering)
+    monkeypatch.setattr(classpairs._ClassRows, "row", counting)
     market = _market(*shape)
     read = {}
     for token, sweep in SWEEPS.items():
@@ -1485,7 +1486,7 @@ def test_class_keys_decide_essential_equality(name):
     """Two orders' classes have equal keys exactly when the orders are
     essentially equal, for every ordered pair of orders."""
     market = WALK_MARKETS[name]
-    source = mechanisms._class_rows(market, DEFAULT_BUDGET)
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
     orders = market.all_orders()
     for first, second in itertools.product(orders, repeat=2):
         classes = source.class_of[first.ranking], source.class_of[second.ranking]
@@ -1548,6 +1549,24 @@ def test_whole_market_ete_does_not_depend_on_the_mechanism(monkeypatch, name):
     def parse(self, profile):
         raise AssertionError("parsed a profile for the crowd-out pattern")
 
-    monkeypatch.setattr(mechanisms._PatternTables, "parse", parse)
+    monkeypatch.setattr(mechanisms.PatternTables, "parse", parse)
     modified = sweep_ete(dataclasses.replace(market), "modified")
     assert modified == dataclasses.replace(uniform, name="ete-modified")
+
+
+def test_the_class_pair_engine_is_defined_only_in_classpairs():
+    """The class tables, the clone certificates and the walk are defined in
+    ``classpairs`` alone, so no spy can patch a dead alias and pass without
+    checking anything: no former name is still an attribute of
+    ``mechanisms`` or ``strategy``, the class tables no longer fold layers
+    themselves, and every module that binds an engine function binds the
+    one ``classpairs`` defines."""
+    former = ("_ClassRows", "_class_rows", "_decided", "_clone_failures", "_walk_pairs",
+              "_first_witnesses")
+    assert [name for name in former if hasattr(mechanisms, name) or hasattr(strategy, name)] == []
+    assert not hasattr(classpairs._ClassRows, "_fold")
+    assert not hasattr(classpairs._ClassRows, "_masks_after")
+    engine = [classpairs.class_rows, classpairs.decide, classpairs.first_witnesses]
+    for module in (mechanisms, strategy, sweeps):
+        for function in engine:
+            assert getattr(module, function.__name__, function) is function

@@ -13,8 +13,9 @@ import random
 import pytest
 
 from rankmech import DEFAULT_BUDGET, Market, PreferenceOrder, Profile
-from rankmech.mechanisms import _class_rows, modified_mechanism, uniform_mechanism
-from rankmech.strategy import _decided, ods_set, refusal_transform
+from rankmech.classpairs import class_rows, decide
+from rankmech.mechanisms import modified_mechanism, uniform_mechanism
+from rankmech.strategy import ods_set, refusal_transform
 
 # name: (agents, scarce capacities, seeded profiles or None for every profile)
 MARKETS = {
@@ -88,10 +89,10 @@ def test_swapping_types_of_equal_capacity_commutes_with_everything(name):
                 assert y.rows == _moved(pi, x.rows)
                 assert refusal_transform(market, y, image_truths).rows == _moved(pi, refused.rows)
 
-    source = _class_rows(market, DEFAULT_BUDGET)
+    source = class_rows(market, DEFAULT_BUDGET)
     classes = range(len(source.classes))
     pairs = list(itertools.product(classes, repeat=2))
-    tables = [_decided(source, mechanism, refusal, pairs)
+    tables = [decide(source, mechanism, refusal, pairs)
               for mechanism in ("uniform", "modified") for refusal in (False, True)]
     for pi in generators:
         sigma = [source.class_of[_image(pi, rep).ranking] for rep in source.classes]
