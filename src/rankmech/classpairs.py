@@ -25,9 +25,12 @@ too.)  The engine works in those classes, in three parts:
   failing and first strict multiset of every pair.
 
 Both compare rows along the same compared prefix of the truth
-(:func:`_compared`).  Under refusal a truth ranking its outside option first
-compares over an empty prefix, never failing and never strict, so its pairs
-are neither certified nor walked and no row is read for them.
+(:func:`_compared`).  Before either runs, one test (:func:`_tied`) sets
+aside the pairs whose rows cannot differ there: a class with itself, a
+truth whose compared prefix is empty, and, under the uniform mechanism, two
+classes sharing their essential-equality key.  Such a pair ties, weakly but
+not strictly dominating, with no witness; it is neither certified nor
+walked, and no row is read for it.
 
 Other modules reach the engine through three functions: :func:`class_rows`,
 the class tables of a market (``sweeps``); :func:`decide`, the verdicts of
@@ -222,21 +225,22 @@ def first_witnesses(
     order of its opponents, nor on any reveal below its outside option.  So
     pairs with one (truth class, candidate class) share one entry of the
     class-pair walk (:func:`_walk_pairs`), which runs until both witnesses
-    of every entry are found.  A truth and candidate in one class get the
-    same row everywhere, so such a pair is never compared and has no
-    witness.  Replacing each reveal of a failing opponent tuple by its class
-    representative and sorting gives a failing tuple no later in product
-    order, since a representative is the least order of its class: the
-    first failing tuple of the product is a sorted tuple of representatives,
-    and the walk meets it first.  The same holds for the first strict
-    tuple.  The orders are not checked here; ``strategy.dominance_verdicts``
-    checks them.
+    of every entry are found.  A pair whose rows cannot differ where they
+    are compared (:func:`_tied`) is not walked and has no witness, as a
+    full walk would leave it.  Replacing each reveal of a failing opponent
+    tuple by its class representative and sorting gives a failing tuple no
+    later in product order, since a representative is the least order of
+    its class: the first failing tuple of the product is a sorted tuple of
+    representatives, and the walk meets it first.  The same holds for the
+    first strict tuple.  The orders are not checked here;
+    ``strategy.dominance_verdicts`` checks them.
     """
     get_mechanism(mechanism)
     source = class_rows(market, budget)
     class_of, classes = source.class_of, source.classes
     keys = {pair: (class_of[pair[0].ranking], class_of[pair[1].ranking]) for pair in pairs}
-    found = _walk_pairs(source, mechanism, refusal, {k for k in keys.values() if k[0] != k[1]})
+    tied = _tied(source, mechanism, refusal, keys.values())
+    found = _walk_pairs(source, mechanism, refusal, set(keys.values()) - tied)
 
     def orders(combo: tuple[int, ...] | None) -> tuple[PreferenceOrder, ...] | None:
         return None if combo is None else tuple(classes[c] for c in combo)
@@ -251,29 +255,57 @@ def decide(
     dominates; the dominance sweeps of ``sweeps`` read these verdicts.
 
     The verdicts are kept on the class tables, one table per (mechanism,
-    refusal), which the call returns; a pair inside one class ties
-    everywhere, weakly but not strictly dominating.  Each pair not yet
-    decided is first compared on its truth class's clones
-    (:func:`_clone_failures`); a pair failing there fails, neither weakly
-    nor strictly dominating, as the walk would find.  Only the other pairs
-    are walked together (:func:`_walk_pairs`), and the table is written
-    only once that walk has finished, so a comparison that raises, on the
-    clones or in the walk, leaves none of the verdicts behind.
+    refusal), which the call returns.  Of the pairs not yet decided, those
+    whose rows cannot differ where they are compared (:func:`_tied`) tie,
+    weakly but not strictly dominating.  Each other pair is first compared
+    on its truth class's clones (:func:`_clone_failures`); a pair failing
+    there fails, neither weakly nor strictly dominating, as the walk would
+    find.  Only the pairs left are walked together (:func:`_walk_pairs`),
+    and the table is written only once that walk has finished, so a
+    comparison that raises, on the clones or in the walk, leaves none of
+    the verdicts behind.
     """
     get_mechanism(mechanism)
-    table = source.verdicts.setdefault(
-        (mechanism, refusal), {(c, c): (True, False) for c in range(len(source.classes))}
-    )
+    table = source.verdicts.setdefault((mechanism, refusal), {})
     undecided = {pair for pair in pairs if pair not in table}
     if undecided:
-        failing = _clone_failures(source, mechanism, refusal, undecided)
-        found = _walk_pairs(source, mechanism, refusal, undecided - failing)
+        tied = _tied(source, mechanism, refusal, undecided)
+        failing = _clone_failures(source, mechanism, refusal, undecided - tied)
+        found = _walk_pairs(source, mechanism, refusal, undecided - tied - failing)
+        table.update(dict.fromkeys(tied, (True, False)))
         table.update(dict.fromkeys(failing, (False, False)))
         table.update(
             (pair, (failure is None, failure is None and strict is not None))
             for pair, (failure, strict) in found.items()
         )
     return table
+
+
+def _tied(source: _ClassRows, mechanism: str, refusal: bool,
+          pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The pairs (truth class ``t``, candidate class ``c``) of ``pairs``
+    whose rows cannot differ along the compared prefix (:func:`_compared`),
+    so that they tie at every opponent multiset; :func:`decide` and
+    :func:`first_witnesses` set them aside before the clones and the walk.
+    One set is built per call, so the test costs little per pair.
+
+    - ``t`` and ``c`` are one class: one reveal, one row.
+    - Refusal is on and ``t`` ranks its outside option first: the compared
+      prefix is empty, so nothing can differ on it.
+    - The mechanism is uniform and the two classes share their key
+      (:attr:`_ClassRows.key`).  The row is then read without the parse
+      (:meth:`_ClassRows.row`): in each room mask of the opponents' ``ends``
+      the agent takes its reveal's first type with room.  The key's types
+      can seat all n agents and the n - 1 opponents hold at most n - 1
+      seats, so one of them always has room, and that type lies inside the
+      key, at the same rank for every class sharing it.  Both rows are
+      therefore equal at every multiset.  The modified mechanism's parse
+      reads the outside option's rank, which can lie below the key, so its
+      pairs sharing a key are compared like any other.
+    """
+    null_rank, key, uniform = source.tables.null_rank, source.key, mechanism == "uniform"
+    return {(t, c) for t, c in pairs
+            if t == c or refusal and null_rank[t] == 1 or uniform and key[t] == key[c]}
 
 
 def _compared(source: _ClassRows, t: int, refusal: bool) -> tuple[TypeIndex, ...]:
@@ -300,8 +332,8 @@ def _clone_failures(
     cross-multiplication along the truth's compared prefix, so a failure
     found here is one the walk finds; only whether the pair fails is read.
     The rows that no crowd-out parse can override are read through
-    :meth:`_ClassRows.clone_row`, which keeps them for every key.  A pair
-    with an empty comparison never fails, so it is not compared.
+    :meth:`_ClassRows.clone_row`, which keeps them for every key.  The
+    pairs whose rows cannot differ (:func:`_tied`) are not handed here.
     """
     parse = mechanism == "modified"
     null_rank = source.tables.null_rank
@@ -311,8 +343,6 @@ def _clone_failures(
     failing = set()
     for t, candidates in by_truth.items():
         prefix = _compared(source, t, refusal)
-        if not prefix:  # an empty comparison never fails
-            continue
         combo, ends, _ = source.clone(t)
         low, high = source.tables.unparsed(combo) if parse else (1, source.n_types)
         # n agents revealing t have no lone deepest outside option, so no parse
@@ -339,7 +369,7 @@ def _walk_pairs(
     pairs: Iterable[tuple[int, int]],
 ) -> dict[tuple[int, int], list[tuple[int, ...] | None]]:
     """First failing and first strict opponent class multiset of every pair
-    of distinct classes (truth class, candidate class).
+    (truth class, candidate class) handed in.
 
     The queried agent is seated last and the opponents are walked as sorted
     tuples of truncation classes (:meth:`_ClassRows.walk`).  For each
@@ -362,25 +392,18 @@ def _walk_pairs(
     already failed there, and if it is zero it stays zero: no later rank
     changes either verdict.
 
-    With refusal on, a truth class ranking its outside option first
-    compares over an empty prefix, so its pairs neither fail nor are
-    strict anywhere: they never enter the walk, their witnesses stay None,
-    as a full walk would leave them, and their classes' rows are read only
-    where an open pair needs them.  Every other pair is an open entry of
-    the walk.  An entry closes once both of its witnesses are found, and
-    the walk ends once no entry is open, so both witnesses of every pair
-    are those of a walk over that pair alone, whatever pairs are walked
-    with it.
+    Every pair handed here is an open entry of the walk; the pairs whose
+    rows cannot differ (:func:`_tied`) are not handed here, and the rows of
+    a class are read only where an open pair needs them.  An entry closes
+    once both of its witnesses are found, and the walk ends once no entry
+    is open, so both witnesses of every pair are those of a walk over that
+    pair alone, whatever pairs are walked with it.
     """
     parse = mechanism == "modified"
     m = source.n_types
     null_rank = source.tables.null_rank
     found = {pair: [None, None] for pair in pairs}
-    open_pairs = []
-    for (t, c), slot in found.items():
-        prefix = _compared(source, t, refusal)
-        if prefix:  # an empty comparison neither fails nor is strict anywhere
-            open_pairs.append((t, c, prefix, slot))
+    open_pairs = [(t, c, _compared(source, t, refusal), slot) for (t, c), slot in found.items()]
     needed = {r for t, c, _, _ in open_pairs for r in (t, c)}
     for combo, ends in source.walk(source.tables.n_agents - 1) if open_pairs else ():
         # every outside-option rank lies in 1..m, so no reveal parses under uniform

@@ -14,13 +14,11 @@ from fractions import Fraction
 
 from .assignment import Assignment, build_assignment, rank_value, wastefulness_witness
 from .errors import DomainError
-from .market import Market, Profile, order_from_names
+from .market import Market, PreferenceOrder, Profile, order_from_names
 from .mechanisms import (
     Budget,
     DEFAULT_BUDGET,
     MechanismFn,
-    _count_rows,
-    _to_assignment,
     check_ete,
     detect_modified_pattern,
     modified_mechanism,
@@ -98,17 +96,26 @@ def make_denial_mechanism(
     uniform mechanism.  Deliberately biased; used to demonstrate what the
     equal-treatment checker flags.
 
-    The assignments are counted: the trigger agent ranks ``denied`` below
-    its outside option, where the counting pass never seats it.  Where that
-    raises the optimum, no rank-minimizing assignment keeps the agent off
-    ``denied``, and the fixture raises ``DomainError``; so it does for a
-    null ``denied``, since the null type always has room.
+    The assignments are counted by the uniform mechanism, with the trigger
+    agent revealing its order with ``denied``, its first best, moved just
+    below its outside option, where no rank-minimizing assignment seats it.
+    Every type the agent can then be seated on moves up exactly one rank,
+    so every such assignment's total falls by one and the rank-minimizing
+    set among them does not change.  Where keeping the agent off ``denied``
+    raises the optimum, no rank-minimizing assignment does so, and the
+    fixture raises ``DomainError``.  A ``denied`` other than the trigger's
+    first best raises ``DomainError`` too, as a null ``denied`` does, since
+    the null type always has room.
     """
     trigger_order = order_from_names(market, trigger)
     filler_order = order_from_names(market, filler)
     denied_type = market.type_index(denied)
     if denied_type == market.null_type:
         raise DomainError("the denial fixture cannot deny the null type")
+    ranking, null_rank = trigger_order.ranking, trigger_order.rank(market.null_type)
+    if denied_type != ranking[0]:
+        raise DomainError(f"the denial fixture denies {trigger} only its first best, not {denied}")
+    kept_off_order = PreferenceOrder((*ranking[1:null_rank], denied_type, *ranking[null_rank:]))
 
     def mechanism(mkt: Market, profile: Profile, budget: Budget = DEFAULT_BUDGET) -> Assignment:
         triggered = [a for a in range(mkt.n_agents) if profile[a] == trigger_order]
@@ -118,9 +125,7 @@ def make_denial_mechanism(
         fair = uniform_mechanism(mkt, profile, budget)
         if len(triggered) != 1 or not rest_fill:
             return fair
-        ranks = [list(order.ranks) for order in profile.orders]
-        ranks[triggered[0]][denied_type] = mkt.n_types + 1
-        kept_off = _to_assignment(mkt, _count_rows(mkt, ranks))
+        kept_off = uniform_mechanism(mkt, profile.replace(triggered[0], kept_off_order), budget)
         if rank_value(kept_off, profile) > rank_value(fair, profile):
             raise DomainError(
                 f"no rank-minimizing assignment keeps the {trigger} agent off {denied}"

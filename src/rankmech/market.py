@@ -65,6 +65,8 @@ class Market:
 
     Invariants enforced at construction:
       - at least two agents and at least three types (outside option included);
+      - every capacity and the outside option's index are ints (a bool
+        counts as the int it equals);
       - the outside option's capacity is at least the number of agents;
       - every other capacity q satisfies 1 <= q < number of agents.
 
@@ -94,6 +96,11 @@ class Market:
             raise DomainError("agent names must be distinct")
         if len(set(self.type_names)) != len(self.type_names):
             raise DomainError("type names must be distinct")
+        if not isinstance(self.null_type, int):
+            raise DomainError(f"null_type must be an int, got {self.null_type!r}")
+        for name, q in zip(self.type_names, self.capacities):
+            if not isinstance(q, int):
+                raise DomainError(f"capacity of {name} must be an int, got {q!r}")
         if not 0 <= self.null_type < len(self.type_names):
             raise DomainError("null_type must index a declared type")
         n = len(self.agent_names)

@@ -18,15 +18,15 @@ narrow crowd-out pattern, where it denies the patterned agent its first
 best.  Both treat agents with essentially equal revealed orders identically
 and compute their rows as integer counts over a total in one core,
 ``_integer_rows``, whose uniform rows come from the one counting pass,
-``_count_rows`` (the denial fixture of ``examples`` runs it too); the
-public functions validate them once and wrap them as an ``Assignment``.
-``enumerate_rank_minimizers`` lists the set itself.  Nothing in the package
-calls it: it stays defined and exported because the bench tracer binds it
-for its ``mechanisms.solve_*`` metrics and the tests check the count
-against it.  This is the only module that reads the counting pass's packed
-states; the class tables of :mod:`~rankmech.classpairs` step their
-opponents through :class:`OpponentPass` and parse with the one crowd-out
-parse, :class:`PatternTables`.
+``_count_rows``; the public functions validate them once and wrap them as
+an ``Assignment``.  ``enumerate_rank_minimizers`` lists the set itself.
+Nothing in the package calls it: it stays defined and exported because
+the bench tracer binds it for its ``mechanisms.solve_*`` metrics and the
+tests check the count against it.  This is the only module that reads the
+counting pass's packed states; the class tables of
+:mod:`~rankmech.classpairs` step their opponents through
+:class:`OpponentPass` and parse with the one crowd-out parse,
+:class:`PatternTables`.
 """
 
 from __future__ import annotations

@@ -116,9 +116,9 @@ MUTANTS = (
     Mutant(
         "placeholder-verdicts-before-the-walk",
         "rankmech/classpairs.py",
-        "        failing = _clone_failures(source, mechanism, refusal, undecided)\n",
-        "        table.update(dict.fromkeys(undecided, (True, False)))\n"
-        "        failing = _clone_failures(source, mechanism, refusal, undecided)\n",
+        "        failing = _clone_failures(source, mechanism, refusal, undecided - tied)\n",
+        "        table.update(dict.fromkeys(tied, (True, False)))\n"
+        "        failing = _clone_failures(source, mechanism, refusal, undecided - tied)\n",
         (
             "tests/test_sweeps.py::test_a_walk_that_raises_keeps_none_of_its_verdicts",
         ),
@@ -126,11 +126,21 @@ MUTANTS = (
     Mutant(
         "empty-prefix-pairs-walked",
         "rankmech/classpairs.py",
-        "        if prefix:  # an empty comparison neither fails nor is strict anywhere\n",
-        "        if True:\n",
+        "            if t == c or refusal and null_rank[t] == 1 or uniform and key[t] == key[c]}\n",
+        "            if t == c or uniform and key[t] == key[c]}\n",
         (
             "tests/test_sweeps.py::test_the_walk_reads_rows_only_for_open_pairs_that_compare",
             "tests/test_sweeps.py::test_the_sweeps_walk_reads_the_pinned_rows[3x(1,1)]",
+        ),
+    ),
+    Mutant(
+        "key-clause-on-the-outside-option-rank-alone",
+        "rankmech/classpairs.py",
+        "or uniform and key[t] == key[c]}\n",
+        "or uniform and null_rank[t] == null_rank[c]}\n",
+        (
+            "tests/test_acceptance.py::test_criterion_07_no_strict_dominance_without_refusal",
+            "tests/test_cli.py::test_pinned_output[sweep-3x5-prop2]",
         ),
     ),
     Mutant(
@@ -195,6 +205,24 @@ MUTANTS = (
         "            handle.write(\"agent,type,probability\\n\")\n"
         "            handle.writelines(\",\".join(row) + \"\\n\" for row in csv_rows(market, x))\n",
         ("tests/test_cli.py::test_csv_quotes_names_holding_a_comma_or_a_double_quote",),
+    ),
+    Mutant(
+        "market-takes-a-capacity-that-is-not-an-int",
+        "rankmech/market.py",
+        "        if not isinstance(self.null_type, int):\n"
+        "            raise DomainError(f\"null_type must be an int, got {self.null_type!r}\")\n"
+        "        for name, q in zip(self.type_names, self.capacities):\n"
+        "            if not isinstance(q, int):\n"
+        "                raise DomainError(f\"capacity of {name} must be an int, got {q!r}\")\n",
+        "",
+        ("tests/test_market.py::test_market_rejects_a_capacity_or_null_index_that_is_not_an_int",),
+    ),
+    Mutant(
+        "denial-fixture-denies-any-type",
+        "rankmech/examples.py",
+        "    if denied_type != ranking[0]:\n",
+        "    if False:\n",
+        ("tests/test_examples.py::test_denial_fixture_denies_only_the_triggers_first_best",),
     ),
     Mutant(
         "order-hash-of-the-bare-ranking",

@@ -135,6 +135,21 @@ def test_denial_fixture_cannot_deny_the_null_type():
         make_denial_mechanism(market, "o1>o2>null", "null>o1>o2", "null")
 
 
+@pytest.mark.parametrize("trigger, denied", [
+    ("o1>o2>null", "o2"),
+    ("o2>null>o1", "o1"),
+    ("null>o1>o2", "o1"),
+])
+def test_denial_fixture_denies_only_the_triggers_first_best(trigger, denied):
+    """The counting fixture reveals the trigger's order with the denied
+    type moved just below its outside option, which leaves the
+    rank-minimizing set unchanged only for its first best.  Any other type,
+    acceptable or not, is a ``DomainError`` when the fixture is made."""
+    market = example2_market()
+    with pytest.raises(DomainError, match=f"only its first best, not {denied}$"):
+        make_denial_mechanism(market, trigger, "o1>null>o2", denied)
+
+
 @pytest.mark.parametrize("fixture", [make_denial_mechanism, listing_denial_mechanism])
 def test_denial_fixtures_honour_the_budget_they_are_given(fixture):
     """Nine agents exceed the default budget of eight.  Given a budget that

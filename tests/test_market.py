@@ -133,6 +133,28 @@ def test_market_validation():
         Market(("a1", "a2"), ("o1", "o2", "null"), (1, 1, 2), 7)
 
 
+@pytest.mark.parametrize("capacities, null_type, message", [
+    ((1.5, 1, 2), 2, "capacity of o must be an int, got 1.5"),
+    (("1", 1, 2), 2, "capacity of o must be an int, got '1'"),
+    ((1, 1, 2.0), 2, "capacity of null must be an int, got 2.0"),
+    ((1, 1, 2), 2.0, "null_type must be an int, got 2.0"),
+    ((1, 1, 2), "2", "null_type must be an int, got '2'"),
+], ids=["float-capacity", "str-capacity", "float-null-capacity", "float-null", "str-null"])
+def test_market_rejects_a_capacity_or_null_index_that_is_not_an_int(
+    capacities, null_type, message
+):
+    """A capacity or an outside-option index that is not an int is a
+    ``DomainError`` naming the value, before any range check compares it,
+    not an error deep in the mechanisms.  A bool counts as the int it
+    equals, as in ``PreferenceOrder``."""
+    names, types = ("a", "b"), ("o", "p", "null")
+    with pytest.raises(DomainError) as info:
+        Market(names, types, capacities, null_type)
+    assert str(info.value) == message
+    types = ("o", "null", "p")
+    assert Market(names, types, (True, 2, True), True) == Market(names, types, (1, 2, 1), 1)
+
+
 def test_capacity_threshold_rank():
     """Capacities (1, 1, 3) with three agents.
 

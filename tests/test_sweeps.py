@@ -380,10 +380,12 @@ def test_shared_table_matches_standalone_queries(monkeypatch, make_market, prop)
 def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, make_market, prop):
     """The full walk, which ``check_dominance`` and ``rankmech dominance``
     run, finds the product oracle's witnesses on every unit of a dominance
-    sweep.  The sweep's undecided class pairs are split between those its
-    truth-clone certificates fail and those its walk takes: every certified
-    pair has a failure witness in the walk over all undecided pairs, and the
-    sweep's walk finds both witnesses of that walk on every pair it takes."""
+    sweep.  The sweep's undecided class pairs whose rows cannot differ are
+    set aside; the others are split between those its truth-clone
+    certificates fail and those its walk takes: every certified pair has a
+    failure witness in the walk over all of them, and the sweep's walk
+    finds both witnesses of that walk on every pair it takes.  A unit whose
+    class pair is walked by neither is a set-aside pair, with no witness."""
     market = make_market()
     certified, walks = [], []
     certify, walk = classpairs._clone_failures, classpairs._walk_pairs
@@ -429,7 +431,8 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
         if key in full:
             assert [_lifted(source, combo) for combo in full[key]] == [failure, strict]
         else:
-            assert key[0] == key[1] and (failure, strict) == (None, None)
+            assert classpairs._tied(source, mechanism, refusal, [key]) == {key}
+            assert (failure, strict) == (None, None)
 
 
 def denial_rows(denial):
@@ -1185,7 +1188,6 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
     for stage in ("certificates", "walk"):
         shared, new = dataclasses.replace(FOUR_AGENTS), dataclasses.replace(FOUR_AGENTS)
         thm1 = sweep_demotion_weak_dominance(shared)
-        ties = {(c, c): (True, False) for c in range(len(shared._class_rows.classes))}
         reads, walking = [], []
 
         def entering(*args, **kwargs):
@@ -1202,7 +1204,7 @@ def test_a_walk_that_raises_keeps_none_of_its_verdicts(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(classpairs, "_walk_pairs", entering)
             patch.setattr(classpairs._ClassRows, "row", failing)
-            for market, table in [(shared, dict(shared._class_rows.verdicts[key])), (new, ties)]:
+            for market, table in [(shared, dict(shared._class_rows.verdicts[key])), (new, {})]:
                 reads.clear()
                 walking.clear()
                 with pytest.raises(RuntimeError, match="a row failed"):
@@ -1252,29 +1254,35 @@ def _spy(monkeypatch, method, seen):
 
 def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     """Under refusal a truth class ranking its outside option first
-    compares over an empty prefix.  Given only such pairs, the walk visits
-    no multiset and reads no row, and every pair keeps no witness.  On the
-    3 x 5 market every row a walk over all of ``prop5``'s pairs of distinct
-    classes reads is of a class in a pair with a nonempty prefix still open
-    at that multiset, and the walk ends at the multiset where the last such
-    pair closes."""
+    compares over an empty prefix.  Given only such pairs, ``decide`` ties
+    every one and ``first_witnesses`` gives none a witness, without
+    visiting a multiset or reading a row.  On the 3 x 5 market
+    ``first_witnesses`` over the representatives of all of ``prop5``'s
+    pairs of distinct classes walks exactly the pairs with a nonempty
+    prefix; every row the walk reads is of a class in such a pair still
+    open at that multiset, and the walk ends at the multiset where the last
+    such pair closes."""
     market = dataclasses.replace(MARKET_3X5)
     source = classpairs.class_rows(market, DEFAULT_BUDGET)
-    null_rank = source.tables.null_rank
-    classes = range(len(source.classes))
+    null_rank, reps = source.tables.null_rank, source.classes
+    classes = range(len(reps))
     empty = [(t, c) for t in classes for c in classes if null_rank[t] == 1 and c != t]
     assert empty
     seen = []
     _spy(monkeypatch, "walk", seen)
     _spy(monkeypatch, "row", seen)
     for mechanism in ("uniform", "modified"):
-        found = classpairs._walk_pairs(source, mechanism, True, empty)
-        assert found == {pair: [None, None] for pair in empty}
+        assert classpairs.decide(source, mechanism, True, empty) == dict.fromkeys(
+            empty, (True, False))
+        order_pairs = [(reps[t], reps[c]) for t, c in empty]
+        found = classpairs.first_witnesses(market, mechanism, True, order_pairs, DEFAULT_BUDGET)
+        assert found == dict.fromkeys(order_pairs, (None, None))
     assert seen == []
     monkeypatch.undo()
 
-    visited, read = [], []
-    walk, row = classpairs._ClassRows.walk, classpairs._ClassRows.row
+    visited, read, walks = [], [], []
+    walk, row, walk_pairs = (
+        classpairs._ClassRows.walk, classpairs._ClassRows.row, classpairs._walk_pairs)
 
     def visiting(self, k):
         for combo, ends in walk(self, k):
@@ -1285,12 +1293,19 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
         read.append((tuple(opponents), reveal))
         return row(self, ends, opponents, reveal, parse)
 
+    def recording(*args):
+        walks.append((list(args[-1]), walk_pairs(*args)))
+        return walks[-1][1]
+
     monkeypatch.setattr(classpairs._ClassRows, "walk", visiting)
     monkeypatch.setattr(classpairs._ClassRows, "row", reading)
+    monkeypatch.setattr(classpairs, "_walk_pairs", recording)
     pairs = [(t, c) for t in classes for c in classes if t != c]
-    found = classpairs._walk_pairs(source, "modified", True, pairs)
+    classpairs.first_witnesses(
+        market, "modified", True, [(reps[t], reps[c]) for t, c in pairs], DEFAULT_BUDGET)
+    [(walked, found)] = walks
     compared = [(t, c) for t, c in pairs if null_rank[t] > 1]
-    assert 0 < len(compared) < len(pairs)
+    assert 0 < len(compared) < len(pairs) and sorted(walked) == compared
 
     # a pair closes where the later of its witnesses is found, after reading its rows there
     multisets = list(itertools.combinations_with_replacement(classes, market.n_agents - 1))
@@ -1313,14 +1328,16 @@ MARKET_4X5 = parse_market_spec((Path(__file__).parent / "data" / "market_4x5.txt
 
 def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monkeypatch):
     """On the 4 x 5 market every pair of distinct classes that fails
-    anywhere fails on its truth's clones, so a sweep's walk
-    compares exactly its pairs that weakly dominate: none for ``prop2`` and
-    ``prop5``, 132 for no strict dominance under the uniform mechanism with
-    refusal, and 72 for ``thm1``.  The pairs with an empty comparison go to
-    the walk too, which drops them unread: 64 for ``prop5`` and the uniform
-    sweep with refusal, 24 for ``thm1``.  ``thm1`` runs on a fresh market
-    and stops once it has handed its walk the pairs; whether they weakly
-    dominate is read from the uniform sweep's verdicts, which share its key."""
+    anywhere fails on its truth's clones, so a sweep's walk compares
+    exactly its pairs that weakly dominate and whose rows can differ: none
+    for ``prop2`` and ``prop5``, 132 for no strict dominance under the
+    uniform mechanism with refusal, and 72 for ``thm1``.  No two classes
+    share a key there, so the pairs of distinct classes set aside are those
+    with an empty comparison, none of which reaches the walk: 64 for
+    ``prop5`` and the uniform sweep with refusal, 24 for ``thm1``.
+    ``thm1`` runs on a fresh market and stops once it has handed its walk
+    the pairs; whether they weakly dominate is read from the uniform
+    sweep's verdicts, which share its key."""
     listed = []
     walk = classpairs._walk_pairs
 
@@ -1331,12 +1348,15 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
     monkeypatch.setattr(classpairs, "_walk_pairs", recording)
     market = dataclasses.replace(MARKET_4X5)
     source = classpairs.class_rows(market, DEFAULT_BUDGET)
-    null_rank = source.tables.null_rank
+    assert len(set(source.key)) == len(source.classes)
 
-    def compares(refusal, pairs):
-        return {(t, c) for t, c in pairs if t != c and (not refusal or null_rank[t] > 1)}
+    def split(key, pairs):
+        """The pairs of distinct classes that can differ and those set aside."""
+        distinct = {(t, c) for t, c in pairs if t != c}
+        tied = classpairs._tied(source, *key, distinct)
+        return distinct - tied, tied
 
-    for key, dichotomy, weakly, dropped in [
+    for key, dichotomy, weakly, set_aside in [
         (("uniform", False), True, 0, 0),
         (("modified", True), False, 0, 64),
         (("uniform", True), False, 132, 64),
@@ -1345,9 +1365,10 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
         sweep_no_strict_dominance(market, *key, dichotomy=dichotomy)
         [(walked_on, pairs)] = listed
         verdicts = source.verdicts[key]
-        weak = {pair for pair in compares(key[1], verdicts) if verdicts[pair][0]}
-        assert walked_on is source and compares(key[1], pairs) == weak
-        assert len(weak) == weakly and len(pairs) - len(weak) == dropped
+        differ, tied = split(key, verdicts)
+        weak = {pair for pair in differ if verdicts[pair][0]}
+        assert walked_on is source and set(pairs) == weak and len(pairs) == len(weak) == weakly
+        assert len(tied) == set_aside and all(verdicts[pair] == (True, False) for pair in tied)
 
     def listing(source, mechanism, refusal, pairs):
         listed.append((source, list(pairs)))
@@ -1359,18 +1380,85 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
     with pytest.raises(_Listed):
         sweep_demotion_weak_dominance(dataclasses.replace(MARKET_4X5))
     [(_, pairs)] = listed
-    weak = {pair for pair in compares(True, class_pairs) if verdicts[pair][0]}
-    assert compares(True, pairs) == weak
-    assert len(weak) == 72 and len(pairs) - len(weak) == 24
+    differ, tied = split(("uniform", True), class_pairs)
+    weak = {pair for pair in differ if verdicts[pair][0]}
+    assert set(pairs) == weak and len(pairs) == len(weak) == 72 and len(tied) == 24
+
+
+# The walk markets ("pair" is 2 x (1,1,1,2)) and three more whose classes
+# share keys, with the ordered pairs of distinct classes sharing a key that
+# each holds (none if unlisted).
+KEY_MARKETS = {
+    **WALK_MARKETS,
+    "3x(1,1,1,1,3)": _market(3, (1, 1, 1, 1)),
+    "3x(2,1,1,3)": _market(3, (2, 1, 1)),
+    "4x(2,1,1,1,4)": _market(4, (2, 1, 1, 1)),
+}
+SHARED_KEYS = {
+    "3x(1,1,1,1,3)": 48, "3x(2,1,1,3)": 8, "4x(2,1,1,1,4)": 36, "pair": 12, "ex3": 8,
+    "tight331": 12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_MARKETS))
+def test_classes_sharing_a_key_get_equal_unparsed_rows_at_every_multiset(name):
+    """What the uniform mechanism's key clause of ``classpairs._tied``
+    relies on: the row read without the parse takes, in each room mask,
+    the reveal's first type with room, which lies inside its key, since the
+    key's types seat all n agents and the opponents hold n - 1 seats.  So
+    any two classes sharing a key get equal rows at every multiset of
+    opponent classes."""
+    market = KEY_MARKETS[name]
+    source = classpairs.class_rows(dataclasses.replace(market), DEFAULT_BUDGET)
+    key = source.key
+    sharing = [(t, c) for t, c in itertools.permutations(range(len(key)), 2) if key[t] == key[c]]
+    assert len(sharing) == SHARED_KEYS.get(name, 0)
+    readers = sorted({t for pair in sharing for t in pair})
+    for combo, ends in source.walk(market.n_agents - 1) if sharing else ():
+        rows = {r: source.row(ends, combo, r, False) for r in readers}
+        for t, c in sharing:
+            assert rows[t] == rows[c], (combo, t, c)
+
+
+@pytest.mark.parametrize("key", VERDICT_KEYS, ids=lambda key: "-".join(map(str, key)))
+@pytest.mark.parametrize("name", sorted(KEY_MARKETS.keys() - {"4x(2,1,1,1,4)"}))
+def test_set_aside_pairs_get_what_a_walk_over_every_pair_gives(name, key):
+    """``decide``'s verdict table and ``first_witnesses`` over every pair of
+    classes equal a ``_walk_pairs`` over every pair of distinct classes, on
+    the walk markets and the markets whose classes share keys, so setting
+    aside the pairs whose rows cannot differ changes no verdict and no
+    witness.  (4 x (2,1,1,1,4) is left out: the full walk there takes about
+    40 s per key, since its set-aside pairs never close.)"""
+    market = dataclasses.replace(KEY_MARKETS[name])
+    source = classpairs.class_rows(market, DEFAULT_BUDGET)
+    reps = source.classes
+    every = list(itertools.product(range(len(reps)), repeat=2))
+    full = classpairs._walk_pairs(source, *key, [(t, c) for t, c in every if t != c])
+    full.update({(c, c): [None, None] for c in range(len(reps))})
+    verdicts = classpairs.decide(source, *key, every)
+    assert verdicts == {
+        pair: (failure is None, failure is None and strict is not None)
+        for pair, (failure, strict) in full.items()
+    }
+
+    def orders(combo):
+        return None if combo is None else tuple(reps[c] for c in combo)
+
+    found = classpairs.first_witnesses(
+        market, *key, [(reps[t], reps[c]) for t, c in every], DEFAULT_BUDGET)
+    assert found == {(reps[t], reps[c]): tuple(map(orders, full[t, c])) for t, c in every}
 
 
 # Rows the walk reads for each dominance token, the sweeps run in ``SWEEPS``
 # order on one market; the other tokens walk nothing.  The two-agent market's
 # walked pairs fail, and its rows are read until both witnesses are found.
+# Under the uniform mechanism the pairs of classes sharing a key are not
+# walked: walking them read 3900, 1632 and 6528 rows for ``prop2`` and 4160,
+# 2040 and 12240 for ``thm1`` on the first three markets.
 WALK_ROWS = {
-    (2, (1, 1, 1, 1)): {"prop2": 3900, "prop5": 4060, "thm1": 4160},
-    (3, (2, 2, 1)): {"prop2": 1632, "prop5": 1632, "thm1": 2040},
-    (4, (1, 2, 3)): {"prop2": 6528, "prop5": 6528, "thm1": 12240},
+    (2, (1, 1, 1, 1)): {"prop2": 0, "prop5": 4060, "thm1": 1820},
+    (3, (2, 2, 1)): {"prop2": 0, "prop5": 1632, "thm1": 1224},
+    (4, (1, 2, 3)): {"prop2": 0, "prop5": 6528, "thm1": 8976},
     (3, (1, 1)): {"prop2": 0, "prop5": 0, "thm1": 60},
 }
 
