@@ -26,11 +26,11 @@ too.)  The engine works in those classes, in three parts:
 
 Both compare rows along the same compared prefix of the truth
 (:func:`_compared`).  Before either runs, one test (:func:`_tied`) sets
-aside the pairs whose rows cannot differ there: a class with itself, a
-truth whose compared prefix is empty, and, under the uniform mechanism, two
-classes sharing their essential-equality key.  Such a pair ties, weakly but
-not strictly dominating, with no witness; it is neither certified nor
-walked, and no row is read for it.
+aside the pairs whose rows cannot differ there, under either mechanism: a
+truth whose compared prefix is empty, and two classes sharing their
+essential-equality key, a class with itself among them.  Such a pair ties,
+weakly but not strictly dominating, with no witness; it is neither
+certified nor walked, and no row is read for it.
 
 Other modules reach the engine through three functions: :func:`class_rows`,
 the class tables of a market (``sweeps``); :func:`decide`, the verdicts of
@@ -226,20 +226,20 @@ def first_witnesses(
     pairs with one (truth class, candidate class) share one entry of the
     class-pair walk (:func:`_walk_pairs`), which runs until both witnesses
     of every entry are found.  A pair whose rows cannot differ where they
-    are compared (:func:`_tied`) is not walked and has no witness, as a
-    full walk would leave it.  Replacing each reveal of a failing opponent
-    tuple by its class representative and sorting gives a failing tuple no
-    later in product order, since a representative is the least order of
-    its class: the first failing tuple of the product is a sorted tuple of
-    representatives, and the walk meets it first.  The same holds for the
-    first strict tuple.  The orders are not checked here;
-    ``strategy.dominance_verdicts`` checks them.
+    are compared, under either mechanism (:func:`_tied`), is not walked and
+    has no witness, as a full walk would leave it.  Replacing each reveal
+    of a failing opponent tuple by its class representative and sorting
+    gives a failing tuple no later in product order, since a representative
+    is the least order of its class: the first failing tuple of the product
+    is a sorted tuple of representatives, and the walk meets it first.  The
+    same holds for the first strict tuple.  The orders are not checked
+    here; ``strategy.dominance_verdicts`` checks them.
     """
     get_mechanism(mechanism)
     source = class_rows(market, budget)
     class_of, classes = source.class_of, source.classes
     keys = {pair: (class_of[pair[0].ranking], class_of[pair[1].ranking]) for pair in pairs}
-    tied = _tied(source, mechanism, refusal, keys.values())
+    tied = _tied(source, refusal, keys.values())
     found = _walk_pairs(source, mechanism, refusal, set(keys.values()) - tied)
 
     def orders(combo: tuple[int, ...] | None) -> tuple[PreferenceOrder, ...] | None:
@@ -256,20 +256,20 @@ def decide(
 
     The verdicts are kept on the class tables, one table per (mechanism,
     refusal), which the call returns.  Of the pairs not yet decided, those
-    whose rows cannot differ where they are compared (:func:`_tied`) tie,
-    weakly but not strictly dominating.  Each other pair is first compared
-    on its truth class's clones (:func:`_clone_failures`); a pair failing
-    there fails, neither weakly nor strictly dominating, as the walk would
-    find.  Only the pairs left are walked together (:func:`_walk_pairs`),
-    and the table is written only once that walk has finished, so a
-    comparison that raises, on the clones or in the walk, leaves none of
-    the verdicts behind.
+    whose rows cannot differ where they are compared, under either
+    mechanism (:func:`_tied`), tie, weakly but not strictly dominating.
+    Each other pair is first compared on its truth class's clones
+    (:func:`_clone_failures`); a pair failing there fails, neither weakly
+    nor strictly dominating, as the walk would find.  Only the pairs left
+    are walked together (:func:`_walk_pairs`), and the table is written
+    only once that walk has finished, so a comparison that raises, on the
+    clones or in the walk, leaves none of the verdicts behind.
     """
     get_mechanism(mechanism)
     table = source.verdicts.setdefault((mechanism, refusal), {})
     undecided = {pair for pair in pairs if pair not in table}
     if undecided:
-        tied = _tied(source, mechanism, refusal, undecided)
+        tied = _tied(source, refusal, undecided)
         failing = _clone_failures(source, mechanism, refusal, undecided - tied)
         found = _walk_pairs(source, mechanism, refusal, undecided - tied - failing)
         table.update(dict.fromkeys(tied, (True, False)))
@@ -281,31 +281,37 @@ def decide(
     return table
 
 
-def _tied(source: _ClassRows, mechanism: str, refusal: bool,
+def _tied(source: _ClassRows, refusal: bool,
           pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     """The pairs (truth class ``t``, candidate class ``c``) of ``pairs``
-    whose rows cannot differ along the compared prefix (:func:`_compared`),
-    so that they tie at every opponent multiset; :func:`decide` and
-    :func:`first_witnesses` set them aside before the clones and the walk.
-    One set is built per call, so the test costs little per pair.
+    whose rows cannot differ along the compared prefix (:func:`_compared`)
+    under either mechanism, so that they tie at every opponent multiset;
+    :func:`decide` and :func:`first_witnesses` set them aside before the
+    clones and the walk.  One set is built per call, so the test costs
+    little per pair.
 
-    - ``t`` and ``c`` are one class: one reveal, one row.
     - Refusal is on and ``t`` ranks its outside option first: the compared
       prefix is empty, so nothing can differ on it.
-    - The mechanism is uniform and the two classes share their key
-      (:attr:`_ClassRows.key`).  The row is then read without the parse
-      (:meth:`_ClassRows.row`): in each room mask of the opponents' ``ends``
-      the agent takes its reveal's first type with room.  The key's types
-      can seat all n agents and the n - 1 opponents hold at most n - 1
-      seats, so one of them always has room, and that type lies inside the
-      key, at the same rank for every class sharing it.  Both rows are
-      therefore equal at every multiset.  The modified mechanism's parse
-      reads the outside option's rank, which can lie below the key, so its
-      pairs sharing a key are compared like any other.
+    - ``t`` and ``c`` share their key (:attr:`_ClassRows.key`), as a class
+      shares its own.  For distinct classes, let k be the key's length.
+      Its types seat all n agents, so it holds no outside option, or it
+      would fix the class: k is less than both outside-option ranks, and
+      2 <= k, since a scarce type seats fewer than n.  So neither reveal
+      can be a competitor of the crowd-out parse, whose types above its
+      outside option seat fewer than n, nor a bystander, which ranks its
+      outside option first: the agent parses only as the special agent.
+      A competitor's level is at most k, so ``PatternTables._role`` gives
+      every class the same role against ``t`` as against ``c``, with the
+      same focal type and the same override row, since ``ranking[1]`` lies
+      inside the key.  A parse with ``t`` as the special agent therefore
+      implies a parse with ``c``, and the other way round.  Otherwise both
+      rows are read without the parse (:meth:`_ClassRows.row`): in each
+      room mask the agent takes its reveal's first type with room, and
+      since the n - 1 opponents cannot fill the key's types, that type
+      lies inside the key, at the same rank for both.
     """
-    null_rank, key, uniform = source.tables.null_rank, source.key, mechanism == "uniform"
-    return {(t, c) for t, c in pairs
-            if t == c or refusal and null_rank[t] == 1 or uniform and key[t] == key[c]}
+    null_rank, key = source.tables.null_rank, source.key
+    return {(t, c) for t, c in pairs if key[t] == key[c] or refusal and null_rank[t] == 1}
 
 
 def _compared(source: _ClassRows, t: int, refusal: bool) -> tuple[TypeIndex, ...]:

@@ -126,8 +126,8 @@ MUTANTS = (
     Mutant(
         "empty-prefix-pairs-walked",
         "rankmech/classpairs.py",
-        "            if t == c or refusal and null_rank[t] == 1 or uniform and key[t] == key[c]}\n",
-        "            if t == c or uniform and key[t] == key[c]}\n",
+        "if key[t] == key[c] or refusal and null_rank[t] == 1}\n",
+        "if key[t] == key[c]}\n",
         (
             "tests/test_sweeps.py::test_the_walk_reads_rows_only_for_open_pairs_that_compare",
             "tests/test_sweeps.py::test_the_sweeps_walk_reads_the_pinned_rows[3x(1,1)]",
@@ -136,11 +136,32 @@ MUTANTS = (
     Mutant(
         "key-clause-on-the-outside-option-rank-alone",
         "rankmech/classpairs.py",
-        "or uniform and key[t] == key[c]}\n",
-        "or uniform and null_rank[t] == null_rank[c]}\n",
+        "if key[t] == key[c] or refusal",
+        "if null_rank[t] == null_rank[c] or refusal",
         (
             "tests/test_acceptance.py::test_criterion_07_no_strict_dominance_without_refusal",
             "tests/test_cli.py::test_pinned_output[sweep-3x5-prop2]",
+        ),
+    ),
+    Mutant(
+        "pairs-sharing-a-key-walked",
+        "rankmech/classpairs.py",
+        "if key[t] == key[c] or refusal",
+        "if t == c or refusal",
+        (
+            "tests/test_sweeps.py::test_the_sweeps_walk_reads_the_pinned_rows[2x(1,1,1,1)]",
+            "tests/test_sweeps.py::test_the_sweeps_walk_reads_the_pinned_rows[3x(2,2,1)]",
+            "tests/test_sweeps.py::test_the_sweeps_walk_reads_the_pinned_rows[4x(1,2,3)]",
+        ),
+    ),
+    Mutant(
+        "special-agent-override-two-ranks-down",
+        "rankmech/mechanisms.py",
+        "row[self.classes[profile[agent]].ranking[1]] = 1",
+        "row[self.classes[profile[agent]].ranking[2]] = 1",
+        (
+            "tests/test_sweeps.py::test_classes_sharing_a_key_get_equal_rows_with_the_parse_at_every_multiset[3x(2,1,1,3)]",
+            "tests/test_sweeps.py::test_classes_sharing_a_key_get_equal_rows_with_the_parse_at_every_multiset[pair]",
         ),
     ),
     Mutant(

@@ -431,7 +431,7 @@ def test_full_walk_witnesses_match_product_oracle_on_sweep_pairs(monkeypatch, ma
         if key in full:
             assert [_lifted(source, combo) for combo in full[key]] == [failure, strict]
         else:
-            assert classpairs._tied(source, mechanism, refusal, [key]) == {key}
+            assert classpairs._tied(source, refusal, [key]) == {key}
             assert (failure, strict) == (None, None)
 
 
@@ -1259,9 +1259,9 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     visiting a multiset or reading a row.  On the 3 x 5 market
     ``first_witnesses`` over the representatives of all of ``prop5``'s
     pairs of distinct classes walks exactly the pairs with a nonempty
-    prefix; every row the walk reads is of a class in such a pair still
-    open at that multiset, and the walk ends at the multiset where the last
-    such pair closes."""
+    prefix whose keys differ; every row the walk reads is of a class in
+    such a pair still open at that multiset, and the walk ends at the
+    multiset where the last such pair closes."""
     market = dataclasses.replace(MARKET_3X5)
     source = classpairs.class_rows(market, DEFAULT_BUDGET)
     null_rank, reps = source.tables.null_rank, source.classes
@@ -1304,8 +1304,9 @@ def test_the_walk_reads_rows_only_for_open_pairs_that_compare(monkeypatch):
     classpairs.first_witnesses(
         market, "modified", True, [(reps[t], reps[c]) for t, c in pairs], DEFAULT_BUDGET)
     [(walked, found)] = walks
-    compared = [(t, c) for t, c in pairs if null_rank[t] > 1]
-    assert 0 < len(compared) < len(pairs) and sorted(walked) == compared
+    nonempty = [(t, c) for t, c in pairs if null_rank[t] > 1]
+    compared = [(t, c) for t, c in nonempty if source.key[t] != source.key[c]]
+    assert 0 < len(compared) < len(nonempty) < len(pairs) and sorted(walked) == compared
 
     # a pair closes where the later of its witnesses is found, after reading its rows there
     multisets = list(itertools.combinations_with_replacement(classes, market.n_agents - 1))
@@ -1353,7 +1354,7 @@ def test_the_deciding_walk_compares_exactly_the_pairs_that_weakly_dominate(monke
     def split(key, pairs):
         """The pairs of distinct classes that can differ and those set aside."""
         distinct = {(t, c) for t, c in pairs if t != c}
-        tied = classpairs._tied(source, *key, distinct)
+        tied = classpairs._tied(source, key[1], distinct)
         return distinct - tied, tied
 
     for key, dichotomy, weakly, set_aside in [
@@ -1398,26 +1399,60 @@ SHARED_KEYS = {
     "3x(1,1,1,1,3)": 48, "3x(2,1,1,3)": 8, "4x(2,1,1,1,4)": 36, "pair": 12, "ex3": 8,
     "tight331": 12,
 }
+# The rows of those classes that the crowd-out parse overrides, counted over
+# every multiset of opponent classes.
+PARSED_KEY_ROWS = {
+    "3x(1,1,1,1,3)": 192, "3x(2,1,1,3)": 12, "4x(2,1,1,1,4)": 192, "pair": 12, "ex3": 12,
+    "tight331": 20,
+}
+
+
+def _sharing_a_key(name):
+    """The class tables of ``KEY_MARKETS[name]``, its ordered pairs of
+    distinct classes sharing a key, and the classes in those pairs."""
+    source = classpairs.class_rows(dataclasses.replace(KEY_MARKETS[name]), DEFAULT_BUDGET)
+    key = source.key
+    sharing = [(t, c) for t, c in itertools.permutations(range(len(key)), 2) if key[t] == key[c]]
+    assert len(sharing) == SHARED_KEYS.get(name, 0)
+    return source, sharing, sorted({t for pair in sharing for t in pair})
 
 
 @pytest.mark.parametrize("name", sorted(KEY_MARKETS))
 def test_classes_sharing_a_key_get_equal_unparsed_rows_at_every_multiset(name):
-    """What the uniform mechanism's key clause of ``classpairs._tied``
-    relies on: the row read without the parse takes, in each room mask,
-    the reveal's first type with room, which lies inside its key, since the
-    key's types seat all n agents and the opponents hold n - 1 seats.  So
-    any two classes sharing a key get equal rows at every multiset of
-    opponent classes."""
-    market = KEY_MARKETS[name]
-    source = classpairs.class_rows(dataclasses.replace(market), DEFAULT_BUDGET)
-    key = source.key
-    sharing = [(t, c) for t, c in itertools.permutations(range(len(key)), 2) if key[t] == key[c]]
-    assert len(sharing) == SHARED_KEYS.get(name, 0)
-    readers = sorted({t for pair in sharing for t in pair})
-    for combo, ends in source.walk(market.n_agents - 1) if sharing else ():
+    """What the key clause of ``classpairs._tied`` relies on under the
+    uniform mechanism, and under the modified one wherever the crowd-out
+    parse does not fire: the row read without the parse takes, in each room
+    mask, the reveal's first type with room, which lies inside its key,
+    since the key's types seat all n agents and the opponents hold n - 1
+    seats.  So any two classes sharing a key get equal rows at every
+    multiset of opponent classes."""
+    source, sharing, readers = _sharing_a_key(name)
+    for combo, ends in source.walk(KEY_MARKETS[name].n_agents - 1) if sharing else ():
         rows = {r: source.row(ends, combo, r, False) for r in readers}
         for t, c in sharing:
             assert rows[t] == rows[c], (combo, t, c)
+
+
+@pytest.mark.parametrize("name", sorted(KEY_MARKETS))
+def test_classes_sharing_a_key_get_equal_rows_with_the_parse_at_every_multiset(name):
+    """What the key clause of ``classpairs._tied`` relies on under the
+    modified mechanism: read as the walk reads them, with the crowd-out
+    parse tried wherever ``tables.unparsed`` does not rule it out, any two
+    classes sharing a key get equal rows at every multiset of opponent
+    classes, since the parse fires for one exactly when it fires for the
+    other, with the same override row.  On every market holding such
+    classes the parse fires for them, so this half is read."""
+    source, sharing, readers = _sharing_a_key(name)
+    null_rank = source.tables.null_rank
+    parsed = 0
+    for combo, ends in source.walk(KEY_MARKETS[name].n_agents - 1) if sharing else ():
+        low, high = source.tables.unparsed(combo)
+        tried = {r for r in readers if not low <= null_rank[r] <= high}
+        parsed += sum(source.tables.parse((r, *combo)) is not None for r in tried)
+        rows = {r: source.row(ends, combo, r, r in tried) for r in readers}
+        for t, c in sharing:
+            assert rows[t] == rows[c], (combo, t, c)
+    assert parsed == PARSED_KEY_ROWS.get(name, 0)
 
 
 @pytest.mark.parametrize("key", VERDICT_KEYS, ids=lambda key: "-".join(map(str, key)))
@@ -1452,13 +1487,13 @@ def test_set_aside_pairs_get_what_a_walk_over_every_pair_gives(name, key):
 # Rows the walk reads for each dominance token, the sweeps run in ``SWEEPS``
 # order on one market; the other tokens walk nothing.  The two-agent market's
 # walked pairs fail, and its rows are read until both witnesses are found.
-# Under the uniform mechanism the pairs of classes sharing a key are not
-# walked: walking them read 3900, 1632 and 6528 rows for ``prop2`` and 4160,
-# 2040 and 12240 for ``thm1`` on the first three markets.
+# The pairs of classes sharing a key are not walked: walking them read 3900,
+# 1632 and 6528 rows for ``prop2``, 4060, 1632 and 6528 for ``prop5`` and
+# 4160, 2040 and 12240 for ``thm1`` on the first three markets.
 WALK_ROWS = {
-    (2, (1, 1, 1, 1)): {"prop2": 0, "prop5": 4060, "thm1": 1820},
-    (3, (2, 2, 1)): {"prop2": 0, "prop5": 1632, "thm1": 1224},
-    (4, (1, 2, 3)): {"prop2": 0, "prop5": 6528, "thm1": 8976},
+    (2, (1, 1, 1, 1)): {"prop2": 0, "prop5": 2560, "thm1": 1820},
+    (3, (2, 2, 1)): {"prop2": 0, "prop5": 0, "thm1": 1224},
+    (4, (1, 2, 3)): {"prop2": 0, "prop5": 0, "thm1": 8976},
     (3, (1, 1)): {"prop2": 0, "prop5": 0, "thm1": 60},
 }
 
