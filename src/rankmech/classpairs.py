@@ -68,8 +68,10 @@ class _ClassRows:
     never below the outside option: two orders are essentially equal
     exactly when their classes' keys are equal.  ``layers`` steps the
     opponents of a multiset and gives its ``ends``
-    (``mechanisms.OpponentPass``).  ``clones`` keeps, per class, the
-    multiset of n - 1 opponents all revealing it, its ``ends`` and the
+    (``mechanisms.OpponentPass``); :meth:`ends_with` gives those of one
+    multiset with each of several classes added, stepping the layer over
+    it once.  ``clones`` keeps, per class, the multiset of n - 1 opponents
+    all revealing it, its ``ends`` and the
     unparsed rows read against it (:meth:`clone`), and ``verdicts`` the
     verdicts of every class pair decided so far, per (mechanism, refusal)
     (:func:`decide`): each at most classes squared entries, in at most four
@@ -132,14 +134,16 @@ class _ClassRows:
             combo[i:] = [combo[i] + 1] * (k - i)
             del stack[i + 1 :]
 
-    def ends(self, opponents: Sequence[int]) -> list[tuple[int, int, int]]:
-        """The ``ends`` of one multiset of opponent classes, at least one,
-        given in any order."""
-        *first, last = opponents
+    def ends_with(
+        self, rest: Iterable[int], extras: Iterable[int]
+    ) -> dict[int, list[tuple[int, int, int]]]:
+        """The ``ends`` of the opponent classes ``rest``, given in any order,
+        with one class of ``extras`` added, by that class: the forward layer
+        over ``rest`` is stepped once and folded with each extra."""
         layer = self.layers.start
-        for c in first:
+        for c in rest:
             layer = self.layers.step(layer, c)
-        return self.layers.fold(layer, last)
+        return {c: self.layers.fold(layer, c) for c in extras}
 
     def clone(self, c: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]], dict]:
         """The multiset of n - 1 opponents all revealing class ``c``, with
@@ -148,7 +152,7 @@ class _ClassRows:
         held = self.clones[c]
         if held is None:
             combo = (c,) * (self.tables.n_agents - 1)
-            held = self.clones[c] = combo, self.ends(combo), {}
+            held = self.clones[c] = combo, self.ends_with(combo[1:], (c,))[c], {}
         return held
 
     def clone_row(self, c: int, reveal: int) -> tuple[list[int], int]:

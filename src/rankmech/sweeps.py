@@ -11,9 +11,10 @@ they list the orders.  A dominance sweep counts pairs of truncation classes
 pairs, adds their weights in closed form and names its first violation
 from class representatives; the class-pair engine decides its pairs
 (:func:`~rankmech.classpairs.decide`).  Equal treatment counts every
-profile in closed form and visits only the multisets of truncation classes
-that can violate, each violating one weighted by the number of profiles
-lifting it; ``prop2`` tells essentially equal orders apart by the tables'
+profile in closed form and compares each pair of truncation classes
+sharing a key against every multiset of the other n - 2 reveals, each
+violating multiset weighted by the number of profiles lifting it;
+``prop2`` tells essentially equal orders apart by the tables'
 class keys.  Given profiles and ``prop3`` hand their units, each with a
 weight and the detail of its violation or None, to one counter,
 ``_tally``.  ``prop3`` reads one row per unit, that of the demotion
@@ -32,7 +33,6 @@ from typing import Callable, Iterable
 
 from .assignment import _first_waste
 from .market import (
-    AgentIndex,
     Market,
     PreferenceOrder,
     Profile,
@@ -95,33 +95,20 @@ def _promotion_units(
     ]
 
 
-def _violates(
+def _unequal(
     source,
-    profile: tuple[int, ...],
-    ends: dict[tuple[int, ...], list[tuple[int, int, int]]],
+    rest: tuple[int, ...],
+    x: int,
+    y: int,
+    ends: dict[int, list[tuple[int, int, int]]],
 ) -> bool:
-    """Whether the class profile ``profile`` treats essentially equal reveals
-    unequally, read from the class tables ``source``; ``ends`` keeps each
-    opponent multiset's ``ends`` across calls."""
-    # each key's distinct classes, each with the first agent revealing it
-    groups: dict[tuple[TypeIndex, ...], dict[int, AgentIndex]] = {}
-    for agent, c in enumerate(profile):
-        groups.setdefault(source.key[c], {}).setdefault(c, agent)
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        rows = []
-        for agent in group.values():
-            opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
-            layer = ends.get(opponents)
-            if layer is None:
-                layer = ends[opponents] = source.ends(opponents)
-            rows.append(source.row(layer, opponents, profile[agent], False))
-        counts_a, total_a = rows[0]
-        for counts_b, total_b in rows[1:]:
-            if any(x * total_b != y * total_a for x, y in zip(counts_a, counts_b)):
-                return True
-    return False
+    """Whether, in the class profile ``rest`` plus ``x`` and ``y``, the
+    agents revealing ``x`` and ``y`` get unequal rows, read from the class
+    tables ``source``: each faces ``rest`` plus the other, and ``ends``
+    maps each of the two to the ``ends`` of ``rest`` plus it."""
+    counts_x, total_x = source.row(ends[y], (*rest, y), x, False)
+    counts_y, total_y = source.row(ends[x], (*rest, x), y, False)
+    return any(a * total_y != b * total_x for a, b in zip(counts_x, counts_y))
 
 
 def sweep_ete(
@@ -146,55 +133,67 @@ def sweep_ete(
     up to the threshold, which is never below the outside option, so each
     class has one key, read from the market's class tables
     (:func:`~rankmech.classpairs.class_rows`).  Agents in one class get
-    identical rows, so only distinct classes sharing a key are compared: a
-    multiset can violate only when it holds two distinct classes of one
-    key.  With no key shared by two classes nothing is visited.  Otherwise
-    the multisets are visited in ``combinations_with_replacement`` order,
-    and each one holding no such pair is skipped before any row is read.
-    The first failing profile in product order is the least lift of the
-    first failing class multiset, its sorted tuple of representatives
-    (replacing each reveal by its representative and sorting gives a
-    failing profile no later in that order).
+    identical rows, so a multiset violates exactly when two distinct classes
+    x and y of one key in it get unequal rows.  With the multiset written
+    as ``rest`` plus x and y, the agent revealing x faces ``rest`` plus y,
+    and the agent revealing y faces ``rest`` plus x (:func:`_unequal`).  So
+    the pairs (x, y), x < y, of classes sharing a key are listed once; with
+    none nothing is visited.  Otherwise every multiset ``rest`` of n - 2
+    classes is visited once, in ``combinations_with_replacement`` order:
+    the forward layer over it is stepped once and folded with each class
+    of a pair (:meth:`~rankmech.classpairs._ClassRows.ends_with`), and
+    every pair is compared against it.  A multiset holding such a pair is
+    compared once per pair it holds, so the violating multisets are
+    gathered in a set, as sorted tuples, each weighed once.  The first
+    failing profile in product order is the least lift of the least
+    failing class multiset, its sorted tuple of representatives (replacing
+    each reveal by its representative and sorting gives a failing profile
+    no later in that order).
 
     A profile that parses as the crowd-out pattern has no such pair: its
     competitors share one class and its bystanders another, and no two of
     the special agent, a competitor and a bystander share a key.  So every
     row compared is the uniform mechanism's under either mechanism, and no
-    compared row is parsed.  An agent's row is read from the class tables
-    against the multiset of the other reveals, as in the dominance walk,
-    and each opponent multiset's ``ends`` are built once per call.  Rows are
-    compared by cross-multiplying.  Given ``profiles``, each is checked as
-    given and counts once: a malformed profile fails, a profile that parses
-    as the crowd-out pattern under the modified mechanism passes, and any
-    other is checked against the budget before the class tables are built,
-    then on the classes of its reveals.
+    compared row is parsed.  Rows are compared by cross-multiplying, and
+    no ``ends`` is kept from one ``rest`` or profile to the next.  Given
+    ``profiles``, each is checked as given and counts once: a malformed
+    profile fails, a profile that parses as the crowd-out pattern under the
+    modified mechanism passes, and any other is checked against the budget
+    before the class tables are built, then each pair of distinct classes
+    of one key among its reveals is compared against the rest of them.
     """
     get_mechanism(mechanism_name)  # rejects an unknown name
     name = f"ete-{mechanism_name}"
-    ends: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
     def given(profile: Profile) -> tuple[int, str | None]:
         check_profile(market, profile)
         if mechanism_name == "modified" and detect_modified_pattern(market, profile) is not None:
             return 1, None
         source = class_rows(market, budget)
-        reveals = tuple(source.class_of[order.ranking] for order in profile.orders)
-        return 1, _profile_label(market, profile) if _violates(source, reveals, ends) else None
+        reveals = sorted(source.class_of[order.ranking] for order in profile.orders)
+        for x, y in itertools.combinations(sorted(set(reveals)), 2):
+            if source.key[x] == source.key[y]:
+                rest = list(reveals)
+                rest.remove(x)
+                rest.remove(y)
+                if _unequal(source, tuple(rest), x, y, source.ends_with(rest, (x, y))):
+                    return 1, _profile_label(market, profile)
+        return 1, None
 
     if profiles is not None:
         return _tally(name, map(given, profiles))
     source = class_rows(market, budget)
-    classes, key = source.classes, source.key
+    classes, key, size = source.classes, source.key, source.size
     n = market.n_agents
-
-    def shares_a_key(profile: tuple[int, ...]) -> bool:
-        distinct = set(profile)
-        return len({key[c] for c in distinct}) < len(distinct)
-
-    multisets = itertools.combinations_with_replacement(range(len(classes)), n)
-    candidates = filter(shares_a_key, multisets) if len(set(key)) < len(classes) else ()
-    violating = [profile for profile in candidates if _violates(source, profile, ends)]
-    size = source.size
+    pairs = [(x, y) for x, y in itertools.combinations(range(len(classes)), 2) if key[x] == key[y]]
+    extras = {c for pair in pairs for c in pair}
+    violating = set()
+    rests = itertools.combinations_with_replacement(range(len(classes)), n - 2) if pairs else ()
+    for rest in rests:
+        ends = source.ends_with(rest, extras)
+        for x, y in pairs:
+            if _unequal(source, rest, x, y, ends):
+                violating.add(tuple(sorted((*rest, x, y))))
 
     def weight(profile: tuple[int, ...]) -> int:
         lifts = math.factorial(n)
@@ -205,7 +204,7 @@ def sweep_ete(
 
     first = None
     if violating:
-        first = _profile_label(market, Profile(tuple(classes[c] for c in violating[0])))
+        first = _profile_label(market, Profile(tuple(classes[c] for c in min(violating))))
     return SweepOutcome(name, len(source.orders) ** n, sum(map(weight, violating)), first)
 
 

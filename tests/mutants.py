@@ -114,6 +114,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "ete-rest-drawn-without-repeats",
+        "rankmech/sweeps.py",
+        "    rests = itertools.combinations_with_replacement(range(len(classes)), n - 2) if pairs else ()\n",
+        "    rests = itertools.combinations(range(len(classes)), n - 2) if pairs else ()\n",
+        (
+            "tests/test_sweeps.py::test_ete_visits_exactly_the_multisets_that_can_violate",
+            "tests/test_sweeps.py::test_ete_matches_the_per_multiset_oracle_on_scrambled_rows[tight331-uniform-scrambled]",
+        ),
+    ),
+    Mutant(
+        "ete-row-read-against-its-own-class",
+        "rankmech/sweeps.py",
+        "    counts_x, total_x = source.row(ends[y], (*rest, y), x, False)\n",
+        "    counts_x, total_x = source.row(ends[x], (*rest, x), x, False)\n",
+        (
+            "tests/test_sweeps.py::test_ete_matches_the_per_multiset_oracle_on_scrambled_rows[pair-uniform-opponents]",
+            "tests/test_sweeps.py::test_ete_matches_the_per_multiset_oracle_on_scrambled_rows[ex3-uniform-opponents]",
+        ),
+    ),
+    Mutant(
         "placeholder-verdicts-before-the-walk",
         "rankmech/classpairs.py",
         "        failing = _clone_failures(source, mechanism, refusal, undecided - tied)\n",

@@ -468,7 +468,8 @@ def per_multiset_sweep_ete(market, mechanism_name, budget=DEFAULT_BUDGET):
                 opponents = tuple(sorted(profile[:agent] + profile[agent + 1 :]))
                 layer = ends.get(opponents)
                 if layer is None:
-                    layer = ends[opponents] = source.ends(opponents)
+                    *rest, last = opponents
+                    layer = ends[opponents] = source.ends_with(rest, (last,))[last]
                 rows.append(source.row(layer, opponents, profile[agent], False))
             counts_a, total_a = rows[0]
             for counts_b, total_b in rows[1:]:

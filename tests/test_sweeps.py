@@ -451,8 +451,8 @@ def denial_rows(denial):
             super().__init__(market)
             self.market = market
 
-        def ends(self, opponents):
-            return None
+        def ends_with(self, rest, extras):
+            return dict.fromkeys(extras)
 
         def row(self, ends, opponents, reveal, parse):
             profile = Profile(tuple(self.classes[c] for c in (reveal, *opponents)))
@@ -566,38 +566,47 @@ def test_ete_matches_the_per_multiset_oracle(mechanism):
 def test_ete_visits_exactly_the_multisets_that_can_violate(monkeypatch):
     """On markets where no two truncation classes are essentially equal no
     ``ends`` is built and no row is read.  Where some are, the multisets
-    checked are, in ``combinations_with_replacement`` order, exactly those
-    holding two distinct classes of essentially equal orders, found by
-    comparing every pair of representatives."""
+    compared are exactly those holding two distinct classes of essentially
+    equal orders, found by comparing every pair of representatives, and
+    each is compared once per such pair of classes it holds, on three
+    markets and on every ``KEY_MARKETS`` entry whose classes share keys."""
     seen = []
-    _spy(monkeypatch, "ends", seen)
+    _spy(monkeypatch, "ends_with", seen)
     _spy(monkeypatch, "row", seen)
     for market in (example2_market(), FOUR_AGENTS, _market(4, (1, 1, 1, 1))):
         assert sweep_ete(market, "uniform").passed
         assert seen == []
     monkeypatch.undo()
-    visited = []
-    real = sweeps._violates
+    compared = []
+    real = sweeps._unequal
 
-    def violates(source, profile, ends):
-        visited.append(profile)
-        return real(source, profile, ends)
+    def unequal(source, rest, x, y, ends):
+        compared.append((tuple(sorted((*rest, x, y))), (x, y)))
+        return real(source, rest, x, y, ends)
 
-    monkeypatch.setattr(sweeps, "_violates", violates)
-    for market in (example1_market(2), example3_market(), _market(4, (3, 3, 3))):
-        visited.clear()
+    monkeypatch.setattr(sweeps, "_unequal", unequal)
+    markets = [example1_market(2), _market(4, (3, 3, 3))]
+    for market in [*markets, *(dataclasses.replace(KEY_MARKETS[name]) for name in SHARED_KEYS)]:
+        compared.clear()
         classes = classpairs.class_rows(market, DEFAULT_BUDGET).classes
-        candidates = [
-            profile
-            for profile in itertools.combinations_with_replacement(range(len(classes)), market.n_agents)
-            if any(
-                market.essentially_equal(classes[a], classes[b])
-                for a, b in itertools.combinations(sorted(set(profile)), 2)
-            )
-        ]
+        equal = {
+            (a, b)
+            for a, b in itertools.combinations(range(len(classes)), 2)
+            if market.essentially_equal(classes[a], classes[b])
+        }
+        candidates = {}
+        n = market.n_agents
+        for profile in itertools.combinations_with_replacement(range(len(classes)), n):
+            held = [pair for pair in itertools.combinations(sorted(set(profile)), 2)
+                    if pair in equal]
+            if held:
+                candidates[profile] = held
         assert candidates
         sweep_ete(market, "uniform")
-        assert visited == candidates
+        assert {profile for profile, _ in compared} == candidates.keys()
+        assert sorted(compared) == [
+            (profile, pair) for profile, held in candidates.items() for pair in held
+        ]
 
 
 def test_ete_budget_applies_to_unpatterned_profiles_only():
@@ -737,7 +746,8 @@ def test_walk_shares_prefix_layers_and_folds_rows_per_room_mask(name):
         assert len({mask for _, _, mask in ends}) == len(ends)
         shuffled = [class_of[rep[i]] for i in combo]
         rng.shuffle(shuffled)
-        direct = source.ends(shuffled)
+        *rest, last = shuffled
+        direct = source.ends_with(rest, (last,))[last]
         per_state = oracle.ends(combo)
         for reveal in range(len(orders)):
             expected = oracle.row(per_state, reveal)
@@ -762,7 +772,8 @@ def test_ends_on_tight_fields_match_the_per_state_rows(n, caps):
     for _ in range(80):
         combo = [rng.randrange(len(orders)) for _ in range(n - 1)]
         opponents = [source.class_of[orders[i].ranking] for i in combo]
-        ends = source.ends(opponents)
+        *rest, last = opponents
+        ends = source.ends_with(rest, (last,))[last]
         per_state = oracle.ends(combo)
         for reveal, order in enumerate(orders):
             expected = oracle.row(per_state, reveal)
@@ -1407,6 +1418,41 @@ PARSED_KEY_ROWS = {
 }
 
 
+class OpponentRows(ScrambledRows):
+    """Scrambled rows drawn from the opponent multiset alone, so that two
+    agents of one profile get equal rows exactly when they face equal
+    opponents, as two agents revealing one class do."""
+
+    def row(self, ends, opponents, reveal, parse):
+        return super().row(ends, opponents, 0, parse)
+
+
+# (market, mechanism, class tables) of the equal-treatment oracle test; the
+# opponent-only rows leave out 4 x (2,1,1,1,4), whose oracle takes about 5 s
+SCRAMBLED_ETE = sorted({
+    *((name, mechanism, "scrambled") for name in ("ex2", "ex4", "four", "tight31")
+      for mechanism in ("uniform", "modified")),
+    *((name, "uniform", "scrambled") for name in KEY_MARKETS),
+    *((name, "uniform", "opponents") for name in SHARED_KEYS.keys() - {"4x(2,1,1,1,4)"}),
+})
+
+
+@pytest.mark.parametrize("name, mechanism, rows", SCRAMBLED_ETE)
+def test_ete_matches_the_per_multiset_oracle_on_scrambled_rows(monkeypatch, name, mechanism, rows):
+    """With rows drawn from a hash of the reveal and the opponents, every
+    market whose classes share a key has many violating multisets, and the
+    sweep still gives the per-multiset oracle's checked count, closed-form
+    weights and first violation; where no key is shared nothing violates.
+    With rows drawn from the opponents alone, a row read against any
+    opponents but the other reveals of its profile would hide violations."""
+    market = dataclasses.replace(KEY_MARKETS[name])
+    tables = {"scrambled": ScrambledRows, "opponents": OpponentRows}[rows]
+    monkeypatch.setattr(sweeps, "class_rows", tables)
+    outcome = sweep_ete(market, mechanism)
+    assert outcome == oracles.per_multiset_sweep_ete(market, mechanism)
+    assert outcome.passed is (name not in SHARED_KEYS)
+
+
 def _sharing_a_key(name):
     """The class tables of ``KEY_MARKETS[name]``, its ordered pairs of
     distinct classes sharing a key, and the classes in those pairs."""
@@ -1538,7 +1584,7 @@ def test_sweeps_share_the_class_tables_kept_on_the_market(monkeypatch):
     _spy(monkeypatch, "__init__", built)
     seen = []
     _spy(monkeypatch, "walk", seen)
-    _spy(monkeypatch, "ends", seen)
+    _spy(monkeypatch, "ends_with", seen)
     market = dataclasses.replace(FOUR_AGENTS)
     before = (hash(market), repr(market))
     outcomes = [sweep(market) for sweep in ALL_SWEEPS.values()]
@@ -1645,7 +1691,7 @@ def test_ete_reads_no_row_of_a_patterned_profile(monkeypatch):
     do not parse, and where the eager and patient reveals are essentially
     equal, read both."""
     seen = []
-    _spy(monkeypatch, "ends", seen)
+    _spy(monkeypatch, "ends_with", seen)
     _spy(monkeypatch, "row", seen)
     for market, reads in ((example1_market(), False), (example1_market(2), True)):
         eager = order_from_names(market, "o1>o2>o3>null")
