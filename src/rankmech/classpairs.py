@@ -72,10 +72,12 @@ class _ClassRows:
     multiset with each of several classes added, stepping the layer over
     it once.  ``clones`` keeps, per class, the multiset of n - 1 opponents
     all revealing it, its ``ends`` and the
-    unparsed rows read against it (:meth:`clone`), and ``verdicts`` the
+    unparsed rows read against it (:meth:`clone`), ``verdicts`` the
     verdicts of every class pair decided so far, per (mechanism, refusal)
     (:func:`decide`): each at most classes squared entries, in at most four
-    verdict tables.  ``tables`` holds the crowd-out parse over the classes
+    verdict tables, and ``promotions`` the promotion units that ``thm2`` and
+    ``prop3`` share, listed by ``sweeps`` on first use: at most one per
+    order and type.  ``tables`` holds the crowd-out parse over the classes
     (``mechanisms.PatternTables``).  No table refers to the market, so a
     market keeping them is still freed by reference counting.
     """
@@ -107,6 +109,7 @@ class _ClassRows:
         self.tables = PatternTables(market, self.classes)
         self.clones: list[tuple[tuple[int, ...], list, dict] | None] = [None] * len(self.classes)
         self.verdicts: dict[tuple[str, bool], Verdicts] = {}
+        self.promotions: list | None = None
 
     def walk(self, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
         """Every multiset of ``k`` opponent classes, ``k`` at least 1, with its ``ends``.

@@ -7,19 +7,20 @@ whole market works in truncation classes and reads its orders, its classes
 and its rows from the market's class tables
 (:func:`~rankmech.classpairs.class_rows`), which check the budget before
 they list the orders.  A dominance sweep counts pairs of truncation classes
-(truth class, candidate class), each standing for a known number of order
-pairs, adds their weights in closed form and names its first violation
-from class representatives; the class-pair engine decides its pairs
+(truth class, candidate class), each weighed by the number of order pairs
+it stands for, and names its first violation from class representatives; the class-pair engine decides its pairs
 (:func:`~rankmech.classpairs.decide`).  Equal treatment counts every
 profile in closed form and compares each pair of truncation classes
 sharing a key against every multiset of the other n - 2 reveals, each
 violating multiset weighted by the number of profiles lifting it;
 ``prop2`` tells essentially equal orders apart by the tables'
-class keys.  Given profiles and ``prop3`` hand their units, each with a
-weight and the detail of its violation or None, to one counter,
-``_tally``.  ``prop3`` reads one row per unit, that of the demotion
-against its clones, n - 1 copies of it, kept on the class tables, and
-refuses and scans it for waste in integers.  ``SWEEPS`` maps each
+class keys.  Every other sweep, and equal treatment over given profiles,
+hands its units, each with a weight, whether it violates and the
+arguments of its label, to one counter, ``_tally``, which labels only the
+first violating unit.  ``thm2`` and ``prop3`` share one list of promotion
+units, and ``prop3`` reads one row per unit, that of the demotion against
+its clones, n - 1 copies of it, both kept on the class tables; it refuses
+and scans that row for waste in integers.  ``SWEEPS`` maps each
 ``rankmech sweep`` token to its sweep and arguments; each entry looks its
 sweep up by name when called.
 """
@@ -57,17 +58,18 @@ class SweepOutcome:
         return self.violations == 0
 
 
-def _tally(name: str, items: Iterable[tuple[int, str | None]]) -> SweepOutcome:
-    """Count ``(weight, detail)`` items in order; an item with a detail violates."""
-    checked = 0
-    violations = 0
+def _tally(name: str, units: Iterable[tuple[int, bool, tuple]], label: Callable) -> SweepOutcome:
+    """Sum the weights of ``(weight, violates, args)`` units in order, and of
+    those that violate; the first violating unit is labelled
+    ``label(*args)``, and no other unit's label is built."""
+    checked = violations = 0
     first: str | None = None
-    for weight, detail in items:
+    for weight, violates, args in units:
         checked += weight
-        if detail is not None:
+        if violates:
             violations += weight
             if first is None:
-                first = detail
+                first = label(*args)
     return SweepOutcome(name, checked, violations, first)
 
 
@@ -82,17 +84,24 @@ def _profile_label(market: Market, profile: Profile) -> str:
     )
 
 
+def _promoted_label(market: Market, truth: PreferenceOrder, o_prime: TypeIndex) -> str:
+    return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
+
+
 def _promotion_units(
-    market: Market, budget: Budget
+    market: Market, source
 ) -> list[tuple[PreferenceOrder, TypeIndex, tuple[TypeIndex, ...]]]:
     """Every truth with each type a scarce pair promotes, ascending, and the
-    ranking of its promoting demotion."""
-    null = market.null_type
-    return [
-        (truth, o_prime, _promoting(truth.ranking, truth.rank(null), o_prime, null))
-        for truth in class_rows(market, budget).orders
-        for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
-    ]
+    ranking of its promoting demotion, listed on first use and kept on the
+    market's class tables ``source``."""
+    if source.promotions is None:
+        null = market.null_type
+        source.promotions = [
+            (truth, o_prime, _promoting(truth.ranking, truth.rank(null), o_prime, null))
+            for truth in source.orders
+            for o_prime in sorted({o for _, o in strict_gain_pairs(market, truth)})
+        ]
+    return source.promotions
 
 
 def _unequal(
@@ -165,10 +174,10 @@ def sweep_ete(
     get_mechanism(mechanism_name)  # rejects an unknown name
     name = f"ete-{mechanism_name}"
 
-    def given(profile: Profile) -> tuple[int, str | None]:
+    def violates(profile: Profile) -> bool:
         check_profile(market, profile)
         if mechanism_name == "modified" and detect_modified_pattern(market, profile) is not None:
-            return 1, None
+            return False
         source = class_rows(market, budget)
         reveals = sorted(source.class_of[order.ranking] for order in profile.orders)
         for x, y in itertools.combinations(sorted(set(reveals)), 2):
@@ -177,11 +186,11 @@ def sweep_ete(
                 rest.remove(x)
                 rest.remove(y)
                 if _unequal(source, tuple(rest), x, y, source.ends_with(rest, (x, y))):
-                    return 1, _profile_label(market, profile)
-        return 1, None
+                    return True
+        return False
 
     if profiles is not None:
-        return _tally(name, map(given, profiles))
+        return _tally(name, ((1, violates(p), (market, p)) for p in profiles), _profile_label)
     source = class_rows(market, budget)
     classes, key, size = source.classes, source.key, source.size
     n = market.n_agents
@@ -226,15 +235,14 @@ def sweep_demotion_weak_dominance(
         for demoted in _demotions(truth.ranking, null_rank[t], market.null_type)
     ]
     verdicts = decide(source, "uniform", True, [(t, d) for t, _, d in units])
-    failing = [(t, demoted) for t, demoted, d in units if not verdicts[t, d][0]]
-    first = None
-    if failing:
-        t, demoted = failing[0]
-        demotion = order_to_names(market, PreferenceOrder(demoted))
-        first = f"{_truth_label(market, classes[t])} demotion=({demotion})"
     n, size = market.n_agents, source.size
-    checked = n * sum(size[t] for t, _, _ in units)
-    return SweepOutcome("thm1", checked, n * sum(size[t] for t, _ in failing), first)
+
+    def label(t: int, demoted: tuple[TypeIndex, ...]) -> str:
+        demotion = order_to_names(market, PreferenceOrder(demoted))
+        return f"{_truth_label(market, classes[t])} demotion=({demotion})"
+
+    weighed = ((n * size[t], not verdicts[t, d][0], (t, demoted)) for t, demoted, d in units)
+    return _tally("thm1", weighed, label)
 
 
 def sweep_demotion_strict_gain(
@@ -246,16 +254,12 @@ def sweep_demotion_strict_gain(
     class_of = source.class_of
     units = [
         (truth, o_prime, class_of[truth.ranking], class_of[demoted])
-        for truth, o_prime, demoted in _promotion_units(market, budget)
+        for truth, o_prime, demoted in _promotion_units(market, source)
     ]
     verdicts = decide(source, "uniform", True, [(t, d) for _, _, t, d in units])
-    failing = [(truth, o) for truth, o, t, d in units if verdicts[t, d] != (True, True)]
-    first = None
-    if failing:
-        truth, o_prime = failing[0]
-        first = f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
     n = market.n_agents
-    return SweepOutcome("thm2", n * len(units), n * len(failing), first)
+    weighed = ((n, verdicts[t, d] != (True, True), (market, truth, o)) for truth, o, t, d in units)
+    return _tally("thm2", weighed, _promoted_label)
 
 
 def sweep_demotion_waste(
@@ -278,16 +282,16 @@ def sweep_demotion_waste(
     source = class_rows(market, budget)
     n = market.n_agents
 
-    def detail(truth, o_prime, demoted) -> str | None:
+    def violates(truth: PreferenceOrder, demoted: tuple[TypeIndex, ...]) -> bool:
         c = source.class_of[demoted]
         row, total = source.clone_row(c, c)
         rows = (_refused(market, row, truth), *(row,) * (n - 1))
         orders = (truth, *(source.classes[c],) * (n - 1))
-        if _first_waste(market, total, rows, orders) is not None:
-            return None
-        return f"{_truth_label(market, truth)} promoted={market.type_names[o_prime]}"
+        return _first_waste(market, total, rows, orders) is None
 
-    return _tally("prop3", ((n, detail(*unit)) for unit in _promotion_units(market, budget)))
+    promotions = _promotion_units(market, source)
+    weighed = ((n, violates(truth, d), (market, truth, o)) for truth, o, d in promotions)
+    return _tally("prop3", weighed, _promoted_label)
 
 
 def sweep_no_strict_dominance(
@@ -311,31 +315,31 @@ def sweep_no_strict_dominance(
     classes, key, size = source.classes, source.key, source.size
     pairs = list(itertools.product(range(len(classes)), repeat=2))
     verdicts = decide(source, mechanism_name, refusal, pairs)
-    # strict dominance, or, under the dichotomy, weak dominance exactly when
-    # the keys differ; a pair inside one class weakly but not strictly dominates
-    failing = [
-        (t, c) for t, c in pairs
-        if verdicts[t, c][1] or dichotomy and verdicts[t, c][0] != (key[t] == key[c])
-    ]
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:
         name = "prop5"
-    first = None
-    if failing:
-        t, c = failing[0]
+
+    def label(t: int, c: int) -> str:
         if verdicts[t, c][1]:
             problem = "strictly dominates"
         elif key[t] == key[c]:
             problem = "essentially equal but rows differ somewhere"
         else:
             problem = "expected a failure witness"
-        first = (
+        return (
             f"{_truth_label(market, classes[t])} "
             f"candidate=({order_to_names(market, classes[c])}): {problem}"
         )
-    n, orders = market.n_agents, len(source.orders)
-    violations = n * sum(size[t] * size[c] for t, c in failing)
-    return SweepOutcome(name, n * orders * (orders - 1), violations, first)
+
+    # strict dominance, or, under the dichotomy, weak dominance exactly when
+    # the keys differ; a pair inside one class weakly but not strictly dominates
+    n = market.n_agents
+    weighed = (
+        (n * size[t] * (size[c] - (t == c)),
+         verdicts[t, c][1] or dichotomy and verdicts[t, c][0] != (key[t] == key[c]), (t, c))
+        for t, c in pairs
+    )
+    return _tally(name, weighed, label)
 
 
 SWEEPS: dict[str, Callable[[Market, Budget], SweepOutcome]] = {

@@ -12,7 +12,9 @@
 Two trees that print the same three hashes give the same outputs on every
 one of these inputs.  The script imports the ``rankmech`` of the checkout it
 sits in (``src/`` beside ``tests/``), so a copy of it placed in another
-checkout fingerprints that one.  It takes under a minute.
+checkout fingerprints that one.  It takes under a minute.  Its output is
+committed as ``tests/data/fingerprint.txt``, which CI compares it with; a
+change that means to alter these outputs rewrites that file.
 
 Run from anywhere, standard library only:
 

@@ -106,8 +106,8 @@ MUTANTS = (
     Mutant(
         "thm1-count-without-truth-class-size",
         "rankmech/sweeps.py",
-        "    checked = n * sum(size[t] for t, _, _ in units)\n",
-        "    checked = n * len(units)\n",
+        "weighed = ((n * size[t], not verdicts[t, d][0], (t, demoted))",
+        "weighed = ((n, not verdicts[t, d][0], (t, demoted))",
         (
             "tests/test_cli.py::test_pinned_output[sweep-3x5-thm1]",
             "tests/test_sweeps.py::test_class_pair_sweeps_match_the_order_pair_oracles[thm1]",
@@ -378,6 +378,28 @@ MUTANTS = (
         "    verdicts = dominance_verdicts(market, agent, truth, [order for order, _ in candidates],\n"
         "                                  args.mechanism, args.refusal, _budget(args))\n",
         ("tests/test_cli.py::test_dominance_over_budget_prints_nothing_to_stdout",),
+    ),
+    Mutant(
+        "tally-labels-the-last-violation",
+        "rankmech/sweeps.py",
+        "            if first is None:\n"
+        "                first = label(*args)\n",
+        "            first = label(*args)\n",
+        (
+            "tests/test_sweeps.py::test_the_3x5_no_strict_dominance_sweep_with_refusal_is_pinned",
+            "tests/test_sweeps.py::test_given_profile_ete_labels_only_its_first_violation",
+            "tests/test_sweeps.py::test_class_pair_sweeps_match_the_order_pair_oracles_on_scrambled_rows[ex4]",
+        ),
+    ),
+    Mutant(
+        "within-class-pairs-weighed-in-full",
+        "rankmech/sweeps.py",
+        "n * size[t] * (size[c] - (t == c))",
+        "n * size[t] * size[c]",
+        (
+            "tests/test_acceptance.py::test_criterion_08_no_strict_dominance_under_modified",
+            "tests/test_sweeps.py::test_the_3x5_no_strict_dominance_sweep_with_refusal_is_pinned",
+        ),
     ),
     Mutant(
         "sweeps-imports-one-more-private-name",

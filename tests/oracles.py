@@ -40,6 +40,22 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def tally(name, items):
+    """Count ``(weight, detail)`` items in order; an item with a detail
+    violates.  The oracles count with this, not with ``sweeps._tally``, so
+    that a fault in the library's counter shows against them."""
+    checked = 0
+    violations = 0
+    first = None
+    for weight, detail in items:
+        checked += weight
+        if detail is not None:
+            violations += weight
+            if first is None:
+                first = detail
+    return SweepOutcome(name, checked, violations, first)
+
+
 def rank_table(order: PreferenceOrder) -> list[int]:
     """``table[o]`` is the 1-based rank of type ``o`` under ``order``, read
     from ``order.ranking`` alone, so the counting-pass oracles do not share
@@ -492,7 +508,7 @@ def per_multiset_sweep_ete(market, mechanism_name, budget=DEFAULT_BUDGET):
         return weight, sweeps._profile_label(market, Profile(tuple(classes[c] for c in profile)))
 
     multisets = itertools.combinations_with_replacement(range(len(classes)), n)
-    return sweeps._tally(name, map(lifted, multisets))
+    return tally(name, map(lifted, multisets))
 
 
 def demotion_wastes(market, agent, truth, o_prime, budget=DEFAULT_BUDGET):
@@ -536,8 +552,9 @@ def fraction_demotion_waste_units(market, budget=DEFAULT_BUDGET):
     (truth, promoted type, refused matrix, truths, waste witness)."""
     n = market.n_agents
     mechanism = get_mechanism("uniform")
+    source = sweeps.class_rows(market, budget)
     units = []
-    for truth, o_prime, demoted in sweeps._promotion_units(market, budget):
+    for truth, o_prime, demoted in sweeps._promotion_units(market, source):
         revealed = Profile((PreferenceOrder(demoted),) * n)
         truths = revealed.replace(0, truth)
         refused = refusal_transform(market, mechanism(market, revealed, budget), truths)
@@ -558,7 +575,7 @@ def fraction_sweep_demotion_waste(market, budget=DEFAULT_BUDGET):
         return f"{sweeps._truth_label(market, truth)} promoted={market.type_names[o_prime]}"
 
     units = fraction_demotion_waste_units(market, budget)
-    return sweeps._tally("prop3", ((n, detail(*unit)) for unit in units))
+    return tally("prop3", ((n, detail(*unit)) for unit in units))
 
 
 
@@ -599,7 +616,7 @@ def order_pair_sweep_no_strict_dominance(
     name = "prop2" if dichotomy else f"no-strict-dominance-{mechanism_name}"
     if mechanism_name == "modified" and refusal:
         name = "prop5"
-    return sweeps._tally(name, ((market.n_agents, detail(*pair)) for pair in pairs))
+    return tally(name, ((market.n_agents, detail(*pair)) for pair in pairs))
 
 
 def order_pair_sweep_demotion_weak_dominance(market, budget=DEFAULT_BUDGET):
@@ -614,7 +631,7 @@ def order_pair_sweep_demotion_weak_dominance(market, budget=DEFAULT_BUDGET):
             return None
         return f"{sweeps._truth_label(market, truth)} demotion=({order_to_names(market, demoted)})"
 
-    return sweeps._tally("thm1", ((market.n_agents, detail(*pair)) for pair in pairs))
+    return tally("thm1", ((market.n_agents, detail(*pair)) for pair in pairs))
 
 
 def order_pair_sweep_demotion_strict_gain(market, budget=DEFAULT_BUDGET):
@@ -633,7 +650,7 @@ def order_pair_sweep_demotion_strict_gain(market, budget=DEFAULT_BUDGET):
             return None
         return f"{sweeps._truth_label(market, truth)} promoted={market.type_names[o_prime]}"
 
-    return sweeps._tally("thm2", ((market.n_agents, detail(*unit)) for unit in units))
+    return tally("thm2", ((market.n_agents, detail(*unit)) for unit in units))
 
 
 def check_weak_ete(mechanism, market, profile):

@@ -504,6 +504,32 @@ def test_ete_reads_each_row_against_that_agents_opponents(monkeypatch):
     assert outcome == fraction_sweep_ete(market, "uniform")
 
 
+def test_given_profile_ete_labels_only_its_first_violation(monkeypatch):
+    """Under the denial fixture each arrangement of one eager reveal among
+    two patient ones violates: given them after a passing profile, the sweep
+    weighs all three but builds the label of the first alone."""
+    market = example1_market(second_capacity=2)
+    denial = make_denial_mechanism(market, "o1>o2>o3>null", "o1>o2>null>o3", "o1")
+    monkeypatch.setattr(sweeps, "class_rows", denial_rows(denial))
+    labelled = []
+    label = sweeps._profile_label
+
+    def counting(market, profile):
+        labelled.append(profile)
+        return label(market, profile)
+
+    monkeypatch.setattr(sweeps, "_profile_label", counting)
+    eager = order_from_names(market, "o1>o2>o3>null")
+    patient = order_from_names(market, "o1>o2>null>o3")
+    profiles = [Profile((patient,) * 3)]
+    profiles += [Profile((patient,) * 3).replace(agent, eager) for agent in range(3)]
+    outcome = sweep_ete(market, "uniform", profiles)
+    assert outcome == SweepOutcome(
+        "ete-uniform", 4, 3, "a1=(o1>o2>o3>null) a2=(o1>o2>null>o3) a3=(o1>o2>null>o3)"
+    )
+    assert labelled == [profiles[1]]
+
+
 def test_demotion_sweep_details_are_pinned(monkeypatch):
     """Under the denial fixture the lone reveal of o1>o2>null among two of
     o1>null>o2 is kept off o1.  For the truth o1>null>o2 that demotion, the
@@ -1250,6 +1276,27 @@ def test_thm2_after_thm1_reads_thm1s_verdicts(monkeypatch):
         assert sweep_demotion_strict_gain(dataclasses.replace(market)) == after
         assert walks == [("uniform", True)]
         assert after.checked > 0
+
+
+def test_thm2_and_prop3_share_one_list_of_promotion_units(monkeypatch):
+    """``thm2`` and ``prop3`` read one list of promotion units, kept on the
+    market's class tables: run one after the other on one market, they ask
+    for the scarce pairs of each order once."""
+    asked = []
+    pairs = sweeps.strict_gain_pairs
+
+    def counting(market, truth):
+        asked.append(truth)
+        return pairs(market, truth)
+
+    monkeypatch.setattr(sweeps, "strict_gain_pairs", counting)
+    for market in (example2_market(), FOUR_AGENTS, DOUBLE_SEAT):
+        shared = dataclasses.replace(market)
+        asked.clear()
+        thm2 = sweep_demotion_strict_gain(shared)
+        prop3 = sweep_demotion_waste(shared)
+        assert tuple(asked) == shared.all_orders()
+        assert thm2.checked == prop3.checked > 0
 
 
 def _spy(monkeypatch, method, seen):
