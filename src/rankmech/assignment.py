@@ -3,10 +3,13 @@
 Everything here is exact: no tolerance appears anywhere.  Matrices are
 indexed ``[agent][type]`` in the market's declaration order.  An
 ``Assignment`` is one integer matrix over one common denominator ``D``,
-every entry being ``counts[a][o] / D``.  It is validated against its market
-once, when it is made, and kept in lowest terms, its counts as tuples of
-plain ints; the checks and the reduction run as whole-row passes of
-built-ins.  Refusal, rank values, the waste scan (linear in the matrix) and
+every entry being ``counts[a][o] / D``, kept in lowest terms, its counts as
+tuples of plain ints.  It is checked against its market where it enters:
+when the public constructor or ``build_assignment`` makes it, and again
+when it is passed with another market.  The matrices the mechanisms and
+the refusal compute are feasible by construction and are stored unchecked.
+The checks and the reduction run as whole-row passes of built-ins.
+Refusal, rank values, the waste scan (linear in the matrix) and
 ``decompose`` read the integers; the ``Fraction`` rows are derived on
 demand.
 """
@@ -28,19 +31,21 @@ ZERO = Fraction(0)
 @dataclass(frozen=True)
 class Assignment:
     """A random assignment: the matrix ``counts / denominator``, one row per
-    agent over all types, validated against ``market``.
+    agent over all types, feasible in ``market``.
 
-    Making one checks, D being ``denominator``, that D is a positive int,
+    Making one here checks, D being ``denominator``, that D is a positive int,
     there is one row per agent, every row holds one int per type, every
     entry lies in [0, D], every row sums to D and every column to at most
     its capacity times D, and raises DomainError otherwise.  Past the row
     count, a row that is not a sequence or a count that is not an int is
     named in place of any other check's text, the first one in row order.
-    It then divides D and every count by their gcd, and stores the counts
-    as tuples of plain ints, so a bool count becomes the int it equals.  In
-    lowest terms D is the lcm of the entries' denominators, so two
-    assignments are equal, and hash alike, exactly when their ``Fraction``
-    rows are.  ``market`` takes no part in ``==``, ``hash`` or ``repr``.
+    It then divides D and every count by their gcd, and stores D as a
+    plain int and the counts as tuples of plain ints, so a bool becomes the
+    int it equals.  The library's own matrices skip the checks
+    (:meth:`_of`).  In lowest terms D is the lcm of the entries'
+    denominators, so two assignments are equal, and hash alike, exactly
+    when their ``Fraction`` rows are.  ``market`` takes no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     market: Market = field(repr=False, compare=False)
@@ -75,20 +80,29 @@ class Assignment:
                         f"column {market.type_names[o]} sums to {Fraction(total, denominator)}, "
                         f"exceeding capacity {capacity}"
                     )
-            common = gcd(denominator, *chain.from_iterable(counts))  # TypeError on a count that is not an int
+            denominator, counts = _lowest(denominator, counts)  # TypeError on a count that is not an int
         except (TypeError, DomainError):
             problem = _not_an_int(market, counts)
             if problem is None:
                 raise
             raise DomainError(problem) from None
-        if common == 1:
-            counts = tuple(map(tuple, counts))
-            if bool in set(map(type, chain.from_iterable(counts))):
-                counts = tuple(tuple(map(int, row)) for row in counts)
-        else:
-            object.__setattr__(self, "denominator", denominator // common)
-            counts = tuple([tuple([c // common for c in row]) for row in counts])
+        if bool in set(map(type, chain.from_iterable(counts))):
+            counts = tuple(tuple(map(int, row)) for row in counts)
+        object.__setattr__(self, "denominator", int(denominator))
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _of(cls, market: Market, denominator: int, counts) -> Assignment:
+        """The Assignment ``counts / denominator`` of a matrix the library
+        computed for ``market``, stored in lowest terms as the constructor
+        stores it, without its checks: the caller vouches that ``counts``
+        holds plain ints, rows summing to D and columns within capacity."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "market", market)
+        denominator, counts = _lowest(denominator, counts)
+        object.__setattr__(x, "denominator", denominator)
+        object.__setattr__(x, "counts", counts)
+        return x
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -102,6 +116,15 @@ class Assignment:
 
     def column_sum(self, o: TypeIndex) -> Fraction:
         return Fraction(sum(row[o] for row in self.counts), self.denominator)
+
+
+def _lowest(denominator: int, counts) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``counts / denominator`` in lowest terms: D and every count divided by
+    their gcd, and the rows as tuples."""
+    common = gcd(denominator, *chain.from_iterable(counts))
+    if common == 1:
+        return denominator, tuple(map(tuple, counts))
+    return denominator // common, tuple([tuple([c // common for c in row]) for row in counts])
 
 
 def _not_an_int(market: Market, counts) -> str | None:
@@ -265,19 +288,19 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     agents, one unit each, then fill the room the copies have left over all
     copies in order, the same way.  Entries and weights are ``D`` times
     their rational values.  Each row also keeps its copies as a bit mask,
-    read from its keys; when an entry reaches zero it is deleted and its
-    bit cleared.  The matching is kept from one step to the next: the first
-    step runs Kuhn's augmenting-path matching over the masks from an empty
-    matching, and each later step unmatches only the rows whose matched
-    entry reached zero and re-augments them in ascending order, with an
-    explicit stack instead of recursion.  Every other matched entry is
-    still positive, so the kept pairs stay valid.  The parts are the ones the
-    same warm-started algorithm gives over ``Fraction`` entries (the oracle in
-    the tests): at every step the integer matrix is an exact multiple of the
-    rational one, so it has the same positive support, hence the same
-    matching, the same minimum weight up to that factor, and the same
-    projected seating.  Weights come out as ``Fraction(w, D)``, sorted by
-    seating.
+    each copy's bit set as its entry is written; when an entry reaches zero
+    it is deleted and its bit cleared.  The matching is kept from one step
+    to the next: the first step runs Kuhn's augmenting-path matching over
+    the masks from an empty matching, and each later step unmatches only
+    the rows whose matched entry reached zero and re-augments them in
+    ascending order, with an explicit stack instead of recursion.  Every
+    other matched entry is still positive, so the kept pairs stay valid.
+    The parts are the ones the same warm-started algorithm gives over
+    ``Fraction`` entries (the oracle in the tests): at every step the
+    integer matrix is an exact multiple of the rational one, so it has the
+    same positive support, hence the same matching, the same minimum weight
+    up to that factor, and the same projected seating.  Weights come out as
+    ``Fraction(w, D)``, sorted by seating.
     """
     denominator, counts = _scaled(market, x)  # malformed input is a domain error
     n_real = market.n_agents
@@ -295,26 +318,30 @@ def decompose(market: Market, x: Assignment) -> Decomposition:
     # Each row keeps its positive entries only.
     room = [denominator] * n_copies
     rows: list[dict[int, int]] = []
+    positive: list[int] = []
     dummy = [0]  # the dummy agents' current copy
     supplies = [(current, row) for row in counts]
     supplies += [(dummy, [denominator])] * (n_copies - n_real)
     for cursor, row in supplies:
         entries = {}
+        mask = 0
         for o, need in enumerate(row):
             while need:
                 c = cursor[o]
                 space = room[c]
                 if need < space:
                     entries[c] = need
+                    mask |= 1 << c
                     room[c] = space - need
                     break
                 if space:  # only a dummy meets a copy the real agents filled
                     entries[c] = space
+                    mask |= 1 << c
                     room[c] = 0
                     need -= space
                 cursor[o] = c + 1
         rows.append(entries)
-    positive = [sum(1 << c for c in row) for row in rows]
+        positive.append(mask)
 
     col_of_row = [-1] * n_copies
     row_of_col = [-1] * n_copies

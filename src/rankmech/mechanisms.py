@@ -541,14 +541,16 @@ class _Splits:
 
 
 def _to_assignment(market: Market, rows: list[tuple[list[int], int]]) -> Assignment:
-    """The public, validated form of :func:`_integer_rows`' rows, over the
-    lcm of their totals; counted rows share one total and need no scaling."""
+    """The public form of :func:`_integer_rows`' rows, over the lcm of their
+    totals; counted rows share one total and need no scaling.  It is made
+    unchecked: counted rows sum to the number of optimal assignments, every
+    one of them feasible, and the crowd-out rows are feasible as built."""
     denominator = lcm(*(total for _, total in rows))
     scaled = [
         counts if total == denominator else [c * (denominator // total) for c in counts]
         for counts, total in rows
     ]
-    return Assignment(market, denominator, scaled)
+    return Assignment._of(market, denominator, scaled)
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,14 @@ def refusal_transform(market: Market, x: Assignment, truths: Profile) -> Assignm
 
     Each refused type's count moves onto the outside option; acceptable
     entries are untouched.  The refusal moves counts within each row of
-    ``x`` (validated again when ``x`` was made for another market), and the
-    refused matrix is validated once over the same denominator.
+    ``x`` (validated again when ``x`` was made for another market), so the
+    refused matrix, over the same denominator, is made unchecked: its rows
+    keep their sums, and the outside option seats every agent.
     """
     check_profile(market, truths)
     denominator, counts = _scaled(market, x)
     rows = [_refused(market, row, truth) for row, truth in zip(counts, truths)]
-    return Assignment(market, denominator, rows)
+    return Assignment._of(market, denominator, rows)
 
 
 def _refused(market: Market, row: Sequence[int], truth: PreferenceOrder) -> list[int]:

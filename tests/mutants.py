@@ -325,6 +325,27 @@ MUTANTS = (
         ("tests/test_assignment.py::test_equality_and_hash_agree_with_the_fraction_rows",),
     ),
     Mutant(
+        "unchecked-path-keeps-lists",
+        "rankmech/assignment.py",
+        "        object.__setattr__(x, \"counts\", counts)\n",
+        "        object.__setattr__(x, \"counts\", tuple(map(list, counts)))\n",
+        (
+            "tests/test_assignment.py::"
+            "test_unchecked_matrices_match_the_checking_constructor_on_every_small_profile[ex2]",
+        ),
+    ),
+    Mutant(
+        "decompose-mask-misses-a-dummy-seat",
+        "rankmech/assignment.py",
+        "                    entries[c] = space\n"
+        "                    mask |= 1 << c\n",
+        "                    entries[c] = space\n",
+        (
+            "tests/test_assignment.py::test_decompose_random_mixtures_round_trip",
+            "tests/test_assignment.py::test_decompose_matches_fraction_oracle_on_seeded_markets[spread]",
+        ),
+    ),
+    Mutant(
         "counts-reused-for-any-market",
         "rankmech/assignment.py",
         "x.market is market or x.market == market",

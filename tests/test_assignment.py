@@ -299,10 +299,16 @@ def test_wastefulness_witness_validates_input():
 
 
 def test_constructor_checks_the_denominator():
+    """A denominator that is not a positive int is a DomainError; a bool
+    denominator is the int it equals, and is stored as that int."""
     market = example2_market()
-    for denominator in (0, -2, 2.0, F(2)):
+    for denominator in (0, -2, 2.0, F(2), False):
         with pytest.raises(DomainError, match="denominator must be a positive int"):
             Assignment(market, denominator, ((0, 0, 0),) * 3)
+    x = Assignment(example4_market(), True, ((1, 0, 0), (0, 1, 0)))
+    assert type(x.denominator) is int and x.denominator == 1
+    assert repr(x) == "Assignment(denominator=1, counts=((1, 0, 0), (0, 1, 0)))"
+    assert x == Assignment(example4_market(), 1, ((1, 0, 0), (0, 1, 0)))
 
 
 def test_constructor_names_a_count_that_is_not_an_int():
@@ -335,11 +341,12 @@ def test_constructor_names_a_count_that_is_not_an_int():
         assert x.counts == valid and all(type(c) is int for row in x.counts for c in row)
 
 
-def test_assign_path_validates_each_matrix_once(monkeypatch):
-    """Mechanism, waste scan, refusal, waste scan and ``decompose`` validate
-    two matrices, the mechanism's output and the refused one, once each, and
-    call ``build_assignment`` never.  A matrix passed with an equal market
-    is not validated again, and one passed with another market is."""
+def test_assign_path_checks_only_a_matrix_made_for_another_market(monkeypatch):
+    """Mechanism, waste scan, refusal, waste scan and ``decompose`` check no
+    matrix: the mechanism's output and the refused one are made unchecked,
+    and ``build_assignment`` is never called.  A matrix passed with an equal
+    market is not checked either, and one passed with another market is
+    checked once."""
     calls = []
 
     def counted(name, fn):
@@ -362,11 +369,57 @@ def test_assign_path_validates_each_matrix_once(monkeypatch):
     wastefulness_witness(market, refused, truths)
     d = decompose(market, refused)
     assert refused != x
-    assert calls == ["checked", "checked"]
+    assert calls == []
     assert decompose(dataclasses.replace(market), refused) == d
-    assert calls == ["checked", "checked"]
+    assert calls == []
     assert decompose(dataclasses.replace(market, capacities=(1, 2, 1, 4)), refused) == d
-    assert calls == ["checked", "checked", "checked"]
+    assert calls == ["checked"]
+
+
+def _assert_checked_alike(market, x):
+    """``x`` is what the checking constructor makes of its own counts: the
+    same denominator, the same counts as tuples of plain ints, ``==`` and
+    the hash."""
+    checked = Assignment(market, x.denominator, x.counts)
+    assert type(x.denominator) is int and x.denominator == checked.denominator
+    assert type(x.counts) is tuple and all(type(row) is tuple for row in x.counts)
+    assert all(type(c) is int for row in x.counts for c in row)
+    assert x.counts == checked.counts
+    assert x == checked and hash(x) == hash(checked)
+
+
+@pytest.mark.parametrize(
+    "market", [example2_market(), example3_market(), example4_market()], ids=["ex2", "ex3", "ex4"]
+)
+def test_unchecked_matrices_match_the_checking_constructor_on_every_small_profile(market):
+    """Both mechanisms, crowd-out patterns included, on every profile, each
+    output also refused against a seeded truth: every matrix the library
+    makes unchecked is one the checking constructor accepts and stores
+    alike."""
+    rng = random.Random(5657)
+    patterned = 0
+    for profile in all_profiles(market):
+        truths = _random_profile(rng, market)
+        patterned += mechanisms.detect_modified_pattern(market, profile) is not None
+        for mechanism in (uniform_mechanism, modified_mechanism):
+            x = mechanism(market, profile)
+            _assert_checked_alike(market, x)
+            _assert_checked_alike(market, refusal_transform(market, x, truths))
+    assert patterned > 0
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "spread"])
+def test_unchecked_matrices_match_the_checking_constructor_on_seeded_markets(tie_heavy):
+    """The seeded 6-8 agent markets of the decompose oracle: both
+    mechanisms' matrices, unrefused and refused against seeded truths."""
+    rng = random.Random(3301 + tie_heavy)
+    for _ in range(100):
+        market, profile = _seeded_profile(rng, tie_heavy)
+        truths = _random_profile(rng, market)
+        for mechanism in (uniform_mechanism, modified_mechanism):
+            x = mechanism(market, profile, mechanisms.Budget(max_agents=market.n_agents))
+            _assert_checked_alike(market, x)
+            _assert_checked_alike(market, refusal_transform(market, x, truths))
 
 
 def _copies(rng, market, x):
@@ -474,18 +527,28 @@ def test_decompose_matches_fraction_oracle_on_every_small_profile(market):
             _assert_matches_oracle(market, refusal_transform(market, x, truths))
 
 
-def _seeded_assign_input(rng, tie_heavy):
-    """A market with 6-8 agents and null capacity n or 2n, its refused
-    outcome (:func:`_refused_input`)."""
+def _seeded_profile(rng, tie_heavy):
+    """A market with 6-8 agents and null capacity n or 2n, and a seeded
+    profile (:func:`_market_and_profile`)."""
     n = rng.randint(6, 8)
     scarce = rng.choice([(2, 2), (2, 1, 1), (1, 1, 1), (3, 1)])
-    return _refused_input(rng, n, scarce, rng.choice((n, 2 * n)), tie_heavy)
+    return _market_and_profile(rng, n, scarce, rng.choice((n, 2 * n)), tie_heavy)
+
+
+def _seeded_assign_input(rng, tie_heavy):
+    """A :func:`_seeded_profile` market and its refused outcome
+    (:func:`_refused_outcome`)."""
+    return _refused_outcome(rng, *_seeded_profile(rng, tie_heavy))
 
 
 def _refused_input(rng, n, scarce, null_capacity, tie_heavy):
+    """A :func:`_market_and_profile` market and its refused outcome."""
+    return _refused_outcome(rng, *_market_and_profile(rng, n, scarce, null_capacity, tie_heavy))
+
+
+def _market_and_profile(rng, n, scarce, null_capacity, tie_heavy):
     """A market with ``n`` agents, the ``scarce`` capacities and
-    ``null_capacity`` null seats, and its uniform matrix refused against
-    seeded truths.
+    ``null_capacity`` null seats, and a seeded profile.
 
     Tie-heavy: every agent but one shares an order ranking the scarce types
     above null, and that one swaps the top two.  Spread: independent orders.
@@ -502,10 +565,14 @@ def _refused_input(rng, n, scarce, null_capacity, tie_heavy):
         odd = (shared[1], shared[0], *shared[2:])
         position = rng.randrange(n)
         reveals = [odd if a == position else shared for a in range(n)]
-        profile = Profile(tuple(PreferenceOrder(order) for order in reveals))
-    else:
-        profile = _random_profile(rng, market)
-    x = uniform_mechanism(market, profile, mechanisms.Budget(max_agents=n))
+        return market, Profile(tuple(PreferenceOrder(order) for order in reveals))
+    return market, _random_profile(rng, market)
+
+
+def _refused_outcome(rng, market, profile):
+    """``market`` and its uniform matrix on ``profile`` refused against
+    seeded truths."""
+    x = uniform_mechanism(market, profile, mechanisms.Budget(max_agents=market.n_agents))
     return market, refusal_transform(market, x, _random_profile(rng, market))
 
 
